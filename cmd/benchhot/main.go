@@ -11,6 +11,12 @@
 // anything (used to import the pre-optimization baseline):
 //
 //	go run ./cmd/benchhot -label before -input bench/raw-before.txt
+//
+// Every run records where it was measured: go version, GOMAXPROCS, CPU
+// model, the GEMM micro-kernel the matmuls dispatched to, and the commit.
+// They are written at the top of the raw file as `key: value` configuration
+// lines of the Go benchmark format (benchstat reads them as such), and read
+// back from there, so an ingested file carries its own metadata.
 package main
 
 import (
@@ -21,10 +27,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"plshuffle/internal/tensor"
 )
 
 // hotPackages are the packages whose benchmarks cover the zero-allocation
@@ -58,12 +67,18 @@ type Result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Run is one labeled invocation of the suite.
+// Run is one labeled invocation of the suite. The machine fields are empty
+// for runs recorded before PR 12 and for ingested files without a header.
 type Run struct {
-	Label   string   `json:"label"`
-	Date    string   `json:"date"`
-	Count   int      `json:"count"`
-	Results []Result `json:"results"`
+	Label      string   `json:"label"`
+	Date       string   `json:"date"`
+	Count      int      `json:"count"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	CPUModel   string   `json:"cpu_model,omitempty"`
+	GemmKernel string   `json:"gemm_kernel,omitempty"`
+	Commit     string   `json:"commit,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 // Trajectory is the file format of BENCH_HOTPATH.json: an append-only
@@ -105,9 +120,10 @@ func main() {
 		cmd.Stderr = os.Stderr
 		b, err := cmd.Output()
 		if err != nil {
+			os.Stderr.Write(b) // the failing benchmark's own message is in here
 			fatal(fmt.Errorf("go test -bench: %w", err))
 		}
-		raw = b
+		raw = append(machineHeader(), b...)
 		if err := os.MkdirAll(*rawDir, 0o755); err != nil {
 			fatal(err)
 		}
@@ -128,12 +144,14 @@ func main() {
 			fatal(fmt.Errorf("parsing existing %s: %w", *out, err))
 		}
 	}
-	traj.Runs = append(traj.Runs, Run{
+	run := Run{
 		Label:   *label,
 		Date:    time.Now().UTC().Format(time.RFC3339),
 		Count:   *count,
 		Results: results,
-	})
+	}
+	readMachineHeader(string(raw), &run)
+	traj.Runs = append(traj.Runs, run)
 	b, err := json.MarshalIndent(traj, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -142,6 +160,43 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "benchhot: %d benchmarks -> %s (run %q)\n", len(results), *out, *label)
+}
+
+// machineHeader describes this process's toolchain and machine — the ones
+// the `go test` child just ran on — as benchmark-format configuration lines.
+// (The CPU model needs no line: `go test` prints its own `cpu:`.)
+func machineHeader() []byte {
+	commit := "unknown"
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return []byte(fmt.Sprintf("goversion: %s\ngomaxprocs: %d\ngemm-kernel: %s\ncommit: %s\n",
+		runtime.Version(), runtime.GOMAXPROCS(0), tensor.GemmKernelName(), commit))
+}
+
+var configLine = regexp.MustCompile(`^([a-z][a-z-]*):\s+(.+)$`)
+
+// readMachineHeader fills run's machine fields from raw's configuration
+// lines. (`cpu:` repeats once per package, with the same value.)
+func readMachineHeader(raw string, run *Run) {
+	for _, line := range strings.Split(raw, "\n") {
+		m := configLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		switch m[1] {
+		case "goversion":
+			run.GoVersion = m[2]
+		case "gomaxprocs":
+			run.GOMAXPROCS, _ = strconv.Atoi(m[2]) // 0 (omitted) if malformed
+		case "cpu":
+			run.CPUModel = m[2]
+		case "gemm-kernel":
+			run.GemmKernel = m[2]
+		case "commit":
+			run.Commit = m[2]
+		}
+	}
 }
 
 // benchHead matches a `go test -bench` result line's name and iteration

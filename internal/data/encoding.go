@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoding selects the on-wire feature representation of a sample batch.
@@ -84,16 +85,25 @@ const (
 	entryFP16 = byte(1)
 )
 
+// fp16Short decides the common case of "is this float32 exactly a half?"
+// from the bits alone: an exponent inside the fp16 normal range (113..142,
+// fp16's 1..30) and the 13 mantissa bits fp16 lacks all zero. Narrowing such
+// a value is a shift and a re-bias with nothing to round. Subnormals, Inf,
+// NaN and everything inexact or out of range fail the test and go to
+// fp16FromF32/fp16ToF32, which stay the definition of representable.
+func fp16Short(b uint32) bool { return b&0x1fff == 0 && (b>>23&0xff)-113 < 30 }
+
 // fp16Representable reports whether f survives an fp16 round trip bit for
-// bit. NaNs and values beyond fp16 range do not (quantizing would change
-// their bits), so EncodingFP16Exact keeps them in fp32.
+// bit. Values beyond fp16 range and NaNs whose payload needs the low
+// mantissa bits do not (quantizing would change their bits), so
+// EncodingFP16Exact keeps them in fp32.
 func fp16Representable(f float32) bool {
 	return math.Float32bits(fp16ToF32(fp16FromF32(f))) == math.Float32bits(f)
 }
 
 func featuresFP16Representable(fs []float32) bool {
 	for _, f := range fs {
-		if !fp16Representable(f) {
+		if !fp16Short(math.Float32bits(f)) && !fp16Representable(f) {
 			return false
 		}
 	}
@@ -110,12 +120,26 @@ func QuantizeFeaturesFP16(fs []float32) {
 	}
 }
 
-// entryTag returns the v2 tag the encoder picks for s under enc.
-func entryTag(s Sample, enc Encoding) byte {
-	if enc == EncodingFP16 || featuresFP16Representable(s.Features) {
-		return entryFP16
+// appendFP16Exact appends fs as fp16 halves if every feature is
+// fp16-representable; at the first one that is not it gives up and returns
+// dst as it was. Classifying and narrowing are one pass: a representable
+// sample is never looked at twice.
+func appendFP16Exact(dst []byte, fs []float32) ([]byte, bool) {
+	base := len(dst)
+	dst = slices.Grow(dst, 2*len(fs))
+	for _, f := range fs {
+		b := math.Float32bits(f)
+		var h uint16
+		if fp16Short(b) {
+			h = uint16(b>>16&0x8000) | uint16((b&0x7fffffff)>>13-112<<10)
+		} else if b<<1 == 0 {
+			h = uint16(b >> 16) // ±0, too common on real features to send to the oracle
+		} else if h = fp16FromF32(f); math.Float32bits(fp16ToF32(h)) != b {
+			return dst[:base], false
+		}
+		dst = binary.LittleEndian.AppendUint16(dst, h)
 	}
-	return entryFP32
+	return dst, true
 }
 
 // AppendSampleBatchEnc appends the batch encoding of samples under enc to
@@ -127,17 +151,23 @@ func AppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(samples))|batchV2Flag)
 	for _, s := range samples {
-		tag := entryTag(s, enc)
-		dst = append(dst, tag)
+		tagAt := len(dst)
+		dst = append(dst, entryFP16)
 		dst = binary.AppendUvarint(dst, uint64(s.ID))
 		dst = binary.AppendUvarint(dst, uint64(s.Label))
 		dst = binary.AppendUvarint(dst, uint64(s.Bytes))
 		dst = binary.AppendUvarint(dst, uint64(len(s.Features)))
-		if tag == entryFP16 {
+		if enc == EncodingFP16 {
 			for _, f := range s.Features {
 				dst = binary.LittleEndian.AppendUint16(dst, fp16FromF32(f))
 			}
-		} else {
+			continue
+		}
+		// EncodingFP16Exact: narrow on the assumption that the sample is
+		// representable, and roll the entry back to fp32 if it is not.
+		var exact bool
+		if dst, exact = appendFP16Exact(dst, s.Features); !exact {
+			dst[tagAt] = entryFP32
 			for _, f := range s.Features {
 				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
 			}
@@ -146,23 +176,28 @@ func AppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte {
 	return dst
 }
 
+// WireSizeEnc returns the exact number of bytes the sample occupies in a
+// batch encoded under enc (its entry, without the batch's count word),
+// without allocating — WireSize generalized over the wire format.
+func (s Sample) WireSizeEnc(enc Encoding) int {
+	if enc == EncodingFP32 {
+		return s.WireSize()
+	}
+	width := 2
+	if enc == EncodingFP16Exact && !featuresFP16Representable(s.Features) {
+		width = 4
+	}
+	return 1 + uvarintLen(uint64(s.ID)) + uvarintLen(uint64(s.Label)) +
+		uvarintLen(uint64(s.Bytes)) + uvarintLen(uint64(len(s.Features))) + width*len(s.Features)
+}
+
 // SampleBatchWireSizeEnc returns the exact encoded size of the batch under
 // enc, without allocating — SampleBatchWireSize generalized over the wire
-// format. The exchange scheduler's dedup accounting uses it to price
-// hypothetical (unsent) batches.
+// format.
 func SampleBatchWireSizeEnc(samples []Sample, enc Encoding) int {
-	if enc == EncodingFP32 {
-		return SampleBatchWireSize(samples)
-	}
 	n := 4
 	for _, s := range samples {
-		n += 1 + uvarintLen(uint64(s.ID)) + uvarintLen(uint64(s.Label)) +
-			uvarintLen(uint64(s.Bytes)) + uvarintLen(uint64(len(s.Features)))
-		if entryTag(s, enc) == entryFP16 {
-			n += 2 * len(s.Features)
-		} else {
-			n += 4 * len(s.Features)
-		}
+		n += s.WireSizeEnc(enc)
 	}
 	return n
 }
@@ -236,10 +271,17 @@ func decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
 		}
 		s.Features = make([]float32, nfeat)
 		if tag == entryFP16 {
+			body := buf[off : off+2*len(s.Features)]
 			for j := range s.Features {
-				s.Features[j] = fp16ToF32(binary.LittleEndian.Uint16(buf[off:]))
-				off += 2
+				h := uint32(body[2*j]) | uint32(body[2*j+1])<<8
+				if e := h & 0x7c00; e != 0 && e != 0x7c00 {
+					// A normal half widens by a shift and a re-bias.
+					s.Features[j] = math.Float32frombits((h&0x8000)<<16 | ((h&0x7fff)<<13 + 112<<23))
+				} else {
+					s.Features[j] = fp16ToF32(uint16(h))
+				}
 			}
+			off += len(body)
 		} else {
 			for j := range s.Features {
 				s.Features[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))

@@ -2,6 +2,7 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -29,17 +30,17 @@ func TestFP16RoundTripAllPatterns(t *testing.T) {
 func TestFP16FromF32Reference(t *testing.T) {
 	cases := []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1, 0.5, 65504, -65504, 65505, 70000, 1e-8, 6e-8,
-		5.960464477539063e-08,     // smallest fp16 subnormal
-		2.980232238769531e-08,     // exactly half of it (tie → 0)
-		2.9802326e-08,             // just above the tie
-		6.103515625e-05,           // smallest fp16 normal
-		float32(math.Inf(1)),      // +Inf
-		float32(math.Inf(-1)),     // -Inf
-		float32(math.NaN()),       // NaN
-		1.0009765625,              // 1 + 2^-10 (exact)
-		1.00048828125,             // 1 + 2^-11 (tie → even → 1.0)
-		1.0004883,                 // just above the tie
-		2049, 2051, 4100,          // integers losing bits
+		5.960464477539063e-08, // smallest fp16 subnormal
+		2.980232238769531e-08, // exactly half of it (tie → 0)
+		2.9802326e-08,         // just above the tie
+		6.103515625e-05,       // smallest fp16 normal
+		float32(math.Inf(1)),  // +Inf
+		float32(math.Inf(-1)), // -Inf
+		float32(math.NaN()),   // NaN
+		1.0009765625,          // 1 + 2^-10 (exact)
+		1.00048828125,         // 1 + 2^-11 (tie → even → 1.0)
+		1.0004883,             // just above the tie
+		2049, 2051, 4100,      // integers losing bits
 	}
 	r := rng.New(7)
 	for i := 0; i < 2000; i++ {
@@ -197,9 +198,9 @@ func TestV2DecoderRejectsNonCanonical(t *testing.T) {
 	quant := mkSamples(1, 4, 5, true)
 	valid := AppendSampleBatchEnc(nil, quant, EncodingFP16Exact)
 	cases := map[string][]byte{
-		"truncated":    valid[:len(valid)-1],
-		"trailing":     append(append([]byte{}, valid...), 0),
-		"bad tag":      func() []byte { b := append([]byte{}, valid...); b[4] = 2; return b }(),
+		"truncated": valid[:len(valid)-1],
+		"trailing":  append(append([]byte{}, valid...), 0),
+		"bad tag":   func() []byte { b := append([]byte{}, valid...); b[4] = 2; return b }(),
 		"count exceeds": func() []byte {
 			b := append([]byte{}, valid...)
 			b[0], b[1] = 0xff, 0xff // huge count with bit31 still set in b[3]
@@ -258,5 +259,208 @@ func TestParseEncoding(t *testing.T) {
 	}
 	if _, err := ParseEncoding("zstd"); err == nil {
 		t.Errorf("ParseEncoding accepted unknown spelling")
+	}
+}
+
+// --- fast paths vs the oracle ---
+
+// seedAppendSampleBatchEnc is the v2 encoder as it stood before the fused
+// pass: classify each sample with fp16FromF32+fp16ToF32 on every feature,
+// then convert again. Kept verbatim as the byte-for-byte reference for
+// AppendSampleBatchEnc.
+func seedAppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(samples))|batchV2Flag)
+	for _, s := range samples {
+		tag := entryFP32
+		if enc == EncodingFP16 {
+			tag = entryFP16
+		} else {
+			tag = entryFP16
+			for _, f := range s.Features {
+				if !fp16Representable(f) {
+					tag = entryFP32
+					break
+				}
+			}
+		}
+		dst = append(dst, tag)
+		dst = binary.AppendUvarint(dst, uint64(s.ID))
+		dst = binary.AppendUvarint(dst, uint64(s.Label))
+		dst = binary.AppendUvarint(dst, uint64(s.Bytes))
+		dst = binary.AppendUvarint(dst, uint64(len(s.Features)))
+		if tag == entryFP16 {
+			for _, f := range s.Features {
+				dst = binary.LittleEndian.AppendUint16(dst, fp16FromF32(f))
+			}
+		} else {
+			for _, f := range s.Features {
+				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
+			}
+		}
+	}
+	return dst
+}
+
+// checkAgainstSeedEncoder encodes samples with the fused encoder and the
+// seed one, compares the bytes and the size function, and decodes them back
+// to the input bits.
+func checkAgainstSeedEncoder(t *testing.T, what string, samples []Sample) {
+	t.Helper()
+	for _, enc := range []Encoding{EncodingFP16Exact, EncodingFP16} {
+		want := seedAppendSampleBatchEnc(nil, samples, enc)
+		got := AppendSampleBatchEnc([]byte{0xee}, samples, enc)
+		if got[0] != 0xee || !bytes.Equal(got[1:], want) {
+			t.Fatalf("%s, %v: fused encoder bytes differ from the seed encoder's", what, enc)
+		}
+		if n := SampleBatchWireSizeEnc(samples, enc); n != len(want) {
+			t.Fatalf("%s, %v: SampleBatchWireSizeEnc = %d, encoded %d", what, enc, n, len(want))
+		}
+		if enc != EncodingFP16Exact {
+			continue
+		}
+		dec, err := DecodeSampleBatch(want)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", what, err)
+		}
+		for i, s := range samples {
+			for j, f := range s.Features {
+				if math.Float32bits(dec[i].Features[j]) != math.Float32bits(f) {
+					t.Fatalf("%s: sample %d feature %d: %#08x decoded as %#08x", what, i, j,
+						math.Float32bits(f), math.Float32bits(dec[i].Features[j]))
+				}
+			}
+		}
+	}
+}
+
+func bitsToFeatures(bs []uint32) []float32 {
+	fs := make([]float32, len(bs))
+	for i, b := range bs {
+		fs[i] = math.Float32frombits(b)
+	}
+	return fs
+}
+
+// TestFusedEncoderMatchesSeed drives the bit-test fast path, its fallback to
+// the oracle and the rollback to an fp32 entry over every float32 class.
+func TestFusedEncoderMatchesSeed(t *testing.T) {
+	// Every half, widened: one sample of all 65536 (all representable, so one
+	// fp16 entry holding ±0, subnormals, normals, ±Inf and every NaN payload),
+	// and each as a sample of its own.
+	halves := make([]uint32, 1<<16)
+	for h := range halves {
+		halves[h] = math.Float32bits(fp16ToF32(uint16(h)))
+	}
+	checkAgainstSeedEncoder(t, "all halves in one sample", []Sample{{ID: 1, Features: bitsToFeatures(halves)}})
+	single := make([]Sample, len(halves))
+	for h, b := range halves {
+		single[h] = Sample{ID: h, Label: h % 7, Bytes: int64(h), Features: []float32{math.Float32frombits(b)}}
+	}
+	checkAgainstSeedEncoder(t, "each half alone", single)
+
+	// Every float32 exponent × both signs × the mantissas where behaviour
+	// changes: 0, the lowest bit, the last bit fp16 keeps (0x2000), the
+	// rounding tie 0x1000 and its neighbours, all-ones — each a sample of its
+	// own, so every one that is not representable takes the rollback.
+	mantissas := []uint32{0, 1, 0x0fff, 0x1000, 0x1001, 0x1fff, 0x2000, 0x2001, 0x3000,
+		0x400000, 0x401000, 0x7fe000, 0x7ff000, 0x7fffff}
+	var edges []Sample
+	for sign := uint32(0); sign < 2; sign++ {
+		for exp := uint32(0); exp < 256; exp++ {
+			for _, m := range mantissas {
+				b := sign<<31 | exp<<23 | m
+				edges = append(edges, Sample{ID: len(edges), Features: []float32{1, math.Float32frombits(b)}})
+			}
+		}
+	}
+	checkAgainstSeedEncoder(t, "exponent × edge mantissa", edges)
+
+	// A strided sweep of all 2³² patterns, in samples of 64 features.
+	const stride = 65521 // prime: visits every low-bit pattern and exponent
+	var sweep []Sample
+	fs := make([]uint32, 0, 64)
+	for b := uint64(0); b < 1<<32; b += stride {
+		if fs = append(fs, uint32(b)); len(fs) == cap(fs) {
+			sweep = append(sweep, Sample{ID: len(sweep), Features: bitsToFeatures(fs)})
+			fs = fs[:0]
+		}
+	}
+	checkAgainstSeedEncoder(t, "strided sweep", sweep)
+
+	// Mixed batches whose inexact feature comes last (the rollback discards a
+	// whole speculatively narrowed sample), first, or not at all.
+	grid := make([]float32, 2048)
+	for i := range grid {
+		grid[i] = float32(i%97) / 2
+	}
+	last := append(append([]float32(nil), grid...), 0.1)
+	first := append([]float32{0.1}, grid...)
+	checkAgainstSeedEncoder(t, "rollback", []Sample{
+		{ID: 1, Features: grid}, {ID: 2, Features: last}, {ID: 3, Features: grid},
+		{ID: 4, Features: first}, {ID: 5, Features: nil}, {ID: 6, Features: last},
+	})
+}
+
+// TestWidenFastPathMatchesOracle decodes every half through the batch decoder
+// and compares with fp16ToF32.
+func TestWidenFastPathMatchesOracle(t *testing.T) {
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint32(buf, 1|batchV2Flag)
+	buf = append(buf, entryFP16, 0, 0, 0)
+	buf = binary.AppendUvarint(buf, 1<<16)
+	for h := 0; h < 1<<16; h++ {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(h))
+	}
+	dec, err := DecodeSampleBatch(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h, f := range dec[0].Features {
+		if want := fp16ToF32(uint16(h)); math.Float32bits(f) != math.Float32bits(want) {
+			t.Fatalf("half %#04x widened to %#08x, oracle says %#08x", h, math.Float32bits(f), math.Float32bits(want))
+		}
+	}
+}
+
+// --- benchmarks shaped like the lean exchange ---
+
+// gridBatch is one exchange frame of the lean workload: 2048-feature samples
+// on a grid of halves, all fp16-representable.
+func gridBatch(n int) []Sample {
+	r := rng.New(11)
+	out := make([]Sample, n)
+	for i := range out {
+		fs := make([]float32, 2048)
+		for j := range fs {
+			fs[j] = float32(math.Round(float64(r.NormFloat32()*4)*2) / 2)
+		}
+		out[i] = Sample{ID: i * 13, Label: i % 16, Features: fs, Bytes: 8192}
+	}
+	return out
+}
+
+func BenchmarkAppendSampleBatchFP16Exact(b *testing.B) {
+	batch := gridBatch(21)
+	buf := AppendSampleBatchEnc(nil, batch, EncodingFP16Exact)
+	b.SetBytes(int64(len(batch)) * 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendSampleBatchEnc(buf[:0], batch, EncodingFP16Exact)
+	}
+}
+
+func BenchmarkDecodeSampleBatchV2(b *testing.B) {
+	batch := gridBatch(21)
+	buf := AppendSampleBatchEnc(nil, batch, EncodingFP16Exact)
+	var dst []Sample
+	b.SetBytes(int64(len(batch)) * 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = DecodeSampleBatchInto(dst[:0], buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

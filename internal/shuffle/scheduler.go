@@ -530,7 +530,7 @@ func (s *Scheduler) shipBatch(dest int) error {
 	ship := s.batchShip
 	self := dest == s.comm.Rank()
 	var refs transport.SampleRefs
-	var hypo int64
+	var refBytes int64 // what the samples travelling as references would cost as batch entries
 	if s.dedupBudget > 0 && !self {
 		mirror := s.dedupMirror(dest)
 		s.refShip = s.refShip[:0]
@@ -538,27 +538,27 @@ func (s *Scheduler) shipBatch(dest int) error {
 		for _, sample := range s.batchShip {
 			if mirror.Has(int64(sample.ID)) {
 				s.refShip = append(s.refShip, int64(sample.ID))
+				refBytes += int64(sample.WireSizeEnc(s.encoding))
 			} else {
 				s.shipScratch = append(s.shipScratch, sample)
 			}
 		}
 		if len(s.refShip) > 0 {
-			// What the whole batch would cost as one payload frame under the
-			// same encoding — the baseline for the bytes-saved counter — vs
-			// the ref frame plus the residual batch. With few hits on small
-			// samples the ref frame's fixed overhead can exceed the payload
-			// it elides; the sender then simply ships the full batch (a
-			// sender-local choice: no ref frame means the receiver replays
-			// plain Notes, so the caches stay in lockstep either way).
-			hypo = transport.FrameWireSize([]byte(nil)) +
-				int64(data.SampleBatchWireSizeEnc(s.batchShip, s.encoding))
+			// References pay off when the ref frame is smaller than what it
+			// elides: the referenced samples' entries, plus the whole payload
+			// frame when nothing is left to ship. (The residual batch costs
+			// the same either way, so it is never priced — each sample is
+			// classified once, here or in the encoder.) With few hits on small
+			// samples the ref frame's fixed overhead can exceed that; the
+			// sender then simply ships the full batch (a sender-local choice:
+			// no ref frame means the receiver replays plain Notes, so the
+			// caches stay in lockstep either way).
 			sort.Slice(s.refShip, func(i, j int) bool { return s.refShip[i] < s.refShip[j] })
-			refCost := transport.FrameWireSize(s.refShip)
-			if len(s.shipScratch) > 0 {
-				refCost += transport.FrameWireSize([]byte(nil)) +
-					int64(data.SampleBatchWireSizeEnc(s.shipScratch, s.encoding))
+			elided := refBytes
+			if len(s.shipScratch) == 0 {
+				elided += emptyBatchFrame
 			}
-			if refCost < hypo {
+			if transport.FrameWireSize(s.refShip) < elided {
 				ship, refs = s.shipScratch, s.refShip
 				for _, id := range refs {
 					mirror.Touch(id)
@@ -598,6 +598,13 @@ func (s *Scheduler) shipBatch(dest int) error {
 		if len(refs) > 0 {
 			s.epochDedupHits += len(refs)
 			s.telDedupHits.Add(int64(len(refs)))
+			// The bytes-saved baseline is the whole batch as one payload frame
+			// under the same encoding: the residual as just encoded (its count
+			// word included) plus the referenced entries.
+			hypo := emptyBatchFrame + refBytes
+			if len(ship) > 0 {
+				hypo += int64(len(s.batchBuf)) - 4
+			}
 			if saved := hypo - wire; saved > 0 {
 				s.epochDedupSaved += saved
 				s.telDedupSaved.Add(saved)
@@ -606,6 +613,10 @@ func (s *Scheduler) shipBatch(dest int) error {
 	}
 	return nil
 }
+
+// emptyBatchFrame is the wire size of a payload frame carrying a batch of no
+// samples: frame overhead plus the count word.
+var emptyBatchFrame = transport.FrameWireSize([]byte(nil)) + 4
 
 // sendExchangeFrame posts one frame of the current epoch's exchange toward
 // dest and returns its metered wire size. Under degraded operation a peer

@@ -348,6 +348,16 @@ func DecodePayload(buf []byte) (any, error) {
 	}
 }
 
+// DecodePayloadOwned is DecodePayload for a buffer the caller gives up: a
+// []byte payload comes back as a slice of buf instead of a copy of it. The
+// TCP reader decompresses into a buffer of its own and delivers it this way.
+func DecodePayloadOwned(buf []byte) (any, error) {
+	if len(buf) > 0 && buf[0] == codeBytes {
+		return buf[1:len(buf):len(buf)], nil
+	}
+	return DecodePayload(buf)
+}
+
 // FrameWireSize returns the exact number of bytes a data frame carrying
 // this payload occupies on the wire (length prefix + frame header + encoded
 // payload). The codec is deterministic, so this equals what the TCP backend

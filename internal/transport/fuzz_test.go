@@ -124,6 +124,12 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		v, err := DecodePayload(buf)
+		// The buffer-owning variant accepts the same buffers and decodes them
+		// to the same value (it only skips the copy of a []byte payload).
+		owned, oerr := DecodePayloadOwned(append([]byte(nil), buf...))
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("DecodePayload err %v, DecodePayloadOwned err %v", err, oerr)
+		}
 		if err != nil {
 			return
 		}
@@ -133,6 +139,9 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(re, buf) {
 			t.Fatalf("payload round trip not canonical for %T:\n in  %x\n out %x", v, buf, re)
+		}
+		if reOwned, err := EncodePayload(owned); err != nil || !bytes.Equal(reOwned, buf) {
+			t.Fatalf("DecodePayloadOwned decoded %T differently from DecodePayload (re-encode err %v)", owned, err)
 		}
 	})
 }

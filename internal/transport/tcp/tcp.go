@@ -11,8 +11,10 @@
 // then answers each with the complete rank↔address table. After the
 // rendezvous closes, the world is fully addressable and peer connections
 // form lazily: the first Send to a peer dials its data listener and
-// identifies itself with a hello frame, and the single established
-// connection carries frames in both directions.
+// identifies itself with a hello frame, and the peer adopts that connection
+// for its own writes, so one socket normally carries both directions. When
+// both ends dial at once the pair keeps both sockets: each end writes on
+// one and reads both.
 //
 // # Ordering, retries, failure
 //
@@ -23,8 +25,9 @@
 // redialed with exponential backoff up to a bounded attempt budget, after
 // which the transport records a wrapped error, fails the queued frame, and
 // surfaces the error on subsequent Send and Close calls. Close drains the
-// outbound queues (bounded by DrainTimeout) before tearing connections
-// down.
+// outbound queues, half-closes every connection and reads it to the peer's
+// FIN (all bounded by DrainTimeout) before tearing it down: no socket is
+// closed with unread bytes in it.
 package tcp
 
 import (
@@ -85,7 +88,7 @@ type Config struct {
 	// peer dead. Default 20s.
 	RetryTimeout time.Duration
 	// DrainTimeout bounds how long Close waits for queued outbound frames
-	// to flush. Default 10s.
+	// to flush and for every peer to answer the half-close. Default 10s.
 	DrainTimeout time.Duration
 
 	// HeartbeatInterval, when positive, enables liveness detection: a
@@ -439,6 +442,7 @@ func (c *Conn) heartbeatLoop() {
 			p.queue = append(p.queue, wb)
 			p.cond.Signal()
 			p.mu.Unlock()
+			c.countSent(transport.KindPing, int64(len(buf)))
 		}
 	}
 }
@@ -673,6 +677,10 @@ func (c *Conn) compressTo(dst int) bool {
 // frame: the u32 length prefix plus the 17-byte header.
 const frameWireOffset = 4 + 17
 
+// bytesPayloadCode is what the payload codec puts in front of a []byte
+// value (its one-byte type code): the encoding of the empty slice.
+var bytesPayloadCode, _ = transport.EncodePayload([]byte{})
+
 func (c *Conn) send(dst, tag int, payload any) (int64, error) {
 	if dst < 0 || dst >= c.cfg.capacity() {
 		return 0, fmt.Errorf("tcp: Send: rank %d out of range [0,%d)", dst, c.cfg.capacity())
@@ -718,35 +726,39 @@ func (c *Conn) send(dst, tag int, payload any) (int64, error) {
 	// header in one pass, no intermediate payload slice. The buffer travels
 	// through the peer's writer queue and returns to the pool once written.
 	wb := transport.GetWireBuf()
-	buf, err := transport.AppendDataFrame(wb.B[:0], int32(c.cfg.Rank), int32(dst), int64(tag), payload)
-	wb.B = buf
-	if err != nil {
-		transport.PutWireBuf(wb)
-		return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, err)
-	}
 	// Compression happens here, synchronously, rather than in the writer
 	// goroutine: the frame's final wire size must be known when SendMetered
 	// returns, and the scheduler's accounting relies on that exactness.
 	// Eligibility: negotiated with dst, sample-batch payload ([]byte), and
-	// a payload section large enough to beat the codec overhead.
-	if pb, ok := payload.([]byte); ok && len(pb) >= minCompressPayload && c.compressTo(dst) {
-		zb := transport.GetWireBuf()
-		z := append(zb.B[:0], wb.B[:frameWireOffset]...)
-		z[4] = transport.KindDataZ
-		z = wirecomp.Encode(z, wb.B[frameWireOffset:])
-		zb.B = z
-		if len(z) < len(wb.B) {
+	// a payload section large enough to beat the codec overhead. The block
+	// is built from the caller's bytes directly into the frame that is
+	// queued (the payload's type code rides in front as a literal), so the
+	// plain frame is only ever materialised for a payload that does not
+	// shrink.
+	compressed := false
+	if pb, ok := payload.([]byte); ok && len(pb) >= minCompressPayload && len(pb) < transport.MaxFramePayload && c.compressTo(dst) {
+		// A header-only frame cannot exceed the payload limit, AppendFrame's
+		// one error.
+		z, _ := transport.AppendFrame(wb.B[:0], transport.WireFrame{
+			Kind: transport.KindDataZ, Src: int32(c.cfg.Rank), Dst: int32(dst), Tag: int64(tag)})
+		z = wirecomp.EncodeTagged(z, bytesPayloadCode, pb)
+		wb.B = z
+		if raw := len(bytesPayloadCode) + len(pb); len(z)-frameWireOffset < raw {
 			binary.LittleEndian.PutUint32(z, uint32(len(z)-4))
-			c.compRaw.Add(int64(len(wb.B) - frameWireOffset))
+			c.compRaw.Add(int64(raw))
 			c.compWire.Add(int64(len(z) - frameWireOffset))
-			transport.PutWireBuf(wb)
-			wb = zb
-		} else {
-			// Incompressible payload: ship the plain frame.
-			transport.PutWireBuf(zb)
+			compressed = true
 		}
 	}
-	wire := int64(len(wb.B))
+	if !compressed {
+		buf, err := transport.AppendDataFrame(wb.B[:0], int32(c.cfg.Rank), int32(dst), int64(tag), payload)
+		wb.B = buf
+		if err != nil {
+			transport.PutWireBuf(wb)
+			return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, err)
+		}
+	}
+	kind, wire := wb.B[4], int64(len(wb.B)) // byte 4 of a marshalled frame is its wire kind
 	p := c.peers[dst]
 	p.mu.Lock()
 	if p.dead {
@@ -766,14 +778,38 @@ func (c *Conn) send(dst, tag int, payload any) (int64, error) {
 	p.queue = append(p.queue, wb)
 	p.cond.Signal()
 	p.mu.Unlock()
+	c.countSent(kind, wire)
 	return wire, nil
 }
 
-// Close drains the outbound queues (bounded by DrainTimeout), tears down
-// connections, and returns the first transport failure observed during the
-// connection's lifetime, if any.
+// countSent records a frame the moment its peer's queue accepts it — the
+// same moment SendMetered reports its size — rather than when the writer
+// goroutine gets round to the socket. Sender-side identities (metered bytes
+// = counted bytes) therefore hold at every instant, not only once every
+// writer has been scheduled; the price is that a frame queued for a peer
+// that then dies stays counted.
+func (c *Conn) countSent(kind uint8, wire int64) {
+	c.framesSent.Add(1)
+	c.bytesSent.Add(wire)
+	c.sentKind[kind].Add(1)
+	c.sentKindBytes[kind].Add(wire)
+}
+
+// Close drains the outbound queues, half-closes every connection and reads
+// each to the peer's FIN (all of it bounded by DrainTimeout), then tears the
+// connections down and returns the first transport failure observed during
+// the connection's lifetime, if any.
+//
+// The half-close is Close's linearisation point: a FIN travels behind the
+// last queued byte, and the peer's reader answers it with its own close only
+// once it has consumed everything before it. When the peer's FIN comes back,
+// every frame Send accepted has been read by the peer — whereas closing a
+// socket outright while inbound bytes (a late heartbeat, say) sit unread
+// makes the kernel send a reset and discard whatever of ours it had not yet
+// transmitted.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
+		deadline := time.Now().Add(c.cfg.DrainTimeout)
 		// Ask writers to finish their queues, then stop.
 		for _, p := range c.peers {
 			if p == nil {
@@ -784,11 +820,7 @@ func (c *Conn) Close() error {
 			p.cond.Broadcast()
 			p.mu.Unlock()
 		}
-		drained := make(chan struct{})
-		go func() { c.writerWG.Wait(); close(drained) }()
-		select {
-		case <-drained:
-		case <-time.After(c.cfg.DrainTimeout):
+		if !waitUntil(&c.writerWG, deadline) {
 			c.fail(fmt.Errorf("tcp: rank %d: close: outbound queues not drained within %v", c.cfg.Rank, c.cfg.DrainTimeout))
 		}
 		close(c.closed)
@@ -808,16 +840,42 @@ func (c *Conn) Close() error {
 			p.cond.Broadcast()
 			p.mu.Unlock()
 		}
+		// Readers exit once they have read their connection to its end. A
+		// peer that does not answer the FIN in time is cut off below, which
+		// is what a full close would have done at once.
+		c.connsMu.Lock()
+		for conn := range c.conns {
+			if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+				cw.CloseWrite()
+			} else {
+				conn.Close() // injected test dials may not be TCP
+			}
+		}
+		c.connsMu.Unlock()
+		waitUntil(&c.readerWG, deadline)
 		c.connsMu.Lock()
 		for conn := range c.conns {
 			conn.Close()
 		}
 		c.conns = nil
 		c.connsMu.Unlock()
-		// Readers exit once their connections close.
 		c.readerWG.Wait()
 	})
 	return c.Err()
+}
+
+// waitUntil waits for wg until the deadline and reports whether it got there.
+func waitUntil(wg *sync.WaitGroup, deadline time.Time) bool {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-done:
+		return true
+	case <-timer.C:
+		return false
+	}
 }
 
 // --- bootstrap ---
@@ -1258,7 +1316,6 @@ func (c *Conn) dropConn(rank int, conn net.Conn) {
 func (c *Conn) readLoop(rank int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var scratch []byte
-	var zscratch []byte // decompression buffer, reused across KindDataZ frames
 	for {
 		if c.cfg.ReadIdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadIdleTimeout))
@@ -1277,22 +1334,28 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 			if int(f.Dst) != c.cfg.Rank {
 				continue // misrouted; drop
 			}
-			enc := f.Payload
+			var v any
+			var derr error
 			if f.Kind == transport.KindDataZ {
+				// Decompress into a fresh buffer of exactly the declared size
+				// and hand that buffer on: a sample batch is delivered as a
+				// slice of it, not copied out of a scratch.
 				dl, zerr := wirecomp.DecodedLen(f.Payload)
 				if zerr == nil && dl > transport.MaxFramePayload {
 					zerr = fmt.Errorf("decompressed payload %d exceeds frame limit", dl)
 				}
+				var raw []byte
 				if zerr == nil {
-					zscratch, zerr = wirecomp.Decode(zscratch[:0], f.Payload)
+					raw, zerr = wirecomp.Decode(nil, f.Payload)
 				}
 				if zerr != nil {
 					c.fail(fmt.Errorf("tcp: rank %d: compressed payload from rank %d: %w", c.cfg.Rank, f.Src, zerr))
 					continue
 				}
-				enc = zscratch
+				v, derr = transport.DecodePayloadOwned(raw)
+			} else {
+				v, derr = transport.DecodePayload(f.Payload)
 			}
-			v, derr := transport.DecodePayload(enc)
 			if derr != nil {
 				c.fail(fmt.Errorf("tcp: rank %d: payload from rank %d: %w", c.cfg.Rank, f.Src, derr))
 				continue
@@ -1339,15 +1402,6 @@ func (c *Conn) writeLoop(p *peer) {
 
 		err := c.writeBatch(p, batch)
 		for _, wb := range batch {
-			if err == nil {
-				c.framesSent.Add(1)
-				c.bytesSent.Add(int64(len(wb.B)))
-				// Byte 4 of the marshalled frame is the wire kind.
-				if len(wb.B) > 4 && int(wb.B[4]) < transport.NumKinds {
-					c.sentKind[wb.B[4]].Add(1)
-					c.sentKindBytes[wb.B[4]].Add(int64(len(wb.B)))
-				}
-			}
 			transport.PutWireBuf(wb)
 		}
 		if err == errPingsAbandonedOnClose {
@@ -1512,17 +1566,18 @@ func (c *Conn) peerConn(p *peer) (net.Conn, error) {
 	c.bytesSent.Add(int64(len(hello)))
 	c.sentKind[transport.KindHello].Add(1)
 
+	// An inbound connection may have raced the dial and become the write
+	// connection meanwhile; writes then stay on it. The dialed connection is
+	// read all the same, never closed: in a cross-dial the peer races the
+	// same way and may have adopted *this* one for its writes, and a socket
+	// closed here would swallow what it sends there — its writes succeed
+	// into a buffer nobody reads, so nothing would ever resend them and the
+	// world hangs. The spare socket idles until Close.
 	p.mu.Lock()
-	if p.conn != nil {
-		// An inbound connection raced us; keep the one canonical connection
-		// for writes and discard ours.
-		existing := p.conn
-		p.mu.Unlock()
-		c.untrack(conn)
-		conn.Close()
-		return existing, nil
+	if p.conn == nil {
+		p.conn = conn
 	}
-	p.conn = conn
+	write := p.conn
 	p.mu.Unlock()
 
 	c.readerWG.Add(1)
@@ -1530,7 +1585,7 @@ func (c *Conn) peerConn(p *peer) (net.Conn, error) {
 		defer c.readerWG.Done()
 		c.readLoop(p.rank, conn)
 	}()
-	return conn, nil
+	return write, nil
 }
 
 var _ transport.Conn = (*Conn)(nil)

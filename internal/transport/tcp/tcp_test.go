@@ -493,9 +493,16 @@ func TestCloseDrainsQueuedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Close immediately: the queued frames must flush before teardown.
+	// Close immediately: the queued frames must flush before teardown — and
+	// Close reads each connection to the peer's FIN, which the peer's reader
+	// sends only after delivering everything before it. So when Close
+	// returns, all n frames are already in the peer's inbox; nothing is
+	// still in a socket buffer for a reset to destroy.
 	if err := conns[0].Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	if delivered := len(inbox[1]); delivered != n {
+		t.Fatalf("Close returned with %d/%d frames delivered to the peer", delivered, n)
 	}
 	got := recvN(t, inbox[1], n)
 	for i, f := range got {
@@ -510,10 +517,20 @@ func TestStatsCountWireBytes(t *testing.T) {
 	conns, inbox := startWorld(t, 2, nil)
 	payload := make([]float64, 1024) // 8 KiB on the wire, plus framing
 	const n = 10
+	var metered int64
 	for i := 0; i < n; i++ {
-		if err := conns[0].Send(1, 0, payload); err != nil {
+		wire, err := conns[0].SendMetered(1, 0, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
+		metered += wire
+	}
+	// Sent counters advance when Send accepts a frame, not when a writer
+	// goroutine reaches the socket: they equal the metered total right away,
+	// with no wait for the writers to be scheduled.
+	if s, k := conns[0].Stats(), conns[0].FramesByKind(); s.FramesSent != n || k.SentBytes[transport.KindData] != metered {
+		t.Fatalf("right after %d sends: FramesSent %d, data bytes sent %d, metered %d bytes",
+			n, s.FramesSent, k.SentBytes[transport.KindData], metered)
 	}
 	recvN(t, inbox[1], n)
 

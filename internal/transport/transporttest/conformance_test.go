@@ -1,9 +1,12 @@
 package transporttest_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"plshuffle/internal/mpi"
 	"plshuffle/internal/transport"
 	"plshuffle/internal/transport/faultinject"
 	"plshuffle/internal/transport/tcp"
@@ -68,4 +71,25 @@ func TestTCPConformanceCompressedUnderInjectedDelays(t *testing.T) {
 
 func TestTCPCloseSemanticsCompressed(t *testing.T) {
 	transporttest.RunCloseSemanticsTests(t, transporttest.TCPWrapped("tcp+z", nil, compressHook))
+}
+
+// TestTCPRunReportsRankFailure pins that a rank whose function fails takes
+// the world down with its own error. Its peers wait for it in the harness's
+// final barrier; left there they hang until the 60 s watchdog, which reports
+// a hang and hides the failure (how a byte-accounting mismatch on one rank
+// used to read as "TestExchangeWireLeanAcceptanceTCP times out in teardown").
+func TestTCPRunReportsRankFailure(t *testing.T) {
+	start := time.Now()
+	err := transporttest.TCP().Run(4, func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			return errors.New("rank 0 verdict")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 0 verdict") {
+		t.Fatalf("Run returned %v, want rank 0's error", err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("Run took %v to report a rank failure", el)
+	}
 }

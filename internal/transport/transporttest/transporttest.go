@@ -137,6 +137,7 @@ func (b tcpBackend) Run(n int, fn func(c *mpi.Comm) error) error {
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	var failed sync.Once
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -150,22 +151,28 @@ func (b tcpBackend) Run(n int, fn func(c *mpi.Comm) error) error {
 				c.Barrier()
 				return nil
 			})
-			if cerr := comms[rank].Close(); err == nil && cerr != nil {
-				err = fmt.Errorf("rank %d: close: %w", rank, cerr)
+			if err != nil {
+				// A rank that fails never reaches the barrier, and its peers
+				// would sit in theirs until the watchdog, which then reports a
+				// hang instead of this error. Unwind them; the first failure
+				// is the one Run returns.
+				failed.Do(func() {
+					errs[rank] = err
+					for _, peer := range comms {
+						peer.Abort()
+					}
+				})
 			}
-			errs[rank] = err
+			if cerr := comms[rank].Close(); err == nil && cerr != nil {
+				errs[rank] = fmt.Errorf("rank %d: close: %w", rank, cerr)
+			}
 		}(r)
 	}
 	if !waitTimeout(&wg, 60*time.Second) {
 		return fmt.Errorf("transporttest: %s world of %d ranks did not finish within 60s", b.name, n)
 	}
 	cleanup()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 func (b tcpBackend) Open(n int) ([]*mpi.Comm, func(), error) {
