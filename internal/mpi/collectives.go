@@ -15,6 +15,11 @@ const (
 	OpMax
 	OpMin
 	OpProd
+	// OpAvg is OpSum followed by one multiplication by 1/GroupSize(), done
+	// once per element by whichever rank finishes reducing it — bit for bit
+	// what summing and then scaling every element on every rank gives, for
+	// 1/M of the multiplications. Floating-point element types only.
+	OpAvg
 )
 
 // Number constrains the element types supported by the numeric collectives.
@@ -23,8 +28,9 @@ type Number interface {
 }
 
 func reduceInto[T Number](dst, src []T, op Op) {
+	dst = dst[:len(src)] // one bounds check here instead of one per element
 	switch op {
-	case OpSum:
+	case OpSum, OpAvg:
 		for i, v := range src {
 			dst[i] += v
 		}
@@ -46,6 +52,40 @@ func reduceInto[T Number](dst, src []T, op Op) {
 		}
 	default:
 		panic(fmt.Sprintf("mpi: unknown reduction op %d", op))
+	}
+}
+
+// scaleAvg finishes an OpAvg reduction of fully summed values.
+func scaleAvg[T Number](s []T, size int) {
+	inv := T(1) / T(size)
+	if inv == 0 {
+		panic(fmt.Sprintf("mpi: OpAvg needs a floating-point element type, got %T", inv))
+	}
+	for i := range s {
+		s[i] *= inv
+	}
+}
+
+// isendBuf sends a buffer the caller goes on using. Slice types the
+// transport clones (inproc) or serialises (wire backends) before Send
+// returns go as they are; the rest would be delivered by reference on a
+// shared-memory backend, so they are copied first.
+func isendBuf[T any](c *Comm, dest, tag int, s []T) {
+	if !transport.CloneCovers(any(s)) {
+		s = append([]T(nil), s...)
+	}
+	c.isendInternal(dest, tag, s)
+}
+
+// release returns a payload received on an internal collective tag to the
+// transport's float pool once the collective has reduced or copied it out.
+// The collective that received a buffer is its only owner and releases it
+// exactly once; payloads a collective hands on to its caller
+// (AllgatherVarLen, Alltoall) and everything a user-level Recv returns are
+// the caller's and are never released.
+func release(payload any) {
+	if f, ok := payload.([]float32); ok {
+		transport.PutFloat32s(f)
 	}
 }
 
@@ -98,6 +138,7 @@ func Bcast[T any](c *Comm, buf []T, root int) {
 		parent := c.worldRank(((vrank & (vrank - 1)) + groot) % size)
 		payload, _ := c.collWait(c.irecvInternal(parent, collTag(seq, 0)))
 		copy(buf, payload.([]T))
+		release(payload)
 	}
 	// Forward to children: vrank | (1<<k) for increasing k above our own
 	// lowest set bit.
@@ -108,7 +149,7 @@ func Bcast[T any](c *Comm, buf []T, root int) {
 	for bit := 1; bit < lowBit && bit < size; bit <<= 1 {
 		child := vrank | bit
 		if child < size {
-			c.isendInternal(c.worldRank((child+groot)%size), collTag(seq, 0), append([]T(nil), buf...))
+			isendBuf(c, c.worldRank((child+groot)%size), collTag(seq, 0), buf)
 		}
 	}
 }
@@ -139,9 +180,13 @@ func Reduce[T Number](c *Comm, buf []T, op Op, root int) {
 		if partner < size {
 			payload, _ := c.collWait(c.irecvInternal(c.worldRank((partner+groot)%size), collTag(seq, 0)))
 			reduceInto(acc, payload.([]T), op)
+			release(payload)
 		}
 	}
 	if c.rank == root {
+		if op == OpAvg {
+			scaleAvg(acc, size)
+		}
 		copy(buf, acc)
 	}
 }
@@ -221,21 +266,13 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wir
 	size, rank := c.GroupSize(), c.gidx
 	chunk := func(i int) []T { i = ((i % size) + size) % size; return buf[bounds[i]:bounds[i+1]] }
 
-	// For slice types the transport defensively clones (inproc) or
-	// serializes before Send returns (wire backends), ring segments can be
-	// sent as direct sub-slices of buf — no per-step copy. Later steps may
-	// then mutate buf freely. Types outside ClonePayload's coverage pass by
-	// reference on inproc, so they keep the defensive per-send copy.
-	direct := transport.CloneCovers(any(buf))
+	// Ring segments go out as sub-slices of buf (see isendBuf), so later
+	// steps may mutate buf freely.
 	sendChunk := func(dest, tag int, s []T) {
 		if wire {
 			sent += transport.FrameWireSize(any(s))
 		}
-		if direct {
-			c.isendInternal(dest, tag, s)
-		} else {
-			c.isendInternal(dest, tag, append([]T(nil), s...))
-		}
+		isendBuf(c, dest, tag, s)
 	}
 
 	right := c.worldRank((rank + 1) % size)
@@ -259,7 +296,11 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wir
 				recv += transport.FrameWireSize(payload)
 			}
 			reduceInto(chunk(recvIdx), payload.([]T), op)
+			release(payload)
 		}
+	}
+	if op == OpAvg {
+		scaleAvg(chunk(rank+1), size)
 	}
 	// Phase 2: allgather of the reduced chunks around the ring.
 	for step := 0; step < size-1; step++ {
@@ -278,6 +319,7 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wir
 				recv += transport.FrameWireSize(payload)
 			}
 			copy(chunk(recvIdx), payload.([]T))
+			release(payload)
 		}
 	}
 	return sent, recv
@@ -300,14 +342,19 @@ func AllreduceNaive[T Number](c *Comm, buf []T, op Op) {
 		for _, req := range reqs {
 			payload, _ := c.collWait(req)
 			reduceInto(buf, payload.([]T), op)
+			release(payload)
+		}
+		if op == OpAvg {
+			scaleAvg(buf, size)
 		}
 		for r := 1; r < size; r++ {
-			c.isendInternal(c.worldRank(r), collTag(seq, 1), buf)
+			isendBuf(c, c.worldRank(r), collTag(seq, 1), buf)
 		}
 	} else {
-		c.isendInternal(c.worldRank(0), collTag(seq, 0), append([]T(nil), buf...))
+		isendBuf(c, c.worldRank(0), collTag(seq, 0), buf)
 		payload, _ := c.collWait(c.irecvInternal(c.worldRank(0), collTag(seq, 1)))
 		copy(buf, payload.([]T))
+		release(payload)
 	}
 }
 
@@ -320,7 +367,7 @@ func Gather[T any](c *Comm, send []T, root int) []T {
 	seq := c.nextSeq()
 	size, rank := c.GroupSize(), c.gidx
 	if c.rank != root {
-		c.isendInternal(root, collTag(seq, 0), append([]T(nil), send...))
+		isendBuf(c, root, collTag(seq, 0), send)
 		return nil
 	}
 	out := make([]T, size*len(send))
@@ -334,6 +381,7 @@ func Gather[T any](c *Comm, send []T, root int) []T {
 	for g, req := range reqs {
 		payload, _ := c.collWait(req)
 		copy(out[g*len(send):], payload.([]T))
+		release(payload)
 	}
 	return out
 }
@@ -356,9 +404,10 @@ func Allgather[T any](c *Comm, send []T) []T {
 		sendIdx := ((rank-step)%size + size) % size
 		recvIdx := ((rank-step-1)%size + size) % size
 		req := c.irecvInternal(left, collTag(seq, step))
-		c.isendInternal(right, collTag(seq, step), append([]T(nil), out[sendIdx*k:(sendIdx+1)*k]...))
+		isendBuf(c, right, collTag(seq, step), out[sendIdx*k:(sendIdx+1)*k])
 		payload, _ := c.collWait(req)
 		copy(out[recvIdx*k:(recvIdx+1)*k], payload.([]T))
+		release(payload)
 	}
 	return out
 }
@@ -378,7 +427,7 @@ func AllgatherVarLen[T any](c *Comm, send []T) [][]T {
 		if r == c.rank {
 			continue
 		}
-		c.isendInternal(r, collTag(seq, 0), append([]T(nil), send...))
+		isendBuf(c, r, collTag(seq, 0), send)
 		reqs = append(reqs, c.irecvInternal(r, collTag(seq, 0)))
 	}
 	for _, req := range reqs {
@@ -408,7 +457,7 @@ func Alltoall[T any](c *Comm, send [][]T) [][]T {
 		if r == c.rank {
 			continue
 		}
-		c.isendInternal(r, collTag(seq, 0), append([]T(nil), send[r]...))
+		isendBuf(c, r, collTag(seq, 0), send[r])
 		reqs = append(reqs, c.irecvInternal(r, collTag(seq, 0)))
 	}
 	for _, req := range reqs {

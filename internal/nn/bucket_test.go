@@ -123,14 +123,12 @@ func TestBackwardWithHookBucketGradsFinal(t *testing.T) {
 	var ce SoftmaxCrossEntropy
 	ce.Forward(model.Forward(x, true), labels)
 
-	flat := make([]float32, plan.NumEl)
 	snaps := make(map[int][]float32)
 	var order []int
 	model.BackwardWithHook(ce.Backward(), func(layer int) {
 		for _, bi := range plan.ReadyAt(layer) {
 			b := plan.Buckets[bi]
-			FlattenGradsRange(params, flat, b.FirstParam, b.LastParam, b.Lo)
-			snaps[bi] = append([]float32(nil), flat[b.Lo:b.Hi]...)
+			snaps[bi] = append([]float32(nil), model.Grads()[b.Lo:b.Hi]...)
 			order = append(order, bi)
 		}
 	})
@@ -155,45 +153,63 @@ func TestBackwardWithHookBucketGradsFinal(t *testing.T) {
 	}
 }
 
-// TestFlattenGradsRangeRoundTrip checks the range variants agree with the
-// whole-model flatten/unflatten.
-func TestFlattenGradsRangeRoundTrip(t *testing.T) {
-	model := testModel(t, []int{16, 8}, true)
-	params := model.Params()
-	plan := NewBucketPlan(model, 128)
+// TestParamGradsAliasArena pins the gradient arena: for every layer kind
+// with parameters, Params()[i].G is the arena itself at the parameter's
+// FlattenGrads offset — same memory, not a copy — so a bucket's range of
+// Grads() is the bucket, a ring over it needs no flatten, and what backward
+// writes is what the ring reads.
+func TestParamGradsAliasArena(t *testing.T) {
+	r := rng.New(11)
+	models := map[string]*Sequential{
+		"linear+batchnorm": testModel(t, []int{16, 8}, true),
+		"linear+groupnorm": NewSequential(NewLinear(12, 8, r), NewGroupNorm(8, 2), NewReLU(), NewLinear(8, 5, r)),
+		"linear":           testModel(t, []int{8}, false),
+	}
+	for name, model := range models {
+		t.Run(name, func(t *testing.T) {
+			params, arena := model.Params(), model.Grads()
+			if len(arena) != model.NumParams() {
+				t.Fatalf("arena holds %d elements, model has %d parameters", len(arena), model.NumParams())
+			}
+			off := 0
+			for i, p := range params {
+				if len(p.G) != len(p.W) {
+					t.Fatalf("param %d (%s): %d gradients for %d weights", i, p.Name, len(p.G), len(p.W))
+				}
+				if &p.G[0] != &arena[off] {
+					t.Fatalf("param %d (%s): G does not alias the arena at flat offset %d", i, p.Name, off)
+				}
+				if cap(p.G) != len(p.G) {
+					t.Fatalf("param %d (%s): G has spare capacity %d reaching into the next tensor", i, p.Name, cap(p.G)-len(p.G))
+				}
+				off += len(p.G)
+			}
 
-	// Give every gradient a distinct value.
-	v := float32(0.5)
-	for _, p := range params {
-		for i := range p.G {
-			p.G[i] = v
-			v += 0.25
-		}
-	}
-	want := FlattenGrads(params, nil)
-
-	got := make([]float32, plan.NumEl)
-	for _, b := range plan.Buckets {
-		FlattenGradsRange(params, got, b.FirstParam, b.LastParam, b.Lo)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("flat element %d: range flatten %v, full flatten %v", i, got[i], want[i])
-		}
-	}
-
-	// Perturb, then unflatten back range-by-range and compare grads.
-	for i := range got {
-		got[i] *= 2
-	}
-	for _, b := range plan.Buckets {
-		UnflattenGradsRange(params, got, b.FirstParam, b.LastParam, b.Lo)
-	}
-	back := FlattenGrads(params, nil)
-	for i := range back {
-		if back[i] != 2*want[i] {
-			t.Fatalf("flat element %d after roundtrip: %v, want %v", i, back[i], 2*want[i])
-		}
+			// A real backward pass lands in the arena in FlattenGrads order,
+			// and a write to the arena is a write to the layer's gradient.
+			x, labels := smallBatch(rng.New(3), 8, 12, 5)
+			var ce SoftmaxCrossEntropy
+			ce.Forward(model.Forward(x, true), labels)
+			model.Backward(ce.Backward())
+			nonzero := false
+			for i, v := range FlattenGrads(params, nil) {
+				if math.Float32bits(v) != math.Float32bits(arena[i]) {
+					t.Fatalf("flat element %d: FlattenGrads %v, arena %v", i, v, arena[i])
+				}
+				nonzero = nonzero || v != 0
+			}
+			if !nonzero {
+				t.Fatal("backward left every gradient zero: the layers write somewhere else")
+			}
+			for i := range arena {
+				arena[i] = float32(i)
+			}
+			for i, v := range FlattenGrads(model.Params(), nil) {
+				if v != float32(i) {
+					t.Fatalf("flat element %d reads %v after the arena was set to %v", i, v, float32(i))
+				}
+			}
+		})
 	}
 }
 

@@ -134,6 +134,13 @@ func (l *GroupNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
+// bindGrads implements gradBinder.
+func (l *GroupNorm) bindGrads(arena []float32) []float32 {
+	l.GGamma, arena = carve(arena, l.GGamma)
+	l.GBeta, arena = carve(arena, l.GBeta)
+	return arena
+}
+
 // Params exposes gamma and beta with their gradients.
 func (l *GroupNorm) Params() []Param {
 	return []Param{

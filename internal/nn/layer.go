@@ -122,6 +122,13 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return l.dx
 }
 
+// bindGrads implements gradBinder.
+func (l *Linear) bindGrads(arena []float32) []float32 {
+	l.GW.Data, arena = carve(arena, l.GW.Data)
+	l.GB, arena = carve(arena, l.GB)
+	return arena
+}
+
 // Params exposes W and b with their gradients.
 func (l *Linear) Params() []Param {
 	return []Param{
@@ -363,6 +370,13 @@ func (l *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
+// bindGrads implements gradBinder.
+func (l *BatchNorm) bindGrads(arena []float32) []float32 {
+	l.GGamma, arena = carve(arena, l.GGamma)
+	l.GBeta, arena = carve(arena, l.GBeta)
+	return arena
+}
+
 // Params exposes gamma and beta with their gradients.
 func (l *BatchNorm) Params() []Param {
 	return []Param{
@@ -434,13 +448,54 @@ func (l *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // Params returns nil: dropout has no learnable parameters.
 func (l *Dropout) Params() []Param { return nil }
 
-// Sequential chains layers.
+// Sequential chains layers. It owns the gradient arena: one contiguous
+// buffer holding every layer's gradients in FlattenGrads order, of which the
+// layers' own gradient tensors (and so every Param.G) are views.
 type Sequential struct {
 	Layers []Layer
+	grads  []float32
 }
 
-// NewSequential builds a sequential container from the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
+// gradBinder is implemented by every layer that has parameters: bindGrads
+// re-homes the layer's gradient tensors, in Params order, as views of the
+// front of arena (keeping their current values) and returns what is left.
+type gradBinder interface {
+	bindGrads(arena []float32) []float32
+}
+
+// carve moves one gradient tensor to the front of arena and returns its new
+// home, capped so an append can never run into the next tensor, and the rest.
+func carve(arena, g []float32) (view, rest []float32) {
+	n := copy(arena, g)
+	return arena[:n:n], arena[n:]
+}
+
+// NewSequential builds a sequential container from the given layers and
+// binds their gradients into its arena. A layer belongs to one container:
+// binding it into a second one leaves the first with a stale arena.
+func NewSequential(layers ...Layer) *Sequential {
+	s := &Sequential{Layers: layers}
+	n := 0
+	for _, p := range s.Params() {
+		n += len(p.G)
+	}
+	s.grads = make([]float32, n)
+	rest := s.grads
+	for _, l := range layers {
+		if b, ok := l.(gradBinder); ok {
+			rest = b.bindGrads(rest)
+		} else if len(l.Params()) > 0 {
+			panic(fmt.Sprintf("nn: NewSequential: layer %T has parameters but cannot bind their gradients", l))
+		}
+	}
+	return s
+}
+
+// Grads returns the gradient arena: all gradients, contiguous, in
+// FlattenGrads order, so Grads()[b.Lo:b.Hi] is a bucket's gradients in place
+// and the whole of it is the buffer an all-reduce averages. Backward writes
+// into it and the optimizers read from it through Param.G; nothing copies.
+func (s *Sequential) Grads() []float32 { return s.grads }
 
 // SetArena attaches a step arena to every layer that supports one (see
 // ArenaUser). The caller owns the arena's Reset cadence: once per
@@ -504,7 +559,8 @@ func (s *Sequential) NumParams() int {
 }
 
 // FlattenGrads copies all gradients into dst (allocated if nil) in Params
-// order, producing the buffer the trainer allreduces across workers.
+// order. The order defines the layout of Sequential.Grads, which the trainer
+// all-reduces in place; this copy is for callers that want a snapshot.
 func FlattenGrads(params []Param, dst []float32) []float32 {
 	n := 0
 	for _, p := range params {
@@ -519,41 +575,6 @@ func FlattenGrads(params []Param, dst []float32) []float32 {
 		off += len(p.G)
 	}
 	return dst
-}
-
-// FlattenGradsRange copies the gradients of params[first:last] into
-// dst[lo:], where lo is the flat offset of params[first] in the
-// FlattenGrads layout — the per-bucket flatten of the overlapped gradient
-// sync. dst must already be sized for the full parameter set.
-func FlattenGradsRange(params []Param, dst []float32, first, last, lo int) {
-	off := lo
-	for i := first; i < last; i++ {
-		copy(dst[off:], params[i].G)
-		off += len(params[i].G)
-	}
-}
-
-// UnflattenGradsRange scatters dst[lo:] (a bucket's reduced gradients)
-// back into params[first:last] — the inverse of FlattenGradsRange.
-func UnflattenGradsRange(params []Param, src []float32, first, last, lo int) {
-	off := lo
-	for i := first; i < last; i++ {
-		copy(params[i].G, src[off:off+len(params[i].G)])
-		off += len(params[i].G)
-	}
-}
-
-// UnflattenGrads scatters src (produced by FlattenGrads, possibly after an
-// allreduce) back into the parameter gradients.
-func UnflattenGrads(params []Param, src []float32) {
-	off := 0
-	for _, p := range params {
-		copy(p.G, src[off:off+len(p.G)])
-		off += len(p.G)
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: UnflattenGrads: consumed %d of %d values", off, len(src)))
-	}
 }
 
 // TransferWeights copies weights from src into dst wherever the parameter

@@ -438,7 +438,7 @@ func TestProxySpecsExist(t *testing.T) {
 	}
 }
 
-func TestFlattenUnflattenRoundtrip(t *testing.T) {
+func TestFlattenGradsSnapshot(t *testing.T) {
 	r := rng.New(20)
 	spec := ModelSpec{Name: "t", InputDim: 5, Hidden: []int{7}, Classes: 3, BatchNorm: true}
 	m, err := spec.Build(1, 1)
@@ -456,17 +456,18 @@ func TestFlattenUnflattenRoundtrip(t *testing.T) {
 		t.Fatalf("flat length %d, want %d", len(flat), m.NumParams())
 	}
 	saved := append([]float32(nil), flat...)
+	// A snapshot, not a view: later gradients do not show through, and a
+	// right-sized dst is reused.
 	for _, p := range params {
-		for j := range p.G {
-			p.G[j] = 0
+		clear(p.G)
+	}
+	for i := range saved {
+		if flat[i] != saved[i] {
+			t.Fatalf("snapshot element %d changed with the gradients", i)
 		}
 	}
-	UnflattenGrads(params, saved)
-	flat2 := FlattenGrads(params, flat)
-	for i := range saved {
-		if flat2[i] != saved[i] {
-			t.Fatalf("roundtrip mismatch at %d", i)
-		}
+	if again := FlattenGrads(params, flat); &again[0] != &flat[0] || again[len(again)-1] != 0 {
+		t.Fatal("FlattenGrads must refill a dst of the right length in place")
 	}
 }
 

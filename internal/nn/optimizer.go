@@ -50,17 +50,24 @@ func (o *SGD) StepPartial(params []Param, lo, hi int, lr float32) {
 	if len(o.velocity) != len(params) {
 		panic(fmt.Sprintf("nn: SGD.Step: parameter count changed from %d to %d", len(o.velocity), len(params)))
 	}
+	mom, wd := o.Momentum, o.WeightDecay
 	for i := lo; i < hi; i++ {
-		p := params[i]
-		v := o.velocity[i]
-		for j := range p.W {
-			g := p.G[j] + o.WeightDecay*p.W[j]
-			v[j] = o.Momentum*v[j] + g
-			if o.Nesterov {
-				p.W[j] -= lr * (g + o.Momentum*v[j])
-			} else {
-				p.W[j] -= lr * v[j]
+		// Same length for all three, stated once, so the loops below run
+		// without a bounds check per element.
+		w := params[i].W
+		grad, v := params[i].G[:len(w)], o.velocity[i][:len(w)]
+		if o.Nesterov {
+			for j := range w {
+				g := grad[j] + wd*w[j]
+				v[j] = mom*v[j] + g
+				w[j] -= lr * (g + mom*v[j])
 			}
+			continue
+		}
+		for j := range w {
+			g := grad[j] + wd*w[j]
+			v[j] = mom*v[j] + g
+			w[j] -= lr * v[j]
 		}
 	}
 }

@@ -577,9 +577,8 @@ type worker struct {
 	corgiMinLocal int
 	pfsAccounted  int64
 
-	gradBuf []float32
-	xBuf    *tensor.Matrix
-	yBuf    []int
+	xBuf *tensor.Matrix
+	yBuf []int
 
 	// arena is this worker's step arena (DESIGN.md §14): every layer and
 	// loss workspace for one forward+backward pass is bump-allocated from
@@ -810,8 +809,8 @@ func newOptimizer(cfg Config) nn.Optimizer {
 }
 
 // setupOverlap builds the bucketed gradient-sync state: the reverse-layer
-// bucket plan, the full flat gradient buffer, and each bucket's ring-chunk
-// bounds. Bucket i's bounds are the GLOBAL flat partition (chunk r =
+// bucket plan and each bucket's ring-chunk bounds. Bucket i's bounds are
+// the GLOBAL flat partition (chunk r =
 // [r·n/M, (r+1)·n/M) over all n parameters) clamped to the bucket's
 // [Lo, Hi) range and re-based — so every element keeps the chunk index it
 // has under the flat single-Allreduce path, and with it the exact
@@ -819,7 +818,6 @@ func newOptimizer(cfg Config) nn.Optimizer {
 // clamp to empty and the ring skips them symmetrically.
 func (w *worker) setupOverlap() {
 	w.plan = nn.NewBucketPlan(w.model, w.cfg.GradBucketBytes)
-	w.gradBuf = make([]float32, w.plan.NumEl)
 	w.bucketReqs = make([]*mpi.CollRequest, len(w.plan.Buckets))
 	// Group size, not world size: after a degrade-mode Shrink the bucket
 	// rings run over the survivors, and IAllreduceChunks requires bounds
@@ -848,17 +846,18 @@ func (w *worker) setupOverlap() {
 }
 
 // launchReadyBuckets is the Sequential.BackwardWithHook callback: when
-// backward completes a layer that closes one or more buckets, it flattens
-// just those buckets' gradients and launches their non-blocking
-// all-reduces. It runs on the backward critical path, so it only copies
-// and launches; the rings progress on their own goroutines while earlier
-// layers keep computing.
+// backward completes a layer that closes one or more buckets, it launches
+// their non-blocking averaging all-reduces on the buckets' own ranges of
+// the model's gradient arena — the gradients backward just wrote are the
+// ring's buffer, nothing is flattened. It runs on the backward critical
+// path, so it only launches; the rings progress on their own goroutines
+// while earlier layers keep computing (into other ranges of the arena).
 func (w *worker) launchReadyBuckets(layer int) {
 	launched := false
+	grads := w.model.Grads()
 	for _, bi := range w.plan.ReadyAt(layer) {
 		b := w.plan.Buckets[bi]
-		nn.FlattenGradsRange(w.params, w.gradBuf, b.FirstParam, b.LastParam, b.Lo)
-		w.bucketReqs[bi] = mpi.IAllreduceChunks(w.comm, w.gradBuf[b.Lo:b.Hi], mpi.OpSum, w.bucketBounds[bi])
+		w.bucketReqs[bi] = mpi.IAllreduceChunks(w.comm, grads[b.Lo:b.Hi], mpi.OpAvg, w.bucketBounds[bi])
 		launched = true
 	}
 	if launched {
@@ -872,13 +871,12 @@ func (w *worker) launchReadyBuckets(layer int) {
 }
 
 // drainBuckets completes the overlapped GEWU phase: wait for each bucket's
-// all-reduce in launch order, average, scatter the reduced gradients back,
-// and step just that bucket's parameters (Optimizer.StepPartial), so the
-// weight update of early buckets overlaps the still-in-flight later ones.
-// Exposed wait, total in-flight time, and exact wire bytes are accounted
-// per bucket.
+// all-reduce in launch order and step just that bucket's parameters
+// (Optimizer.StepPartial) from the averaged gradients the ring left in
+// place, so the weight update of early buckets overlaps the still-in-flight
+// later ones. Exposed wait, total in-flight time, and exact wire bytes are
+// accounted per bucket.
 func (w *worker) drainBuckets(es *EpochStats, lr float32) {
-	inv := 1 / float32(w.comm.GroupSize())
 	for bi, req := range w.bucketReqs {
 		b := w.plan.Buckets[bi]
 		tw := time.Now()
@@ -893,11 +891,6 @@ func (w *worker) drainBuckets(es *EpochStats, lr float32) {
 			w.tm.GEWUCommNs.Add(int64(req.Elapsed()))
 			w.tm.GradWireBytes.Add(sent + recv)
 		}
-		seg := w.gradBuf[b.Lo:b.Hi]
-		for i := range seg {
-			seg[i] *= inv
-		}
-		nn.UnflattenGradsRange(w.params, w.gradBuf, b.FirstParam, b.LastParam, b.Lo)
 		w.opt.StepPartial(w.params, b.FirstParam, b.LastParam, lr)
 		w.bucketReqs[bi] = nil
 	}
@@ -1546,16 +1539,15 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 
 		// Phase: gradient exchange + weight update (Equation 1: average
 		// the per-worker gradients, then step). Overlapped: drain the
-		// bucket requests in launch order, averaging and stepping
-		// per-bucket. Flat fallback: one blocking ring over the whole
-		// buffer (exposed wait == total comm, the A/B baseline).
+		// bucket requests in launch order, stepping per-bucket. Flat
+		// fallback: one blocking averaging ring over the whole gradient
+		// arena (exposed wait == total comm, the A/B baseline).
 		t0 = time.Now()
 		if w.plan != nil {
 			w.drainBuckets(es, lr)
 		} else {
-			w.gradBuf = nn.FlattenGrads(w.params, w.gradBuf)
 			tw := time.Now()
-			sent, recv := mpi.AllreduceWire(w.comm, w.gradBuf, mpi.OpSum)
+			sent, recv := mpi.AllreduceWire(w.comm, w.model.Grads(), mpi.OpAvg)
 			dw := time.Since(tw)
 			es.GEWUWaitTime += dw
 			es.GEWUCommTime += dw
@@ -1565,11 +1557,6 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 				w.tm.GEWUCommNs.Add(int64(dw))
 				w.tm.GradWireBytes.Add(sent + recv)
 			}
-			inv := 1 / float32(w.comm.GroupSize())
-			for i := range w.gradBuf {
-				w.gradBuf[i] *= inv
-			}
-			nn.UnflattenGrads(w.params, w.gradBuf)
 			w.opt.Step(w.params, lr)
 		}
 		d = time.Since(t0)

@@ -135,7 +135,10 @@ func EncodePayload(p any) ([]byte, error) {
 // AppendPayload is the allocation-free core of EncodePayload: it appends the
 // encoding to dst (growing it if needed) and returns the extended slice.
 // Hot paths pass a pooled or reused buffer so the steady state allocates
-// nothing; the bytes produced are identical to EncodePayload's.
+// nothing; the bytes produced are identical to EncodePayload's. On a
+// little-endian host a numeric slice is appended as one copy of its memory
+// (see bytesOf); the per-element loops are the big-endian path and produce
+// the same bytes.
 func AppendPayload(dst []byte, p any) ([]byte, error) {
 	switch v := p.(type) {
 	case nil:
@@ -145,36 +148,54 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		return append(dst, v...), nil
 	case []float32:
 		dst = append(dst, codeFloat32)
+		if hostLittleEndian {
+			return append(dst, bytesOf(v)...), nil
+		}
 		for _, f := range v {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
 		}
 		return dst, nil
 	case []float64:
 		dst = append(dst, codeFloat64)
+		if hostLittleEndian {
+			return append(dst, bytesOf(v)...), nil
+		}
 		for _, f := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
 		return dst, nil
 	case []int:
 		dst = append(dst, codeInts)
+		if hostLittleEndian && intIs64 {
+			return append(dst, bytesOf(v)...), nil
+		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
 		}
 		return dst, nil
 	case []int32:
 		dst = append(dst, codeInt32s)
+		if hostLittleEndian {
+			return append(dst, bytesOf(v)...), nil
+		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
 		}
 		return dst, nil
 	case []int64:
 		dst = append(dst, codeInt64s)
+		if hostLittleEndian {
+			return append(dst, bytesOf(v)...), nil
+		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
 		}
 		return dst, nil
 	case []uint64:
 		dst = append(dst, codeUint64s)
+		if hostLittleEndian {
+			return append(dst, bytesOf(v)...), nil
+		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, x)
 		}
@@ -213,6 +234,9 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		dst = append(dst, codeMatrix)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Rows))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Cols))
+		if hostLittleEndian {
+			return append(dst, bytesOf(v.Data)...), nil
+		}
 		for _, f := range v.Data {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
 		}
@@ -244,6 +268,10 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: float32 payload length %d not a multiple of 4", len(body))
 		}
 		out := make([]float32, len(body)/4)
+		if hostLittleEndian {
+			copy(bytesOf(out), body)
+			return out, nil
+		}
 		for i := range out {
 			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
 		}
@@ -253,6 +281,10 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: float64 payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]float64, len(body)/8)
+		if hostLittleEndian {
+			copy(bytesOf(out), body)
+			return out, nil
+		}
 		for i := range out {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 		}
@@ -262,6 +294,10 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: int payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]int, len(body)/8)
+		if hostLittleEndian && intIs64 {
+			copy(bytesOf(out), body)
+			return out, nil
+		}
 		for i := range out {
 			out[i] = int(int64(binary.LittleEndian.Uint64(body[8*i:])))
 		}
@@ -271,6 +307,10 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: int32 payload length %d not a multiple of 4", len(body))
 		}
 		out := make([]int32, len(body)/4)
+		if hostLittleEndian {
+			copy(bytesOf(out), body)
+			return out, nil
+		}
 		for i := range out {
 			out[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
 		}
@@ -280,6 +320,10 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: int64 payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]int64, len(body)/8)
+		if hostLittleEndian {
+			copy(bytesOf(out), body)
+			return out, nil
+		}
 		for i := range out {
 			out[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 		}
@@ -289,6 +333,10 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: uint64 payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]uint64, len(body)/8)
+		if hostLittleEndian {
+			copy(bytesOf(out), body)
+			return out, nil
+		}
 		for i := range out {
 			out[i] = binary.LittleEndian.Uint64(body[8*i:])
 		}
@@ -339,6 +387,10 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: matrix payload %dx%d does not match %d data bytes", rows, cols, len(body)-8)
 		}
 		m := tensor.New(rows, cols)
+		if hostLittleEndian {
+			copy(bytesOf(m.Data), body[8:])
+			return m, nil
+		}
 		for i := range m.Data {
 			m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*i:]))
 		}

@@ -45,6 +45,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// frame on the reserved control tag (DESIGN.md §16).
 		seed(WireFrame{Kind: KindData, Src: 0, Dst: 3, Tag: (1 << 24) | (1 << 23) | 4, Payload: dec})
 	}
+	if grad, err := EncodePayload(bigFloats()); err == nil {
+		// A gradient chunk as the ring sends it: the frame the read loop takes
+		// straight into a pooled []float32.
+		seed(WireFrame{Kind: KindData, Src: 3, Dst: 0, Tag: -(2 + 5<<20 + 1), Payload: grad})
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile length prefix
 	f.Add(bytes.Repeat([]byte{0}, 64))
@@ -73,14 +78,33 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// ReadFrameInto (the pooled read path) must agree as well, including
 		// when its scratch buffer carries stale bytes from a previous frame.
 		scratch := bytes.Repeat([]byte{0xAA}, 16)
-		ri, n, err := ReadFrameInto(bytes.NewReader(buf), &scratch)
+		ri, floats, n, err := ReadFrameInto(bytes.NewReader(buf), &scratch)
 		if err != nil || n != len(buf) {
 			t.Fatalf("ReadFrameInto disagrees with ReadFrame: n=%d err=%v", n, err)
+		}
+		if floats != nil {
+			// A float32 body read straight into a pooled slice: what it holds
+			// must encode back to the payload bytes that were on the wire.
+			if ri.Payload, err = EncodePayload(floats); err != nil {
+				t.Fatal(err)
+			}
+			PutFloat32s(floats)
 		}
 		if ri.Kind != w.Kind || ri.Src != w.Src || ri.Dst != w.Dst || ri.Tag != w.Tag || !bytes.Equal(ri.Payload, w.Payload) {
 			t.Fatalf("ReadFrameInto decoded %+v, UnmarshalFrame %+v", ri, w)
 		}
 	})
+}
+
+// bigFloats is a float32 body above 1 MiB whose words run through every
+// exponent, NaN payloads included: large enough for the bulk copy and the
+// pooled read to be the paths that carry it.
+func bigFloats() []float32 {
+	out := make([]float32, 300_000)
+	for i := range out {
+		out[i] = math.Float32frombits(uint32(i) * 2654435761)
+	}
+	return out
 }
 
 // FuzzPayloadRoundTrip pins the payload codec: any buffer DecodePayload
@@ -97,6 +121,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	seed(nil)
 	seed([]byte{1, 2, 3})
 	seed([]float32{0.5, float32(math.NaN()), -3})
+	seed(bigFloats())
 	seed([]float64{math.Inf(1), 2.25})
 	seed([]int{-1, 0, 1 << 40})
 	seed([]int32{-7, 7})

@@ -1312,7 +1312,9 @@ func (c *Conn) dropConn(rank int, conn net.Conn) {
 // readLoop decodes inbound frames from one connection until it errors. One
 // persistent frame buffer is reused across reads (ReadFrameInto); the frame
 // payload aliasing it is consumed by DecodePayload before the next read, so
-// the steady-state receive path allocates only the decoded value.
+// the steady-state receive path allocates only the decoded value — and not
+// even that for a []float32 payload, which ReadFrameInto reads from the
+// socket into a pooled slice that is delivered as it is.
 func (c *Conn) readLoop(rank int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var scratch []byte
@@ -1320,7 +1322,7 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 		if c.cfg.ReadIdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadIdleTimeout))
 		}
-		f, n, err := transport.ReadFrameInto(br, &scratch)
+		f, floats, n, err := transport.ReadFrameInto(br, &scratch)
 		if err != nil {
 			c.dropConn(rank, conn)
 			return
@@ -1332,11 +1334,14 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 		switch f.Kind {
 		case transport.KindData, transport.KindDataRef, transport.KindDataZ:
 			if int(f.Dst) != c.cfg.Rank {
+				transport.PutFloat32s(floats)
 				continue // misrouted; drop
 			}
 			var v any
 			var derr error
-			if f.Kind == transport.KindDataZ {
+			if floats != nil {
+				v = floats
+			} else if f.Kind == transport.KindDataZ {
 				// Decompress into a fresh buffer of exactly the declared size
 				// and hand that buffer on: a sample batch is delivered as a
 				// slice of it, not copied out of a scratch.

@@ -350,7 +350,9 @@ type Resetter interface {
 func ClonePayload(p any) any {
 	switch v := p.(type) {
 	case []float32:
-		out := make([]float32, len(v))
+		// From the pool the collectives release received chunks into, so an
+		// inproc ring recycles its clones the way a TCP ring recycles reads.
+		out := GetFloat32s(len(v))
 		copy(out, v)
 		return out
 	case []float64:

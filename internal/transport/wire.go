@@ -167,21 +167,51 @@ func ReadFrame(r io.Reader) (WireFrame, int, error) {
 // *scratch: it is valid only until the next ReadFrameInto call on the same
 // scratch buffer, so callers must consume (decode/copy) it first. This is
 // the TCP read loop's zero-allocation steady-state path.
-func ReadFrameInto(r io.Reader, scratch *[]byte) (WireFrame, int, error) {
+//
+// One payload skips the scratch: the body of a KindData frame carrying a
+// []float32 (a gradient chunk) is read from r straight into a slice from
+// GetFloat32s and returned, decoded, as floats (non-nil, possibly empty),
+// with f.Payload left nil. The caller owns floats. Only little-endian hosts
+// take this path; elsewhere such a frame comes back like any other.
+func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32, n int, err error) {
+	const peek = 4 + wireHeaderLen + 1 // prefix, header and the payload's type code
 	buf := *scratch
-	if cap(buf) < 4 {
+	if cap(buf) < peek {
 		buf = make([]byte, 0, 4096)
 	}
 	buf = buf[:4]
 	*scratch = buf
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return WireFrame{}, 0, err
+		return WireFrame{}, nil, 0, err
 	}
 	body := binary.LittleEndian.Uint32(buf)
 	if body < wireHeaderLen || body > wireHeaderLen+MaxFramePayload {
-		return WireFrame{}, 4, fmt.Errorf("transport: frame body length %d out of range", body)
+		return WireFrame{}, nil, 4, fmt.Errorf("transport: frame body length %d out of range", body)
 	}
 	need := 4 + int(body)
+	head := min(need, peek)
+	buf = buf[:head]
+	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		return WireFrame{}, nil, 4, fmt.Errorf("transport: reading frame body: %w", err)
+	}
+	f = WireFrame{
+		Kind: buf[4],
+		Src:  int32(binary.LittleEndian.Uint32(buf[5:])),
+		Dst:  int32(binary.LittleEndian.Uint32(buf[9:])),
+		Tag:  int64(binary.LittleEndian.Uint64(buf[13:])),
+	}
+	if f.Kind > KindDataRef {
+		return WireFrame{}, nil, head, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
+	}
+	if rest := need - head; hostLittleEndian && f.Kind == KindData && head == peek &&
+		buf[peek-1] == codeFloat32 && rest%4 == 0 {
+		floats = GetFloat32s(rest / 4)
+		if _, err := io.ReadFull(r, bytesOf(floats)); err != nil {
+			PutFloat32s(floats)
+			return WireFrame{}, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
+		}
+		return f, floats, need, nil
+	}
 	if cap(buf) < need {
 		grown := make([]byte, need)
 		copy(grown, buf)
@@ -190,22 +220,13 @@ func ReadFrameInto(r io.Reader, scratch *[]byte) (WireFrame, int, error) {
 		buf = buf[:need]
 	}
 	*scratch = buf
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return WireFrame{}, 4, fmt.Errorf("transport: reading frame body: %w", err)
-	}
-	f := WireFrame{
-		Kind: buf[4],
-		Src:  int32(binary.LittleEndian.Uint32(buf[5:])),
-		Dst:  int32(binary.LittleEndian.Uint32(buf[9:])),
-		Tag:  int64(binary.LittleEndian.Uint64(buf[13:])),
-	}
-	if f.Kind > KindDataRef {
-		return WireFrame{}, need, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
+	if _, err := io.ReadFull(r, buf[head:]); err != nil {
+		return WireFrame{}, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
 	}
 	if int(body) > wireHeaderLen {
 		f.Payload = buf[4+wireHeaderLen:]
 	}
-	return f, need, nil
+	return f, nil, need, nil
 }
 
 // EncodeAddrTable serializes the rank-indexed address table exchanged
