@@ -23,73 +23,15 @@ import (
 )
 
 func main() {
-	rank := flag.Int("rank", 0, "this process's rank in [0, world)")
-	world := flag.Int("world", 1, "number of ranks in the world")
-	rendezvous := flag.String("rendezvous", "127.0.0.1:7077", "host:port rank 0 listens on for bootstrap")
-	dataset := flag.String("dataset", "imagenet-50", "paper dataset key")
-	model := flag.String("model", "resnet50", "proxy model name")
-	strategy := flag.String("strategy", "partial", "global | local | partial | corgi2")
-	q := flag.Float64("q", 0.1, "exchange fraction for -strategy partial")
-	autoQ := flag.Bool("auto-q", false, "with -strategy partial: retune Q online with the closed-loop controller — -q is the starting point; decisions are broadcast so every rank re-plans identically (must match on every rank)")
-	autoQMin := flag.Float64("auto-q-min", 0, "lower clamp of the -auto-q trajectory (0 with -auto-q-max 0 = the default policy clamps; must match on every rank)")
-	autoQMax := flag.Float64("auto-q-max", 0, "upper clamp of the -auto-q trajectory (must match on every rank)")
-	dataDir := flag.String("data-dir", "", "ingested on-disk dataset directory (cmd/plsingest) for -strategy corgi2; replaces -dataset and must name the same data on every rank")
-	cacheBytes := flag.Int64("cache-bytes", 0, "this rank's node-local cache budget in bytes for -strategy corgi2 (0 = unlimited; must match on every rank)")
-	groupEpochs := flag.Int("group-epochs", 1, "corgi2 epoch-group length: shard assignments reshuffle across ranks every this many epochs (must match on every rank)")
-	epochs := flag.Int("epochs", 5, "training epochs")
-	batch := flag.Int("batch", 16, "local mini-batch size")
-	lr := flag.Float64("lr", 0.05, "base learning rate")
-	locality := flag.Float64("locality", 0.0, "partition class-locality in [0,1]")
-	lars := flag.Bool("lars", false, "use the LARS optimizer")
-	overlapGrads := flag.Bool("overlap-grads", true, "overlap the bucketed gradient all-reduce with backward (false = serial flat ring, the A/B baseline; weights are bitwise identical either way)")
-	wireCompress := flag.Bool("wire-compress", false, "compress large data frames on the TCP transport (negotiated per connection; ranks with it off interoperate)")
-	wireDedup := flag.Bool("wire-dedup", false, "deduplicate exchange sample payloads: repeat samples travel as compact ID references (bitwise-identical training, fewer wire bytes; must match on every rank)")
-	sampleEncoding := flag.String("sample-encoding", "", "exchange sample wire format: fp32 (default, bit-exact), fp16exact (compact where bitwise lossless), fp16 (lossy half-precision); must match on every rank")
-	seed := flag.Uint64("seed", 42, "run seed (must match on every rank)")
-	timeout := flag.Duration("timeout", 0, "abort with an error if the run makes no progress for this long (0 = no watchdog)")
-	onPeerFail := flag.String("on-peer-fail", "abort", "policy when a peer rank dies mid-run: abort (fail fast, naming the dead rank) or degrade (survivors finish with a reduced effective Q); must match on every rank")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for atomic epoch-boundary snapshots (empty = checkpointing off; must match on every rank)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "snapshot every Nth epoch boundary (0 = every epoch)")
-	resume := flag.Bool("resume", false, "restore the newest complete snapshot under -checkpoint-dir before training; the resumed run is bitwise identical to one that never stopped")
-	maxWorld := flag.Int("max-world", 0, "elastic world capacity: rank slots [world, max-world) stay reserved for mid-run joiners (0 = fixed world; must match on every rank)")
-	join := flag.Bool("join", false, "join an already-running elastic world instead of bootstrapping one: the root assigns a free slot and the members admit this rank at the next epoch boundary (-rank is ignored; all training flags must match the running world's)")
-	telemetryAddr := flag.String("telemetry-addr", "", "BASE host:port of the per-rank telemetry endpoints; rank r serves /metrics, /trace, /healthz, and /debug/pprof on port+r, and rank 0 additionally serves /cluster/metrics (empty = telemetry off)")
+	opts := distrun.DefaultOptions()
+	opts.Bind(flag.CommandLine)
+	flag.IntVar(&opts.Rank, "rank", 0, "this process's rank in [0, world)")
+	flag.IntVar(&opts.World, "world", 1, "number of ranks in the world")
+	flag.StringVar(&opts.Rendezvous, "rendezvous", "127.0.0.1:7077", "host:port rank 0 listens on for bootstrap")
+	flag.BoolVar(&opts.Join, "join", false, "join an already-running elastic world instead of bootstrapping one: the root assigns a free slot and the members admit this rank at the next epoch boundary (-rank is ignored; all training flags must match the running world's)")
 	flag.Parse()
 
-	err := distrun.Run(distrun.Options{
-		Rank:            *rank,
-		World:           *world,
-		Rendezvous:      *rendezvous,
-		Dataset:         *dataset,
-		Model:           *model,
-		Strategy:        *strategy,
-		Q:               *q,
-		DataDir:         *dataDir,
-		CacheBytes:      *cacheBytes,
-		GroupEpochs:     *groupEpochs,
-		Epochs:          *epochs,
-		Batch:           *batch,
-		LR:              *lr,
-		Locality:        *locality,
-		LARS:            *lars,
-		OverlapGrads:    *overlapGrads,
-		WireCompress:    *wireCompress,
-		WireDedup:       *wireDedup,
-		SampleEncoding:  *sampleEncoding,
-		AutoQ:           *autoQ,
-		AutoQMin:        *autoQMin,
-		AutoQMax:        *autoQMax,
-		Seed:            *seed,
-		Timeout:         *timeout,
-		OnPeerFail:      *onPeerFail,
-		CheckpointDir:   *checkpointDir,
-		CheckpointEvery: *checkpointEvery,
-		Resume:          *resume,
-		MaxWorld:        *maxWorld,
-		Join:            *join,
-		TelemetryAddr:   *telemetryAddr,
-	}, os.Stdout)
-	if err != nil {
+	if err := distrun.Run(opts, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

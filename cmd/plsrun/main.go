@@ -30,39 +30,15 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "imagenet-50", "paper dataset key (see -list-datasets)")
-	model := flag.String("model", "resnet50", "proxy model name")
+	opts := distrun.DefaultOptions()
+	opts.Epochs = 15
+	opts.Bind(flag.CommandLine)
 	workers := flag.Int("workers", 8, "number of data-parallel workers")
-	strategy := flag.String("strategy", "partial", "global | local | partial | corgi2")
-	q := flag.Float64("q", 0.1, "exchange fraction for -strategy partial")
-	autoQ := flag.Bool("auto-q", false, "with -strategy partial: retune Q online with the closed-loop controller — -q becomes the starting point, and every epoch boundary re-decides from gathered deterministic stats (no hand tuning; two same-seed runs stay bitwise identical)")
-	autoQMin := flag.Float64("auto-q-min", 0, "lower clamp of the -auto-q trajectory (0 with -auto-q-max 0 = the default policy clamps)")
-	autoQMax := flag.Float64("auto-q-max", 0, "upper clamp of the -auto-q trajectory")
-	dataDir := flag.String("data-dir", "", "ingested on-disk dataset directory (cmd/plsingest) for -strategy corgi2; replaces -dataset")
-	cacheBytes := flag.Int64("cache-bytes", 0, "per-rank node-local cache budget in bytes for -strategy corgi2 (0 = unlimited)")
-	groupEpochs := flag.Int("group-epochs", 1, "corgi2 epoch-group length: shard assignments reshuffle across ranks every this many epochs")
-	epochs := flag.Int("epochs", 15, "training epochs")
-	batch := flag.Int("batch", 16, "local mini-batch size")
-	lr := flag.Float64("lr", 0.05, "base learning rate")
-	locality := flag.Float64("locality", 0.0, "partition class-locality in [0,1]")
-	lars := flag.Bool("lars", false, "use the LARS optimizer")
-	overlapGrads := flag.Bool("overlap-grads", true, "overlap the bucketed gradient all-reduce with backward (false = serial flat ring, the A/B baseline; weights are bitwise identical either way)")
-	wireCompress := flag.Bool("wire-compress", false, "with -launch: compress large data frames on the TCP transport (negotiated per connection; mixed worlds interoperate)")
-	wireDedup := flag.Bool("wire-dedup", false, "deduplicate exchange sample payloads: repeat samples travel as compact ID references (bitwise-identical training, fewer wire bytes)")
-	sampleEncoding := flag.String("sample-encoding", "", "exchange sample wire format: fp32 (default, bit-exact), fp16exact (compact where bitwise lossless), fp16 (lossy half-precision)")
-	seed := flag.Uint64("seed", 42, "run seed")
 	launch := flag.Int("launch", 0, "run as this many OS processes over localhost TCP (0 = in-process goroutines)")
-	timeout := flag.Duration("timeout", 0, "exit non-zero instead of hanging if the run makes no progress for this long (0 = no watchdog)")
-	onPeerFail := flag.String("on-peer-fail", "abort", "with -launch: policy when a peer rank dies mid-run — abort (fail fast, naming the dead rank) or degrade (survivors finish with a reduced effective Q)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for atomic epoch-boundary snapshots (empty = checkpointing off)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "snapshot every Nth epoch boundary (0 = every epoch)")
-	resume := flag.Bool("resume", false, "restore the newest complete snapshot under -checkpoint-dir before training; the resumed run is bitwise identical to one that never stopped")
-	maxWorld := flag.Int("max-world", 0, "with -launch: elastic world capacity — rank slots [launch, max-world) stay reserved for mid-run joiners (0 = fixed world)")
-	telemetryAddr := flag.String("telemetry-addr", "", "BASE host:port of the live telemetry endpoints (/metrics, /trace, /healthz, /debug/pprof); with -launch rank r serves on port+r and rank 0 additionally serves /cluster/metrics (empty = telemetry off)")
 	saveWeights := flag.String("save-weights", "", "write the trained model checkpoint to this file")
 	listDatasets := flag.Bool("list-datasets", false, "list dataset keys and exit")
 	workerRank := flag.Int("worker-rank", -1, "internal: play one rank of a -launch world")
-	rendezvous := flag.String("rendezvous", "", "internal: rendezvous address of a -launch world")
+	flag.StringVar(&opts.Rendezvous, "rendezvous", "", "internal: rendezvous address of a -launch world")
 	flag.Parse()
 
 	if *listDatasets {
@@ -73,41 +49,10 @@ func main() {
 		return
 	}
 
-	opts := distrun.Options{
-		Dataset:         *dataset,
-		Model:           *model,
-		Strategy:        *strategy,
-		Q:               *q,
-		DataDir:         *dataDir,
-		CacheBytes:      *cacheBytes,
-		GroupEpochs:     *groupEpochs,
-		Epochs:          *epochs,
-		Batch:           *batch,
-		LR:              *lr,
-		Locality:        *locality,
-		LARS:            *lars,
-		OverlapGrads:    *overlapGrads,
-		WireCompress:    *wireCompress,
-		WireDedup:       *wireDedup,
-		SampleEncoding:  *sampleEncoding,
-		AutoQ:           *autoQ,
-		AutoQMin:        *autoQMin,
-		AutoQMax:        *autoQMax,
-		Seed:            *seed,
-		Timeout:         *timeout,
-		OnPeerFail:      *onPeerFail,
-		CheckpointDir:   *checkpointDir,
-		CheckpointEvery: *checkpointEvery,
-		Resume:          *resume,
-		MaxWorld:        *maxWorld,
-		TelemetryAddr:   *telemetryAddr,
-	}
-
 	if *workerRank >= 0 {
 		// Forked worker: play one rank of the distributed world and exit.
 		opts.Rank = *workerRank
 		opts.World = *launch
-		opts.Rendezvous = *rendezvous
 		if err := distrun.Run(opts, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -123,11 +68,17 @@ func main() {
 		return
 	}
 
-	runInproc(*workers, *strategy, *q, *dataset, *model, *dataDir, *cacheBytes,
-		*groupEpochs, *epochs, *batch, *lr, *locality, *lars, *overlapGrads,
-		*wireDedup, *sampleEncoding, *autoQ, *autoQMin, *autoQMax, *seed,
-		*timeout, *saveWeights, *telemetryAddr,
-		*checkpointDir, *checkpointEvery, *resume)
+	// Goroutine workers share one process: there is no wire to compress, no
+	// peer process to lose and no rank slot to join. Say so instead of
+	// silently ignoring the request.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "wire-compress", "on-peer-fail", "max-world":
+			fmt.Fprintf(os.Stderr, "plsrun: -%s applies to multi-process worlds only (add -launch N)\n", f.Name)
+			os.Exit(2)
+		}
+	})
+	runInproc(*workers, opts, *saveWeights)
 }
 
 // runLaunched forks world-1 copies of this binary as worker ranks and plays
@@ -151,51 +102,7 @@ func runLaunched(world int, opts distrun.Options) error {
 	opts.Rendezvous = ln.Addr().String()
 	opts.RendezvousListener = ln
 
-	args := []string{
-		"-launch", strconv.Itoa(world),
-		"-rendezvous", opts.Rendezvous,
-		"-dataset", opts.Dataset,
-		"-model", opts.Model,
-		"-strategy", opts.Strategy,
-		"-q", fmt.Sprint(opts.Q),
-		"-epochs", strconv.Itoa(opts.Epochs),
-		"-batch", strconv.Itoa(opts.Batch),
-		"-lr", fmt.Sprint(opts.LR),
-		"-data-dir", opts.DataDir,
-		"-cache-bytes", strconv.FormatInt(opts.CacheBytes, 10),
-		"-group-epochs", strconv.Itoa(opts.GroupEpochs),
-		"-locality", fmt.Sprint(opts.Locality),
-		"-seed", strconv.FormatUint(opts.Seed, 10),
-		"-timeout", opts.Timeout.String(),
-		"-on-peer-fail", opts.OnPeerFail,
-		// Explicit because the flag defaults to true: every rank must agree.
-		"-overlap-grads=" + strconv.FormatBool(opts.OverlapGrads),
-		"-wire-compress=" + strconv.FormatBool(opts.WireCompress),
-		"-wire-dedup=" + strconv.FormatBool(opts.WireDedup),
-		"-sample-encoding", opts.SampleEncoding,
-	}
-	if opts.AutoQ {
-		args = append(args,
-			"-auto-q",
-			"-auto-q-min", fmt.Sprint(opts.AutoQMin),
-			"-auto-q-max", fmt.Sprint(opts.AutoQMax))
-	}
-	if opts.CheckpointDir != "" {
-		args = append(args,
-			"-checkpoint-dir", opts.CheckpointDir,
-			"-checkpoint-every", strconv.Itoa(opts.CheckpointEvery),
-			"-resume="+strconv.FormatBool(opts.Resume))
-	}
-	if opts.MaxWorld > 0 {
-		args = append(args, "-max-world", strconv.Itoa(opts.MaxWorld))
-	}
-	if opts.TelemetryAddr != "" {
-		// Forward the BASE address; each worker offsets the port by its rank.
-		args = append(args, "-telemetry-addr", opts.TelemetryAddr)
-	}
-	if opts.LARS {
-		args = append(args, "-lars")
-	}
+	args := append([]string{"-launch", strconv.Itoa(world), "-rendezvous", opts.Rendezvous}, opts.Args()...)
 	cmds := make([]*exec.Cmd, 0, world-1)
 	for r := 1; r < world; r++ {
 		cmd := exec.Command(exe, append([]string{"-worker-rank", strconv.Itoa(r)}, args...)...)
@@ -262,71 +169,27 @@ func runLaunched(world int, opts distrun.Options) error {
 }
 
 // runInproc is the original single-process path (goroutine workers).
-func runInproc(workers int, strategy string, q float64, dataset, model, dataDir string,
-	cacheBytes int64, groupEpochs, epochs, batch int, lr, locality float64,
-	lars, overlapGrads, wireDedup bool, sampleEncoding string,
-	autoQ bool, autoQMin, autoQMax float64, seed uint64,
-	timeout time.Duration, saveWeights, telemetryAddr string,
-	checkpointDir string, checkpointEvery int, resume bool) {
-	var strat plshuffle.Strategy
-	switch strategy {
-	case "global":
-		strat = plshuffle.Global()
-	case "local":
-		strat = plshuffle.Local()
-	case "partial":
-		strat = plshuffle.Partial(q)
-	case "corgi2":
-		strat = plshuffle.Corgi2(groupEpochs)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", strategy)
-		os.Exit(2)
-	}
-
-	var ds *plshuffle.Dataset
-	var err error
-	if strategy == "corgi2" {
-		// The samples live in the ingested on-disk store; the proxy carries
-		// the metadata and validation split the workers need up front.
-		if dataDir == "" {
-			fmt.Fprintln(os.Stderr, "plsrun: -strategy corgi2 requires -data-dir (an ingested dataset; see cmd/plsingest)")
-			os.Exit(2)
-		}
-		sd, derr := plshuffle.OpenShardDataset(dataDir)
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, derr)
-			os.Exit(1)
-		}
-		if ds, err = sd.Proxy(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		dataset = ds.Name + " (ingested " + dataDir + ")"
-	} else if ds, err = plshuffle.ProxyDataset(dataset); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	spec, err := plshuffle.ProxyModel(model)
+func runInproc(workers int, opts distrun.Options, saveWeights string) {
+	cfg, err := opts.TrainConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		os.Exit(2)
 	}
+	cfg.Workers = workers
 
 	// Inproc telemetry: all workers are goroutines sharing one registry, so
 	// a single server on the base address exposes the whole "world" — every
 	// per-rank series is distinguished by its {rank=...} label.
-	var reg *plshuffle.TelemetryRegistry
-	var rec *plshuffle.TraceRecorder
-	if telemetryAddr != "" {
-		reg = plshuffle.NewTelemetryRegistry()
-		rec = plshuffle.NewTraceRecorder()
+	if opts.TelemetryAddr != "" {
+		cfg.Telemetry = plshuffle.NewTelemetryRegistry()
+		cfg.Trace = plshuffle.NewTraceRecorder()
 		srv, err := plshuffle.NewTelemetryServer(plshuffle.TelemetryServerConfig{
-			Addr:     telemetryAddr,
-			Registry: reg,
-			Trace:    rec,
+			Addr:     opts.TelemetryAddr,
+			Registry: cfg.Telemetry,
+			Trace:    cfg.Trace,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "plsrun: telemetry listen %s: %v\n", telemetryAddr, err)
+			fmt.Fprintf(os.Stderr, "plsrun: telemetry listen %s: %v\n", opts.TelemetryAddr, err)
 			os.Exit(1)
 		}
 		defer srv.Close()
@@ -339,41 +202,15 @@ func runInproc(workers int, strategy string, q float64, dataset, model, dataDir 
 	}
 	done := make(chan trained, 1)
 	go func() {
-		res, err := plshuffle.Train(plshuffle.TrainConfig{
-			Workers:           workers,
-			Strategy:          strat,
-			Dataset:           ds,
-			Model:             spec.WithData(ds.FeatureDim, ds.Classes),
-			Epochs:            epochs,
-			BatchSize:         batch,
-			BaseLR:            float32(lr),
-			Momentum:          0.9,
-			WeightDecay:       1e-4,
-			UseLARS:           lars,
-			Seed:              seed,
-			DataDir:           dataDir,
-			CacheBytes:        cacheBytes,
-			PartitionLocality: locality,
-			OverlapGrads:      overlapGrads,
-			WireDedup:         wireDedup,
-			SampleEncoding:    sampleEncoding,
-			AutoQ:             autoQ,
-			AutoQMin:          autoQMin,
-			AutoQMax:          autoQMax,
-			CheckpointDir:     checkpointDir,
-			CheckpointEvery:   checkpointEvery,
-			Resume:            resume,
-			Trace:             rec,
-			Telemetry:         reg,
-		})
+		res, err := plshuffle.Train(cfg)
 		done <- trained{res, err}
 	}()
 	var t trained
-	if timeout > 0 {
+	if opts.Timeout > 0 {
 		select {
 		case t = <-done:
-		case <-time.After(timeout):
-			fmt.Fprintf(os.Stderr, "plsrun: run made no progress within %v; aborting instead of hanging\n", timeout)
+		case <-time.After(opts.Timeout):
+			fmt.Fprintf(os.Stderr, "plsrun: run made no progress within %v; aborting instead of hanging\n", opts.Timeout)
 			os.Exit(1)
 		}
 	} else {
@@ -386,7 +223,7 @@ func runInproc(workers int, strategy string, q float64, dataset, model, dataDir 
 	res := t.res
 
 	fmt.Printf("%s on %s proxy, %d workers, strategy %s (locality %.2f)\n",
-		model, dataset, workers, strat, locality)
+		opts.Model, opts.DatasetLabel(cfg), workers, cfg.Strategy, opts.Locality)
 	fmt.Printf("%-6s  %-8s  %-8s  %-12s  %-12s\n", "epoch", "loss", "val-acc", "local-read", "exchanged")
 	for _, e := range res.Epochs {
 		fmt.Printf("%-6d  %-8.4f  %-8.4f  %-12d  %-12d\n",
@@ -394,7 +231,7 @@ func runInproc(workers int, strategy string, q float64, dataset, model, dataDir 
 	}
 	fmt.Printf("final=%.4f best=%.4f peak-storage/worker=%d bytes\n",
 		res.FinalValAcc, res.BestValAcc, res.PeakStorageBytes)
-	if autoQ {
+	if opts.AutoQ {
 		fmt.Printf("controller q trajectory:")
 		for _, e := range res.Epochs {
 			fmt.Printf(" %g(%s)", e.ControllerQ, e.ControllerReason)

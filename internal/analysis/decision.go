@@ -108,8 +108,8 @@ func (r QRegion) String() string {
 }
 
 // Decision reasons, the canonical label set of the
-// pls_controller_decisions_total telemetry counter and the wire codes of
-// transport.QDecision.Reason.
+// pls_controller_decisions_total telemetry counter; ReasonCode gives each its
+// wire code in the Q agreement broadcast.
 const (
 	ReasonHold        = "hold"
 	ReasonRaiseSkew   = "raise-skew"

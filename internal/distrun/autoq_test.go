@@ -12,7 +12,7 @@ var trajLine = regexp.MustCompile(`controller q trajectory:([^\n]*)`)
 // TestAutoQWorldsTCP is the distrun acceptance gate for the closed-loop
 // controller: two identically-seeded 4-rank -auto-q worlds over real TCP
 // must print the same decided Q trajectory and the same weights checksum —
-// the QDecision broadcast makes the trajectory a pure function of (config,
+// the broadcast decision makes the trajectory a pure function of (config,
 // seed), never of wall-clock timing.
 func TestAutoQWorldsTCP(t *testing.T) {
 	if testing.Short() {

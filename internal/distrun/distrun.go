@@ -17,11 +17,8 @@ import (
 	"net"
 	"time"
 
-	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
-	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
-	"plshuffle/internal/store/shard"
 	"plshuffle/internal/telemetry"
 	"plshuffle/internal/trace"
 	"plshuffle/internal/train"
@@ -137,52 +134,13 @@ type Options struct {
 	TelemetryAddr string
 }
 
-func (o Options) strategy() (shuffle.Strategy, error) {
-	switch o.Strategy {
-	case "global":
-		return shuffle.GlobalShuffling(), nil
-	case "local":
-		return shuffle.LocalShuffling(), nil
-	case "partial":
-		return shuffle.Partial(o.Q), nil
-	case "corgi2":
-		g := o.GroupEpochs
-		if g <= 0 {
-			g = 1
-		}
-		return shuffle.Corgi2Shuffling(g), nil
-	default:
-		return shuffle.Strategy{}, fmt.Errorf("distrun: unknown strategy %q (want global, local, partial, or corgi2)", o.Strategy)
-	}
-}
-
 // Run executes one rank to completion: connect over TCP, train, verify the
 // sample balance, report on rank 0, and tear the transport down. out
 // receives rank 0's run report (other ranks write nothing).
 func Run(o Options, out io.Writer) error {
-	strat, err := o.strategy()
-	if err != nil {
-		return err
-	}
-	var ds *data.Dataset
-	if strat.Kind == shuffle.Corgi2 {
-		// The dataset lives on disk (cmd/plsingest); the proxy carries its
-		// metadata and validation split, training samples stream through the
-		// cache tier inside train.RunRank.
-		if o.DataDir == "" {
-			return fmt.Errorf("distrun: -strategy corgi2 requires -data-dir (an ingested dataset; see cmd/plsingest)")
-		}
-		sd, derr := shard.OpenDataset(o.DataDir)
-		if derr != nil {
-			return derr
-		}
-		if ds, err = sd.Proxy(); err != nil {
-			return err
-		}
-	} else if ds, err = data.LoadProxy(o.Dataset); err != nil {
-		return err
-	}
-	spec, err := nn.ProxySpec(o.Model)
+	// Resolve the configuration before connecting: a bad option fails here,
+	// not after the world has formed.
+	cfg, err := o.TrainConfig()
 	if err != nil {
 		return err
 	}
@@ -233,22 +191,22 @@ func Run(o Options, out io.Writer) error {
 	// Every rank records phase trace events so a watchdog report can name
 	// where each rank last made progress, not just that it stopped.
 	rec := trace.NewRecorder()
+	cfg.Trace = rec
 
 	// Telemetry plane (DESIGN.md §11): one HTTP server per rank on
 	// base-port+rank, sharing the registry the trainer will populate. The
 	// health view reflects the transport's peer-failure registry, so
 	// /healthz flips to 503 the moment a peer is declared dead.
-	var reg *telemetry.Registry
 	if o.TelemetryAddr != "" {
 		addr, aerr := telemetry.OffsetAddr(o.TelemetryAddr, o.Rank)
 		if aerr != nil {
 			comm.Close()
 			return fmt.Errorf("distrun: rank %d: telemetry: %w", o.Rank, aerr)
 		}
-		reg = telemetry.NewRegistry()
+		cfg.Telemetry = telemetry.NewRegistry()
 		sc := telemetry.ServerConfig{
 			Addr:     addr,
-			Registry: reg,
+			Registry: cfg.Telemetry,
 			Trace:    rec,
 			Health: func() telemetry.Health {
 				fp := comm.FailedPeers()
@@ -270,7 +228,7 @@ func Run(o Options, out io.Writer) error {
 	done := make(chan error, 1)
 	go func() {
 		done <- mpi.Execute(comm, func(c *mpi.Comm) error {
-			if err := trainRank(c, o, strat, ds, spec, rec, reg, out); err != nil {
+			if err := trainRank(c, o, cfg, out); err != nil {
 				return err
 			}
 			// Quiesce before teardown: no rank may close its transport while
@@ -366,36 +324,8 @@ func telemetryTargets(base string, world int) []string {
 
 // trainRank is the per-rank program: train, gather balance/peak/byte
 // accounting at the lowest surviving rank, and print the report there.
-func trainRank(c *mpi.Comm, o Options, strat shuffle.Strategy, ds *data.Dataset, spec nn.ModelSpec, rec *trace.Recorder, reg *telemetry.Registry, out io.Writer) error {
-	cfg := train.Config{
-		Workers:           c.Size(),
-		Strategy:          strat,
-		Dataset:           ds,
-		Model:             spec.WithData(ds.FeatureDim, ds.Classes),
-		Epochs:            o.Epochs,
-		BatchSize:         o.Batch,
-		BaseLR:            float32(o.LR),
-		Momentum:          0.9,
-		WeightDecay:       1e-4,
-		UseLARS:           o.LARS,
-		Seed:              o.Seed,
-		DataDir:           o.DataDir,
-		CacheBytes:        o.CacheBytes,
-		PartitionLocality: o.Locality,
-		OverlapGrads:      o.OverlapGrads,
-		WireDedup:         o.WireDedup,
-		SampleEncoding:    o.SampleEncoding,
-		AutoQ:             o.AutoQ,
-		AutoQMin:          o.AutoQMin,
-		AutoQMax:          o.AutoQMax,
-		OnPeerFail:        o.OnPeerFail,
-		CheckpointDir:     o.CheckpointDir,
-		CheckpointEvery:   o.CheckpointEvery,
-		Resume:            o.Resume,
-		Elastic:           o.MaxWorld > o.World || o.Join,
-		Trace:             rec,
-		Telemetry:         reg,
-	}
+func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
+	strat, ds := cfg.Strategy, cfg.Dataset
 	var rr *train.RankResult
 	var err error
 	if o.Join {
@@ -443,12 +373,8 @@ func trainRank(c *mpi.Comm, o Options, strat shuffle.Strategy, ds *data.Dataset,
 		return nil
 	}
 
-	dsLabel := o.Dataset
-	if strat.Kind == shuffle.Corgi2 {
-		dsLabel = ds.Name + " (ingested " + o.DataDir + ")"
-	}
 	fmt.Fprintf(out, "%s on %s proxy, %d ranks over tcp, strategy %s (locality %.2f)\n",
-		o.Model, dsLabel, c.Size(), strat, o.Locality)
+		o.Model, o.DatasetLabel(cfg), c.Size(), strat, o.Locality)
 	fmt.Fprintf(out, "%-6s  %-8s  %-8s  %-14s\n", "epoch", "loss", "val-acc", "exchange-wire")
 	for _, e := range rr.Epochs {
 		fmt.Fprintf(out, "%-6d  %-8.4f  %-8.4f  %-14d\n", e.Epoch+1, e.TrainLoss, e.ValAcc, e.ExchangeWireBytes)

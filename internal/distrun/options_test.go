@@ -1,0 +1,55 @@
+package distrun
+
+import (
+	"flag"
+	"io"
+	"testing"
+	"time"
+)
+
+// TestArgsRoundTripEveryBoundFlag: a launcher hands Args() to its forked
+// ranks, which parse them through Bind — every shared option must arrive
+// intact, including the ones whose default is not the zero value
+// (-overlap-grads) and the ones whose value is empty.
+func TestArgsRoundTripEveryBoundFlag(t *testing.T) {
+	want := Options{
+		Dataset: "cifar-100", Model: "mlp", Strategy: "corgi2", Q: 0.25,
+		DataDir: "/data/in 50", CacheBytes: 1 << 24, GroupEpochs: 5,
+		Epochs: 7, Batch: 32, LR: 0.0125, Locality: 0.9, LARS: true, Seed: 1<<63 + 11,
+		OverlapGrads: false, WireCompress: true, WireDedup: true, SampleEncoding: "fp16exact",
+		AutoQ: true, AutoQMin: 0.05, AutoQMax: 0.5,
+		Timeout: 90 * time.Second, OnPeerFail: "degrade",
+		CheckpointDir: "ckpt", CheckpointEvery: 2, Resume: true,
+		MaxWorld: 6, TelemetryAddr: "127.0.0.1:9400",
+	}
+	for _, o := range []Options{want, {}, DefaultOptions()} {
+		got := DefaultOptions()
+		fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		got.Bind(fs)
+		if err := fs.Parse(o.Args()); err != nil {
+			t.Fatalf("forked rank rejects %q: %v", o.Args(), err)
+		}
+		if got != o {
+			t.Errorf("options changed crossing the fork:\n sent %+v\n got  %+v", o, got)
+		}
+	}
+}
+
+// TestBindTakesDefaultsFromReceiver: plsrun and plsd share the flag set but
+// not every default (-epochs 15 vs 5).
+func TestBindTakesDefaultsFromReceiver(t *testing.T) {
+	o := DefaultOptions()
+	o.Epochs = 15
+	fs := flag.NewFlagSet("plsrun", flag.ContinueOnError)
+	o.Bind(fs)
+	if got := fs.Lookup("epochs").DefValue; got != "15" {
+		t.Errorf("-epochs default %q, want 15", got)
+	}
+	if err := fs.Parse([]string{"-q", "0.3"}); err != nil {
+		t.Fatal(err)
+	}
+	if o.Epochs != 15 || o.Q != 0.3 || !o.OverlapGrads {
+		t.Errorf("parsed options %+v: want epochs 15, q 0.3, overlap-grads on", o)
+	}
+}

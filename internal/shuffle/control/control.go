@@ -42,7 +42,7 @@ type Obs struct {
 }
 
 // Decision is the outcome of one epoch's control step — the value the root
-// broadcasts as transport.QDecision.
+// broadcasts.
 type Decision struct {
 	Epoch  int
 	Q      float64 // exchange fraction for the NEXT epoch

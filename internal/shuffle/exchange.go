@@ -83,8 +83,8 @@ func (p ExchangePlan) Execute(c *mpi.Comm, lookup func(id int) (data.Sample, err
 		if err != nil {
 			return ExchangeResult{}, fmt.Errorf("shuffle: Execute: looking up sample %d: %w", id, err)
 		}
-		c.Isend(p.Dests[i], exchangeTag(p.Epoch), s.Encode())
-		recvReqs[i] = c.Irecv(mpi.AnySource, exchangeTag(p.Epoch))
+		c.Isend(p.Dests[i], ExchangeTag(p.Epoch), s.Encode())
+		recvReqs[i] = c.Irecv(mpi.AnySource, ExchangeTag(p.Epoch))
 	}
 	for _, req := range recvReqs {
 		payload, _ := req.Wait()
@@ -97,8 +97,9 @@ func (p ExchangePlan) Execute(c *mpi.Comm, lookup func(id int) (data.Sample, err
 	return res, nil
 }
 
-// exchangeTag is the user-level tag for epoch's sample exchange traffic.
-func exchangeTag(epoch int) int { return epoch }
+// ExchangeTag is the user tag of epoch's sample exchange traffic: the raw
+// epoch (layout table in internal/train/tags.go).
+func ExchangeTag(epoch int) int { return epoch }
 
 // ExpectedSenders computes, for every slot of an epoch's exchange, the rank
 // that sends toward rank — the inverse of the shared-seed destination

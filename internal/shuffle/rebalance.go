@@ -24,10 +24,10 @@ import (
 // random stream of the scheme (see the salt table in partition.go).
 const saltRebalance uint64 = 0x4eba
 
-// rebalanceTag is the user-tag space for rebalance sample traffic. It sits
-// above both the exchange tags (= epoch, < 2^20) and the checkpoint/join
-// tags so concurrent epochs can never alias it.
-func rebalanceTag(epoch int) int { return 1<<23 + epoch }
+// RebalanceTag is the user tag of the rebalance before epoch: bulk sample
+// traffic, point-to-point like the exchange itself. Its range is disjoint
+// from every other user tag (layout table in internal/train/tags.go).
+func RebalanceTag(epoch int) int { return 1<<23 + epoch }
 
 // RebalanceStats reports what one rank's share of a rebalance moved.
 type RebalanceStats struct {
@@ -109,7 +109,7 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 
 	// Ship what is misplaced; count what must arrive. All traffic rides one
 	// epoch-scoped tag, so receives can be ANY_SOURCE.
-	tag := rebalanceTag(epoch)
+	tag := RebalanceTag(epoch)
 	var sendIDs []int
 	for _, id := range mine {
 		if dest[id] == c.Rank() {

@@ -382,7 +382,7 @@ func (s *Scheduler) absorbFailure(rank int) error {
 func (s *Scheduler) drainLanded() error {
 	for {
 		if s.pending == nil {
-			s.pending = s.comm.Irecv(mpi.AnySource, exchangeTag(s.epoch))
+			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.epoch))
 		}
 		ok, payload, st := s.pending.Test()
 		if !ok {
@@ -625,7 +625,7 @@ var emptyBatchFrame = transport.FrameWireSize([]byte(nil)) + 4
 // the peer is gone (InvalidateDedup clears it during recovery anyway).
 func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead bool, err error) {
 	if s.degrade {
-		n, pe := s.comm.SendPeerAwareMetered(dest, exchangeTag(s.epoch), payload)
+		n, pe := s.comm.SendPeerAwareMetered(dest, ExchangeTag(s.epoch), payload)
 		if pe != nil {
 			// The destination died under the send: absorb and retain this
 			// batch's samples (the receiver is gone, so the local copies are
@@ -637,7 +637,7 @@ func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead b
 		}
 		return n, false, nil
 	}
-	_, n := s.comm.IsendMetered(dest, exchangeTag(s.epoch), payload)
+	_, n := s.comm.IsendMetered(dest, ExchangeTag(s.epoch), payload)
 	return n, false, nil
 }
 
@@ -650,7 +650,7 @@ func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead b
 func (s *Scheduler) drainReceives(block bool) error {
 	for len(s.received) < s.expected {
 		if s.pending == nil {
-			s.pending = s.comm.Irecv(mpi.AnySource, exchangeTag(s.epoch))
+			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.epoch))
 		}
 		var payload any
 		var st mpi.Status

@@ -220,10 +220,13 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 // within a family.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	// Snapshot the family/series structure so sampling below runs without
+	// Snapshot the family/series structure — each family by value, so its
+	// series slice header is read under the lock — and sample below without
 	// blocking registration; series slices are append-only.
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 
 	var b []byte

@@ -34,9 +34,9 @@ var chaosSeed = flag.Int64("chaos-seed", 1, "base seed for the chaos-injection s
 
 // chaosScripts builds one fault script per rank from the base seed: every
 // rank suffers random frame delays; survivors on wire backends additionally
-// suffer periodic connection resets; the victim crashes on its Nth exchange
-// frame of killEpoch — i.e. mid-Communicate of that epoch, since the PLS
-// exchange stamps frames with the epoch as tag.
+// suffer periodic connection resets; the victim (none when negative) crashes
+// on its Nth exchange frame of killEpoch — i.e. mid-Communicate of that
+// epoch, since the PLS exchange stamps frames with the epoch as tag.
 func chaosScripts(n, victim, killEpoch int, resets bool) []faultinject.Script {
 	scripts := make([]faultinject.Script, n)
 	for r := range scripts {
@@ -49,8 +49,10 @@ func chaosScripts(n, victim, killEpoch int, resets bool) []faultinject.Script {
 			scripts[r].ResetEvery = 40
 		}
 	}
-	scripts[victim].CrashTag = killEpoch
-	scripts[victim].CrashCount = 2
+	if victim >= 0 {
+		scripts[victim].CrashTag = killEpoch
+		scripts[victim].CrashCount = 2
+	}
 	return scripts
 }
 
@@ -78,6 +80,12 @@ func chaosTCPConfig(rank int, cfg *tcp.Config) {
 // the victim — exactly like a dead process in a distributed world.
 func runChaosWorld(t *testing.T, b transporttest.Backend, n int, cfg Config) ([]*RankResult, []error) {
 	t.Helper()
+	return runRanks(t, b, n, func(c *mpi.Comm) (*RankResult, error) { return RunRank(c, cfg) })
+}
+
+// runRanks is runChaosWorld with a per-rank program (joiners run JoinRank).
+func runRanks(t *testing.T, b transporttest.Backend, n int, program func(c *mpi.Comm) (*RankResult, error)) ([]*RankResult, []error) {
+	t.Helper()
 	comms, cleanup, err := b.Open(n)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +98,7 @@ func runChaosWorld(t *testing.T, b transporttest.Backend, n int, cfg Config) ([]
 		go func(rank int) {
 			defer wg.Done()
 			errs[rank] = mpi.Execute(comms[rank], func(c *mpi.Comm) error {
-				rr, err := RunRank(c, cfg)
+				rr, err := program(c)
 				rrs[rank] = rr
 				return err
 			})

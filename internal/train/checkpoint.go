@@ -42,14 +42,6 @@ import (
 	"plshuffle/internal/nn"
 )
 
-// ckptTag is the user-tag space of checkpoint CRC reports, above the
-// exchange tags (= epoch, < 2^20), the admission space (2^22) and the
-// rebalance space (2^23). The membership generation salts the tag: a
-// snapshot re-taken after a mid-checkpoint death (the group shrank, the
-// replica state was re-synchronized) must not gather a stale report a rank
-// sent for the same epoch boundary before the failure.
-func ckptTag(generation, nextEpoch int) int { return (generation+1)<<24 + nextEpoch }
-
 var fingerprintTable = crc32.MakeTable(crc32.Castagnoli)
 
 // configFingerprint digests the configuration facets that must match

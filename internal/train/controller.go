@@ -1,24 +1,23 @@
 // Closed-loop shuffle controller wiring (DESIGN.md §16). The decision
 // geometry is analysis.DecideQ and the trajectory bookkeeping is
-// control.Controller; this file owns the protocol that makes one decision
-// per epoch bitwise-identical on every rank:
+// control.Controller; this file owns the round that makes one decision per
+// epoch bitwise-identical on every rank:
 //
 //  1. After epoch e's collectives settle, every rank records two
 //     DETERMINISTIC observations — the total-variation distance between
 //     the labels it trained on and the global label distribution, and a
 //     MODELED exchange/compute cost ratio at fixed reference rates. Never
 //     wall-clock: two same-seed worlds observe identically.
-//  2. One Gather ships the observations to the group root; the root steps
-//     control.Controller.Decide and sends the resulting
-//     transport.QDecision to each member on the reserved control tag.
-//  3. Every member validates the decision's (generation, epoch) stamp,
-//     Adopts the root's float64 verbatim, and applies it with
-//     Scheduler.SetQ before epoch e+1's Scheduling re-plans from the
-//     shared seed at the new fraction.
+//  2. One Gather ships the observations to the group root, which steps
+//     control.Controller.Decide.
+//  3. agreeQ: one Bcast carries the root's (epoch, Q, reason); every member
+//     checks the epoch stamp, Adopts the root's float64 verbatim, and
+//     applies it with Scheduler.SetQ before epoch e+1's Scheduling re-plans
+//     from the shared seed at the new fraction.
 //
-// The step runs under the same Guard/reconcile machinery as the epoch
-// itself, so a peer death mid-protocol funnels into the ordinary degrade
-// recovery, which re-broadcasts the new root's Q (train.go step 5).
+// Both collectives run under the same Guard as the epoch itself, so a peer
+// death mid-round funnels into the ordinary degrade recovery, whose resync
+// runs the very same agreeQ from the new root.
 package train
 
 import (
@@ -27,7 +26,6 @@ import (
 	"plshuffle/internal/analysis"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/shuffle/control"
-	"plshuffle/internal/transport"
 )
 
 // ReasonSchedule is the trajectory label of an open-loop QSchedule replay —
@@ -44,16 +42,6 @@ const (
 	refWireBytesPerSec = 1e9
 	refFlopsPerSec     = 1e10
 )
-
-// ctrlTag is the reserved tag of epoch's QDecision messages. Bit 23 keys the
-// control plane: exchange tags are the raw epoch (< 2^20), admission tags
-// live at 2^22+rank, and checkpoint tags are (generation+1)<<24 + nextEpoch
-// with bit 23 clear — so a generation-salted tag with bit 23 set can alias
-// none of them, and a stale decision from before a group re-formation can
-// never be mistaken for a live one.
-func ctrlTag(generation, epoch int) int {
-	return (generation+1)<<24 | 1<<23 | epoch
-}
 
 // initController builds the worker's controller from the run configuration:
 // the default policy with the operator's clamps, the dataset's global label
@@ -138,8 +126,6 @@ func (w *worker) controllerStep(epoch int) error {
 	group := w.comm.GroupRanks()
 	root := group[0]
 	obs := mpi.Gather(w.comm, []float64{w.obsSkew, w.obsComm}, root)
-	tag := ctrlTag(w.generation, epoch)
-	var dec transport.QDecision
 	if w.comm.Rank() == root {
 		all := make([]control.Obs, 0, len(group))
 		for g := 0; g < len(group); g++ {
@@ -149,58 +135,41 @@ func (w *worker) controllerStep(epoch int) error {
 		if err != nil {
 			return err
 		}
-		dec = transport.QDecision{
-			Generation: int64(w.generation),
-			Epoch:      int64(epoch),
-			Q:          d.Q,
-			Reason:     analysis.ReasonCode(d.Reason),
-		}
-		for _, r := range group {
-			if r == root {
-				continue
-			}
-			if pe := w.comm.SendPeerAware(r, tag, dec); pe != nil {
-				return pe
-			}
-		}
-	} else {
-		inGroup := make(map[int]bool, len(group))
-		for _, r := range group {
-			inGroup[r] = true
-		}
-		req := w.comm.Irecv(root, tag)
-		payload, _, err := w.comm.WaitPeerAware(req, func(r int) bool { return !inGroup[r] })
-		if err != nil {
-			return fmt.Errorf("receiving Q decision for epoch %d: %w", epoch, err)
-		}
-		got, ok := payload.(transport.QDecision)
-		if !ok {
-			return fmt.Errorf("malformed Q decision for epoch %d: %T", epoch, payload)
-		}
-		if got.Generation != int64(w.generation) || got.Epoch != int64(epoch) {
-			return fmt.Errorf("stale Q decision: got (gen %d, epoch %d), want (gen %d, epoch %d)",
-				got.Generation, got.Epoch, w.generation, epoch)
-		}
-		dec = got
-		// Adopt the root's float64 verbatim — the trajectory is the root's,
-		// bit for bit.
-		w.ctrl.Adopt(dec.Q)
+		w.ctrlReason = d.Reason
 	}
-	return w.applyQDecision(dec)
-}
-
-// applyQDecision installs a decided (or adopted) fraction: the scheduler
-// re-plans the NEXT epoch from the shared seed at this Q, and the stats and
-// telemetry trajectory advance. The exchange window is closed at every call
-// site (epoch boundary, post-recovery), so SetQ cannot race a live plan.
-func (w *worker) applyQDecision(dec transport.QDecision) error {
-	if err := w.exchanger.SetQ(dec.Q); err != nil {
+	if err := w.agreeQ(epoch); err != nil {
 		return err
 	}
-	w.ctrlQ = dec.Q
-	w.ctrlReason = analysis.ReasonFromCode(dec.Reason)
 	if w.cm != nil {
-		w.cm.Note(w.ctrlQ, w.ctrlReason)
+		w.cm.Note(w.ctrlQ, w.ctrlReason) // a decision, not only an adoption
+	}
+	return nil
+}
+
+// agreeQ is the one Q agreement of the epoch boundary: the group root's
+// (epoch, Q, reason) rides one Bcast and every member installs it. The
+// steady-state decision, the survivors of a shrink and the members and
+// joiners of a grow all agree through here (resync). Q travels as the root's
+// float64 — the trajectory is the root's, bit for bit. The collective's tag
+// carries the membership generation; the epoch stamp catches a member that
+// reached a different boundary. The exchange window is closed at every call
+// site, so SetQ cannot race a live plan.
+func (w *worker) agreeQ(epoch int) error {
+	buf := []float64{float64(epoch), w.ctrl.Q(), float64(analysis.ReasonCode(w.ctrlReason))}
+	mpi.Bcast(w.comm, buf, w.comm.GroupRanks()[0])
+	if int(buf[0]) != epoch {
+		return fmt.Errorf("stale Q decision: root stamped epoch %d, this rank stands at epoch %d", int(buf[0]), epoch)
+	}
+	w.ctrl.Adopt(buf[1])
+	// The non-domination threshold moves with the group (a no-op in steady
+	// state).
+	w.ctrl.SetWorld(w.comm.GroupSize())
+	if err := w.exchanger.SetQ(buf[1]); err != nil {
+		return err
+	}
+	w.ctrlQ, w.ctrlReason = buf[1], analysis.ReasonFromCode(uint8(buf[2]))
+	if w.cm != nil {
+		w.cm.Q.Set(w.ctrlQ)
 	}
 	return nil
 }

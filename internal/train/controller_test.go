@@ -62,6 +62,7 @@ func TestControllerConfigValidation(t *testing.T) {
 		{"clamps-inverted", func(c *Config) { c.AutoQ = true; c.AutoQMin = 0.5; c.AutoQMax = 0.1 }},
 		{"clamp-above-one", func(c *Config) { c.AutoQ = true; c.AutoQMax = 1.5 }},
 		{"schedule-entry-range", func(c *Config) { c.QSchedule = []float64{0.1, 1.5} }},
+		{"epochs-past-tag-layout", func(c *Config) { c.Epochs = maxEpochs }},
 	}
 	for _, tc := range cases {
 		c := baseConfig(t, ds, 4, shuffle.Partial(0.2))
@@ -134,7 +135,7 @@ func TestAutoQSameSeedWorldsIdentical(t *testing.T) {
 // TestAutoQMatchesScheduleReplayBitwise is the bitwise acceptance gate: the
 // closed-loop run's decided trajectory, replayed open-loop through
 // QSchedule, must reproduce the exact same weights — on inproc and with
-// every frame (including the QDecision control round) crossing real TCP.
+// every frame (including the control round's collectives) crossing real TCP.
 func TestAutoQMatchesScheduleReplayBitwise(t *testing.T) {
 	backends := []transporttest.Backend{transporttest.Inproc()}
 	if !testing.Short() {
@@ -245,7 +246,7 @@ func TestAutoQCheckpointResumeBitwise(t *testing.T) {
 // live. The survivors must recover (degrade), re-agree on the controller
 // state over the new root's broadcast, keep deciding in lockstep — same
 // post-recovery trajectory, bitwise-identical weights — finish every epoch,
-// and leak no goroutines. Run under -race in CI ("Controller (race)").
+// and leak no goroutines.
 func TestAutoQChaosSoak(t *testing.T) {
 	backends := []struct {
 		name string
@@ -301,8 +302,8 @@ func TestAutoQChaosSoak(t *testing.T) {
 			}
 
 			// Post-recovery agreement: every survivor decided the same Q at
-			// every boundary — the QDecision broadcast and the recovery-time
-			// adoption kept the controllers in lockstep.
+			// every boundary — the steady-state agreement and the recovery-time
+			// one kept the controllers in lockstep.
 			ref := trajectory(survivors[0].Epochs)
 			for i, rr := range survivors[1:] {
 				got := trajectory(rr.Epochs)
@@ -311,6 +312,18 @@ func TestAutoQChaosSoak(t *testing.T) {
 						t.Fatalf("survivors 0 and %d disagree on epoch %d Q: %v vs %v (trajectories %v vs %v)",
 							i+1, e, ref[e], got[e], ref, got)
 					}
+				}
+			}
+			// The epoch the death cut short carries the fraction it planned with
+			// on every survivor, however early in it the failure surfaced (as
+			// early as Scheduling, or in the boundary before it).
+			for i, rr := range survivors {
+				es := rr.Epochs[killEpoch]
+				if !es.Disrupted && !es.Skipped {
+					t.Errorf("survivor %d: epoch %d neither disrupted nor skipped: %+v", i, killEpoch, es)
+				}
+				if es.ControllerQ <= 0 || es.ControllerQ != ref[killEpoch] {
+					t.Errorf("survivor %d: disrupted epoch %d recorded q=%v, want %v", i, killEpoch, es.ControllerQ, ref[killEpoch])
 				}
 			}
 			last := survivors[0].Epochs[epochs-1]

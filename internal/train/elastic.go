@@ -10,12 +10,12 @@ package train
 //	root drains PendingJoins             blocks on Irecv(admitTag)
 //	Bcast join list over group
 //	AdmitPeer each joiner
-//	generation++, SetCollSeq,
+//	bumpGeneration,
 //	Grow(newSize, newGroup)
-//	root sends admission ──────────────▶ adopts generation/SetCollSeq,
-//	                                     Grow(newSize, newGroup)
+//	root sends admission ──────────────▶ Grow(newSize, newGroup),
+//	                                     bumpGeneration to the members'
 //	Barrier over grown group ◀─────────▶ Barrier
-//	Bcast weights from group root ─────▶ receives weights
+//	resync (root's weights and Q) ◀────▶ resync
 //	Rebalance stored samples ◀─────────▶ Rebalance (receives its share)
 //	train epoch e                        train() from startEpoch = e
 //
@@ -27,7 +27,6 @@ package train
 // those derivations assume.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
@@ -35,10 +34,6 @@ import (
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/transport"
 )
-
-// admitTag is the user-tag space of join admissions, keyed by the JOINER's
-// world rank (not an epoch: a joiner listens before it knows the epoch).
-func admitTag(rank int) int { return 1<<22 + rank }
 
 // admitMsg is what the group root sends a joiner: the grown world shape,
 // the generation to align the collective sequence to, and the epoch the
@@ -52,43 +47,21 @@ type admitMsg struct {
 	group      []int
 }
 
-func encodeAdmit(m admitMsg) []byte {
-	buf := make([]byte, 4*(5+len(m.group)))
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], uint32(m.size))
-	le.PutUint32(buf[4:], uint32(m.generation))
-	le.PutUint32(buf[8:], uint32(m.epoch))
-	var s uint32
+// encodeAdmit spells the message as an []int payload, which the transport
+// codec already carries: {size, generation, epoch, short, group...}.
+func encodeAdmit(m admitMsg) []int {
+	short := 0
 	if m.short {
-		s = 1
+		short = 1
 	}
-	le.PutUint32(buf[12:], s)
-	le.PutUint32(buf[16:], uint32(len(m.group)))
-	for i, r := range m.group {
-		le.PutUint32(buf[20+4*i:], uint32(r))
-	}
-	return buf
+	return append([]int{m.size, m.generation, m.epoch, short}, m.group...)
 }
 
-func decodeAdmit(b []byte) (admitMsg, error) {
-	var m admitMsg
-	if len(b) < 20 {
-		return m, fmt.Errorf("train: admission message truncated (%d bytes)", len(b))
+func decodeAdmit(p []int) (admitMsg, error) {
+	if len(p) < 5 {
+		return admitMsg{}, fmt.Errorf("train: admission message truncated (%d ints)", len(p))
 	}
-	le := binary.LittleEndian
-	m.size = int(le.Uint32(b[0:]))
-	m.generation = int(le.Uint32(b[4:]))
-	m.epoch = int(le.Uint32(b[8:]))
-	m.short = le.Uint32(b[12:]) != 0
-	n := int(le.Uint32(b[16:]))
-	if len(b) != 4*(5+n) {
-		return m, fmt.Errorf("train: admission message is %d bytes, want %d for %d group ranks", len(b), 4*(5+n), n)
-	}
-	m.group = make([]int, n)
-	for i := range m.group {
-		m.group[i] = int(le.Uint32(b[20+4*i:]))
-	}
-	return m, nil
+	return admitMsg{size: p[0], generation: p[1], epoch: p[2], short: p[3] != 0, group: p[4:]}, nil
 }
 
 // admitJoiners runs on every member at the top of an elastic epoch: the
@@ -145,12 +118,9 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 			newSize = jr.Rank + 1
 		}
 	}
-	w.generation++
-	base := w.generation << 32
-	if base <= w.comm.CollSeq() {
-		return fmt.Errorf("collective sequence space exhausted (seq %d)", w.comm.CollSeq())
+	if err := w.bumpGeneration(); err != nil {
+		return err
 	}
-	w.comm.SetCollSeq(base)
 	if err := w.comm.Grow(newSize, group); err != nil {
 		return err
 	}
@@ -166,41 +136,8 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 	// First collective over the grown group; the joiners' Grow + Barrier
 	// rendezvous with it.
 	w.comm.Barrier()
-	for _, p := range w.params {
-		mpi.Bcast(w.comm, p.W, root)
-	}
-	if w.ctrl != nil {
-		// The joiner adopts the running controller trajectory the same way
-		// it adopts the weights: the group root's Q wins, bit for bit, and
-		// every member's threshold moves with the grown world.
-		qbuf := []float64{w.ctrl.Q()}
-		mpi.Bcast(w.comm, qbuf, root)
-		w.ctrl.Adopt(qbuf[0])
-		w.ctrl.SetWorld(w.comm.GroupSize())
-		if err := w.exchanger.SetQ(qbuf[0]); err != nil {
-			return err
-		}
-		w.ctrlQ = qbuf[0]
-		if w.cm != nil {
-			w.cm.Q.Set(w.ctrlQ)
-		}
-	}
-	// Re-created optimizer state (zeroed moments) is the one state every
-	// member and joiner can agree on without shipping buffers — the same
-	// convention the failure-recovery path uses.
-	w.opt = newOptimizer(w.cfg)
-	if w.cfg.OverlapGrads {
-		w.setupOverlap()
-	}
-	if w.exchanger != nil {
-		w.exchanger.InvalidateDedup()
-	}
-	// Corgi2 shard assignments depend on the world size: force a recompute
-	// at the next epoch so every member (and the joiner) re-derives them.
-	w.assignedGroup = -1
-	if w.tm != nil {
-		w.tm.WorldSize.SetInt(int64(w.comm.GroupSize()))
-		w.tm.Generation.SetInt(int64(w.generation))
+	if err := w.resync(epoch); err != nil {
+		return err
 	}
 	if w.local != nil {
 		if _, err := shuffle.Rebalance(w.comm, w.local, w.cfg.Seed, epoch); err != nil {
@@ -218,16 +155,7 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 // was launched with; Workers (if non-zero) must equal this communicator's
 // world size, which is the post-join rank name space.
 func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = c.Size()
-	}
-	if cfg.Workers != c.Size() {
-		return nil, fmt.Errorf("train: cfg.Workers = %d but world size is %d", cfg.Workers, c.Size())
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, sched, _, pfs, err := prepareRank(cfg)
+	cfg, sched, _, pfs, err := prepareRank(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +163,6 @@ func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.SetCollSeq(adm.generation << 32)
 	if err := c.Grow(adm.size, adm.group); err != nil {
 		return nil, err
 	}
@@ -246,35 +173,20 @@ func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 	if w.tier != nil {
 		defer w.tier.Close()
 	}
-	w.generation = adm.generation
+	// The joiner takes the same generation bump the members took when they
+	// admitted it, and lands on their collective sequence base.
+	w.generation = adm.generation - 1
+	if err := w.bumpGeneration(); err != nil {
+		return nil, err
+	}
 	w.startEpoch = adm.epoch
 	w.joinedEpoch = adm.epoch
 	w.shortData = adm.short
-	if w.tm != nil {
-		w.tm.WorldSize.SetInt(int64(c.GroupSize()))
-		w.tm.Generation.SetInt(int64(w.generation))
-	}
-	// Rendezvous with the members' post-grow Barrier, then adopt the
-	// current replica state and take this rank's share of the samples.
+	// Rendezvous with the members' post-grow Barrier, then adopt the current
+	// replica state and take this rank's share of the samples.
 	c.Barrier()
-	root := adm.group[0]
-	for _, p := range w.params {
-		mpi.Bcast(c, p.W, root)
-	}
-	if w.ctrl != nil {
-		// Counterpart of the members' trajectory broadcast in applyJoins:
-		// the joiner's freshly built controller adopts the running Q.
-		qbuf := []float64{w.ctrl.Q()}
-		mpi.Bcast(c, qbuf, root)
-		w.ctrl.Adopt(qbuf[0])
-		w.ctrl.SetWorld(c.GroupSize())
-		if err := w.exchanger.SetQ(qbuf[0]); err != nil {
-			return nil, err
-		}
-		w.ctrlQ = qbuf[0]
-		if w.cm != nil {
-			w.cm.Q.Set(w.ctrlQ)
-		}
+	if err := w.resync(adm.epoch); err != nil {
+		return nil, err
 	}
 	if w.local != nil {
 		if _, err := shuffle.Rebalance(c, w.local, cfg.Seed, adm.epoch); err != nil {
@@ -296,11 +208,11 @@ func waitAdmission(c *mpi.Comm) (admitMsg, error) {
 		req := c.Irecv(mpi.AnySource, admitTag(c.Rank()))
 		payload, _, err := c.WaitPeerAware(req, func(r int) bool { return known[r] })
 		if err == nil {
-			b, ok := payload.([]byte)
+			p, ok := payload.([]int)
 			if !ok {
-				return admitMsg{}, fmt.Errorf("train: JoinRank: admission payload is %T, want []byte", payload)
+				return admitMsg{}, fmt.Errorf("train: JoinRank: admission payload is %T, want []int", payload)
 			}
-			return decodeAdmit(b)
+			return decodeAdmit(p)
 		}
 		pe, isPeer := mpi.PeerErrorFrom(err)
 		if !isPeer {

@@ -33,16 +33,16 @@ func BenchmarkGEWUStepOverTCP(b *testing.B) {
 	cfg.BatchSize = batch
 	cfg.BaseLR = 0.05
 	cfg.OverlapGrads = true
-	cfg, sched, parts, pfs, err := prepareRank(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 
 	comms, cleanup, err := transporttest.TCP().Open(ranks)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cleanup()
+	cfg, sched, parts, pfs, err := prepareRank(comms[0], cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	workers := make([]*worker, ranks)
 	for r, c := range comms {
 		if workers[r], err = newWorker(c, cfg, sched, parts, pfs, nil); err != nil {

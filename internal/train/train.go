@@ -18,7 +18,6 @@ package train
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"plshuffle/internal/data"
@@ -33,7 +32,6 @@ import (
 	"plshuffle/internal/tensor"
 	"plshuffle/internal/tensor/arena"
 	"plshuffle/internal/trace"
-	"plshuffle/internal/transport"
 )
 
 // DefaultWireDedupBudget is the per-directed-pair byte budget the exchange
@@ -193,9 +191,9 @@ type Config struct {
 	// after every epoch the group root gathers each rank's deterministic
 	// observations (label-exposure skew and the modeled exchange/compute
 	// cost ratio), steps the pure decision function analysis.DecideQ, and
-	// broadcasts the new exchange fraction on a reserved control tag before
-	// the next Scheduling. Strategy.Q becomes the starting point of the
-	// trajectory rather than a fixed constant. PartialLocal only.
+	// broadcasts the new exchange fraction before the next Scheduling.
+	// Strategy.Q becomes the starting point of the trajectory rather than a
+	// fixed constant. PartialLocal only.
 	AutoQ bool
 	// AutoQMin / AutoQMax clamp the controller's trajectory (0,0 = the
 	// default policy clamps [0.05, 0.5]). Both must lie in [0,1] with
@@ -247,6 +245,9 @@ func (c Config) Validate() error {
 	}
 	if c.Epochs <= 0 || c.BatchSize <= 0 {
 		return fmt.Errorf("train: Epochs and BatchSize must be positive (%d, %d)", c.Epochs, c.BatchSize)
+	}
+	if c.Epochs >= maxEpochs {
+		return fmt.Errorf("train: Epochs must be below %d (the point-to-point tag layout keys on the epoch), got %d", maxEpochs, c.Epochs)
 	}
 	if c.BaseLR <= 0 {
 		return fmt.Errorf("train: BaseLR must be positive, got %v", c.BaseLR)
@@ -450,16 +451,7 @@ type RankResult struct {
 // zero (it defaults to the communicator's world size) but must otherwise
 // match it.
 func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = c.Size()
-	}
-	if cfg.Workers != c.Size() {
-		return nil, fmt.Errorf("train: cfg.Workers = %d but world size is %d", cfg.Workers, c.Size())
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, sched, parts, pfs, err := prepareRank(cfg)
+	cfg, sched, parts, pfs, err := prepareRank(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -479,11 +471,21 @@ func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 	return w.run()
 }
 
-// prepareRank resolves the derived run inputs every entry point (RunRank,
-// JoinRank) shares: the Corgi2 shard store and proxy dataset, the LR
-// schedule, the initial partition of the local-family strategies, and the
-// PFS view.
-func prepareRank(cfg Config) (Config, nn.Schedule, [][]int, *store.PFS, error) {
+// prepareRank checks the configuration against the communicator and
+// resolves the derived run inputs every entry point (RunRank, JoinRank)
+// shares: Workers (zero defaults to the world size), the Corgi2 shard store
+// and proxy dataset, the LR schedule, the initial partition of the
+// local-family strategies, and the PFS view.
+func prepareRank(c *mpi.Comm, cfg Config) (Config, nn.Schedule, [][]int, *store.PFS, error) {
+	if cfg.Workers == 0 {
+		cfg.Workers = c.Size()
+	}
+	if cfg.Workers != c.Size() {
+		return cfg, nil, nil, nil, fmt.Errorf("train: cfg.Workers = %d but world size is %d", cfg.Workers, c.Size())
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, nil, nil, nil, err
+	}
 	if cfg.Strategy.Kind == shuffle.Corgi2 {
 		if cfg.ShardStore == nil {
 			sd, err := shard.OpenDataset(cfg.DataDir)
@@ -790,9 +792,8 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 	return w, nil
 }
 
-// newOptimizer builds the configured update rule. The recovery path re-runs
-// it after a group re-formation: re-created state (zeroed momentum) is the
-// one optimizer state every survivor can agree on without shipping buffers.
+// newOptimizer builds the configured update rule. resync re-runs it after a
+// group re-formation.
 func newOptimizer(cfg Config) nn.Optimizer {
 	switch {
 	case cfg.Optimizer == "lamb":
@@ -821,7 +822,7 @@ func (w *worker) setupOverlap() {
 	w.bucketReqs = make([]*mpi.CollRequest, len(w.plan.Buckets))
 	// Group size, not world size: after a degrade-mode Shrink the bucket
 	// rings run over the survivors, and IAllreduceChunks requires bounds
-	// sized to the collective group. The recovery path re-runs setupOverlap.
+	// sized to the collective group. resync re-runs setupOverlap.
 	size := w.comm.GroupSize()
 	global := make([]int, size+1)
 	for i := 0; i <= size; i++ {
@@ -845,87 +846,44 @@ func (w *worker) setupOverlap() {
 	w.bucketHook = w.launchReadyBuckets
 }
 
-// launchReadyBuckets is the Sequential.BackwardWithHook callback: when
-// backward completes a layer that closes one or more buckets, it launches
-// their non-blocking averaging all-reduces on the buckets' own ranges of
-// the model's gradient arena — the gradients backward just wrote are the
-// ring's buffer, nothing is flattened. It runs on the backward critical
-// path, so it only launches; the rings progress on their own goroutines
-// while earlier layers keep computing (into other ranges of the arena).
-func (w *worker) launchReadyBuckets(layer int) {
-	launched := false
-	grads := w.model.Grads()
-	for _, bi := range w.plan.ReadyAt(layer) {
-		b := w.plan.Buckets[bi]
-		w.bucketReqs[bi] = mpi.IAllreduceChunks(w.comm, grads[b.Lo:b.Hi], mpi.OpAvg, w.bucketBounds[bi])
-		launched = true
-	}
-	if launched {
-		// Give in-flight rings a scheduling slot at each bucket boundary.
-		// Backward's layer kernels have no yield points, so on oversubscribed
-		// or single-P runtimes a launched ring could otherwise starve until
-		// the drain — exactly the exposure this path exists to remove. The
-		// yield is nanoseconds when there is nothing runnable.
-		runtime.Gosched()
-	}
-}
-
-// drainBuckets completes the overlapped GEWU phase: wait for each bucket's
-// all-reduce in launch order and step just that bucket's parameters
-// (Optimizer.StepPartial) from the averaged gradients the ring left in
-// place, so the weight update of early buckets overlaps the still-in-flight
-// later ones. Exposed wait, total in-flight time, and exact wire bytes are
-// accounted per bucket.
-func (w *worker) drainBuckets(es *EpochStats, lr float32) {
-	for bi, req := range w.bucketReqs {
-		b := w.plan.Buckets[bi]
-		tw := time.Now()
-		req.Wait()
-		wait := time.Since(tw)
-		es.GEWUWaitTime += wait
-		es.GEWUCommTime += req.Elapsed()
-		sent, recv := req.WireBytes()
-		es.GradWireBytes += sent + recv
-		if w.tm != nil {
-			w.tm.GEWUWaitNs.Add(int64(wait))
-			w.tm.GEWUCommNs.Add(int64(req.Elapsed()))
-			w.tm.GradWireBytes.Add(sent + recv)
-		}
-		w.opt.StepPartial(w.params, b.FirstParam, b.LastParam, lr)
-		w.bucketReqs[bi] = nil
-	}
-}
-
 func (w *worker) train() ([]EpochStats, error) {
 	stats := make([]EpochStats, 0, w.cfg.Epochs)
 	for epoch := w.startEpoch; epoch < w.cfg.Epochs; epoch++ {
+		es := EpochStats{Epoch: epoch}
+		// stood is the epoch this rank reports to a recovery: the one it is
+		// in, or — while the admission round before it is still running — the
+		// one before, whose boundary it has not left.
+		stood, disrupted := epoch, false
+		var err error
 		// Elastic worlds admit rendezvoused joiners at the epoch boundary —
 		// a quiescent point: no exchange window open, no collective in
 		// flight — so the grown group runs this whole epoch together.
 		if w.cfg.Elastic && epoch != w.joinedEpoch {
-			if err := w.admitJoiners(epoch); err != nil {
-				return nil, fmt.Errorf("admitting joiners before epoch %d: %w", epoch, err)
+			if aerr := w.admitJoiners(epoch); aerr != nil {
+				err = fmt.Errorf("admitting joiners before epoch %d: %w", epoch, aerr)
+				stood = epoch - 1
 			}
 		}
-		es := EpochStats{Epoch: epoch}
-		// The whole per-epoch block runs under a Guard: in degrade mode a
-		// peer death unwinds the current collective on every survivor
-		// (mpi.collWait) and surfaces here as a typed error instead of
-		// killing the rank — the transaction boundary at which the group
-		// re-forms.
-		err := w.comm.Guard(func() error {
-			if err := w.runEpoch(epoch, &es); err != nil {
-				return err
-			}
-			if w.cfg.SyncBatchNormStats {
-				w.syncBatchNormStats()
-			}
-			tv := time.Now()
-			es.ValAcc = w.validate()
-			w.emitTrace(epoch, es, time.Since(tv))
-			return nil
-		})
-		trained := err == nil
+		if err == nil {
+			// The whole per-epoch block runs under a Guard: in degrade mode a
+			// peer death unwinds the current collective on every survivor
+			// (mpi.collWait) and surfaces here as a typed error instead of
+			// killing the rank — the transaction boundary at which the group
+			// re-forms.
+			err = w.comm.Guard(func() error {
+				if err := w.runEpoch(epoch, &es); err != nil {
+					return err
+				}
+				if w.cfg.SyncBatchNormStats {
+					w.syncBatchNormStats()
+				}
+				tv := time.Now()
+				es.ValAcc = w.validate()
+				w.emitTrace(epoch, es, time.Since(tv))
+				return nil
+			})
+			disrupted = err != nil
+		}
 		if err == nil {
 			stats = append(stats, es)
 			// The controller retunes Q at this boundary — after the epoch's
@@ -960,11 +918,11 @@ func (w *worker) train() ([]EpochStats, error) {
 			if !isPeer || w.cfg.OnPeerFail != "degrade" {
 				return nil, err // abort policy (or a non-failure error)
 			}
-			resume, rerr := w.recoverPeerFailure(epoch, pe, &es)
+			resume, rerr := w.recoverPeerFailure(stood, pe, &es)
 			if rerr != nil {
 				return nil, fmt.Errorf("recovering from death of rank %d: %w", pe.Rank, rerr)
 			}
-			if !trained {
+			if disrupted {
 				es.Disrupted = true
 				w.emitTrace(epoch, es, 0)
 				stats = append(stats, es)
@@ -973,9 +931,17 @@ func (w *worker) train() ([]EpochStats, error) {
 			// group one epoch ahead; the resume point skips past the
 			// furthest progress so no epoch (and no exchange tag space) is
 			// ever re-entered.
-			for skip := epoch + 1; skip < resume && skip < w.cfg.Epochs; skip++ {
-				stats = append(stats, EpochStats{Epoch: skip, Skipped: true,
-					DegradedSlots: es.DegradedSlots, EffectiveQ: es.EffectiveQ})
+			for skip := stood + 1; skip < resume && skip < w.cfg.Epochs; skip++ {
+				sk := EpochStats{Epoch: skip, Skipped: true,
+					DegradedSlots: es.DegradedSlots, EffectiveQ: es.EffectiveQ}
+				if w.ctrl != nil {
+					// The members that did enter the skipped epoch planned it
+					// with the fraction resync just adopted from the root (a
+					// disrupted epoch reaches no decision), so every survivor
+					// reports one trajectory.
+					sk.ControllerQ, sk.ControllerReason = w.ctrlQ, w.ctrlReason
+				}
+				stats = append(stats, sk)
 			}
 			epoch = resume - 1
 			// Every recovery of a checkpointing run commits a post-shrink
@@ -995,28 +961,6 @@ func (w *worker) train() ([]EpochStats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// checkpointAfterRecovery commits the post-shrink snapshot, riding out
-// further deaths with bounded retries: each failed attempt re-forms the
-// group (the generation bump re-salts the checkpoint tag, so a retry can
-// never gather a stale report from the failed attempt) and tries again.
-func (w *worker) checkpointAfterRecovery(resume int) error {
-	const maxAttempts = 4
-	for attempt := 0; ; attempt++ {
-		err := w.comm.Guard(func() error { return w.saveCheckpoint(resume) })
-		if err == nil {
-			return nil
-		}
-		pe, isPeer := mpi.PeerErrorFrom(err)
-		if !isPeer || attempt == maxAttempts-1 {
-			return fmt.Errorf("post-recovery checkpoint before epoch %d: %w", resume, err)
-		}
-		var es EpochStats
-		if _, rerr := w.recoverPeerFailure(resume-1, pe, &es); rerr != nil {
-			return fmt.Errorf("recovering from death of rank %d during post-recovery checkpoint: %w", pe.Rank, rerr)
-		}
-	}
 }
 
 // emitTrace records the epoch's phase durations and byte volumes.
@@ -1051,681 +995,4 @@ func (w *worker) emitTrace(epoch int, es EpochStats, valTime time.Duration) {
 		rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseDegraded,
 			Bytes: int64(es.DegradedSlots), EffectiveQ: es.EffectiveQ})
 	}
-}
-
-// finishExchange completes the open epoch's exchange: Synchronize, record
-// the epoch's volumes and degradation, apply the storage swap, and close
-// the Scheduling…CleanLocalStorage window. It is pure point-to-point work —
-// the recovery path calls it too, after the survivors have agreed that
-// every one of them reached this epoch's exchange.
-func (w *worker) finishExchange(es *EpochStats) error {
-	if err := w.exchanger.Synchronize(); err != nil {
-		return err
-	}
-	// On a wire backend, record the exchange's true network volume (exact
-	// frame sizes; the traffic itself overlaps with compute, so transport
-	// counter deltas cannot attribute it to this phase).
-	if w.comm.Transport().Stats().Wire {
-		sent, recv := w.exchanger.WireTraffic()
-		es.ExchangeWireBytes += sent + recv
-	}
-	for _, s := range w.exchanger.Received() {
-		es.ExchangeBytes += s.Bytes
-	}
-	hits, saved := w.exchanger.DedupStats()
-	es.DedupHits += hits
-	es.DedupBytesSaved += saved
-	ds, dr := w.exchanger.DegradedSlots()
-	es.DegradedSlots = ds + dr
-	es.EffectiveQ = w.exchanger.EffectiveQ()
-	if err := w.exchanger.CleanLocalStorage(); err != nil {
-		return err
-	}
-	w.exchEpoch = -1
-	return nil
-}
-
-// recoverPeerFailure re-forms the world around the dead peer(s) and returns
-// the epoch at which every survivor resumes. It runs on every survivor —
-// the failure registry unwinds the same collective on each of them (they
-// are at most ONE collective apart, because every trainer collective is a
-// ring that cannot complete without all members) — and performs, in
-// lock-step:
-//
-//  1. Drain any in-flight gradient buckets (their rings unwind on the
-//     failure registry; waiting here is what keeps the no-leaked-goroutine
-//     guarantee).
-//  2. Shrink the collective group to the survivors and realign the
-//     collective sequence counter to a generation-salted base every
-//     survivor derives locally, so stale frames from the sacrificed
-//     collective can never alias a future tag.
-//  3. Reconcile over the shrunken group (one AllgatherVarLen): each
-//     survivor shares its current epoch and its known-dead set. If the
-//     dead sets disagree (a survivor learned of the death late), everyone
-//     adopts the union and repeats with the next generation.
-//  4. Resolve the disrupted epoch's exchange: if every survivor had opened
-//     it, complete it (Synchronize + CleanLocalStorage — the no-lost/no-dup
-//     invariant's normal path); if some survivor never entered the epoch,
-//     the ranks that did ABANDON it (Scheduler.Reset — the store is
-//     untouched, so their unreceived sends stay conserved at the sender)
-//     and the resume point skips past it so its tag space is never
-//     re-entered.
-//  5. Re-synchronize state: broadcast weights from the lowest surviving
-//     rank (survivors can be one gradient step apart), reset optimizer
-//     state (zeroed momentum is the
-//     one state all survivors agree on without shipping buffers), and
-//     rebuild the overlap bucket bounds for the new group size.
-func (w *worker) recoverPeerFailure(epoch int, first *transport.PeerError, es *EpochStats) (resume int, err error) {
-	// Step 1: settle in-flight bucket all-reduces. Each either completed
-	// before the death or unwinds on the failure registry; both are fine.
-	for bi, req := range w.bucketReqs {
-		if req == nil {
-			continue
-		}
-		r := req
-		_ = w.comm.Guard(func() error { r.Wait(); return nil })
-		w.bucketReqs[bi] = nil
-	}
-
-	// Steps 2-3: shrink + reconcile, repeating if the death sets disagree
-	// or another peer dies during the reconciliation itself.
-	const maxGenerations = 4
-	var gathered [][]int
-	for attempt := 0; ; attempt++ {
-		if attempt == maxGenerations {
-			return 0, fmt.Errorf("reconciliation did not converge after %d generations", maxGenerations)
-		}
-		dead := w.comm.FailedPeers()
-		live := subtractSorted(w.comm.GroupRanks(), dead)
-		if len(live) == 0 {
-			return 0, fmt.Errorf("no survivors")
-		}
-		if err := w.comm.Shrink(live); err != nil {
-			return 0, err
-		}
-		w.generation++
-		base := w.generation << 32
-		if base <= w.comm.CollSeq() {
-			return 0, fmt.Errorf("collective sequence space exhausted (seq %d)", w.comm.CollSeq())
-		}
-		w.comm.SetCollSeq(base)
-		var g [][]int
-		gerr := w.comm.Guard(func() error {
-			g = mpi.AllgatherVarLen(w.comm, append([]int{epoch}, dead...))
-			return nil
-		})
-		if gerr != nil {
-			continue // another death mid-reconciliation: next generation
-		}
-		union := append([]int(nil), dead...)
-		agreed := true
-		for _, r := range live {
-			union = unionSorted(union, g[r][1:])
-		}
-		for _, r := range live {
-			if !equalInts(g[r][1:], union) {
-				agreed = false
-			}
-		}
-		if !agreed {
-			// Adopt the union and repeat — every survivor sees the same
-			// gathered sets, so every survivor repeats with the same
-			// generation counter.
-			for _, dr := range union {
-				if w.comm.PeerFailure(dr) == nil {
-					w.comm.NotePeerFailure(transport.PeerError{Rank: dr, Phase: "reconciliation"})
-				}
-			}
-			continue
-		}
-		gathered = g
-		break
-	}
-
-	// Step 4: resolve the disrupted epoch's exchange and the resume point.
-	minCur, maxCur := epoch, epoch
-	for _, r := range w.comm.GroupRanks() {
-		if c := gathered[r][0]; c < minCur {
-			minCur = c
-		} else if c > maxCur {
-			maxCur = c
-		}
-	}
-	if maxCur-minCur > 1 {
-		return 0, fmt.Errorf("survivors diverged by %d epochs (min %d, max %d)", maxCur-minCur, minCur, maxCur)
-	}
-	resume = maxCur + 1
-	if w.exchEpoch >= 0 {
-		if epoch == minCur {
-			// Everyone reached this epoch's exchange (ranks further along
-			// completed it already): finish it properly so sent samples
-			// commit and received ones are saved.
-			if ferr := w.finishExchange(es); ferr != nil {
-				return 0, ferr
-			}
-		} else {
-			// Some survivor never opened this epoch: abandon it. The store
-			// is untouched (no sample was deleted), so what we sent and
-			// they never received survives here — conserved, not duplicated
-			// (their copies rot undecoded in the mailbox; the epoch's tag
-			// is never used again because resume skips past it).
-			ds, dr := w.exchanger.DegradedSlots()
-			es.DegradedSlots = ds + dr
-			es.EffectiveQ = w.exchanger.EffectiveQ()
-			w.exchanger.Reset()
-			w.exchEpoch = -1
-		}
-	} else if w.exchanger != nil {
-		ds, dr := w.exchanger.DegradedSlots()
-		es.DegradedSlots = ds + dr
-		es.EffectiveQ = w.exchanger.EffectiveQ()
-	}
-	if w.exchanger != nil {
-		// The pair dedup caches are pure functions of each pair's delivered
-		// frame stream, and a recovery leaves different survivors at
-		// different points in that stream (some completed the disrupted
-		// epoch's exchange, some abandoned it). Every survivor drops its
-		// dedup state to the shared empty state; the caches rebuild from
-		// live traffic in the next epoch.
-		w.exchanger.InvalidateDedup()
-	}
-
-	// Step 5: re-synchronize replica state across the survivors. They are
-	// at most one applied gradient step apart; the lowest survivor's
-	// weights win.
-	// Batch-norm RUNNING statistics are deliberately left alone: they are
-	// per-worker by design (the paper's central mechanism) and were never
-	// synchronized, so they carry no cross-rank consistency requirement.
-	root := w.comm.GroupRanks()[0]
-	for _, p := range w.params {
-		mpi.Bcast(w.comm, p.W, root)
-	}
-	if w.ctrl != nil {
-		// The controller trajectory survives the shrink: the new root's Q
-		// wins (survivors can be one decision apart if the death struck
-		// inside the control broadcast), and the non-domination threshold
-		// moves with the smaller world. SetQ is legal here — recovery left
-		// the exchange window closed (finishExchange or Reset above).
-		qbuf := []float64{w.ctrl.Q()}
-		mpi.Bcast(w.comm, qbuf, root)
-		w.ctrl.Adopt(qbuf[0])
-		w.ctrl.SetWorld(w.comm.GroupSize())
-		if serr := w.exchanger.SetQ(qbuf[0]); serr != nil {
-			return 0, serr
-		}
-		w.ctrlQ = qbuf[0]
-		if w.cm != nil {
-			w.cm.Q.Set(w.ctrlQ) // adoption, not a decision: gauge only
-		}
-	}
-	w.opt = newOptimizer(w.cfg)
-	if w.cfg.OverlapGrads {
-		w.setupOverlap()
-	}
-	if w.tm != nil {
-		w.tm.WorldSize.SetInt(int64(w.comm.GroupSize()))
-		w.tm.Generation.SetInt(int64(w.generation))
-	}
-	return resume, nil
-}
-
-// subtractSorted returns a minus b; both must be sorted ascending.
-func subtractSorted(a, b []int) []int {
-	out := a[:0:0]
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// unionSorted merges two sorted ascending slices without duplicates.
-func unionSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i == len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// syncBatchNormStats averages every BatchNorm layer's running mean and
-// variance across all workers (one allreduce over the concatenated
-// statistics).
-func (w *worker) syncBatchNormStats() {
-	var stats []float32
-	var layers []*nn.BatchNorm
-	for _, l := range w.model.Layers {
-		if bn, ok := l.(*nn.BatchNorm); ok {
-			layers = append(layers, bn)
-			stats = append(stats, bn.RunMean...)
-			stats = append(stats, bn.RunVar...)
-		}
-	}
-	if len(layers) == 0 {
-		return
-	}
-	mpi.Allreduce(w.comm, stats, mpi.OpSum)
-	inv := 1 / float32(w.comm.GroupSize())
-	off := 0
-	for _, bn := range layers {
-		for j := range bn.RunMean {
-			bn.RunMean[j] = stats[off+j] * inv
-		}
-		off += len(bn.RunMean)
-		for j := range bn.RunVar {
-			bn.RunVar[j] = stats[off+j] * inv
-		}
-		off += len(bn.RunVar)
-	}
-}
-
-// epochIDs returns the sample IDs this worker trains on this epoch, in
-// iteration order.
-func (w *worker) epochIDs(epoch int) ([]int, error) {
-	if w.cfg.Strategy.Kind == shuffle.Global {
-		parts, err := shuffle.GlobalEpochPartition(len(w.cfg.Dataset.Train), w.comm.Size(), w.cfg.Seed, epoch)
-		if err != nil {
-			return nil, err
-		}
-		if w.lossByID != nil {
-			return shuffle.WeightedOrder(parts[w.comm.Rank()], w.lossByID, w.cfg.Seed, epoch, w.comm.Rank()), nil
-		}
-		return parts[w.comm.Rank()], nil
-	}
-	if w.lossByID != nil {
-		return shuffle.WeightedOrder(w.local.IDs(), w.lossByID, w.cfg.Seed, epoch, w.comm.Rank()), nil
-	}
-	return shuffle.EpochOrder(w.local.IDs(), w.cfg.Seed, epoch, w.comm.Rank()), nil
-}
-
-func (w *worker) readSample(id int, es *EpochStats) (data.Sample, error) {
-	if w.cfg.Strategy.Kind == shuffle.Global {
-		s, err := w.pfs.Read(id)
-		if err == nil {
-			es.PFSReadBytes += s.Bytes
-		}
-		return s, err
-	}
-	s, err := w.local.Get(id)
-	if err == nil {
-		es.LocalReadBytes += s.Bytes
-	}
-	return s, err
-}
-
-func (w *worker) runEpoch(epoch int, es *EpochStats) error {
-	// Iteration count and effective batch are derived from the GLOBAL
-	// shape (drop-last semantics): every rank must execute the same number
-	// of collectives per epoch, even when N is not divisible by M and
-	// local counts differ by one.
-	b := w.cfg.BatchSize
-	var ids []int
-	var minLocal int
-	if w.cfg.Strategy.Kind == shuffle.Corgi2 {
-		var err error
-		if minLocal, err = w.beginCorgiEpoch(epoch); err != nil {
-			return err
-		}
-		defer func() {
-			if w.stream != nil {
-				w.stream.Close()
-				w.stream = nil
-			}
-		}()
-	} else {
-		var err error
-		if ids, err = w.epochIDs(epoch); err != nil {
-			return err
-		}
-		minLocal = len(w.cfg.Dataset.Train) / w.comm.Size()
-	}
-	if w.comm.GroupSize() < w.comm.Size() || w.shortData {
-		// Degraded world (or one resumed from a degraded snapshot): the dead
-		// ranks' unexchanged samples are gone, so stores can dip below N/M
-		// (retention and forfeiture also skew them independently). The
-		// members agree on the smallest store with one group-min all-reduce
-		// — same iteration count everywhere, and no rank slices past its own
-		// sample list.
-		buf := []int{len(ids)}
-		mpi.Allreduce(w.comm, buf, mpi.OpMin)
-		if buf[0] < minLocal {
-			minLocal = buf[0]
-		}
-		if minLocal == 0 {
-			return fmt.Errorf("epoch %d: a surviving rank has no local samples left", epoch)
-		}
-	}
-	if b > minLocal {
-		b = minLocal
-	}
-	iters := minLocal / b
-
-	// Plan this epoch's exchange and derive the per-iteration chunk
-	// (Q·b samples per iteration, Section III-C).
-	chunk := 0
-	if w.exchanger != nil {
-		if sch := w.cfg.QSchedule; len(sch) > 0 {
-			// Open-loop replay: pin this epoch's fraction from the schedule
-			// before planning (past the end, the last entry holds).
-			idx := epoch
-			if idx >= len(sch) {
-				idx = len(sch) - 1
-			}
-			if err := w.exchanger.SetQ(sch[idx]); err != nil {
-				return err
-			}
-			w.ctrlQ, w.ctrlReason = sch[idx], ReasonSchedule
-			if w.cm != nil {
-				w.cm.Note(w.ctrlQ, w.ctrlReason)
-			}
-		}
-		if w.lossByID != nil {
-			w.exchanger.SetSendPriority(w.lossByID)
-		}
-		if err := w.exchanger.Scheduling(epoch); err != nil {
-			return err
-		}
-		w.exchEpoch = epoch
-		chunk = (w.exchanger.Slots() + iters - 1) / iters
-		if w.ctrl != nil || len(w.cfg.QSchedule) > 0 {
-			// The fraction this epoch actually planned with — the controller
-			// (or schedule) trajectory the stats and telemetry expose.
-			es.ControllerQ, es.ControllerReason = w.ctrlQ, w.ctrlReason
-		}
-	}
-
-	lr := w.sched.LR(float64(epoch))
-	if w.tm != nil {
-		w.tm.Epoch.SetInt(int64(epoch))
-	}
-	var lossSum float64
-	for it := 0; it < iters; it++ {
-		if w.cfg.testIterHook != nil {
-			if err := w.cfg.testIterHook(epoch, it); err != nil {
-				return err
-			}
-		}
-		if w.tm != nil {
-			w.tm.Iteration.SetInt(int64(it))
-		}
-		// Phase: I/O — assemble the mini-batch from storage (the in-memory
-		// stores, or the cache-tier stream under Corgi2).
-		t0 := time.Now()
-		var batch []int
-		if w.stream != nil {
-			if err := w.loadBatchStream(b, es); err != nil {
-				return fmt.Errorf("epoch %d iteration %d: %w", epoch, it, err)
-			}
-		} else {
-			batch = ids[it*b : (it+1)*b]
-			if err := w.loadBatch(batch, es); err != nil {
-				return fmt.Errorf("epoch %d iteration %d: %w", epoch, it, err)
-			}
-		}
-		d := time.Since(t0)
-		es.IOTime += d
-		if w.tm != nil {
-			w.tm.IONs.Add(int64(d))
-			w.tm.Samples.Add(int64(b))
-		}
-
-		// Phase: overlapped sample exchange (post this iteration's chunk).
-		if w.exchanger != nil && chunk > 0 {
-			t0 = time.Now()
-			if _, err := w.exchanger.Communicate(chunk); err != nil {
-				return err
-			}
-			d = time.Since(t0)
-			es.ExchangeTime += d
-			if w.tm != nil {
-				w.tm.ExchangeNs.Add(int64(d))
-			}
-		}
-
-		// Phase: forward + backward. With OverlapGrads the backward pass
-		// launches each gradient bucket's non-blocking all-reduce as soon as
-		// its last layer's gradients land (Figure 4's overlap discipline,
-		// applied to the gradient exchange): the bucket rings progress on
-		// background goroutines while the earlier layers keep computing.
-		t0 = time.Now()
-		// Reclaim the previous step's activation workspaces wholesale.
-		// Nothing arena-backed is live across this boundary: the last
-		// iteration's outputs, gradients-of-activations, and loss buffers
-		// are all dead once its optimizer step ran.
-		w.arena.Reset()
-		logits := w.model.Forward(w.xBuf, true)
-		lossSum += w.loss.Forward(logits, w.yBuf)
-		if w.lossByID != nil {
-			for bi, l := range w.loss.PerSample() {
-				w.lossByID[batch[bi]] = l
-			}
-		}
-		w.model.BackwardWithHook(w.loss.Backward(), w.bucketHook)
-		d = time.Since(t0)
-		es.FWBWTime += d
-		if w.tm != nil {
-			w.tm.FWBWNs.Add(int64(d))
-		}
-
-		// Phase: gradient exchange + weight update (Equation 1: average
-		// the per-worker gradients, then step). Overlapped: drain the
-		// bucket requests in launch order, stepping per-bucket. Flat
-		// fallback: one blocking averaging ring over the whole gradient
-		// arena (exposed wait == total comm, the A/B baseline).
-		t0 = time.Now()
-		if w.plan != nil {
-			w.drainBuckets(es, lr)
-		} else {
-			tw := time.Now()
-			sent, recv := mpi.AllreduceWire(w.comm, w.model.Grads(), mpi.OpAvg)
-			dw := time.Since(tw)
-			es.GEWUWaitTime += dw
-			es.GEWUCommTime += dw
-			es.GradWireBytes += sent + recv
-			if w.tm != nil {
-				w.tm.GEWUWaitNs.Add(int64(dw))
-				w.tm.GEWUCommNs.Add(int64(dw))
-				w.tm.GradWireBytes.Add(sent + recv)
-			}
-			w.opt.Step(w.params, lr)
-		}
-		d = time.Since(t0)
-		es.GEWUTime += d
-		if w.tm != nil {
-			w.tm.GEWUNs.Add(int64(d))
-		}
-	}
-
-	// Epoch boundary: finish the exchange and swap storage.
-	if w.exchanger != nil {
-		t0 := time.Now()
-		if err := w.finishExchange(es); err != nil {
-			return err
-		}
-		d := time.Since(t0)
-		es.ExchangeTime += d
-		if w.tm != nil {
-			w.tm.ExchangeNs.Add(int64(d))
-		}
-	}
-	if w.ctrl != nil {
-		// Record the epoch's deterministic controller observations now that
-		// the exchange volumes are final; the control gather at the epoch
-		// boundary ships them to the root.
-		w.observeEpoch(ids[:iters*b], es)
-	}
-	if w.stream != nil {
-		w.stream.Close()
-		w.stream = nil
-		// The epoch's PFS traffic is the tier's cumulative delta (real file
-		// bytes — the misses plus prefetches this epoch actually paid for).
-		st := w.tier.Stats()
-		es.PFSReadBytes += st.PFSReadBytes - w.pfsAccounted
-		w.pfsAccounted = st.PFSReadBytes
-		// Warm the next epoch's first window behind validation — the
-		// storage-tier analogue of the Figure 4 overlap. Only within the
-		// same epoch group: a group boundary reassigns shards anyway.
-		if next := epoch + 1; next < w.cfg.Epochs && w.cfg.Strategy.EpochGroup(next) == w.assignedGroup {
-			plan := shuffle.Corgi2EpochPlan(w.assigned, w.cfg.ShardStore.Manifest().ShardSamples,
-				w.corgiWindow, w.cfg.Seed, next, w.comm.Rank())
-			if len(plan.Windows) > 0 {
-				w.tier.Prefetch(plan.Windows[0])
-			}
-		}
-	}
-
-	// Average the reported loss across workers so every rank logs the
-	// same curve.
-	buf := []float64{lossSum / float64(iters)}
-	mpi.Allreduce(w.comm, buf, mpi.OpSum)
-	es.TrainLoss = buf[0] / float64(w.comm.GroupSize())
-	return nil
-}
-
-// beginCorgiEpoch derives the epoch's shard assignment and read plan and
-// opens the cache-tier stream. It returns the iteration floor: the minimum
-// over ranks of assigned-sample totals, which every rank computes locally
-// from the shared-seed assignment (no communication) so all ranks agree on
-// the epoch's collective count.
-func (w *worker) beginCorgiEpoch(epoch int) (int, error) {
-	man := w.cfg.ShardStore.Manifest()
-	group := w.cfg.Strategy.EpochGroup(epoch)
-	if group != w.assignedGroup {
-		assign, err := shuffle.Corgi2Assign(man.NumShards, w.comm.Size(), w.cfg.Seed, group)
-		if err != nil {
-			return 0, err
-		}
-		w.assigned = assign[w.comm.Rank()]
-		w.assignedGroup = group
-		w.corgiMinLocal = 0
-		for r, shards := range assign {
-			total := 0
-			for _, sh := range shards {
-				total += man.ShardSamples(sh)
-			}
-			if r == 0 || total < w.corgiMinLocal {
-				w.corgiMinLocal = total
-			}
-		}
-	}
-	plan := shuffle.Corgi2EpochPlan(w.assigned, man.ShardSamples, w.corgiWindow, w.cfg.Seed, epoch, w.comm.Rank())
-	stream, err := w.tier.OpenEpoch(plan.Windows, plan.Bounds, plan.Order)
-	if err != nil {
-		return 0, err
-	}
-	w.stream = stream
-	return w.corgiMinLocal, nil
-}
-
-// loadBatchStream fills the reusable batch tensors from the cache-tier
-// stream: features land directly in the batch tensor's rows (ReadInto, one
-// copy, zero allocations in steady state).
-func (w *worker) loadBatchStream(n int, es *EpochStats) error {
-	dim := w.cfg.Dataset.FeatureDim
-	if w.xBuf == nil || w.xBuf.Rows != n {
-		w.xBuf = tensor.New(n, dim)
-		w.yBuf = make([]int, n)
-	}
-	for i := 0; i < n; i++ {
-		_, label, sim, err := w.stream.ReadInto(w.xBuf.Row(i))
-		if err != nil {
-			return err
-		}
-		w.yBuf[i] = label
-		es.LocalReadBytes += sim
-	}
-	return nil
-}
-
-// loadBatch fills the reusable batch tensors from storage.
-func (w *worker) loadBatch(ids []int, es *EpochStats) error {
-	dim := w.cfg.Dataset.FeatureDim
-	if w.xBuf == nil || w.xBuf.Rows != len(ids) {
-		w.xBuf = tensor.New(len(ids), dim)
-		w.yBuf = make([]int, len(ids))
-	}
-	for i, id := range ids {
-		s, err := w.readSample(id, es)
-		if err != nil {
-			return err
-		}
-		copy(w.xBuf.Row(i), s.Features)
-		w.yBuf[i] = s.Label
-	}
-	return nil
-}
-
-// validate evaluates the model on a shard of the validation set and
-// combines correct counts across workers. Each worker evaluates with its
-// own replica — weights are identical, but batch-norm running statistics
-// are local, so a worker whose statistics drifted (the LS failure mode)
-// drags the global accuracy down exactly as in real data-parallel eval.
-func (w *worker) validate() float64 {
-	val := w.cfg.Dataset.Val
-	if len(val) == 0 {
-		return 0
-	}
-	// Shard over the collective GROUP so a shrunken world still covers the
-	// whole validation set (dead ranks' shards are re-spread).
-	m, r := w.comm.GroupSize(), w.comm.GroupRank()
-	lo := r * len(val) / m
-	hi := (r + 1) * len(val) / m
-	correct := 0
-	const evalBatch = 256
-	for start := lo; start < hi; start += evalBatch {
-		end := start + evalBatch
-		if end > hi {
-			end = hi
-		}
-		// Eval batches share the step arena: reset per batch, so a long
-		// validation shard never grows the arena past one batch's worth.
-		w.arena.Reset()
-		w.valBuf = tensor.EnsureShapeArena(w.arena, w.valBuf, end-start, w.cfg.Dataset.FeatureDim)
-		x := w.valBuf
-		y := make([]int, end-start)
-		for i := start; i < end; i++ {
-			copy(x.Row(i-start), val[i].Features)
-			y[i-start] = val[i].Label
-		}
-		logits := w.model.Forward(x, false)
-		pred := logits.ArgmaxRows()
-		for i := range pred {
-			if pred[i] == y[i] {
-				correct++
-			}
-		}
-	}
-	buf := []float64{float64(correct)}
-	mpi.Allreduce(w.comm, buf, mpi.OpSum)
-	return buf[0] / float64(len(val))
 }

@@ -33,26 +33,9 @@ const (
 	// codeSampleRefs: a SampleRefs list as delta uvarints — the compact
 	// dedup reference payload (DESIGN.md §13).
 	codeSampleRefs = uint8(14)
-	// codeQDecision: the shuffle controller's broadcast Q decision
-	// (DESIGN.md §16), fixed-width.
-	codeQDecision = uint8(15)
+	// Code 15 is retired and must not be reassigned: decoders reject it like
+	// any unknown code.
 )
-
-// QDecision is the closed-loop shuffle controller's per-epoch decision
-// (DESIGN.md §16): the group root computes it from gathered epoch stats and
-// broadcasts it on a reserved tag before the next Scheduling, so every rank
-// re-plans from the shared seed at the same Q. Generation and Epoch let a
-// receiver reject a stale decision after a membership change. Reason is a
-// canonical code (analysis.ReasonCode); the codec does not interpret it.
-type QDecision struct {
-	Generation int64
-	Epoch      int64
-	Q          float64
-	Reason     uint8
-}
-
-// qDecisionBodyLen is the fixed encoded size after the code byte.
-const qDecisionBodyLen = 8 + 8 + 8 + 1
 
 // SampleRefs is the payload of a dedup reference frame: the IDs of samples
 // the sender knows the receiver already holds in its exchange side-cache,
@@ -218,12 +201,6 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 	case SampleRefs:
 		dst = append(dst, codeSampleRefs)
 		return appendSampleRefs(dst, v)
-	case QDecision:
-		dst = append(dst, codeQDecision)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Generation))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Epoch))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Q))
-		return append(dst, v.Reason), nil
 	case data.Sample:
 		dst = append(dst, codeSample)
 		return v.AppendEncode(dst), nil
@@ -360,16 +337,6 @@ func DecodePayload(buf []byte) (any, error) {
 		return body[0] == 1, nil
 	case codeSampleRefs:
 		return decodeSampleRefs(body)
-	case codeQDecision:
-		if len(body) != qDecisionBodyLen {
-			return nil, fmt.Errorf("transport: QDecision payload length %d, want %d", len(body), qDecisionBodyLen)
-		}
-		return QDecision{
-			Generation: int64(binary.LittleEndian.Uint64(body)),
-			Epoch:      int64(binary.LittleEndian.Uint64(body[8:])),
-			Q:          math.Float64frombits(binary.LittleEndian.Uint64(body[16:])),
-			Reason:     body[24],
-		}, nil
 	case codeSample:
 		s, err := data.DecodeSample(body)
 		if err != nil {
@@ -463,8 +430,6 @@ func PayloadWireSize(p any) int64 {
 			prev = uint64(id)
 		}
 		return n
-	case QDecision:
-		return 1 + qDecisionBodyLen
 	case data.Sample:
 		return int64(1 + 28 + 4*len(v.Features))
 	case *tensor.Matrix:

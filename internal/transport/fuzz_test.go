@@ -40,11 +40,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	if refs, err := EncodePayload(SampleRefs{3, 7, 4096}); err == nil {
 		seed(WireFrame{Kind: KindDataRef, Src: 2, Dst: 0, Tag: 41, Payload: refs})
 	}
-	if dec, err := EncodePayload(QDecision{Generation: 1, Epoch: 4, Q: 0.3, Reason: 1}); err == nil {
-		// A controller Q-decision broadcast as the root builds it: a KindData
-		// frame on the reserved control tag (DESIGN.md §16).
-		seed(WireFrame{Kind: KindData, Src: 0, Dst: 3, Tag: (1 << 24) | (1 << 23) | 4, Payload: dec})
-	}
 	if grad, err := EncodePayload(bigFloats()); err == nil {
 		// A gradient chunk as the ring sends it: the frame the read loop takes
 		// straight into a pooled []float32.
@@ -136,9 +131,6 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	seed(SampleRefs{0})
 	seed(SampleRefs{5, 6, 1 << 40})
 	seed(SampleRefs{1 << 62, 1<<62 + 1})
-	seed(QDecision{Generation: 0, Epoch: 0, Q: 0.25, Reason: 0})
-	seed(QDecision{Generation: 3, Epoch: 17, Q: math.NaN(), Reason: 4})
-	seed(QDecision{Generation: -1, Epoch: 1 << 40, Q: -0.0, Reason: 255})
 	m := tensor.New(2, 3)
 	for i := range m.Data {
 		m.Data[i] = float32(i)
@@ -146,6 +138,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	seed(m)
 	f.Add([]byte{})
 	f.Add([]byte{codeMatrix, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f}) // hostile dims
+	f.Add(retiredCode15Payload)
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		v, err := DecodePayload(buf)

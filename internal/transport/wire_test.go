@@ -146,4 +146,15 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	if _, err := DecodePayload([]byte{codeSample, 1, 2}); err == nil {
 		t.Fatal("DecodePayload accepted a truncated sample")
 	}
+	if v, err := DecodePayload(retiredCode15Payload); err == nil {
+		t.Fatalf("DecodePayload accepted retired payload code 15 as %T", v)
+	}
+	if v, err := DecodePayloadOwned(append([]byte(nil), retiredCode15Payload...)); err == nil {
+		t.Fatalf("DecodePayloadOwned accepted retired payload code 15 as %T", v)
+	}
 }
+
+// retiredCode15Payload is a well-formed payload of retired code 15 (a code
+// byte plus the fixed 25-byte body it used to carry): a frame from a peer
+// that still sends it must be refused with an error, never a panic.
+var retiredCode15Payload = append([]byte{15}, make([]byte, 25)...)

@@ -330,16 +330,6 @@ type LocalStore = store.Local
 // unlimited).
 func NewLocalStore(capacity int64) *LocalStore { return store.NewLocal(capacity) }
 
-// DiskStore is a file-backed sample storage area (one file per sample, the
-// layout the paper's tool assumes).
-type DiskStore = store.Disk
-
-// NewDiskStore creates a file-backed store rooted at dir with the given
-// simulated byte capacity (0 = unlimited).
-func NewDiskStore(dir string, capacity int64) (*DiskStore, error) {
-	return store.NewDisk(dir, capacity)
-}
-
 // ShardManifest describes an ingested on-disk sharded dataset: shard
 // layout, per-shard file sizes, and the sample→shard arithmetic.
 type ShardManifest = shard.Manifest
