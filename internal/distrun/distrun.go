@@ -351,26 +351,48 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 	// surviving rank — rank 0 itself may be the one that died.
 	live := c.GroupRanks()
 	root := live[0]
+	// One fixed vector per rank, gathered once.
+	const (
+		vSamples = iota // final local sample count
+		vPeak           // storage high-water mark
+		vSent           // transport wire bytes
+		vRecv
+		vHits // cache tier
+		vMisses
+		vEvictions
+		vPrefetch
+		vPFSRead
+		vExchWire // exchange, summed over the rank's epochs
+		vDedupHits
+		vDedupSaved
+		vLen
+	)
 	st := c.Transport().Stats()
-	counts := mpi.Gather(c, []int64{int64(rr.FinalLocalSamples)}, root)
-	peaks := mpi.Gather(c, []int64{rr.PeakStorageBytes}, root)
-	wire := mpi.Gather(c, []int64{st.BytesSent, st.BytesRecv}, root)
-	var cstat []int64
+	vec := make([]int64, vLen)
+	vec[vSamples], vec[vPeak] = int64(rr.FinalLocalSamples), rr.PeakStorageBytes
+	vec[vSent], vec[vRecv] = st.BytesSent, st.BytesRecv
 	if cs := rr.Cache; cs != nil {
-		cstat = []int64{cs.Hits, cs.Misses, cs.Evictions, cs.PrefetchBytes, cs.PFSReadBytes}
-	} else {
-		cstat = make([]int64, 5)
+		vec[vHits], vec[vMisses], vec[vEvictions] = cs.Hits, cs.Misses, cs.Evictions
+		vec[vPrefetch], vec[vPFSRead] = cs.PrefetchBytes, cs.PFSReadBytes
 	}
-	cgather := mpi.Gather(c, cstat, root)
-	var xw, dh, dsv int64
 	for _, e := range rr.Epochs {
-		xw += e.ExchangeWireBytes
-		dh += int64(e.DedupHits)
-		dsv += e.DedupBytesSaved
+		vec[vExchWire] += e.ExchangeWireBytes
+		vec[vDedupHits] += int64(e.DedupHits)
+		vec[vDedupSaved] += e.DedupBytesSaved
 	}
-	lean := mpi.Gather(c, []int64{xw, dh, dsv}, root)
+	all := mpi.Gather(c, vec, root)
 	if c.Rank() != root {
 		return nil
+	}
+	// Column sums over the live ranks; the peak is a maximum instead.
+	sum := make([]int64, vLen)
+	var peak int64
+	for g := range live {
+		row := all[g*vLen : (g+1)*vLen]
+		for i, v := range row {
+			sum[i] += v
+		}
+		peak = max(peak, row[vPeak])
 	}
 
 	fmt.Fprintf(out, "%s on %s proxy, %d ranks over tcp, strategy %s (locality %.2f)\n",
@@ -380,26 +402,12 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 		fmt.Fprintf(out, "%-6d  %-8.4f  %-8.4f  %-14d\n", e.Epoch+1, e.TrainLoss, e.ValAcc, e.ExchangeWireBytes)
 	}
 
-	var peak, sent, recv int64
-	for g := range live {
-		if peaks[g] > peak {
-			peak = peaks[g]
-		}
-		sent += wire[2*g]
-		recv += wire[2*g+1]
-	}
 	final := rr.Epochs[len(rr.Epochs)-1]
 	fmt.Fprintf(out, "final=%.4f peak-storage/rank=%d bytes  wire sent=%d recv=%d bytes\n",
-		final.ValAcc, peak, sent, recv)
-	var exchWire, dedupHits, dedupSaved int64
-	for g := range live {
-		exchWire += lean[3*g]
-		dedupHits += lean[3*g+1]
-		dedupSaved += lean[3*g+2]
-	}
+		final.ValAcc, peak, sum[vSent], sum[vRecv])
 	if strat.Kind == shuffle.PartialLocal {
 		fmt.Fprintf(out, "exchange wire=%d bytes  dedup hits=%d saved=%d bytes\n",
-			exchWire, dedupHits, dedupSaved)
+			sum[vExchWire], sum[vDedupHits], sum[vDedupSaved])
 	}
 	if o.AutoQ {
 		// The controller's per-epoch trajectory: the fraction each epoch
@@ -426,16 +434,8 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 	fmt.Fprintf(out, "weights crc32c=%08x\n", h.Sum32())
 
 	if strat.Kind == shuffle.Corgi2 {
-		var hits, misses, ev, pf, pfsb int64
-		for g := range live {
-			hits += cgather[5*g]
-			misses += cgather[5*g+1]
-			ev += cgather[5*g+2]
-			pf += cgather[5*g+3]
-			pfsb += cgather[5*g+4]
-		}
 		fmt.Fprintf(out, "cache: hits=%d misses=%d evictions=%d prefetch=%d bytes pfs-read=%d bytes\n",
-			hits, misses, ev, pf, pfsb)
+			sum[vHits], sum[vMisses], sum[vEvictions], sum[vPrefetch], sum[vPFSRead])
 	}
 
 	if len(live) < c.Size() || degraded > 0 {
@@ -456,9 +456,9 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 		n, m := len(ds.Train), c.Size()
 		lo, hi := int64(n/m), int64((n+m-1)/m)
 		for r := 0; r < m; r++ {
-			if counts[r] < lo || counts[r] > hi {
+			if held := all[r*vLen+vSamples]; held < lo || held > hi {
 				return fmt.Errorf("distrun: rank %d ended with %d samples, want N/M in [%d,%d] (N=%d M=%d)",
-					r, counts[r], lo, hi, n, m)
+					r, held, lo, hi, n, m)
 			}
 		}
 		fmt.Fprintf(out, "sample balance OK: every rank holds N/M = %d..%d of %d samples\n", lo, hi, n)

@@ -35,7 +35,6 @@ type Scheduler struct {
 	seed      uint64
 	groupSize int // 0 = flat exchange; >0 = hierarchical (Section V-F)
 
-	epoch    int
 	plan     ExchangePlan
 	posted   int          // slots whose sends have been posted
 	expected int          // samples this rank receives this epoch (= Slots())
@@ -69,15 +68,22 @@ type Scheduler struct {
 	sendMirror  map[int]*cache.SampleLRU
 	recvSegment map[int]*cache.SampleLRU
 
-	epochDedupHits  int
-	epochDedupSaved int64
-
-	// wireSent/wireRecv are the exact wire sizes (frame overhead included)
-	// of this epoch's exchanged sample frames, excluding self-sends, which
-	// never touch a network. On a wire backend these equal the bytes the TCP
-	// transport moves for the exchange — the trainer's per-phase accounting.
-	wireSent int64
-	wireRecv int64
+	// Counted quantities, one scrape-safe field each (DESIGN.md §11): the
+	// owning goroutine is the only writer, and a telemetry scrape reads the
+	// same word from the HTTP goroutine. wireSent/wireRecv are the exact wire
+	// sizes (frame overhead included) of exchanged sample frames, excluding
+	// self-sends, which never touch a network — on a wire backend, the bytes
+	// the TCP transport moves for the exchange. They and the dedup counters
+	// are cumulative over the scheduler's life (pls_exchange_* counters never
+	// reset); base is their value when the current epoch was scheduled, so
+	// the per-epoch accessors are a subtraction, not a second set of
+	// counters. epoch is the most recently scheduled epoch.
+	epoch      atomic.Int64
+	wireSent   atomic.Int64
+	wireRecv   atomic.Int64
+	dedupHits  atomic.Int64
+	dedupSaved atomic.Int64
+	base       struct{ wireSent, wireRecv, dedupHits, dedupSaved int64 }
 
 	// sendPriority, when non-nil, biases which local samples enter the
 	// global exchange: Scheduling draws the send set by importance-weighted
@@ -97,24 +103,12 @@ type Scheduler struct {
 	senders  []int        // per-slot inbound source (lazy, built on first death)
 	recvFrom map[int]int  // samples decoded per source rank this epoch
 
-	degradedSend int // send slots canceled: their samples stay local
-	degradedRecv int // inbound slots forfeited to a death
-
-	// Telemetry mirrors (DESIGN.md §11): scrape-safe atomic shadows of the
-	// single-goroutine state above, updated at the same mutation points.
-	// The wire counters are CUMULATIVE across epochs (Prometheus counters
-	// never reset), unlike wireSent/wireRecv which Scheduling zeroes; the
-	// rest are gauges of the current epoch. A scraper on the HTTP goroutine
-	// reads these without touching the scheduler's own fields.
-	telWireSent     atomic.Int64
-	telWireRecv     atomic.Int64
-	telEffQ         atomic.Uint64 // float64 bits; 0 ⇒ not yet scheduled, read as configured q
-	telEffQSet      atomic.Bool
-	telDegradedSend atomic.Int64
-	telDegradedRecv atomic.Int64
-	telEpoch        atomic.Int64
-	telDedupHits    atomic.Int64
-	telDedupSaved   atomic.Int64
+	// The current epoch's canceled slots — send slots whose samples stay
+	// local, inbound slots forfeited to a death — and the exchange fraction
+	// they leave (float64 bits). Written together by setDegraded.
+	degradedSend atomic.Int64
+	degradedRecv atomic.Int64
+	effQ         atomic.Uint64
 }
 
 type schedState int
@@ -138,7 +132,9 @@ func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed u
 	if totalN <= 0 {
 		return nil, fmt.Errorf("shuffle: NewScheduler: totalN must be positive, got %d", totalN)
 	}
-	return &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed}, nil
+	s := &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed}
+	s.setDegraded(0, 0)
+	return s, nil
 }
 
 // UseHierarchical switches the scheduler to the two-level exchange with
@@ -181,6 +177,7 @@ func (s *Scheduler) SetQ(q float64) error {
 		return fmt.Errorf("shuffle: SetQ: fraction %v out of [0,1]", q)
 	}
 	s.q = q
+	s.setDegraded(s.DegradedSlots()) // same slots, re-scaled: EffectiveQ follows q
 	return nil
 }
 
@@ -246,16 +243,17 @@ func (s *Scheduler) dedupSegment(src int) *cache.SampleLRU {
 // slots satisfied by reference frames instead of payloads, and the wire
 // bytes that avoided — the plain full-batch frame size minus what actually
 // shipped (references plus residual batch, post-compression when the
-// transport compresses). Reset by Scheduling.
+// transport compresses). It is CumulativeDedup's growth since Scheduling.
 func (s *Scheduler) DedupStats() (hits int, savedBytes int64) {
-	return s.epochDedupHits, s.epochDedupSaved
+	h, saved := s.CumulativeDedup()
+	return int(h - s.base.dedupHits), saved - s.base.dedupSaved
 }
 
 // CumulativeDedup returns the dedup totals across ALL epochs (same
 // accounting as DedupStats, never reset). Safe from any goroutine — it
 // backs the pls_exchange_dedup_* telemetry counters.
 func (s *Scheduler) CumulativeDedup() (hits, savedBytes int64) {
-	return s.telDedupHits.Load(), s.telDedupSaved.Load()
+	return s.dedupHits.Load(), s.dedupSaved.Load()
 }
 
 // SetSendPriority installs per-sample importance weights (typically the
@@ -271,7 +269,7 @@ func (s *Scheduler) SetSendPriority(weights map[int]float64) {
 // Communicate.
 func (s *Scheduler) Scheduling(epoch int) error {
 	if s.state == stateScheduled {
-		return fmt.Errorf("shuffle: Scheduling(%d): previous epoch %d not yet synchronized and cleaned", epoch, s.epoch)
+		return fmt.Errorf("shuffle: Scheduling(%d): previous epoch %d not yet synchronized and cleaned", epoch, s.ObservedEpoch())
 	}
 	ids := s.st.IDs()
 	if s.sendPriority != nil {
@@ -296,25 +294,23 @@ func (s *Scheduler) Scheduling(epoch int) error {
 		// shared-seed permutations).
 		copy(plan.SendIDs, ids[:plan.Slots()])
 	}
-	s.epoch = epoch
+	s.epoch.Store(int64(epoch))
 	s.plan = plan
 	s.posted = 0
 	s.expected = plan.Slots()
 	s.pending = nil
 	s.received = s.received[:0] // capacity reused across epochs
-	s.wireSent, s.wireRecv = 0, 0
-	s.epochDedupHits, s.epochDedupSaved = 0, 0
+	s.base.wireSent, s.base.wireRecv = s.CumulativeWireTraffic()
+	s.base.dedupHits, s.base.dedupSaved = s.CumulativeDedup()
 	s.senders = nil // per-epoch permutations; rebuilt lazily on demand
-	s.degradedSend, s.degradedRecv = 0, 0
 	clear(s.recvFrom)
 	s.state = stateScheduled
-	s.telEpoch.Store(int64(epoch))
 	if len(s.dead) > 0 {
 		// Deaths absorbed in earlier epochs persist: rebuild this epoch's
 		// expectation around them before any traffic flows.
 		s.recomputeExpectation()
 	} else {
-		s.mirrorDegradation()
+		s.setDegraded(0, 0)
 	}
 	return nil
 }
@@ -340,21 +336,29 @@ func (s *Scheduler) DeadRanks() []int {
 // sendSlots had a dead destination (their samples are retained locally),
 // recvSlots had a dead sender and were forfeited (samples that landed
 // before the death still count as received). Both are zero when every
-// peer is live. Valid after Synchronize; reset by Scheduling.
+// peer is live. Final after Synchronize; reset by Scheduling. Safe from any
+// goroutine — it backs the pls_exchange_degraded_slots gauge.
 func (s *Scheduler) DegradedSlots() (sendSlots, recvSlots int) {
-	return s.degradedSend, s.degradedRecv
+	return int(s.degradedSend.Load()), int(s.degradedRecv.Load())
 }
 
 // EffectiveQ returns the exchange fraction the current epoch actually
 // realized: q scaled by the surviving fraction of the plan's slots
 // (averaging the send and receive directions, which degrade
-// independently). With no deaths it equals the configured q.
-func (s *Scheduler) EffectiveQ() float64 {
-	k := s.plan.Slots()
-	if k == 0 {
-		return s.q
+// independently). With no deaths it equals the configured q. Safe from any
+// goroutine — it backs the pls_exchange_effective_q gauge.
+func (s *Scheduler) EffectiveQ() float64 { return math.Float64frombits(s.effQ.Load()) }
+
+// setDegraded records the current epoch's canceled slots and the exchange
+// fraction they leave of q — the one place either is written.
+func (s *Scheduler) setDegraded(sendSlots, recvSlots int) {
+	s.degradedSend.Store(int64(sendSlots))
+	s.degradedRecv.Store(int64(recvSlots))
+	eff := s.q
+	if k := s.plan.Slots(); k > 0 {
+		eff = s.q * float64(2*k-sendSlots-recvSlots) / float64(2*k)
 	}
-	return s.q * float64(2*k-s.degradedSend-s.degradedRecv) / float64(2*k)
+	s.effQ.Store(math.Float64bits(eff))
 }
 
 // absorbFailure marks rank dead and rebuilds the epoch's receive
@@ -382,7 +386,7 @@ func (s *Scheduler) absorbFailure(rank int) error {
 func (s *Scheduler) drainLanded() error {
 	for {
 		if s.pending == nil {
-			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.epoch))
+			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.ObservedEpoch()))
 		}
 		ok, payload, st := s.pending.Test()
 		if !ok {
@@ -402,7 +406,7 @@ func (s *Scheduler) drainLanded() error {
 func (s *Scheduler) recomputeExpectation() {
 	k := s.plan.Slots()
 	if s.senders == nil {
-		s.senders = ExpectedSenders(s.comm.Rank(), s.comm.Size(), s.groupSize, k, s.seed, s.epoch)
+		s.senders = ExpectedSenders(s.comm.Rank(), s.comm.Size(), s.groupSize, k, s.seed, s.ObservedEpoch())
 	}
 	fromDead := make(map[int]int, len(s.dead))
 	expected := 0
@@ -423,28 +427,16 @@ func (s *Scheduler) recomputeExpectation() {
 			expected += slots
 		}
 	}
-	s.degradedRecv = k - expected
 	// Send-side mirror: slots toward a dead destination are canceled and
 	// their samples retained by CleanLocalStorage.
-	s.degradedSend = 0
+	degradedSend := 0
 	for _, d := range s.plan.Dests {
 		if s.dead[d] {
-			s.degradedSend++
+			degradedSend++
 		}
 	}
 	s.expected = expected
-	s.mirrorDegradation()
-}
-
-// mirrorDegradation refreshes the telemetry shadows of the degradation
-// state (DegradedSlots and EffectiveQ) from the current epoch's values. It
-// runs on the owning goroutine at every mutation point; scrapers read the
-// atomics from any goroutine.
-func (s *Scheduler) mirrorDegradation() {
-	s.telDegradedSend.Store(int64(s.degradedSend))
-	s.telDegradedRecv.Store(int64(s.degradedRecv))
-	s.telEffQ.Store(math.Float64bits(s.EffectiveQ()))
-	s.telEffQSet.Store(true)
+	s.setDegraded(degradedSend, k-expected)
 }
 
 // Slots returns the number of samples this epoch's plan exchanges.
@@ -588,16 +580,14 @@ func (s *Scheduler) shipBatch(dest int) error {
 	if self {
 		return nil
 	}
-	s.wireSent += wire
-	s.telWireSent.Add(wire)
+	s.wireSent.Add(wire)
 	if s.dedupBudget > 0 {
 		mirror := s.dedupMirror(dest)
 		for _, sample := range ship {
 			mirror.Note(sample)
 		}
 		if len(refs) > 0 {
-			s.epochDedupHits += len(refs)
-			s.telDedupHits.Add(int64(len(refs)))
+			s.dedupHits.Add(int64(len(refs)))
 			// The bytes-saved baseline is the whole batch as one payload frame
 			// under the same encoding: the residual as just encoded (its count
 			// word included) plus the referenced entries.
@@ -606,8 +596,7 @@ func (s *Scheduler) shipBatch(dest int) error {
 				hypo += int64(len(s.batchBuf)) - 4
 			}
 			if saved := hypo - wire; saved > 0 {
-				s.epochDedupSaved += saved
-				s.telDedupSaved.Add(saved)
+				s.dedupSaved.Add(saved)
 			}
 		}
 	}
@@ -625,7 +614,7 @@ var emptyBatchFrame = transport.FrameWireSize([]byte(nil)) + 4
 // the peer is gone (InvalidateDedup clears it during recovery anyway).
 func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead bool, err error) {
 	if s.degrade {
-		n, pe := s.comm.SendPeerAwareMetered(dest, ExchangeTag(s.epoch), payload)
+		n, pe := s.comm.SendPeerAwareMetered(dest, ExchangeTag(s.ObservedEpoch()), payload)
 		if pe != nil {
 			// The destination died under the send: absorb and retain this
 			// batch's samples (the receiver is gone, so the local copies are
@@ -637,7 +626,7 @@ func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead b
 		}
 		return n, false, nil
 	}
-	_, n := s.comm.IsendMetered(dest, ExchangeTag(s.epoch), payload)
+	_, n := s.comm.IsendMetered(dest, ExchangeTag(s.ObservedEpoch()), payload)
 	return n, false, nil
 }
 
@@ -650,7 +639,7 @@ func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead b
 func (s *Scheduler) drainReceives(block bool) error {
 	for len(s.received) < s.expected {
 		if s.pending == nil {
-			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.epoch))
+			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.ObservedEpoch()))
 		}
 		var payload any
 		var st mpi.Status
@@ -743,8 +732,7 @@ func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
 		if w <= 0 {
 			w = transport.FrameWireSize(payload)
 		}
-		s.wireRecv += w
-		s.telWireRecv.Add(w)
+		s.wireRecv.Add(w)
 	}
 	if s.dead[st.Source] {
 		// A dead sender's straggler landed after its slots were forfeited:
@@ -804,8 +792,7 @@ func (s *Scheduler) Reset() {
 	clear(s.recvFrom)
 	s.posted = 0
 	s.expected = 0
-	s.degradedSend, s.degradedRecv = 0, 0
-	s.mirrorDegradation()
+	s.setDegraded(0, 0)
 	// An abandoned epoch may have updated some pair caches but not others;
 	// drop all dedup state on both sides' next contact rather than risk a
 	// silent mirror/segment divergence.
@@ -818,36 +805,23 @@ func (s *Scheduler) Reset() {
 func (s *Scheduler) Received() []data.Sample { return s.received }
 
 // WireTraffic returns the exact wire volume of the current epoch's exchange
-// (sent and received sample frames, headers included, self-sends excluded).
-// The counters reset at Scheduling; read them after Synchronize.
-func (s *Scheduler) WireTraffic() (sent, recv int64) { return s.wireSent, s.wireRecv }
+// (sent and received sample frames, headers included, self-sends excluded):
+// CumulativeWireTraffic's growth since Scheduling. Read it after Synchronize.
+func (s *Scheduler) WireTraffic() (sent, recv int64) {
+	sent, recv = s.CumulativeWireTraffic()
+	return sent - s.base.wireSent, recv - s.base.wireRecv
+}
 
 // CumulativeWireTraffic returns the total exchange wire volume across ALL
-// epochs so far (same accounting as WireTraffic, never reset). Unlike the
-// other accessors it is safe to call from any goroutine — it backs the
-// pls_exchange_wire_bytes_total telemetry counters.
+// epochs so far (same accounting as WireTraffic, never reset). Safe from any
+// goroutine — it backs the pls_exchange_wire_bytes_total telemetry counters.
 func (s *Scheduler) CumulativeWireTraffic() (sent, recv int64) {
-	return s.telWireSent.Load(), s.telWireRecv.Load()
-}
-
-// ObservedEffectiveQ is the scrape-safe mirror of EffectiveQ: the exchange
-// fraction the current epoch is realizing, from any goroutine. Before the
-// first Scheduling it reports the configured q.
-func (s *Scheduler) ObservedEffectiveQ() float64 {
-	if !s.telEffQSet.Load() {
-		return s.q
-	}
-	return math.Float64frombits(s.telEffQ.Load())
-}
-
-// ObservedDegradedSlots is the scrape-safe mirror of DegradedSlots.
-func (s *Scheduler) ObservedDegradedSlots() (sendSlots, recvSlots int64) {
-	return s.telDegradedSend.Load(), s.telDegradedRecv.Load()
+	return s.wireSent.Load(), s.wireRecv.Load()
 }
 
 // ObservedEpoch returns the most recently scheduled epoch, from any
 // goroutine.
-func (s *Scheduler) ObservedEpoch() int { return int(s.telEpoch.Load()) }
+func (s *Scheduler) ObservedEpoch() int { return int(s.epoch.Load()) }
 
 // CleanLocalStorage applies the exchange to the local store: received
 // samples are saved and transmitted samples removed. Receives are applied

@@ -126,14 +126,9 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 			token := []byte{1}
 			var verdict error
 			snapshot := func(extraRecv int64) {
-				ks, ok := transport.AsKindStatser(c.Transport())
-				if !ok {
-					verdict = fmt.Errorf("rank %d: tcp transport lost KindStatser", c.Rank())
-					return
-				}
-				s := ks.FramesByKind()
-				dataSent := s.SentBytes[transport.KindData] + s.SentBytes[transport.KindDataZ] + s.SentBytes[transport.KindDataRef]
-				dataRecv := s.RecvBytes[transport.KindData] + s.RecvBytes[transport.KindDataZ] + s.RecvBytes[transport.KindDataRef]
+				s := c.Transport().Stats()
+				dataSent := s.SentBytesByKind[transport.KindData] + s.SentBytesByKind[transport.KindDataZ] + s.SentBytesByKind[transport.KindDataRef]
+				dataRecv := s.RecvBytesByKind[transport.KindData] + s.RecvBytesByKind[transport.KindDataZ] + s.RecvBytesByKind[transport.KindDataRef]
 				if dataSent != sent {
 					verdict = fmt.Errorf("rank %d: transport sent %d data-kind bytes, scheduler accounts for %d", c.Rank(), dataSent, sent)
 				} else if dataRecv != recv+extraRecv {

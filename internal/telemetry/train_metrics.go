@@ -6,13 +6,16 @@ import (
 )
 
 // TrainMetrics is the bundle of atomic series the training loop updates on
-// its hot path. Every field is a plain atomic word: the per-iteration cost
-// of full instrumentation is a handful of uncontended atomic adds and
-// stores — 0 allocs/op, guarded by the trainer's alloc-regression tests.
+// its hot path, and the one home of the trainer's clocked time and gradient
+// wire bytes (DESIGN.md §11): every interval is added to exactly one counter
+// here, and train.EpochStats, the trace events and the final report are
+// differences of these counters. Every field is a plain atomic word: the
+// per-iteration cost is a handful of uncontended atomic adds and stores —
+// 0 allocs/op, guarded by the trainer's alloc-regression tests.
 //
-// The trainer holds the struct directly (no registry lookups at runtime);
-// Register binds each field into a Registry under the canonical metric
-// names (DESIGN.md §11's name registry) with a rank label.
+// The trainer always holds one (no registry lookups at runtime); Register,
+// which is optional, binds each field into a Registry under the canonical
+// metric names (DESIGN.md §11's name registry) with a rank label.
 type TrainMetrics struct {
 	// Progress. Epoch/Iteration are the positions currently being
 	// trained; EpochsTotal is the configured horizon.
@@ -24,17 +27,18 @@ type TrainMetrics struct {
 	Samples Counter
 
 	// Cumulative per-phase wall-clock, in nanoseconds (exported as
-	// seconds). These mirror EpochStats' IOTime/ExchangeTime/FWBWTime/
-	// GEWUTime but accumulate live, iteration by iteration, instead of at
-	// epoch close.
-	IONs, ExchangeNs, FWBWNs, GEWUNs Counter
+	// seconds), accumulated live, iteration by iteration (validation once
+	// per epoch). An epoch's EpochStats times are these counters' growth
+	// between two epoch closes.
+	IONs, ExchangeNs, FWBWNs, GEWUNs, ValidateNs Counter
 	// GEWUWaitNs is the EXPOSED portion of the gradient exchange (blocked
 	// in Wait); GEWUCommNs the total in-flight time. Their live ratio is
 	// the overlap efficiency an operator watches during a run.
 	GEWUWaitNs, GEWUCommNs Counter
 
 	// Exact wire volume of the gradient all-reduce (sent + received frame
-	// bytes, zero on inproc), mirroring EpochStats.GradWireBytes.
+	// bytes, zero on inproc); EpochStats.GradWireBytes is its per-epoch
+	// growth.
 	GradWireBytes Counter
 
 	// Elastic-world shape (DESIGN.md §15): the collective group's current
@@ -82,6 +86,7 @@ func (m *TrainMetrics) Register(reg *Registry, rank int) {
 	phase("pls_train_phase_seconds_total", &m.ExchangeNs, "exchange")
 	phase("pls_train_phase_seconds_total", &m.FWBWNs, "fwbw")
 	phase("pls_train_phase_seconds_total", &m.GEWUNs, "gewu")
+	phase("pls_train_phase_seconds_total", &m.ValidateNs, "validate")
 	reg.CounterFunc("pls_train_gewu_wait_seconds_total",
 		"Exposed (blocked-in-Wait) portion of the gradient exchange, seconds.", l,
 		func() float64 { return float64(m.GEWUWaitNs.Load()) / 1e9 })

@@ -21,6 +21,9 @@ const (
 	PhaseFWBW     = "fwbw"
 	PhaseGEWU     = "gewu"
 	PhaseValidate = "validate"
+	// PhaseCheckpoint is the snapshot committed at an epoch's boundary;
+	// recorded only for epochs that wrote one.
+	PhaseCheckpoint = "checkpoint"
 	// PhaseDegraded marks an epoch whose exchange ran with a reduced
 	// effective shuffling fraction because one or more peers died
 	// (DESIGN.md §10). Bytes carries the number of forfeited exchange
@@ -73,10 +76,12 @@ func phaseOrder(phase string) int {
 		return 3
 	case PhaseValidate:
 		return 4
-	case PhaseDegraded:
+	case PhaseCheckpoint:
 		return 5
-	default:
+	case PhaseDegraded:
 		return 6
+	default:
+		return 7
 	}
 }
 

@@ -302,7 +302,11 @@ func TestChaosSoakDegradeTCP(t *testing.T) {
 // so KindDataZ and KindDataRef frames are in flight when the failure hits.
 // Recovery must invalidate every survivor's pair state (a survivor that
 // kept its mirror would emit refs its peer can no longer resolve) and the
-// survivors must still agree bitwise and conserve samples.
+// survivors must still agree bitwise and conserve samples. Six epochs, not
+// four: a dedup hit needs a sample to travel there, back and there again —
+// three undisturbed epochs after the recovery dropped the pair caches — and
+// four left room for exactly one such trip, none when the disruption landed
+// an epoch later (the "no dedup hit" flake, 1 in 30; 7 in 12 under -race).
 func TestChaosSoakDegradeTCPCompressedDedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak over real sockets in -short mode")
@@ -311,7 +315,7 @@ func TestChaosSoakDegradeTCPCompressedDedup(t *testing.T) {
 		workers   = 4
 		victim    = 2
 		q         = 0.5
-		epochs    = 4
+		epochs    = 6
 		killEpoch = 1
 		samples   = 384
 	)

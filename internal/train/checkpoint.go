@@ -187,11 +187,9 @@ func (w *worker) saveCheckpoint(nextEpoch int) error {
 		}
 	}
 	w.comm.Barrier()
-	if w.tm != nil {
-		w.tm.CheckpointWrites.Add(1)
-		w.tm.CheckpointNs.Add(int64(time.Since(t0)))
-		w.tm.CheckpointBytes.Add(int64(len(image)))
-	}
+	w.tm.CheckpointWrites.Add(1)
+	w.tm.CheckpointNs.Add(int64(time.Since(t0)))
+	w.tm.CheckpointBytes.Add(int64(len(image)))
 	return nil
 }
 

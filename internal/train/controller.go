@@ -140,9 +140,7 @@ func (w *worker) controllerStep(epoch int) error {
 	if err := w.agreeQ(epoch); err != nil {
 		return err
 	}
-	if w.cm != nil {
-		w.cm.Note(w.ctrlQ, w.ctrlReason) // a decision, not only an adoption
-	}
+	w.cm.Note(w.ctrlQ, w.ctrlReason) // a decision, not only an adoption
 	return nil
 }
 
@@ -168,8 +166,6 @@ func (w *worker) agreeQ(epoch int) error {
 		return err
 	}
 	w.ctrlQ, w.ctrlReason = buf[1], analysis.ReasonFromCode(uint8(buf[2]))
-	if w.cm != nil {
-		w.cm.Q.Set(w.ctrlQ)
-	}
+	w.cm.Q.Set(w.ctrlQ)
 	return nil
 }

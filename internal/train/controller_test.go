@@ -395,7 +395,7 @@ func TestControllerTelemetryScrape(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
 
-	rrs, _, cleanup := runTelemetryWorld(t, transporttest.Inproc(), n, cfg)
+	rrs, _, cleanup := runTelemetryWorld(t, transporttest.Inproc(), n, -1, cfg)
 	defer cleanup()
 
 	var buf bytes.Buffer

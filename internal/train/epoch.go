@@ -47,24 +47,25 @@ func (w *worker) launchReadyBuckets(layer int) {
 // place, so the weight update of early buckets overlaps the still-in-flight
 // later ones. Exposed wait, total in-flight time, and exact wire bytes are
 // accounted per bucket.
-func (w *worker) drainBuckets(es *EpochStats, lr float32) {
+func (w *worker) drainBuckets(lr float32) {
 	for bi, req := range w.bucketReqs {
 		b := w.plan.Buckets[bi]
 		tw := time.Now()
 		req.Wait()
-		wait := time.Since(tw)
-		es.GEWUWaitTime += wait
-		es.GEWUCommTime += req.Elapsed()
 		sent, recv := req.WireBytes()
-		es.GradWireBytes += sent + recv
-		if w.tm != nil {
-			w.tm.GEWUWaitNs.Add(int64(wait))
-			w.tm.GEWUCommNs.Add(int64(req.Elapsed()))
-			w.tm.GradWireBytes.Add(sent + recv)
-		}
+		w.bookGradSync(time.Since(tw), req.Elapsed(), sent+recv)
 		w.opt.StepPartial(w.params, b.FirstParam, b.LastParam, lr)
 		w.bucketReqs[bi] = nil
 	}
+}
+
+// bookGradSync books one gradient all-reduce: the time the rank's main
+// goroutine was blocked on it, its total time in flight, and its exact wire
+// bytes (zero on inproc).
+func (w *worker) bookGradSync(wait, inFlight time.Duration, wireBytes int64) {
+	w.tm.GEWUWaitNs.Add(int64(wait))
+	w.tm.GEWUCommNs.Add(int64(inFlight))
+	w.tm.GradWireBytes.Add(wireBytes)
 }
 
 // finishExchange completes the open epoch's exchange: Synchronize, record
@@ -76,27 +77,40 @@ func (w *worker) finishExchange(es *EpochStats) error {
 	if err := w.exchanger.Synchronize(); err != nil {
 		return err
 	}
-	// On a wire backend, record the exchange's true network volume (exact
-	// frame sizes; the traffic itself overlaps with compute, so transport
-	// counter deltas cannot attribute it to this phase).
-	if w.comm.Transport().Stats().Wire {
-		sent, recv := w.exchanger.WireTraffic()
-		es.ExchangeWireBytes += sent + recv
-	}
 	for _, s := range w.exchanger.Received() {
 		es.ExchangeBytes += s.Bytes
 	}
-	hits, saved := w.exchanger.DedupStats()
-	es.DedupHits += hits
-	es.DedupBytesSaved += saved
-	ds, dr := w.exchanger.DegradedSlots()
-	es.DegradedSlots = ds + dr
-	es.EffectiveQ = w.exchanger.EffectiveQ()
+	w.recordExchange(es)
 	if err := w.exchanger.CleanLocalStorage(); err != nil {
 		return err
 	}
 	w.exchEpoch = -1
 	return nil
+}
+
+// recordExchange reads the open exchange window's counters into es, once,
+// before the window closes (completed by finishExchange or abandoned by the
+// recovery path): the scheduler's per-epoch wire and dedup deltas, and the
+// degradation.
+func (w *worker) recordExchange(es *EpochStats) {
+	// On a wire backend, the exchange's true network volume (exact frame
+	// sizes; the traffic itself overlaps with compute, so transport counter
+	// deltas cannot attribute it to this phase).
+	if w.comm.Transport().Stats().Wire {
+		sent, recv := w.exchanger.WireTraffic()
+		es.ExchangeWireBytes += sent + recv
+	}
+	hits, saved := w.exchanger.DedupStats()
+	es.DedupHits += hits
+	es.DedupBytesSaved += saved
+	w.recordDegradation(es)
+}
+
+// recordDegradation reads the scheduler's current degradation into es.
+func (w *worker) recordDegradation(es *EpochStats) {
+	ds, dr := w.exchanger.DegradedSlots()
+	es.DegradedSlots = ds + dr
+	es.EffectiveQ = w.exchanger.EffectiveQ()
 }
 
 // syncBatchNormStats averages every BatchNorm layer's running mean and
@@ -180,9 +194,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 			return err
 		}
 		w.ctrlQ, w.ctrlReason = sch[idx], ReasonSchedule
-		if w.cm != nil {
-			w.cm.Note(w.ctrlQ, w.ctrlReason)
-		}
+		w.cm.Note(w.ctrlQ, w.ctrlReason)
 	}
 	// The controller (or schedule) trajectory; zero when neither is in force.
 	es.ControllerQ, es.ControllerReason = w.ctrlQ, w.ctrlReason
@@ -247,9 +259,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	}
 
 	lr := w.sched.LR(float64(epoch))
-	if w.tm != nil {
-		w.tm.Epoch.SetInt(int64(epoch))
-	}
+	w.tm.Epoch.SetInt(int64(epoch))
 	var lossSum float64
 	for it := 0; it < iters; it++ {
 		if w.cfg.testIterHook != nil {
@@ -257,9 +267,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 				return err
 			}
 		}
-		if w.tm != nil {
-			w.tm.Iteration.SetInt(int64(it))
-		}
+		w.tm.Iteration.SetInt(int64(it))
 		// Phase: I/O — assemble the mini-batch from storage (the in-memory
 		// stores, or the cache-tier stream under Corgi2).
 		t0 := time.Now()
@@ -274,12 +282,8 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 				return fmt.Errorf("epoch %d iteration %d: %w", epoch, it, err)
 			}
 		}
-		d := time.Since(t0)
-		es.IOTime += d
-		if w.tm != nil {
-			w.tm.IONs.Add(int64(d))
-			w.tm.Samples.Add(int64(b))
-		}
+		w.tm.IONs.Add(int64(time.Since(t0)))
+		w.tm.Samples.Add(int64(b))
 
 		// Phase: overlapped sample exchange (post this iteration's chunk).
 		if w.exchanger != nil && chunk > 0 {
@@ -287,11 +291,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 			if _, err := w.exchanger.Communicate(chunk); err != nil {
 				return err
 			}
-			d = time.Since(t0)
-			es.ExchangeTime += d
-			if w.tm != nil {
-				w.tm.ExchangeNs.Add(int64(d))
-			}
+			w.tm.ExchangeNs.Add(int64(time.Since(t0)))
 		}
 
 		// Phase: forward + backward. With OverlapGrads the backward pass
@@ -313,11 +313,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 			}
 		}
 		w.model.BackwardWithHook(w.loss.Backward(), w.bucketHook)
-		d = time.Since(t0)
-		es.FWBWTime += d
-		if w.tm != nil {
-			w.tm.FWBWNs.Add(int64(d))
-		}
+		w.tm.FWBWNs.Add(int64(time.Since(t0)))
 
 		// Phase: gradient exchange + weight update (Equation 1: average
 		// the per-worker gradients, then step). Overlapped: drain the
@@ -326,26 +322,15 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		// arena (exposed wait == total comm, the A/B baseline).
 		t0 = time.Now()
 		if w.plan != nil {
-			w.drainBuckets(es, lr)
+			w.drainBuckets(lr)
 		} else {
 			tw := time.Now()
 			sent, recv := mpi.AllreduceWire(w.comm, w.model.Grads(), mpi.OpAvg)
 			dw := time.Since(tw)
-			es.GEWUWaitTime += dw
-			es.GEWUCommTime += dw
-			es.GradWireBytes += sent + recv
-			if w.tm != nil {
-				w.tm.GEWUWaitNs.Add(int64(dw))
-				w.tm.GEWUCommNs.Add(int64(dw))
-				w.tm.GradWireBytes.Add(sent + recv)
-			}
+			w.bookGradSync(dw, dw, sent+recv)
 			w.opt.Step(w.params, lr)
 		}
-		d = time.Since(t0)
-		es.GEWUTime += d
-		if w.tm != nil {
-			w.tm.GEWUNs.Add(int64(d))
-		}
+		w.tm.GEWUNs.Add(int64(time.Since(t0)))
 	}
 
 	// Epoch boundary: finish the exchange and swap storage.
@@ -354,11 +339,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		if err := w.finishExchange(es); err != nil {
 			return err
 		}
-		d := time.Since(t0)
-		es.ExchangeTime += d
-		if w.tm != nil {
-			w.tm.ExchangeNs.Add(int64(d))
-		}
+		w.tm.ExchangeNs.Add(int64(time.Since(t0)))
 	}
 	if w.ctrl != nil {
 		// Record the epoch's deterministic controller observations now that

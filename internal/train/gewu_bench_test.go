@@ -65,15 +65,15 @@ func BenchmarkGEWUStepOverTCP(b *testing.B) {
 					for i := range y {
 						y[i] = (i + c.Rank()) % classes
 					}
-					var es EpochStats
+					waited := w.tm.GEWUWaitNs.Load()
 					for i := 0; i < iters; i++ {
 						w.arena.Reset()
 						w.loss.Forward(w.model.Forward(x, true), y)
 						w.model.BackwardWithHook(w.loss.Backward(), w.bucketHook)
-						w.drainBuckets(&es, 0.05)
+						w.drainBuckets(0.05)
 					}
 					if c.Rank() == 0 {
-						wait0 = int64(es.GEWUWaitTime)
+						wait0 = w.tm.GEWUWaitNs.Load() - waited
 					}
 					c.Barrier()
 					return nil

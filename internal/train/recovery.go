@@ -150,17 +150,14 @@ func (w *worker) recoverPeerFailure(epoch int, first *transport.PeerError, es *E
 			// is untouched (no sample was deleted), so what we sent and
 			// they never received survives here — conserved, not duplicated
 			// (their copies rot undecoded in the mailbox; the epoch's tag
-			// is never used again because resume skips past it).
-			ds, dr := w.exchanger.DegradedSlots()
-			es.DegradedSlots = ds + dr
-			es.EffectiveQ = w.exchanger.EffectiveQ()
+			// is never used again because resume skips past it). What it
+			// did put on the wire is still this epoch's traffic.
+			w.recordExchange(es)
 			w.exchanger.Reset()
 			w.exchEpoch = -1
 		}
 	} else if w.exchanger != nil {
-		ds, dr := w.exchanger.DegradedSlots()
-		es.DegradedSlots = ds + dr
-		es.EffectiveQ = w.exchanger.EffectiveQ()
+		w.recordDegradation(es)
 	}
 	// Step 5. SetQ inside resync is legal: recovery left the exchange window
 	// closed (finishExchange or Reset above). Survivors may stand one epoch
@@ -221,10 +218,8 @@ func (w *worker) resync(epoch int) error {
 	// Corgi2 shard assignments depend on the group: re-derive them at the
 	// next epoch.
 	w.assignedGroup = -1
-	if w.tm != nil {
-		w.tm.WorldSize.SetInt(int64(w.comm.GroupSize()))
-		w.tm.Generation.SetInt(int64(w.generation))
-	}
+	w.tm.WorldSize.SetInt(int64(w.comm.GroupSize()))
+	w.tm.Generation.SetInt(int64(w.generation))
 	return nil
 }
 

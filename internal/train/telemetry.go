@@ -4,44 +4,21 @@ import (
 	"strconv"
 	"time"
 
-	"plshuffle/internal/analysis"
 	"plshuffle/internal/telemetry"
 	"plshuffle/internal/transport"
 )
 
 // registerTelemetry binds this rank's live metrics into the registry
-// (DESIGN.md §11). Everything allocated or formatted happens HERE, once at
-// startup: the training hot path only performs atomic adds on w.tm's
-// fields, and the pull-model metrics (GaugeFunc/CounterFunc) sample
-// scrape-safe atomics owned by their subsystems — mpi's collective
-// sequence, the exchange scheduler's mirrors, the transport's counters —
-// only when an HTTP scrape happens.
-//
-// Naming (the canonical pls_* registry):
-//
-//	pls_train_*                        progress + per-phase time (TrainMetrics)
-//	pls_exchange_wire_bytes_total      PLS exchange wire volume {direction}
-//	pls_exchange_effective_q           realized shuffling fraction (gauge)
-//	pls_exchange_degraded_slots        forfeited slots this epoch {direction}
-//	pls_exchange_epoch                 most recently scheduled exchange epoch
-//	pls_store_cache_*                  Corgi2 cache tier hits/misses/evictions,
-//	                                   prefetch volume, used bytes
-//	pls_store_pfs_read_bytes_total     bytes fetched from the PFS tier
-//	pls_store_pfs_read_seconds         cumulative PFS fetch wall-clock
-//	pls_mpi_collectives_total          collective sequence number
-//	pls_mpi_inflight_collectives       non-blocking collectives in flight
-//	pls_mpi_failed_peers               peers the failure registry knows dead
-//	pls_transport_bytes_total          wire bytes {direction}
-//	pls_transport_frames_total         frames {direction}
-//	pls_transport_frames_by_kind_total frames {direction,kind}
-//	pls_transport_peer_silence_seconds seconds since a peer was last heard {peer}
-//	pls_controller_q                   exchange fraction in force (gauge)
-//	pls_controller_decisions_total     controller decisions applied {reason}
+// (DESIGN.md §11, which holds the pls_* name registry). Nothing is counted
+// here: every series reads a word its subsystem already owns — the worker's
+// TrainMetrics and ControllerMetrics, mpi's collective sequence, the exchange
+// scheduler's counters, the cache tier's and the transport's Stats — and
+// reads it only when an HTTP scrape happens. Everything allocated or
+// formatted happens HERE, once at startup.
 func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 	rank := w.comm.Rank()
 	l := telemetry.Labels{"rank": strconv.Itoa(rank)}
 
-	w.tm = &telemetry.TrainMetrics{}
 	w.tm.Register(reg, rank)
 	w.tm.EpochsTotal.SetInt(int64(w.cfg.Epochs))
 	w.tm.WorldSize.SetInt(int64(w.comm.GroupSize()))
@@ -76,7 +53,7 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 			reg.GaugeFunc("pls_exchange_degraded_slots",
 				"Exchange slots the current epoch forfeited to dead peers.", ld,
 				func() float64 {
-					s, r := ex.ObservedDegradedSlots()
+					s, r := ex.DegradedSlots()
 					if dir == "sent" {
 						return float64(s)
 					}
@@ -85,7 +62,7 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 		}
 		reg.GaugeFunc("pls_exchange_effective_q",
 			"Shuffling fraction the current epoch actually realizes (q scaled by surviving slots).", l,
-			func() float64 { return ex.ObservedEffectiveQ() })
+			ex.EffectiveQ)
 		reg.GaugeFunc("pls_exchange_epoch",
 			"Most recently scheduled exchange epoch.", l,
 			func() float64 { return float64(ex.ObservedEpoch()) })
@@ -99,7 +76,6 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 
 	// --- closed-loop shuffle controller (AutoQ / QSchedule; DESIGN.md §16) ---
 	if w.ctrl != nil || len(w.cfg.QSchedule) > 0 {
-		w.cm = telemetry.NewControllerMetrics(append(analysis.QReasons(), ReasonSchedule))
 		w.cm.Register(reg, rank)
 		w.cm.Q.Set(w.ctrlQ)
 	}
@@ -153,7 +129,9 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 				return float64(st.FramesRecv)
 			})
 	}
-	if ks, ok := transport.AsKindStatser(conn); ok {
+	if conn.Stats().Wire {
+		// A wire backend's Stats also decompose by frame kind and carry the
+		// compressor's totals; without sockets both are zero by construction.
 		kindNames := [transport.NumKinds]string{"data", "hello", "table", "bye", "ping", "dataz", "dataref"}
 		for k := 0; k < transport.NumKinds; k++ {
 			k := k
@@ -163,39 +141,37 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 				reg.CounterFunc("pls_transport_frames_by_kind_total",
 					"Frames moved by the transport, by wire kind (data, hello, table, bye, ping, dataz, dataref).", lk,
 					func() float64 {
-						st := ks.FramesByKind()
+						st := conn.Stats()
 						if dir == "sent" {
-							return float64(st.Sent[k])
+							return float64(st.SentByKind[k])
 						}
-						return float64(st.Recv[k])
+						return float64(st.RecvByKind[k])
 					})
 				reg.CounterFunc("pls_transport_frame_bytes_by_kind_total",
 					"Wire bytes moved by the transport, by wire kind (post-compression frame sizes; zero on inproc).", lk,
 					func() float64 {
-						st := ks.FramesByKind()
+						st := conn.Stats()
 						if dir == "sent" {
-							return float64(st.SentBytes[k])
+							return float64(st.SentBytesByKind[k])
 						}
-						return float64(st.RecvBytes[k])
+						return float64(st.RecvBytesByKind[k])
 					})
 			}
 		}
-	}
-	if cs, ok := transport.AsCompressionStatser(conn); ok {
 		reg.CounterFunc("pls_transport_compress_raw_bytes_total",
 			"Payload-section bytes that entered the wire compressor (pre-compression).", l,
-			func() float64 { raw, _ := cs.CompressionStats(); return float64(raw) })
+			func() float64 { return float64(conn.Stats().CompressRaw) })
 		reg.CounterFunc("pls_transport_compress_wire_bytes_total",
 			"Payload-section bytes the wire compressor actually shipped (post-compression).", l,
-			func() float64 { _, wire := cs.CompressionStats(); return float64(wire) })
+			func() float64 { return float64(conn.Stats().CompressWire) })
 		reg.GaugeFunc("pls_transport_compression_ratio",
 			"Raw/wire ratio over all frames the compressor shrank (1 = nothing compressed yet).", l,
 			func() float64 {
-				raw, wire := cs.CompressionStats()
-				if wire == 0 {
+				st := conn.Stats()
+				if st.CompressWire == 0 {
 					return 1
 				}
-				return float64(raw) / float64(wire)
+				return float64(st.CompressRaw) / float64(st.CompressWire)
 			})
 	}
 	if ls, ok := transport.AsLivenessStatser(conn); ok {

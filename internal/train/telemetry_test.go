@@ -5,11 +5,14 @@ package train
 // HTTP during and after live multi-rank runs and diff the scraped counters
 // BITWISE against the run's own internal accounting — the scheduler's wire
 // traffic, EpochStats.GradWireBytes, and the TCP transport's byte counters
-// — plus the concurrency and zero-allocation guarantees the hot paths make.
+// — and its phase times against EpochStats and the trace, which are all
+// views of the same counters — plus the concurrency and zero-allocation
+// guarantees the hot paths make.
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -21,6 +24,7 @@ import (
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/telemetry"
+	"plshuffle/internal/trace"
 	"plshuffle/internal/transport"
 	"plshuffle/internal/transport/faultinject"
 	"plshuffle/internal/transport/tcp"
@@ -69,8 +73,9 @@ func scrapeURL(t *testing.T, url string) string {
 // runTelemetryWorld trains n ranks (one goroutine each) over the backend
 // with a shared registry, returning per-rank results and the still-open
 // comms; the caller owns cleanup. The world barriers before returning, so
-// every counter is quiescent when the final scrape happens.
-func runTelemetryWorld(t *testing.T, b transporttest.Backend, n int, cfg Config) ([]*RankResult, []*mpi.Comm, func()) {
+// every counter is quiescent when the final scrape happens. victim (none when
+// negative) is the one rank expected to fail.
+func runTelemetryWorld(t *testing.T, b transporttest.Backend, n, victim int, cfg Config) ([]*RankResult, []*mpi.Comm, func()) {
 	t.Helper()
 	comms, cleanup, err := b.Open(n)
 	if err != nil {
@@ -103,9 +108,9 @@ func runTelemetryWorld(t *testing.T, b transporttest.Backend, n int, cfg Config)
 		t.Fatal("telemetry world deadlocked")
 	}
 	for r, err := range errs {
-		if err != nil {
+		if (err != nil) != (r == victim) {
 			cleanup()
-			t.Fatalf("rank %d: %v", r, err)
+			t.Fatalf("rank %d (victim %d): %v", r, victim, err)
 		}
 	}
 	return rrs, comms, cleanup
@@ -113,26 +118,49 @@ func runTelemetryWorld(t *testing.T, b transporttest.Backend, n int, cfg Config)
 
 // TestTelemetryConformanceTCP is the acceptance gate: a live 4-rank world
 // over real TCP sockets, scraped over real HTTP mid-run and after
-// completion. The post-run scrape must match the run's internal accounting
-// exactly — same int64s, no estimates:
+// completion, healthy and with one rank killed mid-exchange under degrade.
+// The post-run scrape must match the run's internal accounting exactly —
+// same int64s, no estimates:
 //
 //	pls_exchange_wire_bytes_total (sent+recv)  == Σ EpochStats.ExchangeWireBytes
 //	pls_train_grad_wire_bytes_total            == Σ EpochStats.GradWireBytes
+//	pls_train_phase_seconds_total{phase}       == Σ EpochStats.<phase>Time == Σ trace events
+//	pls_train_gewu_{wait,comm}_seconds_total   == Σ EpochStats.GEWU{Wait,Comm}Time
+//	pls_checkpoint_seconds_total               == Σ EpochStats.CheckpointTime == Σ trace events
+//
+// and, on the healthy world, whose counters are quiescent at the scrape:
+//
 //	pls_transport_bytes_total                  == transport.Stats() at scrape time
 //	Σ_kind pls_transport_frames_by_kind_total  == pls_transport_frames_total
 func TestTelemetryConformanceTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rank TCP conformance in -short mode")
 	}
+	t.Run("healthy", func(t *testing.T) { telemetryConformanceTCP(t, -1) })
+	t.Run("degrade-kill", func(t *testing.T) { telemetryConformanceTCP(t, 2) })
+}
+
+func telemetryConformanceTCP(t *testing.T, victim int) {
 	const (
-		n      = 4
-		epochs = 3
-		q      = 0.3
+		n         = 4
+		epochs    = 3
+		killEpoch = 1
+		q         = 0.3
 	)
+	healthy := victim < 0
 	ds := testDataset(t, 512, 4)
 	cfg := baseConfig(t, ds, n, shuffle.Partial(q))
 	cfg.Epochs = epochs
 	cfg.OverlapGrads = true
+	cfg.CheckpointDir = t.TempDir()
+	rec := trace.NewRecorder()
+	cfg.Trace = rec
+	backend := transporttest.TCP()
+	if !healthy {
+		cfg.OnPeerFail = "degrade"
+		backend = transporttest.TCPWrapped("tcp-kill",
+			chaosWrap(chaosScripts(n, victim, killEpoch, false), make([]*faultinject.Conn, n)), chaosTCPConfig)
+	}
 
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
@@ -162,15 +190,76 @@ func TestTelemetryConformanceTCP(t *testing.T) {
 		sawLive <- false
 	}()
 
-	rrs, comms, cleanup := runTelemetryWorld(t, transporttest.TCP(), n, cfg)
+	rrs, comms, cleanup := runTelemetryWorld(t, backend, n, victim, cfg)
 	defer cleanup()
 	if !<-sawLive {
 		t.Error("never scraped a live pls_train_epoch series during the run")
 	}
 
 	m := parseMetrics(t, scrapeURL(t, srv.URL()+"/metrics"))
+	events := rec.Events()
+	disrupted := 0
 	for r := 0; r < n; r++ {
+		if r == victim {
+			continue
+		}
 		rl := fmt.Sprintf(`rank="%d"`, r)
+
+		// Phase times: one counter per phase, three views of it. The scrape
+		// serves seconds; at these magnitudes the float round-trips to the
+		// exact nanosecond count.
+		scrapedNs := func(series string) time.Duration {
+			v, ok := m[series]
+			if !ok {
+				t.Errorf("rank %d: series %s missing from the scrape", r, series)
+			}
+			return time.Duration(math.Round(v * 1e9))
+		}
+		for _, ph := range []struct {
+			series, event string // event "" = the trace carries no such phase
+			of            func(EpochStats) time.Duration
+		}{
+			{`pls_train_phase_seconds_total{phase="io",` + rl + `}`, trace.PhaseIO, func(e EpochStats) time.Duration { return e.IOTime }},
+			{`pls_train_phase_seconds_total{phase="exchange",` + rl + `}`, trace.PhaseExchange, func(e EpochStats) time.Duration { return e.ExchangeTime }},
+			{`pls_train_phase_seconds_total{phase="fwbw",` + rl + `}`, trace.PhaseFWBW, func(e EpochStats) time.Duration { return e.FWBWTime }},
+			{`pls_train_phase_seconds_total{phase="gewu",` + rl + `}`, trace.PhaseGEWU, func(e EpochStats) time.Duration { return e.GEWUTime }},
+			{`pls_train_phase_seconds_total{phase="validate",` + rl + `}`, trace.PhaseValidate, func(e EpochStats) time.Duration { return e.ValidateTime }},
+			{`pls_checkpoint_seconds_total{` + rl + `}`, trace.PhaseCheckpoint, func(e EpochStats) time.Duration { return e.CheckpointTime }},
+			{`pls_train_gewu_wait_seconds_total{` + rl + `}`, "", func(e EpochStats) time.Duration { return e.GEWUWaitTime }},
+			{`pls_train_gewu_comm_seconds_total{` + rl + `}`, "", func(e EpochStats) time.Duration { return e.GEWUCommTime }},
+		} {
+			var fromStats, fromTrace time.Duration
+			for _, e := range rrs[r].Epochs {
+				fromStats += ph.of(e)
+			}
+			for _, ev := range events {
+				if ev.Rank == r && ev.Phase == ph.event {
+					fromTrace += ev.Duration
+				}
+			}
+			if got := scrapedNs(ph.series); got != fromStats || fromStats <= 0 {
+				t.Errorf("rank %d: %s scraped %d ns != Σ EpochStats %d ns (or zero)", r, ph.series, got, fromStats)
+			}
+			if ph.event != "" && fromTrace != fromStats {
+				t.Errorf("rank %d: Σ %s trace events %d ns != Σ EpochStats %d ns", r, ph.event, fromTrace, fromStats)
+			}
+		}
+		// An epoch cut short still reports the partial times it clocked, and
+		// never a validate event: it did not validate.
+		for _, e := range rrs[r].Epochs {
+			if !e.Disrupted {
+				continue
+			}
+			disrupted++
+			if e.ValidateTime != 0 || e.IOTime <= 0 {
+				t.Errorf("rank %d: disrupted epoch %d reports validate %v, io %v; want no validation and its partial I/O time", r, e.Epoch, e.ValidateTime, e.IOTime)
+			}
+			for _, ev := range events {
+				if ev.Rank == r && ev.Epoch == e.Epoch && ev.Phase == trace.PhaseValidate {
+					t.Errorf("rank %d: disrupted epoch %d recorded a validate event", r, e.Epoch)
+				}
+			}
+		}
 
 		// Exchange wire volume: scraped sent+recv vs the per-epoch sums the
 		// run reported (both fed by the identical scheduler counters).
@@ -190,6 +279,14 @@ func TestTelemetryConformanceTCP(t *testing.T) {
 		}
 		if wantExchange == 0 || wantGrad == 0 {
 			t.Errorf("rank %d: zero wire traffic (exchange %d, grad %d); conformance check vacuous", r, wantExchange, wantGrad)
+		}
+		if !healthy {
+			// Heartbeats keep the transport counters moving and the world
+			// changed shape: the remaining identities are the healthy row's.
+			if got := m[`pls_exchange_effective_q{`+rl+`}`]; got <= 0 || got >= q {
+				t.Errorf("survivor %d: effective q %v, want in (0, %v) after losing a rank", r, got, q)
+			}
+			continue
 		}
 
 		// Transport byte counters: scraped == Stats() right now (the world
@@ -251,6 +348,9 @@ func TestTelemetryConformanceTCP(t *testing.T) {
 			t.Errorf("rank %d: failed peers %v, want 0", r, got)
 		}
 	}
+	if healthy != (disrupted == 0) {
+		t.Errorf("%d disrupted epochs among the survivors (victim %d)", disrupted, victim)
+	}
 }
 
 // TestTelemetryWireLeanConformanceTCP extends the conformance gate to the
@@ -284,7 +384,7 @@ func TestTelemetryWireLeanConformanceTCP(t *testing.T) {
 
 	backend := transporttest.TCPWrapped("tcp-lean", nil,
 		func(rank int, c *tcp.Config) { c.Compress = true })
-	rrs, comms, cleanup := runTelemetryWorld(t, backend, n, cfg)
+	rrs, comms, cleanup := runTelemetryWorld(t, backend, n, -1, cfg)
 	defer cleanup()
 
 	m := parseMetrics(t, scrapeURL(t, srv.URL()+"/metrics"))
@@ -310,13 +410,10 @@ func TestTelemetryWireLeanConformanceTCP(t *testing.T) {
 		}
 		worldHits += wantHits
 
-		// Compression counters: scraped == CompressionStats() right now (the
-		// world barriered, so the counters are quiescent).
-		cs, ok := transport.AsCompressionStatser(comms[r].Transport())
-		if !ok {
-			t.Fatalf("rank %d: tcp transport lost CompressionStatser", r)
-		}
-		raw, wire := cs.CompressionStats()
+		// Compression counters: scraped == Stats() right now (the world
+		// barriered, so the counters are quiescent).
+		s := comms[r].Transport().Stats()
+		raw, wire := s.CompressRaw, s.CompressWire
 		if got := int64(m[`pls_transport_compress_raw_bytes_total{`+rl+`}`]); got != raw {
 			t.Errorf("rank %d: scraped compress raw %d != Stats %d", r, got, raw)
 		}
@@ -330,24 +427,19 @@ func TestTelemetryWireLeanConformanceTCP(t *testing.T) {
 			t.Errorf("rank %d: compression ratio gauge %v < 1 with raw %d wire %d", r, got, raw, wire)
 		}
 
-		// Per-kind byte counters for the new kinds: scraped == FramesByKind
-		// bitwise, and the lean kinds actually carried traffic somewhere.
-		ks, ok := transport.AsKindStatser(comms[r].Transport())
-		if !ok {
-			t.Fatalf("rank %d: tcp transport lost KindStatser", r)
-		}
-		s := ks.FramesByKind()
+		// Per-kind byte counters for the new kinds: scraped == Stats bitwise,
+		// and the lean kinds actually carried traffic somewhere.
 		for kind, name := range map[uint8]string{
 			transport.KindDataZ:   "dataz",
 			transport.KindDataRef: "dataref",
 		} {
 			sentKey := fmt.Sprintf(`pls_transport_frame_bytes_by_kind_total{direction="sent",kind=%q,%s}`, name, rl)
-			if got := int64(m[sentKey]); got != s.SentBytes[kind] {
-				t.Errorf("rank %d: scraped %s %d != counter %d", r, sentKey, got, s.SentBytes[kind])
+			if got := int64(m[sentKey]); got != s.SentBytesByKind[kind] {
+				t.Errorf("rank %d: scraped %s %d != counter %d", r, sentKey, got, s.SentBytesByKind[kind])
 			}
 		}
-		worldZFrames += s.Sent[transport.KindDataZ]
-		worldRefFrames += s.Sent[transport.KindDataRef]
+		worldZFrames += s.SentByKind[transport.KindDataZ]
+		worldRefFrames += s.SentByKind[transport.KindDataRef]
 	}
 	if worldHits == 0 {
 		t.Error("no rank scored a dedup hit; the conformance check never saw the dedup plane live")

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"plshuffle/internal/analysis"
 	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/nn"
@@ -150,9 +151,11 @@ type Config struct {
 	// §11): training progress and per-phase time, the exchange scheduler's
 	// EffectiveQ/DegradedSlots and cumulative wire volume, the runtime's
 	// collective sequence and overlap depth, and the transport's byte/frame
-	// counters. The hot path only touches preallocated atomic words — the
-	// steady-state training iteration stays 0 allocs/op with telemetry on,
-	// and the trained weights are bitwise identical either way.
+	// counters. The counters themselves always run (they are what EpochStats
+	// is derived from); Telemetry only makes them scrapeable. The hot path
+	// only touches preallocated atomic words — the steady-state training
+	// iteration stays 0 allocs/op, and the trained weights are bitwise
+	// identical either way.
 	Telemetry *telemetry.Registry
 	// OnPeerFail selects the policy when the transport reports a peer dead
 	// mid-run (DESIGN.md §10). "abort" (or "") propagates the typed
@@ -299,7 +302,13 @@ func (c Config) Validate() error {
 	return c.Model.Validate()
 }
 
-// EpochStats records one epoch's outcome and phase accounting.
+// EpochStats records one epoch's outcome and phase accounting. Its durations
+// and GradWireBytes are not counted here: they are the growth of the rank's
+// cumulative counters (telemetry.TrainMetrics — the same words /metrics
+// serves) between the previous epoch's close and this one's, so summed over
+// a run they equal the scraped totals and the trace events exactly
+// (DESIGN.md §11). An epoch cut short by a peer death (Disrupted) reports the
+// partial times it accumulated.
 type EpochStats struct {
 	Epoch     int
 	TrainLoss float64 // mean loss across workers and iterations
@@ -333,6 +342,11 @@ type EpochStats struct {
 	// Wall-clock phase times on this process (for the testing.B benches;
 	// the paper-scale times come from internal/perfmodel).
 	IOTime, ExchangeTime, FWBWTime, GEWUTime time.Duration
+	// ValidateTime is the sharded evaluation after the epoch (zero when the
+	// epoch was disrupted before validating). CheckpointTime is the snapshot
+	// encode + write + commit barrier at the epoch's boundary, including a
+	// post-recovery snapshot (zero when none was due).
+	ValidateTime, CheckpointTime time.Duration
 	// DegradedSlots counts the exchange slots this epoch forfeited because
 	// their partner rank was dead (send slots whose destination died plus
 	// receive slots whose sender died). Zero in a healthy run.
@@ -608,10 +622,13 @@ type worker struct {
 	// the ImportanceSampling extension.
 	lossByID map[int]float64
 
-	// tm is the rank's live-metric bundle (nil when cfg.Telemetry is nil).
-	// Hot-path updates are single atomic adds on its fields; all naming and
-	// labeling happened at registration (registerTelemetry).
-	tm *telemetry.TrainMetrics
+	// tm holds the rank's cumulative counters — the one place a clocked
+	// interval or a gradient wire byte is booked (a single atomic add on the
+	// hot path). Registering it for scraping is optional (cfg.Telemetry);
+	// EpochStats and the trace are derived from it by closeEpoch; closed holds
+	// the counters' readings at the previous epoch's close.
+	tm     telemetry.TrainMetrics
+	closed [9]int64
 
 	// Fault-tolerance and elasticity state (DESIGN.md §10, §15).
 	// exchEpoch is the epoch whose exchange is currently open (-1 when no
@@ -649,7 +666,8 @@ type worker struct {
 	// label distribution, fixed at construction; obsSkew/obsComm are the
 	// epoch's deterministic observations (label-exposure total variation
 	// and the modeled exchange/compute cost ratio) the control gather
-	// ships to the root. cm is the controller's telemetry bundle.
+	// ships to the root. cm is the controller's telemetry bundle (always
+	// owned, registered with the rest).
 	ctrl             *control.Controller
 	ctrlQ            float64
 	ctrlReason       string
@@ -679,6 +697,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 		assignedGroup: -1,
 		joinedEpoch:   -1,
 		arena:         arena.New(0),
+		cm:            telemetry.NewControllerMetrics(append(analysis.QReasons(), ReasonSchedule)),
 	}
 	w.model.SetArena(w.arena)
 	w.loss.SetArena(w.arena)
@@ -854,6 +873,10 @@ func (w *worker) train() ([]EpochStats, error) {
 		// in, or — while the admission round before it is still running — the
 		// one before, whose boundary it has not left.
 		stood, disrupted := epoch, false
+		// mine indexes this epoch's entry in stats once it has one; the entry
+		// is closed at the end of the iteration, after everything the epoch's
+		// boundary clocks (validation, checkpoints) has run.
+		mine := -1
 		var err error
 		// Elastic worlds admit rendezvoused joiners at the epoch boundary —
 		// a quiescent point: no exchange window open, no collective in
@@ -879,13 +902,13 @@ func (w *worker) train() ([]EpochStats, error) {
 				}
 				tv := time.Now()
 				es.ValAcc = w.validate()
-				w.emitTrace(epoch, es, time.Since(tv))
+				w.tm.ValidateNs.Add(int64(time.Since(tv)))
 				return nil
 			})
 			disrupted = err != nil
 		}
 		if err == nil {
-			stats = append(stats, es)
+			mine, stats = len(stats), append(stats, es)
 			// The controller retunes Q at this boundary — after the epoch's
 			// collectives settle, BEFORE the snapshot — so the checkpoint
 			// already carries the next epoch's decided fraction and a resume
@@ -924,8 +947,7 @@ func (w *worker) train() ([]EpochStats, error) {
 			}
 			if disrupted {
 				es.Disrupted = true
-				w.emitTrace(epoch, es, 0)
-				stats = append(stats, es)
+				mine, stats = len(stats), append(stats, es)
 			}
 			// A failure straddling an epoch boundary can leave part of the
 			// group one epoch ahead; the resume point skips past the
@@ -957,19 +979,46 @@ func (w *worker) train() ([]EpochStats, error) {
 					return nil, cerr
 				}
 			}
-			continue
+		}
+		if mine >= 0 {
+			w.closeEpoch(&stats[mine])
 		}
 	}
 	return stats, nil
 }
 
-// emitTrace records the epoch's phase durations and byte volumes.
-func (w *worker) emitTrace(epoch int, es EpochStats, valTime time.Duration) {
+// closeEpoch closes the epoch's accounting window: es's durations and
+// gradient wire bytes become the growth of the worker's counters since the
+// previous close, and the trace events are emitted from es. Windows abut —
+// whatever is clocked between two closes (a post-recovery snapshot, say)
+// lands in the next one — so the EpochStats of a run sum to the counters.
+func (w *worker) closeEpoch(es *EpochStats) {
+	grown := func(i int, c *telemetry.Counter) int64 {
+		now := c.Load()
+		d := now - w.closed[i]
+		w.closed[i] = now
+		return d
+	}
+	es.IOTime = time.Duration(grown(0, &w.tm.IONs))
+	es.ExchangeTime = time.Duration(grown(1, &w.tm.ExchangeNs))
+	es.FWBWTime = time.Duration(grown(2, &w.tm.FWBWNs))
+	es.GEWUTime = time.Duration(grown(3, &w.tm.GEWUNs))
+	es.GEWUWaitTime = time.Duration(grown(4, &w.tm.GEWUWaitNs))
+	es.GEWUCommTime = time.Duration(grown(5, &w.tm.GEWUCommNs))
+	es.ValidateTime = time.Duration(grown(6, &w.tm.ValidateNs))
+	es.CheckpointTime = time.Duration(grown(7, &w.tm.CheckpointNs))
+	es.GradWireBytes = grown(8, &w.tm.GradWireBytes)
+	w.emitTrace(*es)
+}
+
+// emitTrace records the epoch's phase durations and byte volumes — a pure
+// function of es.
+func (w *worker) emitTrace(es EpochStats) {
 	rec := w.cfg.Trace
 	if rec == nil {
 		return
 	}
-	rank := w.comm.Rank()
+	rank, epoch := w.comm.Rank(), es.Epoch
 	// On a wire backend the exchange event carries the measured number of
 	// bytes that actually crossed the network; on inproc it carries the
 	// simulated volume (Sample.Bytes), preserving the modeling semantics.
@@ -989,8 +1038,15 @@ func (w *worker) emitTrace(epoch int, es EpochStats, valTime time.Duration) {
 	// can attribute the traffic to this phase.
 	rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseGEWU,
 		Duration: es.GEWUTime, Bytes: es.GradWireBytes})
-	rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseValidate,
-		Duration: valTime})
+	if !es.Disrupted {
+		// A disrupted epoch never validated.
+		rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseValidate,
+			Duration: es.ValidateTime})
+	}
+	if es.CheckpointTime > 0 {
+		rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseCheckpoint,
+			Duration: es.CheckpointTime})
+	}
 	if es.DegradedSlots > 0 || es.Disrupted {
 		rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseDegraded,
 			Bytes: int64(es.DegradedSlots), EffectiveQ: es.EffectiveQ})

@@ -188,7 +188,7 @@ func (c *Conn) Size() int { return c.inner.Size() }
 func (c *Conn) Stats() transport.Stats { return c.inner.Stats() }
 
 // Underlying exposes the wrapped connection (transport.Unwrapper), so
-// observability type-assertions (KindStatser, LivenessStatser) reach the
+// the As* accessors (LivenessStatser, PeerAdmitter, JoinNotifier) reach the
 // real backend through the injector.
 func (c *Conn) Underlying() transport.Conn { return c.inner }
 

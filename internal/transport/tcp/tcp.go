@@ -257,13 +257,13 @@ type Conn struct {
 	bytesSent  atomic.Int64
 	bytesRecv  atomic.Int64
 
-	// Compression accounting (transport.CompressionStatser): payload bytes
+	// Compression accounting (Stats.CompressRaw/CompressWire): payload bytes
 	// entering the compressor vs leaving it, counted only for frames that
 	// actually shipped compressed.
 	compRaw  atomic.Int64
 	compWire atomic.Int64
 
-	// Per-kind frame and byte counters (transport.KindStatser) and per-peer
+	// Per-kind frame and byte counters (Stats' *ByKind arrays) and per-peer
 	// last-heard stamps in unix nanos (transport.LivenessStatser). All
 	// plain atomics so telemetry scrapes race-free against traffic.
 	sentKind      [transport.NumKinds]atomic.Int64
@@ -356,12 +356,7 @@ func New(cfg Config, h transport.Handler) (*Conn, error) {
 		advertise = ln.Addr().String()
 	}
 
-	if cfg.Join {
-		err = c.bootstrapJoin(advertise)
-	} else {
-		err = c.bootstrap(advertise)
-	}
-	if err != nil {
+	if err := c.bootstrap(advertise); err != nil {
 		ln.Close()
 		return nil, err
 	}
@@ -591,36 +586,26 @@ func (c *Conn) fail(err error) {
 	c.errMu.Unlock()
 }
 
-// Stats returns real wire byte counts (frame headers included).
+// Stats returns real wire byte counts (frame headers included), their
+// per-kind decomposition and the compressor's totals. Safe to call
+// concurrently with traffic (telemetry scrapes it from the HTTP goroutine).
 func (c *Conn) Stats() transport.Stats {
-	return transport.Stats{
-		FramesSent: c.framesSent.Load(),
-		FramesRecv: c.framesRecv.Load(),
-		BytesSent:  c.bytesSent.Load(),
-		BytesRecv:  c.bytesRecv.Load(),
-		Wire:       true,
+	st := transport.Stats{
+		FramesSent:   c.framesSent.Load(),
+		FramesRecv:   c.framesRecv.Load(),
+		BytesSent:    c.bytesSent.Load(),
+		BytesRecv:    c.bytesRecv.Load(),
+		Wire:         true,
+		CompressRaw:  c.compRaw.Load(),
+		CompressWire: c.compWire.Load(),
 	}
-}
-
-// FramesByKind returns the per-wire-kind frame and byte counters.
-// Implements transport.KindStatser; safe to call concurrently with traffic
-// (telemetry scrapes it from the HTTP goroutine).
-func (c *Conn) FramesByKind() transport.KindStats {
-	var ks transport.KindStats
 	for k := 0; k < transport.NumKinds; k++ {
-		ks.Sent[k] = c.sentKind[k].Load()
-		ks.Recv[k] = c.recvKind[k].Load()
-		ks.SentBytes[k] = c.sentKindBytes[k].Load()
-		ks.RecvBytes[k] = c.recvKindBytes[k].Load()
+		st.SentByKind[k] = c.sentKind[k].Load()
+		st.RecvByKind[k] = c.recvKind[k].Load()
+		st.SentBytesByKind[k] = c.sentKindBytes[k].Load()
+		st.RecvBytesByKind[k] = c.recvKindBytes[k].Load()
 	}
-	return ks
-}
-
-// CompressionStats returns the cumulative payload bytes that entered the
-// compressor vs what was actually framed, counted only for frames that
-// shipped compressed. Implements transport.CompressionStatser.
-func (c *Conn) CompressionStats() (raw, wire int64) {
-	return c.compRaw.Load(), c.compWire.Load()
+	return st
 }
 
 // LastHeard returns the time any frame (data, hello, or heartbeat) was last
@@ -638,10 +623,8 @@ func (c *Conn) LastHeard(rank int) time.Time {
 }
 
 var (
-	_ transport.KindStatser        = (*Conn)(nil)
-	_ transport.LivenessStatser    = (*Conn)(nil)
-	_ transport.MeteredSender      = (*Conn)(nil)
-	_ transport.CompressionStatser = (*Conn)(nil)
+	_ transport.LivenessStatser = (*Conn)(nil)
+	_ transport.MeteredSender   = (*Conn)(nil)
 )
 
 // Send serializes the payload and enqueues it toward dst. Self-sends loop
@@ -882,10 +865,10 @@ func waitUntil(wg *sync.WaitGroup, deadline time.Time) bool {
 
 func (c *Conn) bootstrap(advertise string) error {
 	deadline := time.Now().Add(c.cfg.BootstrapTimeout)
-	if c.cfg.Rank == 0 {
+	if c.cfg.Rank == 0 && !c.cfg.Join {
 		return c.bootstrapRoot(advertise, deadline)
 	}
-	return c.bootstrapPeer(advertise, deadline)
+	return c.rendezvous(advertise, deadline)
 }
 
 // bootstrapRoot collects every peer's hello on the rendezvous listener and
@@ -984,15 +967,25 @@ func (c *Conn) bootstrapRoot(advertise string, deadline time.Time) error {
 	return nil
 }
 
-// bootstrapPeer performs the rendezvous round — dial, announce the data
-// address, wait for the table — retrying the whole round with backoff
+// rendezvous is the non-root side of the rendezvous — dial, announce the
+// data address, wait for the table — retrying the whole round with backoff
 // until the deadline. Retrying the full round (not just the dial) is what
 // lets a rank survive a flaky rendezvous: a listener that accepts and then
 // drops the connection just costs one backoff step.
-func (c *Conn) bootstrapPeer(advertise string, deadline time.Time) error {
+//
+// A bootstrap-time peer announces its rank; a mid-run joiner (cfg.Join)
+// announces Src == -1, adopts the slot the root assigned it from the reply's
+// Dst, and treats a table of the wrong capacity as fatal — the running world
+// was started with another -max-world, and no retry changes that.
+func (c *Conn) rendezvous(advertise string, deadline time.Time) error {
+	join := c.cfg.Join
+	src, what := int32(c.cfg.Rank), "rendezvous"
+	if join {
+		src, what = -1, "join"
+	}
 	hello, err := transport.MarshalFrame(transport.WireFrame{
 		Kind:    transport.KindHello,
-		Src:     int32(c.cfg.Rank),
+		Src:     src,
 		Dst:     0,
 		Payload: transport.EncodeHello(advertise, c.cfg.capabilityFlags()),
 	})
@@ -1004,6 +997,10 @@ func (c *Conn) bootstrapPeer(advertise string, deadline time.Time) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if time.Now().Add(backoff).After(deadline) {
+				if join {
+					return fmt.Errorf("tcp: join via %s failed within %v: %w",
+						c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
+				}
 				return fmt.Errorf("tcp: rank %d: rendezvous %s failed within %v: %w",
 					c.cfg.Rank, c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
 			}
@@ -1012,10 +1009,34 @@ func (c *Conn) bootstrapPeer(advertise string, deadline time.Time) error {
 				backoff = time.Second
 			}
 		}
-		addrs, flags, err := c.rendezvousRound(hello, deadline)
+		f, err := c.rendezvousRound(hello, what, deadline)
 		if err != nil {
 			lastErr = err
 			continue
+		}
+		if f.Kind != transport.KindTable || (join && f.Dst < 0) {
+			lastErr = fmt.Errorf("%s answered with frame kind %d dst %d, want a table", what, f.Kind, f.Dst)
+			continue
+		}
+		addrs, flags, err := transport.DecodePeerTable(f.Payload)
+		if err != nil {
+			lastErr = fmt.Errorf("decoding %s table: %w", what, err)
+			continue
+		}
+		if len(addrs) != c.cfg.capacity() {
+			if join {
+				return fmt.Errorf("tcp: join table has %d entries, want capacity %d (mismatched -max-world?)",
+					len(addrs), c.cfg.capacity())
+			}
+			lastErr = fmt.Errorf("rendezvous table has %d entries, want %d", len(addrs), c.cfg.capacity())
+			continue
+		}
+		if join {
+			if int(f.Dst) >= c.cfg.capacity() {
+				return fmt.Errorf("tcp: join assigned rank %d beyond capacity %d", f.Dst, c.cfg.capacity())
+			}
+			c.cfg.Rank = int(f.Dst)
+			c.cfg.Size = c.cfg.capacity()
 		}
 		c.addrs = addrs
 		c.peerFlags = flags
@@ -1023,32 +1044,23 @@ func (c *Conn) bootstrapPeer(advertise string, deadline time.Time) error {
 	}
 }
 
-// rendezvousRound is one attempt of the peer side of the bootstrap.
-func (c *Conn) rendezvousRound(hello []byte, deadline time.Time) ([]string, []byte, error) {
+// rendezvousRound is one attempt's socket work: dial, send the hello, read
+// the reply frame.
+func (c *Conn) rendezvousRound(hello []byte, what string, deadline time.Time) (transport.WireFrame, error) {
 	conn, err := c.cfg.Dial(c.cfg.Rendezvous, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("dialing rendezvous: %w", err)
+		return transport.WireFrame{}, fmt.Errorf("dialing rendezvous: %w", err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(deadline)
 	if _, err := conn.Write(hello); err != nil {
-		return nil, nil, fmt.Errorf("sending rendezvous hello: %w", err)
+		return transport.WireFrame{}, fmt.Errorf("sending %s hello: %w", what, err)
 	}
 	f, _, err := transport.ReadFrame(conn)
 	if err != nil {
-		return nil, nil, fmt.Errorf("reading rendezvous table: %w", err)
+		return transport.WireFrame{}, fmt.Errorf("reading %s table: %w", what, err)
 	}
-	if f.Kind != transport.KindTable {
-		return nil, nil, fmt.Errorf("rendezvous answered with frame kind %d, want table", f.Kind)
-	}
-	addrs, flags, err := transport.DecodePeerTable(f.Payload)
-	if err != nil {
-		return nil, nil, fmt.Errorf("decoding rendezvous table: %w", err)
-	}
-	if len(addrs) != c.cfg.capacity() {
-		return nil, nil, fmt.Errorf("rendezvous table has %d entries, want %d", len(addrs), c.cfg.capacity())
-	}
-	return addrs, flags, nil
+	return f, nil
 }
 
 // --- elastic join (DESIGN.md §15) ---
@@ -1171,75 +1183,6 @@ func (c *Conn) joinAcceptLoop() {
 			}
 			c.notifyJoin(transport.JoinRequest{Rank: r, Addr: addr, Flags: fl})
 		}(conn)
-	}
-}
-
-// bootstrapJoin is the joiner side of the mid-run rendezvous: dial, send a
-// Src == -1 hello advertising the data listener, adopt the assigned slot
-// and peer table from the reply. Retries the whole round with backoff, like
-// the bootstrap-time peer rendezvous.
-func (c *Conn) bootstrapJoin(advertise string) error {
-	deadline := time.Now().Add(c.cfg.BootstrapTimeout)
-	hello, err := transport.MarshalFrame(transport.WireFrame{
-		Kind:    transport.KindHello,
-		Src:     -1,
-		Dst:     0,
-		Payload: transport.EncodeHello(advertise, c.cfg.capabilityFlags()),
-	})
-	if err != nil {
-		return err
-	}
-	backoff := c.cfg.DialBackoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if time.Now().Add(backoff).After(deadline) {
-				return fmt.Errorf("tcp: join via %s failed within %v: %w",
-					c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
-			}
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		}
-		conn, err := c.cfg.Dial(c.cfg.Rendezvous, c.cfg.DialTimeout)
-		if err != nil {
-			lastErr = fmt.Errorf("dialing rendezvous: %w", err)
-			continue
-		}
-		conn.SetDeadline(deadline)
-		if _, err := conn.Write(hello); err != nil {
-			conn.Close()
-			lastErr = fmt.Errorf("sending join hello: %w", err)
-			continue
-		}
-		f, _, err := transport.ReadFrame(conn)
-		conn.Close()
-		if err != nil {
-			lastErr = fmt.Errorf("reading join table: %w", err)
-			continue
-		}
-		if f.Kind != transport.KindTable || f.Dst < 0 {
-			lastErr = fmt.Errorf("join answered with frame kind %d dst %d", f.Kind, f.Dst)
-			continue
-		}
-		addrs, flags, err := transport.DecodePeerTable(f.Payload)
-		if err != nil {
-			lastErr = fmt.Errorf("decoding join table: %w", err)
-			continue
-		}
-		if len(addrs) != c.cfg.capacity() {
-			return fmt.Errorf("tcp: join table has %d entries, want capacity %d (mismatched -max-world?)",
-				len(addrs), c.cfg.capacity())
-		}
-		if int(f.Dst) >= c.cfg.capacity() {
-			return fmt.Errorf("tcp: join assigned rank %d beyond capacity %d", f.Dst, c.cfg.capacity())
-		}
-		c.cfg.Rank = int(f.Dst)
-		c.cfg.Size = c.cfg.capacity()
-		c.addrs = addrs
-		c.peerFlags = flags
-		return nil
 	}
 }
 

@@ -528,9 +528,9 @@ func TestStatsCountWireBytes(t *testing.T) {
 	// Sent counters advance when Send accepts a frame, not when a writer
 	// goroutine reaches the socket: they equal the metered total right away,
 	// with no wait for the writers to be scheduled.
-	if s, k := conns[0].Stats(), conns[0].FramesByKind(); s.FramesSent != n || k.SentBytes[transport.KindData] != metered {
+	if s := conns[0].Stats(); s.FramesSent != n || s.SentBytesByKind[transport.KindData] != metered {
 		t.Fatalf("right after %d sends: FramesSent %d, data bytes sent %d, metered %d bytes",
-			n, s.FramesSent, k.SentBytes[transport.KindData], metered)
+			n, s.FramesSent, s.SentBytesByKind[transport.KindData], metered)
 	}
 	recvN(t, inbox[1], n)
 
@@ -591,22 +591,22 @@ func TestCompressedSendRoundTrips(t *testing.T) {
 	if wire >= plain {
 		t.Fatalf("compressed wire size %d not below plain %d", wire, plain)
 	}
-	ks0, ks1 := conns[0].FramesByKind(), conns[1].FramesByKind()
-	if ks0.Sent[transport.KindDataZ] != 1 || ks0.Sent[transport.KindData] != 0 {
-		t.Fatalf("sender kind counters: %+v", ks0.Sent)
+	ks0, ks1 := conns[0].Stats(), conns[1].Stats()
+	if ks0.SentByKind[transport.KindDataZ] != 1 || ks0.SentByKind[transport.KindData] != 0 {
+		t.Fatalf("sender kind counters: %+v", ks0.SentByKind)
 	}
-	if ks1.Recv[transport.KindDataZ] != 1 {
-		t.Fatalf("receiver kind counters: %+v", ks1.Recv)
+	if ks1.RecvByKind[transport.KindDataZ] != 1 {
+		t.Fatalf("receiver kind counters: %+v", ks1.RecvByKind)
 	}
-	if ks0.SentBytes[transport.KindDataZ] != wire {
-		t.Fatalf("SentBytes[dataz]=%d, SendMetered reported %d", ks0.SentBytes[transport.KindDataZ], wire)
+	if ks0.SentBytesByKind[transport.KindDataZ] != wire {
+		t.Fatalf("SentBytes[dataz]=%d, SendMetered reported %d", ks0.SentBytesByKind[transport.KindDataZ], wire)
 	}
-	if ks1.RecvBytes[transport.KindDataZ] != wire {
-		t.Fatalf("RecvBytes[dataz]=%d, sender shipped %d", ks1.RecvBytes[transport.KindDataZ], wire)
+	if ks1.RecvBytesByKind[transport.KindDataZ] != wire {
+		t.Fatalf("RecvBytes[dataz]=%d, sender shipped %d", ks1.RecvBytesByKind[transport.KindDataZ], wire)
 	}
-	raw, cwire := conns[0].CompressionStats()
+	raw, cwire := ks0.CompressRaw, ks0.CompressWire
 	if raw <= cwire || cwire <= 0 {
-		t.Fatalf("CompressionStats raw=%d wire=%d, want raw > wire > 0", raw, cwire)
+		t.Fatalf("Stats compress raw=%d wire=%d, want raw > wire > 0", raw, cwire)
 	}
 }
 
@@ -620,9 +620,9 @@ func TestCompressionBelowThresholdStaysPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	recvN(t, inbox[1], 1)
-	ks := conns[0].FramesByKind()
-	if ks.Sent[transport.KindDataZ] != 0 || ks.Sent[transport.KindData] != 1 {
-		t.Fatalf("small payload should stay KindData: %+v", ks.Sent)
+	ks := conns[0].Stats()
+	if ks.SentByKind[transport.KindDataZ] != 0 || ks.SentByKind[transport.KindData] != 1 {
+		t.Fatalf("small payload should stay KindData: %+v", ks.SentByKind)
 	}
 }
 
@@ -650,8 +650,8 @@ func TestCompressionNegotiationAsymmetric(t *testing.T) {
 		}
 	}
 	for r, c := range conns {
-		ks := c.FramesByKind()
-		if ks.Sent[transport.KindDataZ] != 0 || ks.Recv[transport.KindDataZ] != 0 {
+		ks := c.Stats()
+		if ks.SentByKind[transport.KindDataZ] != 0 || ks.RecvByKind[transport.KindDataZ] != 0 {
 			t.Fatalf("rank %d shipped compressed frames without negotiation: %+v", r, ks)
 		}
 	}
@@ -680,12 +680,12 @@ func TestSampleRefsFrameOverTCP(t *testing.T) {
 			t.Fatalf("ref %d = %d, want %d", i, got[i], refs[i])
 		}
 	}
-	ks := conns[0].FramesByKind()
-	if ks.Sent[transport.KindDataRef] != 1 {
-		t.Fatalf("refs did not travel as KindDataRef: %+v", ks.Sent)
+	ks := conns[0].Stats()
+	if ks.SentByKind[transport.KindDataRef] != 1 {
+		t.Fatalf("refs did not travel as KindDataRef: %+v", ks.SentByKind)
 	}
-	if ks.SentBytes[transport.KindDataRef] != wire {
-		t.Fatalf("SentBytes[dataref]=%d, metered %d", ks.SentBytes[transport.KindDataRef], wire)
+	if ks.SentBytesByKind[transport.KindDataRef] != wire {
+		t.Fatalf("SentBytes[dataref]=%d, metered %d", ks.SentBytesByKind[transport.KindDataRef], wire)
 	}
 	if want := transport.FrameWireSize(refs); wire != want {
 		t.Fatalf("metered %d, FrameWireSize %d", wire, want)

@@ -50,45 +50,41 @@ type Frame struct {
 // on the backend's delivery path.
 type Handler func(Frame)
 
-// Stats is a snapshot of a connection's traffic counters. For wire backends
-// the byte counts are real bytes moved over sockets (including frame
-// headers); for inproc they are the estimated encoded payload sizes. Wire
-// distinguishes the two so callers (e.g. the trainer's trace events) can
-// report genuine network volume when it exists.
+// Stats is a snapshot of a connection's traffic counters — the one record
+// of what crossed it, which every interposing wrapper forwards. For wire
+// backends the byte counts are real bytes moved over sockets (including
+// frame headers); for inproc they are the estimated encoded payload sizes.
+// Wire distinguishes the two so callers (e.g. the trainer's trace events)
+// can report genuine network volume when it exists. Safe to take
+// concurrently with traffic (telemetry scrapes it from an HTTP goroutine).
 type Stats struct {
 	FramesSent int64
 	FramesRecv int64
 	BytesSent  int64
 	BytesRecv  int64
 	Wire       bool
+
+	// The totals decomposed by wire frame kind, indexed by the Kind*
+	// constants: frames and wire bytes (length prefix and header included)
+	// in each direction, so an observer can tell data volume from bootstrap
+	// and liveness overhead, and compressed/dedup'd exchange traffic from
+	// plain sample payloads. Zero on backends without real sockets.
+	SentByKind      [NumKinds]int64
+	RecvByKind      [NumKinds]int64
+	SentBytesByKind [NumKinds]int64
+	RecvBytesByKind [NumKinds]int64
+
+	// CompressRaw is the cumulative payload bytes that entered the wire
+	// compressor and CompressWire what left it and was framed — only for
+	// frames actually sent compressed, so raw/wire is the achieved
+	// compression ratio. Zero on backends that do not compress.
+	CompressRaw  int64
+	CompressWire int64
 }
 
 // NumKinds is the number of wire frame kinds (KindData..KindDataRef),
-// sizing the per-kind counter arrays of KindStats.
+// sizing the per-kind counter arrays of Stats.
 const NumKinds = int(KindDataRef) + 1
-
-// KindStats is a snapshot of a wire backend's per-frame-kind traffic
-// counters: how many frames — and, on backends that meter real sockets,
-// how many wire bytes — of each kind (data, hello, table, bye, ping,
-// dataz, dataref) crossed the connection in each direction. Indexed by the
-// Kind* constants. The totals decompose Stats' counts by purpose, so an
-// observer can tell data volume from bootstrap and liveness overhead, and
-// compressed/dedup'd exchange traffic from plain sample payloads.
-type KindStats struct {
-	Sent [NumKinds]int64
-	Recv [NumKinds]int64
-	// SentBytes/RecvBytes are the wire bytes per kind (length prefix and
-	// header included). Zero on backends without real sockets.
-	SentBytes [NumKinds]int64
-	RecvBytes [NumKinds]int64
-}
-
-// KindStatser is implemented by backends that count frames per wire kind.
-// FramesByKind must be safe to call concurrently with traffic (telemetry
-// scrapes it from an HTTP goroutine).
-type KindStatser interface {
-	FramesByKind() KindStats
-}
 
 // LivenessStatser is implemented by backends that track when each peer was
 // last heard from (any successfully read frame, heartbeats included).
@@ -99,26 +95,11 @@ type LivenessStatser interface {
 }
 
 // Unwrapper is implemented by interposing transports (fault injectors,
-// chaos wrappers) that delegate to an inner Conn. AsKindStatser and
-// AsLivenessStatser walk the chain so observability reaches the real
-// backend through any stack of wrappers.
+// chaos wrappers) that delegate to an inner Conn. The As* accessors walk the
+// chain so observability and control-plane calls reach the real backend
+// through any stack of wrappers.
 type Unwrapper interface {
 	Underlying() Conn
-}
-
-// AsKindStatser finds the first KindStatser in c's wrapper chain.
-func AsKindStatser(c Conn) (KindStatser, bool) {
-	for c != nil {
-		if ks, ok := c.(KindStatser); ok {
-			return ks, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			break
-		}
-		c = u.Underlying()
-	}
-	return nil, false
 }
 
 // MeteredSender is implemented by backends whose Send can report the exact
@@ -131,8 +112,8 @@ type MeteredSender interface {
 	SendMetered(dst, tag int, payload any) (int64, error)
 }
 
-// AsMeteredSender reports whether c itself meters sends. Unlike the stats
-// accessors it deliberately does NOT walk the Unwrapper chain: sends must
+// AsMeteredSender reports whether c itself meters sends. Unlike the other
+// As* accessors it deliberately does NOT walk the Unwrapper chain: sends must
 // flow through every interposed wrapper (a fault injector that was skipped
 // would lose its chance to drop or delay the frame), so only the outermost
 // connection's own implementation counts. Wrapped stacks fall back to
@@ -140,31 +121,6 @@ type MeteredSender interface {
 func AsMeteredSender(c Conn) (MeteredSender, bool) {
 	ms, ok := c.(MeteredSender)
 	return ms, ok
-}
-
-// CompressionStatser is implemented by backends that compress data frames.
-// CompressionStats returns the cumulative payload bytes that entered the
-// compressor (raw) and the bytes that left it and were framed (wire) —
-// only for frames actually sent compressed, so raw/wire is the achieved
-// compression ratio. Safe to call concurrently with traffic.
-type CompressionStatser interface {
-	CompressionStats() (raw, wire int64)
-}
-
-// AsCompressionStatser finds the first CompressionStatser in c's wrapper
-// chain (read-only observability, so unwrapping is safe).
-func AsCompressionStatser(c Conn) (CompressionStatser, bool) {
-	for c != nil {
-		if cs, ok := c.(CompressionStatser); ok {
-			return cs, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			break
-		}
-		c = u.Underlying()
-	}
-	return nil, false
 }
 
 // AsLivenessStatser finds the first LivenessStatser in c's wrapper chain.
