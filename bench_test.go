@@ -362,30 +362,6 @@ func benchOverlap(b *testing.B, chunk int) {
 	}
 }
 
-// BenchmarkAblationAllreduceRing/Naive time the two gradient-reduction
-// algorithms at a model-gradient-sized buffer.
-func BenchmarkAblationAllreduceRing(b *testing.B)  { benchAllreduce(b, false) }
-func BenchmarkAblationAllreduceNaive(b *testing.B) { benchAllreduce(b, true) }
-
-func benchAllreduce(b *testing.B, naive bool) {
-	const m, n = 8, 65536
-	b.SetBytes(int64(4 * n))
-	for i := 0; i < b.N; i++ {
-		err := mpi.Run(m, func(c *mpi.Comm) error {
-			buf := make([]float32, n)
-			if naive {
-				mpi.AllreduceNaive(c, buf, mpi.OpSum)
-			} else {
-				mpi.Allreduce(c, buf, mpi.OpSum)
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationBatchNorm isolates the Section IV-A.1 mechanism: under
 // class-local shards, the LS-vs-GS gap with batch normalization is larger
 // than without it.

@@ -50,7 +50,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
 	csvDir := flag.String("csv", "", "also write each figure's series grid as CSV into this directory")
 	wireDedup := flag.Bool("wire-dedup", false, "run every training config with exchange dedup on (curves must be identical — an end-to-end equivalence check)")
-	sampleEncoding := flag.String("sample-encoding", "", "exchange sample wire format for every training config: fp32, fp16exact (identical curves), fp16 (lossy)")
+	sampleEncoding := flag.String("sample-encoding", "", "exchange sample wire format for every training config: fp32 or fp16exact (identical curves)")
 	flag.Parse()
 
 	if *list || *run == "" {

@@ -9,13 +9,10 @@
 // Label, Bytes, feature count), then the features: 4-byte fp32 words for
 // entryFP32, 2-byte fp16 halves for entryFP16.
 //
-// Three encoder modes (Encoding):
+// Two encoder modes (Encoding):
 //
 //   - EncodingFP32 emits the legacy v1 bytes, bit for bit — zero adoption
 //     risk, no savings.
-//   - EncodingFP16 always quantizes (round-to-nearest-even). Lossy, but
-//     idempotent: a value that already round-trips through fp16 is
-//     unchanged, so re-sending a previously quantized sample is exact.
 //   - EncodingFP16Exact quantizes a sample only when every one of its
 //     features survives the fp16 round trip bit for bit, and falls back to
 //     entryFP32 otherwise — compact where possible, lossless always.
@@ -41,35 +38,28 @@ const (
 	// EncodingFP32 is the legacy v1 format: fixed 28-byte headers and
 	// full-precision features. The default.
 	EncodingFP32 Encoding = iota
-	// EncodingFP16 is the v2 format with every feature quantized to half
-	// precision (lossy, idempotent).
-	EncodingFP16
 	// EncodingFP16Exact is the v2 format with per-sample fallback to fp32:
 	// bitwise lossless for arbitrary data, compact for fp16-representable
 	// data.
 	EncodingFP16Exact
 )
 
-// ParseEncoding maps the flag spellings ("fp32", "fp16", "fp16exact") to an
+// ParseEncoding maps the flag spellings ("fp32", "fp16exact") to an
 // Encoding.
 func ParseEncoding(s string) (Encoding, error) {
 	switch s {
 	case "", "fp32":
 		return EncodingFP32, nil
-	case "fp16":
-		return EncodingFP16, nil
 	case "fp16exact":
 		return EncodingFP16Exact, nil
 	}
-	return EncodingFP32, fmt.Errorf("data: unknown sample encoding %q (want fp32, fp16, or fp16exact)", s)
+	return EncodingFP32, fmt.Errorf("data: unknown sample encoding %q (want fp32 or fp16exact)", s)
 }
 
 func (e Encoding) String() string {
 	switch e {
 	case EncodingFP32:
 		return "fp32"
-	case EncodingFP16:
-		return "fp16"
 	case EncodingFP16Exact:
 		return "fp16exact"
 	}
@@ -157,14 +147,8 @@ func AppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte {
 		dst = binary.AppendUvarint(dst, uint64(s.Label))
 		dst = binary.AppendUvarint(dst, uint64(s.Bytes))
 		dst = binary.AppendUvarint(dst, uint64(len(s.Features)))
-		if enc == EncodingFP16 {
-			for _, f := range s.Features {
-				dst = binary.LittleEndian.AppendUint16(dst, fp16FromF32(f))
-			}
-			continue
-		}
-		// EncodingFP16Exact: narrow on the assumption that the sample is
-		// representable, and roll the entry back to fp32 if it is not.
+		// Narrow on the assumption that the sample is representable, and
+		// roll the entry back to fp32 if it is not.
 		var exact bool
 		if dst, exact = appendFP16Exact(dst, s.Features); !exact {
 			dst[tagAt] = entryFP32
@@ -184,7 +168,7 @@ func (s Sample) WireSizeEnc(enc Encoding) int {
 		return s.WireSize()
 	}
 	width := 2
-	if enc == EncodingFP16Exact && !featuresFP16Representable(s.Features) {
+	if !featuresFP16Representable(s.Features) {
 		width = 4
 	}
 	return 1 + uvarintLen(uint64(s.ID)) + uvarintLen(uint64(s.Label)) +

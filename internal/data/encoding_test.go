@@ -11,7 +11,7 @@ import (
 
 // TestFP16RoundTripAllPatterns pins the identity fp16FromF32(fp16ToF32(h))
 // == h for every one of the 65536 half patterns — the property that makes
-// EncodingFP16 idempotent and the canonical-form check well defined.
+// fp16 rounding idempotent and the canonical-form check well defined.
 func TestFP16RoundTripAllPatterns(t *testing.T) {
 	for h := 0; h <= 0xffff; h++ {
 		f := fp16ToF32(uint16(h))
@@ -171,22 +171,23 @@ func TestEncFP16ExactCompactOnQuantizedData(t *testing.T) {
 	}
 }
 
-// TestEncFP16Idempotent: lossy fp16 applied twice equals once — the
-// property the dedup cache relies on for bitwise equivalence.
+// TestEncFP16Idempotent: fp16 rounding applied twice equals once — what makes
+// a QuantizeFeaturesFP16-preconditioned dataset travel compact AND bit-exact
+// under EncodingFP16Exact, however often a sample is re-sent.
 func TestEncFP16Idempotent(t *testing.T) {
 	samples := mkSamples(8, 16, 4, false)
-	once, err := DecodeSampleBatch(AppendSampleBatchEnc(nil, samples, EncodingFP16))
+	for _, s := range samples {
+		QuantizeFeaturesFP16(s.Features)
+	}
+	once, err := DecodeSampleBatch(AppendSampleBatchEnc(nil, samples, EncodingFP16Exact))
 	if err != nil {
 		t.Fatalf("first decode: %v", err)
 	}
-	twice, err := DecodeSampleBatch(AppendSampleBatchEnc(nil, once, EncodingFP16))
-	if err != nil {
-		t.Fatalf("second decode: %v", err)
-	}
-	for i := range twice {
-		for j := range twice[i].Features {
-			if math.Float32bits(twice[i].Features[j]) != math.Float32bits(once[i].Features[j]) {
-				t.Fatalf("sample %d feature %d: fp16 not idempotent", i, j)
+	for i, s := range once {
+		QuantizeFeaturesFP16(s.Features)
+		for j := range s.Features {
+			if math.Float32bits(s.Features[j]) != math.Float32bits(samples[i].Features[j]) {
+				t.Fatalf("sample %d feature %d: fp16 rounding not idempotent", i, j)
 			}
 		}
 	}
@@ -251,14 +252,16 @@ func appendUvarintBytes(b []byte, v uint64) []byte {
 
 // TestParseEncoding covers the flag spellings.
 func TestParseEncoding(t *testing.T) {
-	for s, want := range map[string]Encoding{"": EncodingFP32, "fp32": EncodingFP32, "fp16": EncodingFP16, "fp16exact": EncodingFP16Exact} {
+	for s, want := range map[string]Encoding{"": EncodingFP32, "fp32": EncodingFP32, "fp16exact": EncodingFP16Exact} {
 		got, err := ParseEncoding(s)
 		if err != nil || got != want {
 			t.Errorf("ParseEncoding(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseEncoding("zstd"); err == nil {
-		t.Errorf("ParseEncoding accepted unknown spelling")
+	for _, s := range []string{"zstd", "fp16"} { // "fp16" was the lossy mode's spelling
+		if _, err := ParseEncoding(s); err == nil {
+			t.Errorf("ParseEncoding accepted unknown spelling %q", s)
+		}
 	}
 }
 
@@ -268,19 +271,14 @@ func TestParseEncoding(t *testing.T) {
 // pass: classify each sample with fp16FromF32+fp16ToF32 on every feature,
 // then convert again. Kept verbatim as the byte-for-byte reference for
 // AppendSampleBatchEnc.
-func seedAppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte {
+func seedAppendSampleBatchEnc(dst []byte, samples []Sample) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(samples))|batchV2Flag)
 	for _, s := range samples {
-		tag := entryFP32
-		if enc == EncodingFP16 {
-			tag = entryFP16
-		} else {
-			tag = entryFP16
-			for _, f := range s.Features {
-				if !fp16Representable(f) {
-					tag = entryFP32
-					break
-				}
+		tag := entryFP16
+		for _, f := range s.Features {
+			if !fp16Representable(f) {
+				tag = entryFP32
+				break
 			}
 		}
 		dst = append(dst, tag)
@@ -306,28 +304,23 @@ func seedAppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte
 // to the input bits.
 func checkAgainstSeedEncoder(t *testing.T, what string, samples []Sample) {
 	t.Helper()
-	for _, enc := range []Encoding{EncodingFP16Exact, EncodingFP16} {
-		want := seedAppendSampleBatchEnc(nil, samples, enc)
-		got := AppendSampleBatchEnc([]byte{0xee}, samples, enc)
-		if got[0] != 0xee || !bytes.Equal(got[1:], want) {
-			t.Fatalf("%s, %v: fused encoder bytes differ from the seed encoder's", what, enc)
-		}
-		if n := SampleBatchWireSizeEnc(samples, enc); n != len(want) {
-			t.Fatalf("%s, %v: SampleBatchWireSizeEnc = %d, encoded %d", what, enc, n, len(want))
-		}
-		if enc != EncodingFP16Exact {
-			continue
-		}
-		dec, err := DecodeSampleBatch(want)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", what, err)
-		}
-		for i, s := range samples {
-			for j, f := range s.Features {
-				if math.Float32bits(dec[i].Features[j]) != math.Float32bits(f) {
-					t.Fatalf("%s: sample %d feature %d: %#08x decoded as %#08x", what, i, j,
-						math.Float32bits(f), math.Float32bits(dec[i].Features[j]))
-				}
+	want := seedAppendSampleBatchEnc(nil, samples)
+	got := AppendSampleBatchEnc([]byte{0xee}, samples, EncodingFP16Exact)
+	if got[0] != 0xee || !bytes.Equal(got[1:], want) {
+		t.Fatalf("%s: fused encoder bytes differ from the seed encoder's", what)
+	}
+	if n := SampleBatchWireSizeEnc(samples, EncodingFP16Exact); n != len(want) {
+		t.Fatalf("%s: SampleBatchWireSizeEnc = %d, encoded %d", what, n, len(want))
+	}
+	dec, err := DecodeSampleBatch(want)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", what, err)
+	}
+	for i, s := range samples {
+		for j, f := range s.Features {
+			if math.Float32bits(dec[i].Features[j]) != math.Float32bits(f) {
+				t.Fatalf("%s: sample %d feature %d: %#08x decoded as %#08x", what, i, j,
+					math.Float32bits(f), math.Float32bits(dec[i].Features[j]))
 			}
 		}
 	}

@@ -44,8 +44,8 @@ func FuzzDecodeSampleBatch(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0})                      // count 1, no sample bytes
 	f.Add(append([]byte{2, 0, 0, 0}, make([]byte, 28)...)) // count 2, one header
 	// v2 seeds: compact fp16 entries, mixed fp32 fallback, empty batch.
-	f.Add(AppendSampleBatchEnc(nil, nil, EncodingFP16))
-	f.Add(AppendSampleBatchEnc(nil, []Sample{{ID: 7, Label: 1, Features: []float32{0.5}, Bytes: 10}}, EncodingFP16))
+	f.Add(AppendSampleBatchEnc(nil, nil, EncodingFP16Exact))
+	f.Add(AppendSampleBatchEnc(nil, []Sample{{ID: 7, Label: 1, Features: []float32{0.5}, Bytes: 10}}, EncodingFP16Exact))
 	f.Add(AppendSampleBatchEnc(nil, []Sample{
 		{ID: 1, Label: 0, Features: []float32{0.25, -2}, Bytes: 4},
 		{ID: 2, Label: 3, Features: nil, Bytes: 0},

@@ -57,7 +57,7 @@ type Options struct {
 	Seed        uint64
 	// OverlapGrads selects the bucketed non-blocking gradient all-reduce
 	// that pipelines with backward (train.Config.OverlapGrads); false runs
-	// the serial flat ring, the A/B baseline. Results are bitwise identical
+	// one ring over the whole model after backward, the A/B baseline. Results are bitwise identical
 	// either way, so the flag is purely a performance choice.
 	OverlapGrads bool
 
@@ -70,7 +70,7 @@ type Options struct {
 	// Training results are bitwise identical; only wire volume changes.
 	WireDedup bool
 	// SampleEncoding selects the exchange sample wire format
-	// (train.Config.SampleEncoding): "" or "fp32", "fp16exact", "fp16".
+	// (train.Config.SampleEncoding): "" or "fp32", "fp16exact".
 	// Every rank must agree.
 	SampleEncoding string
 

@@ -52,7 +52,7 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.BoolVar(&o.OverlapGrads, "overlap-grads", o.OverlapGrads, "overlap the bucketed gradient all-reduce with backward (false = serial flat ring, the A/B baseline; weights are bitwise identical either way)")
 	fs.BoolVar(&o.WireCompress, "wire-compress", o.WireCompress, "multi-process worlds: compress large data frames on the TCP transport (negotiated per connection; ranks with it off interoperate)")
 	fs.BoolVar(&o.WireDedup, "wire-dedup", o.WireDedup, "deduplicate exchange sample payloads: repeat samples travel as compact ID references (bitwise-identical training, fewer wire bytes)")
-	fs.StringVar(&o.SampleEncoding, "sample-encoding", o.SampleEncoding, "exchange sample wire format: fp32 (default, bit-exact), fp16exact (compact where bitwise lossless), fp16 (lossy half-precision)")
+	fs.StringVar(&o.SampleEncoding, "sample-encoding", o.SampleEncoding, "exchange sample wire format: fp32 (default) or fp16exact (compact where bitwise lossless, fp32 otherwise)")
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "run seed")
 	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "exit non-zero instead of hanging if the run makes no progress for this long (0 = no watchdog)")
 	fs.StringVar(&o.OnPeerFail, "on-peer-fail", o.OnPeerFail, "multi-process worlds: policy when a peer rank dies mid-run — abort (fail fast, naming the dead rank) or degrade (survivors finish with a reduced effective Q)")

@@ -70,11 +70,11 @@ func scaleAvg[T Number](s []T, size int) {
 // transport clones (inproc) or serialises (wire backends) before Send
 // returns go as they are; the rest would be delivered by reference on a
 // shared-memory backend, so they are copied first.
-func isendBuf[T any](c *Comm, dest, tag int, s []T) {
+func isendBuf[T any](c *Comm, dest, tag int, s []T) int64 {
 	if !transport.CloneCovers(any(s)) {
 		s = append([]T(nil), s...)
 	}
-	c.isendInternal(dest, tag, s)
+	return c.isendInternal(dest, tag, s)
 }
 
 // release returns a payload received on an internal collective tag to the
@@ -196,25 +196,18 @@ func Reduce[T Number](c *Comm, buf []T, op Op, root int) {
 // (reduce-scatter followed by allgather). Works for any world size,
 // including sizes that do not divide the buffer length.
 func Allreduce[T Number](c *Comm, buf []T, op Op) {
-	size := c.GroupSize()
-	if size == 1 {
-		return
-	}
-	ringAllreduce(c, buf, op, c.nextSeq(), c.defaultBounds(len(buf)), false)
+	AllreduceWire(c, buf, op)
 }
 
 // AllreduceWire is Allreduce with exact byte accounting: it returns the
 // number of wire bytes this rank sent and received for the reduction
-// (frame headers included, via transport.FrameWireSize). On non-wire
-// backends (inproc) both counts are zero. The trainer's flat gradient-sync
-// path uses it so TCP runs attribute all-reduce traffic in the trace.
+// (frame headers included). On non-wire backends (inproc) both counts are
+// zero.
 func AllreduceWire[T Number](c *Comm, buf []T, op Op) (sent, recv int64) {
-	size := c.GroupSize()
-	if size == 1 {
+	if c.GroupSize() == 1 {
 		return 0, 0
 	}
-	wire := c.conn.Stats().Wire
-	return ringAllreduce(c, buf, op, c.nextSeq(), c.defaultBounds(len(buf)), wire)
+	return ringAllreduce(c, buf, op, c.nextSeq(), c.defaultBounds(len(buf)))
 }
 
 // defaultBounds fills the Comm's reusable bounds table with the canonical
@@ -256,25 +249,19 @@ func fillDefaultBounds(bounds []int, n, size int) {
 // This is what lets the bucketed non-blocking path (IAllreduceChunks with
 // inherited flat bounds) reproduce the flat path bit for bit.
 //
-// When wire is true, the returned sent/recv totals are the exact frame
-// bytes this rank moved (transport.FrameWireSize per non-empty chunk).
+// On a wire backend the returned sent/recv totals are the exact frame bytes
+// this rank moved — what Send returned and what each received frame's
+// Status.Wire carried; on inproc both are zero.
 // The function is safe to run on a non-owner goroutine as long as seq was
 // reserved by the owning goroutine and bounds is not mutated while it
 // runs: the mailbox and both transport backends are concurrency-safe, and
 // internal tags derived from seq never collide with other collectives.
-func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wire bool) (sent, recv int64) {
+func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int) (sent, recv int64) {
 	size, rank := c.GroupSize(), c.gidx
 	chunk := func(i int) []T { i = ((i % size) + size) % size; return buf[bounds[i]:bounds[i+1]] }
 
 	// Ring segments go out as sub-slices of buf (see isendBuf), so later
 	// steps may mutate buf freely.
-	sendChunk := func(dest, tag int, s []T) {
-		if wire {
-			sent += transport.FrameWireSize(any(s))
-		}
-		isendBuf(c, dest, tag, s)
-	}
-
 	right := c.worldRank((rank + 1) % size)
 	left := c.worldRank((rank - 1 + size) % size)
 
@@ -288,13 +275,11 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wir
 			req = c.irecvInternal(left, collTag(seq, step))
 		}
 		if len(chunk(sendIdx)) > 0 {
-			sendChunk(right, collTag(seq, step), chunk(sendIdx))
+			sent += isendBuf(c, right, collTag(seq, step), chunk(sendIdx))
 		}
 		if req != nil {
-			payload, _ := c.collWait(req)
-			if wire {
-				recv += transport.FrameWireSize(payload)
-			}
+			payload, st := c.collWait(req)
+			recv += st.Wire
 			reduceInto(chunk(recvIdx), payload.([]T), op)
 			release(payload)
 		}
@@ -311,51 +296,19 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int, wir
 			req = c.irecvInternal(left, collTag(seq, size+step))
 		}
 		if len(chunk(sendIdx)) > 0 {
-			sendChunk(right, collTag(seq, size+step), chunk(sendIdx))
+			sent += isendBuf(c, right, collTag(seq, size+step), chunk(sendIdx))
 		}
 		if req != nil {
-			payload, _ := c.collWait(req)
-			if wire {
-				recv += transport.FrameWireSize(payload)
-			}
+			payload, st := c.collWait(req)
+			recv += st.Wire
 			copy(chunk(recvIdx), payload.([]T))
 			release(payload)
 		}
 	}
+	if !c.wire {
+		return 0, 0
+	}
 	return sent, recv
-}
-
-// AllreduceNaive gathers every buffer to rank 0, reduces there, and
-// broadcasts the result. It exists as the ablation baseline for the ring
-// algorithm (DESIGN.md: BenchmarkAblationAllreduce).
-func AllreduceNaive[T Number](c *Comm, buf []T, op Op) {
-	seq := c.nextSeq()
-	size, rank := c.GroupSize(), c.gidx
-	if size == 1 {
-		return
-	}
-	if rank == 0 {
-		reqs := make([]*Request, size-1)
-		for r := 1; r < size; r++ {
-			reqs[r-1] = c.irecvInternal(c.worldRank(r), collTag(seq, 0))
-		}
-		for _, req := range reqs {
-			payload, _ := c.collWait(req)
-			reduceInto(buf, payload.([]T), op)
-			release(payload)
-		}
-		if op == OpAvg {
-			scaleAvg(buf, size)
-		}
-		for r := 1; r < size; r++ {
-			isendBuf(c, c.worldRank(r), collTag(seq, 1), buf)
-		}
-	} else {
-		isendBuf(c, c.worldRank(0), collTag(seq, 0), buf)
-		payload, _ := c.collWait(c.irecvInternal(c.worldRank(0), collTag(seq, 1)))
-		copy(buf, payload.([]T))
-		release(payload)
-	}
 }
 
 // Gather collects each group member's send buffer at root. At root the

@@ -1,5 +1,81 @@
 package mpi
 
+// Library code that only tests and benchmarks call, kept beside them: the
+// naive all-reduce the ring is compared against, the default-partition
+// IAllreduce (the trainer always passes its own chunk bounds), and the
+// wait-for-all helpers. Exported here so the external mpi_test package sees
+// them too.
+
 // RaceEnabled lets the external test package skip allocation gates under
 // the race detector (see raceEnabled).
 const RaceEnabled = raceEnabled
+
+// AllreduceNaive gathers every buffer to rank 0, reduces there, and
+// broadcasts the result. It exists as the ablation baseline for the ring
+// algorithm (DESIGN.md: BenchmarkAblationAllreduce).
+func AllreduceNaive[T Number](c *Comm, buf []T, op Op) {
+	seq := c.nextSeq()
+	size, rank := c.GroupSize(), c.gidx
+	if size == 1 {
+		return
+	}
+	if rank == 0 {
+		reqs := make([]*Request, size-1)
+		for r := 1; r < size; r++ {
+			reqs[r-1] = c.irecvInternal(c.worldRank(r), collTag(seq, 0))
+		}
+		for _, req := range reqs {
+			payload, _ := c.collWait(req)
+			reduceInto(buf, payload.([]T), op)
+			release(payload)
+		}
+		if op == OpAvg {
+			scaleAvg(buf, size)
+		}
+		for r := 1; r < size; r++ {
+			isendBuf(c, c.worldRank(r), collTag(seq, 1), buf)
+		}
+	} else {
+		isendBuf(c, c.worldRank(0), collTag(seq, 0), buf)
+		payload, _ := c.collWait(c.irecvInternal(c.worldRank(0), collTag(seq, 1)))
+		copy(buf, payload.([]T))
+		release(payload)
+	}
+}
+
+// IAllreduce starts a non-blocking element-wise reduction of buf across
+// all ranks, using the same ring algorithm (and therefore the same
+// per-element reduction order — bitwise-identical results) as the blocking
+// Allreduce. The caller must not touch buf until Wait returns.
+//
+// Every rank must launch its collectives (blocking and non-blocking alike)
+// in the same program order; the internal tag space is derived from that
+// shared order, so any number of IAllreduce operations may be in flight
+// concurrently, and may overlap blocking collectives, without cross-talk.
+func IAllreduce[T Number](c *Comm, buf []T, op Op) *CollRequest {
+	size := c.GroupSize()
+	if size == 1 {
+		return completedCollRequest()
+	}
+	bounds := make([]int, size+1)
+	fillDefaultBounds(bounds, len(buf), size)
+	return iallreduce(c, buf, op, bounds)
+}
+
+// WaitAllColl waits for every request in reqs (nil entries allowed).
+func WaitAllColl(reqs []*CollRequest) {
+	for _, r := range reqs {
+		if r != nil {
+			r.Wait()
+		}
+	}
+}
+
+// WaitAll waits for every request in reqs.
+func WaitAll(reqs []*Request) {
+	for _, r := range reqs {
+		if r != nil {
+			r.Wait()
+		}
+	}
+}

@@ -311,7 +311,7 @@ func TestSendPeerAware(t *testing.T) {
 		for len(c.FailedPeers()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		pe := c.SendPeerAware(1, 5, []int64{1})
+		_, pe := c.SendPeerAware(1, 5, []int64{1})
 		if pe == nil || pe.Rank != 1 {
 			t.Errorf("SendPeerAware to dead rank = %v, want peer error for rank 1", pe)
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // CollRequest represents an in-flight non-blocking collective operation
-// (IAllreduce / IAllreduceChunks). The operation progresses on a dedicated
+// (IAllreduceChunks). The operation progresses on a dedicated
 // goroutine; Wait blocks the caller until it completes. Unlike the
 // point-to-point Request, a CollRequest also carries the operation's exact
 // wire-byte accounting and its in-flight wall-clock, which is what lets
@@ -76,26 +76,15 @@ func (r *CollRequest) WireBytes() (sent, recv int64) { return r.sent, r.recv }
 // communication.
 func (r *CollRequest) Elapsed() time.Duration { return r.elapsed }
 
-// IAllreduce starts a non-blocking element-wise reduction of buf across
-// all ranks, using the same ring algorithm (and therefore the same
-// per-element reduction order — bitwise-identical results) as the blocking
-// Allreduce. The caller must not touch buf until Wait returns.
+// IAllreduceChunks starts a non-blocking element-wise reduction of buf
+// across the collective group over a caller-supplied chunk partition, using
+// the same ring algorithm as the blocking Allreduce. The caller must not
+// touch buf until Wait returns. Every rank must launch its collectives
+// (blocking and non-blocking alike) in the same program order; the internal
+// tag space is derived from that shared order, so any number of them may be
+// in flight concurrently, and may overlap blocking collectives, without
+// cross-talk.
 //
-// Every rank must launch its collectives (blocking and non-blocking alike)
-// in the same program order; the internal tag space is derived from that
-// shared order, so any number of IAllreduce operations may be in flight
-// concurrently, and may overlap blocking collectives, without cross-talk.
-func IAllreduce[T Number](c *Comm, buf []T, op Op) *CollRequest {
-	size := c.GroupSize()
-	if size == 1 {
-		return completedCollRequest()
-	}
-	bounds := make([]int, size+1)
-	fillDefaultBounds(bounds, len(buf), size)
-	return iallreduce(c, buf, op, bounds)
-}
-
-// IAllreduceChunks is IAllreduce with a caller-supplied chunk partition:
 // bounds must have length Size()+1, be non-decreasing, and span
 // [0, len(buf)] (bounds[0] = 0, bounds[Size()] = len(buf)); it must be
 // identical on every rank and must not be mutated while the operation is
@@ -140,7 +129,6 @@ func iallreduce[T Number](c *Comm, buf []T, op Op, bounds []int) *CollRequest {
 		started: time.Now(),
 	}
 	seq := c.nextSeq()
-	wire := c.conn.Stats().Wire
 	c.inflightColl.Add(1)
 	go func() {
 		defer func() {
@@ -151,16 +139,7 @@ func iallreduce[T Number](c *Comm, buf []T, op Op, bounds []int) *CollRequest {
 			c.inflightColl.Add(-1)
 			close(req.done)
 		}()
-		req.sent, req.recv = ringAllreduce(c, buf, op, seq, bounds, wire)
+		req.sent, req.recv = ringAllreduce(c, buf, op, seq, bounds)
 	}()
 	return req
-}
-
-// WaitAllColl waits for every request in reqs (nil entries allowed).
-func WaitAllColl(reqs []*CollRequest) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
 }

@@ -50,8 +50,7 @@ type Status struct {
 	Tag    int
 	// Wire is the exact number of bytes the message's frame occupied on the
 	// wire (compressed size if it traveled compressed; see transport.Frame).
-	// Zero for self-delivered messages and on backends that don't meter
-	// frames — callers fall back to transport.FrameWireSize then.
+	// Zero for self-delivered messages.
 	Wire int64
 }
 
@@ -142,15 +141,6 @@ func (r *Request) Test() (bool, any, Status) {
 		return true, r.payload, r.status
 	default:
 		return false, nil, Status{}
-	}
-}
-
-// WaitAll waits for every request in reqs.
-func WaitAll(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
 	}
 }
 
@@ -276,7 +266,11 @@ func (w *World) Comm(rank int) *Comm {
 // single-threaded-rank model); the runtime itself synchronizes cross-rank
 // delivery.
 type Comm struct {
-	conn    transport.Conn
+	conn transport.Conn
+	// wire records, once at construction, whether conn moves frames over real
+	// sockets (transport.Stats.Wire): the collectives' byte accounting reports
+	// only genuine network volume.
+	wire    bool
 	rank    int
 	size    int
 	mbox    mailbox
@@ -338,6 +332,7 @@ func Connect(dial func(transport.Handler) (transport.Conn, error)) (*Comm, error
 		return nil, fmt.Errorf("mpi: Connect: dial returned a nil connection")
 	}
 	c.conn = conn
+	c.wire = conn.Stats().Wire
 	c.rank = conn.Rank()
 	c.size = conn.Size()
 	c.gidx = c.rank
@@ -390,68 +385,49 @@ func (c *Comm) abort() {
 // of a collective that will never complete because a peer died.
 func (c *Comm) Abort() { c.abort() }
 
-// send pushes one frame into the transport, converting a transport failure
-// into a rank unwind (recovered by Run/Execute into an error). A typed peer
-// failure (dead destination) is scoped: it is recorded in the failure
-// registry and unwinds only this rank — never the whole in-process world —
-// so survivors keep running, which is what the graceful-degradation path
-// depends on. Other transport errors still abort.
-func (c *Comm) send(dest, tag int, payload any) {
-	if err := c.conn.Send(dest, tag, payload); err != nil {
-		if pe, ok := transport.AsPeerError(err); ok {
-			c.failures.note(*pe)
-			panic(transportFailure{err})
-		}
+// send pushes one frame into the transport and returns its wire size,
+// converting a transport failure into a rank unwind (recovered by Run/Execute
+// into an error). It is the one unwinding post, under Isend, Send and every
+// collective.
+func (c *Comm) send(dest, tag int, payload any) int64 {
+	wire, err := c.conn.Send(dest, tag, payload)
+	if err != nil {
+		c.sendFailed(err)
+		panic(transportFailure{err})
+	}
+	return wire
+}
+
+// sendFailed classifies a failed Send. A typed peer failure (dead
+// destination) is scoped: it is recorded in the failure registry and returned,
+// and never aborts the in-process world — so survivors keep running, which is
+// what the graceful-degradation path depends on. Any other transport error
+// aborts the world and unwinds the rank.
+func (c *Comm) sendFailed(err error) *transport.PeerError {
+	pe, ok := transport.AsPeerError(err)
+	if !ok {
 		c.abort()
 		panic(transportFailure{err})
 	}
-}
-
-// SendPeerAware sends payload to dest like Send, but a dead destination
-// surfaces as a returned *transport.PeerError instead of a rank unwind —
-// the sender-side twin of WaitPeerAware. Non-peer transport errors still
-// unwind. The exchange scheduler uses it so a send racing a peer's death
-// becomes a value it can degrade around.
-func (c *Comm) SendPeerAware(dest, tag int, payload any) *transport.PeerError {
-	_, pe := c.SendPeerAwareMetered(dest, tag, payload)
+	c.failures.note(*pe)
 	return pe
 }
 
-// SendPeerAwareMetered is SendPeerAware returning the exact number of wire
-// bytes the frame occupies (post-compression) when the transport meters
-// sends, or the deterministic FrameWireSize estimate otherwise; 0 for
-// self-sends. The exchange scheduler uses it so its byte accounting stays
-// exact even when the transport compresses frames underneath.
-func (c *Comm) SendPeerAwareMetered(dest, tag int, payload any) (int64, *transport.PeerError) {
+// SendPeerAware sends payload to dest like Send and returns the frame's exact
+// wire size (transport.Conn.Send's: post-compression on a compressing
+// backend, 0 for a self-send), but a dead destination surfaces as a returned
+// *transport.PeerError instead of a rank unwind — the sender-side twin of
+// WaitPeerAware, and the one value-returning post. Non-peer transport errors
+// still unwind. The exchange scheduler sends every frame through it, so a
+// send racing a peer's death is a value its failure policy decides about.
+func (c *Comm) SendPeerAware(dest, tag int, payload any) (int64, *transport.PeerError) {
 	c.checkRank(dest, "SendPeerAware")
 	c.checkUserTag(tag, "SendPeerAware")
-	n, err := c.sendMetered(dest, tag, payload)
+	wire, err := c.conn.Send(dest, tag, payload)
 	if err != nil {
-		if pe, ok := transport.AsPeerError(err); ok {
-			c.failures.note(*pe)
-			return 0, pe
-		}
-		c.abort()
-		panic(transportFailure{err})
+		return 0, c.sendFailed(err)
 	}
-	return n, nil
-}
-
-// sendMetered pushes one frame and reports its exact wire size when the
-// outermost transport meters sends (transport.MeteredSender); otherwise it
-// falls back to Send plus the deterministic FrameWireSize estimate (exact
-// on uncompressed backends). Self-sends report 0 — they never touch a wire.
-func (c *Comm) sendMetered(dest, tag int, payload any) (int64, error) {
-	if ms, ok := transport.AsMeteredSender(c.conn); ok {
-		return ms.SendMetered(dest, tag, payload)
-	}
-	if err := c.conn.Send(dest, tag, payload); err != nil {
-		return 0, err
-	}
-	if dest == c.rank {
-		return 0, nil
-	}
-	return transport.FrameWireSize(payload), nil
+	return wire, nil
 }
 
 // Isend starts a non-blocking send of payload to rank dest with the given
@@ -464,24 +440,6 @@ func (c *Comm) Isend(dest, tag int, payload any) *Request {
 	c.checkUserTag(tag, "Isend")
 	c.send(dest, tag, payload)
 	return completedRequest()
-}
-
-// IsendMetered is Isend returning the exact number of wire bytes the frame
-// occupies (post-compression) when the transport meters sends, or the
-// deterministic FrameWireSize estimate otherwise; 0 for self-sends.
-func (c *Comm) IsendMetered(dest, tag int, payload any) (*Request, int64) {
-	c.checkRank(dest, "IsendMetered")
-	c.checkUserTag(tag, "IsendMetered")
-	n, err := c.sendMetered(dest, tag, payload)
-	if err != nil {
-		if pe, ok := transport.AsPeerError(err); ok {
-			c.failures.note(*pe)
-			panic(transportFailure{err})
-		}
-		c.abort()
-		panic(transportFailure{err})
-	}
-	return completedRequest(), n
 }
 
 // Irecv posts a non-blocking receive matching the given source (or
@@ -550,9 +508,9 @@ func (c *Comm) checkUserTag(tag int, op string) {
 }
 
 // isendInternal bypasses the user-tag check for collective traffic.
-func (c *Comm) isendInternal(dest, tag int, payload any) {
+func (c *Comm) isendInternal(dest, tag int, payload any) int64 {
 	c.checkRank(dest, "isendInternal")
-	c.send(dest, tag, payload)
+	return c.send(dest, tag, payload)
 }
 
 func (c *Comm) irecvInternal(src, tag int) *Request {

@@ -603,8 +603,14 @@ func BenchmarkAllreduceNaive8x4096(b *testing.B) {
 	benchAllreduce(b, 8, 4096, true)
 }
 
+// BenchmarkAblationAllreduceRing/Naive time the two gradient-reduction
+// algorithms at a model-gradient-sized buffer (DESIGN.md §5).
+func BenchmarkAblationAllreduceRing(b *testing.B)  { benchAllreduce(b, 8, 65536, false) }
+func BenchmarkAblationAllreduceNaive(b *testing.B) { benchAllreduce(b, 8, 65536, true) }
+
 func benchAllreduce(b *testing.B, size, n int, naive bool) {
 	b.ReportAllocs()
+	b.SetBytes(int64(4 * n))
 	for i := 0; i < b.N; i++ {
 		err := Run(size, func(c *Comm) error {
 			buf := make([]float32, n)

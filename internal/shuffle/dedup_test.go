@@ -118,7 +118,7 @@ func TestDedupMultiEpochEquivalence(t *testing.T) {
 		{"m2-fp32", 2, 1.0, data.EncodingFP32},
 		{"m2-fp16exact", 2, 1.0, data.EncodingFP16Exact},
 		{"m4-fp32", 4, 0.5, data.EncodingFP32},
-		{"m4-fp16", 4, 0.5, data.EncodingFP16},
+		{"m4-fp16exact", 4, 0.5, data.EncodingFP16Exact},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, epochs, seed = 64, 8, 17
@@ -240,7 +240,7 @@ func TestSetWireDedupLifecycle(t *testing.T) {
 		if err := sched.SetWireDedup(0); err == nil {
 			return fmt.Errorf("SetWireDedup accepted mid-epoch reconfiguration")
 		}
-		if err := sched.SetSampleEncoding(data.EncodingFP16); err == nil {
+		if err := sched.SetSampleEncoding(data.EncodingFP16Exact); err == nil {
 			return fmt.Errorf("SetSampleEncoding accepted mid-epoch reconfiguration")
 		}
 		sched.Reset()

@@ -3,8 +3,6 @@ package shuffle
 import (
 	"fmt"
 
-	"plshuffle/internal/data"
-	"plshuffle/internal/mpi"
 	"plshuffle/internal/rng"
 )
 
@@ -59,42 +57,6 @@ func PlanExchange(rank, size int, localIDs []int, q float64, totalN int, seed ui
 		plan.Dests[i] = destPerm[rank]
 	}
 	return plan, nil
-}
-
-// ExchangeResult reports what one epoch's exchange moved.
-type ExchangeResult struct {
-	SentIDs  []int
-	Received []data.Sample
-}
-
-// Execute runs the plan synchronously over the communicator: it posts all
-// non-blocking sends and ANY_SOURCE receives (lines 4-5 of Algorithm 1),
-// then waits for completion (line 7). lookup resolves a local sample ID to
-// its sample (typically store.Local.Get). The per-epoch message tag keeps
-// epochs separated.
-//
-// Execute is the bulk (non-overlapped) variant; the Scheduler chunk-wise
-// variant interleaves the same traffic with training iterations.
-func (p ExchangePlan) Execute(c *mpi.Comm, lookup func(id int) (data.Sample, error)) (ExchangeResult, error) {
-	res := ExchangeResult{SentIDs: append([]int(nil), p.SendIDs...)}
-	recvReqs := make([]*mpi.Request, p.Slots())
-	for i, id := range p.SendIDs {
-		s, err := lookup(id)
-		if err != nil {
-			return ExchangeResult{}, fmt.Errorf("shuffle: Execute: looking up sample %d: %w", id, err)
-		}
-		c.Isend(p.Dests[i], ExchangeTag(p.Epoch), s.Encode())
-		recvReqs[i] = c.Irecv(mpi.AnySource, ExchangeTag(p.Epoch))
-	}
-	for _, req := range recvReqs {
-		payload, _ := req.Wait()
-		s, err := data.DecodeSample(payload.([]byte))
-		if err != nil {
-			return ExchangeResult{}, fmt.Errorf("shuffle: Execute: decoding received sample: %w", err)
-		}
-		res.Received = append(res.Received, s)
-	}
-	return res, nil
 }
 
 // ExchangeTag is the user tag of epoch's sample exchange traffic: the raw

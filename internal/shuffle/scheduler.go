@@ -91,13 +91,16 @@ type Scheduler struct {
 	// (the Section IV-B importance-sampling extension).
 	sendPriority map[int]float64
 
-	// Graceful degradation (DESIGN.md §10). When degrade is set, a peer
-	// failure observed during the exchange does not unwind the rank:
-	// the scheduler cancels the dead rank's slots — send slots toward it
-	// are retained locally, inbound slots from it are forfeited (capped by
-	// what already arrived) — and the epoch completes with a reduced
-	// effective exchange fraction. The Q spectrum is what makes this
-	// principled: a smaller realized Q is still a valid PLS configuration.
+	// Failure policy (DESIGN.md §10): every exchange frame goes out through
+	// SendPeerAware and every blocking drain waits in WaitPeerAware, so a peer
+	// death always reaches the scheduler as a *transport.PeerError value, and
+	// peerFailed is the one place that decides about it. With degrade set the
+	// scheduler cancels the dead rank's slots — send slots toward it are
+	// retained locally, inbound slots from it are forfeited (capped by what
+	// already arrived) — and the epoch completes with a reduced effective
+	// exchange fraction: a smaller realized Q is still a valid PLS
+	// configuration. Without it (abort, the default) the typed error is
+	// returned to the caller.
 	degrade  bool
 	dead     map[int]bool // ranks this scheduler treats as dead
 	senders  []int        // per-slot inbound source (lazy, built on first death)
@@ -316,10 +319,11 @@ func (s *Scheduler) Scheduling(epoch int) error {
 }
 
 // SetDegradeOnPeerFailure selects the scheduler's failure policy. With
-// degrade on, a *transport.PeerError observed while sending or draining
-// the exchange is absorbed (the epoch completes over the survivors, with
-// DegradedSlots accounting the canceled traffic); with it off (the
-// default) the failure unwinds the rank like any other transport error.
+// degrade on, a peer death observed while sending or draining the exchange
+// is absorbed (the epoch completes over the survivors, with DegradedSlots
+// accounting the canceled traffic); with it off (the default) the operation
+// that observed it returns an error carrying the *transport.PeerError
+// (mpi.PeerErrorFrom), within the transport's peer timeout.
 func (s *Scheduler) SetDegradeOnPeerFailure(on bool) { s.degrade = on }
 
 // DeadRanks returns the sorted ranks this scheduler has absorbed as dead.
@@ -361,22 +365,41 @@ func (s *Scheduler) setDegraded(sendSlots, recvSlots int) {
 	s.effQ.Store(math.Float64bits(eff))
 }
 
-// absorbFailure marks rank dead and rebuilds the epoch's receive
-// expectation around the survivors. It first scoops any frames that
-// already landed (they may carry the dead rank's last samples), so the
-// forfeit count is no larger than necessary.
-func (s *Scheduler) absorbFailure(rank int) error {
+// peerFailed is the scheduler's one decision about a peer death, however it
+// was observed (the failure registry, a send, the blocking drain). Under the
+// abort policy the typed error goes back to the caller. Under degrade the
+// death is absorbed: rank is marked dead and the epoch's receive expectation
+// rebuilt around the survivors — after scooping any frames that already
+// landed (they may carry the dead rank's last samples), so the forfeit count
+// is no larger than necessary.
+func (s *Scheduler) peerFailed(pe *transport.PeerError) error {
+	if !s.degrade {
+		return fmt.Errorf("shuffle: epoch %d exchange: %w", s.ObservedEpoch(), pe)
+	}
 	if s.dead == nil {
 		s.dead = make(map[int]bool)
 	}
-	if s.dead[rank] {
+	if s.dead[pe.Rank] {
 		return nil
 	}
-	s.dead[rank] = true
-	if err := s.drainLanded(); err != nil {
-		return err
+	s.dead[pe.Rank] = true
+	if s.state == stateScheduled {
+		if err := s.drainLanded(); err != nil {
+			return err
+		}
 	}
 	s.recomputeExpectation()
+	return nil
+}
+
+// notePeerFailures runs peerFailed over every death the transport has
+// reported (one it has already absorbed is a no-op there).
+func (s *Scheduler) notePeerFailures() error {
+	for _, r := range s.comm.FailedPeers() {
+		if err := s.peerFailed(s.comm.PeerFailure(r)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -458,16 +481,10 @@ func (s *Scheduler) Communicate(n int) (int, error) {
 	if s.state != stateScheduled {
 		return 0, fmt.Errorf("shuffle: Communicate called without a scheduled epoch")
 	}
-	if s.degrade {
-		// Absorb deaths the transport detected since the last call, so the
-		// send loop below never aims at a known-dead rank.
-		for _, r := range s.comm.FailedPeers() {
-			if !s.dead[r] {
-				if err := s.absorbFailure(r); err != nil {
-					return 0, err
-				}
-			}
-		}
+	// Deaths the transport detected since the last call are decided first, so
+	// the send loop below never aims at a known-dead rank.
+	if err := s.notePeerFailures(); err != nil {
+		return 0, err
 	}
 	end := s.plan.Slots()
 	if n >= 0 && s.posted+n < end {
@@ -608,25 +625,17 @@ func (s *Scheduler) shipBatch(dest int) error {
 var emptyBatchFrame = transport.FrameWireSize([]byte(nil)) + 4
 
 // sendExchangeFrame posts one frame of the current epoch's exchange toward
-// dest and returns its metered wire size. Under degraded operation a peer
-// death is absorbed in place and reported via dead=true so the caller skips
-// the rest of this destination's work — the pair's dedup state is moot once
-// the peer is gone (InvalidateDedup clears it during recovery anyway).
+// dest and returns its wire size. A destination that died under the send is
+// handed to peerFailed; when that absorbs it, dead=true tells the caller to
+// skip the rest of this destination's work — the batch's samples are retained
+// (the receiver is gone, so the local copies are the only ones among
+// survivors) and the pair's dedup state is moot (InvalidateDedup clears it
+// during recovery anyway).
 func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead bool, err error) {
-	if s.degrade {
-		n, pe := s.comm.SendPeerAwareMetered(dest, ExchangeTag(s.ObservedEpoch()), payload)
-		if pe != nil {
-			// The destination died under the send: absorb and retain this
-			// batch's samples (the receiver is gone, so the local copies are
-			// the only ones among survivors).
-			if aerr := s.absorbFailure(pe.Rank); aerr != nil {
-				return 0, true, aerr
-			}
-			return 0, true, nil
-		}
-		return n, false, nil
+	n, pe := s.comm.SendPeerAware(dest, ExchangeTag(s.ObservedEpoch()), payload)
+	if pe != nil {
+		return 0, true, s.peerFailed(pe)
 	}
-	_, n := s.comm.IsendMetered(dest, ExchangeTag(s.ObservedEpoch()), payload)
 	return n, false, nil
 }
 
@@ -643,12 +652,12 @@ func (s *Scheduler) drainReceives(block bool) error {
 		}
 		var payload any
 		var st mpi.Status
-		if block && s.degrade {
-			// The peer-aware wait: a death the scheduler has not yet
-			// absorbed surfaces as a value (the receive is withdrawn), the
-			// plan degrades around it, and the drain continues toward the
-			// reduced expectation — instead of blocking forever on a sender
-			// that will never speak again.
+		if block {
+			// The peer-aware wait: a death the scheduler has not decided about
+			// yet surfaces as a value (the receive is withdrawn) instead of
+			// blocking forever on a sender that will never speak again. Under
+			// degrade the plan shrinks around it and the drain continues toward
+			// the reduced expectation; under abort the error is returned.
 			p, pst, err := s.comm.WaitPeerAware(s.pending, func(r int) bool { return s.dead[r] })
 			if err != nil {
 				s.pending = nil
@@ -656,14 +665,12 @@ func (s *Scheduler) drainReceives(block bool) error {
 				if !ok {
 					return err
 				}
-				if aerr := s.absorbFailure(pe.Rank); aerr != nil {
-					return aerr
+				if err := s.peerFailed(pe); err != nil {
+					return err
 				}
 				continue
 			}
 			payload, st = p, pst
-		} else if block {
-			payload, st = s.pending.Wait()
 		} else {
 			ok, p, pst := s.pending.Test()
 			if !ok {
@@ -728,11 +735,7 @@ func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
 	}
 	s.recvFrom[st.Source] += n
 	if st.Source != s.comm.Rank() {
-		w := st.Wire
-		if w <= 0 {
-			w = transport.FrameWireSize(payload)
-		}
-		s.wireRecv.Add(w)
+		s.wireRecv.Add(st.Wire)
 	}
 	if s.dead[st.Source] {
 		// A dead sender's straggler landed after its slots were forfeited:
@@ -833,28 +836,16 @@ func (s *Scheduler) CleanLocalStorage() error {
 	if s.state != stateSynchronized {
 		return fmt.Errorf("shuffle: CleanLocalStorage called before Synchronize")
 	}
-	if s.degrade {
-		// Deleting a sent sample is the irreversible step of the exchange:
-		// once a death is known, samples shipped to the dead rank must be
-		// retained (the receiver died holding the only other copy). Absorb
-		// every death the transport has reported up to this moment, so the
-		// retention decision below uses the freshest knowledge. A death
-		// detected only after this commit point loses the samples the dead
-		// rank had already received — exactly the semantics of a node dying
-		// with its share of the data.
-		changed := false
-		for _, r := range s.comm.FailedPeers() {
-			if !s.dead[r] {
-				if s.dead == nil {
-					s.dead = make(map[int]bool)
-				}
-				s.dead[r] = true
-				changed = true
-			}
-		}
-		if changed {
-			s.recomputeExpectation() // refresh the DegradedSlots accounting
-		}
+	// Deleting a sent sample is the irreversible step of the exchange: once a
+	// death is known, samples shipped to the dead rank must be retained (the
+	// receiver died holding the only other copy). Every death the transport
+	// has reported up to this moment is decided first, so the retention
+	// decision below uses the freshest knowledge (and the abort policy stops
+	// before anything is deleted). A death detected only after this commit
+	// point loses the samples the dead rank had already received — exactly the
+	// semantics of a node dying with its share of the data.
+	if err := s.notePeerFailures(); err != nil {
+		return err
 	}
 	if s.sentScratch == nil {
 		s.sentScratch = make(map[int]bool, len(s.plan.SendIDs))

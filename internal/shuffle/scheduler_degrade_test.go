@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/store"
 	"plshuffle/internal/transport"
+	"plshuffle/internal/transport/tcp"
+	"plshuffle/internal/transport/transporttest"
 )
 
 // killComm abruptly removes the rank from its world (fault injection).
@@ -372,4 +375,175 @@ func TestDegradeHierarchical(t *testing.T) {
 		t.Fatal(err)
 	}
 	survivorConservation(t, stores, deadRank, heldBefore)
+}
+
+// TestPeerFailurePolicy is the policy matrix: {abort, degrade} × the moment
+// the victim dies × {inproc, TCP with distrun's heartbeat settings}. Whatever
+// the moment, the death reaches the scheduler as one *transport.PeerError and
+// the policy is its one decision about it:
+//
+//   - abort: every survivor's epoch returns an error that carries the peer
+//     error and names the victim (mpi.PeerErrorFrom), promptly, with its store
+//     untouched — including the survivor that had posted all its sends and was
+//     blocked in Synchronize waiting for frames the victim never sent;
+//   - degrade: the epoch and the one after it complete over the survivors, and
+//     no survivor-held sample is lost or duplicated.
+//
+// Ranks run on per-rank communicators (no world abort), so each survivor has
+// to see the death by itself, as separate processes would.
+func TestPeerFailurePolicy(t *testing.T) {
+	const n, m, q, seed, victim = 160, 4, 0.5, 4242, 2
+	const (
+		beforeEpoch      = "before-epoch"      // dead before anyone schedules
+		afterCommunicate = "after-communicate" // survivors posted every send; the victim sent nothing
+		midSynchronize   = "mid-synchronize"   // the victim sent a few slots, then died under the survivors' drain
+	)
+	backends := []struct {
+		b transporttest.Backend
+		// detect bounds how long after the kill a survivor may take to return
+		// under abort: immediate on inproc; heartbeat interval plus the redial
+		// budget toward the closed listener, and slack for a loaded machine, on
+		// TCP.
+		detect time.Duration
+	}{
+		{transporttest.InprocWrapped("inproc", func(_ int, c transport.Conn) transport.Conn { return c }), 2 * time.Second},
+		{transporttest.TCPWrapped("tcp", nil, func(_ int, cfg *tcp.Config) {
+			cfg.HeartbeatInterval = 500 * time.Millisecond
+			cfg.PeerTimeout = 2 * time.Second
+			cfg.RetryTimeout = 10 * time.Second
+		}), 10 * time.Second},
+	}
+	for _, be := range backends {
+		for _, degrade := range []bool{false, true} {
+			for _, moment := range []string{beforeEpoch, afterCommunicate, midSynchronize} {
+				be, degrade, moment := be, degrade, moment
+				policy := "abort"
+				if degrade {
+					policy = "degrade"
+				}
+				t.Run(be.b.Name()+"/"+policy+"/"+moment, func(t *testing.T) {
+					t.Parallel()
+					stores, _ := mkStores(t, n, m, seed, 0)
+					heldBefore := map[int]bool{}
+					before := make([][]int, m)
+					for r, st := range stores {
+						before[r] = append([]int(nil), st.IDs()...)
+						if r != victim {
+							for _, id := range before[r] {
+								heldBefore[id] = true
+							}
+						}
+					}
+					comms, cleanup, err := be.b.Open(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cleanup()
+
+					var posted sync.WaitGroup // survivors that reached the row's moment
+					posted.Add(m - 1)
+					var killedAt atomic.Int64 // unix nanos
+					kill := func(c *mpi.Comm) {
+						killedAt.Store(time.Now().UnixNano())
+						killComm(t, c)
+					}
+					errs := make([]error, m)
+					took := make([]time.Duration, m) // kill → return, per survivor
+					program := func(c *mpi.Comm) error {
+						sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed)
+						if err != nil {
+							return err
+						}
+						sched.SetDegradeOnPeerFailure(degrade)
+						if c.Rank() == victim {
+							switch moment {
+							case afterCommunicate:
+								posted.Wait()
+							case midSynchronize:
+								if err := sched.Scheduling(0); err != nil {
+									return err
+								}
+								if _, err := sched.Communicate(3); err != nil {
+									return err
+								}
+								posted.Wait()
+								time.Sleep(20 * time.Millisecond) // let the survivors block in their drain
+							}
+							kill(c)
+							return nil
+						}
+						var once sync.Once
+						reached := func() { once.Do(posted.Done) }
+						defer reached() // a survivor failing early must not strand the victim
+						for e := 0; e < 2; e++ {
+							if err := sched.Scheduling(e); err != nil {
+								return err
+							}
+							if e == 0 && moment == afterCommunicate {
+								if _, err := sched.Communicate(-1); err != nil {
+									return err
+								}
+							}
+							reached()
+							if err := sched.Synchronize(); err != nil {
+								return err
+							}
+							if err := sched.CleanLocalStorage(); err != nil {
+								return err
+							}
+						}
+						return nil
+					}
+					var wg sync.WaitGroup
+					for r := range comms {
+						wg.Add(1)
+						go func(r int) {
+							defer wg.Done()
+							errs[r] = mpi.Execute(comms[r], program)
+							if at := killedAt.Load(); at != 0 {
+								took[r] = time.Since(time.Unix(0, at))
+							}
+						}(r)
+					}
+					done := make(chan struct{})
+					go func() { wg.Wait(); close(done) }()
+					select {
+					case <-done:
+					case <-time.After(3 * be.detect):
+						// cleanup closes the communicators, which wakes the stuck ranks.
+						t.Fatalf("ranks still blocked %v after the failure was reported to them (FailedPeers on rank 0: %v)",
+							3*be.detect, comms[0].FailedPeers())
+					}
+
+					for r := range comms {
+						if r == victim {
+							if errs[r] != nil {
+								t.Errorf("victim: %v", errs[r])
+							}
+							continue
+						}
+						if degrade {
+							if errs[r] != nil {
+								t.Errorf("rank %d: degraded epochs failed: %v", r, errs[r])
+							}
+							continue
+						}
+						pe, ok := mpi.PeerErrorFrom(errs[r])
+						if !ok || pe.Rank != victim {
+							t.Errorf("rank %d returned %v, want an error carrying a PeerError for rank %d", r, errs[r], victim)
+						}
+						if took[r] > be.detect {
+							t.Errorf("rank %d returned %v after the kill, want within %v", r, took[r], be.detect)
+						}
+						if got := stores[r].IDs(); fmt.Sprint(got) != fmt.Sprint(before[r]) {
+							t.Errorf("rank %d: aborted epoch changed the local store", r)
+						}
+					}
+					if degrade {
+						survivorConservation(t, stores, victim, heldBefore)
+					}
+				})
+			}
+		}
+	}
 }

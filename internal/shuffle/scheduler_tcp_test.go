@@ -11,6 +11,7 @@ import (
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/store"
 	"plshuffle/internal/transport"
+	"plshuffle/internal/transport/faultinject"
 	"plshuffle/internal/transport/tcp"
 	"plshuffle/internal/transport/transporttest"
 )
@@ -21,9 +22,12 @@ import (
 // the full lean stack (fp16exact encoding, pairwise dedup, wirecomp
 // compression). Three properties are machine-checked:
 //
-//  1. Exactness — per rank, the scheduler's metered wire accounting equals
-//     the transport's per-kind socket byte counters (data+dataz+dataref)
-//     bit for bit, in both directions, in both runs.
+//  1. Exactness — per rank, the scheduler's wire accounting equals the
+//     transport's per-kind socket byte counters (data+dataz+dataref) bit
+//     for bit, in both directions, in every run — including a third run
+//     with the lean stack under a fault injector that injects nothing: a
+//     wrapper between mpi and the socket must not turn the compressed
+//     sizes Send reports back into estimates.
 //  2. Equivalence — every rank's final store is bitwise identical between
 //     the two runs: the lean wire changes not a single sample bit.
 //  3. The win — the lean run moves at most half the exchange bytes of the
@@ -71,10 +75,10 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 		return string(b)
 	}
 
-	run := func(lean bool) [m]rankOut {
+	run := func(lean bool, wrap transporttest.WrapConn) [m]rankOut {
 		backend := transporttest.TCP()
 		if lean {
-			backend = transporttest.TCPWrapped("tcp-lean", nil,
+			backend = transporttest.TCPWrapped("tcp-lean", wrap,
 				func(rank int, cfg *tcp.Config) { cfg.Compress = true })
 		}
 		var out [m]rankOut
@@ -167,14 +171,21 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 		return out
 	}
 
-	base := run(false)
-	lean := run(true)
+	base := run(false, nil)
+	lean := run(true, nil)
+	wrapped := run(true, func(_ int, inner transport.Conn) transport.Conn {
+		return faultinject.New(inner, faultinject.Script{})
+	})
 
 	var baseWire, leanWire, hits int64
 	for r := 0; r < m; r++ {
 		if base[r].fingerprint != lean[r].fingerprint {
 			t.Fatalf("rank %d: final store differs between baseline and lean wire:\nbaseline:\n%s\nlean:\n%s",
 				r, base[r].fingerprint, lean[r].fingerprint)
+		}
+		if wrapped[r] != lean[r] {
+			t.Fatalf("rank %d: the lean exchange under an idle injector booked %d wire bytes (%d dedup hits), bare %d (%d)",
+				r, wrapped[r].wire, wrapped[r].dedupHits, lean[r].wire, lean[r].dedupHits)
 		}
 		baseWire += base[r].wire
 		leanWire += lean[r].wire
@@ -193,7 +204,7 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 // BenchmarkExchangeWireTCPQ25 measures one full Q=0.25 epoch exchange over
 // real TCP sockets for the stock wire and the lean wire (fp16exact + dedup
 // + compression), reporting the exchange volume as wire-bytes/op so the
-// before/after benchhot ledger records the byte win alongside the time.
+// byte win shows alongside the time.
 func BenchmarkExchangeWireTCPQ25(b *testing.B) {
 	const (
 		m       = 4

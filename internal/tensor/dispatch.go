@@ -5,67 +5,27 @@
 // training results do not depend on which host ran where.
 //
 // Selection order: architecture-specific SIMD paths registered by the
-// build-tagged probe (AVX-512F > AVX2 > SSE on amd64), then the portable
-// register-tiled Go kernels (8×4, then 4×4). The PLS_GEMM_KERNEL
-// environment variable forces a specific kernel by name; tests use
-// SetGemmKernel to cross-check all of them against the reference.
+// build-tagged probe (AVX-512F > AVX2 on amd64), then the one portable
+// register-tiled Go kernel (8×4). Tests cross-check every registered kernel
+// against the reference loops (export_test.go).
 package tensor
-
-import (
-	"fmt"
-	"os"
-)
 
 // gemmKernels is the preference-ordered kernel registry: asm kernels are
 // prepended by the per-architecture registerAsmKernels, the portable Go
-// kernels are always present and always last.
+// kernel is always present and always last.
 var gemmKernels []*microKernel
 
-// curKernel is the dispatched kernel. It is set once during init (and by
-// SetGemmKernel in tests); the hot path reads it without synchronization.
+// curKernel is the dispatched kernel. It is set once during init; the hot
+// path reads it without synchronization.
 var curKernel *microKernel
 
 func init() {
 	registerAsmKernels()
-	gemmKernels = append(gemmKernels,
-		&microKernel{name: "go8x4", mr: 8, nr: 4, kern: microGo8x4},
-		&microKernel{name: "go4x4", mr: 4, nr: 4, kern: microGo4x4},
-	)
+	gemmKernels = append(gemmKernels, &microKernel{name: "go8x4", mr: 8, nr: 4, kern: microGo8x4})
 	curKernel = gemmKernels[0]
-	if want := os.Getenv("PLS_GEMM_KERNEL"); want != "" {
-		if _, err := SetGemmKernel(want); err != nil {
-			// An unknown name falls back to the probed default rather than
-			// failing startup: the env knob is a tuning aid, not config.
-			fmt.Fprintf(os.Stderr, "tensor: ignoring PLS_GEMM_KERNEL: %v\n", err)
-		}
-	}
 }
 
 func activeKernel() *microKernel { return curKernel }
 
 // GemmKernelName reports the dispatched micro-kernel.
 func GemmKernelName() string { return curKernel.name }
-
-// GemmKernels lists every kernel available on this host, in dispatch
-// preference order.
-func GemmKernels() []string {
-	out := make([]string, len(gemmKernels))
-	for i, k := range gemmKernels {
-		out[i] = k.name
-	}
-	return out
-}
-
-// SetGemmKernel selects the named micro-kernel and returns the previous
-// selection. All kernels are bitwise-equivalent; this exists for tests and
-// benchmarks. Not safe to call concurrently with running matmuls.
-func SetGemmKernel(name string) (prev string, err error) {
-	prev = curKernel.name
-	for _, k := range gemmKernels {
-		if k.name == name {
-			curKernel = k
-			return prev, nil
-		}
-	}
-	return prev, fmt.Errorf("tensor: unknown GEMM kernel %q (have %v)", name, GemmKernels())
-}

@@ -8,9 +8,9 @@ package tensor
 // output element still accumulates its k-products in ascending order with
 // a separate VMULPS and VADDPS per step (never FMA, which would contract
 // the rounding), so they are bitwise-identical to the scalar reference on
-// finite inputs. SSE is part of the amd64 baseline; AVX2 and AVX-512F are
-// gated on CPUID feature bits plus XGETBV confirming the OS saves the
-// wider register state.
+// finite inputs. AVX2 and AVX-512F are gated on CPUID feature bits plus
+// XGETBV confirming the OS saves the wider register state; an amd64 host
+// with neither falls through to the portable Go kernel.
 
 // cpuidAsm executes CPUID for (leaf, sub). Implemented in gemm_amd64.s.
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -21,9 +21,6 @@ func xgetbvAsm() (eax, edx uint32)
 // The micro-kernels. c points at an MR×NR tile with row stride ldc
 // floats; each accumulates kc packed k-steps into the tile in place.
 //
-//go:noescape
-func microSSE8x4Asm(kc int, ap, bp, c *float32, ldc int)
-
 //go:noescape
 func microAVX28x8Asm(kc int, ap, bp, c *float32, ldc int)
 
@@ -46,8 +43,8 @@ func registerAsmKernels() {
 		const osxsave, avx = 1 << 27, 1 << 28
 		if c1&osxsave != 0 && c1&avx != 0 {
 			xlo, _ := xgetbvAsm()
-			osYMM := xlo&0x6 == 0x6        // XMM+YMM state saved
-			osZMM := xlo&0xe6 == 0xe6      // + opmask and ZMM state
+			osYMM := xlo&0x6 == 0x6   // XMM+YMM state saved
+			osZMM := xlo&0xe6 == 0xe6 // + opmask and ZMM state
 			b7, _, _, _ := cpuid7()
 			hasAVX2 = osYMM && b7&(1<<5) != 0
 			hasAVX512 = osZMM && b7&(1<<16) != 0
@@ -61,8 +58,6 @@ func registerAsmKernels() {
 		gemmKernels = append(gemmKernels,
 			&microKernel{name: "avx2_8x8", mr: 8, nr: 8, kern: wrapAsm(microAVX28x8Asm)})
 	}
-	gemmKernels = append(gemmKernels,
-		&microKernel{name: "sse8x4", mr: 8, nr: 4, kern: wrapAsm(microSSE8x4Asm)})
 }
 
 func cpuid7() (ebx, ecx, edx, eax uint32) {

@@ -133,50 +133,6 @@ func microGo8x4(kc int, ap, bp []float32, c []float32, ldc int) {
 	r7[0], r7[1], r7[2], r7[3] = c70, c71, c72, c73
 }
 
-// microGo4x4 is the 4×4 fallback tile: 16 accumulators fit the scalar
-// register file on amd64/arm64, trading tile reuse for zero spills.
-func microGo4x4(kc int, ap, bp []float32, c []float32, ldc int) {
-	r0 := c[0*ldc : 0*ldc+4 : 0*ldc+4]
-	r1 := c[1*ldc : 1*ldc+4 : 1*ldc+4]
-	r2 := c[2*ldc : 2*ldc+4 : 2*ldc+4]
-	r3 := c[3*ldc : 3*ldc+4 : 3*ldc+4]
-	c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
-	c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
-	c20, c21, c22, c23 := r2[0], r2[1], r2[2], r2[3]
-	c30, c31, c32, c33 := r3[0], r3[1], r3[2], r3[3]
-	for k := 0; k < kc; k++ {
-		a := ap[:4:4]
-		b := bp[:4:4]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		a0 := a[0]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		a1 := a[1]
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		a2 := a[2]
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		a3 := a[3]
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		ap = ap[4:]
-		bp = bp[4:]
-	}
-	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
-	r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
-	r2[0], r2[1], r2[2], r2[3] = c20, c21, c22, c23
-	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
-}
-
 // gemmOperand is one effective input matrix of the packed core, expressed
 // through strides so the transposed variants share the packing code:
 // element (i, k) of effective A is data[i*rowStride + k*depthStride], and

@@ -2,8 +2,8 @@
 
 #include "textflag.h"
 
-// GEMM micro-kernels (DESIGN.md §14). Register convention shared by all
-// three kernels:
+// GEMM micro-kernels (DESIGN.md §14). Register convention shared by both
+// kernels:
 //
 //	CX = kc (loop counter)   AX = ap (packed A strip, MR floats per k)
 //	BX = bp (packed B strip, NR floats per k)
@@ -34,86 +34,6 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func microSSE8x4Asm(kc int, ap, bp, c *float32, ldc int)
-//
-// 8×4 tile in X0–X7 (one XMM row each). Baseline amd64: no feature gate.
-TEXT ·microSSE8x4Asm(SB), NOSPLIT, $0-40
-	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), AX
-	MOVQ bp+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), SI
-	SHLQ $2, SI
-	LEAQ (SI)(SI*2), R8
-	LEAQ (DI)(SI*4), R9
-
-	MOVUPS (DI), X0
-	MOVUPS (DI)(SI*1), X1
-	MOVUPS (DI)(SI*2), X2
-	MOVUPS (DI)(R8*1), X3
-	MOVUPS (R9), X4
-	MOVUPS (R9)(SI*1), X5
-	MOVUPS (R9)(SI*2), X6
-	MOVUPS (R9)(R8*1), X7
-
-sse_loop:
-	MOVUPS (BX), X8
-
-	MOVSS  (AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X0
-
-	MOVSS  4(AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X1
-
-	MOVSS  8(AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X2
-
-	MOVSS  12(AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X3
-
-	MOVSS  16(AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X4
-
-	MOVSS  20(AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X5
-
-	MOVSS  24(AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X6
-
-	MOVSS  28(AX), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X7
-
-	ADDQ $32, AX
-	ADDQ $16, BX
-	DECQ CX
-	JNZ  sse_loop
-
-	MOVUPS X0, (DI)
-	MOVUPS X1, (DI)(SI*1)
-	MOVUPS X2, (DI)(SI*2)
-	MOVUPS X3, (DI)(R8*1)
-	MOVUPS X4, (R9)
-	MOVUPS X5, (R9)(SI*1)
-	MOVUPS X6, (R9)(SI*2)
-	MOVUPS X7, (R9)(R8*1)
 	RET
 
 // func microAVX28x8Asm(kc int, ap, bp, c *float32, ldc int)

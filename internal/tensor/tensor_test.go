@@ -244,8 +244,8 @@ func benchMatMul(b *testing.B, n int) {
 }
 
 // reportGFLOPS attaches achieved floating-point throughput to a matmul
-// benchmark (flops = flop count of ONE op). The unit is per-op so the
-// benchhot trajectory tooling picks it up like any other */op metric.
+// benchmark (flops = flop count of ONE op), per op like every other
+// reported metric.
 func reportGFLOPS(b *testing.B, flops int) {
 	sec := b.Elapsed().Seconds()
 	if sec <= 0 {

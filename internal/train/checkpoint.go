@@ -136,7 +136,7 @@ func (w *worker) saveCheckpoint(nextEpoch int) error {
 		// chaos tests crash a rank exactly at this send: its torn .tmp is
 		// never renamed and the root never writes a manifest, so the
 		// half-born snapshot stays invisible to LoadLatest.
-		if pe := w.comm.SendPeerAware(root, tag, []int{int(crc), len(image)}); pe != nil {
+		if _, pe := w.comm.SendPeerAware(root, tag, []int{int(crc), len(image)}); pe != nil {
 			return pe
 		}
 		if err := checkpoint.Commit(path); err != nil {

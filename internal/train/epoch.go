@@ -294,8 +294,8 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 			w.tm.ExchangeNs.Add(int64(time.Since(t0)))
 		}
 
-		// Phase: forward + backward. With OverlapGrads the backward pass
-		// launches each gradient bucket's non-blocking all-reduce as soon as
+		// Phase: forward + backward. The backward pass launches each
+		// gradient bucket's non-blocking all-reduce as soon as
 		// its last layer's gradients land (Figure 4's overlap discipline,
 		// applied to the gradient exchange): the bucket rings progress on
 		// background goroutines while the earlier layers keep computing.
@@ -316,20 +316,12 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		w.tm.FWBWNs.Add(int64(time.Since(t0)))
 
 		// Phase: gradient exchange + weight update (Equation 1: average
-		// the per-worker gradients, then step). Overlapped: drain the
-		// bucket requests in launch order, stepping per-bucket. Flat
-		// fallback: one blocking averaging ring over the whole gradient
-		// arena (exposed wait == total comm, the A/B baseline).
+		// the per-worker gradients, then step): drain the bucket requests in
+		// launch order, stepping per bucket. Without OverlapGrads the plan
+		// is one bucket launched at the very end of backward, so its whole
+		// ring is waited for here (the A/B baseline).
 		t0 = time.Now()
-		if w.plan != nil {
-			w.drainBuckets(lr)
-		} else {
-			tw := time.Now()
-			sent, recv := mpi.AllreduceWire(w.comm, w.model.Grads(), mpi.OpAvg)
-			dw := time.Since(tw)
-			w.bookGradSync(dw, dw, sent+recv)
-			w.opt.Step(w.params, lr)
-		}
+		w.drainBuckets(lr)
 		w.tm.GEWUNs.Add(int64(time.Since(t0)))
 	}
 

@@ -47,8 +47,8 @@ func BenchmarkGradSyncOverlap(b *testing.B) { benchGradSync(b, true) }
 // BenchmarkTrainIterOverlap is the end-to-end A/B partner of
 // BenchmarkTrainEpochPLS: the identical 4-rank PLS epoch with the bucketed
 // overlapped gradient sync enabled. It reports the same wait-ns/op /
-// comm-ns/op metrics as the GradSync pair so the exposed-wait comparison
-// against the GradSyncFlat baseline lives in BENCH_HOTPATH.json.
+// comm-ns/op metrics as the GradSync pair, so the exposed wait compares
+// directly against the GradSyncFlat baseline.
 func BenchmarkTrainIterOverlap(b *testing.B) {
 	ds := testDataset(b, 512, 4)
 	cfg := baseConfig(b, ds, 4, shuffle.Partial(0.3))

@@ -204,9 +204,7 @@ func (w *worker) resync(epoch int) error {
 	// Re-created optimizer state (zeroed moments) is the one state every
 	// member can agree on without shipping buffers.
 	w.opt = newOptimizer(w.cfg)
-	if w.cfg.OverlapGrads {
-		w.setupOverlap()
-	}
+	w.setupOverlap()
 	if w.exchanger != nil {
 		// The pair dedup caches are pure functions of each pair's delivered
 		// frame stream, and a re-formation leaves members at different points

@@ -18,6 +18,7 @@ package train
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"plshuffle/internal/analysis"
@@ -103,10 +104,9 @@ type Config struct {
 	// one ID-only mirror per destination.
 	WireDedupBudget int64
 	// SampleEncoding selects the exchange sample wire format: "" or "fp32"
-	// (the legacy bit-exact encoding), "fp16exact" (compact half-precision
+	// (the legacy bit-exact encoding) or "fp16exact" (compact half-precision
 	// entries only for samples whose features are bitwise-losslessly
-	// representable — exact by construction), or "fp16" (lossy round-to-
-	// nearest-even half-precision quantization of every feature).
+	// representable — exact by construction).
 	SampleEncoding string
 	// SyncBatchNormStats averages batch-norm running statistics across
 	// workers after every epoch. Standard data-parallel training does NOT
@@ -128,9 +128,10 @@ type Config struct {
 	// partitioned into size-capped buckets in reverse-layer order, and each
 	// bucket's ring all-reduce launches the moment its last layer's
 	// gradients are written — while earlier layers are still computing
-	// backward. The resulting weights are bitwise identical to the serial
-	// flat path (false), which is kept as the A/B baseline
-	// (-overlap-grads=false on the CLIs).
+	// backward. False selects the same path with a single bucket spanning
+	// the model — one ring launched when backward ends, the serial A/B
+	// baseline (-overlap-grads=false on the CLIs); the resulting weights are
+	// bitwise identical.
 	OverlapGrads bool
 	// GradBucketBytes caps each gradient bucket's size in bytes
 	// (0 = nn.DefaultGradBucketBytes). Only meaningful with OverlapGrads.
@@ -374,8 +375,8 @@ type EpochStats struct {
 
 	// GEWUWaitTime is the EXPOSED portion of the gradient exchange: time
 	// the rank's main goroutine spent blocked waiting for all-reduce
-	// results (the whole ring on the flat path; only the drain waits on the
-	// overlapped path). GEWUCommTime is the TOTAL wall-clock the gradient
+	// results (the whole ring with the single-bucket plan; only the drain
+	// with OverlapGrads). GEWUCommTime is the TOTAL wall-clock the gradient
 	// all-reduce spent in flight (sum over buckets of launch→completion).
 	// 1 − GEWUWaitTime/GEWUCommTime is the fraction of gradient
 	// communication hidden behind backward compute.
@@ -604,8 +605,9 @@ type worker struct {
 	arena  *arena.Arena
 	valBuf *tensor.Matrix
 
-	// Overlapped gradient sync state (cfg.OverlapGrads; DESIGN.md §9).
-	// plan partitions the parameters into reverse-layer buckets;
+	// Gradient sync state (DESIGN.md §9). plan partitions the parameters into
+	// reverse-layer buckets — size-capped ones under cfg.OverlapGrads, a
+	// single bucket spanning the model without it;
 	// bucketBounds[i] is bucket i's ring-chunk partition — the global flat
 	// partition clamped to the bucket's range, precomputed once so the
 	// steady state allocates nothing and every element keeps the flat
@@ -713,9 +715,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 			}
 		}
 	}
-	if cfg.OverlapGrads {
-		w.setupOverlap()
-	}
+	w.setupOverlap()
 	w.opt = newOptimizer(cfg)
 	if cfg.Strategy.Kind == shuffle.Corgi2 {
 		w.tier, err = cache.New(cfg.ShardStore, cfg.CacheBytes, "")
@@ -828,8 +828,8 @@ func newOptimizer(cfg Config) nn.Optimizer {
 	}
 }
 
-// setupOverlap builds the bucketed gradient-sync state: the reverse-layer
-// bucket plan and each bucket's ring-chunk bounds. Bucket i's bounds are
+// setupOverlap builds the gradient-sync state: the reverse-layer bucket plan
+// and each bucket's ring-chunk bounds. Bucket i's bounds are
 // the GLOBAL flat partition (chunk r =
 // [r·n/M, (r+1)·n/M) over all n parameters) clamped to the bucket's
 // [Lo, Hi) range and re-based — so every element keeps the chunk index it
@@ -837,7 +837,14 @@ func newOptimizer(cfg Config) nn.Optimizer {
 // reduction order (see mpi.IAllreduceChunks). Chunks outside the bucket
 // clamp to empty and the ring skips them symmetrically.
 func (w *worker) setupOverlap() {
-	w.plan = nn.NewBucketPlan(w.model, w.cfg.GradBucketBytes)
+	capBytes := w.cfg.GradBucketBytes
+	if !w.cfg.OverlapGrads {
+		// The serial A/B baseline is a bucket plan too: one bucket spanning
+		// the model, ready only when backward has finished its first layer, so
+		// nothing overlaps and the whole ring is exposed wait.
+		capBytes = math.MaxInt
+	}
+	w.plan = nn.NewBucketPlan(w.model, capBytes)
 	w.bucketReqs = make([]*mpi.CollRequest, len(w.plan.Buckets))
 	// Group size, not world size: after a degrade-mode Shrink the bucket
 	// rings run over the survivors, and IAllreduceChunks requires bounds
@@ -1034,8 +1041,8 @@ func (w *worker) emitTrace(es EpochStats) {
 		Duration: es.FWBWTime})
 	// The GEWU event carries the gradient all-reduce's exact wire volume
 	// (zero on inproc): bucket rings overlap with backward compute, so only
-	// frame-level accounting (mpi.CollRequest.WireBytes / AllreduceWire)
-	// can attribute the traffic to this phase.
+	// frame-level accounting (mpi.CollRequest.WireBytes) can attribute the
+	// traffic to this phase.
 	rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseGEWU,
 		Duration: es.GEWUTime, Bytes: es.GradWireBytes})
 	if !es.Disrupted {

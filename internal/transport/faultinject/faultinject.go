@@ -256,14 +256,20 @@ func (c *Conn) decide(tag int) (decision, error) {
 // guarantee holds; queue-path failures surface on the NEXT Send toward that
 // destination, mirroring how wire backends report asynchronous write
 // failures.
-func (c *Conn) Send(dst, tag int, payload any) error {
+//
+// The returned size is the inner connection's own answer whenever the frame
+// goes straight through. A frame the injector queues or drops has no inner
+// answer by the time Send returns, so it reports the uncompressed
+// transport.FrameWireSize estimate (0 for a self-send); a duplicate is the
+// injector's frame, not the caller's, and is not reported.
+func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 	d, err := c.decide(tag)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if d.crash {
 		c.crash()
-		return ErrCrashed
+		return 0, ErrCrashed
 	}
 	if d.reset {
 		if r, ok := c.inner.(transport.Resetter); ok {
@@ -273,41 +279,44 @@ func (c *Conn) Send(dst, tag int, payload any) error {
 			c.mu.Unlock()
 		}
 	}
+	if c.queues == nil && !d.drop {
+		wire, err := c.inner.Send(dst, tag, payload)
+		if err == nil && d.dup {
+			_, err = c.inner.Send(dst, tag, payload)
+		}
+		return wire, err
+	}
+	var estimate int64
+	if dst != c.inner.Rank() {
+		estimate = transport.FrameWireSize(payload)
+	}
 	if d.drop {
-		return nil
+		return estimate, nil
 	}
-	if c.queues != nil {
-		c.mu.Lock()
-		if err := c.asyncErr[dst]; err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		dq := c.queues[dst]
-		if dq == nil {
-			dq = newDelayQueue(c, dst)
-			c.queues[dst] = dq
-		}
+	c.mu.Lock()
+	if err := c.asyncErr[dst]; err != nil {
 		c.mu.Unlock()
-		// The inner Send is deferred, so the caller's buffer must be
-		// defensively copied now (transport contract: buffers are reusable
-		// the moment Send returns). Types ClonePayload does not cover pass
-		// by reference and must be treated as immutable, as with inproc.
-		p := transport.ClonePayload(payload)
-		if err := dq.enqueue(tag, p, d.delay); err != nil {
-			return err
-		}
-		if d.dup {
-			return dq.enqueue(tag, transport.ClonePayload(p), 0)
-		}
-		return nil
+		return 0, err
 	}
-	if err := c.inner.Send(dst, tag, payload); err != nil {
-		return err
+	dq := c.queues[dst]
+	if dq == nil {
+		dq = newDelayQueue(c, dst)
+		c.queues[dst] = dq
 	}
-	if d.dup {
-		return c.inner.Send(dst, tag, payload)
+	c.mu.Unlock()
+	// The inner Send is deferred, so the caller's buffer must be
+	// defensively copied now (transport contract: buffers are reusable
+	// the moment Send returns). Types ClonePayload does not cover pass
+	// by reference and must be treated as immutable, as with inproc.
+	p := transport.ClonePayload(payload)
+	err = dq.enqueue(tag, p, d.delay)
+	if err == nil && d.dup {
+		err = dq.enqueue(tag, transport.ClonePayload(p), 0)
 	}
-	return nil
+	if err != nil {
+		return 0, err
+	}
+	return estimate, nil
 }
 
 // crash kills the endpoint mid-send: pending delayed frames are discarded
@@ -477,7 +486,7 @@ func (dq *delayQueue) run() {
 				t.Stop() // delay cancelled; the frame still delivers
 			}
 		}
-		if err := dq.c.inner.Send(dq.dst, f.tag, f.payload); err != nil {
+		if _, err := dq.c.inner.Send(dq.dst, f.tag, f.payload); err != nil {
 			dq.c.noteAsyncErr(dq.dst, err)
 		}
 		dq.mu.Lock()

@@ -27,14 +27,14 @@ func newFake(rank, size int) *fakeConn { return &fakeConn{rank: rank, size: size
 func (f *fakeConn) Rank() int { return f.rank }
 func (f *fakeConn) Size() int { return f.size }
 
-func (f *fakeConn) Send(dst, tag int, payload any) error {
+func (f *fakeConn) Send(dst, tag int, payload any) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.killed {
-		return &transport.PeerError{Rank: dst, Phase: transport.PhaseSend}
+		return 0, &transport.PeerError{Rank: dst, Phase: transport.PhaseSend}
 	}
 	f.frames = append(f.frames, transport.Frame{Src: f.rank, Dst: dst, Tag: tag, Payload: payload})
-	return nil
+	return 0, nil
 }
 
 func (f *fakeConn) Stats() transport.Stats {
@@ -104,7 +104,7 @@ func TestZeroScriptIsTransparent(t *testing.T) {
 	fake := newFake(0, 4)
 	c := New(fake, Script{})
 	for i := 0; i < 50; i++ {
-		if err := c.Send(i%4, i, i); err != nil {
+		if _, err := c.Send(i%4, i, i); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestZeroScriptIsTransparent(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(1, 0, 0); err == nil {
+	if _, err := c.Send(1, 0, 0); err == nil {
 		t.Fatal("Send after Close returned nil")
 	}
 }
@@ -133,7 +133,7 @@ func TestDropAndDupCounts(t *testing.T) {
 	fake := newFake(0, 2)
 	c := New(fake, Script{Seed: 1, DropProb: 1})
 	for i := 0; i < 20; i++ {
-		if err := c.Send(1, 0, i); err != nil {
+		if _, err := c.Send(1, 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestDropAndDupCounts(t *testing.T) {
 	fake2 := newFake(0, 2)
 	c2 := New(fake2, Script{Seed: 1, DupProb: 1})
 	for i := 0; i < 20; i++ {
-		if err := c2.Send(1, 0, i); err != nil {
+		if _, err := c2.Send(1, 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestDelayPreservesPerDestinationOrder(t *testing.T) {
 	const per = 60
 	for i := 0; i < per; i++ {
 		for dst := 0; dst < 3; dst++ { // self-sends ride the queue too
-			if err := c.Send(dst, 0, dst*1000+i); err != nil {
+			if _, err := c.Send(dst, 0, dst*1000+i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,7 +194,7 @@ func TestDelayClonesPayload(t *testing.T) {
 	fake := newFake(0, 2)
 	c := New(fake, Script{Seed: 3, DelayProb: 1, MaxDelay: 5 * time.Millisecond})
 	buf := []int{1, 2, 3}
-	if err := c.Send(1, 0, buf); err != nil {
+	if _, err := c.Send(1, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // mutate while the frame sleeps in the delay queue
@@ -215,18 +215,18 @@ func TestCrashAtTagCount(t *testing.T) {
 	c := New(fake, Script{Seed: 5, CrashTag: 7, CrashCount: 3})
 	// Frames with other tags do not advance the crash counter.
 	for i := 0; i < 5; i++ {
-		if err := c.Send(0, 1, i); err != nil {
+		if _, err := c.Send(0, 1, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Send(0, 7, 0); err != nil {
+	if _, err := c.Send(0, 7, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(1, 7, 1); err != nil {
+	if _, err := c.Send(1, 7, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Third tag-7 frame: the endpoint dies mid-send; the frame is lost.
-	if err := c.Send(3, 7, 2); !errors.Is(err, ErrCrashed) {
+	if _, err := c.Send(3, 7, 2); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash send returned %v, want ErrCrashed", err)
 	}
 	if !fake.killed {
@@ -235,7 +235,7 @@ func TestCrashAtTagCount(t *testing.T) {
 	if got := len(fake.snapshot()); got != 7 {
 		t.Fatalf("inner saw %d frames, want 7 (crash frame lost)", got)
 	}
-	if err := c.Send(0, 1, 9); !errors.Is(err, ErrCrashed) {
+	if _, err := c.Send(0, 1, 9); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash send returned %v, want ErrCrashed", err)
 	}
 	if inj := c.Injected(); !inj.Crashed {
@@ -246,11 +246,11 @@ func TestCrashAtTagCount(t *testing.T) {
 func TestCrashDiscardsDelayedFrames(t *testing.T) {
 	fake := newFake(0, 2)
 	c := New(fake, Script{Seed: 8, DelayProb: 1, MaxDelay: time.Hour, CrashTag: 9, CrashCount: 1})
-	if err := c.Send(1, 0, 1); err != nil { // sleeps for up to an hour
+	if _, err := c.Send(1, 0, 1); err != nil { // sleeps for up to an hour
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- c.Send(1, 9, 2) }()
+	go func() { _, err := c.Send(1, 9, 2); done <- err }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrCrashed) {
@@ -271,7 +271,7 @@ func TestResetEveryDelegatesToResetter(t *testing.T) {
 	fake := newFake(0, 2)
 	c := New(fake, Script{Seed: 2, ResetEvery: 5})
 	for i := 0; i < 23; i++ {
-		if err := c.Send(1, 0, i); err != nil {
+		if _, err := c.Send(1, 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 		fake := newFake(0, 4)
 		c := New(fake, Script{Seed: seed, DropProb: 0.3, DupProb: 0.2, ResetEvery: 7})
 		for i := 0; i < 200; i++ {
-			if err := c.Send(i%4, i%3, i); err != nil {
+			if _, err := c.Send(i%4, i%3, i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -334,12 +334,12 @@ func TestAsyncErrorSurfacesOnNextSend(t *testing.T) {
 		mu.Unlock()
 	})
 	fake.Kill() // every inner Send now fails with a PeerError
-	if err := c.Send(1, 0, 1); err != nil {
+	if _, err := c.Send(1, 0, 1); err != nil {
 		t.Fatalf("first send should enqueue cleanly, got %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.Send(1, 0, 2)
+		_, err := c.Send(1, 0, 2)
 		if err != nil {
 			if _, ok := transport.AsPeerError(err); !ok {
 				t.Fatalf("async failure surfaced as %v, want a PeerError", err)

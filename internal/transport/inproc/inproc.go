@@ -26,7 +26,7 @@ type Network struct {
 	handlers []transport.Handler
 	mu       sync.RWMutex
 	stats    []connStats
-	dead     []bool                     // rank → killed (fault injection)
+	dead     []bool                      // rank → killed (fault injection)
 	onFail   []func(transport.PeerError) // per-rank failure callbacks
 }
 
@@ -110,23 +110,26 @@ func (c *conn) Rank() int { return c.rank }
 func (c *conn) Size() int { return c.net.size }
 
 // Send clones the payload and delivers it synchronously into the
-// destination handler. It cannot fail for in-range destinations.
-func (c *conn) Send(dst, tag int, payload any) error {
+// destination handler. It cannot fail for in-range destinations. The size it
+// returns is the deterministic frame size a wire backend would have moved
+// (transport.FrameWireSize), so byte accounting behaves identically across
+// backends; self-delivery never touches a wire on any backend and reports 0.
+func (c *conn) Send(dst, tag int, payload any) (int64, error) {
 	if dst < 0 || dst >= c.net.size {
-		return fmt.Errorf("inproc: Send: rank %d out of range [0,%d)", dst, c.net.size)
+		return 0, fmt.Errorf("inproc: Send: rank %d out of range [0,%d)", dst, c.net.size)
 	}
 	if c.closed.Load() {
-		return fmt.Errorf("inproc: Send: connection for rank %d is closed", c.rank)
+		return 0, fmt.Errorf("inproc: Send: connection for rank %d is closed", c.rank)
 	}
 	c.net.mu.RLock()
 	h := c.net.handlers[dst]
 	dead := c.net.dead[dst]
 	c.net.mu.RUnlock()
 	if dead {
-		return &transport.PeerError{Rank: dst, Phase: transport.PhaseSend}
+		return 0, &transport.PeerError{Rank: dst, Phase: transport.PhaseSend}
 	}
 	if h == nil {
-		return fmt.Errorf("inproc: Send: destination rank %d not attached", dst)
+		return 0, fmt.Errorf("inproc: Send: destination rank %d not attached", dst)
 	}
 	sz := transport.PayloadWireSize(payload)
 	src, dstStats := &c.net.stats[c.rank], &c.net.stats[dst]
@@ -136,25 +139,10 @@ func (c *conn) Send(dst, tag int, payload any) error {
 	dstStats.bytesRecv.Add(sz)
 	var wire int64
 	if dst != c.rank {
-		// The deterministic frame size a wire backend would have moved;
-		// self-delivery never touches a wire on any backend.
 		wire = transport.FrameWireSize(payload)
 	}
 	h(transport.Frame{Src: c.rank, Dst: dst, Tag: tag, Payload: transport.ClonePayload(payload), Wire: wire})
-	return nil
-}
-
-// SendMetered implements transport.MeteredSender: inproc frames have a
-// deterministic would-be wire size (FrameWireSize), reported exactly so
-// byte accounting behaves identically across backends.
-func (c *conn) SendMetered(dst, tag int, payload any) (int64, error) {
-	if err := c.Send(dst, tag, payload); err != nil {
-		return 0, err
-	}
-	if dst == c.rank {
-		return 0, nil
-	}
-	return transport.FrameWireSize(payload), nil
+	return wire, nil
 }
 
 func (c *conn) Stats() transport.Stats {
@@ -194,5 +182,4 @@ func (c *conn) Kill() {
 var (
 	_ transport.FailureNotifier = (*conn)(nil)
 	_ transport.Killer          = (*conn)(nil)
-	_ transport.MeteredSender   = (*conn)(nil)
 )

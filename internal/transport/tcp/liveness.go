@@ -1,0 +1,203 @@
+package tcp
+
+// Liveness: the heartbeat prober, failure notification, last-heard stamps,
+// and the fault-injection hooks that kill an endpoint or reset its
+// connections (DESIGN.md §10).
+
+import (
+	"errors"
+	"net"
+	"time"
+
+	"plshuffle/internal/transport"
+)
+
+// heartbeatLoop enqueues a KindPing frame to every live peer each interval.
+// Pings ride the normal write path — dial, retry budget, deadlines — so a
+// dead peer is detected (and surfaces through OnPeerFailure) even by ranks
+// that never send it data.
+func (c *Conn) heartbeatLoop() {
+	defer c.beatWG.Done()
+	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-c.closed:
+			return
+		case <-ticker.C:
+		}
+		for _, p := range c.peers {
+			if p == nil {
+				continue
+			}
+			// A latent joiner slot has no address yet: pinging it would burn
+			// the dial budget and poison the failure registry with a rank
+			// that was never alive. Probing begins once the peer is admitted.
+			c.addrMu.RLock()
+			admitted := c.addrs[p.rank] != ""
+			c.addrMu.RUnlock()
+			if !admitted {
+				continue
+			}
+			wb := transport.GetWireBuf()
+			buf, err := transport.AppendFrame(wb.B[:0], transport.WireFrame{
+				Kind: transport.KindPing,
+				Src:  int32(c.cfg.Rank),
+				Dst:  int32(p.rank),
+			})
+			wb.B = buf
+			if err != nil {
+				transport.PutWireBuf(wb)
+				continue
+			}
+			p.mu.Lock()
+			if p.dead || p.closing {
+				p.mu.Unlock()
+				transport.PutWireBuf(wb)
+				continue
+			}
+			p.queue = append(p.queue, wb)
+			p.cond.Signal()
+			p.mu.Unlock()
+			c.countSent(transport.KindPing, int64(len(buf)))
+		}
+	}
+}
+
+// OnPeerFailure registers the callback invoked (at most once per peer, from
+// a writer goroutine) when that peer's retry budget or deadline is
+// exhausted. Implements transport.FailureNotifier.
+func (c *Conn) OnPeerFailure(cb func(transport.PeerError)) {
+	c.errMu.Lock()
+	c.onFail = cb
+	c.errMu.Unlock()
+}
+
+func (c *Conn) notifyPeerFailure(pe transport.PeerError) {
+	if c.killed.Load() {
+		return // our own teardown, not a remote failure
+	}
+	c.errMu.Lock()
+	cb := c.onFail
+	c.errMu.Unlock()
+	if cb != nil {
+		cb(pe)
+	}
+}
+
+// Kill tears the endpoint down instantly — no drain, no goodbye frames —
+// exactly as SIGKILL would: every socket and the listener close, queued
+// frames are discarded, and subsequent Sends fail. Peers observe the death
+// through their own detectors (read resets, heartbeat silence, exhausted
+// redial budgets). Implements transport.Killer for fault-injection tests.
+func (c *Conn) Kill() {
+	c.killed.Store(true)
+	c.closeOnce.Do(func() {
+		close(c.closed)
+		for _, p := range c.peers {
+			if p == nil {
+				continue
+			}
+			p.mu.Lock()
+			p.closing = true
+			p.dead = true
+			if p.err == nil {
+				p.err = &transport.PeerError{Rank: p.rank, Phase: transport.PhaseClose,
+					Err: errors.New("transport killed")}
+			}
+			for _, wb := range p.queue {
+				transport.PutWireBuf(wb)
+			}
+			p.queue = nil
+			p.conn = nil
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		}
+		if c.listener != nil {
+			c.listener.Close()
+		}
+		if c.rendezvousLn != nil {
+			c.rendezvousLn.Close()
+		}
+		c.connsMu.Lock()
+		for conn := range c.conns {
+			conn.Close()
+		}
+		c.conns = nil
+		c.connsMu.Unlock()
+		c.beatWG.Wait()
+	})
+}
+
+// ResetPeers forces every established connection to be recycled WITHOUT
+// marking any peer dead — the transient-blip fault (transport.Resetter).
+// Each socket's write side is shut down (half-close): bytes already
+// accepted by the kernel still flush, the remote reader consumes them and
+// then sees a clean EOF, drops the connection, and both sides redial within
+// the normal retry budget. Half-close rather than full close is what makes
+// the fault survivable-by-construction: a full close would destroy inbound
+// frames sitting in the local receive buffer — frames the peer's write
+// accounting already counted as delivered, so nothing would ever resend
+// them and the next collective would hang. (A fault that loses
+// acknowledged frames is a peer death, not a reset; inject that with
+// Kill.) Only an exhausted retry budget — never the reset itself —
+// surfaces as a peer failure.
+func (c *Conn) ResetPeers() {
+	select {
+	case <-c.closed:
+		return // already torn down; nothing to reset
+	default:
+	}
+	// Detach each peer's canonical write connection first so writers redial
+	// instead of queueing more writes onto a socket that is about to refuse
+	// them.
+	for _, p := range c.peers {
+		if p == nil {
+			continue
+		}
+		p.mu.Lock()
+		p.conn = nil
+		p.mu.Unlock()
+	}
+	c.connsMu.Lock()
+	conns := make([]net.Conn, 0, len(c.conns))
+	for conn := range c.conns {
+		conns = append(conns, conn)
+	}
+	c.connsMu.Unlock()
+	for _, conn := range conns {
+		// The socket stays tracked and its read side stays open: inbound
+		// frames keep draining until the peer reacts to the EOF, closes its
+		// end, and our reader drops the connection (dropConn unregisters
+		// it). Close and Kill can still tear it down meanwhile.
+		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+			cw.CloseWrite()
+		} else {
+			// Injected test dials may not be TCP; a full close is the best
+			// available approximation there.
+			c.untrack(conn)
+			conn.Close()
+		}
+	}
+}
+
+// LastHeard returns the time any frame (data, hello, or heartbeat) was last
+// read from rank, or the zero time if never (and always for the own rank).
+// Implements transport.LivenessStatser.
+func (c *Conn) LastHeard(rank int) time.Time {
+	if rank < 0 || rank >= len(c.lastHeard) {
+		return time.Time{}
+	}
+	ns := c.lastHeard[rank].Load()
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
+}
+
+var (
+	_ transport.FailureNotifier = (*Conn)(nil)
+	_ transport.Killer          = (*Conn)(nil)
+	_ transport.Resetter        = (*Conn)(nil)
+	_ transport.LivenessStatser = (*Conn)(nil)
+)

@@ -390,181 +390,6 @@ func New(cfg Config, h transport.Handler) (*Conn, error) {
 	return c, nil
 }
 
-// heartbeatLoop enqueues a KindPing frame to every live peer each interval.
-// Pings ride the normal write path — dial, retry budget, deadlines — so a
-// dead peer is detected (and surfaces through OnPeerFailure) even by ranks
-// that never send it data.
-func (c *Conn) heartbeatLoop() {
-	defer c.beatWG.Done()
-	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.closed:
-			return
-		case <-ticker.C:
-		}
-		for _, p := range c.peers {
-			if p == nil {
-				continue
-			}
-			// A latent joiner slot has no address yet: pinging it would burn
-			// the dial budget and poison the failure registry with a rank
-			// that was never alive. Probing begins once the peer is admitted.
-			c.addrMu.RLock()
-			admitted := c.addrs[p.rank] != ""
-			c.addrMu.RUnlock()
-			if !admitted {
-				continue
-			}
-			wb := transport.GetWireBuf()
-			buf, err := transport.AppendFrame(wb.B[:0], transport.WireFrame{
-				Kind: transport.KindPing,
-				Src:  int32(c.cfg.Rank),
-				Dst:  int32(p.rank),
-			})
-			wb.B = buf
-			if err != nil {
-				transport.PutWireBuf(wb)
-				continue
-			}
-			p.mu.Lock()
-			if p.dead || p.closing {
-				p.mu.Unlock()
-				transport.PutWireBuf(wb)
-				continue
-			}
-			p.queue = append(p.queue, wb)
-			p.cond.Signal()
-			p.mu.Unlock()
-			c.countSent(transport.KindPing, int64(len(buf)))
-		}
-	}
-}
-
-// OnPeerFailure registers the callback invoked (at most once per peer, from
-// a writer goroutine) when that peer's retry budget or deadline is
-// exhausted. Implements transport.FailureNotifier.
-func (c *Conn) OnPeerFailure(cb func(transport.PeerError)) {
-	c.errMu.Lock()
-	c.onFail = cb
-	c.errMu.Unlock()
-}
-
-func (c *Conn) notifyPeerFailure(pe transport.PeerError) {
-	if c.killed.Load() {
-		return // our own teardown, not a remote failure
-	}
-	c.errMu.Lock()
-	cb := c.onFail
-	c.errMu.Unlock()
-	if cb != nil {
-		cb(pe)
-	}
-}
-
-// Kill tears the endpoint down instantly — no drain, no goodbye frames —
-// exactly as SIGKILL would: every socket and the listener close, queued
-// frames are discarded, and subsequent Sends fail. Peers observe the death
-// through their own detectors (read resets, heartbeat silence, exhausted
-// redial budgets). Implements transport.Killer for fault-injection tests.
-func (c *Conn) Kill() {
-	c.killed.Store(true)
-	c.closeOnce.Do(func() {
-		close(c.closed)
-		for _, p := range c.peers {
-			if p == nil {
-				continue
-			}
-			p.mu.Lock()
-			p.closing = true
-			p.dead = true
-			if p.err == nil {
-				p.err = &transport.PeerError{Rank: p.rank, Phase: transport.PhaseClose,
-					Err: errors.New("transport killed")}
-			}
-			for _, wb := range p.queue {
-				transport.PutWireBuf(wb)
-			}
-			p.queue = nil
-			p.conn = nil
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}
-		if c.listener != nil {
-			c.listener.Close()
-		}
-		if c.rendezvousLn != nil {
-			c.rendezvousLn.Close()
-		}
-		c.connsMu.Lock()
-		for conn := range c.conns {
-			conn.Close()
-		}
-		c.conns = nil
-		c.connsMu.Unlock()
-		c.beatWG.Wait()
-	})
-}
-
-// ResetPeers forces every established connection to be recycled WITHOUT
-// marking any peer dead — the transient-blip fault (transport.Resetter).
-// Each socket's write side is shut down (half-close): bytes already
-// accepted by the kernel still flush, the remote reader consumes them and
-// then sees a clean EOF, drops the connection, and both sides redial within
-// the normal retry budget. Half-close rather than full close is what makes
-// the fault survivable-by-construction: a full close would destroy inbound
-// frames sitting in the local receive buffer — frames the peer's write
-// accounting already counted as delivered, so nothing would ever resend
-// them and the next collective would hang. (A fault that loses
-// acknowledged frames is a peer death, not a reset; inject that with
-// Kill.) Only an exhausted retry budget — never the reset itself —
-// surfaces as a peer failure.
-func (c *Conn) ResetPeers() {
-	select {
-	case <-c.closed:
-		return // already torn down; nothing to reset
-	default:
-	}
-	// Detach each peer's canonical write connection first so writers redial
-	// instead of queueing more writes onto a socket that is about to refuse
-	// them.
-	for _, p := range c.peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		p.conn = nil
-		p.mu.Unlock()
-	}
-	c.connsMu.Lock()
-	conns := make([]net.Conn, 0, len(c.conns))
-	for conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.connsMu.Unlock()
-	for _, conn := range conns {
-		// The socket stays tracked and its read side stays open: inbound
-		// frames keep draining until the peer reacts to the EOF, closes its
-		// end, and our reader drops the connection (dropConn unregisters
-		// it). Close and Kill can still tear it down meanwhile.
-		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
-			cw.CloseWrite()
-		} else {
-			// Injected test dials may not be TCP; a full close is the best
-			// available approximation there.
-			c.untrack(conn)
-			conn.Close()
-		}
-	}
-}
-
-var (
-	_ transport.FailureNotifier = (*Conn)(nil)
-	_ transport.Killer          = (*Conn)(nil)
-	_ transport.Resetter        = (*Conn)(nil)
-)
-
 // Rank returns this endpoint's rank.
 func (c *Conn) Rank() int { return c.cfg.Rank }
 
@@ -608,41 +433,6 @@ func (c *Conn) Stats() transport.Stats {
 	return st
 }
 
-// LastHeard returns the time any frame (data, hello, or heartbeat) was last
-// read from rank, or the zero time if never (and always for the own rank).
-// Implements transport.LivenessStatser.
-func (c *Conn) LastHeard(rank int) time.Time {
-	if rank < 0 || rank >= len(c.lastHeard) {
-		return time.Time{}
-	}
-	ns := c.lastHeard[rank].Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-var (
-	_ transport.LivenessStatser = (*Conn)(nil)
-	_ transport.MeteredSender   = (*Conn)(nil)
-)
-
-// Send serializes the payload and enqueues it toward dst. Self-sends loop
-// back through the codec (an encode/decode round trip) so semantics match
-// remote delivery exactly.
-func (c *Conn) Send(dst, tag int, payload any) error {
-	_, err := c.send(dst, tag, payload)
-	return err
-}
-
-// SendMetered behaves exactly like Send and additionally returns the exact
-// number of bytes the frame occupies on the wire — the post-compression
-// serialized size, length prefix and header included; 0 for self-sends.
-// Implements transport.MeteredSender.
-func (c *Conn) SendMetered(dst, tag int, payload any) (int64, error) {
-	return c.send(dst, tag, payload)
-}
-
 // compressTo reports whether data frames toward dst may travel compressed:
 // both this rank and dst advertised FlagCompress (at bootstrap or at
 // admission for joiners).
@@ -664,7 +454,12 @@ const frameWireOffset = 4 + 17
 // value (its one-byte type code): the encoding of the empty slice.
 var bytesPayloadCode, _ = transport.EncodePayload([]byte{})
 
-func (c *Conn) send(dst, tag int, payload any) (int64, error) {
+// Send serializes the payload and enqueues it toward dst, returning the exact
+// number of bytes the frame occupies on the wire — the post-compression
+// serialized size, length prefix and header included. Self-sends loop back
+// through the codec (an encode/decode round trip) so semantics match remote
+// delivery exactly, and report 0.
+func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 	if dst < 0 || dst >= c.cfg.capacity() {
 		return 0, fmt.Errorf("tcp: Send: rank %d out of range [0,%d)", dst, c.cfg.capacity())
 	}
@@ -710,7 +505,7 @@ func (c *Conn) send(dst, tag int, payload any) (int64, error) {
 	// through the peer's writer queue and returns to the pool once written.
 	wb := transport.GetWireBuf()
 	// Compression happens here, synchronously, rather than in the writer
-	// goroutine: the frame's final wire size must be known when SendMetered
+	// goroutine: the frame's final wire size must be known when Send
 	// returns, and the scheduler's accounting relies on that exactness.
 	// Eligibility: negotiated with dst, sample-batch payload ([]byte), and
 	// a payload section large enough to beat the codec overhead. The block
@@ -766,7 +561,7 @@ func (c *Conn) send(dst, tag int, payload any) (int64, error) {
 }
 
 // countSent records a frame the moment its peer's queue accepts it — the
-// same moment SendMetered reports its size — rather than when the writer
+// same moment Send reports its size — rather than when the writer
 // goroutine gets round to the socket. Sender-side identities (metered bytes
 // = counted bytes) therefore hold at every instant, not only once every
 // writer has been scheduled; the price is that a frame queued for a peer
@@ -858,331 +653,6 @@ func waitUntil(wg *sync.WaitGroup, deadline time.Time) bool {
 		return true
 	case <-timer.C:
 		return false
-	}
-}
-
-// --- bootstrap ---
-
-func (c *Conn) bootstrap(advertise string) error {
-	deadline := time.Now().Add(c.cfg.BootstrapTimeout)
-	if c.cfg.Rank == 0 && !c.cfg.Join {
-		return c.bootstrapRoot(advertise, deadline)
-	}
-	return c.rendezvous(advertise, deadline)
-}
-
-// bootstrapRoot collects every peer's hello on the rendezvous listener and
-// answers with the full rank↔address table. Connections that drop or send
-// garbage before completing a hello are skipped, not fatal: the peer side
-// retries the whole round, so a flaky network just costs a backoff step. A
-// second hello from the same rank replaces the first connection (the peer
-// evidently lost the previous round before receiving the table).
-func (c *Conn) bootstrapRoot(advertise string, deadline time.Time) error {
-	ln := c.cfg.RendezvousListener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", c.cfg.Rendezvous)
-		if err != nil {
-			return fmt.Errorf("tcp: rank 0: binding rendezvous %s: %w", c.cfg.Rendezvous, err)
-		}
-	}
-	// An elastic world (MaxSize > Size) keeps the rendezvous open after
-	// bootstrap so late joiners can rendezvous mid-run; joinAcceptLoop takes
-	// it over, and Close/Kill tear it down.
-	keepOpen := c.cfg.capacity() > c.cfg.Size
-	defer func() {
-		if keepOpen {
-			if tl, ok := ln.(*net.TCPListener); ok {
-				tl.SetDeadline(time.Time{})
-			}
-			c.rendezvousLn = ln
-		} else {
-			ln.Close()
-		}
-	}()
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-	}
-
-	// Tables are sized by the full rank name space; latent joiner slots
-	// stay empty until admission.
-	addrs := make([]string, c.cfg.capacity())
-	addrs[0] = advertise
-	flags := make([]byte, c.cfg.capacity())
-	flags[0] = c.cfg.capabilityFlags()
-	conns := make([]net.Conn, c.cfg.Size) // per-rank hello connection
-	defer func() {
-		for _, conn := range conns {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-	}()
-	seen := 0
-	for seen < c.cfg.Size-1 {
-		conn, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("tcp: rank 0: rendezvous accept (have %d/%d hellos): %w", seen, c.cfg.Size-1, err)
-		}
-		conn.SetDeadline(deadline)
-		f, _, err := transport.ReadFrame(conn)
-		if err != nil || f.Kind != transport.KindHello {
-			conn.Close() // dropped or garbled dial; the peer retries
-			continue
-		}
-		r := int(f.Src)
-		if r <= 0 || r >= c.cfg.Size {
-			conn.Close()
-			continue
-		}
-		if conns[r] != nil {
-			// The peer retried after losing its previous round; the newer
-			// connection supersedes the stale one.
-			conns[r].Close()
-		} else {
-			seen++
-		}
-		addrs[r], flags[r] = transport.DecodeHello(f.Payload)
-		conns[r] = conn
-	}
-	table, err := transport.MarshalFrame(transport.WireFrame{
-		Kind:    transport.KindTable,
-		Src:     0,
-		Dst:     -1,
-		Payload: transport.EncodePeerTable(addrs, flags),
-	})
-	if err != nil {
-		return err
-	}
-	for _, conn := range conns {
-		if conn == nil {
-			continue
-		}
-		if _, err := conn.Write(table); err != nil {
-			return fmt.Errorf("tcp: rank 0: sending rendezvous table: %w", err)
-		}
-	}
-	c.addrs = addrs
-	c.peerFlags = flags
-	return nil
-}
-
-// rendezvous is the non-root side of the rendezvous — dial, announce the
-// data address, wait for the table — retrying the whole round with backoff
-// until the deadline. Retrying the full round (not just the dial) is what
-// lets a rank survive a flaky rendezvous: a listener that accepts and then
-// drops the connection just costs one backoff step.
-//
-// A bootstrap-time peer announces its rank; a mid-run joiner (cfg.Join)
-// announces Src == -1, adopts the slot the root assigned it from the reply's
-// Dst, and treats a table of the wrong capacity as fatal — the running world
-// was started with another -max-world, and no retry changes that.
-func (c *Conn) rendezvous(advertise string, deadline time.Time) error {
-	join := c.cfg.Join
-	src, what := int32(c.cfg.Rank), "rendezvous"
-	if join {
-		src, what = -1, "join"
-	}
-	hello, err := transport.MarshalFrame(transport.WireFrame{
-		Kind:    transport.KindHello,
-		Src:     src,
-		Dst:     0,
-		Payload: transport.EncodeHello(advertise, c.cfg.capabilityFlags()),
-	})
-	if err != nil {
-		return err
-	}
-	backoff := c.cfg.DialBackoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if time.Now().Add(backoff).After(deadline) {
-				if join {
-					return fmt.Errorf("tcp: join via %s failed within %v: %w",
-						c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
-				}
-				return fmt.Errorf("tcp: rank %d: rendezvous %s failed within %v: %w",
-					c.cfg.Rank, c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
-			}
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		}
-		f, err := c.rendezvousRound(hello, what, deadline)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if f.Kind != transport.KindTable || (join && f.Dst < 0) {
-			lastErr = fmt.Errorf("%s answered with frame kind %d dst %d, want a table", what, f.Kind, f.Dst)
-			continue
-		}
-		addrs, flags, err := transport.DecodePeerTable(f.Payload)
-		if err != nil {
-			lastErr = fmt.Errorf("decoding %s table: %w", what, err)
-			continue
-		}
-		if len(addrs) != c.cfg.capacity() {
-			if join {
-				return fmt.Errorf("tcp: join table has %d entries, want capacity %d (mismatched -max-world?)",
-					len(addrs), c.cfg.capacity())
-			}
-			lastErr = fmt.Errorf("rendezvous table has %d entries, want %d", len(addrs), c.cfg.capacity())
-			continue
-		}
-		if join {
-			if int(f.Dst) >= c.cfg.capacity() {
-				return fmt.Errorf("tcp: join assigned rank %d beyond capacity %d", f.Dst, c.cfg.capacity())
-			}
-			c.cfg.Rank = int(f.Dst)
-			c.cfg.Size = c.cfg.capacity()
-		}
-		c.addrs = addrs
-		c.peerFlags = flags
-		return nil
-	}
-}
-
-// rendezvousRound is one attempt's socket work: dial, send the hello, read
-// the reply frame.
-func (c *Conn) rendezvousRound(hello []byte, what string, deadline time.Time) (transport.WireFrame, error) {
-	conn, err := c.cfg.Dial(c.cfg.Rendezvous, c.cfg.DialTimeout)
-	if err != nil {
-		return transport.WireFrame{}, fmt.Errorf("dialing rendezvous: %w", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(deadline)
-	if _, err := conn.Write(hello); err != nil {
-		return transport.WireFrame{}, fmt.Errorf("sending %s hello: %w", what, err)
-	}
-	f, _, err := transport.ReadFrame(conn)
-	if err != nil {
-		return transport.WireFrame{}, fmt.Errorf("reading %s table: %w", what, err)
-	}
-	return f, nil
-}
-
-// --- elastic join (DESIGN.md §15) ---
-
-// OnJoinRequest registers the callback invoked once per joiner the
-// rendezvous admits (rank 0 of an elastic world only; other ranks never
-// fire it). Joins that arrived before registration are flushed to the
-// callback immediately. Implements transport.JoinNotifier.
-func (c *Conn) OnJoinRequest(cb func(transport.JoinRequest)) {
-	c.errMu.Lock()
-	c.onJoin = cb
-	pending := c.pendingJoins
-	c.pendingJoins = nil
-	c.errMu.Unlock()
-	for _, jr := range pending {
-		cb(jr)
-	}
-}
-
-func (c *Conn) notifyJoin(jr transport.JoinRequest) {
-	c.errMu.Lock()
-	cb := c.onJoin
-	if cb == nil {
-		c.pendingJoins = append(c.pendingJoins, jr)
-	}
-	c.errMu.Unlock()
-	if cb != nil {
-		cb(jr)
-	}
-}
-
-// AdmitPeer records a joiner's data address and capability flags so traffic
-// toward its slot dials like any bootstrap-time peer. Every running member
-// calls it when the join protocol announces the new rank. Implements
-// transport.PeerAdmitter.
-func (c *Conn) AdmitPeer(rank int, addr string, flags byte) error {
-	if rank == c.cfg.Rank {
-		return nil
-	}
-	if rank < 0 || rank >= c.cfg.capacity() {
-		return fmt.Errorf("tcp: AdmitPeer: rank %d out of capacity [0,%d)", rank, c.cfg.capacity())
-	}
-	if addr == "" {
-		return fmt.Errorf("tcp: AdmitPeer: empty address for rank %d", rank)
-	}
-	c.addrMu.Lock()
-	c.addrs[rank] = addr
-	c.peerFlags[rank] = flags
-	c.addrMu.Unlock()
-	return nil
-}
-
-var (
-	_ transport.PeerAdmitter = (*Conn)(nil)
-	_ transport.JoinNotifier = (*Conn)(nil)
-)
-
-// joinAcceptLoop answers mid-run rendezvous hellos on rank 0 of an elastic
-// world: a joiner announces itself with Src == -1, receives the next free
-// slot and the current peer table, and is surfaced through OnJoinRequest.
-// The joiner is NOT yet a member — the upper layers decide when (and
-// whether) to admit it into the collective group.
-func (c *Conn) joinAcceptLoop() {
-	defer c.readerWG.Done()
-	ln := c.rendezvousLn
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by Close/Kill
-		}
-		c.track(conn)
-		c.readerWG.Add(1)
-		go func(conn net.Conn) {
-			defer c.readerWG.Done()
-			defer func() {
-				c.untrack(conn)
-				conn.Close()
-			}()
-			conn.SetDeadline(time.Now().Add(c.cfg.BootstrapTimeout))
-			f, _, err := transport.ReadFrame(conn)
-			if err != nil || f.Kind != transport.KindHello || f.Src != -1 {
-				return // not a joiner hello; drop
-			}
-			addr, fl := transport.DecodeHello(f.Payload)
-			if addr == "" {
-				return
-			}
-			c.addrMu.Lock()
-			if c.nextJoin >= c.cfg.capacity() {
-				c.addrMu.Unlock()
-				return // world full; the joiner times out and gives up
-			}
-			r := c.nextJoin
-			c.nextJoin++
-			c.addrs[r] = addr
-			c.peerFlags[r] = fl
-			table := transport.EncodePeerTable(c.addrs, c.peerFlags)
-			c.addrMu.Unlock()
-			reply, err := transport.MarshalFrame(transport.WireFrame{
-				Kind:    transport.KindTable,
-				Src:     int32(c.cfg.Rank),
-				Dst:     int32(r), // the assigned slot rides the Dst field
-				Payload: table,
-			})
-			if err == nil {
-				_, err = conn.Write(reply)
-			}
-			if err != nil {
-				// The joiner never learned its slot; roll the assignment back
-				// when it is still the newest so a retry doesn't leak slots
-				// (and never surface a ghost join).
-				c.addrMu.Lock()
-				if c.nextJoin == r+1 {
-					c.nextJoin = r
-					c.addrs[r] = ""
-					c.peerFlags[r] = 0
-				}
-				c.addrMu.Unlock()
-				return
-			}
-			c.notifyJoin(transport.JoinRequest{Rank: r, Addr: addr, Flags: fl})
-		}(conn)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestBootstrapSurvivesFlakyRendezvous(t *testing.T) {
 		}
 	})
 	for r := 1; r < 3; r++ {
-		if err := conns[r].Send(0, 7, []int{r}); err != nil {
+		if _, err := conns[r].Send(0, 7, []int{r}); err != nil {
 			t.Fatalf("rank %d send: %v", r, err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestBootstrapSurvivesFlakyDial(t *testing.T) {
 			}
 		}
 	})
-	if err := conns[1].Send(0, 1, "hello"); err != nil {
+	if _, err := conns[1].Send(0, 1, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	f := recvN(t, inbox[0], 1)[0]
@@ -155,7 +155,7 @@ func TestReconnectAfterDroppedConnection(t *testing.T) {
 
 	const batch = 50
 	for i := 0; i < batch; i++ {
-		if err := conns[0].Send(1, 0, i); err != nil {
+		if _, err := conns[0].Send(1, 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestReconnectAfterDroppedConnection(t *testing.T) {
 	live.Close()
 
 	for i := batch; i < 2*batch; i++ {
-		if err := conns[0].Send(1, 0, i); err != nil {
+		if _, err := conns[0].Send(1, 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestResetPeersIsLossless(t *testing.T) {
 		for i := 0; i < perRound; i++ {
 			for src := range conns {
 				dst := (src + 1) % 3
-				if err := conns[src].Send(dst, 0, sent*3+src); err != nil {
+				if _, err := conns[src].Send(dst, 0, sent*3+src); err != nil {
 					t.Fatalf("round %d: rank %d send: %v", round, src, err)
 				}
 			}
@@ -271,7 +271,7 @@ func TestRetryBudgetExhaustedFailsFast(t *testing.T) {
 	if err := conns[1].Close(); err != nil {
 		t.Fatalf("closing rank 1: %v", err)
 	}
-	if err := conns[0].Send(1, 0, 42); err != nil {
+	if _, err := conns[0].Send(1, 0, 42); err != nil {
 		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
 	}
 
@@ -286,7 +286,7 @@ func TestRetryBudgetExhaustedFailsFast(t *testing.T) {
 	if !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Fatalf("error does not mention the exhausted attempt budget: %v", err)
 	}
-	if serr := conns[0].Send(1, 0, 43); serr == nil {
+	if _, serr := conns[0].Send(1, 0, 43); serr == nil {
 		t.Fatal("Send succeeded after the transport failed")
 	}
 	if cerr := conns[0].Close(); cerr == nil {
@@ -309,7 +309,7 @@ func TestWriteRetryRespectsTotalDeadline(t *testing.T) {
 		t.Fatalf("closing rank 1: %v", err)
 	}
 	start := time.Now()
-	if err := conns[0].Send(1, 0, 42); err != nil {
+	if _, err := conns[0].Send(1, 0, 42); err != nil {
 		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -347,7 +347,7 @@ func TestPeerDeathIsScopedAndNotified(t *testing.T) {
 	conns[0].OnPeerFailure(func(pe transport.PeerError) { failed <- pe })
 
 	conns[2].Kill()
-	if err := conns[0].Send(2, 0, 1); err != nil {
+	if _, err := conns[0].Send(2, 0, 1); err != nil {
 		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
 	}
 	select {
@@ -359,12 +359,12 @@ func TestPeerDeathIsScopedAndNotified(t *testing.T) {
 		t.Fatal("OnPeerFailure callback never fired")
 	}
 	// Sends toward the dead peer now fail fast with a typed error.
-	err := conns[0].Send(2, 0, 2)
+	_, err := conns[0].Send(2, 0, 2)
 	if pe, ok := transport.AsPeerError(err); !ok || pe.Rank != 2 {
 		t.Fatalf("Send to dead peer returned %v, want PeerError for rank 2", err)
 	}
 	// Traffic to the surviving peer keeps flowing.
-	if err := conns[0].Send(1, 9, "alive"); err != nil {
+	if _, err := conns[0].Send(1, 9, "alive"); err != nil {
 		t.Fatalf("send to surviving peer failed: %v", err)
 	}
 	f := recvN(t, inbox[1], 1)[0]
@@ -437,7 +437,7 @@ func TestKillStopsEndpointImmediately(t *testing.T) {
 		cfg.DialBackoff = time.Millisecond
 	})
 	conns[0].Kill()
-	if err := conns[0].Send(1, 0, 1); err == nil {
+	if _, err := conns[0].Send(1, 0, 1); err == nil {
 		t.Fatal("Send succeeded on a killed transport")
 	}
 	// Kill must be idempotent and compatible with a later Close.
@@ -489,7 +489,7 @@ func TestCloseDrainsQueuedFrames(t *testing.T) {
 	const n = 200
 	payload := make([]float32, 512)
 	for i := 0; i < n; i++ {
-		if err := conns[0].Send(1, i, payload); err != nil {
+		if _, err := conns[0].Send(1, i, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -519,7 +519,7 @@ func TestStatsCountWireBytes(t *testing.T) {
 	const n = 10
 	var metered int64
 	for i := 0; i < n; i++ {
-		wire, err := conns[0].SendMetered(1, 0, payload)
+		wire, err := conns[0].Send(1, 0, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,7 +567,7 @@ func TestCompressedSendRoundTrips(t *testing.T) {
 		cfg.Compress = true
 	})
 	payload := compressibleBuf(64 << 10)
-	wire, err := conns[0].SendMetered(1, 9, payload)
+	wire, err := conns[0].Send(1, 9, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +599,7 @@ func TestCompressedSendRoundTrips(t *testing.T) {
 		t.Fatalf("receiver kind counters: %+v", ks1.RecvByKind)
 	}
 	if ks0.SentBytesByKind[transport.KindDataZ] != wire {
-		t.Fatalf("SentBytes[dataz]=%d, SendMetered reported %d", ks0.SentBytesByKind[transport.KindDataZ], wire)
+		t.Fatalf("SentBytes[dataz]=%d, Send reported %d", ks0.SentBytesByKind[transport.KindDataZ], wire)
 	}
 	if ks1.RecvBytesByKind[transport.KindDataZ] != wire {
 		t.Fatalf("RecvBytes[dataz]=%d, sender shipped %d", ks1.RecvBytesByKind[transport.KindDataZ], wire)
@@ -616,7 +616,7 @@ func TestCompressionBelowThresholdStaysPlain(t *testing.T) {
 		cfg.Compress = true
 	})
 	small := compressibleBuf(64) // under minCompressPayload
-	if err := conns[0].Send(1, 0, small); err != nil {
+	if _, err := conns[0].Send(1, 0, small); err != nil {
 		t.Fatal(err)
 	}
 	recvN(t, inbox[1], 1)
@@ -635,10 +635,10 @@ func TestCompressionNegotiationAsymmetric(t *testing.T) {
 		cfg.Compress = rank == 0
 	})
 	payload := compressibleBuf(32 << 10)
-	if err := conns[0].Send(1, 0, payload); err != nil {
+	if _, err := conns[0].Send(1, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := conns[1].Send(0, 0, payload); err != nil {
+	if _, err := conns[1].Send(0, 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	f1 := recvN(t, inbox[1], 1)[0]
@@ -663,7 +663,7 @@ func TestSampleRefsFrameOverTCP(t *testing.T) {
 		cfg.Compress = true // refs must stay uncompressed regardless
 	})
 	refs := transport.SampleRefs{3, 15, 16, 4096, 1 << 33}
-	wire, err := conns[0].SendMetered(1, 4, refs)
+	wire, err := conns[0].Send(1, 4, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func TestSelfSendRoundTripsThroughCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Send(0, 5, []int32{1, 2, 3}); err != nil {
+	if _, err := c.Send(0, 5, []int32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	f := <-inbox
@@ -710,7 +710,7 @@ func TestSelfSendRoundTripsThroughCodec(t *testing.T) {
 	}
 	// Non-encodable payloads must fail loudly even for self-sends: the wire
 	// transport has identical semantics for every destination.
-	if err := c.Send(0, 0, struct{ X int }{1}); err == nil {
+	if _, err := c.Send(0, 0, struct{ X int }{1}); err == nil {
 		t.Fatal("self-send of a non-encodable payload succeeded")
 	}
 }
@@ -721,13 +721,13 @@ func TestSendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(7, 0, nil); err == nil {
+	if _, err := c.Send(7, 0, nil); err == nil {
 		t.Fatal("Send to out-of-range rank succeeded")
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(0, 0, nil); err == nil {
+	if _, err := c.Send(0, 0, nil); err == nil {
 		t.Fatal("Send on a closed transport succeeded")
 	}
 }
@@ -778,10 +778,10 @@ func TestElasticJoin(t *testing.T) {
 	}
 
 	for r := 0; r < 3; r++ {
-		if err := conns[r].Send(3, 5, r*10); err != nil {
+		if _, err := conns[r].Send(3, 5, r*10); err != nil {
 			t.Fatalf("rank %d send to joiner: %v", r, err)
 		}
-		if err := joiner.Send(r, 6, 100+r); err != nil {
+		if _, err := joiner.Send(r, 6, 100+r); err != nil {
 			t.Fatalf("joiner send to rank %d: %v", r, err)
 		}
 	}

@@ -102,32 +102,14 @@ type Unwrapper interface {
 	Underlying() Conn
 }
 
-// MeteredSender is implemented by backends whose Send can report the exact
-// number of wire bytes the frame occupies (after compression, if any):
-// SendMetered behaves exactly like Send and additionally returns that size
-// (0 for self-sends, which never touch a wire). The exchange scheduler
-// prefers it so its byte accounting stays exact even when the transport
-// compresses frames underneath.
-type MeteredSender interface {
-	SendMetered(dst, tag int, payload any) (int64, error)
-}
-
-// AsMeteredSender reports whether c itself meters sends. Unlike the other
-// As* accessors it deliberately does NOT walk the Unwrapper chain: sends must
-// flow through every interposed wrapper (a fault injector that was skipped
-// would lose its chance to drop or delay the frame), so only the outermost
-// connection's own implementation counts. Wrapped stacks fall back to
-// Send + FrameWireSize estimation.
-func AsMeteredSender(c Conn) (MeteredSender, bool) {
-	ms, ok := c.(MeteredSender)
-	return ms, ok
-}
-
-// AsLivenessStatser finds the first LivenessStatser in c's wrapper chain.
-func AsLivenessStatser(c Conn) (LivenessStatser, bool) {
+// findConn returns the first connection in c's wrapper chain (c itself, then
+// each Underlying) that implements T. Only control-plane and observability
+// interfaces are looked up this way: frames always enter at the outermost
+// connection's Send, so every interposed wrapper sees them.
+func findConn[T any](c Conn) (T, bool) {
 	for c != nil {
-		if ls, ok := c.(LivenessStatser); ok {
-			return ls, true
+		if t, ok := c.(T); ok {
+			return t, true
 		}
 		u, ok := c.(Unwrapper)
 		if !ok {
@@ -135,8 +117,12 @@ func AsLivenessStatser(c Conn) (LivenessStatser, bool) {
 		}
 		c = u.Underlying()
 	}
-	return nil, false
+	var zero T
+	return zero, false
 }
+
+// AsLivenessStatser finds the first LivenessStatser in c's wrapper chain.
+func AsLivenessStatser(c Conn) (LivenessStatser, bool) { return findConn[LivenessStatser](c) }
 
 // Conn is one rank's endpoint into a transport backend.
 //
@@ -149,13 +135,17 @@ func AsLivenessStatser(c Conn) (LivenessStatser, bool) {
 //     destination arrive in the order they were sent.
 //   - Self-delivery: Send(ownRank, ...) loops back through the handler.
 //
-// Send returns an error only for local failures (unencodable payload,
-// closed transport, exhausted retry budget); delivery itself is
-// asynchronous.
+// Send returns the exact number of bytes the frame occupies on the wire —
+// length prefix and header included, after compression if the backend
+// compressed it; the deterministic FrameWireSize on backends without a wire;
+// 0 for a self-send, which never touches one. It is the sender-side twin of
+// Frame.Wire, and the same bytes Stats counts. Send returns an error only for
+// local failures (unencodable payload, closed transport, exhausted retry
+// budget); delivery itself is asynchronous.
 type Conn interface {
 	Rank() int
 	Size() int
-	Send(dst, tag int, payload any) error
+	Send(dst, tag int, payload any) (wire int64, err error)
 	// Stats returns a snapshot of the traffic counters.
 	Stats() Stats
 	// Close drains queued outbound frames (bounded by the backend's drain
@@ -249,34 +239,10 @@ type PeerAdmitter interface {
 // AsPeerAdmitter finds the first PeerAdmitter in c's wrapper chain.
 // Admission is control-plane state, not a frame, so unwrapping through
 // fault injectors is safe (they interpose on frames, not peer tables).
-func AsPeerAdmitter(c Conn) (PeerAdmitter, bool) {
-	for c != nil {
-		if pa, ok := c.(PeerAdmitter); ok {
-			return pa, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			break
-		}
-		c = u.Underlying()
-	}
-	return nil, false
-}
+func AsPeerAdmitter(c Conn) (PeerAdmitter, bool) { return findConn[PeerAdmitter](c) }
 
 // AsJoinNotifier finds the first JoinNotifier in c's wrapper chain.
-func AsJoinNotifier(c Conn) (JoinNotifier, bool) {
-	for c != nil {
-		if jn, ok := c.(JoinNotifier); ok {
-			return jn, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			break
-		}
-		c = u.Underlying()
-	}
-	return nil, false
-}
+func AsJoinNotifier(c Conn) (JoinNotifier, bool) { return findConn[JoinNotifier](c) }
 
 // Killer is implemented by backends that can simulate an abrupt process
 // death for fault-injection tests: Kill tears the endpoint down instantly —

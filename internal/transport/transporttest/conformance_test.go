@@ -41,6 +41,19 @@ func delayWrap(rank int, inner transport.Conn) transport.Conn {
 	})
 }
 
+// idleWrap interposes an injector whose script injects nothing: frames go
+// straight through, so everything — including the exact wire size Send
+// reports — must read as it does on the bare backend.
+func idleWrap(rank int, inner transport.Conn) transport.Conn {
+	return faultinject.New(inner, faultinject.Script{})
+}
+
+func TestConformanceUnderIdleInjector(t *testing.T) {
+	transporttest.RunTransportTests(t, transporttest.InprocWrapped("inproc+inject", idleWrap))
+	transporttest.RunTransportTests(t, transporttest.TCPWrapped("tcp+inject", idleWrap, nil))
+	transporttest.RunTransportTests(t, transporttest.TCPWrapped("tcp+z+inject", idleWrap, compressHook))
+}
+
 func TestInprocConformanceUnderInjectedDelays(t *testing.T) {
 	transporttest.RunTransportTests(t, transporttest.InprocWrapped("inproc+delay", delayWrap))
 }

@@ -18,6 +18,7 @@ import (
 	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/transport"
+	"plshuffle/internal/transport/faultinject"
 	"plshuffle/internal/transport/inproc"
 	"plshuffle/internal/transport/tcp"
 )
@@ -297,7 +298,7 @@ func RunCloseSemanticsTests(t *testing.T, b Backend) {
 			t.Fatalf("close: %v", err)
 		}
 		// Transport level: the raw connection must refuse the frame.
-		if err := comms[0].Transport().Send(1, 0, []int{1}); err == nil {
+		if _, err := comms[0].Transport().Send(1, 0, []int{1}); err == nil {
 			t.Error("transport Send after Close returned nil; want an error")
 		}
 		// Runtime level: the same misuse through the mpi API must surface as
@@ -559,6 +560,72 @@ func RunTransportTests(t *testing.T, b Backend) {
 			if s.ID != i+other*1000 || s.Features[3] != float32(i)*0.25 {
 				return fmt.Errorf("sample %d mangled: %+v", i, s)
 			}
+		}
+		return nil
+	})
+
+	run("SendReportsWireBytes", 2, func(c *mpi.Comm) error {
+		// What Send returns is what the frame costs on the wire: on a wire
+		// backend the sizes sum to the growth of the transport's own data-kind
+		// byte counters — compressed frames at their compressed size — and on
+		// inproc to the deterministic FrameWireSize. One exception is part of
+		// the contract: a fault injector that delays frames queues them all,
+		// so it answers before the inner connection has seen the frame, with
+		// the FrameWireSize estimate. (Enough frames go out that a delaying
+		// script cannot have delayed none of them.)
+		const tagData, tagSelf, tagAck = 20, 21, 22
+		const rounds, perRound = 10, 4
+		if c.Rank() == 1 {
+			for i := 0; i < rounds*perRound; i++ {
+				c.Recv(0, tagData)
+			}
+			c.Send(0, tagAck, []int{1})
+			return nil
+		}
+		conn := c.Transport()
+		dataBytes := func() int64 {
+			st := conn.Stats()
+			return st.SentBytesByKind[transport.KindData] + st.SentBytesByKind[transport.KindDataZ] + st.SentBytesByKind[transport.KindDataRef]
+		}
+		samples := make([]data.Sample, 64)
+		for i := range samples {
+			samples[i] = data.Sample{ID: i, Label: i % 7, Features: []float32{float32(i), -1.5, 2, float32(i) * 0.25}, Bytes: 100}
+		}
+		before := dataBytes()
+		var got, estimate int64
+		payloads := [perRound]any{
+			[]int{1, 2, 3},
+			make([]float32, 1000),
+			data.EncodeSampleBatch(samples), // large and compressible: KindDataZ where negotiated
+			transport.SampleRefs{2, 3, 40, 1 << 41},
+		}
+		for i := 0; i < rounds*perRound; i++ {
+			p := payloads[i%perRound]
+			wire, err := conn.Send(1, tagData, p)
+			if err != nil {
+				return err
+			}
+			got += wire
+			estimate += transport.FrameWireSize(p)
+		}
+		wire, err := conn.Send(0, tagSelf, []int{1})
+		if err != nil {
+			return err
+		}
+		if wire != 0 {
+			return fmt.Errorf("self-send reported %d wire bytes, want 0", wire)
+		}
+		c.Recv(0, tagSelf)
+		// The receiver has every frame, so an injector's queue has handed them
+		// all to the wire and the counters are final.
+		c.Recv(1, tagAck)
+		want := estimate
+		inj, wrapped := conn.(*faultinject.Conn)
+		if queued := wrapped && inj.Injected().Delays > 0; conn.Stats().Wire && !queued {
+			want = dataBytes() - before
+		}
+		if got != want {
+			return fmt.Errorf("Send returned %d wire bytes in total, want %d (uncompressed estimate %d)", got, want, estimate)
 		}
 		return nil
 	})
