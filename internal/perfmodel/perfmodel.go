@@ -204,27 +204,66 @@ func EpochTime(mc cluster.Machine, w Workload, workers int, strat shuffle.Strate
 type CacheWorkload struct {
 	EpochBytes int64
 	ShardBytes int64
-	CacheBytes int64 // 0 = unlimited (everything hits after the first epoch)
+	CacheBytes int64 // 0 = unlimited (everything hits once it has been read)
+	// WindowShards is how many shards the reader pins together; 0 is the
+	// trainer's rule, half the cache.
+	WindowShards int
+	// RedealRanks > 1 re-deals the dataset's shards across that many ranks
+	// at every epoch (Corgi2 with one epoch per group); otherwise the rank
+	// keeps its shards and only their order changes.
+	RedealRanks int
+}
+
+// CachedEpochFetches is the expected number of shards a steady-state epoch
+// fetches from the PFS through the plan-driven cache tier
+// (internal/store/cache): S shards read once each in a fresh order, K
+// cache slots, eviction by farthest next read over a plan the tier knows
+// to the end of the epoch being read (the trainer announces the next
+// epoch as one ends). A shard that has been read is then never-read-again,
+// the preferred victim, so from the second window on every admission
+// evicts a consumed shard and what the epoch found resident survives to
+// its read. The regimes differ in what it finds:
+//
+//   - same assignment: all K leftovers are read again; only the first
+//     window's W·(1−K/S) expected misses have nothing consumed to evict
+//     and cost a leftover each: S − K + W·(1 − K/S) fetches.
+//   - re-dealt across M ranks: a leftover is in the new share with
+//     probability 1/M whatever the cache kept, and the K·(1−1/M) that are
+//     not go first: S − K/M fetches (zero once the cache holds the whole
+//     dataset, K ≥ M·S).
+func CachedEpochFetches(w CacheWorkload) (float64, error) {
+	if w.EpochBytes <= 0 || w.ShardBytes <= 0 || w.CacheBytes < 0 || w.WindowShards < 0 {
+		return 0, fmt.Errorf("perfmodel: CachedEpochFetches: bad workload %+v", w)
+	}
+	s := float64(w.EpochBytes) / float64(w.ShardBytes)
+	k := float64(w.CacheBytes / w.ShardBytes)
+	if w.RedealRanks > 1 {
+		if w.CacheBytes == 0 {
+			return 0, nil
+		}
+		return math.Max(0, s-k/float64(w.RedealRanks)), nil
+	}
+	if w.CacheBytes == 0 || k >= s {
+		return 0, nil
+	}
+	win := float64(w.WindowShards)
+	if win == 0 {
+		win = math.Max(1, math.Floor(k/2))
+	}
+	return s - k + math.Min(win, s)*(1-k/s), nil
 }
 
 // CachedEpochReadTime models one steady-state epoch's read time through
-// the two-tier hierarchy: the cached fraction streams at the node-local
-// sequential rate, the rest re-fetches whole shards from the PFS at the
-// per-client rate plus a metadata operation per shard. With LRU over a
-// uniformly re-shuffled shard order, the expected hit fraction is the
-// cache's share of the epoch's bytes.
+// the two-tier hierarchy: CachedEpochFetches whole shards re-fetch from
+// the PFS at the per-client rate plus a metadata operation per shard, the
+// rest of the epoch streams at the node-local sequential rate.
 func CachedEpochReadTime(mc cluster.Machine, w CacheWorkload) (float64, error) {
-	if w.EpochBytes <= 0 || w.ShardBytes <= 0 || w.CacheBytes < 0 {
-		return 0, fmt.Errorf("perfmodel: CachedEpochReadTime: bad workload %+v", w)
+	missShards, err := CachedEpochFetches(w)
+	if err != nil {
+		return 0, err
 	}
-	hitFrac := 1.0
-	if w.CacheBytes > 0 && w.CacheBytes < w.EpochBytes {
-		hitFrac = float64(w.CacheBytes) / float64(w.EpochBytes)
-	}
-	hitBytes := hitFrac * float64(w.EpochBytes)
-	missBytes := float64(w.EpochBytes) - hitBytes
-	missShards := missBytes / float64(w.ShardBytes)
-	t := hitBytes / mc.LocalSeqBW
+	missBytes := missShards * float64(w.ShardBytes)
+	t := (float64(w.EpochBytes) - missBytes) / mc.LocalSeqBW
 	t += missBytes/mc.PFSPerClientBW + missShards*mc.PFSMetadataCost
 	return t, nil
 }

@@ -14,23 +14,30 @@ var benchPFSOptions = shard.PFSOptions{BytesPerSec: 8e6, PerShardLatency: 2 * ti
 
 // epochPlan builds a one-pass sequential plan over every shard.
 func epochPlan(man shard.Manifest, perWindow int) (windows [][]int, bounds []int, order []shard.Ref) {
-	bounds = []int{0}
 	for lo := 0; lo < man.NumShards; lo += perWindow {
-		hi := lo + perWindow
-		if hi > man.NumShards {
-			hi = man.NumShards
-		}
 		var win []int
-		for sh := lo; sh < hi; sh++ {
+		for sh := lo; sh < min(lo+perWindow, man.NumShards); sh++ {
 			win = append(win, sh)
+		}
+		windows = append(windows, win)
+	}
+	bounds, order = planOf(man, windows)
+	return windows, bounds, order
+}
+
+// planOf resolves windows of shards into the sample order that reads every
+// sample of every window in shard order, and its window bounds.
+func planOf(man shard.Manifest, windows [][]int) (bounds []int, order []shard.Ref) {
+	bounds = []int{0}
+	for _, win := range windows {
+		for _, sh := range win {
 			for i := 0; i < man.ShardSamples(sh); i++ {
 				order = append(order, shard.Ref{Shard: sh, Index: i})
 			}
 		}
-		windows = append(windows, win)
 		bounds = append(bounds, len(order))
 	}
-	return windows, bounds, order
+	return bounds, order
 }
 
 func runEpoch(b *testing.B, tier *Tier, man shard.Manifest) {

@@ -8,6 +8,7 @@
 package cache_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -58,9 +59,9 @@ func TestMeasuredReadTimeMatchesModelOrdering(t *testing.T) {
 
 	// measure reads two epochs through a fresh tier — the first warms the
 	// cache, the second is timed — visiting shards in a fresh random order
-	// each epoch (the corgi plan's behaviour), which is what makes the
-	// expected hit fraction the cache's share of the epoch.
-	measure := func(budget int64) time.Duration {
+	// each epoch (the corgi plan's behaviour). It also returns the PFS bytes
+	// the timed epoch fetched.
+	measure := func(budget int64) (time.Duration, int64) {
 		tier, err := cache.New(pfs, budget, "")
 		if err != nil {
 			t.Fatal(err)
@@ -98,27 +99,32 @@ func TestMeasuredReadTimeMatchesModelOrdering(t *testing.T) {
 			}
 		}
 		epoch() // warm
+		warm := tier.Stats().PFSReadBytes
 		start := time.Now()
 		epoch()
-		return time.Since(start)
+		return time.Since(start), tier.Stats().PFSReadBytes - warm
 	}
 
 	budgets := []int64{epochBytes / 4, epochBytes / 2, 0} // 25%, 50%, unlimited
 	var measured []time.Duration
 	var predicted []float64
 	for _, budget := range budgets {
-		measured = append(measured, measure(budget))
-		modelBudget := budget
-		if modelBudget == 0 {
-			modelBudget = epochBytes
+		took, pfsBytes := measure(budget)
+		measured = append(measured, took)
+		w := perfmodel.CacheWorkload{
+			EpochBytes: epochBytes, ShardBytes: man.MaxShardBytes(), CacheBytes: budget, WindowShards: 2,
 		}
-		p, err := perfmodel.CachedEpochReadTime(mc, perfmodel.CacheWorkload{
-			EpochBytes: epochBytes, ShardBytes: man.MaxShardBytes(), CacheBytes: modelBudget,
-		})
+		p, err := perfmodel.CachedEpochReadTime(mc, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		predicted = append(predicted, p)
+		// The model's other output, exact up to the one term that is an
+		// expectation: how many of the first window's two shards were kept.
+		fetches, _ := perfmodel.CachedEpochFetches(w)
+		if got := float64(pfsBytes) / float64(w.ShardBytes); math.Abs(got-fetches) > 2 {
+			t.Errorf("budget %d: the timed epoch fetched %.0f shards from the PFS, the model says %.1f", budget, got, fetches)
+		}
 	}
 	t.Logf("measured: 25%%=%v 50%%=%v unlimited=%v", measured[0], measured[1], measured[2])
 	t.Logf("predicted: 25%%=%.4fs 50%%=%.4fs unlimited=%.4fs", predicted[0], predicted[1], predicted[2])

@@ -9,9 +9,10 @@ import (
 
 // EpochStream reads one epoch's samples in a precomputed order through the
 // cache tier. The order is grouped into windows of shards: all shards of
-// the current window are pinned while its samples stream out, and the next
-// window's shards are prefetched in the background — so under Corgi²'s
-// online shuffle the PFS fetches overlap the current window's compute.
+// the current window are pinned while its samples stream out, and the
+// tier, which holds the whole window sequence, lands the following windows
+// in the background — so under Corgi²'s online shuffle the PFS fetches
+// overlap the current window's compute.
 //
 // The plan (windows, bounds, order) is computed upstream as a pure function
 // of (seed, epoch, rank, window size); the stream only executes it, which
@@ -26,7 +27,8 @@ type EpochStream struct {
 	cur     map[int]*shard.Shard
 }
 
-// OpenEpoch starts streaming an epoch plan. bounds must have
+// OpenEpoch starts streaming an epoch plan and hands the tier its shard
+// sequence (the windows, in order) to evict and prefetch by. bounds must have
 // len(windows)+1 entries, start at 0, end at len(order), and be
 // non-decreasing; every order entry in window w must name a shard listed
 // in windows[w].
@@ -40,6 +42,7 @@ func (t *Tier) OpenEpoch(windows [][]int, bounds []int, order []shard.Ref) (*Epo
 			return nil, fmt.Errorf("cache: OpenEpoch: bounds decrease at window %d", w)
 		}
 	}
+	t.setPlan(windows)
 	return &EpochStream{
 		t:       t,
 		windows: windows,
@@ -50,33 +53,26 @@ func (t *Tier) OpenEpoch(windows [][]int, bounds []int, order []shard.Ref) (*Epo
 	}, nil
 }
 
-// advance releases the previous window's pins, pins window w, and queues
-// the window after next for prefetch (w+1 was queued when w-1 advanced; at
-// the first window both w+1 and w+2 are queued to prime the pipeline).
+// advance releases the previous window's pins and pins window w.
 func (es *EpochStream) advance(w int) error {
-	for id := range es.cur {
-		es.t.Release(id)
-		delete(es.cur, id)
-	}
+	es.release()
+	es.win = w
 	for _, id := range es.windows[w] {
 		sh, err := es.t.Acquire(id)
 		if err != nil {
-			for pid := range es.cur {
-				es.t.Release(pid)
-				delete(es.cur, pid)
-			}
+			es.release()
 			return err
 		}
 		es.cur[id] = sh
 	}
-	if w == 0 && w+1 < len(es.windows) {
-		es.t.Prefetch(es.windows[w+1])
-	}
-	if w+2 < len(es.windows) {
-		es.t.Prefetch(es.windows[w+2])
-	}
-	es.win = w
 	return nil
+}
+
+func (es *EpochStream) release() {
+	for id := range es.cur {
+		es.t.Release(id)
+		delete(es.cur, id)
+	}
 }
 
 // ReadInto copies the next sample's features into feat and returns its
@@ -106,11 +102,12 @@ func (es *EpochStream) ReadInto(feat []float32) (id, label int, sim int64, err e
 // Remaining returns how many samples are left in the epoch.
 func (es *EpochStream) Remaining() int { return len(es.order) - es.pos }
 
-// Close releases the stream's pins. The shards stay cached for the next
-// epoch until the budget reclaims them.
+// Close releases the stream's pins and takes the windows it never reached
+// out of the tier's plan. The shards stay cached for the next epoch until
+// the plan has a better use for their slots.
 func (es *EpochStream) Close() {
-	for id := range es.cur {
-		es.t.Release(id)
-		delete(es.cur, id)
+	es.release()
+	for es.win++; es.win < len(es.windows); es.win++ {
+		es.t.skip(es.windows[es.win])
 	}
 }

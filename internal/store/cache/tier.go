@@ -1,17 +1,20 @@
 // Package cache is the node-local storage tier between the trainer and the
-// shard store's "PFS": a byte-budgeted cache of whole shard files on local
-// disk (mmap'd once admitted), with LRU eviction of unpinned shards and an
-// asynchronous prefetcher that overlaps the next window's PFS fetches with
-// compute — the Figure 4 overlap discipline applied to the storage
+// shard store's "PFS": a byte-budgeted cache of whole shards in one local
+// file, mapped once and cut into slots. The access order is a pure function
+// of the seed, so nothing is guessed: the tier is handed the plan — the
+// sequence of shard windows the trainer will pin — and evicts the shard
+// whose next use is farthest (Belady/OPT), while one background goroutine
+// walks the plan ahead of the reader and lands shards before they are
+// needed — the Figure 4 overlap discipline applied to the storage
 // hierarchy instead of the sample exchange.
 //
-// Admission is shard-granular: a miss fetches the whole shard from the PFS
-// tier (internal/store/shard.Dataset.FetchShard), lands it as a local file,
-// and maps it. The byte budget plays the (1+Q)·N/M role of Section III-A:
-// the sum of cached shard file bytes never exceeds it, pinned (in-use)
-// shards are never evicted, and an admission that cannot fit even after
-// evicting every unpinned shard fails loudly instead of silently
-// overflowing.
+// Admission is shard-granular: a fetch reads the whole shard from the PFS
+// tier (internal/store/shard.Dataset.FetchShardInto) straight into a free
+// slot and opens it in place; eviction hands the slot back. The byte budget
+// plays the (1+Q)·N/M role of Section III-A: the sum of cached shard file
+// bytes never exceeds it, pinned (in-use) shards are never evicted or
+// overwritten, and an admission that cannot fit even after evicting every
+// unpinned shard fails loudly instead of silently overflowing.
 //
 // The tier affects timing only, never values: which shards are cached,
 // prefetched, or re-fetched cannot change the bytes a read returns, so
@@ -20,10 +23,7 @@ package cache
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"plshuffle/internal/store/shard"
@@ -35,7 +35,9 @@ func nowNano() int64 { return time.Now().UnixNano() }
 // Stats is a snapshot of the tier's counters. Hits are acquisitions served
 // from cache (including shards an earlier prefetch already admitted);
 // misses paid a synchronous PFS fetch. PFSReadBytes/PFSReadNs cover every
-// PFS fetch, prefetched or not.
+// PFS fetch, prefetched or not. WaitNs is the time Acquire spent blocked,
+// on its own fetch or on a prefetch still in flight — a hit can still
+// stall. UsedBytes/PeakBytes are real shard-file bytes.
 type Stats struct {
 	Hits          int64
 	Misses        int64
@@ -43,72 +45,70 @@ type Stats struct {
 	PrefetchBytes int64
 	PFSReadBytes  int64
 	PFSReadNs     int64
+	WaitNs        int64
 	UsedBytes     int64
 	PeakBytes     int64
 }
 
-// entry is one cached shard.
+// entry is one cached shard. While its fetch is in flight sh and err are
+// both nil; a failed fetch sets err after the entry has left the map.
 type entry struct {
-	sh      *shard.Shard
-	bytes   int64
-	pins    int
-	lastUse int64
-	ready   chan struct{} // closed once the fetch completes (ok or not)
-	err     error         // set before ready closes on a failed fetch
+	id    int
+	sh    *shard.Shard
+	err   error
+	slot  int
+	bytes int64
+	pins  int
+	seen  uint64 // victim's scan stamp
+	busy  bool   // victim: read between the cursor and the admitted position
 }
+
+// step is one planned read: the shard, and the window it is pinned in.
+type step struct{ id, win int }
 
 // Tier is one rank's node-local cache. Acquire/Release are safe for
 // concurrent use (the prefetcher runs on its own goroutine).
 type Tier struct {
 	pfs    *shard.Dataset
 	budget int64 // bytes; 0 = unlimited
-	dir    string
-	ownDir bool
 
 	mu      sync.Mutex
+	cond    *sync.Cond // every change a waiter could be blocked on
+	slots   slots
 	entries map[int]*entry
-	clock   int64
-	used    int64
-	peak    int64
+	st      Stats
+	stamp   uint64
+	closed  bool
+	// The plan: seq[cursor:] are the reads still to come, cursor moves when
+	// Acquire takes the shard it names, and pf is how far the prefetcher has
+	// walked. The consumed part of the cursor's window stays until the plan
+	// is next extended, so victim can tell what is pinned beside a position.
+	seq        []step
+	cursor, pf int
+	wins       int
 
-	hits, misses, evictions       atomic.Int64
-	prefetchBytes                 atomic.Int64
-	pfsReadBytes, pfsReadNs       atomic.Int64
-	prefetchCh                    chan int
-	quit                          chan struct{}
-	wg                            sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // New creates a cache tier over the PFS dataset with the given byte budget
-// (0 = unlimited). dir roots the cached shard files; empty creates (and
-// owns) a temporary directory removed on Close. A non-zero budget must at
+// (0 = unlimited). dir is where the cache file goes (empty: the system's
+// temporary directory); Close removes the file. A non-zero budget must at
 // least hold the dataset's largest shard, or no window could ever be
 // pinned.
 func New(pfs *shard.Dataset, budgetBytes int64, dir string) (*Tier, error) {
 	if budgetBytes < 0 {
 		return nil, fmt.Errorf("cache: negative budget %d", budgetBytes)
 	}
-	if max := pfs.Manifest().MaxShardBytes(); budgetBytes > 0 && budgetBytes < max {
-		return nil, fmt.Errorf("cache: budget %d bytes cannot hold the largest shard (%d bytes)", budgetBytes, max)
+	widest := pfs.Manifest().MaxShardBytes()
+	if budgetBytes > 0 && budgetBytes < widest {
+		return nil, fmt.Errorf("cache: budget %d bytes cannot hold the largest shard (%d bytes)", budgetBytes, widest)
 	}
-	own := false
-	if dir == "" {
-		d, err := os.MkdirTemp("", "plscache-")
-		if err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
-		}
-		dir, own = d, true
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+	t := &Tier{pfs: pfs, budget: budgetBytes, entries: make(map[int]*entry)}
+	t.cond = sync.NewCond(&t.mu)
+	// Slots are as wide as the largest shard, so budget/widest of them can
+	// never hold more than the budget in shard-file bytes: a free slot is room.
+	if err := t.slots.open(dir, widest, int(budgetBytes/widest)); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
-	}
-	t := &Tier{
-		pfs:        pfs,
-		budget:     budgetBytes,
-		dir:        dir,
-		ownDir:     own,
-		entries:    make(map[int]*entry),
-		prefetchCh: make(chan int, 256),
-		quit:       make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.prefetchLoop()
@@ -121,155 +121,239 @@ func (t *Tier) Budget() int64 { return t.budget }
 // Stats returns a consistent snapshot of the tier's counters.
 func (t *Tier) Stats() Stats {
 	t.mu.Lock()
-	used, peak := t.used, t.peak
-	t.mu.Unlock()
-	return Stats{
-		Hits:          t.hits.Load(),
-		Misses:        t.misses.Load(),
-		Evictions:     t.evictions.Load(),
-		PrefetchBytes: t.prefetchBytes.Load(),
-		PFSReadBytes:  t.pfsReadBytes.Load(),
-		PFSReadNs:     t.pfsReadNs.Load(),
-		UsedBytes:     used,
-		PeakBytes:     peak,
-	}
+	defer t.mu.Unlock()
+	return t.st
 }
 
-// localPath is where shard id's cached copy lives.
-func (t *Tier) localPath(id int) string {
-	return filepath.Join(t.dir, shard.FileName(id))
+// extend appends one window of reads to the plan, dropping what has been
+// consumed before the cursor's window. Caller holds t.mu.
+func (t *Tier) extend(ids []int) {
+	lo := t.cursor
+	for lo > 0 && lo < len(t.seq) && t.seq[lo-1].win == t.seq[lo].win {
+		lo--
+	}
+	t.seq = append(t.seq[:0], t.seq[lo:]...)
+	t.cursor, t.pf = t.cursor-lo, max(t.pf-lo, 0)
+	t.wins++
+	for _, id := range ids {
+		t.seq = append(t.seq, step{id, t.wins})
+	}
+	t.cond.Broadcast()
 }
 
-// admit reserves budget for one incoming shard of the given size, evicting
-// unpinned shards in LRU order as needed. Caller holds t.mu. When the
-// budget is blocked by an unpinned fetch still in flight (it cannot be
-// evicted mid-fetch), admit returns that fetch's ready channel so the
-// caller can wait and retry; it fails outright only when even a
-// fully-drained cache cannot fit the shard next to the pinned set — the
-// loud version of the Section III-A feasibility constraint.
-func (t *Tier) admit(size int64) (wait chan struct{}, err error) {
-	if t.budget > 0 {
-		for t.used+size > t.budget {
-			victim := -1
-			var oldest int64
-			var inflight *entry
-			for id, e := range t.entries {
-				if e.pins > 0 {
-					continue
-				}
-				if e.sh == nil { // still in flight: blocks, but will settle
-					inflight = e
-					continue
-				}
-				if victim < 0 || e.lastUse < oldest {
-					victim, oldest = id, e.lastUse
-				}
-			}
-			if victim < 0 {
-				if inflight != nil {
-					return inflight.ready, nil
-				}
-				return nil, fmt.Errorf("cache: budget %d bytes exhausted by pinned shards (used %d, need %d more)",
-					t.budget, t.used, size)
-			}
-			e := t.entries[victim]
-			delete(t.entries, victim)
-			t.used -= e.bytes
-			e.sh.Close()
-			os.Remove(t.localPath(victim))
-			t.evictions.Add(1)
-		}
-	}
-	t.used += size
-	if t.used > t.peak {
-		t.peak = t.used
-	}
-	return nil, nil
-}
-
-// fetch pulls shard id from the PFS tier, lands it locally, and maps it.
-// Runs without the lock; completion is published through e.ready.
-func (t *Tier) fetch(id int, e *entry) {
-	defer close(e.ready)
-	img, ferr := t.timedFetch(id)
-	if ferr == nil {
-		path := t.localPath(id)
-		if werr := os.WriteFile(path, img, 0o644); werr != nil {
-			ferr = fmt.Errorf("cache: landing shard %d: %w", id, werr)
-		} else if sh, oerr := shard.Open(path); oerr != nil {
-			ferr = oerr
-		} else {
-			t.mu.Lock()
-			e.sh = sh
-			t.mu.Unlock()
-			return
-		}
-	}
-	// Failed: release the reservation so the budget does not leak.
+// Prefetch tells the tier what comes next: after everything already
+// planned, the trainer will pin these shards together, acquiring them in
+// this order. The prefetcher lands them as far ahead as the budget allows
+// and eviction ranks every resident shard by its next planned read.
+// Prefetch never evicts a pinned shard and never blocks on a fetch.
+func (t *Tier) Prefetch(ids []int) {
 	t.mu.Lock()
-	e.err = ferr
-	t.used -= e.bytes
-	delete(t.entries, id)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	t.extend(ids)
 }
 
-// timedFetch is FetchShard plus the PFS read accounting.
-func (t *Tier) timedFetch(id int) ([]byte, error) {
-	start := nowNano()
-	img, err := t.pfs.FetchShard(id)
-	t.pfsReadNs.Add(nowNano() - start)
-	if err == nil {
-		t.pfsReadBytes.Add(int64(len(img)))
+// setPlan makes windows the reads that come next. An epoch announced ahead
+// with Prefetch is already there; anything else that was planned is stale
+// (an abandoned epoch, a re-formed world) and goes.
+func (t *Tier) setPlan(windows [][]int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	q := t.cursor
+	for _, win := range windows {
+		for _, id := range win {
+			if q == len(t.seq) || t.seq[q].id != id {
+				t.seq, t.cursor, t.pf = t.seq[:0], 0, 0
+				for _, win := range windows {
+					t.extend(win)
+				}
+				return
+			}
+			q++
+		}
 	}
-	return img, err
 }
 
-// Acquire returns shard id mapped and pinned: it will not be evicted until
+// skip passes over planned reads the stream will not make (an epoch closed
+// before its last window).
+func (t *Tier) skip(ids []int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, id := range ids {
+		t.advance(id)
+	}
+}
+
+// advance moves the cursor past id if that is the next planned read.
+func (t *Tier) advance(id int) {
+	if t.cursor < len(t.seq) && t.seq[t.cursor].id == id {
+		t.cursor++
+		t.cond.Broadcast()
+	}
+}
+
+// victim is Belady's choice for admitting plan position p: of the shards
+// that will not be pinned when p is read, the one whose next read after p
+// is farthest; shards the plan never reads again tie for farthest. now
+// reports whether it can go this instant. A demand fetch (p is behind the
+// cursor: the reader is there) chooses among what is evictable now; the
+// prefetcher chooses as the reader will at p — among everything but the
+// shards of p's own window — and waits for a victim that is still pinned,
+// in flight, or read before p, so prefetching moves fetches earlier
+// without adding any.
+func (t *Tier) victim(p int) (v *entry, now bool) {
+	demand := p < t.cursor
+	t.stamp++
+	n := 0
+	for _, e := range t.entries {
+		e.busy = false
+		if demand && (e.pins > 0 || e.sh == nil) {
+			e.seen = t.stamp
+		} else {
+			n++
+		}
+	}
+	for q := p - 1; !demand && q >= 0 && t.seq[q].win == t.seq[p].win; q-- {
+		if e := t.entries[t.seq[q].id]; e != nil && e.seen != t.stamp {
+			e.seen = t.stamp
+			n--
+		}
+	}
+	for q := t.cursor; q < len(t.seq) && n > 0; q++ {
+		e := t.entries[t.seq[q].id]
+		if e == nil || e.seen == t.stamp {
+			continue
+		}
+		if q <= p {
+			e.busy = true
+			continue
+		}
+		e.seen, v = t.stamp, e
+		n--
+	}
+	free := func(e *entry) bool { return e.pins == 0 && e.sh != nil && !e.busy }
+	if n > 0 { // some are never read again: any of them, preferably one that can go now
+		for _, e := range t.entries {
+			if e.seen != t.stamp {
+				if v = e; free(e) {
+					break
+				}
+			}
+		}
+	}
+	return v, v != nil && free(v)
+}
+
+// reserve claims a slot and the byte reservation for shard id, to be read
+// at plan position p (cursor-1 when the reader asks: the read just taken),
+// evicting Belady's victim if no slot is free. wait
+// means the room will come (a release, a landing); an error is final: even
+// a fully-drained cache cannot fit the shard next to the pinned set — the
+// loud version of the Section III-A feasibility constraint. Caller holds
+// t.mu.
+func (t *Tier) reserve(id, p int) (e *entry, wait bool, err error) {
+	man := t.pfs.Manifest()
+	if id < 0 || id >= man.NumShards {
+		return nil, false, fmt.Errorf("cache: shard %d out of [0,%d)", id, man.NumShards)
+	}
+	slot, err := t.slots.get()
+	if err != nil {
+		return nil, false, fmt.Errorf("cache: shard %d: %w", id, err)
+	}
+	if slot < 0 {
+		v, now := t.victim(p)
+		if v == nil {
+			for _, e := range t.entries {
+				if e.pins == 0 { // in flight: it settles, then it can go
+					return nil, true, nil
+				}
+			}
+			return nil, false, fmt.Errorf("cache: budget %d bytes exhausted by pinned shards (used %d, shard %d needs %d more)",
+				t.budget, t.st.UsedBytes, id, man.ShardFileBytes[id])
+		}
+		if !now {
+			return nil, true, nil
+		}
+		delete(t.entries, v.id)
+		t.st.UsedBytes -= v.bytes
+		t.st.Evictions++
+		slot = v.slot
+	}
+	e = &entry{id: id, slot: slot, bytes: man.ShardFileBytes[id]}
+	t.entries[id] = e
+	t.st.UsedBytes += e.bytes
+	t.st.PeakBytes = max(t.st.PeakBytes, t.st.UsedBytes)
+	return e, false, nil
+}
+
+// land reads e's shard from the PFS tier into its slot and opens it there.
+// Called with t.mu held; the fetch itself runs unlocked. A failed landing
+// gives the slot and the reservation back and takes the entry out of the
+// map before anyone can find it again; whoever already waits on it sees
+// e.err.
+func (t *Tier) land(e *entry) {
+	buf := t.slots.buf(e.slot)
+	t.mu.Unlock()
+	start := nowNano()
+	img, err := t.pfs.FetchShardInto(e.id, buf)
+	took := nowNano() - start
+	var sh *shard.Shard
+	if err == nil {
+		sh, err = shard.FromBytes(img)
+	}
+	t.mu.Lock()
+	t.st.PFSReadNs += took
+	if err != nil {
+		e.err = fmt.Errorf("cache: landing shard %d: %w", e.id, err)
+		delete(t.entries, e.id)
+		t.st.UsedBytes -= e.bytes
+		t.slots.put(e.slot)
+	} else {
+		e.sh = sh
+		t.st.PFSReadBytes += e.bytes
+	}
+	t.cond.Broadcast()
+}
+
+// Acquire returns shard id opened and pinned: it will not be evicted until
 // the matching Release. A cached or in-flight-prefetched shard is a hit; a
 // cold shard pays a synchronous PFS fetch (a miss).
 func (t *Tier) Acquire(id int) (*shard.Shard, error) {
-	for {
-		t.mu.Lock()
-		t.clock++
-		if e, ok := t.entries[id]; ok {
-			e.pins++
-			e.lastUse = t.clock
-			t.mu.Unlock()
-			<-e.ready
-			if e.err != nil {
-				return nil, e.err
-			}
-			t.hits.Add(1)
-			return e.sh, nil
-		}
-		size := t.pfs.Manifest().ShardFileBytes[id]
-		wait, err := t.admit(size)
-		if err != nil {
-			t.mu.Unlock()
-			return nil, err
-		}
-		if wait != nil {
-			// An unpinned prefetch in flight holds the budget; once it
-			// settles it becomes evictable (or vanishes on error) — retry.
-			t.mu.Unlock()
-			<-wait
-			continue
-		}
-		e := &entry{bytes: size, pins: 1, lastUse: t.clock, ready: make(chan struct{})}
-		t.entries[id] = e
-		t.mu.Unlock()
-
-		t.misses.Add(1)
-		t.fetch(id, e)
-		if e.err != nil {
-			return nil, e.err
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.advance(id)
+	e := t.entries[id]
+	if e != nil && e.sh != nil { // resident: the one path that cannot block
+		e.pins++
+		t.st.Hits++
 		return e.sh, nil
 	}
+	defer func(start int64) { t.st.WaitNs += nowNano() - start }(nowNano())
+	for ; e == nil; e = t.entries[id] {
+		own, wait, err := t.reserve(id, t.cursor-1)
+		if err != nil {
+			return nil, err
+		}
+		if wait {
+			t.cond.Wait()
+			continue
+		}
+		own.pins = 1
+		t.st.Misses++
+		t.land(own)
+		return own.sh, own.err
+	}
+	e.pins++
+	for e.sh == nil && e.err == nil {
+		t.cond.Wait()
+	}
+	if e.err == nil {
+		t.st.Hits++
+	}
+	return e.sh, e.err
 }
 
 // Release unpins a shard acquired with Acquire. The shard stays cached
-// (and becomes evictable) until the budget needs its bytes.
+// (and becomes evictable) until the plan has a better use for its slot.
 func (t *Tier) Release(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -277,71 +361,45 @@ func (t *Tier) Release(id int) {
 	if !ok || e.pins <= 0 {
 		panic(fmt.Sprintf("cache: Release(%d) without matching Acquire", id))
 	}
-	e.pins--
-}
-
-// Prefetch queues shards for asynchronous admission. Already-cached or
-// queued-over-capacity shards are skipped; prefetch never evicts a pinned
-// shard and never blocks the caller.
-func (t *Tier) Prefetch(ids []int) {
-	for _, id := range ids {
-		select {
-		case t.prefetchCh <- id:
-		default:
-			return // queue full: drop the tail, correctness is unaffected
-		}
+	if e.pins--; e.pins == 0 {
+		t.cond.Broadcast()
 	}
 }
 
-// prefetchLoop serializes background fetches — one PFS stream per rank,
-// matching the per-client bandwidth model.
+// prefetchLoop walks the plan ahead of the reader — one PFS stream per
+// rank, matching the per-client bandwidth model — as deep as the budget
+// allows: when victim says the slot it needs is not free yet, it sleeps
+// until a release, a landing or a plan change. A shard it cannot land (or
+// name) is left for the reader's Acquire to fetch and report.
 func (t *Tier) prefetchLoop() {
 	defer t.wg.Done()
-	for {
-		select {
-		case <-t.quit:
-			return
-		case id := <-t.prefetchCh:
-			t.mu.Lock()
-			if _, ok := t.entries[id]; ok {
-				t.mu.Unlock()
-				continue
-			}
-			size := t.pfs.Manifest().ShardFileBytes[id]
-			if wait, err := t.admit(size); err != nil || wait != nil {
-				// No room next to the pinned/in-flight set: skip rather than
-				// block — the foreground Acquire fetches it when needed.
-				t.mu.Unlock()
-				continue
-			}
-			t.clock++
-			e := &entry{bytes: size, lastUse: t.clock, ready: make(chan struct{})}
-			t.entries[id] = e
-			t.mu.Unlock()
-			t.fetch(id, e)
-			if e.err == nil {
-				t.prefetchBytes.Add(size)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for !t.closed {
+		t.pf = max(t.pf, t.cursor)
+		if t.pf == len(t.seq) {
+			t.cond.Wait()
+		} else if id := t.seq[t.pf].id; t.entries[id] != nil {
+			t.pf++
+		} else if e, wait, err := t.reserve(id, t.pf); wait {
+			t.cond.Wait()
+		} else if t.pf++; err == nil {
+			if t.land(e); e.err == nil {
+				t.st.PrefetchBytes += e.bytes
 			}
 		}
 	}
 }
 
-// Close stops the prefetcher, unmaps every cached shard, and removes the
-// cache directory if the tier created it.
+// Close stops the prefetcher, unmaps the slots and removes the cache file.
 func (t *Tier) Close() error {
-	close(t.quit)
+	t.mu.Lock()
+	t.closed = true
+	t.cond.Broadcast()
+	t.mu.Unlock()
 	t.wg.Wait()
 	t.mu.Lock()
-	for id, e := range t.entries {
-		if e.sh != nil {
-			e.sh.Close()
-		}
-		delete(t.entries, id)
-	}
-	t.used = 0
-	t.mu.Unlock()
-	if t.ownDir {
-		return os.RemoveAll(t.dir)
-	}
-	return nil
+	defer t.mu.Unlock()
+	t.entries, t.st.UsedBytes = map[int]*entry{}, 0
+	return t.slots.close()
 }

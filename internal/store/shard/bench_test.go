@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkShardReadInto measures the mmap'd zero-copy sample read — the
+// BenchmarkShardReadInto measures the zero-copy, in-place sample read — the
 // innermost storage hot path every corgi2 training iteration pays per
 // sample. Must stay allocation-free.
 func BenchmarkShardReadInto(b *testing.B) {

@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -197,22 +198,45 @@ func (d *Dataset) throttle(bytes int64, elapsed time.Duration) {
 }
 
 // FetchShard reads shard file shardID from the PFS tier, verifies it, and
-// returns the raw image. This is the slow path the cache tier pays on a
-// miss.
+// returns the raw image in a fresh buffer.
 func (d *Dataset) FetchShard(shardID int) ([]byte, error) {
+	return d.FetchShardInto(shardID, nil)
+}
+
+// FetchShardInto is FetchShard into the caller's buffer (the cache tier's
+// landing slot; nil allocates one): one read of exactly the manifest's
+// byte count, verified in place. This is the slow path the cache tier pays
+// on a miss. The returned image aliases buf.
+func (d *Dataset) FetchShardInto(shardID int, buf []byte) ([]byte, error) {
 	if shardID < 0 || shardID >= d.man.NumShards {
 		return nil, fmt.Errorf("shard: FetchShard: shard %d out of [0,%d)", shardID, d.man.NumShards)
 	}
+	want := d.man.ShardFileBytes[shardID]
+	if buf == nil {
+		buf = make([]byte, want)
+	} else if int64(len(buf)) < want {
+		return nil, fmt.Errorf("shard: FetchShard %d: buffer holds %d bytes, shard file has %d", shardID, len(buf), want)
+	}
 	start := time.Now()
-	b, err := os.ReadFile(Path(d.dir, shardID))
+	f, err := os.Open(Path(d.dir, shardID))
 	if err != nil {
 		return nil, fmt.Errorf("shard: FetchShard: %w", err)
 	}
-	if err := Verify(b); err != nil {
+	defer f.Close()
+	if st, err := f.Stat(); err != nil {
+		return nil, fmt.Errorf("shard: FetchShard: %w", err)
+	} else if st.Size() != want {
+		return nil, fmt.Errorf("shard: FetchShard %d: file is %d bytes, manifest says %d: corrupt or truncated", shardID, st.Size(), want)
+	}
+	buf = buf[:want]
+	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil, fmt.Errorf("shard: FetchShard %d: %w", shardID, err)
 	}
-	d.throttle(int64(len(b)), time.Since(start))
-	return b, nil
+	if err := Verify(buf); err != nil {
+		return nil, fmt.Errorf("shard: FetchShard %d: %w", shardID, err)
+	}
+	d.throttle(want, time.Since(start))
+	return buf, nil
 }
 
 // LoadVal reads and decodes the validation split (a one-time startup cost;

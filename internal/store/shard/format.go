@@ -1,7 +1,7 @@
 // Package shard is the on-disk sample store: an immutable, sharded,
 // checksummed file format standing in for the parallel file system tier of
-// Section III-A, plus an mmap'd read path that serves zero-copy
-// data.Sample views into the mapped bytes.
+// Section III-A, plus an in-place read path that serves zero-copy
+// data.Sample views into a shard image (the cache tier's mapped slots).
 //
 // A shard file packs a contiguous run of samples:
 //
@@ -23,7 +23,7 @@
 // 4-byte aligned inside the data region (the 40-byte header and the
 // 28-byte per-sample header are both multiples of 4, and features are
 // float32), which is what lets the reader alias feature vectors straight
-// out of the mapping instead of copying.
+// out of the image instead of copying.
 package shard
 
 import (
@@ -116,9 +116,9 @@ func WriteShard(path string, shardID int, samples []data.Sample) (int64, error) 
 
 // Verify checks a full shard file image: magic, version, region bounds,
 // the trailing CRC32C, and every index entry against its sample header.
-// It is what Open runs on every mapping and what the PFS tier runs on
-// every fetch, so a flipped bit or a truncated transfer never reaches the
-// trainer.
+// It is what Open and FromBytes run on every image and what the PFS tier
+// runs on every fetch, so a flipped bit or a truncated transfer never
+// reaches the trainer.
 func Verify(buf []byte) error {
 	_, err := parse(buf)
 	return err

@@ -4,13 +4,8 @@ package shard
 
 import "os"
 
-// mapping is the platform handle behind an open shard's bytes. Without
-// mmap the whole file is read into memory; Close just drops the reference.
-type mapping struct{}
-
-func mapFile(path string) ([]byte, mapping, error) {
-	b, err := os.ReadFile(path)
-	return b, mapping{}, err
+// MapShared is the heap stand-in for the cache tier's landing slots where
+// mmap is missing: the local file stays empty and the slots live in memory.
+func MapShared(f *os.File, off, n int64) ([]byte, func() error, error) {
+	return make([]byte, n), func() error { return nil }, nil
 }
-
-func (m mapping) close() error { return nil }

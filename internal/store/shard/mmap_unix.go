@@ -8,39 +8,20 @@ import (
 	"syscall"
 )
 
-// mapping is the platform handle behind an open shard's bytes.
-type mapping struct {
-	mapped []byte
-}
-
-// mapFile memory-maps the file read-only. The kernel's page cache then
-// backs every read — the node-local tier's "warm" rate is the page-cache
-// rate, exactly the LocalSeqBW story of the performance model. An empty
-// mapping is never needed: a valid shard file is at least header+CRC.
-func mapFile(path string) ([]byte, mapping, error) {
-	f, err := os.Open(path)
+// MapShared grows f to off+n bytes and maps that range read-write and
+// shared: the cache tier's landing slots. A fetch reads the PFS file
+// straight into the mapping and the kernel writes the pages back to the
+// local file on its own schedule, so the tier stays a local-disk tier —
+// its warm rate is the page-cache rate, the LocalSeqBW story of the
+// performance model — without a write call per shard. off must be a
+// multiple of the page size.
+func MapShared(f *os.File, off, n int64) ([]byte, func() error, error) {
+	if err := f.Truncate(off + n); err != nil {
+		return nil, nil, err
+	}
+	b, err := syscall.Mmap(int(f.Fd()), off, int(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, mapping{}, err
+		return nil, nil, fmt.Errorf("mmap: %w", err)
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, mapping{}, err
-	}
-	size := st.Size()
-	if size <= 0 || size > 1<<40 {
-		return nil, mapping{}, fmt.Errorf("file size %d unmappable", size)
-	}
-	b, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, mapping{}, fmt.Errorf("mmap: %w", err)
-	}
-	return b, mapping{mapped: b}, nil
-}
-
-func (m mapping) close() error {
-	if m.mapped == nil {
-		return nil
-	}
-	return syscall.Munmap(m.mapped)
+	return b, func() error { return syscall.Munmap(b) }, nil
 }

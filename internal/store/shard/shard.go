@@ -4,45 +4,44 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
 	"unsafe"
 
 	"plshuffle/internal/data"
 )
 
 // hostLittle reports whether this machine is little-endian — the condition
-// for aliasing float32 features straight out of the mapped file bytes. On
+// for aliasing float32 features straight out of the shard image. On
 // a big-endian host the readers fall back to an explicit decode.
 var hostLittle = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Shard is an open, verified, read-only shard. The sample data stays in
-// the page cache via mmap (on unix; an in-memory copy elsewhere), so
-// steady-state reads allocate nothing and copy at most once — into the
-// caller's batch tensor. A Shard is safe for concurrent readers.
+// Shard is an open, verified, read-only view of a shard image — a slot of
+// the cache tier's mapped file, or a heap copy. Steady-state reads allocate
+// nothing and copy at most once — into the caller's batch tensor. A Shard
+// is safe for concurrent readers.
 type Shard struct {
 	p   parsed
-	buf []byte // the full mapping (or heap copy); nil after Close
-	m   mapping
+	buf []byte // the image; nil after Close
 }
 
-// Open maps the shard file at path and verifies its checksum and index.
+// Open reads the shard file at path and verifies its checksum and index.
 func Open(path string) (*Shard, error) {
-	buf, m, err := mapFile(path)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("shard: Open: %w", err)
+	}
+	sh, err := FromBytes(buf)
 	if err != nil {
 		return nil, fmt.Errorf("shard: Open %s: %w", path, err)
 	}
-	p, err := parse(buf)
-	if err != nil {
-		m.close()
-		return nil, fmt.Errorf("shard: Open %s: %w", path, err)
-	}
-	return &Shard{p: p, buf: buf, m: m}, nil
+	return sh, nil
 }
 
-// FromBytes opens a shard from an in-memory image (no file backing). The
-// image is retained; the caller must not mutate it afterwards.
+// FromBytes opens a shard from an in-memory image, in place. The image is
+// retained; the caller must not mutate it while the shard is in use.
 func FromBytes(buf []byte) (*Shard, error) {
 	p, err := parse(buf)
 	if err != nil {
@@ -51,12 +50,12 @@ func FromBytes(buf []byte) (*Shard, error) {
 	return &Shard{p: p, buf: buf}, nil
 }
 
-// Close unmaps the shard. Samples previously viewed with View must not be
+// Close drops the image. Samples previously viewed with View must not be
 // used after Close.
 func (sh *Shard) Close() error {
 	sh.buf = nil
 	sh.p = parsed{}
-	return sh.m.close()
+	return nil
 }
 
 // ID returns the shard's ID from its header.
@@ -84,8 +83,8 @@ func (sh *Shard) header(i int) (enc []byte, id, label int, sim int64, feat int, 
 	return enc, id, label, sim, feat, nil
 }
 
-// View returns sample i as a data.Sample whose Features alias the mapped
-// file when the host is little-endian (zero-copy; valid only until Close)
+// View returns sample i as a data.Sample whose Features alias the image
+// when the host is little-endian (zero-copy; valid only until Close)
 // and are decoded copies otherwise. Callers that need the sample beyond
 // the shard's lifetime must Clone it.
 func (sh *Shard) View(i int) (data.Sample, error) {

@@ -347,14 +347,17 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		st := w.tier.Stats()
 		es.PFSReadBytes += st.PFSReadBytes - w.pfsAccounted
 		w.pfsAccounted = st.PFSReadBytes
-		// Warm the next epoch's first window behind validation — the
-		// storage-tier analogue of the Figure 4 overlap. Only within the
-		// same epoch group: a group boundary reassigns shards anyway.
-		if next := epoch + 1; next < w.cfg.Epochs && w.cfg.Strategy.EpochGroup(next) == w.assignedGroup {
-			plan := shuffle.Corgi2EpochPlan(w.assigned, w.cfg.ShardStore.Manifest().ShardSamples,
-				w.corgiWindow, w.cfg.Seed, next, w.comm.Rank())
-			if len(plan.Windows) > 0 {
-				w.tier.Prefetch(plan.Windows[0])
+		// Tell the tier the next epoch's reads now (the plan is as pure across
+		// a group boundary as within one): it ranks what is resident by that
+		// order and lands the first windows behind validation and the
+		// checkpoint — the storage-tier analogue of the Figure 4 overlap.
+		if next := epoch + 1; next < w.cfg.Epochs {
+			plan, err := w.corgiPlan(next)
+			if err != nil {
+				return err
+			}
+			for _, win := range plan.Windows {
+				w.tier.Prefetch(win)
 			}
 		}
 	}
@@ -367,21 +370,32 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	return nil
 }
 
-// beginCorgiEpoch derives the epoch's shard assignment and read plan and
-// opens the cache-tier stream. It returns the iteration floor: the minimum
-// over ranks of assigned-sample totals, which every rank computes locally
-// from the shared-seed assignment (no communication) so all ranks agree on
-// the epoch's collective count.
+// beginCorgiEpoch opens the cache-tier stream over the epoch's read plan and
+// returns the iteration floor: the minimum over ranks of assigned-sample
+// totals, which every rank computes locally from the shared-seed assignment
+// (no communication) so all ranks agree on the epoch's collective count.
 func (w *worker) beginCorgiEpoch(epoch int) (int, error) {
+	plan, err := w.corgiPlan(epoch)
+	if err != nil {
+		return 0, err
+	}
+	w.stream, err = w.tier.OpenEpoch(plan.Windows, plan.Bounds, plan.Order)
+	return w.corgiMinLocal, err
+}
+
+// corgiPlan derives epoch's read plan, re-dealing the shard assignment (and
+// the iteration floor) when the epoch starts a new group. The last plan is
+// kept: each epoch's is asked for twice, at the end of the epoch before it
+// and at its start.
+func (w *worker) corgiPlan(epoch int) (shuffle.Corgi2Plan, error) {
 	man := w.cfg.ShardStore.Manifest()
-	group := w.cfg.Strategy.EpochGroup(epoch)
-	if group != w.assignedGroup {
+	if group := w.cfg.Strategy.EpochGroup(epoch); group != w.assignedGroup {
 		assign, err := shuffle.Corgi2Assign(man.NumShards, w.comm.Size(), w.cfg.Seed, group)
 		if err != nil {
-			return 0, err
+			return shuffle.Corgi2Plan{}, err
 		}
 		w.assigned = assign[w.comm.Rank()]
-		w.assignedGroup = group
+		w.assignedGroup, w.corgiReadAt = group, -1
 		w.corgiMinLocal = 0
 		for r, shards := range assign {
 			total := 0
@@ -393,13 +407,11 @@ func (w *worker) beginCorgiEpoch(epoch int) (int, error) {
 			}
 		}
 	}
-	plan := shuffle.Corgi2EpochPlan(w.assigned, man.ShardSamples, w.corgiWindow, w.cfg.Seed, epoch, w.comm.Rank())
-	stream, err := w.tier.OpenEpoch(plan.Windows, plan.Bounds, plan.Order)
-	if err != nil {
-		return 0, err
+	if epoch != w.corgiReadAt {
+		w.corgiRead = shuffle.Corgi2EpochPlan(w.assigned, man.ShardSamples, w.corgiWindow, w.cfg.Seed, epoch, w.comm.Rank())
+		w.corgiReadAt = epoch
 	}
-	w.stream = stream
-	return w.corgiMinLocal, nil
+	return w.corgiRead, nil
 }
 
 // loadBatchStream fills the reusable batch tensors from the cache-tier

@@ -100,6 +100,9 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 		reg.GaugeFunc("pls_store_pfs_read_seconds",
 			"Cumulative wall-clock spent fetching shards from the PFS tier.", l,
 			func() float64 { return float64(tr.Stats().PFSReadNs) / 1e9 })
+		reg.GaugeFunc("pls_store_acquire_wait_seconds",
+			"Cumulative wall-clock shard acquisitions spent blocked, on their own fetch or on a prefetch still in flight.", l,
+			func() float64 { return float64(tr.Stats().WaitNs) / 1e9 })
 		reg.GaugeFunc("pls_store_cache_used_bytes",
 			"Bytes of shard files currently resident in the cache tier.", l,
 			func() float64 { return float64(tr.Stats().UsedBytes) })

@@ -581,15 +581,18 @@ type worker struct {
 	pfs       *store.PFS
 
 	// Corgi2 state: the node-local cache tier over the shard store, the
-	// epoch's open sample stream, and the current epoch group's shard
-	// assignment. corgiWindow is the online-shuffle mixing radius in shards
-	// (sized so two windows fit the cache budget: one pinned, one
+	// epoch's open sample stream, the current epoch group's shard
+	// assignment and the read plan last derived from it (corgiRead, for
+	// epoch corgiReadAt). corgiWindow is the online-shuffle mixing radius
+	// in shards (sized so two windows fit the cache budget: one pinned, one
 	// prefetching); pfsAccounted snapshots the tier's cumulative PFS bytes
 	// so each epoch records only its own delta.
 	tier          *cache.Tier
 	stream        *cache.EpochStream
 	assigned      []int
 	assignedGroup int
+	corgiRead     shuffle.Corgi2Plan
+	corgiReadAt   int
 	corgiWindow   int
 	corgiMinLocal int
 	pfsAccounted  int64
