@@ -175,17 +175,6 @@ func (s Sample) WireSizeEnc(enc Encoding) int {
 		uvarintLen(uint64(s.Bytes)) + uvarintLen(uint64(len(s.Features))) + width*len(s.Features)
 }
 
-// SampleBatchWireSizeEnc returns the exact encoded size of the batch under
-// enc, without allocating — SampleBatchWireSize generalized over the wire
-// format.
-func SampleBatchWireSizeEnc(samples []Sample, enc Encoding) int {
-	n := 4
-	for _, s := range samples {
-		n += s.WireSizeEnc(enc)
-	}
-	return n
-}
-
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {

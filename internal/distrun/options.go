@@ -125,6 +125,10 @@ func (o Options) TrainConfig() (train.Config, error) {
 	if err != nil {
 		return train.Config{}, err
 	}
+	optimizer := ""
+	if o.LARS {
+		optimizer = "lars"
+	}
 	return train.Config{
 		Strategy:          strat,
 		Dataset:           ds,
@@ -134,7 +138,7 @@ func (o Options) TrainConfig() (train.Config, error) {
 		BaseLR:            float32(o.LR),
 		Momentum:          0.9,
 		WeightDecay:       1e-4,
-		UseLARS:           o.LARS,
+		Optimizer:         optimizer,
 		Seed:              o.Seed,
 		DataDir:           o.DataDir,
 		CacheBytes:        o.CacheBytes,

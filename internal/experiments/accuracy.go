@@ -18,8 +18,8 @@ type scalePoint struct {
 	Workers    int
 	PaperLabel string // e.g. "2048 GPUs"
 	Strategies []shuffle.Strategy
-	Batch      int  // overrides the spec batch when non-zero
-	UseLARS    bool // the paper applies LARS at large scale
+	Batch      int    // overrides the spec batch when non-zero
+	Optimizer  string // train.Config.Optimizer; the paper applies LARS at large scale
 }
 
 // accuracySpec configures one accuracy experiment (one Figure 5/6/7a/8
@@ -114,7 +114,7 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 				BaseLR:            spec.BaseLR,
 				Momentum:          0.9,
 				WeightDecay:       1e-4,
-				UseLARS:           sc.UseLARS,
+				Optimizer:         sc.Optimizer,
 				Seed:              opts.seed(),
 				PartitionLocality: spec.localityAt(len(ds.Train) / sc.Workers),
 				Schedule: nn.StepDecay{
@@ -123,7 +123,7 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 				},
 			}
 			opts.applyWire(&cfg)
-			if sc.UseLARS {
+			if sc.Optimizer == "lars" {
 				cfg.Schedule = nn.Warmup{Inner: cfg.Schedule, Epochs: float64(epochs) / 8, StartFactor: 0.25}
 			}
 			if spec.Pretrain {
@@ -267,8 +267,8 @@ func Fig6(opts Options) (*Result, error) {
 		ID: "fig6", Title: "ResNet50 / ImageNet-1K strong scaling (Fugaku, fixed global batch)",
 		DatasetKey: "imagenet-1k", Model: "resnet50",
 		Scales: []scalePoint{
-			{Workers: 16, PaperLabel: "2048 workers", Strategies: gsLsPartial(0.1), Batch: 16, UseLARS: true},
-			{Workers: 64, PaperLabel: "4096 workers", Strategies: gsLsPartial(0.1), Batch: 4, UseLARS: true},
+			{Workers: 16, PaperLabel: "2048 workers", Strategies: gsLsPartial(0.1), Batch: 16, Optimizer: "lars"},
+			{Workers: 64, PaperLabel: "4096 workers", Strategies: gsLsPartial(0.1), Batch: 4, Optimizer: "lars"},
 		},
 		Epochs: 20, ShortEpochs: 14, Batch: 16, BaseLR: 0.08, LocalityCoef: 12,
 		Notes: []string{

@@ -105,29 +105,38 @@ func (c *Comm) FailedPeers() []int { return c.failures.ranks() }
 // not been reported dead.
 func (c *Comm) PeerFailure(rank int) *transport.PeerError { return c.failures.get(rank) }
 
-// firstFailedInGroup returns the failure of the lowest-ranked dead member
-// of the current collective group, or nil when every member is live.
-func (c *Comm) firstFailedInGroup() *transport.PeerError {
-	c.failures.mu.Lock()
-	defer c.failures.mu.Unlock()
-	if len(c.failures.dead) == 0 {
-		return nil
-	}
-	if c.group == nil {
-		best := -1
-		for r := range c.failures.dead {
-			if best < 0 || r < best {
-				best = r
+// waitWatching is the one blocking wait of the runtime: it returns req's
+// payload and status once it completes, or an error when a peer not covered
+// by known is reported dead (the *transport.PeerError itself) or the
+// communicator closes (ErrCommClosed) first. On error the posted receive has
+// been withdrawn, so it cannot steal a future message; a failed withdrawal
+// means a delivery already committed (done closes imminently — deliver closes
+// it right after unhooking the receive), and the completed message wins over
+// the error.
+func (c *Comm) waitWatching(req *Request, known func(rank int) bool) (any, Status, error) {
+	for {
+		_, ch := c.failures.snapshot()
+		var err error
+		if pe := c.newFailure(known); pe != nil {
+			err = pe
+		} else {
+			select {
+			case <-req.done:
+				return req.payload, req.status, nil
+			case <-c.abortCh:
+				panic(abortSignal{})
+			case <-c.closedCh:
+				err = ErrCommClosed
+			case <-ch:
+				continue // new failure recorded; re-check the predicate
 			}
 		}
-		return c.failures.dead[best]
-	}
-	for _, r := range c.group {
-		if pe, ok := c.failures.dead[r]; ok {
-			return pe
+		if c.mbox.cancel(req) {
+			return nil, Status{}, err
 		}
+		<-req.done
+		return req.payload, req.status, nil
 	}
-	return nil
 }
 
 // collWait is the wait used by every internal collective receive: it blocks
@@ -137,43 +146,14 @@ func (c *Comm) firstFailedInGroup() *transport.PeerError {
 // once a participant is gone; unwinding promptly — on EVERY survivor, since
 // detection is all-to-all — is what lets a caller-level guard sacrifice the
 // operation and re-form the group, and what guarantees no goroutine is left
-// blocked forever.
+// blocked forever. The panic is recovered by Run/Execute (into a per-rank
+// error) or by a transaction guard (train's degrade mode).
 func (c *Comm) collWait(req *Request) (any, Status) {
-	for {
-		_, ch := c.failures.snapshot()
-		if pe := c.firstFailedInGroup(); pe != nil {
-			// Withdraw the posted receive so it cannot steal a future
-			// message. A failed cancel means a delivery already committed
-			// (done closes imminently — deliver closes it right after
-			// unhooking the receive), so consume the message normally.
-			if c.mbox.cancel(req) {
-				c.abortLocalColl(pe)
-			}
-			<-req.done
-			return req.payload, req.status
-		}
-		select {
-		case <-req.done:
-			return req.payload, req.status
-		case <-c.abortCh:
-			panic(abortSignal{})
-		case <-c.closedCh:
-			if c.mbox.cancel(req) {
-				panic(transportFailure{ErrCommClosed})
-			}
-			<-req.done
-			return req.payload, req.status
-		case <-ch:
-			// New failure recorded; re-check the group predicate.
-		}
+	payload, st, err := c.waitWatching(req, c.outsideGroup)
+	if err != nil {
+		panic(transportFailure{err})
 	}
-}
-
-// abortLocalColl unwinds the current collective with the peer failure. The
-// panic is recovered by Run/Execute (into a per-rank error) or by a
-// transaction guard (train's degrade mode).
-func (c *Comm) abortLocalColl(pe *transport.PeerError) {
-	panic(transportFailure{pe})
+	return payload, st
 }
 
 // WaitPeerAware blocks until req completes and returns its payload/status,
@@ -187,32 +167,16 @@ func (c *Comm) abortLocalColl(pe *transport.PeerError) {
 // a dead peer mid-drain surfaces as a value it can degrade around, not a
 // rank unwind.
 func (c *Comm) WaitPeerAware(req *Request, known func(rank int) bool) (any, Status, error) {
-	for {
-		_, ch := c.failures.snapshot()
-		if pe := c.newFailure(known); pe != nil {
-			// A failed cancel means a delivery already committed (done
-			// closes imminently); the completed message wins over the error.
-			if c.mbox.cancel(req) {
-				return nil, Status{}, pe
-			}
-			<-req.done
-			return req.payload, req.status, nil
-		}
-		select {
-		case <-req.done:
-			return req.payload, req.status, nil
-		case <-c.abortCh:
-			panic(abortSignal{})
-		case <-c.closedCh:
-			if c.mbox.cancel(req) {
-				return nil, Status{}, fmt.Errorf("mpi: rank %d: %w", c.rank, ErrCommClosed)
-			}
-			<-req.done
-			return req.payload, req.status, nil
-		case <-ch:
-		}
+	payload, st, err := c.waitWatching(req, known)
+	if err == ErrCommClosed {
+		err = fmt.Errorf("mpi: rank %d: %w", c.rank, ErrCommClosed)
 	}
+	return payload, st, err
 }
+
+// outsideGroup reports whether rank is not a member of the collective group —
+// the deaths a collective can ignore.
+func (c *Comm) outsideGroup(rank int) bool { return c.groupIndex(rank) < 0 }
 
 // newFailure returns the lowest-ranked recorded failure not covered by
 // known, or nil.

@@ -11,13 +11,13 @@ const DefaultGradBucketBytes = 32 << 10
 
 // GradBucket is one gradient bucket: a contiguous run of parameter tensors
 // covering params[FirstParam:LastParam] of the model's Params() order and
-// the flat element range [Lo, Hi) of the FlattenGrads layout. The bucket
+// the flat element range [Lo, Hi) of the Sequential.Grads layout. The bucket
 // becomes ready — every one of its gradients written, never to change
 // again this pass — the moment backward completes layer ReadyLayer (the
 // earliest model layer contributing parameters to the bucket).
 type GradBucket struct {
 	FirstParam, LastParam int // param index range in Params() order
-	Lo, Hi                int // flat element offsets in FlattenGrads layout
+	Lo, Hi                int // flat element offsets in Sequential.Grads layout
 	ReadyLayer            int // Layers index whose backward completion readies the bucket
 }
 
@@ -29,11 +29,11 @@ func (b GradBucket) Elems() int { return b.Hi - b.Lo }
 // parameters (the first gradients backward produces), so its all-reduce
 // can launch while earlier layers are still computing. Because the grouped
 // layers are contiguous, every bucket is a contiguous range of both the
-// Params() order and the flat FlattenGrads layout, and the buckets tile
+// Params() order and the flat Sequential.Grads layout, and the buckets tile
 // both exactly.
 type BucketPlan struct {
 	Buckets []GradBucket // launch order: reverse-layer
-	NumEl   int          // total flat elements (== len(FlattenGrads result))
+	NumEl   int          // total flat elements (== len(Sequential.Grads()))
 
 	// ready[i] lists the bucket indices that become ready when backward
 	// completes Layers[i]; nil for layers that close no bucket.
@@ -54,7 +54,7 @@ func NewBucketPlan(model *Sequential, capBytes int) *BucketPlan {
 		capElems = 1
 	}
 
-	// Per-layer spans over the forward Params()/FlattenGrads layout.
+	// Per-layer spans over the forward Params()/Sequential.Grads layout.
 	type span struct {
 		layer               int
 		firstParam, nParams int

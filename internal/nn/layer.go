@@ -449,7 +449,7 @@ func (l *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
 func (l *Dropout) Params() []Param { return nil }
 
 // Sequential chains layers. It owns the gradient arena: one contiguous
-// buffer holding every layer's gradients in FlattenGrads order, of which the
+// buffer holding every layer's gradients in Params order, of which the
 // layers' own gradient tensors (and so every Param.G) are views.
 type Sequential struct {
 	Layers []Layer
@@ -492,7 +492,7 @@ func NewSequential(layers ...Layer) *Sequential {
 }
 
 // Grads returns the gradient arena: all gradients, contiguous, in
-// FlattenGrads order, so Grads()[b.Lo:b.Hi] is a bucket's gradients in place
+// Params order, so Grads()[b.Lo:b.Hi] is a bucket's gradients in place
 // and the whole of it is the buffer an all-reduce averages. Backward writes
 // into it and the optimizers read from it through Param.G; nothing copies.
 func (s *Sequential) Grads() []float32 { return s.grads }
@@ -556,25 +556,6 @@ func (s *Sequential) NumParams() int {
 		n += len(p.W)
 	}
 	return n
-}
-
-// FlattenGrads copies all gradients into dst (allocated if nil) in Params
-// order. The order defines the layout of Sequential.Grads, which the trainer
-// all-reduces in place; this copy is for callers that want a snapshot.
-func FlattenGrads(params []Param, dst []float32) []float32 {
-	n := 0
-	for _, p := range params {
-		n += len(p.G)
-	}
-	if dst == nil || len(dst) != n {
-		dst = make([]float32, n)
-	}
-	off := 0
-	for _, p := range params {
-		copy(dst[off:], p.G)
-		off += len(p.G)
-	}
-	return dst
 }
 
 // TransferWeights copies weights from src into dst wherever the parameter

@@ -7,14 +7,13 @@ package shuffle
 // holds a balanced, disjoint share of the surviving samples. Rebalance
 // computes a deterministic target partition of whatever currently survives
 // (a degraded world may have lost the dead ranks' unexchanged samples) and
-// ships exactly the samples that are on the wrong rank, point-to-point on a
-// dedicated tag space.
+// moves exactly the samples that are on the wrong rank through one Scheduler
+// window on a dedicated tag space.
 
 import (
 	"fmt"
 	"sort"
 
-	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/rng"
 	"plshuffle/internal/store"
@@ -24,10 +23,12 @@ import (
 // random stream of the scheme (see the salt table in partition.go).
 const saltRebalance uint64 = 0x4eba
 
-// RebalanceTag is the user tag of the rebalance before epoch: bulk sample
-// traffic, point-to-point like the exchange itself. Its range is disjoint
-// from every other user tag (layout table in internal/train/tags.go).
-func RebalanceTag(epoch int) int { return 1<<23 + epoch }
+// RebalanceTag is the user tag of the rebalance window before epoch in
+// membership generation generation (layout table in internal/train/tags.go).
+// The generation salts it as it salts the collectives: a rebalance abandoned
+// to a death is retried — the same epoch, the next generation — and must not
+// match the frames the first attempt left in the mailboxes.
+func RebalanceTag(generation, epoch int) int { return (generation+1)<<24 + 1<<23 + epoch }
 
 // RebalanceStats reports what one rank's share of a rebalance moved.
 type RebalanceStats struct {
@@ -42,10 +43,13 @@ type RebalanceStats struct {
 // balanced partition: gather every member's current ID set (one
 // AllgatherVarLen), shuffle the union with a stream shared via (seed,
 // epoch), cut it into GroupSize near-equal chunks in group order, and ship
-// each misplaced sample from its holder to its target. Receives complete
-// before deletes, mirroring the exchange's receive-before-remove storage
-// discipline, so the transient peak is bounded by the old share plus the
-// incoming one.
+// each misplaced sample from its holder to its target in the Scheduler's
+// transaction: one batched frame per destination, receives applied before
+// deletes (the exchange's storage discipline, so the transient peak is the
+// old share plus the incoming one), and nothing applied at all unless every
+// member received its share — a member's death meanwhile returns an error
+// carrying the *transport.PeerError (mpi.PeerErrorFrom) within the
+// transport's peer timeout and leaves this rank's store untouched.
 //
 // Every member must call Rebalance with the same (seed, epoch) at a
 // quiescent point — no exchange window open, no collective in flight. A
@@ -87,9 +91,12 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 	rng.NewStream(seed, saltRebalance, uint64(epoch)).Shuffle(len(ids), func(i, j int) {
 		ids[i], ids[j] = ids[j], ids[i]
 	})
+	// The cut is also this rank's plan: what it holds of another member's
+	// share goes there, and its own share less what it already holds is what
+	// must arrive.
 	m := len(group)
 	base, extra := total/m, total%m
-	dest := make(map[int]int, total)
+	plan := ExchangePlan{Epoch: epoch}
 	var target []int
 	off := 0
 	for gi, r := range group {
@@ -97,56 +104,52 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 		if gi < extra {
 			size++
 		}
-		for _, id := range ids[off : off+size] {
-			dest[id] = r
-		}
-		if r == c.Rank() {
-			target = append([]int(nil), ids[off:off+size]...)
-			sort.Ints(target)
-		}
+		share := ids[off : off+size]
 		off += size
-	}
-
-	// Ship what is misplaced; count what must arrive. All traffic rides one
-	// epoch-scoped tag, so receives can be ANY_SOURCE.
-	tag := RebalanceTag(epoch)
-	var sendIDs []int
-	for _, id := range mine {
-		if dest[id] == c.Rank() {
+		if r == c.Rank() {
+			target = append([]int(nil), share...)
+			sort.Ints(target)
 			continue
 		}
-		s, err := st.Get(id)
-		if err != nil {
-			return stats, fmt.Errorf("shuffle: Rebalance: %w", err)
-		}
-		c.Isend(dest[id], tag, s.Encode())
-		sendIDs = append(sendIDs, id)
-		stats.Sent++
-		stats.SentBytes += s.Bytes
-	}
-	var recvReqs []*mpi.Request
-	for _, id := range target {
-		if !st.Has(id) {
-			recvReqs = append(recvReqs, c.Irecv(mpi.AnySource, tag))
+		for _, id := range share {
+			if holder[id] == c.Rank() {
+				plan.SendIDs = append(plan.SendIDs, id)
+				plan.Dests = append(plan.Dests, r)
+			}
 		}
 	}
-	for _, req := range recvReqs {
-		payload, _ := req.Wait()
-		s, err := data.DecodeSample(payload.([]byte))
-		if err != nil {
-			return stats, fmt.Errorf("shuffle: Rebalance: decoding received sample: %w", err)
-		}
-		if err := st.Put(s); err != nil {
-			return stats, fmt.Errorf("shuffle: Rebalance: storing sample %d: %w", s.ID, err)
-		}
-		stats.Received++
-		stats.RecvBytes += s.Bytes
+	expected := len(target) - (len(mine) - plan.Slots())
+
+	// One Scheduler window moves it. A member deletes what it sent only after
+	// every member has drained (the barrier), so a death before that leaves
+	// every survivor's store as it was.
+	sched, err := NewScheduler(c, st, 0, total, seed)
+	if err != nil {
+		return stats, err
 	}
-	for _, id := range sendIDs {
-		if err := st.Delete(id); err != nil {
-			return stats, fmt.Errorf("shuffle: Rebalance: %w", err)
+	// Ranks the group has already re-formed around are no news to this window.
+	sched.dead = make(map[int]bool)
+	for _, r := range c.FailedPeers() {
+		if i := sort.SearchInts(group, r); i == len(group) || group[i] != r {
+			sched.dead[r] = true
 		}
 	}
+	// The membership generation is the high word of the collective sequence
+	// (train's bumpGeneration), which every member reads alike.
+	sched.open(epoch, RebalanceTag(c.CollSeq()>>32, epoch), plan, expected)
+	err = c.Guard(func() error {
+		if err := sched.Synchronize(); err != nil {
+			return err
+		}
+		c.Barrier()
+		return sched.CleanLocalStorage()
+	})
+	if err != nil {
+		sched.Reset()
+		return stats, fmt.Errorf("shuffle: Rebalance: %w", err)
+	}
+	stats.Sent, stats.Received = plan.Slots(), expected
+	stats.SentBytes, stats.RecvBytes = sched.WireTraffic()
 
 	// Conservation: this rank must now hold exactly its target share.
 	got := st.IDs()

@@ -2,13 +2,19 @@ package shuffle
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/store"
+	"plshuffle/internal/transport"
+	"plshuffle/internal/transport/tcp"
+	"plshuffle/internal/transport/transporttest"
 )
 
 func rebalanceSample(id int) data.Sample {
@@ -197,4 +203,209 @@ func equalIntsRB(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestRebalanceUnderDeath: a member dies inside the rebalance — {a holder of
+// samples the others wait for, a pure receiver that never drains} × {inproc,
+// TCP with distrun's heartbeat settings} — after taking part in the gather,
+// so every survivor is past planning. Each survivor's Rebalance returns an
+// error carrying the victim's PeerError within the detection bound, with its
+// store exactly as before the call; and because nothing was applied anywhere,
+// the survivors re-form (Shrink, next generation) and rebalance again at the
+// SAME epoch: the retry conserves what they held and cannot match the frames
+// the abandoned attempt left in their mailboxes (the generation salts the
+// tag).
+func TestRebalanceUnderDeath(t *testing.T) {
+	const n, m, seed, epoch = 60, 4, 77, 3
+	backends := []struct {
+		b      transporttest.Backend
+		detect time.Duration // kill → return bound per survivor
+	}{
+		{transporttest.InprocWrapped("inproc", func(_ int, c transport.Conn) transport.Conn { return c }), 2 * time.Second},
+		{transporttest.TCPWrapped("tcp", nil, func(_ int, cfg *tcp.Config) {
+			cfg.HeartbeatInterval = 500 * time.Millisecond
+			cfg.PeerTimeout = 2 * time.Second
+			cfg.RetryTimeout = 10 * time.Second
+		}), 10 * time.Second},
+	}
+	// Ranks 0..2 hold a third each; rank 3 holds nothing, like a joiner.
+	roles := []struct {
+		name   string
+		victim int
+	}{
+		{"holder-dies-before-sending", 0},
+		{"receiver-dies-before-draining", 3},
+	}
+	for _, be := range backends {
+		for _, role := range roles {
+			be, victim := be, role.victim
+			t.Run(be.b.Name()+"/"+role.name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				stores := make([]*store.Local, m)
+				for r := range stores {
+					stores[r] = store.NewLocal(0)
+				}
+				for id := 0; id < n; id++ {
+					if err := stores[id%3].Put(rebalanceSample(id)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				comms, cleanup, err := be.b.Open(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var live []int
+				survivorsHeld := 0
+				for r := 0; r < m; r++ {
+					if r != victim {
+						live = append(live, r)
+						survivorsHeld += stores[r].Len()
+					}
+				}
+
+				var killedAt atomic.Int64 // unix nanos
+				first := make([]error, m) // the abandoned attempt, per survivor
+				took := make([]time.Duration, m)
+				program := func(c *mpi.Comm) error {
+					st := stores[c.Rank()]
+					if c.Rank() == victim {
+						mpi.AllgatherVarLen(c, st.IDs())
+						// Let the survivors' readers take the gather frames off
+						// the sockets: a killed endpoint discards what it queued.
+						time.Sleep(50 * time.Millisecond)
+						killedAt.Store(time.Now().UnixNano())
+						killComm(t, c)
+						return nil
+					}
+					idsBefore, usedBefore := fmt.Sprint(st.IDs()), st.Used()
+					// Guard: the death may also reach a survivor as the unwind of
+					// the gather or of the closing barrier.
+					first[c.Rank()] = c.Guard(func() error {
+						_, err := Rebalance(c, st, seed, epoch)
+						return err
+					})
+					if at := killedAt.Load(); at != 0 {
+						took[c.Rank()] = time.Since(time.Unix(0, at))
+					}
+					if got := fmt.Sprint(st.IDs()); got != idsBefore || st.Used() != usedBefore {
+						return fmt.Errorf("abandoned rebalance changed the store: %d bytes → %d", usedBefore, st.Used())
+					}
+					// Whether the abandoned attempt left a frame unconsumed in some
+					// mailbox is a timing accident; plant one so every run has it.
+					for i, r := range live {
+						if r == c.Rank() {
+							stale := data.EncodeSampleBatch([]data.Sample{rebalanceSample(n + r)})
+							c.Send(live[(i+1)%len(live)], RebalanceTag(0, epoch), stale)
+						}
+					}
+					if err := c.Shrink(live); err != nil {
+						return err
+					}
+					c.SetCollSeq(1 << 32)
+					stats, err := Rebalance(c, st, seed, epoch)
+					if err != nil {
+						return fmt.Errorf("retry over the survivors: %w", err)
+					}
+					if stats.Total != survivorsHeld {
+						return fmt.Errorf("retry gathered %d samples, the survivors held %d", stats.Total, survivorsHeld)
+					}
+					return nil
+				}
+				errs := make([]error, m)
+				var wg sync.WaitGroup
+				for r := range comms {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						errs[r] = mpi.Execute(comms[r], program)
+					}(r)
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(3 * be.detect):
+					// cleanup closes the communicators, which wakes the stuck ranks.
+					cleanup()
+					t.Fatalf("ranks still blocked %v after the kill (FailedPeers on rank %d: %v)",
+						3*be.detect, live[0], comms[live[0]].FailedPeers())
+				}
+				cleanup()
+
+				var held [][]int
+				for _, r := range live {
+					if errs[r] != nil {
+						t.Errorf("rank %d: %v", r, errs[r])
+					}
+					pe, ok := mpi.PeerErrorFrom(first[r])
+					if !ok || pe.Rank != victim {
+						t.Errorf("rank %d: rebalance returned %v, want an error carrying a PeerError for rank %d", r, first[r], victim)
+					}
+					if took[r] > be.detect {
+						t.Errorf("rank %d returned %v after the kill, want within %v", r, took[r], be.detect)
+					}
+					held = append(held, stores[r].IDs())
+				}
+				if errs[victim] != nil {
+					t.Errorf("victim: %v", errs[victim])
+				}
+				if !t.Failed() {
+					assertConservedBalanced(t, held, survivorsHeld)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for runtime.NumGoroutine() > base+3 {
+					if time.Now().After(deadline) {
+						buf := make([]byte, 1<<20)
+						t.Fatalf("goroutines: %d running, baseline %d\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+					}
+					time.Sleep(50 * time.Millisecond)
+				}
+			})
+		}
+	}
+}
+
+// TestRebalanceJoinFramesTCP: a 4→5 join's rebalance puts at most one sample
+// frame per (sender, destination) on the wire — GroupSize−1 per sender —
+// however many samples move. The window's frames are what the rank's
+// data-kind frame counter grows by beyond the rebalance's two collectives,
+// which a calibration round of the same gather and barrier measures.
+func TestRebalanceJoinFramesTCP(t *testing.T) {
+	const n, members, m, seed = 400, 4, 5, 5
+	dataFrames := func(c *mpi.Comm) int64 {
+		s := c.Transport().Stats()
+		return s.SentByKind[transport.KindData] + s.SentByKind[transport.KindDataZ] + s.SentByKind[transport.KindDataRef]
+	}
+	err := transporttest.TCP().Run(m, func(c *mpi.Comm) error {
+		st := store.NewLocal(0)
+		for id := 0; id < n; id++ {
+			if id%members == c.Rank() {
+				if err := st.Put(rebalanceSample(id)); err != nil {
+					return err
+				}
+			}
+		}
+		f0 := dataFrames(c)
+		mpi.AllgatherVarLen(c, st.IDs())
+		c.Barrier()
+		f1 := dataFrames(c)
+		stats, err := Rebalance(c, st, seed, 1)
+		if err != nil {
+			return err
+		}
+		window := dataFrames(c) - f1 - (f1 - f0)
+		if c.Rank() < members && stats.Sent < 5*(m-1) {
+			return fmt.Errorf("test underpowered: rank %d moved %d samples", c.Rank(), stats.Sent)
+		}
+		if window > int64(m-1) {
+			return fmt.Errorf("rank %d sent %d sample frames for %d samples, want at most %d (one per destination)", c.Rank(), window, stats.Sent, m-1)
+		}
+		if got := st.Len(); got != n/m {
+			return fmt.Errorf("rank %d holds %d samples after the join, want %d", c.Rank(), got, n/m)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

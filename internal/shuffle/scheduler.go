@@ -2,8 +2,6 @@ package shuffle
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync/atomic"
 
 	"plshuffle/internal/data"
@@ -36,6 +34,7 @@ type Scheduler struct {
 	groupSize int // 0 = flat exchange; >0 = hierarchical (Section V-F)
 
 	plan     ExchangePlan
+	tag      int          // user tag of the open window's frames
 	posted   int          // slots whose sends have been posted
 	expected int          // samples this rank receives this epoch (= Slots())
 	pending  *mpi.Request // the single outstanding posted receive, or nil
@@ -187,78 +186,6 @@ func (s *Scheduler) SetQ(q float64) error {
 // Q returns the exchange fraction the next Scheduling will plan with.
 func (s *Scheduler) Q() float64 { return s.q }
 
-// SetWireDedup enables exchange deduplication with the given per-directed-
-// pair byte budget (≤ 0 disables). Every rank must configure the same
-// budget — the protocol's correctness rests on sender mirror and receiver
-// segment evicting in lockstep. Call it before the first Scheduling.
-func (s *Scheduler) SetWireDedup(budgetBytes int64) error {
-	if s.state != stateIdle {
-		return fmt.Errorf("shuffle: SetWireDedup: cannot reconfigure mid-epoch")
-	}
-	if budgetBytes <= 0 {
-		s.dedupBudget = 0
-		s.sendMirror, s.recvSegment = nil, nil
-		return nil
-	}
-	s.dedupBudget = budgetBytes
-	s.sendMirror = make(map[int]*cache.SampleLRU)
-	s.recvSegment = make(map[int]*cache.SampleLRU)
-	return nil
-}
-
-// InvalidateDedup drops every pairwise dedup cache (both roles). It must
-// run on EVERY surviving rank whenever any event could desynchronize a
-// pair's mirror and segment — an abandoned epoch (Reset calls it), a peer
-// failure recovery — after which both sides rebuild from live traffic. An
-// unnecessary invalidation costs only warm-up hits, never correctness.
-func (s *Scheduler) InvalidateDedup() {
-	for _, c := range s.sendMirror {
-		c.Clear()
-	}
-	for _, c := range s.recvSegment {
-		c.Clear()
-	}
-}
-
-// dedupMirror returns (lazily creating) the sender-side mirror of dest's
-// segment for this directed pair.
-func (s *Scheduler) dedupMirror(dest int) *cache.SampleLRU {
-	c := s.sendMirror[dest]
-	if c == nil {
-		c = cache.NewSampleLRU(s.dedupBudget, false)
-		s.sendMirror[dest] = c
-	}
-	return c
-}
-
-// dedupSegment returns (lazily creating) the receiver-side segment of
-// samples src has sent this rank.
-func (s *Scheduler) dedupSegment(src int) *cache.SampleLRU {
-	c := s.recvSegment[src]
-	if c == nil {
-		c = cache.NewSampleLRU(s.dedupBudget, true)
-		s.recvSegment[src] = c
-	}
-	return c
-}
-
-// DedupStats reports the current epoch's deduplication outcome: exchange
-// slots satisfied by reference frames instead of payloads, and the wire
-// bytes that avoided — the plain full-batch frame size minus what actually
-// shipped (references plus residual batch, post-compression when the
-// transport compresses). It is CumulativeDedup's growth since Scheduling.
-func (s *Scheduler) DedupStats() (hits int, savedBytes int64) {
-	h, saved := s.CumulativeDedup()
-	return int(h - s.base.dedupHits), saved - s.base.dedupSaved
-}
-
-// CumulativeDedup returns the dedup totals across ALL epochs (same
-// accounting as DedupStats, never reset). Safe from any goroutine — it
-// backs the pls_exchange_dedup_* telemetry counters.
-func (s *Scheduler) CumulativeDedup() (hits, savedBytes int64) {
-	return s.dedupHits.Load(), s.dedupSaved.Load()
-}
-
 // SetSendPriority installs per-sample importance weights (typically the
 // latest per-sample losses); subsequent epochs select the exchanged
 // samples by weighted sampling without replacement instead of uniformly.
@@ -297,10 +224,25 @@ func (s *Scheduler) Scheduling(epoch int) error {
 		// shared-seed permutations).
 		copy(plan.SendIDs, ids[:plan.Slots()])
 	}
+	s.open(epoch, ExchangeTag(epoch), plan, plan.Slots())
+	if len(s.dead) > 0 {
+		// Deaths absorbed in earlier epochs persist: rebuild this epoch's
+		// expectation around them before any traffic flows.
+		s.recomputeExpectation()
+	}
+	return nil
+}
+
+// open starts a transaction window: plan's samples go out and expected
+// samples come in on tag, then Synchronize and CleanLocalStorage (or Reset)
+// close it. Scheduling opens the epoch's balanced exchange; Rebalance opens a
+// window with a plan of its own — nothing else moves samples between stores.
+func (s *Scheduler) open(epoch, tag int, plan ExchangePlan, expected int) {
 	s.epoch.Store(int64(epoch))
+	s.tag = tag
 	s.plan = plan
 	s.posted = 0
-	s.expected = plan.Slots()
+	s.expected = expected
 	s.pending = nil
 	s.received = s.received[:0] // capacity reused across epochs
 	s.base.wireSent, s.base.wireRecv = s.CumulativeWireTraffic()
@@ -308,158 +250,7 @@ func (s *Scheduler) Scheduling(epoch int) error {
 	s.senders = nil // per-epoch permutations; rebuilt lazily on demand
 	clear(s.recvFrom)
 	s.state = stateScheduled
-	if len(s.dead) > 0 {
-		// Deaths absorbed in earlier epochs persist: rebuild this epoch's
-		// expectation around them before any traffic flows.
-		s.recomputeExpectation()
-	} else {
-		s.setDegraded(0, 0)
-	}
-	return nil
-}
-
-// SetDegradeOnPeerFailure selects the scheduler's failure policy. With
-// degrade on, a peer death observed while sending or draining the exchange
-// is absorbed (the epoch completes over the survivors, with DegradedSlots
-// accounting the canceled traffic); with it off (the default) the operation
-// that observed it returns an error carrying the *transport.PeerError
-// (mpi.PeerErrorFrom), within the transport's peer timeout.
-func (s *Scheduler) SetDegradeOnPeerFailure(on bool) { s.degrade = on }
-
-// DeadRanks returns the sorted ranks this scheduler has absorbed as dead.
-func (s *Scheduler) DeadRanks() []int {
-	out := make([]int, 0, len(s.dead))
-	for r := range s.dead {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// DegradedSlots reports the current epoch's canceled exchange slots:
-// sendSlots had a dead destination (their samples are retained locally),
-// recvSlots had a dead sender and were forfeited (samples that landed
-// before the death still count as received). Both are zero when every
-// peer is live. Final after Synchronize; reset by Scheduling. Safe from any
-// goroutine — it backs the pls_exchange_degraded_slots gauge.
-func (s *Scheduler) DegradedSlots() (sendSlots, recvSlots int) {
-	return int(s.degradedSend.Load()), int(s.degradedRecv.Load())
-}
-
-// EffectiveQ returns the exchange fraction the current epoch actually
-// realized: q scaled by the surviving fraction of the plan's slots
-// (averaging the send and receive directions, which degrade
-// independently). With no deaths it equals the configured q. Safe from any
-// goroutine — it backs the pls_exchange_effective_q gauge.
-func (s *Scheduler) EffectiveQ() float64 { return math.Float64frombits(s.effQ.Load()) }
-
-// setDegraded records the current epoch's canceled slots and the exchange
-// fraction they leave of q — the one place either is written.
-func (s *Scheduler) setDegraded(sendSlots, recvSlots int) {
-	s.degradedSend.Store(int64(sendSlots))
-	s.degradedRecv.Store(int64(recvSlots))
-	eff := s.q
-	if k := s.plan.Slots(); k > 0 {
-		eff = s.q * float64(2*k-sendSlots-recvSlots) / float64(2*k)
-	}
-	s.effQ.Store(math.Float64bits(eff))
-}
-
-// peerFailed is the scheduler's one decision about a peer death, however it
-// was observed (the failure registry, a send, the blocking drain). Under the
-// abort policy the typed error goes back to the caller. Under degrade the
-// death is absorbed: rank is marked dead and the epoch's receive expectation
-// rebuilt around the survivors — after scooping any frames that already
-// landed (they may carry the dead rank's last samples), so the forfeit count
-// is no larger than necessary.
-func (s *Scheduler) peerFailed(pe *transport.PeerError) error {
-	if !s.degrade {
-		return fmt.Errorf("shuffle: epoch %d exchange: %w", s.ObservedEpoch(), pe)
-	}
-	if s.dead == nil {
-		s.dead = make(map[int]bool)
-	}
-	if s.dead[pe.Rank] {
-		return nil
-	}
-	s.dead[pe.Rank] = true
-	if s.state == stateScheduled {
-		if err := s.drainLanded(); err != nil {
-			return err
-		}
-	}
-	s.recomputeExpectation()
-	return nil
-}
-
-// notePeerFailures runs peerFailed over every death the transport has
-// reported (one it has already absorbed is a no-op there).
-func (s *Scheduler) notePeerFailures() error {
-	for _, r := range s.comm.FailedPeers() {
-		if err := s.peerFailed(s.comm.PeerFailure(r)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// drainLanded consumes every exchange frame that has already arrived
-// without blocking (no expectation check — it runs while the expectation
-// is being rebuilt).
-func (s *Scheduler) drainLanded() error {
-	for {
-		if s.pending == nil {
-			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.ObservedEpoch()))
-		}
-		ok, payload, st := s.pending.Test()
-		if !ok {
-			return nil
-		}
-		s.pending = nil
-		if err := s.ingestFrame(payload, st); err != nil {
-			return err
-		}
-	}
-}
-
-// recomputeExpectation rebuilds expected from the shared-seed sender
-// permutations: slots whose sender is live stay expected; slots whose
-// sender is dead are expected only up to what that sender already
-// delivered. Locally computable on every survivor — no consensus round.
-func (s *Scheduler) recomputeExpectation() {
-	k := s.plan.Slots()
-	if s.senders == nil {
-		s.senders = ExpectedSenders(s.comm.Rank(), s.comm.Size(), s.groupSize, k, s.seed, s.ObservedEpoch())
-	}
-	fromDead := make(map[int]int, len(s.dead))
-	expected := 0
-	for _, src := range s.senders {
-		if s.dead[src] {
-			fromDead[src]++
-		} else {
-			expected++
-		}
-	}
-	if s.recvFrom == nil {
-		s.recvFrom = make(map[int]int)
-	}
-	for src, slots := range fromDead {
-		if got := s.recvFrom[src]; got < slots {
-			expected += got
-		} else {
-			expected += slots
-		}
-	}
-	// Send-side mirror: slots toward a dead destination are canceled and
-	// their samples retained by CleanLocalStorage.
-	degradedSend := 0
-	for _, d := range s.plan.Dests {
-		if s.dead[d] {
-			degradedSend++
-		}
-	}
-	s.expected = expected
-	s.setDegraded(degradedSend, k-expected)
+	s.setDegraded(0, 0)
 }
 
 // Slots returns the number of samples this epoch's plan exchanges.
@@ -526,104 +317,6 @@ func (s *Scheduler) Communicate(n int) (int, error) {
 	return s.expected - len(s.received), nil
 }
 
-// shipBatch encodes and sends the staged s.batchShip toward dest, applying
-// the pairwise dedup protocol (DESIGN.md §13) when enabled: samples the
-// sender's mirror proves resident in the receiver's segment travel as a
-// compact ID-reference frame, and only the remainder ships as a payload
-// batch. The reference frame always precedes the payload frame for the same
-// destination, so both sides replay the identical Touch-then-Note sequence
-// against their pair caches. Self-sends bypass dedup entirely (they never
-// touch a wire) but still round-trip the negotiated encoding, keeping lossy
-// modes uniform across all delivered samples.
-func (s *Scheduler) shipBatch(dest int) error {
-	ship := s.batchShip
-	self := dest == s.comm.Rank()
-	var refs transport.SampleRefs
-	var refBytes int64 // what the samples travelling as references would cost as batch entries
-	if s.dedupBudget > 0 && !self {
-		mirror := s.dedupMirror(dest)
-		s.refShip = s.refShip[:0]
-		s.shipScratch = s.shipScratch[:0]
-		for _, sample := range s.batchShip {
-			if mirror.Has(int64(sample.ID)) {
-				s.refShip = append(s.refShip, int64(sample.ID))
-				refBytes += int64(sample.WireSizeEnc(s.encoding))
-			} else {
-				s.shipScratch = append(s.shipScratch, sample)
-			}
-		}
-		if len(s.refShip) > 0 {
-			// References pay off when the ref frame is smaller than what it
-			// elides: the referenced samples' entries, plus the whole payload
-			// frame when nothing is left to ship. (The residual batch costs
-			// the same either way, so it is never priced — each sample is
-			// classified once, here or in the encoder.) With few hits on small
-			// samples the ref frame's fixed overhead can exceed that; the
-			// sender then simply ships the full batch (a sender-local choice:
-			// no ref frame means the receiver replays plain Notes, so the
-			// caches stay in lockstep either way).
-			sort.Slice(s.refShip, func(i, j int) bool { return s.refShip[i] < s.refShip[j] })
-			elided := refBytes
-			if len(s.shipScratch) == 0 {
-				elided += emptyBatchFrame
-			}
-			if transport.FrameWireSize(s.refShip) < elided {
-				ship, refs = s.shipScratch, s.refShip
-				for _, id := range refs {
-					mirror.Touch(id)
-				}
-			}
-		}
-	}
-	var wire int64
-	if len(refs) > 0 {
-		n, dead, err := s.sendExchangeFrame(dest, refs)
-		if err != nil || dead {
-			return err
-		}
-		wire += n
-	}
-	if len(ship) > 0 {
-		s.batchBuf = data.AppendSampleBatchEnc(s.batchBuf[:0], ship, s.encoding)
-		// Safe to reuse batchBuf across destinations: the inproc backend
-		// clones []byte payloads synchronously and the TCP backend
-		// serializes before Send returns (the transport contract).
-		n, dead, err := s.sendExchangeFrame(dest, s.batchBuf)
-		if err != nil || dead {
-			return err
-		}
-		wire += n
-	}
-	if self {
-		return nil
-	}
-	s.wireSent.Add(wire)
-	if s.dedupBudget > 0 {
-		mirror := s.dedupMirror(dest)
-		for _, sample := range ship {
-			mirror.Note(sample)
-		}
-		if len(refs) > 0 {
-			s.dedupHits.Add(int64(len(refs)))
-			// The bytes-saved baseline is the whole batch as one payload frame
-			// under the same encoding: the residual as just encoded (its count
-			// word included) plus the referenced entries.
-			hypo := emptyBatchFrame + refBytes
-			if len(ship) > 0 {
-				hypo += int64(len(s.batchBuf)) - 4
-			}
-			if saved := hypo - wire; saved > 0 {
-				s.dedupSaved.Add(saved)
-			}
-		}
-	}
-	return nil
-}
-
-// emptyBatchFrame is the wire size of a payload frame carrying a batch of no
-// samples: frame overhead plus the count word.
-var emptyBatchFrame = transport.FrameWireSize([]byte(nil)) + 4
-
 // sendExchangeFrame posts one frame of the current epoch's exchange toward
 // dest and returns its wire size. A destination that died under the send is
 // handed to peerFailed; when that absorbs it, dead=true tells the caller to
@@ -632,7 +325,7 @@ var emptyBatchFrame = transport.FrameWireSize([]byte(nil)) + 4
 // survivors) and the pair's dedup state is moot (InvalidateDedup clears it
 // during recovery anyway).
 func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead bool, err error) {
-	n, pe := s.comm.SendPeerAware(dest, ExchangeTag(s.ObservedEpoch()), payload)
+	n, pe := s.comm.SendPeerAware(dest, s.tag, payload)
 	if pe != nil {
 		return 0, true, s.peerFailed(pe)
 	}
@@ -648,7 +341,7 @@ func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead b
 func (s *Scheduler) drainReceives(block bool) error {
 	for len(s.received) < s.expected {
 		if s.pending == nil {
-			s.pending = s.comm.Irecv(mpi.AnySource, ExchangeTag(s.ObservedEpoch()))
+			s.pending = s.comm.Irecv(mpi.AnySource, s.tag)
 		}
 		var payload any
 		var st mpi.Status

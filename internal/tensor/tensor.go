@@ -215,14 +215,6 @@ func checkMul(a, b *Matrix, inner string, ak, bk int) {
 	}
 }
 
-// MatMul returns A·B as a new (a.Rows × b.Cols) matrix.
-func MatMul(a, b *Matrix) *Matrix {
-	checkMul(a, b, "MatMul", a.Cols, b.Rows)
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes dst = A·B. dst must be a.Rows × b.Cols and is
 // overwritten. Large shapes route through the packed, register-tiled GEMM
 // core (gemm.go); small ones take the retained reference kernel, whose
@@ -269,15 +261,6 @@ func matMulRef(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulTA returns Aᵀ·B (a is k×n, b is k×m, result n×m). This is the
-// weight-gradient kernel: dW = Xᵀ·dY.
-func MatMulTA(a, b *Matrix) *Matrix {
-	checkMul(a, b, "MatMulTA", a.Rows, b.Rows)
-	out := New(a.Cols, b.Cols)
-	MatMulTAInto(out, a, b)
-	return out
-}
-
 // MatMulTAInto computes dst = Aᵀ·B into a caller-owned matrix (dst must be
 // a.Cols × b.Cols and is overwritten) — the workspace-reusing form backward
 // passes call every iteration without allocating.
@@ -321,15 +304,6 @@ func matMulTARef(dst, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MatMulTB returns A·Bᵀ (a is n×k, b is m×k, result n×m). This is the
-// input-gradient kernel: dX = dY·Wᵀ.
-func MatMulTB(a, b *Matrix) *Matrix {
-	checkMul(a, b, "MatMulTB", a.Cols, b.Cols)
-	out := New(a.Rows, b.Rows)
-	MatMulTBInto(out, a, b)
-	return out
 }
 
 // MatMulTBInto computes dst = A·Bᵀ into a caller-owned matrix (dst must be
@@ -457,16 +431,6 @@ func (m *Matrix) colSumRange(out []float32, lo, hi int) {
 			out[lo+j] += v
 		}
 	}
-}
-
-// ColMean returns per-column means (len = Cols).
-func (m *Matrix) ColMean() []float32 {
-	out := m.ColSum()
-	inv := 1 / float32(m.Rows)
-	for j := range out {
-		out[j] *= inv
-	}
-	return out
 }
 
 // ArgmaxRows returns, for each row, the column index of the maximum value.

@@ -53,9 +53,15 @@ func configFingerprint(cfg Config) string {
 	if cfg.Dataset != nil {
 		n = len(cfg.Dataset.Train)
 	}
-	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=%g|seed=%d|is=%t|enc=%s|sync=%t|full=%t|loc=%g|egs=%d|autoq=%t|qmin=%g|qmax=%g|qsched=%v",
+	// LARS is spelled "opt=|lars=true|eta=0": the snapshots on disk say so,
+	// and a resume must match them byte for byte.
+	opt, lars := cfg.Optimizer, cfg.Optimizer == "lars"
+	if lars {
+		opt = ""
+	}
+	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=0|seed=%d|is=%t|enc=%s|sync=%t|full=%t|loc=%g|egs=%d|autoq=%t|qmin=%g|qmax=%g|qsched=%v",
 		n, cfg.Model, cfg.Strategy, cfg.BatchSize, cfg.BaseLR, cfg.Momentum,
-		cfg.WeightDecay, cfg.Optimizer, cfg.UseLARS, cfg.LARSEta, cfg.Seed,
+		cfg.WeightDecay, opt, lars, cfg.Seed,
 		cfg.ImportanceSampling, cfg.SampleEncoding, cfg.SyncBatchNormStats,
 		cfg.FullSyncBatchNorm, cfg.PartitionLocality, cfg.ExchangeGroupSize,
 		cfg.AutoQ, cfg.AutoQMin, cfg.AutoQMax, cfg.QSchedule)

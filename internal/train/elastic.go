@@ -19,6 +19,11 @@ package train
 //	Rebalance stored samples ◀─────────▶ Rebalance (receives its share)
 //	train epoch e                        train() from startEpoch = e
 //
+// The rebalance is one shuffle.Scheduler window on RebalanceTag(generation,
+// e): a member's death inside it reaches every other member and the joiner
+// as a typed peer error with the stores untouched (DESIGN.md §15.4 says what
+// each failure policy does next).
+//
 // The admission message is point-to-point on a per-joiner tag, so a joiner
 // can never confuse another joiner's admission (or a stale epoch's) with
 // its own. After the join every member — joiner included — derives the same
@@ -155,7 +160,7 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 // was launched with; Workers (if non-zero) must equal this communicator's
 // world size, which is the post-join rank name space.
 func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
-	cfg, sched, _, pfs, err := prepareRank(c, cfg)
+	cfg, sched, _, pfs, shards, err := prepareRank(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +171,7 @@ func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 	if err := c.Grow(adm.size, adm.group); err != nil {
 		return nil, err
 	}
-	w, err := newWorker(c, cfg, sched, nil, pfs, nil)
+	w, err := newWorker(c, cfg, sched, nil, pfs, shards, nil)
 	if err != nil {
 		return nil, err
 	}

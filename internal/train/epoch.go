@@ -388,7 +388,7 @@ func (w *worker) beginCorgiEpoch(epoch int) (int, error) {
 // kept: each epoch's is asked for twice, at the end of the epoch before it
 // and at its start.
 func (w *worker) corgiPlan(epoch int) (shuffle.Corgi2Plan, error) {
-	man := w.cfg.ShardStore.Manifest()
+	man := w.shards.Manifest()
 	if group := w.cfg.Strategy.EpochGroup(epoch); group != w.assignedGroup {
 		assign, err := shuffle.Corgi2Assign(man.NumShards, w.comm.Size(), w.cfg.Seed, group)
 		if err != nil {

@@ -55,7 +55,9 @@ func TestOverlapBitwiseEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig(t, ds, 4, shuffle.Partial(0.25))
 			cfg.Epochs = 3
-			cfg.UseLARS = tc.lars
+			if tc.lars {
+				cfg.Optimizer = "lars"
+			}
 
 			flat := cfg
 			flat.OverlapGrads = false

@@ -32,8 +32,11 @@ func TestReformationMatrix(t *testing.T) {
 		// Ranks [0, members) found the world; with members < capacity, rank
 		// `members` asks to join during epoch 0 and is admitted before epoch 1.
 		capacity, members int
-		// victim crashes on its second exchange frame of killEpoch (-1: none).
+		// victim crashes on its second exchange frame of killEpoch (-1: none) —
+		// or, with inRebalance, on its second frame of the post-join rebalance.
 		victim, killEpoch int
+		inRebalance       bool
+		policy            string // OnPeerFail when a victim is scripted; "" = degrade
 		// event is the first epoch the re-formed group shares; generations is
 		// how many re-formations every live member has been through by the end.
 		event, generations int
@@ -41,6 +44,8 @@ func TestReformationMatrix(t *testing.T) {
 		{name: "shrink", capacity: 4, members: 4, victim: 2, killEpoch: 1, event: 1, generations: 1},
 		{name: "grow", capacity: 5, members: 4, victim: -1, event: 1, generations: 1},
 		{name: "grow-then-shrink", capacity: 5, members: 4, victim: 2, killEpoch: 2, event: 1, generations: 2},
+		{name: "grow-killed-in-rebalance-abort", capacity: 5, members: 4, victim: 2, inRebalance: true, policy: "abort"},
+		{name: "grow-killed-in-rebalance-degrade", capacity: 5, members: 4, victim: 2, inRebalance: true, policy: "degrade", event: 1, generations: 2},
 	}
 	type backend struct {
 		name string
@@ -58,6 +63,9 @@ func TestReformationMatrix(t *testing.T) {
 		for _, tc := range cases {
 			for _, autoQ := range []bool{false, true} {
 				be, tc, autoQ := be, tc, autoQ
+				if tc.inRebalance && autoQ {
+					continue // the controller plays no part in a failed admission
+				}
 				mode := "fixed-q"
 				if autoQ {
 					mode = "auto-q"
@@ -73,18 +81,37 @@ func TestReformationMatrix(t *testing.T) {
 						cfg.Elastic = tc.members < tc.capacity
 						if tc.victim >= 0 {
 							cfg.OnPeerFail = "degrade"
+							if tc.policy != "" {
+								cfg.OnPeerFail = tc.policy
+							}
 						}
 						return cfg
 					}
 
 					conns := make([]*faultinject.Conn, tc.capacity)
-					b := be.mk(chaosWrap(chaosScripts(tc.capacity, tc.victim, tc.killEpoch, false), conns))
+					scripts := chaosScripts(tc.capacity, tc.victim, tc.killEpoch, false)
+					if tc.inRebalance {
+						// The join is admitted before epoch 1, in generation 1.
+						scripts[tc.victim].CrashTag = shuffle.RebalanceTag(1, 1)
+					}
+					b := be.mk(chaosWrap(scripts, conns))
 					collSeq := make([]int, tc.capacity)
 					var joinOnce sync.Once
 					rrs, errs := runRanks(t, b, tc.capacity, func(c *mpi.Comm) (*RankResult, error) {
 						defer func() { collSeq[c.Rank()] = c.CollSeq() }()
 						if c.Rank() >= tc.members {
-							return JoinRank(c, mkConfig(tc.capacity))
+							// A plsd whose JoinRank fails (by error or by unwinding)
+							// exits, and its sockets close with it; here the endpoint
+							// outlives the goroutine unless it is torn down by hand.
+							joined := false
+							defer func() {
+								if !joined {
+									conns[c.Rank()].Kill()
+								}
+							}()
+							rr, err := JoinRank(c, mkConfig(tc.capacity))
+							joined = err == nil
+							return rr, err
 						}
 						cfg := mkConfig(tc.members)
 						if tc.members < tc.capacity {
@@ -118,10 +145,26 @@ func TestReformationMatrix(t *testing.T) {
 							}
 							continue
 						}
+						// A death inside the post-join rebalance is fatal to the
+						// admission: the joiner under either policy, and under
+						// abort every member, ends with the typed error naming the
+						// victim. Under degrade the members re-form without the
+						// joiner and train on from the stores the abandoned
+						// rebalance left untouched.
+						if tc.inRebalance && (tc.policy == "abort" || r >= tc.members) {
+							if pe, ok := mpi.PeerErrorFrom(errs[r]); !ok || pe.Rank != tc.victim {
+								t.Fatalf("rank %d: err %v, want one carrying a PeerError for rank %d", r, errs[r], tc.victim)
+							}
+							continue
+						}
 						if errs[r] != nil {
 							t.Fatalf("rank %d failed: %v", r, errs[r])
 						}
 						live = append(live, r)
+					}
+					if len(live) == 0 {
+						waitGoroutines(t, base)
+						return
 					}
 
 					// One trajectory from the event on: same epochs recorded, same Q

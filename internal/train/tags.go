@@ -8,8 +8,12 @@ package train
 //
 //	[0, 1<<20)                      shuffle.ExchangeTag(epoch)
 //	[1<<22, 1<<23)                  admitTag(rank)
-//	[1<<23, 1<<23 + 1<<20)          shuffle.RebalanceTag(epoch)
 //	[(g+1)<<24, (g+1)<<24 + 1<<20)  ckptTag(g, nextEpoch), generation g ≥ 0
+//	[(g+1)<<24 + 1<<23, … + 1<<20)  shuffle.RebalanceTag(g, epoch)
+//
+// The two windows a failed attempt can leave frames in and a retry re-enters
+// at the same epoch — the checkpoint commit round and the post-join rebalance
+// — carry the generation, which every re-formation bumps.
 //
 // TestTagSpacesDisjoint walks the edges of every range.
 

@@ -21,23 +21,23 @@ func TestTagSpacesDisjoint(t *testing.T) {
 	spaces := []space{
 		{name: "exchange", lo: 0, hi: 1<<20 - 1},
 		{name: "admit", lo: 1 << 22, hi: 1<<23 - 1},
-		{name: "rebalance", lo: 1 << 23, hi: 1<<23 + 1<<20 - 1},
 	}
 	for _, e := range edges(maxEpochs - 1) {
 		spaces[0].tags = append(spaces[0].tags, shuffle.ExchangeTag(e))
-		spaces[2].tags = append(spaces[2].tags, shuffle.RebalanceTag(e))
 	}
 	for _, r := range edges(maxRank) {
 		spaces[1].tags = append(spaces[1].tags, admitTag(r))
 	}
-	// Checkpoint tags: one interval per generation; nextEpoch runs to Epochs,
-	// itself below maxEpochs.
+	// Checkpoint and rebalance tags: one interval each per generation;
+	// nextEpoch runs to Epochs, itself below maxEpochs.
 	for _, g := range []int{0, 1, 2, 1 << 10, 1 << 30} {
-		s := space{name: "checkpoint", lo: (g + 1) << 24, hi: (g+1)<<24 + 1<<20 - 1}
+		ck := space{name: "checkpoint", lo: (g + 1) << 24, hi: (g+1)<<24 + 1<<20 - 1}
+		rb := space{name: "rebalance", lo: (g+1)<<24 + 1<<23, hi: (g+1)<<24 + 1<<23 + 1<<20 - 1}
 		for _, e := range edges(maxEpochs - 1) {
-			s.tags = append(s.tags, ckptTag(g, e))
+			ck.tags = append(ck.tags, ckptTag(g, e))
+			rb.tags = append(rb.tags, shuffle.RebalanceTag(g, e))
 		}
-		spaces = append(spaces, s)
+		spaces = append(spaces, ck, rb)
 	}
 	for i, a := range spaces {
 		for _, tag := range a.tags {

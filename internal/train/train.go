@@ -37,10 +37,15 @@ import (
 )
 
 // DefaultWireDedupBudget is the per-directed-pair byte budget the exchange
-// dedup caches use when Config.WireDedup is on and no explicit budget is
-// given. 8 MiB per pair keeps a 32-rank world under ~0.5 GiB of cache per
-// rank while holding several epochs' worth of typical exchange traffic.
+// dedup caches use when Config.WireDedup is on. 8 MiB per pair keeps a
+// 32-rank world under ~0.5 GiB of cache per rank (at most 2·(Workers−1)·budget:
+// one payload-retaining segment per source and one ID-only mirror per
+// destination) while holding several epochs' worth of typical exchange
+// traffic.
 const DefaultWireDedupBudget = 8 << 20
+
+// larsEta is the LARS trust coefficient.
+const larsEta = 0.01
 
 // Config describes one training run.
 type Config struct {
@@ -56,11 +61,9 @@ type Config struct {
 	Schedule    nn.Schedule // nil = Constant{BaseLR}
 	Momentum    float32
 	WeightDecay float32
-	UseLARS     bool
-	LARSEta     float32 // 0 = default 0.01
-	// Optimizer selects the update rule by name: "" or "sgd", "lars" (same
-	// as UseLARS), or "lamb". The large-batch optimizers are what the
-	// paper's biggest configurations require (LARS per Mikami et al.).
+	// Optimizer selects the update rule by name: "" or "sgd", "lars", or
+	// "lamb". The large-batch optimizers are what the paper's biggest
+	// configurations require (LARS per Mikami et al.).
 	Optimizer string
 
 	// DataDir points at an ingested on-disk dataset (cmd/plsingest) for the
@@ -72,10 +75,6 @@ type Config struct {
 	// CacheBytes bounds the Corgi2 node-local cache tier per rank
 	// (0 = unlimited). It must hold at least the dataset's largest shard.
 	CacheBytes int64
-	// ShardStore, if non-nil, is the already-open ingested dataset to use
-	// instead of opening DataDir — how tests and benchmarks inject PFS
-	// throttling (shard.Dataset.SetPFSOptions).
-	ShardStore *shard.Dataset
 
 	Seed uint64
 	// PartitionLocality biases the initial partition toward class-contiguous
@@ -98,11 +97,6 @@ type Config struct {
 	// payload. Training input is bitwise identical either way; only the
 	// wire volume changes. Applies to the partial-local exchange only.
 	WireDedup bool
-	// WireDedupBudget bounds each directed pair's dedup cache in bytes
-	// (0 = DefaultWireDedupBudget). Memory cost per rank is at most
-	// 2·(Workers−1)·budget: one payload-retaining segment per source and
-	// one ID-only mirror per destination.
-	WireDedupBudget int64
 	// SampleEncoding selects the exchange sample wire format: "" or "fp32"
 	// (the legacy bit-exact encoding) or "fp16exact" (compact half-precision
 	// entries only for samples whose features are bitwise-losslessly
@@ -227,8 +221,8 @@ func (c Config) Validate() error {
 	if c.Strategy.Kind == shuffle.Corgi2 {
 		// Corgi2 streams training samples from the on-disk shard store; the
 		// in-memory training split stays empty.
-		if c.DataDir == "" && c.ShardStore == nil {
-			return fmt.Errorf("train: corgi2 needs DataDir (an ingested dataset; see cmd/plsingest) or ShardStore")
+		if c.DataDir == "" {
+			return fmt.Errorf("train: corgi2 needs DataDir (an ingested dataset; see cmd/plsingest)")
 		}
 		if c.ImportanceSampling {
 			return fmt.Errorf("train: ImportanceSampling is not supported with corgi2 (the epoch order is fixed by the shard plan)")
@@ -274,9 +268,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := data.ParseEncoding(c.SampleEncoding); err != nil {
 		return fmt.Errorf("train: %w", err)
-	}
-	if c.WireDedupBudget < 0 {
-		return fmt.Errorf("train: WireDedupBudget must be non-negative, got %d", c.WireDedupBudget)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("train: CheckpointEvery must be non-negative, got %d", c.CheckpointEvery)
@@ -466,7 +457,7 @@ type RankResult struct {
 // zero (it defaults to the communicator's world size) but must otherwise
 // match it.
 func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
-	cfg, sched, parts, pfs, err := prepareRank(c, cfg)
+	cfg, sched, parts, pfs, shards, err := prepareRank(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -476,7 +467,7 @@ func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 			return nil, err
 		}
 	}
-	w, err := newWorker(c, cfg, sched, parts, pfs, rs)
+	w, err := newWorker(c, cfg, sched, parts, pfs, shards, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -491,30 +482,26 @@ func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 // shares: Workers (zero defaults to the world size), the Corgi2 shard store
 // and proxy dataset, the LR schedule, the initial partition of the
 // local-family strategies, and the PFS view.
-func prepareRank(c *mpi.Comm, cfg Config) (Config, nn.Schedule, [][]int, *store.PFS, error) {
+func prepareRank(c *mpi.Comm, cfg Config) (Config, nn.Schedule, [][]int, *store.PFS, *shard.Dataset, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = c.Size()
 	}
 	if cfg.Workers != c.Size() {
-		return cfg, nil, nil, nil, fmt.Errorf("train: cfg.Workers = %d but world size is %d", cfg.Workers, c.Size())
+		return cfg, nil, nil, nil, nil, fmt.Errorf("train: cfg.Workers = %d but world size is %d", cfg.Workers, c.Size())
 	}
 	if err := cfg.Validate(); err != nil {
-		return cfg, nil, nil, nil, err
+		return cfg, nil, nil, nil, nil, err
 	}
+	var shards *shard.Dataset
 	if cfg.Strategy.Kind == shuffle.Corgi2 {
-		if cfg.ShardStore == nil {
-			sd, err := shard.OpenDataset(cfg.DataDir)
-			if err != nil {
-				return cfg, nil, nil, nil, err
-			}
-			cfg.ShardStore = sd
+		var err error
+		if shards, err = shard.OpenDataset(cfg.DataDir); err != nil {
+			return cfg, nil, nil, nil, nil, err
 		}
 		if cfg.Dataset == nil {
-			ds, err := cfg.ShardStore.Proxy()
-			if err != nil {
-				return cfg, nil, nil, nil, err
+			if cfg.Dataset, err = shards.Proxy(); err != nil {
+				return cfg, nil, nil, nil, nil, err
 			}
-			cfg.Dataset = ds
 		}
 	}
 	sched := cfg.Schedule
@@ -539,10 +526,10 @@ func prepareRank(c *mpi.Comm, cfg Config) (Config, nn.Schedule, [][]int, *store.
 			parts, err = shuffle.Partition(n, cfg.Workers, cfg.Seed)
 		}
 		if err != nil {
-			return cfg, nil, nil, nil, err
+			return cfg, nil, nil, nil, nil, err
 		}
 	}
-	return cfg, sched, parts, store.NewPFS(cfg.Dataset.Train), nil
+	return cfg, sched, parts, store.NewPFS(cfg.Dataset.Train), shards, nil
 }
 
 // run trains and assembles the rank's result — the shared tail of RunRank
@@ -580,13 +567,14 @@ type worker struct {
 	exchanger *shuffle.Scheduler // PLS only
 	pfs       *store.PFS
 
-	// Corgi2 state: the node-local cache tier over the shard store, the
-	// epoch's open sample stream, the current epoch group's shard
+	// Corgi2 state: the ingested dataset (opened from Config.DataDir), the
+	// node-local cache tier over it, the epoch's open sample stream, the current epoch group's shard
 	// assignment and the read plan last derived from it (corgiRead, for
 	// epoch corgiReadAt). corgiWindow is the online-shuffle mixing radius
 	// in shards (sized so two windows fit the cache budget: one pinned, one
 	// prefetching); pfsAccounted snapshots the tier's cumulative PFS bytes
 	// so each epoch records only its own delta.
+	shards        *shard.Dataset
 	tier          *cache.Tier
 	stream        *cache.EpochStream
 	assigned      []int
@@ -681,7 +669,7 @@ type worker struct {
 	cm               *telemetry.ControllerMetrics
 }
 
-func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *store.PFS, rs *resumeState) (*worker, error) {
+func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *store.PFS, shards *shard.Dataset, rs *resumeState) (*worker, error) {
 	// Same init seed on every rank: identical starting weights. Dropout
 	// streams differ per rank.
 	model, err := cfg.Model.Build(cfg.Seed, cfg.Seed+uint64(1000+c.Rank()))
@@ -698,6 +686,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 		model:         model,
 		params:        model.Params(),
 		pfs:           pfs,
+		shards:        shards,
 		exchEpoch:     -1,
 		assignedGroup: -1,
 		joinedEpoch:   -1,
@@ -721,7 +710,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 	w.setupOverlap()
 	w.opt = newOptimizer(cfg)
 	if cfg.Strategy.Kind == shuffle.Corgi2 {
-		w.tier, err = cache.New(cfg.ShardStore, cfg.CacheBytes, "")
+		w.tier, err = cache.New(shards, cfg.CacheBytes, "")
 		if err != nil {
 			return nil, err
 		}
@@ -729,7 +718,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 		// prefetch while the current one is pinned; 0 = whole assignment in
 		// one window (unlimited cache).
 		if cfg.CacheBytes > 0 {
-			w.corgiWindow = int(cfg.CacheBytes / (2 * cfg.ShardStore.Manifest().MaxShardBytes()))
+			w.corgiWindow = int(cfg.CacheBytes / (2 * shards.Manifest().MaxShardBytes()))
 			if w.corgiWindow < 1 {
 				w.corgiWindow = 1
 			}
@@ -781,11 +770,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 				return nil, err
 			}
 			if cfg.WireDedup {
-				budget := cfg.WireDedupBudget
-				if budget == 0 {
-					budget = DefaultWireDedupBudget
-				}
-				if err := w.exchanger.SetWireDedup(budget); err != nil {
+				if err := w.exchanger.SetWireDedup(DefaultWireDedupBudget); err != nil {
 					return nil, err
 				}
 			}
@@ -820,12 +805,8 @@ func newOptimizer(cfg Config) nn.Optimizer {
 	switch {
 	case cfg.Optimizer == "lamb":
 		return nn.NewLAMB(cfg.WeightDecay)
-	case cfg.Optimizer == "lars" || (cfg.Optimizer == "" && cfg.UseLARS):
-		eta := cfg.LARSEta
-		if eta == 0 {
-			eta = 0.01
-		}
-		return nn.NewLARS(cfg.Momentum, cfg.WeightDecay, eta)
+	case cfg.Optimizer == "lars":
+		return nn.NewLARS(cfg.Momentum, cfg.WeightDecay, larsEta)
 	default:
 		return nn.NewSGD(cfg.Momentum, cfg.WeightDecay)
 	}

@@ -269,7 +269,7 @@ func TestPartitionLocalityZeroMatchesPartition(t *testing.T) {
 func TestLARSRuns(t *testing.T) {
 	ds := testDataset(t, 256, 4)
 	cfg := baseConfig(t, ds, 4, shuffle.GlobalShuffling())
-	cfg.UseLARS = true
+	cfg.Optimizer = "lars"
 	cfg.Schedule = nn.Warmup{Inner: nn.Constant{Base: cfg.BaseLR}, Epochs: 2, StartFactor: 0.25}
 	res, err := Run(cfg)
 	if err != nil {

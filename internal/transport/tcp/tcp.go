@@ -73,15 +73,6 @@ type Config struct {
 	DialBackoff time.Duration
 	// BootstrapTimeout bounds the whole rendezvous phase. Default 30s.
 	BootstrapTimeout time.Duration
-	// WriteTimeout bounds one frame write. Default 30s.
-	WriteTimeout time.Duration
-	// ReadIdleTimeout, when positive, is the per-read deadline on
-	// established data connections. Zero (the default) means reads block
-	// indefinitely — epochs between exchanges can be arbitrarily long.
-	// When heartbeats are enabled it defaults to PeerTimeout, since a
-	// healthy peer then guarantees traffic at least every
-	// HeartbeatInterval.
-	ReadIdleTimeout time.Duration
 	// RetryTimeout is the TOTAL deadline for one outbound batch's
 	// dial/redial retry loop, layered on top of the per-attempt budget
 	// (DialAttempts × backoff): whichever bound is hit first marks the
@@ -162,6 +153,9 @@ func (c *Config) capabilityFlags() byte {
 // (control frames, single-sample batches, ref frames).
 const minCompressPayload = 512
 
+// writeTimeout bounds one frame write (and the hello of a fresh dial).
+const writeTimeout = 30 * time.Second
+
 func (c *Config) fillDefaults() {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
@@ -178,9 +172,6 @@ func (c *Config) fillDefaults() {
 	if c.BootstrapTimeout <= 0 {
 		c.BootstrapTimeout = 30 * time.Second
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 	if c.RetryTimeout <= 0 {
 		c.RetryTimeout = 20 * time.Second
 	}
@@ -190,9 +181,6 @@ func (c *Config) fillDefaults() {
 	if c.HeartbeatInterval > 0 {
 		if c.PeerTimeout <= 0 {
 			c.PeerTimeout = 4 * c.HeartbeatInterval
-		}
-		if c.ReadIdleTimeout <= 0 {
-			c.ReadIdleTimeout = c.PeerTimeout
 		}
 	}
 	if c.Dial == nil {
@@ -732,8 +720,11 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var scratch []byte
 	for {
-		if c.cfg.ReadIdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(c.cfg.ReadIdleTimeout))
+		// Without heartbeats reads block indefinitely — epochs between
+		// exchanges can be arbitrarily long; with them a healthy peer
+		// guarantees traffic at least every HeartbeatInterval.
+		if c.cfg.HeartbeatInterval > 0 {
+			conn.SetReadDeadline(time.Now().Add(c.cfg.PeerTimeout))
 		}
 		f, floats, n, err := transport.ReadFrameInto(br, &scratch)
 		if err != nil {
@@ -923,7 +914,7 @@ func (c *Conn) writeBatch(p *peer, batch []*transport.WireBuf) error {
 			p.iov = append(p.iov, wb.B)
 		}
 		iov := p.iov // WriteTo advances its receiver; keep p.iov's header intact
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		n, err := iov.WriteTo(conn)
 		clear(p.iov) // drop buffer refs; the backing array is reused next pass
 		if err == nil {
@@ -974,7 +965,7 @@ func (c *Conn) peerConn(p *peer) (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(hello); err != nil {
 		c.untrack(conn)
 		conn.Close()
