@@ -52,7 +52,8 @@ func TestTrainingIterationSteadyStateAllocs(t *testing.T) {
 // configuration) and Reset at the top of every iteration, a full
 // forward + loss + backward + SGD step performs zero heap allocations and
 // the arena's high-water mark is stable — every workspace re-bumps the
-// same backing array.
+// same backing array. The input layer's dx (batch×features, the largest
+// workspace of a wide-input model) is not among them.
 func TestTrainingIterationArenaZeroAllocs(t *testing.T) {
 	skipIfRace(t)
 	r := rng.New(43)
@@ -92,6 +93,11 @@ func TestTrainingIterationArenaZeroAllocs(t *testing.T) {
 	}
 	if a.Used() != used {
 		t.Fatalf("arena high-water mark drifted: %d -> %d floats", used, a.Used())
+	}
+	model.Layers[0].(*Linear).input = false // what the mark was before NewSequential set it
+	iter()
+	if got, want := a.Used(), used+x.Rows*x.Cols; got != want {
+		t.Fatalf("arena high-water mark with the input layer's dx = %d floats, want %d (the mark plus batch×features)", got, want)
 	}
 }
 

@@ -79,6 +79,11 @@ type Linear struct {
 	y       *tensor.Matrix // forward workspace, reused across calls
 	dx      *tensor.Matrix // backward workspace, reused across calls
 	arena   *arena.Arena   // optional step arena for y/dx (see ArenaUser)
+	// input is set by NewSequential on the container's first layer: dx would
+	// be the gradient of the training data, which nothing reads. It stays
+	// with the layer until NewSequential binds it again, at whatever
+	// position it has there.
+	input bool
 }
 
 // SetArena moves the activation workspaces into a (nil detaches).
@@ -113,10 +118,16 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // Backward computes parameter gradients (averaged over the batch is the
 // caller's responsibility via the loss scaling) and returns dx = dy·Wᵀ.
 // Gradients land directly in GW/GB and dx in a reused workspace: the
-// steady-state backward pass allocates nothing.
+// steady-state backward pass allocates nothing. Once NewSequential has
+// bound it as a container's first layer it computes no dx and returns nil,
+// through the container or called directly, for as long as that binding
+// is its latest.
 func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulTAInto(l.GW, l.x, dout) // xᵀ·dy
 	dout.ColSumInto(l.GB)
+	if l.input {
+		return nil
+	}
 	l.dx = tensor.EnsureShapeArena(l.arena, l.dx, dout.Rows, l.In)
 	tensor.MatMulTBInto(l.dx, dout, l.W) // dy·Wᵀ
 	return l.dx
@@ -472,9 +483,18 @@ func carve(arena, g []float32) (view, rest []float32) {
 
 // NewSequential builds a sequential container from the given layers and
 // binds their gradients into its arena. A layer belongs to one container:
-// binding it into a second one leaves the first with a stale arena.
+// binding it into a second one leaves the first with a stale arena. A
+// leading Linear is told it is the input layer, so its Backward skips the
+// dy·Wᵀ product and the batch×features workspace that goes with it; a
+// Linear anywhere else is told it is not, whatever an earlier container
+// made of it.
 func NewSequential(layers ...Layer) *Sequential {
 	s := &Sequential{Layers: layers}
+	for i, layer := range layers {
+		if l, ok := layer.(*Linear); ok {
+			l.input = i == 0
+		}
+	}
 	n := 0
 	for _, p := range s.Params() {
 		n += len(p.G)
@@ -516,7 +536,9 @@ func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return x
 }
 
-// Backward runs the layers in reverse order.
+// Backward runs the layers in reverse order and returns the first layer's
+// result: the gradient with respect to the model input, or nil when that
+// layer is a Linear (see NewSequential).
 func (s *Sequential) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return s.BackwardWithHook(dout, nil)
 }

@@ -96,6 +96,99 @@ func TestGradCheckWithBatchNorm(t *testing.T) {
 	gradCheck(t, model, x, labels)
 }
 
+// TestSequentialSkipsOnlyInputGradient pins what NewSequential's input-layer
+// mark changes: nothing but the unread dx. The same layers built from the
+// same seed and run by hand — every Backward returning its dx — leave
+// bitwise-identical parameter gradients, at a shape that takes the packed
+// GEMM core (in-place arms included) and one that takes the reference loops.
+func TestSequentialSkipsOnlyInputGradient(t *testing.T) {
+	for _, shape := range [][4]int{{6, 5, 8, 3}, {64, 300, 8, 16}} {
+		batch, in, hidden, classes := shape[0], shape[1], shape[2], shape[3]
+		build := func() []Layer {
+			r := rng.New(31)
+			return []Layer{NewLinear(in, hidden, r), NewBatchNorm(hidden), NewReLU(), NewLinear(hidden, classes, r)}
+		}
+		x, labels := smallBatch(rng.New(32), batch, in, classes)
+
+		model := NewSequential(build()...)
+		var ce SoftmaxCrossEntropy
+		ce.Forward(model.Forward(x, true), labels)
+		if dx := model.Backward(ce.Backward()); dx != nil {
+			t.Fatalf("%v: Sequential.Backward returned a %dx%d input gradient, want nil", shape, dx.Rows, dx.Cols)
+		}
+
+		byHand := build()
+		h := x
+		for _, l := range byHand {
+			h = l.Forward(h, true)
+		}
+		var ceHand SoftmaxCrossEntropy
+		ceHand.Forward(h, labels)
+		d := ceHand.Backward()
+		for i := len(byHand) - 1; i >= 0; i-- {
+			d = byHand[i].Backward(d)
+		}
+		if d == nil || d.Rows != batch || d.Cols != in {
+			t.Fatalf("%v: layers run by hand returned input gradient %v, want %dx%d", shape, d, batch, in)
+		}
+
+		got := model.Params()
+		var want []Param
+		for _, l := range byHand {
+			want = append(want, l.Params()...)
+		}
+		for pi := range want {
+			for j := range want[pi].G {
+				if math.Float32bits(got[pi].G[j]) != math.Float32bits(want[pi].G[j]) {
+					t.Fatalf("%v: param %d (%s) grad %d: sequential %v != by hand %v",
+						shape, pi, want[pi].Name, j, got[pi].G[j], want[pi].G[j])
+				}
+			}
+		}
+	}
+}
+
+// TestLinearBackwardStandaloneReturnsDX: a Linear outside a Sequential
+// still returns dx = dy·Wᵀ.
+func TestLinearBackwardStandaloneReturnsDX(t *testing.T) {
+	r := rng.New(33)
+	l := NewLinear(7, 3, r)
+	x := tensor.New(5, 7)
+	x.Randn(r, 1)
+	dy := tensor.New(5, 3)
+	dy.Randn(r, 1)
+	l.Forward(x, true)
+	dx := l.Backward(dy)
+	if dx == nil || dx.Rows != 5 || dx.Cols != 7 {
+		t.Fatalf("standalone Linear.Backward returned %v, want a 5x7 dx", dx)
+	}
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 7; j++ {
+			var want float32
+			for o := 0; o < 3; o++ {
+				want += dy.At(i, o) * l.W.At(j, o)
+			}
+			if dx.At(i, j) != want {
+				t.Fatalf("dx[%d,%d] = %v, want %v", i, j, dx.At(i, j), want)
+			}
+		}
+	}
+
+	// The input mark follows the layer's latest binding: leading a
+	// container it returns nil even when called directly, and bound again
+	// behind another layer it returns dx again.
+	NewSequential(l)
+	l.Forward(x, true)
+	if dx := l.Backward(dy); dx != nil {
+		t.Fatalf("Linear bound as an input layer returned a %dx%d dx, want nil", dx.Rows, dx.Cols)
+	}
+	NewSequential(NewReLU(), l)
+	l.Forward(x, true)
+	if dx := l.Backward(dy); dx == nil {
+		t.Fatal("Linear bound again behind another layer kept its input mark")
+	}
+}
+
 func TestReLUForwardBackward(t *testing.T) {
 	l := NewReLU()
 	x := tensor.FromSlice(1, 4, []float32{-1, 0, 2, -3})

@@ -80,11 +80,13 @@ func mlpDims(spec nn.ModelSpec) []int {
 // MLPFlopsPerSample returns the forward+backward matmul flop count per
 // sample of the MLP proxy: 2·in·out forward per Linear, plus 2·in·out each
 // for the weight-gradient (xᵀ·dy) and input-gradient (dy·Wᵀ) matmuls — 6×
-// the forward count. Normalization, activations, and bias adds are O(dim)
-// per layer and omitted; the matmuls dominate.
+// the forward count, except for the first Linear, whose input gradient
+// nothing reads and nn.Sequential does not compute (4×). Normalization,
+// activations, and bias adds are O(dim) per layer and omitted; the matmuls
+// dominate.
 func MLPFlopsPerSample(spec nn.ModelSpec) float64 {
 	dims := mlpDims(spec)
-	var f float64
+	f := -2 * float64(dims[0]) * float64(dims[1])
 	for i := 0; i+1 < len(dims); i++ {
 		f += 6 * float64(dims[i]) * float64(dims[i+1])
 	}

@@ -18,8 +18,8 @@ var calLarge = nn.ModelSpec{
 }
 
 func TestMLPFlopsAndParams(t *testing.T) {
-	// 6·(256·256 + 256·10) forward+backward matmul flops.
-	if got, want := MLPFlopsPerSample(calSmall), 6.0*(256*256+256*10); got != want {
+	// Forward, xᵀ·dy and dy·Wᵀ per Linear, minus the input layer's dy·Wᵀ.
+	if got, want := MLPFlopsPerSample(calSmall), 4.0*256*256+6.0*256*10; got != want {
 		t.Fatalf("MLPFlopsPerSample = %v, want %v", got, want)
 	}
 	// Weights + biases, no norm layers in the spec.

@@ -16,7 +16,7 @@ package tensor
 var gemmKernels []*microKernel
 
 // curKernel is the dispatched kernel. It is set once during init; the hot
-// path reads it without synchronization.
+// path (kernelFor) reads it without synchronization.
 var curKernel *microKernel
 
 func init() {
@@ -24,8 +24,6 @@ func init() {
 	gemmKernels = append(gemmKernels, &microKernel{name: "go8x4", mr: 8, nr: 4, kern: microGo8x4})
 	curKernel = gemmKernels[0]
 }
-
-func activeKernel() *microKernel { return curKernel }
 
 // GemmKernelName reports the dispatched micro-kernel.
 func GemmKernelName() string { return curKernel.name }

@@ -19,17 +19,20 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 // The micro-kernels. c points at an MR×NR tile with row stride ldc
-// floats; each accumulates kc packed k-steps into the tile in place.
+// floats; each accumulates kc k-steps into the tile in place, reading A
+// and B through the strides microKernel documents.
 //
 //go:noescape
-func microAVX28x8Asm(kc int, ap, bp, c *float32, ldc int)
+func microAVX28x8Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
 
 //go:noescape
-func microAVX5128x16Asm(kc int, ap, bp, c *float32, ldc int)
+func microAVX5128x16Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
 
-func wrapAsm(f func(kc int, ap, bp, c *float32, ldc int)) func(int, []float32, []float32, []float32, int) {
-	return func(kc int, ap, bp, c []float32, ldc int) {
-		f(kc, &ap[0], &bp[0], &c[0], ldc)
+type asmKernel func(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
+
+func wrapAsm(f asmKernel) func(int, []float32, int, int, []float32, int, []float32, int) {
+	return func(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int) {
+		f(kc, &a[0], ars, aks, &b[0], brs, &c[0], ldc)
 	}
 }
 
@@ -50,13 +53,16 @@ func registerAsmKernels() {
 			hasAVX512 = osZMM && b7&(1<<16) != 0
 		}
 	}
+	var avx2 *microKernel
+	if hasAVX2 {
+		avx2 = &microKernel{name: "avx2_8x8", mr: 8, nr: 8, kern: wrapAsm(microAVX28x8Asm)}
+	}
 	if hasAVX512 {
 		gemmKernels = append(gemmKernels,
-			&microKernel{name: "avx512_8x16", mr: 8, nr: 16, kern: wrapAsm(microAVX5128x16Asm)})
+			&microKernel{name: "avx512_8x16", mr: 8, nr: 16, kern: wrapAsm(microAVX5128x16Asm), narrow: avx2})
 	}
 	if hasAVX2 {
-		gemmKernels = append(gemmKernels,
-			&microKernel{name: "avx2_8x8", mr: 8, nr: 8, kern: wrapAsm(microAVX28x8Asm)})
+		gemmKernels = append(gemmKernels, avx2)
 	}
 }
 

@@ -1,29 +1,33 @@
 // Blocked, register-tiled GEMM core (DESIGN.md §14).
 //
 // All three matmul entry points (MatMulInto, MatMulTAInto, MatMulTBInto)
-// route through one packed kernel: A and B panels are copied into
-// contiguous cache-tile buffers (padding ragged edges with zeros), and an
-// MR×NR register-tiled micro-kernel drives the innermost loops. Blocking
-// constants follow the classic three-level scheme:
+// route through one driver, gemmRows, and an MR×NR register-tiled
+// micro-kernel that reads its operands through strides. Blocking constants
+// follow the classic three-level scheme:
 //
 //	NC — columns of B per outermost block (B panel KC×NC lives in L2/L3)
-//	KC — depth of one packed panel pair (A strip MR×KC + B strip NR×KC
-//	     stream through L1)
-//	MC — rows of A per packed block (A panel MC×KC lives in L2)
+//	KC — depth of one panel pair (A strip MR×KC + B strip NR×KC stream
+//	     through L1)
+//	MC — rows of A per block (A panel MC×KC lives in L2)
+//
+// Packing is an optimisation, not a precondition: an operand that would be
+// swept once is read in place, everything else is copied into contiguous
+// cache-tile buffers, ragged edges zero-padded (the rule is at gemmRows).
 //
 // Determinism contract: every kernel — the scalar reference, the pure-Go
-// tiled kernels, and the SIMD paths — accumulates each output element
+// tiled kernel, and the SIMD paths — accumulates each output element
 // C[i,j] as fl(c + fl(a[i,k]*b[k,j])) for k strictly ascending, one
 // rounding per multiply and one per add (no FMA contraction). Blocking
 // over i/j never reorders a single element's reduction, and blocking over
 // k only inserts exact store/load round-trips at panel boundaries, so the
 // result is bitwise-identical to the naive triple loop for all finite
-// inputs, independent of tile constants, kernel choice, worker count, or
-// how rows are split across ranks. Zero-padding the ragged pack edges is
-// equally exact: a partial sum starting from +0 can never reach -0 under
-// round-to-nearest, so adding the padded ±0 products changes nothing.
-// The equivalence is pinned by exhaustive small-shape tests, property
-// tests over ragged shapes, and a micro-kernel fuzz target.
+// inputs, independent of tile constants, kernel choice, worker count,
+// whether an operand was packed or read in place, or how rows are split
+// across ranks. Zero-padding the ragged pack edges is equally exact: a
+// partial sum starting from +0 can never reach -0 under round-to-nearest,
+// so adding the padded ±0 products changes nothing. The equivalence is
+// pinned by exhaustive small-shape tests, property tests over ragged
+// shapes, and a micro-kernel fuzz target.
 package tensor
 
 import (
@@ -43,23 +47,28 @@ const (
 )
 
 // microKernel is one register-tiled inner kernel: it accumulates an MR×NR
-// C tile (row stride ldc floats) with a kc-deep packed panel pair, k
-// ascending, mul and add rounded separately.
+// C tile (row stride ldc floats) over kc k-steps, k ascending, mul and add
+// rounded separately.
 //
-// ap holds kc groups of MR A-values (column k of the tile's rows), bp
-// holds kc groups of NR B-values (row k of the tile's columns). c must
-// hold the running partial sums on entry (the driver zeroes dst first).
+// Element (r, k) of the A strip is a[r*ars + k*aks] and element (k, j) of
+// the B strip is b[k*brs + j]: a packed strip is (ars, aks) = (1, MR) or
+// brs = NR, an operand read in place passes its own strides. The kernel
+// reads exactly MR×kc and kc×NR elements, never past them. c must hold
+// the running partial sums on entry (the driver zeroes dst first).
 type microKernel struct {
 	name   string
 	mr, nr int
-	kern   func(kc int, ap, bp []float32, c []float32, ldc int)
+	kern   func(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int)
+	// narrow is the registered kernel of the same family with the next
+	// smaller NR, if any: a column strip that fits it runs there directly
+	// instead of through this kernel's zero-padded scratch tile.
+	narrow *microKernel
 }
 
 // microGo8x4 is the portable 8×4 register-tiled micro-kernel: 32 scalar
-// accumulators, manually unrolled so the compiler keeps the hot loop free
-// of bounds checks. It is the default on architectures without an
-// assembly path and the universal fallback everywhere.
-func microGo8x4(kc int, ap, bp []float32, c []float32, ldc int) {
+// accumulators, manually unrolled. It is the default on architectures
+// without an assembly path and the universal fallback everywhere.
+func microGo8x4(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int) {
 	r0 := c[0*ldc : 0*ldc+4 : 0*ldc+4]
 	r1 := c[1*ldc : 1*ldc+4 : 1*ldc+4]
 	r2 := c[2*ldc : 2*ldc+4 : 2*ldc+4]
@@ -76,52 +85,52 @@ func microGo8x4(kc int, ap, bp []float32, c []float32, ldc int) {
 	c50, c51, c52, c53 := r5[0], r5[1], r5[2], r5[3]
 	c60, c61, c62, c63 := r6[0], r6[1], r6[2], r6[3]
 	c70, c71, c72, c73 := r7[0], r7[1], r7[2], r7[3]
+	ao, bo := 0, 0
 	for k := 0; k < kc; k++ {
-		a := ap[:8:8]
-		b := bp[:4:4]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		a0 := a[0]
+		bk := b[bo : bo+4 : bo+4]
+		b0, b1, b2, b3 := bk[0], bk[1], bk[2], bk[3]
+		a0 := a[ao]
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2
 		c03 += a0 * b3
-		a1 := a[1]
+		a1 := a[ao+ars]
 		c10 += a1 * b0
 		c11 += a1 * b1
 		c12 += a1 * b2
 		c13 += a1 * b3
-		a2 := a[2]
+		a2 := a[ao+2*ars]
 		c20 += a2 * b0
 		c21 += a2 * b1
 		c22 += a2 * b2
 		c23 += a2 * b3
-		a3 := a[3]
+		a3 := a[ao+3*ars]
 		c30 += a3 * b0
 		c31 += a3 * b1
 		c32 += a3 * b2
 		c33 += a3 * b3
-		a4 := a[4]
+		a4 := a[ao+4*ars]
 		c40 += a4 * b0
 		c41 += a4 * b1
 		c42 += a4 * b2
 		c43 += a4 * b3
-		a5 := a[5]
+		a5 := a[ao+5*ars]
 		c50 += a5 * b0
 		c51 += a5 * b1
 		c52 += a5 * b2
 		c53 += a5 * b3
-		a6 := a[6]
+		a6 := a[ao+6*ars]
 		c60 += a6 * b0
 		c61 += a6 * b1
 		c62 += a6 * b2
 		c63 += a6 * b3
-		a7 := a[7]
+		a7 := a[ao+7*ars]
 		c70 += a7 * b0
 		c71 += a7 * b1
 		c72 += a7 * b2
 		c73 += a7 * b3
-		ap = ap[8:]
-		bp = bp[4:]
+		ao += aks
+		bo += brs
 	}
 	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
 	r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
@@ -162,7 +171,7 @@ func packA(dst []float32, a gemmOperand, i0, i1, k0, k1, mr int) {
 	for is := i0; is < i1; is += mr {
 		full := is+mr <= i1
 		if full && a.depthStride == 1 {
-			// Contiguous k (MatMulTA's packing): copy mr k-runs row by row,
+			// Contiguous k (MatMul/MatMulTB): copy mr k-runs row by row,
 			// interleaving into the strip layout.
 			base := is * a.rowStride
 			for r := 0; r < mr; r++ {
@@ -221,10 +230,32 @@ func packB(dst []float32, b gemmOperand, k0, k1, j0, j1, nr int) {
 	}
 }
 
-// gemmRows computes rows [lo,hi) of dst = effA · effB through the packed
-// core with the dispatched micro-kernel. dst rows are fully overwritten.
+// kernelFor returns the micro-kernel for an n-column product: the
+// dispatched one, or its narrower sibling when the whole product fits that
+// kernel's strip (n = 8 on an AVX-512 host runs the 8-wide AVX2 kernel on
+// full tiles instead of the 16-wide one on half-empty scratch).
+func kernelFor(n int) *microKernel {
+	mk := curKernel
+	if mk.narrow != nil && n <= mk.narrow.nr {
+		return mk.narrow
+	}
+	return mk
+}
+
+// gemmRows computes rows [lo,hi) of dst = effA · effB with the micro-kernel
+// kernelFor(n) picks. dst rows are fully overwritten.
+//
+// One rule decides, per operand, between reading it in place and packing
+// it: a packed panel earns its copy by being swept once per strip of the
+// other operand, so with a single such strip there is nothing to earn. A
+// is read in place when n fits one column strip (the kernel broadcasts A
+// element by element, so any stride pair is addressable); B when the rows
+// fit one row strip and B's rows are contiguous (the kernel loads NR
+// adjacent floats). Only whole strips can be read in place — a ragged tail
+// strip would run off the operand — so the tail, and every operand the
+// rule does not cover, is packed and zero-padded.
 func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
-	mk := activeKernel()
+	mk := kernelFor(n)
 	ws := gemmPool.Get().(*gemmWS)
 	ar := ws.a
 	ar.Reset()
@@ -242,27 +273,46 @@ func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
 	}
 
 	mr, nr := mk.mr, mk.nr
+	aInPlace := n <= nr
+	bInPlace := hi-lo <= mr && b.rowStride == 1
 	ap := ar.Floats(((gemmMC + mr - 1) / mr * mr) * gemmKC)
 	bp := ar.Floats(((gemmNC + nr - 1) / nr * nr) * gemmKC)
 	ct := ar.Floats(mr * nr)
 
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
+		// Columns [jc, jp) and rows [ic, ip) are the whole strips an
+		// in-place operand serves itself; only [jp, jc+nc) and [ip, ic+mc)
+		// pack. A packed strip keeps its usual offset in bp/ap.
+		jp := jc
+		if bInPlace {
+			jp += nc / nr * nr
+		}
 		for kp := 0; kp < k; kp += gemmKC {
 			kc := min(gemmKC, k-kp)
-			packB(bp, b, kp, kp+kc, jc, jc+nc, nr)
+			packB(bp[(jp-jc)*kc:], b, kp, kp+kc, jp, jc+nc, nr)
 			for ic := lo; ic < hi; ic += gemmMC {
 				mc := min(gemmMC, hi-ic)
-				packA(ap, a, ic, ic+mc, kp, kp+kc, mr)
+				ip := ic
+				if aInPlace {
+					ip += mc / mr * mr
+				}
+				packA(ap[(ip-ic)*kc:], a, ip, ic+mc, kp, kp+kc, mr)
 				for jr := 0; jr < nc; jr += nr {
 					jw := min(nr, nc-jr)
-					bstrip := bp[jr/nr*(kc*nr):]
+					bs, brs := bp[jr*kc:], nr
+					if jc+jr < jp {
+						bs, brs = b.data[kp*b.depthStride+jc+jr:], b.depthStride
+					}
 					for ir := 0; ir < mc; ir += mr {
 						iw := min(mr, mc-ir)
-						astrip := ap[ir/mr*(kc*mr):]
+						as, ars, aks := ap[ir*kc:], 1, mr
+						if ic+ir < ip {
+							as, ars, aks = a.data[(ic+ir)*a.rowStride+kp*a.depthStride:], a.rowStride, a.depthStride
+						}
 						if iw == mr && jw == nr {
 							cs := dst.Data[(ic+ir)*ldc+jc+jr:]
-							mk.kern(kc, astrip, bstrip, cs, ldc)
+							mk.kern(kc, as, ars, aks, bs, brs, cs, ldc)
 							continue
 						}
 						// Ragged edge: run the full tile against a scratch
@@ -275,7 +325,7 @@ func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
 						for r := 0; r < iw; r++ {
 							copy(ct[r*nr:r*nr+jw], dst.Data[(ic+ir+r)*ldc+jc+jr:])
 						}
-						mk.kern(kc, astrip, bstrip, ct, nr)
+						mk.kern(kc, as, ars, aks, bs, brs, ct, nr)
 						for r := 0; r < iw; r++ {
 							copy(dst.Data[(ic+ir+r)*ldc+jc+jr:(ic+ir+r)*ldc+jc+jr+jw], ct[r*nr:])
 						}

@@ -5,17 +5,23 @@
 // GEMM micro-kernels (DESIGN.md §14). Register convention shared by both
 // kernels:
 //
-//	CX = kc (loop counter)   AX = ap (packed A strip, MR floats per k)
-//	BX = bp (packed B strip, NR floats per k)
-//	DI = &c[0][0]            SI = ldc in BYTES (shifted on entry)
-//	R8 = 3*ldc bytes         R9 = &c[4][0]
+//	CX = kc (loop counter)
+//	AX = &a[0][k]   DX = aks (A depth stride)   R13 = ars (A row stride)
+//	R10, R11, R12 = 3, 5, 7 × ars — with the scaled forms of R13 and R10
+//	               every row r of the strip is one addressing mode off AX
+//	BX = &b[k][0]   R9 = brs (B row stride)
+//	DI = &c[0][0], then &c[4][0]   SI = ldc   R8 = 3*ldc
+//
+// all strides in BYTES (shifted on entry). A packed strip is (ars, aks) =
+// (1, MR) or brs = NR floats; an operand read in place brings its own.
 //
 // Each kernel loads the 8×NR C tile into vector registers, accumulates kc
 // k-steps with a separate multiply and add per step (NO FMA: contraction
 // would change the rounding and break the bitwise-determinism gates), and
 // stores the tile back. Lanes never cross: lane j of an accumulator holds
 // exactly C[i][j]'s running sum, k ascending — the same reduction schedule
-// as the scalar reference kernel.
+// as the scalar reference kernel. A is read one float at a time and B NR
+// floats at a time, so neither is touched past its last element.
 
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
@@ -36,28 +42,37 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func microAVX28x8Asm(kc int, ap, bp, c *float32, ldc int)
+// func microAVX28x8Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
 //
 // 8×8 tile in Y0–Y7. VBROADCASTSS from memory is a pure load µop, so the
 // inner loop is bound by the two FP ports: 8 VMULPS + 8 VADDPS per k.
-TEXT ·microAVX28x8Asm(SB), NOSPLIT, $0-40
+TEXT ·microAVX28x8Asm(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), AX
-	MOVQ bp+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), SI
+	MOVQ a+8(FP), AX
+	MOVQ ars+16(FP), R13
+	MOVQ aks+24(FP), DX
+	MOVQ b+32(FP), BX
+	MOVQ brs+40(FP), R9
+	MOVQ c+48(FP), DI
+	MOVQ ldc+56(FP), SI
+	SHLQ $2, R13
+	SHLQ $2, DX
+	SHLQ $2, R9
 	SHLQ $2, SI
+	LEAQ (R13)(R13*2), R10
+	LEAQ (R13)(R13*4), R11
+	LEAQ (R10)(R13*4), R12
 	LEAQ (SI)(SI*2), R8
-	LEAQ (DI)(SI*4), R9
 
 	VMOVUPS (DI), Y0
 	VMOVUPS (DI)(SI*1), Y1
 	VMOVUPS (DI)(SI*2), Y2
 	VMOVUPS (DI)(R8*1), Y3
-	VMOVUPS (R9), Y4
-	VMOVUPS (R9)(SI*1), Y5
-	VMOVUPS (R9)(SI*2), Y6
-	VMOVUPS (R9)(R8*1), Y7
+	LEAQ    (DI)(SI*4), DI
+	VMOVUPS (DI), Y4
+	VMOVUPS (DI)(SI*1), Y5
+	VMOVUPS (DI)(SI*2), Y6
+	VMOVUPS (DI)(R8*1), Y7
 
 avx2_loop:
 	VMOVUPS (BX), Y8
@@ -66,71 +81,81 @@ avx2_loop:
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y0, Y0
 
-	VBROADCASTSS 4(AX), Y9
+	VBROADCASTSS (AX)(R13*1), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y1, Y1
 
-	VBROADCASTSS 8(AX), Y9
+	VBROADCASTSS (AX)(R13*2), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y2, Y2
 
-	VBROADCASTSS 12(AX), Y9
+	VBROADCASTSS (AX)(R10*1), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y3, Y3
 
-	VBROADCASTSS 16(AX), Y9
+	VBROADCASTSS (AX)(R13*4), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y4, Y4
 
-	VBROADCASTSS 20(AX), Y9
+	VBROADCASTSS (AX)(R11*1), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y5, Y5
 
-	VBROADCASTSS 24(AX), Y9
+	VBROADCASTSS (AX)(R10*2), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y6, Y6
 
-	VBROADCASTSS 28(AX), Y9
+	VBROADCASTSS (AX)(R12*1), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y7, Y7
 
-	ADDQ $32, AX
-	ADDQ $32, BX
+	ADDQ DX, AX
+	ADDQ R9, BX
 	DECQ CX
 	JNZ  avx2_loop
 
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, (DI)(SI*1)
+	VMOVUPS Y6, (DI)(SI*2)
+	VMOVUPS Y7, (DI)(R8*1)
+	MOVQ    c+48(FP), DI
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, (DI)(SI*1)
 	VMOVUPS Y2, (DI)(SI*2)
 	VMOVUPS Y3, (DI)(R8*1)
-	VMOVUPS Y4, (R9)
-	VMOVUPS Y5, (R9)(SI*1)
-	VMOVUPS Y6, (R9)(SI*2)
-	VMOVUPS Y7, (R9)(R8*1)
 	VZEROUPPER
 	RET
 
-// func microAVX5128x16Asm(kc int, ap, bp, c *float32, ldc int)
+// func microAVX5128x16Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
 //
 // 8×16 tile in Z0–Z7, one 64-byte B vector per k.
-TEXT ·microAVX5128x16Asm(SB), NOSPLIT, $0-40
+TEXT ·microAVX5128x16Asm(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), AX
-	MOVQ bp+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), SI
+	MOVQ a+8(FP), AX
+	MOVQ ars+16(FP), R13
+	MOVQ aks+24(FP), DX
+	MOVQ b+32(FP), BX
+	MOVQ brs+40(FP), R9
+	MOVQ c+48(FP), DI
+	MOVQ ldc+56(FP), SI
+	SHLQ $2, R13
+	SHLQ $2, DX
+	SHLQ $2, R9
 	SHLQ $2, SI
+	LEAQ (R13)(R13*2), R10
+	LEAQ (R13)(R13*4), R11
+	LEAQ (R10)(R13*4), R12
 	LEAQ (SI)(SI*2), R8
-	LEAQ (DI)(SI*4), R9
 
 	VMOVUPS (DI), Z0
 	VMOVUPS (DI)(SI*1), Z1
 	VMOVUPS (DI)(SI*2), Z2
 	VMOVUPS (DI)(R8*1), Z3
-	VMOVUPS (R9), Z4
-	VMOVUPS (R9)(SI*1), Z5
-	VMOVUPS (R9)(SI*2), Z6
-	VMOVUPS (R9)(R8*1), Z7
+	LEAQ    (DI)(SI*4), DI
+	VMOVUPS (DI), Z4
+	VMOVUPS (DI)(SI*1), Z5
+	VMOVUPS (DI)(SI*2), Z6
+	VMOVUPS (DI)(R8*1), Z7
 
 avx512_loop:
 	VMOVUPS (BX), Z8
@@ -139,46 +164,47 @@ avx512_loop:
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z0, Z0
 
-	VBROADCASTSS 4(AX), Z9
+	VBROADCASTSS (AX)(R13*1), Z9
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z1, Z1
 
-	VBROADCASTSS 8(AX), Z9
+	VBROADCASTSS (AX)(R13*2), Z9
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z2, Z2
 
-	VBROADCASTSS 12(AX), Z9
+	VBROADCASTSS (AX)(R10*1), Z9
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z3, Z3
 
-	VBROADCASTSS 16(AX), Z9
+	VBROADCASTSS (AX)(R13*4), Z9
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z4, Z4
 
-	VBROADCASTSS 20(AX), Z9
+	VBROADCASTSS (AX)(R11*1), Z9
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z5, Z5
 
-	VBROADCASTSS 24(AX), Z9
+	VBROADCASTSS (AX)(R10*2), Z9
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z6, Z6
 
-	VBROADCASTSS 28(AX), Z9
+	VBROADCASTSS (AX)(R12*1), Z9
 	VMULPS       Z8, Z9, Z9
 	VADDPS       Z9, Z7, Z7
 
-	ADDQ $32, AX
-	ADDQ $64, BX
+	ADDQ DX, AX
+	ADDQ R9, BX
 	DECQ CX
 	JNZ  avx512_loop
 
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z5, (DI)(SI*1)
+	VMOVUPS Z6, (DI)(SI*2)
+	VMOVUPS Z7, (DI)(R8*1)
+	MOVQ    c+48(FP), DI
 	VMOVUPS Z0, (DI)
 	VMOVUPS Z1, (DI)(SI*1)
 	VMOVUPS Z2, (DI)(SI*2)
 	VMOVUPS Z3, (DI)(R8*1)
-	VMOVUPS Z4, (R9)
-	VMOVUPS Z5, (R9)(SI*1)
-	VMOVUPS Z6, (R9)(SI*2)
-	VMOVUPS Z7, (R9)(R8*1)
 	VZEROUPPER
 	RET

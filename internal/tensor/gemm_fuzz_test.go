@@ -1,10 +1,10 @@
 package tensor
 
-// Fuzz target for the packed micro-kernels: feed raw fuzz bytes in as
-// float32 panels (sanitized to finite values — the bitwise contract in
-// DESIGN.md §14 is scoped to finite inputs; NaN payload propagation is
-// explicitly outside it) and require every registered kernel to match the
-// scalar reduction bit for bit. Run continuously with
+// Fuzz target for the micro-kernels: feed raw fuzz bytes in as float32
+// operands under fuzzed strides (sanitized to finite values — the bitwise
+// contract in DESIGN.md §14 is scoped to finite inputs; NaN payload
+// propagation is explicitly outside it) and require every registered
+// kernel to match the scalar reduction bit for bit. Run continuously with
 //
 //	go test ./internal/tensor/ -fuzz FuzzMicroKernels
 //
@@ -27,10 +27,10 @@ func fuzzFloat(b []byte) float32 {
 }
 
 func FuzzMicroKernels(f *testing.F) {
-	f.Add(uint8(1), []byte{})
-	f.Add(uint8(17), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4})
-	f.Add(uint8(64), []byte{0xff, 0xff, 0xff, 0x7f, 0x01, 0x00, 0x80, 0xff})
-	f.Fuzz(func(t *testing.T, kcRaw uint8, raw []byte) {
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), []byte{})
+	f.Add(uint8(17), uint8(20), uint8(1), uint8(23), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4})
+	f.Add(uint8(64), uint8(1), uint8(13), uint8(16), []byte{0xff, 0xff, 0xff, 0x7f, 0x01, 0x00, 0x80, 0xff})
+	f.Fuzz(func(t *testing.T, kcRaw, arsRaw, aksRaw, brsRaw uint8, raw []byte) {
 		kc := int(kcRaw)%96 + 1
 		at := func(i int) float32 {
 			if len(raw) < 4 {
@@ -39,30 +39,12 @@ func FuzzMicroKernels(f *testing.F) {
 			off := (i * 4) % (len(raw) - 3)
 			return fuzzFloat(raw[off : off+4])
 		}
+		// Any non-negative strides are a valid read pattern (elements may
+		// even alias); the packed triple is always among the cases.
+		ars, aks, brs := int(arsRaw)%100, int(aksRaw)%100, int(brsRaw)%100
 		for _, mk := range gemmKernels {
-			ap := make([]float32, kc*mk.mr)
-			bp := make([]float32, kc*mk.nr)
-			for i := range ap {
-				ap[i] = at(i)
-			}
-			for i := range bp {
-				bp[i] = at(i + len(ap))
-			}
-			ldc := mk.nr + 1
-			got := make([]float32, mk.mr*ldc)
-			want := make([]float32, mk.mr*ldc)
-			for i := range got {
-				v := at(i + len(ap) + len(bp))
-				got[i], want[i] = v, v
-			}
-			mk.kern(kc, ap, bp, got, ldc)
-			microRef(kc, mk.mr, mk.nr, ap, bp, want, ldc)
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%s kc=%d: element %d: got %x want %x",
-						mk.name, kc, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-				}
-			}
+			checkMicroKernel(t, mk, kc, 1, mk.mr, mk.nr, at)
+			checkMicroKernel(t, mk, kc, ars, aks, brs, at)
 		}
 	})
 }

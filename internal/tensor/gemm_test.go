@@ -40,13 +40,22 @@ func matricesBitwise(t *testing.T, got, want *Matrix, label string) {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
+	if i := firstMismatch(got, want); i >= 0 {
+		t.Fatalf("%s: element %d: got %v (%#08x) want %v (%#08x)",
+			label, i, got.Data[i], math.Float32bits(got.Data[i]),
+			want.Data[i], math.Float32bits(want.Data[i]))
+	}
+}
+
+// firstMismatch is the index of the first element of got whose bits differ
+// from want's, or -1.
+func firstMismatch(got, want *Matrix) int {
 	for i := range got.Data {
 		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-			t.Fatalf("%s: element %d: got %v (%#08x) want %v (%#08x)",
-				label, i, got.Data[i], math.Float32bits(got.Data[i]),
-				want.Data[i], math.Float32bits(want.Data[i]))
+			return i
 		}
 	}
+	return -1
 }
 
 // The gemmForced* helpers drive the packed core directly with the same
@@ -89,29 +98,52 @@ func forEachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// checkShape verifies all three matmul variants bitwise on one (n, k, m).
-func checkShape(t *testing.T, r *rng.Rand, n, k, m int) {
-	t.Helper()
-	a := New(n, k)
-	b := New(k, m)
+// guardedMatrix is New(r, c) with the data ending at a guard page: the
+// in-place arms hand the kernels the operand itself, so a driver that lets
+// a tile run one element past it faults here.
+func guardedMatrix(t testing.TB, r, c int) *Matrix {
+	return &Matrix{Rows: r, Cols: c, Data: guardedFloats(t, r*c)}
+}
+
+// shapeMismatch runs all three matmul variants on one (n, k, m) through
+// the driver and names the first that differs from its reference loop in
+// any bit ("" when none does).
+func shapeMismatch(t testing.TB, r *rng.Rand, n, k, m int) string {
+	a := guardedMatrix(t, n, k)
+	b := guardedMatrix(t, k, m)
 	fillMixed(r, a)
 	fillMixed(r, b)
-	got, want := New(n, m), New(n, m)
+	got, want := guardedMatrix(t, n, m), New(n, m)
 	gemmForced(got, a, b)
 	matMulRef(want, a, b, 0, n)
-	matricesBitwise(t, got, want, "gemm")
+	if firstMismatch(got, want) >= 0 {
+		return "gemm"
+	}
 
-	at := New(k, n) // effective A is atᵀ
+	at := guardedMatrix(t, k, n) // effective A is atᵀ
 	fillMixed(r, at)
 	gemmForcedTA(got, at, b)
 	matMulTARef(want, at, b, 0, n)
-	matricesBitwise(t, got, want, "gemmTA")
+	if firstMismatch(got, want) >= 0 {
+		return "gemmTA"
+	}
 
-	bt := New(m, k) // effective B is btᵀ
+	bt := guardedMatrix(t, m, k) // effective B is btᵀ
 	fillMixed(r, bt)
 	gemmForcedTB(got, a, bt)
 	matMulTBRef(want, a, bt, 0, n)
-	matricesBitwise(t, got, want, "gemmTB")
+	if firstMismatch(got, want) >= 0 {
+		return "gemmTB"
+	}
+	return ""
+}
+
+// checkShape verifies all three matmul variants bitwise on one (n, k, m).
+func checkShape(t *testing.T, r *rng.Rand, n, k, m int) {
+	t.Helper()
+	if v := shapeMismatch(t, r, n, k, m); v != "" {
+		t.Fatalf("%s %dx%dx%d (%s): differs from the reference loop", v, n, k, m, GemmKernelName())
+	}
 }
 
 // TestGemmBitwiseExhaustiveSmall sweeps every shape with n, k, m in
@@ -133,12 +165,21 @@ func TestGemmBitwiseExhaustiveSmall(t *testing.T) {
 // TestGemmBitwiseRagged covers shapes that straddle the blocking
 // constants: multiple KC panels (k > 256), multiple MC row blocks
 // (n > 128), multiple NC column blocks (m > 512), and ragged remainders
-// against every tile width.
+// against every tile width. The second group sits on either side of the
+// in-place rule, all above gemmMinWork: one column strip (A in place) at
+// every kernel's NR and NR±1, one row strip (B in place) at MR and MR±1,
+// each with whole and ragged tails in the other dimension.
 func TestGemmBitwiseRagged(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 300, 1}, {8, 256, 16}, {7, 13, 9},
 		{31, 63, 15}, {70, 130, 90}, {64, 256, 48}, {16, 1, 16},
 		{129, 257, 17}, {130, 300, 70}, {3, 511, 600}, {140, 270, 530},
+
+		{256, 600, 8}, {131, 600, 8}, {128, 300, 7}, {133, 300, 9},
+		{64, 520, 16}, {61, 520, 15}, {67, 520, 17}, {40, 300, 4},
+		{43, 300, 3}, {45, 300, 5}, {300, 70, 12},
+		{8, 300, 64}, {8, 300, 70}, {7, 300, 64}, {5, 300, 530},
+		{9, 300, 64}, {1, 520, 48}, {8, 700, 16}, {5, 700, 8},
 	}
 	forEachKernel(t, func(t *testing.T) {
 		r := rng.New(7)
@@ -149,31 +190,28 @@ func TestGemmBitwiseRagged(t *testing.T) {
 }
 
 // TestGemmBitwiseProperty is the property-based sweep from the issue:
-// random ragged shapes from 1×1×1 up to 70×130×90, bitwise against the
-// reference under the dispatched (probed) kernel.
+// random ragged shapes from 1×1×1 up to 70×130×90, and thin ones — at most
+// one column strip wide or one row strip tall, deep enough to sit above
+// gemmMinWork — so the in-place arms draw as often as the packed ones;
+// every variant, every registered kernel, bitwise against the reference.
 func TestGemmBitwiseProperty(t *testing.T) {
-	check := func(seed uint64, nRaw, kRaw, mRaw uint8) bool {
-		n := int(nRaw)%70 + 1
-		k := int(kRaw)%130 + 1
-		m := int(mRaw)%90 + 1
-		r := rng.New(seed)
-		a := New(n, k)
-		b := New(k, m)
-		fillMixed(r, a)
-		fillMixed(r, b)
-		got, want := New(n, m), New(n, m)
-		gemmForced(got, a, b)
-		matMulRef(want, a, b, 0, n)
-		for i := range got.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-				return false
+	forEachKernel(t, func(t *testing.T) {
+		check := func(seed uint64, nRaw, kRaw, mRaw, thin uint8) bool {
+			n := int(nRaw)%70 + 1
+			k := int(kRaw)%130 + 1
+			m := int(mRaw)%90 + 1
+			switch thin % 3 {
+			case 1: // (m, k, n ≤ NR+1)
+				n, k, m = int(nRaw)+1, 2*int(kRaw)+130, int(mRaw)%17+1
+			case 2: // (m ≤ MR+1, k, n)
+				n, k, m = int(nRaw)%9+1, 2*int(kRaw)+130, int(mRaw)+1
 			}
+			return shapeMismatch(t, rng.New(seed), n, k, m) == ""
 		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestGemmParallelBitwiseIdentical pins the row-split independence claim:
@@ -289,7 +327,7 @@ func TestParallelRowsDegenerate(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	for _, rows := range []int{0, -1} {
-		got := collectRanges(func(fn func(lo, hi int)) { parallelRows(rows, 1 << 20, fn) })
+		got := collectRanges(func(fn func(lo, hi int)) { parallelRows(rows, 1<<20, fn) })
 		if len(got) != 0 {
 			t.Fatalf("parallelRows(%d) called fn with %v", rows, got)
 		}
@@ -345,9 +383,10 @@ func TestColSumIntoParallelBitwise(t *testing.T) {
 	}
 }
 
-// TestMatMulPackedZeroAllocs pins the arena-backed packed path at zero
+// TestMatMulPackedZeroAllocs pins the arena-backed GEMM core at zero
 // steady-state allocations (the whole point of pooling gemmWS): one warmup
-// to grow the arena, then nothing.
+// to grow the arena, then nothing — whether both operands pack (96×200×64),
+// A is read in place (96×200×8) or B is (8×200×64).
 func TestMatMulPackedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is meaningless under -race")
@@ -356,67 +395,90 @@ func TestMatMulPackedZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	r := rng.New(3)
-	a := randomMatrix(r, 96, 200)
-	b := randomMatrix(r, 200, 64)
-	bt := randomMatrix(r, 64, 200)
-	at := randomMatrix(r, 200, 96)
-	dst := New(96, 64)
+	for _, s := range [][3]int{{96, 200, 64}, {96, 200, 8}, {8, 200, 64}} {
+		n, k, m := s[0], s[1], s[2]
+		a := randomMatrix(r, n, k)
+		b := randomMatrix(r, k, m)
+		bt := randomMatrix(r, m, k)
+		at := randomMatrix(r, k, n)
+		dst := New(n, m)
 
-	MatMulInto(dst, a, b) // warmup: grows the pooled arena once
-	if n := testing.AllocsPerRun(20, func() { MatMulInto(dst, a, b) }); n != 0 {
-		t.Fatalf("MatMulInto allocs/op = %v, want 0", n)
-	}
-	MatMulTAInto(dst, at, b)
-	if n := testing.AllocsPerRun(20, func() { MatMulTAInto(dst, at, b) }); n != 0 {
-		t.Fatalf("MatMulTAInto allocs/op = %v, want 0", n)
-	}
-	MatMulTBInto(dst, a, bt)
-	if n := testing.AllocsPerRun(20, func() { MatMulTBInto(dst, a, bt) }); n != 0 {
-		t.Fatalf("MatMulTBInto allocs/op = %v, want 0", n)
+		MatMulInto(dst, a, b) // warmup: grows the pooled arena once
+		if allocs := testing.AllocsPerRun(20, func() { MatMulInto(dst, a, b) }); allocs != 0 {
+			t.Fatalf("MatMulInto %v allocs/op = %v, want 0", s, allocs)
+		}
+		MatMulTAInto(dst, at, b)
+		if allocs := testing.AllocsPerRun(20, func() { MatMulTAInto(dst, at, b) }); allocs != 0 {
+			t.Fatalf("MatMulTAInto %v allocs/op = %v, want 0", s, allocs)
+		}
+		MatMulTBInto(dst, a, bt)
+		if allocs := testing.AllocsPerRun(20, func() { MatMulTBInto(dst, a, bt) }); allocs != 0 {
+			t.Fatalf("MatMulTBInto %v allocs/op = %v, want 0", s, allocs)
+		}
 	}
 }
 
-// microRef is the scalar semantics of one packed micro-kernel call: for k
+// microRef is the scalar semantics of one micro-kernel call: for k
 // ascending, each C element adds fl(a·b) — exactly the contract every
-// registered kernel must meet bit for bit.
-func microRef(kc, mr, nr int, ap, bp, c []float32, ldc int) {
+// registered kernel must meet bit for bit, whatever the operand strides.
+func microRef(kc, mr, nr int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int) {
 	for k := 0; k < kc; k++ {
 		for r := 0; r < mr; r++ {
-			av := ap[k*mr+r]
+			av := a[r*ars+k*aks]
 			for j := 0; j < nr; j++ {
-				c[r*ldc+j] += av * bp[k*nr+j]
+				c[r*ldc+j] += av * b[k*brs+j]
 			}
 		}
 	}
 }
 
+// checkMicroKernel runs mk once over operands laid out by the given
+// strides and filled from val, against microRef. Every operand — the C
+// tile included — ends exactly where its slice does, in front of a guard
+// page, so a kernel that touches one element too many faults.
+func checkMicroKernel(t testing.TB, mk *microKernel, kc, ars, aks, brs int, val func(i int) float32) {
+	t.Helper()
+	a := guardedFloats(t, (mk.mr-1)*ars+(kc-1)*aks+1)
+	b := guardedFloats(t, (kc-1)*brs+mk.nr)
+	ldc := mk.nr + 3 // non-trivial row stride
+	got := guardedFloats(t, (mk.mr-1)*ldc+mk.nr)
+	want := make([]float32, len(got))
+	i := 0
+	for _, s := range [][]float32{a, b, got} {
+		for j := range s {
+			s[j] = val(i)
+			i++
+		}
+	}
+	copy(want, got)
+	mk.kern(kc, a, ars, aks, b, brs, got, ldc)
+	microRef(kc, mk.mr, mk.nr, a, ars, aks, b, brs, want, ldc)
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s kc=%d strides a=(%d,%d) b=%d: element %d: got %v (%#08x) want %v (%#08x)",
+				mk.name, kc, ars, aks, brs, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
 // TestMicroKernelsMatchScalar drives every registered kernel's inner
-// function directly on packed panels, no driver in between.
+// function directly, no driver in between, over each operand layout
+// gemmRows hands it: the packed triple, A in place row-major (MatMul,
+// MatMulTB) and column-major (MatMulTA), B in place, and both.
 func TestMicroKernelsMatchScalar(t *testing.T) {
 	r := rng.New(23)
+	val := func(int) float32 { return r.NormFloat32() }
 	for _, mk := range gemmKernels {
 		for _, kc := range []int{1, 2, 3, 17, 64, 256} {
-			ap := make([]float32, kc*mk.mr)
-			bp := make([]float32, kc*mk.nr)
-			for i := range ap {
-				ap[i] = r.NormFloat32()
-			}
-			for i := range bp {
-				bp[i] = r.NormFloat32()
-			}
-			ldc := mk.nr + 3 // non-trivial row stride
-			got := make([]float32, mk.mr*ldc)
-			want := make([]float32, mk.mr*ldc)
-			for i := range got {
-				v := r.NormFloat32()
-				got[i], want[i] = v, v
-			}
-			mk.kern(kc, ap, bp, got, ldc)
-			microRef(kc, mk.mr, mk.nr, ap, bp, want, ldc)
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%s kc=%d: element %d: got %v want %v", mk.name, kc, i, got[i], want[i])
-				}
+			for _, l := range [][3]int{
+				{1, mk.mr, mk.nr},      // packed A, packed B
+				{kc + 3, 1, mk.nr},     // A rows in place
+				{1, mk.mr + 5, mk.nr},  // A columns in place
+				{1, mk.mr, mk.nr + 7},  // B in place
+				{kc, 1, mk.nr},         // A rows in place, no gap between rows
+				{kc + 3, 1, mk.nr + 7}, // both in place
+			} {
+				checkMicroKernel(t, mk, kc, l[0], l[1], l[2], val)
 			}
 		}
 	}

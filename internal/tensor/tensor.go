@@ -136,7 +136,7 @@ func serialRows(rows, workPerRow int) bool {
 	return runtime.GOMAXPROCS(0) <= 1 || rows <= 1 || rows*workPerRow < minParallelWork
 }
 
-/// serialTiles is serialRows for tile-granular kernels: the packed GEMM
+// serialTiles is serialRows for tile-granular kernels: the packed GEMM
 // forks over whole MC-row tiles, so the fork/join decision weighs per-tile
 // work units, not raw rows.
 func serialTiles(tiles, workPerTile int) bool {
@@ -238,7 +238,7 @@ func MatMulInto(dst, a, b *Matrix) {
 }
 
 // matMulRef is the retained reference kernel (the pre-blocking i-k-j
-/// triple loop): the semantic ground truth every packed kernel is
+// triple loop): the semantic ground truth every packed kernel is
 // equivalence-tested against, and the fast path for small shapes.
 func matMulRef(dst, a, b *Matrix, lo, hi int) {
 	k, m := a.Cols, b.Cols
@@ -281,7 +281,7 @@ func MatMulTAInto(dst, a, b *Matrix) {
 }
 
 // matMulTARef is the retained Aᵀ·B reference kernel; each output row i
-/// gathers contributions a[kk][i] * b[kk][:].
+// gathers contributions a[kk][i] * b[kk][:].
 func matMulTARef(dst, a, b *Matrix, lo, hi int) {
 	n, k, m := a.Cols, a.Rows, b.Cols
 	for i := lo; i < hi; i++ {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -280,4 +281,32 @@ func BenchmarkMatMulTB256(b *testing.B) {
 		MatMulTBInto(dst, a, c)
 	}
 	reportGFLOPS(b, 2*256*256*256)
+}
+
+// BenchmarkFirstLayer times the three GEMMs of a Linear layer at the
+// b×in×out shapes the benchmark workloads' thin layers run (storage,
+// exchange_*, gradsync and compute, in that order): the shapes that take
+// the in-place arms of gemmRows (DESIGN.md §14), plus one that packs.
+func BenchmarkFirstLayer(b *testing.B) {
+	for _, s := range [][3]int{{256, 4096, 8}, {128, 2048, 8}, {8, 512, 512}, {512, 64, 512}} {
+		bs, in, out := s[0], s[1], s[2]
+		r := rng.New(4)
+		x, w, dy := randomMatrix(r, bs, in), randomMatrix(r, in, out), randomMatrix(r, bs, out)
+		y, gw, dx := New(bs, out), New(in, out), New(bs, in)
+		for _, k := range []struct {
+			name string
+			fn   func()
+		}{
+			{"forward", func() { MatMulInto(y, x, w) }},
+			{"GW", func() { MatMulTAInto(gw, x, dy) }},
+			{"dx", func() { MatMulTBInto(dx, dy, w) }},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", bs, in, out, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn()
+				}
+				reportGFLOPS(b, 2*bs*in*out)
+			})
+		}
+	}
 }
