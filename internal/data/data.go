@@ -54,10 +54,7 @@ func (s Sample) AppendEncode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Label))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Bytes))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Features)))
-	for _, f := range s.Features {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-	}
-	return dst
+	return appendFeatures(dst, s.Features)
 }
 
 // Encode serializes the sample to bytes (the wire format used when workers
@@ -85,11 +82,8 @@ func decodeSampleAt(buf []byte, off int) (Sample, int, error) {
 		return Sample{}, 0, fmt.Errorf("data: DecodeSample: %d features exceed %d remaining bytes", n, len(buf)-off)
 	}
 	s.Features = make([]float32, n)
-	for i := range s.Features {
-		s.Features[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-	}
-	return s, off, nil
+	readFeatures(s.Features, buf[off:])
+	return s, off + 4*n, nil
 }
 
 // DecodeSample parses the wire format produced by Encode.

@@ -152,9 +152,7 @@ func AppendSampleBatchEnc(dst []byte, samples []Sample, enc Encoding) []byte {
 		var exact bool
 		if dst, exact = appendFP16Exact(dst, s.Features); !exact {
 			dst[tagAt] = entryFP32
-			for _, f := range s.Features {
-				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-			}
+			dst = appendFeatures(dst, s.Features)
 		}
 	}
 	return dst
@@ -256,10 +254,8 @@ func decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
 			}
 			off += len(body)
 		} else {
-			for j := range s.Features {
-				s.Features[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-				off += 4
-			}
+			readFeatures(s.Features, buf[off:])
+			off += 4 * len(s.Features)
 			if featuresFP16Representable(s.Features) {
 				return dst, fmt.Errorf("data: DecodeSampleBatch: sample %d: non-canonical fp32 entry (features are fp16-representable)", i)
 			}

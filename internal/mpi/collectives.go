@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"plshuffle/internal/tensor"
 	"plshuffle/internal/transport"
 )
 
@@ -27,10 +28,17 @@ type Number interface {
 	~int | ~int32 | ~int64 | ~float32 | ~float64
 }
 
+// reduceInto folds src into dst[:len(src)]. Gradients — []float32 under
+// OpSum or OpAvg — take tensor's vector add, which is the loop below bit
+// for bit; every other element type and operator runs its loop here.
 func reduceInto[T Number](dst, src []T, op Op) {
 	dst = dst[:len(src)] // one bounds check here instead of one per element
 	switch op {
 	case OpSum, OpAvg:
+		if d, ok := any(dst).([]float32); ok {
+			tensor.AddInto(d, any(src).([]float32))
+			return
+		}
 		for i, v := range src {
 			dst[i] += v
 		}
@@ -60,6 +68,10 @@ func scaleAvg[T Number](s []T, size int) {
 	inv := T(1) / T(size)
 	if inv == 0 {
 		panic(fmt.Sprintf("mpi: OpAvg needs a floating-point element type, got %T", inv))
+	}
+	if f, ok := any(s).([]float32); ok {
+		tensor.ScaleSlice(f, float32(inv))
+		return
 	}
 	for i := range s {
 		s[i] *= inv

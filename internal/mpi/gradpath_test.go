@@ -230,3 +230,33 @@ func TestOpAvgEqualsSumThenScaleBitwise(t *testing.T) {
 		}
 	})
 }
+
+// TestFloat32ReduceMatchesGenericLoop: a []float32 under OpSum/OpAvg folds
+// through tensor's vector kernels, every other element type through the
+// generic loops. A named float32 type takes the loops, so the same values
+// reduced both ways must agree bit for bit — at a length with a ragged
+// vector tail in every ring chunk.
+func TestFloat32ReduceMatchesGenericLoop(t *testing.T) {
+	type named float32
+	const n = 1031
+	for _, op := range []mpi.Op{mpi.OpSum, mpi.OpAvg} {
+		err := mpi.Run(4, func(c *mpi.Comm) error {
+			fast, slow := make([]float32, n), make([]named, n)
+			for i := range fast {
+				fast[i] = gradValue(c.Rank(), i)
+				slow[i] = named(fast[i])
+			}
+			mpi.Allreduce(c, fast, op)
+			mpi.Allreduce(c, slow, op)
+			for i := range fast {
+				if math.Float32bits(fast[i]) != math.Float32bits(float32(slow[i])) {
+					return fmt.Errorf("rank %d op %d element %d: kernel %v, loop %v", c.Rank(), op, i, fast[i], slow[i])
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -150,8 +150,7 @@ func (l *Linear) Params() []Param {
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask  []bool
-	out   *tensor.Matrix // forward workspace
+	out   *tensor.Matrix // forward workspace, and what Backward masks by
 	dx    *tensor.Matrix // backward workspace
 	arena *arena.Arena
 }
@@ -159,39 +158,22 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// SetArena moves the activation workspaces into a (nil detaches). The
-// boolean mask stays heap-resident: the arena holds float32 only.
+// SetArena moves the activation workspaces into a (nil detaches).
 func (l *ReLU) SetArena(a *arena.Arena) { l.arena = a }
 
-// Forward zeroes negative inputs.
+// Forward zeroes non-positive inputs (a NaN passes).
 func (l *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	l.out = tensor.EnsureShapeArena(l.arena, l.out, x.Rows, x.Cols)
-	if cap(l.mask) < len(x.Data) {
-		l.mask = make([]bool, len(x.Data))
-	}
-	l.mask = l.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		if v <= 0 {
-			l.out.Data[i] = 0
-			l.mask[i] = false
-		} else {
-			l.out.Data[i] = v
-			l.mask[i] = true
-		}
-	}
+	tensor.ReLUInto(l.out.Data, x.Data)
 	return l.out
 }
 
-// Backward zeroes the gradient where the input was non-positive.
+// Backward zeroes the gradient where the input was non-positive. Which
+// elements those were is read back from the forward output, which is
+// non-positive in exactly the same places; no separate mask is kept.
 func (l *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	l.dx = tensor.EnsureShapeArena(l.arena, l.dx, dout.Rows, dout.Cols)
-	for i, v := range dout.Data {
-		if l.mask[i] {
-			l.dx.Data[i] = v
-		} else {
-			l.dx.Data[i] = 0
-		}
-	}
+	tensor.ReLUGradInto(l.dx.Data, dout.Data, l.out.Data)
 	return l.dx
 }
 
@@ -236,6 +218,7 @@ type BatchNorm struct {
 	mean     []float32
 	variance []float32
 	dstats   []float32 // backward sumDy/sumDyXhat accumulator
+	coef     []float32 // backward gamma·invStd/n
 	arena    *arena.Arena
 }
 
@@ -285,11 +268,7 @@ func (l *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		sums := stats[:l.Dim]
 		sumsq := stats[l.Dim : 2*l.Dim]
 		for i := 0; i < x.Rows; i++ {
-			row := x.Row(i)
-			for j, v := range row {
-				sums[j] += v
-				sumsq[j] += v * v
-			}
+			tensor.BNAccumStats(sums, sumsq, x.Row(i))
 		}
 		stats[2*l.Dim] = n
 		if l.Sync != nil {
@@ -314,12 +293,7 @@ func (l *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		}
 		l.xhat = tensor.EnsureShapeArena(l.arena, l.xhat, x.Rows, x.Cols)
 		for i := 0; i < x.Rows; i++ {
-			xr, hr, or := x.Row(i), l.xhat.Row(i), out.Row(i)
-			for j := range xr {
-				h := (xr[j] - mean[j]) * l.invStd[j]
-				hr[j] = h
-				or[j] = l.Gamma[j]*h + l.Beta[j]
-			}
+			tensor.BNNormalize(l.xhat.Row(i), out.Row(i), x.Row(i), mean, l.invStd, l.Gamma, l.Beta)
 		}
 		// Update running statistics (unbiased variance, as PyTorch does).
 		unbias := n / float32(math.Max(1, float64(n-1)))
@@ -357,11 +331,7 @@ func (l *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	sumDy := stats[:l.Dim]
 	sumDyXhat := stats[l.Dim:]
 	for i := 0; i < nRows; i++ {
-		dr, hr := dout.Row(i), l.xhat.Row(i)
-		for j := range dr {
-			sumDy[j] += dr[j]
-			sumDyXhat[j] += dr[j] * hr[j]
-		}
+		tensor.BNAccumGrads(sumDy, sumDyXhat, dout.Row(i), l.xhat.Row(i))
 	}
 	// Parameter gradients stay local: the trainer's gradient allreduce
 	// sums them across workers (summing before and after would double
@@ -371,12 +341,14 @@ func (l *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if l.Sync != nil {
 		l.Sync(stats)
 	}
-	// dx = (gamma*invStd/n) * (n*dy - sumDy - xhat*sumDyXhat)
+	// dx = (gamma*invStd/n) * (n*dy - sumDy - xhat*sumDyXhat); the leading
+	// factor is per feature, so it is worked out once, not once per row.
+	l.coef = ensureVec(l.coef, l.Dim)
+	for j := range l.coef {
+		l.coef[j] = l.Gamma[j] * l.invStd[j] / n
+	}
 	for i := 0; i < nRows; i++ {
-		dr, hr, xr := dout.Row(i), l.xhat.Row(i), dx.Row(i)
-		for j := range dr {
-			xr[j] = l.Gamma[j] * l.invStd[j] / n * (n*dr[j] - sumDy[j] - hr[j]*sumDyXhat[j])
-		}
+		tensor.BNInputGrad(dx.Row(i), dout.Row(i), l.xhat.Row(i), l.coef, sumDy, sumDyXhat, n)
 	}
 	return dx
 }

@@ -208,6 +208,97 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// TestReLUNaNAndNegativeZero pins, through the layer, the two inputs a
+// comparison-and-mask can get wrong: a NaN passes forward with its bits and
+// its gradient passes back (the old `v <= 0` branch was false for NaN, so
+// the mask was set); -0 comes out +0 and blocks its gradient. The backward
+// mask is read from the forward output, not kept beside it.
+func TestReLUNaNAndNegativeZero(t *testing.T) {
+	nan := math.Float32frombits(0x7fc00abc)
+	negZero := float32(math.Copysign(0, -1))
+	l := NewReLU()
+	y := l.Forward(tensor.FromSlice(1, 4, []float32{nan, negZero, 3, -3}), true)
+	for i, want := range []uint32{0x7fc00abc, 0, math.Float32bits(3), 0} {
+		if got := math.Float32bits(y.Data[i]); got != want {
+			t.Errorf("forward element %d: %#08x, want %#08x", i, got, want)
+		}
+	}
+	d := l.Backward(tensor.FromSlice(1, 4, []float32{5, 6, 7, 8}))
+	for i, want := range []float32{5, 0, 7, 0} {
+		if got := d.Data[i]; math.Float32bits(got) != math.Float32bits(want) {
+			t.Errorf("backward element %d: %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestBatchNormMatchesElementLoops holds the layer, whose four row sweeps
+// run as tensor kernels, to the per-element loops it used to spell out —
+// including gamma·invStd/n, now worked out once per feature instead of once
+// per element — bit for bit, at a ragged width and at a vector-friendly one.
+func TestBatchNormMatchesElementLoops(t *testing.T) {
+	r := rng.New(31)
+	for _, dim := range []int{13, 64} {
+		const rows = 9
+		bn := NewBatchNorm(dim)
+		x, dy := tensor.New(rows, dim), tensor.New(rows, dim)
+		x.Randn(r, 2)
+		dy.Randn(r, 1)
+		for j := range bn.Gamma {
+			bn.Gamma[j], bn.Beta[j] = 0.5+r.Float32(), r.Float32()-0.5
+		}
+		out := bn.Forward(x, true).Clone()
+		dx := bn.Backward(dy).Clone()
+
+		n := float32(rows)
+		sums, sumsq := make([]float32, dim), make([]float32, dim)
+		for i := 0; i < rows; i++ {
+			for j, v := range x.Row(i) {
+				sums[j] += v
+				sumsq[j] += v * v
+			}
+		}
+		mean, invStd := make([]float32, dim), make([]float32, dim)
+		for j := range mean {
+			mean[j] = sums[j] / n
+			v := sumsq[j]/n - mean[j]*mean[j]
+			if v < 0 {
+				v = 0
+			}
+			invStd[j] = 1 / float32(math.Sqrt(float64(v+bn.Eps)))
+		}
+		xhat, wantOut := tensor.New(rows, dim), tensor.New(rows, dim)
+		sumDy, sumDyXhat := make([]float32, dim), make([]float32, dim)
+		for i := 0; i < rows; i++ {
+			for j, v := range x.Row(i) {
+				h := (v - mean[j]) * invStd[j]
+				xhat.Set(i, j, h)
+				wantOut.Set(i, j, bn.Gamma[j]*h+bn.Beta[j])
+				sumDy[j] += dy.At(i, j)
+				sumDyXhat[j] += dy.At(i, j) * h
+			}
+		}
+		wantDx := tensor.New(rows, dim)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < dim; j++ {
+				wantDx.Set(i, j, bn.Gamma[j]*invStd[j]/n*(n*dy.At(i, j)-sumDy[j]-xhat.At(i, j)*sumDyXhat[j]))
+			}
+		}
+		for i := range out.Data {
+			if math.Float32bits(out.Data[i]) != math.Float32bits(wantOut.Data[i]) {
+				t.Fatalf("dim %d: forward element %d: %v, want %v", dim, i, out.Data[i], wantOut.Data[i])
+			}
+			if math.Float32bits(dx.Data[i]) != math.Float32bits(wantDx.Data[i]) {
+				t.Fatalf("dim %d: dx element %d: %v, want %v", dim, i, dx.Data[i], wantDx.Data[i])
+			}
+		}
+		for j := 0; j < dim; j++ {
+			if math.Float32bits(bn.GBeta[j]) != math.Float32bits(sumDy[j]) || math.Float32bits(bn.GGamma[j]) != math.Float32bits(sumDyXhat[j]) {
+				t.Fatalf("dim %d: parameter gradient %d differs from the element loop", dim, j)
+			}
+		}
+	}
+}
+
 func TestBatchNormTrainNormalizes(t *testing.T) {
 	r := rng.New(14)
 	bn := NewBatchNorm(4)

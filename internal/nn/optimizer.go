@@ -52,8 +52,9 @@ func (o *SGD) StepPartial(params []Param, lo, hi int, lr float32) {
 	}
 	mom, wd := o.Momentum, o.WeightDecay
 	for i := lo; i < hi; i++ {
-		// Same length for all three, stated once, so the loops below run
-		// without a bounds check per element.
+		// Same length for all three, stated once, so the Nesterov loop runs
+		// without a bounds check per element; the plain arm is the tensor
+		// kernel every workload runs.
 		w := params[i].W
 		grad, v := params[i].G[:len(w)], o.velocity[i][:len(w)]
 		if o.Nesterov {
@@ -64,11 +65,7 @@ func (o *SGD) StepPartial(params []Param, lo, hi int, lr float32) {
 			}
 			continue
 		}
-		for j := range w {
-			g := grad[j] + wd*w[j]
-			v[j] = mom*v[j] + g
-			w[j] -= lr * v[j]
-		}
+		tensor.SGDMomentumStep(w, grad, v, lr, mom, wd)
 	}
 }
 

@@ -57,8 +57,16 @@ func TestCalibratedProfileOrdering(t *testing.T) {
 	}
 }
 
-// timedPerSample trains the REAL model (forward, loss, backward) for iters
-// mini-batches and returns measured seconds per sample.
+// bestOf is how this file measures: the smallest of n timings. Whatever
+// else holds the cores while a test runs — another package's test binary,
+// a neighbour on the machine — only ever adds time, so the minimum is the
+// estimate of what the kernels do when left alone, and it is taken on both
+// sides of every comparison below.
+const bestOf = 5
+
+// timedPerSample trains the REAL model (forward, loss, backward) and
+// returns measured seconds per sample: the best of bestOf blocks of iters
+// mini-batches.
 func timedPerSample(t *testing.T, spec nn.ModelSpec, batch, iters int) float64 {
 	t.Helper()
 	model, err := spec.Build(1, 2)
@@ -81,31 +89,52 @@ func timedPerSample(t *testing.T, spec nn.ModelSpec, batch, iters int) float64 {
 		model.Backward(ce.Backward())
 	}
 	step() // size the workspaces outside the timed region
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		step()
+	best := time.Duration(1<<63 - 1)
+	for b := 0; b < bestOf; b++ {
+		t0 := time.Now()
+		for i := 0; i < iters; i++ {
+			step()
+		}
+		best = min(best, time.Since(t0))
 	}
-	return time.Since(t0).Seconds() / float64(iters*batch)
+	return best.Seconds() / float64(iters*batch)
+}
+
+// calibratedPerSample is the model's side of the comparison: the best of
+// bestOf calibrations.
+func calibratedPerSample(t *testing.T, spec nn.ModelSpec, batch int) float64 {
+	t.Helper()
+	best := 0.0
+	for b := 0; b < bestOf; b++ {
+		prof, err := CalibratedProfile(spec, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == 0 || prof.ComputePerSample < best {
+			best = prof.ComputePerSample
+		}
+	}
+	return best
 }
 
 // TestCalibrationCrossValidatesRealEpoch is the satellite's teeth: the
 // calibrated per-sample compute must track a real timed training epoch on
 // the same machine. The model omits activation/normalization/loss work and
 // the backward pass's transposed-matmul shapes, so the comparison asserts
-// ordering and a generous agreement band, not equality.
+// ordering and a generous agreement band, not equality. Each model is
+// measured once per side (see bestOf) and every verdict is read off those
+// four numbers.
 func TestCalibrationCrossValidatesRealEpoch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-based cross-validation under -race")
 	}
 	const batch = 16
-	for _, spec := range []nn.ModelSpec{calSmall, calLarge} {
-		prof, err := CalibratedProfile(spec, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		real := timedPerSample(t, spec, batch, 40)
-		ratio := real / prof.ComputePerSample
-		t.Logf("%s: modeled %.3gs/sample, measured %.3gs/sample (ratio %.2f)", spec.Name, prof.ComputePerSample, real, ratio)
+	var modeled, measured [2]float64
+	for i, spec := range []nn.ModelSpec{calSmall, calLarge} {
+		modeled[i] = calibratedPerSample(t, spec, batch)
+		measured[i] = timedPerSample(t, spec, batch, 40)
+		ratio := measured[i] / modeled[i]
+		t.Logf("%s: modeled %.3gs/sample, measured %.3gs/sample (ratio %.2f)", spec.Name, modeled[i], measured[i], ratio)
 		// The real step can only be slower than the matmul-only model, and
 		// on any sane machine not by more than ~10x.
 		if ratio < 0.8 {
@@ -116,13 +145,9 @@ func TestCalibrationCrossValidatesRealEpoch(t *testing.T) {
 		}
 	}
 	// Ordering: the wider model must be slower both modeled and measured.
-	ps, _ := CalibratedProfile(calSmall, batch)
-	pl, _ := CalibratedProfile(calLarge, batch)
-	rs := timedPerSample(t, calSmall, batch, 40)
-	rl := timedPerSample(t, calLarge, batch, 40)
-	if !(ps.ComputePerSample < pl.ComputePerSample && rs < rl) {
+	if !(modeled[0] < modeled[1] && measured[0] < measured[1]) {
 		t.Fatalf("ordering broken: modeled %v < %v = %v, measured %v < %v = %v",
-			ps.ComputePerSample, pl.ComputePerSample, ps.ComputePerSample < pl.ComputePerSample,
-			rs, rl, rs < rl)
+			modeled[0], modeled[1], modeled[0] < modeled[1],
+			measured[0], measured[1], measured[0] < measured[1])
 	}
 }

@@ -10,14 +10,6 @@ import (
 	"plshuffle/internal/data"
 )
 
-// hostLittle reports whether this machine is little-endian — the condition
-// for aliasing float32 features straight out of the shard image. On
-// a big-endian host the readers fall back to an explicit decode.
-var hostLittle = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
 // Shard is an open, verified, read-only view of a shard image — a slot of
 // the cache tier's mapped file, or a heap copy. Steady-state reads allocate
 // nothing and copy at most once — into the caller's batch tensor. A Shard
@@ -95,7 +87,7 @@ func (sh *Shard) View(i int) (data.Sample, error) {
 	s := data.Sample{ID: id, Label: label, Bytes: sim}
 	if feat > 0 {
 		raw := enc[sampleHeaderLen:]
-		if hostLittle {
+		if data.HostLittleEndian {
 			// Feature bytes start 4-aligned (header and every sample length
 			// are multiples of 4), so the alias is a legal []float32 view.
 			s.Features = unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), feat)
@@ -125,7 +117,7 @@ func (sh *Shard) ReadInto(i int, feat []float32) (id, label int, sim int64, n in
 		return id, label, sim, 0, nil
 	}
 	raw := enc[sampleHeaderLen:]
-	if hostLittle {
+	if data.HostLittleEndian {
 		src := unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), n)
 		copy(feat[:n], src)
 	} else {

@@ -28,6 +28,35 @@ func microAVX28x8Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *f
 //go:noescape
 func microAVX5128x16Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
 
+// The AVX2 bodies of the element-wise kernels (vec.go), in vec_amd64.s.
+//
+//go:noescape
+func sgdStepAVX2(w, grad, v []float32, lr, mom, wd float32)
+
+//go:noescape
+func addAVX2(dst, src []float32)
+
+//go:noescape
+func scaleAVX2(s []float32, f float32)
+
+//go:noescape
+func reluAVX2(dst, x []float32)
+
+//go:noescape
+func reluGradAVX2(dx, dy, out []float32)
+
+//go:noescape
+func bnStatsAVX2(sum, sumsq, x []float32)
+
+//go:noescape
+func bnNormAVX2(xhat, out, x, mean, invStd, gamma, beta []float32)
+
+//go:noescape
+func bnGradsAVX2(sumDy, sumDyXhat, dy, xhat []float32)
+
+//go:noescape
+func bnDXAVX2(dx, dy, xhat, coef, sumDy, sumDyXhat []float32, n float32)
+
 type asmKernel func(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
 
 func wrapAsm(f asmKernel) func(int, []float32, int, int, []float32, int, []float32, int) {
@@ -37,7 +66,9 @@ func wrapAsm(f asmKernel) func(int, []float32, int, int, []float32, int, []float
 }
 
 // registerAsmKernels probes the CPU and prepends every usable assembly
-// kernel in preference order (widest vectors first).
+// micro-kernel in preference order (widest vectors first). The
+// element-wise kernels have one assembly body, AVX2: past L2 they are bound
+// by memory, not by vector width.
 func registerAsmKernels() {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	var hasAVX2, hasAVX512 bool
@@ -63,6 +94,17 @@ func registerAsmKernels() {
 	}
 	if hasAVX2 {
 		gemmKernels = append(gemmKernels, avx2)
+		vec = vecKernels{
+			sgdStep:  sgdStepAVX2,
+			add:      addAVX2,
+			scale:    scaleAVX2,
+			relu:     reluAVX2,
+			reluGrad: reluGradAVX2,
+			bnStats:  bnStatsAVX2,
+			bnNorm:   bnNormAVX2,
+			bnGrads:  bnGradsAVX2,
+			bnDX:     bnDXAVX2,
+		}
 	}
 }
 

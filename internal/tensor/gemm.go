@@ -255,10 +255,16 @@ func kernelFor(n int) *microKernel {
 // strip would run off the operand — so the tail, and every operand the
 // rule does not cover, is packed and zero-padded.
 func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
-	mk := kernelFor(n)
 	ws := gemmPool.Get().(*gemmWS)
-	ar := ws.a
-	ar.Reset()
+	ws.a.Reset()
+	gemmRowsIn(ws.a, dst, a, b, n, k, lo, hi)
+	gemmPool.Put(ws)
+}
+
+// gemmRowsIn is gemmRows with its pack buffers and scratch tile bumped
+// from ar, after whatever the caller already holds there.
+func gemmRowsIn(ar *arena.Arena, dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
+	mk := kernelFor(n)
 	ldc := dst.Cols
 
 	// The kernels accumulate into dst, so start every covered element at
@@ -268,7 +274,6 @@ func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
 		zero[i] = 0
 	}
 	if k == 0 || n == 0 || hi <= lo {
-		gemmPool.Put(ws)
 		return
 	}
 
@@ -334,7 +339,6 @@ func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
 			}
 		}
 	}
-	gemmPool.Put(ws)
 }
 
 // gemm computes dst = effA (m×k) · effB (k×n), chunking row tiles across
@@ -359,4 +363,35 @@ func gemm(dst *Matrix, a, b gemmOperand, m, n, k int) {
 		}
 		gemmRows(dst, a, b, n, k, lo, hi)
 	})
+}
+
+// gemmTB computes dst = A·Bᵀ through the packed core. Bᵀ's rows are B's
+// columns, never contiguous, so gemmRows' in-place rule cannot spare B
+// when A is one row strip tall — and that is the shape of every dx at a
+// small batch: a few rows of dy against the whole of W. The transposed
+// product dstᵀ = B·Aᵀ is the same sums with the roles swapped: it is one
+// column strip wide, so B is broadcast from where it lies and only A's few
+// rows pack; the narrow result is transposed into dst from scratch. Each
+// element is still fl(c + fl(a·b)) over ascending k, and a·b = b·a, so the
+// bits are those of the direct product.
+func gemmTB(dst, a, b *Matrix) {
+	n, k, m := a.Rows, a.Cols, b.Rows
+	ea := gemmOperand{data: a.Data, rowStride: a.Cols, depthStride: 1}
+	eb := gemmOperand{data: b.Data, rowStride: b.Cols, depthStride: 1}
+	if n > curKernel.mr {
+		gemm(dst, ea, eb, n, m, k)
+		return
+	}
+	// One workspace, serially: the product is thin, and its result sits in
+	// the arena in front of the pack buffers.
+	ws := gemmPool.Get().(*gemmWS)
+	ws.a.Reset()
+	dt := Matrix{Rows: m, Cols: n, Data: ws.a.Floats(m * n)}
+	gemmRowsIn(ws.a, &dt, eb, ea, n, k, 0, m)
+	for j := 0; j < m; j++ {
+		for i, v := range dt.Data[j*n : (j+1)*n] {
+			dst.Data[i*m+j] = v
+		}
+	}
+	gemmPool.Put(ws)
 }

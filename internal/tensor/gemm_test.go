@@ -75,12 +75,7 @@ func gemmForcedTA(dst, a, b *Matrix) {
 		a.Cols, b.Cols, a.Rows)
 }
 
-func gemmForcedTB(dst, a, b *Matrix) {
-	gemm(dst,
-		gemmOperand{data: a.Data, rowStride: a.Cols, depthStride: 1},
-		gemmOperand{data: b.Data, rowStride: b.Cols, depthStride: 1},
-		a.Rows, b.Rows, a.Cols)
-}
+func gemmForcedTB(dst, a, b *Matrix) { gemmTB(dst, a, b) }
 
 // forEachKernel runs f once per registered micro-kernel (SIMD and Go), so
 // every host cross-checks every kernel it can execute, not just the
@@ -128,12 +123,27 @@ func shapeMismatch(t testing.TB, r *rng.Rand, n, k, m int) string {
 		return "gemmTA"
 	}
 
+	return tbMismatch(t, r, n, k, m)
+}
+
+// tbMismatch is shapeMismatch for A·Bᵀ alone: through gemmTB, and through
+// the public entry point, whose cutoff decides between the reference loop
+// and gemmTB's two arms.
+func tbMismatch(t testing.TB, r *rng.Rand, n, k, m int) string {
+	a := guardedMatrix(t, n, k)
 	bt := guardedMatrix(t, m, k) // effective B is btᵀ
+	fillMixed(r, a)
 	fillMixed(r, bt)
-	gemmForcedTB(got, a, bt)
+	got, want := guardedMatrix(t, n, m), New(n, m)
 	matMulTBRef(want, a, bt, 0, n)
+	gemmForcedTB(got, a, bt)
 	if firstMismatch(got, want) >= 0 {
 		return "gemmTB"
+	}
+	got.Zero()
+	MatMulTBInto(got, a, bt)
+	if firstMismatch(got, want) >= 0 {
+		return "MatMulTBInto"
 	}
 	return ""
 }
@@ -168,7 +178,10 @@ func TestGemmBitwiseExhaustiveSmall(t *testing.T) {
 // against every tile width. The second group sits on either side of the
 // in-place rule, all above gemmMinWork: one column strip (A in place) at
 // every kernel's NR and NR±1, one row strip (B in place) at MR and MR±1,
-// each with whole and ragged tails in the other dimension.
+// each with whole and ragged tails in the other dimension. The sweep after
+// them is A·Bᵀ around its own rule (gemmTB): 1 to 9 rows of A — 9 stays on
+// the packed path — against whole, ragged and multi-block row counts of B,
+// with k on both sides of KC.
 func TestGemmBitwiseRagged(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 300, 1}, {8, 256, 16}, {7, 13, 9},
@@ -185,6 +198,19 @@ func TestGemmBitwiseRagged(t *testing.T) {
 		r := rng.New(7)
 		for _, s := range shapes {
 			checkShape(t, r, s[0], s[1], s[2])
+		}
+		for n := 1; n <= 9; n++ {
+			ms := []int{7, 64, 131}
+			if n >= 8 {
+				ms = append(ms, 530) // past NC, on either side of the rule
+			}
+			for _, m := range ms {
+				for _, k := range []int{255, 300} {
+					if v := tbMismatch(t, r, n, k, m); v != "" {
+						t.Fatalf("%s %dx%dx%d (%s): differs from the reference loop", v, n, k, m, GemmKernelName())
+					}
+				}
+			}
 		}
 	})
 }
@@ -386,7 +412,8 @@ func TestColSumIntoParallelBitwise(t *testing.T) {
 // TestMatMulPackedZeroAllocs pins the arena-backed GEMM core at zero
 // steady-state allocations (the whole point of pooling gemmWS): one warmup
 // to grow the arena, then nothing — whether both operands pack (96×200×64),
-// A is read in place (96×200×8) or B is (8×200×64).
+// A is read in place (96×200×8) or B is (8×200×64, 5×300×67 — the shapes
+// whose A·Bᵀ takes gemmTB's transposed arm, whole and ragged).
 func TestMatMulPackedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is meaningless under -race")
@@ -395,7 +422,7 @@ func TestMatMulPackedZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	r := rng.New(3)
-	for _, s := range [][3]int{{96, 200, 64}, {96, 200, 8}, {8, 200, 64}} {
+	for _, s := range [][3]int{{96, 200, 64}, {96, 200, 8}, {8, 200, 64}, {5, 300, 67}} {
 		n, k, m := s[0], s[1], s[2]
 		a := randomMatrix(r, n, k)
 		b := randomMatrix(r, k, m)

@@ -316,10 +316,7 @@ func MatMulTBInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTBInto: dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, n, m))
 	}
 	if 2*n*k*m >= gemmMinWork {
-		gemm(dst,
-			gemmOperand{data: a.Data, rowStride: a.Cols, depthStride: 1},
-			gemmOperand{data: b.Data, rowStride: b.Cols, depthStride: 1},
-			n, m, k)
+		gemmTB(dst, a, b)
 		return
 	}
 	matMulTBRef(dst, a, b, 0, n)

@@ -310,3 +310,54 @@ func BenchmarkFirstLayer(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStepKernels times the element-wise kernels (DESIGN.md §14.6) at
+// the sizes the gradsync workload runs them: the optimizer step over the
+// whole model (569 872 parameters), the all-reduce's add and scale over one
+// ring chunk (a quarter of it, four ranks), ReLU over a 512×512
+// activation and BatchNorm's four sweeps over one 512-feature row of it.
+// Each kernel runs with the dispatched body and with the Go loop, and
+// reports the bytes it loads and stores per second.
+func BenchmarkStepKernels(b *testing.B) {
+	const params, chunk, act = 569_872, 569_872 / 4, 512 * 512
+	r := rng.New(8)
+	floats := func(n int) []float32 { return randomMatrix(r, 1, n).Data }
+	w, g, v := floats(params), floats(params), floats(params)
+	dst, src := floats(chunk), floats(chunk)
+	x, out, dy, dx := floats(act), floats(act), floats(act), floats(act)
+	const dim = 512
+	var f [6][]float32 // per-feature vectors
+	for i := range f {
+		f[i] = floats(dim)
+	}
+	for _, body := range []struct {
+		name string
+		k    vecKernels
+	}{{"vector", vec}, {"go", goVec}} {
+		k := body.k
+		for _, c := range []struct {
+			name  string
+			bytes int // loaded + stored per call
+			fn    func()
+		}{
+			{"sgdStep", 5 * 4 * params, func() { k.sgdStep(w, g, v, 1e-3, 0.9, 5e-4) }},
+			{"add", 3 * 4 * chunk, func() { k.add(dst, src) }},
+			{"scale", 2 * 4 * chunk, func() { k.scale(dst, 0.999) }},
+			{"relu", 2 * 4 * act, func() { k.relu(out, x) }},
+			{"reluGrad", 3 * 4 * act, func() { k.reluGrad(dx, dy, out) }},
+			{"bnStats", 5 * 4 * dim, func() { k.bnStats(f[0], f[1], x[:dim]) }},
+			{"bnNorm", 7 * 4 * dim, func() { k.bnNorm(out[:dim], dx[:dim], x[:dim], f[0], f[1], f[2], f[3]) }},
+			{"bnGrads", 6 * 4 * dim, func() { k.bnGrads(f[0], f[1], dy[:dim], x[:dim]) }},
+			{"bnDX", 6 * 4 * dim, func() { k.bnDX(dx[:dim], dy[:dim], x[:dim], f[2], f[4], f[5], 512) }},
+		} {
+			b.Run(c.name+"/"+body.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.fn()
+				}
+				if sec := b.Elapsed().Seconds(); sec > 0 {
+					b.ReportMetric(float64(c.bytes)*float64(b.N)/sec/1e9, "GB/s")
+				}
+			})
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"plshuffle/internal/data"
 	"plshuffle/internal/tensor"
 )
 
@@ -189,7 +190,7 @@ func checkSliceCodec(t *testing.T) {
 // TestBulkCodecMatchesPerElement: the one-copy paths of a little-endian
 // host emit and accept exactly the bytes the per-element loops did.
 func TestBulkCodecMatchesPerElement(t *testing.T) {
-	if !hostLittleEndian {
+	if !data.HostLittleEndian {
 		t.Skip("big-endian host: only the per-element path exists here")
 	}
 	checkSliceCodec(t)
@@ -199,8 +200,8 @@ func TestBulkCodecMatchesPerElement(t *testing.T) {
 // takes and holds it to the same vectors, so the fallback cannot rot on the
 // little-endian machines everything else is tested on.
 func TestBigEndianFallbackMatchesPerElement(t *testing.T) {
-	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
-	hostLittleEndian = false
+	defer func(le bool) { data.HostLittleEndian = le }(data.HostLittleEndian)
+	data.HostLittleEndian = false
 	checkSliceCodec(t)
 
 	// With the fast path off, a float frame is read like any other frame.
@@ -220,7 +221,7 @@ func TestBigEndianFallbackMatchesPerElement(t *testing.T) {
 // bit, without passing through the scratch buffer; frames that only look
 // similar (other kinds, other payload types, a ragged body) do not take it.
 func TestReadFrameIntoFloat32Pooled(t *testing.T) {
-	if !hostLittleEndian {
+	if !data.HostLittleEndian {
 		t.Skip("the pooled float read is a little-endian path")
 	}
 	for _, n := range []int{0, 1, 63, 64, 65, 1000, 142468} {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"plshuffle/internal/data"
 	"plshuffle/internal/tensor"
@@ -36,6 +37,9 @@ const (
 	// Code 15 is retired and must not be reassigned: decoders reject it like
 	// any unknown code.
 )
+
+// intIs64 gates the bulk path of []int, which travels as int64.
+const intIs64 = bits.UintSize == 64
 
 // SampleRefs is the payload of a dedup reference frame: the IDs of samples
 // the sender knows the receiver already holds in its exchange side-cache,
@@ -120,7 +124,7 @@ func EncodePayload(p any) ([]byte, error) {
 // Hot paths pass a pooled or reused buffer so the steady state allocates
 // nothing; the bytes produced are identical to EncodePayload's. On a
 // little-endian host a numeric slice is appended as one copy of its memory
-// (see bytesOf); the per-element loops are the big-endian path and produce
+// (see data.BytesOf); the per-element loops are the big-endian path and produce
 // the same bytes.
 func AppendPayload(dst []byte, p any) ([]byte, error) {
 	switch v := p.(type) {
@@ -131,8 +135,8 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		return append(dst, v...), nil
 	case []float32:
 		dst = append(dst, codeFloat32)
-		if hostLittleEndian {
-			return append(dst, bytesOf(v)...), nil
+		if data.HostLittleEndian {
+			return append(dst, data.BytesOf(v)...), nil
 		}
 		for _, f := range v {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
@@ -140,8 +144,8 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		return dst, nil
 	case []float64:
 		dst = append(dst, codeFloat64)
-		if hostLittleEndian {
-			return append(dst, bytesOf(v)...), nil
+		if data.HostLittleEndian {
+			return append(dst, data.BytesOf(v)...), nil
 		}
 		for _, f := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
@@ -149,8 +153,8 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		return dst, nil
 	case []int:
 		dst = append(dst, codeInts)
-		if hostLittleEndian && intIs64 {
-			return append(dst, bytesOf(v)...), nil
+		if data.HostLittleEndian && intIs64 {
+			return append(dst, data.BytesOf(v)...), nil
 		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
@@ -158,8 +162,8 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		return dst, nil
 	case []int32:
 		dst = append(dst, codeInt32s)
-		if hostLittleEndian {
-			return append(dst, bytesOf(v)...), nil
+		if data.HostLittleEndian {
+			return append(dst, data.BytesOf(v)...), nil
 		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
@@ -167,8 +171,8 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		return dst, nil
 	case []int64:
 		dst = append(dst, codeInt64s)
-		if hostLittleEndian {
-			return append(dst, bytesOf(v)...), nil
+		if data.HostLittleEndian {
+			return append(dst, data.BytesOf(v)...), nil
 		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
@@ -176,8 +180,8 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		return dst, nil
 	case []uint64:
 		dst = append(dst, codeUint64s)
-		if hostLittleEndian {
-			return append(dst, bytesOf(v)...), nil
+		if data.HostLittleEndian {
+			return append(dst, data.BytesOf(v)...), nil
 		}
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, x)
@@ -211,8 +215,8 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 		dst = append(dst, codeMatrix)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Rows))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Cols))
-		if hostLittleEndian {
-			return append(dst, bytesOf(v.Data)...), nil
+		if data.HostLittleEndian {
+			return append(dst, data.BytesOf(v.Data)...), nil
 		}
 		for _, f := range v.Data {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
@@ -245,8 +249,8 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: float32 payload length %d not a multiple of 4", len(body))
 		}
 		out := make([]float32, len(body)/4)
-		if hostLittleEndian {
-			copy(bytesOf(out), body)
+		if data.HostLittleEndian {
+			copy(data.BytesOf(out), body)
 			return out, nil
 		}
 		for i := range out {
@@ -258,8 +262,8 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: float64 payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]float64, len(body)/8)
-		if hostLittleEndian {
-			copy(bytesOf(out), body)
+		if data.HostLittleEndian {
+			copy(data.BytesOf(out), body)
 			return out, nil
 		}
 		for i := range out {
@@ -271,8 +275,8 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: int payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]int, len(body)/8)
-		if hostLittleEndian && intIs64 {
-			copy(bytesOf(out), body)
+		if data.HostLittleEndian && intIs64 {
+			copy(data.BytesOf(out), body)
 			return out, nil
 		}
 		for i := range out {
@@ -284,8 +288,8 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: int32 payload length %d not a multiple of 4", len(body))
 		}
 		out := make([]int32, len(body)/4)
-		if hostLittleEndian {
-			copy(bytesOf(out), body)
+		if data.HostLittleEndian {
+			copy(data.BytesOf(out), body)
 			return out, nil
 		}
 		for i := range out {
@@ -297,8 +301,8 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: int64 payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]int64, len(body)/8)
-		if hostLittleEndian {
-			copy(bytesOf(out), body)
+		if data.HostLittleEndian {
+			copy(data.BytesOf(out), body)
 			return out, nil
 		}
 		for i := range out {
@@ -310,8 +314,8 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: uint64 payload length %d not a multiple of 8", len(body))
 		}
 		out := make([]uint64, len(body)/8)
-		if hostLittleEndian {
-			copy(bytesOf(out), body)
+		if data.HostLittleEndian {
+			copy(data.BytesOf(out), body)
 			return out, nil
 		}
 		for i := range out {
@@ -354,8 +358,8 @@ func DecodePayload(buf []byte) (any, error) {
 			return nil, fmt.Errorf("transport: matrix payload %dx%d does not match %d data bytes", rows, cols, len(body)-8)
 		}
 		m := tensor.New(rows, cols)
-		if hostLittleEndian {
-			copy(bytesOf(m.Data), body[8:])
+		if data.HostLittleEndian {
+			copy(data.BytesOf(m.Data), body[8:])
 			return m, nil
 		}
 		for i := range m.Data {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"plshuffle/internal/data"
 )
 
 // Frame kinds on the wire. Data frames carry codec-encoded payloads between
@@ -203,10 +205,10 @@ func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32,
 	if f.Kind > KindDataRef {
 		return WireFrame{}, nil, head, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
 	}
-	if rest := need - head; hostLittleEndian && f.Kind == KindData && head == peek &&
+	if rest := need - head; data.HostLittleEndian && f.Kind == KindData && head == peek &&
 		buf[peek-1] == codeFloat32 && rest%4 == 0 {
 		floats = GetFloat32s(rest / 4)
-		if _, err := io.ReadFull(r, bytesOf(floats)); err != nil {
+		if _, err := io.ReadFull(r, data.BytesOf(floats)); err != nil {
 			PutFloat32s(floats)
 			return WireFrame{}, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
 		}
