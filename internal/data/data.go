@@ -23,6 +23,11 @@ import (
 // training; Bytes is the simulated on-disk size used for storage accounting
 // and the performance model (e.g. ~117 KiB for an ImageNet JPEG, ~70 MiB
 // for a DeepCAM HDF5 sample).
+//
+// A decoded sample's Features are never written after decode: the exchange
+// hands one decoded sample to both the local store and the dedup segment
+// (DESIGN.md §13.2), which share its feature array. Code that needs to
+// change features works on a Clone.
 type Sample struct {
 	ID       int
 	Label    int

@@ -268,3 +268,20 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 	}
 }
+
+// TestWireSizeEncDoesNotAllocate: the dedup gate prices every referenced
+// sample with WireSizeEnc, whose fp16 check narrows into a stack buffer —
+// through the tensor kernel, which must not make that buffer escape.
+func TestWireSizeEncDoesNotAllocate(t *testing.T) {
+	r := rng.New(3)
+	grid, noisy := make([]float32, 2048), make([]float32, 2048)
+	for i := range grid {
+		grid[i] = float32(i%97) / 2
+		noisy[i] = r.NormFloat32()
+	}
+	for _, s := range []Sample{{ID: 1, Features: grid}, {ID: 2, Features: noisy}} {
+		if allocs := testing.AllocsPerRun(100, func() { s.WireSizeEnc(EncodingFP16Exact) }); allocs != 0 {
+			t.Errorf("sample %d: WireSizeEnc allocates %.1f times", s.ID, allocs)
+		}
+	}
+}

@@ -27,8 +27,9 @@ package data
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
+
+	"plshuffle/internal/tensor"
 )
 
 // Encoding selects the on-wire feature representation of a sample batch.
@@ -75,27 +76,19 @@ const (
 	entryFP16 = byte(1)
 )
 
-// fp16Short decides the common case of "is this float32 exactly a half?"
-// from the bits alone: an exponent inside the fp16 normal range (113..142,
-// fp16's 1..30) and the 13 mantissa bits fp16 lacks all zero. Narrowing such
-// a value is a shift and a re-bias with nothing to round. Subnormals, Inf,
-// NaN and everything inexact or out of range fail the test and go to
-// fp16FromF32/fp16ToF32, which stay the definition of representable.
-func fp16Short(b uint32) bool { return b&0x1fff == 0 && (b>>23&0xff)-113 < 30 }
-
-// fp16Representable reports whether f survives an fp16 round trip bit for
-// bit. Values beyond fp16 range and NaNs whose payload needs the low
-// mantissa bits do not (quantizing would change their bits), so
-// EncodingFP16Exact keeps them in fp32.
-func fp16Representable(f float32) bool {
-	return math.Float32bits(fp16ToF32(fp16FromF32(f))) == math.Float32bits(f)
-}
-
+// featuresFP16Representable reports whether every feature survives an fp16
+// round trip bit for bit — what EncodingFP16Exact ships as an entryFP16.
+// Values beyond fp16 range, f32 subnormals and NaNs whose payload needs the
+// low mantissa bits do not. The conversions and the rule are
+// tensor.NarrowFP16Exact's; the halves it writes here are thrown away.
 func featuresFP16Representable(fs []float32) bool {
-	for _, f := range fs {
-		if !fp16Short(math.Float32bits(f)) && !fp16Representable(f) {
+	var scratch [2048]byte
+	for len(fs) > 0 {
+		n := min(len(fs), len(scratch)/2)
+		if !tensor.NarrowFP16Exact(scratch[:2*n], fs[:n]) {
 			return false
 		}
+		fs = fs[n:]
 	}
 	return true
 }
@@ -106,28 +99,19 @@ func featuresFP16Representable(fs []float32) bool {
 // bitwise-exactness guarantee.
 func QuantizeFeaturesFP16(fs []float32) {
 	for i, f := range fs {
-		fs[i] = fp16ToF32(fp16FromF32(f))
+		fs[i] = tensor.FP16ToF32(tensor.FP16FromF32(f))
 	}
 }
 
 // appendFP16Exact appends fs as fp16 halves if every feature is
-// fp16-representable; at the first one that is not it gives up and returns
-// dst as it was. Classifying and narrowing are one pass: a representable
-// sample is never looked at twice.
+// fp16-representable; if one is not it returns dst as it was. Classifying
+// and narrowing are one pass: a representable sample is never looked at
+// twice.
 func appendFP16Exact(dst []byte, fs []float32) ([]byte, bool) {
 	base := len(dst)
-	dst = slices.Grow(dst, 2*len(fs))
-	for _, f := range fs {
-		b := math.Float32bits(f)
-		var h uint16
-		if fp16Short(b) {
-			h = uint16(b>>16&0x8000) | uint16((b&0x7fffffff)>>13-112<<10)
-		} else if b<<1 == 0 {
-			h = uint16(b >> 16) // ±0, too common on real features to send to the oracle
-		} else if h = fp16FromF32(f); math.Float32bits(fp16ToF32(h)) != b {
-			return dst[:base], false
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, h)
+	dst = slices.Grow(dst, 2*len(fs))[:base+2*len(fs)]
+	if !tensor.NarrowFP16Exact(dst[base:], fs) {
+		return dst[:base], false
 	}
 	return dst, true
 }
@@ -242,17 +226,8 @@ func decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
 		}
 		s.Features = make([]float32, nfeat)
 		if tag == entryFP16 {
-			body := buf[off : off+2*len(s.Features)]
-			for j := range s.Features {
-				h := uint32(body[2*j]) | uint32(body[2*j+1])<<8
-				if e := h & 0x7c00; e != 0 && e != 0x7c00 {
-					// A normal half widens by a shift and a re-bias.
-					s.Features[j] = math.Float32frombits((h&0x8000)<<16 | ((h&0x7fff)<<13 + 112<<23))
-				} else {
-					s.Features[j] = fp16ToF32(uint16(h))
-				}
-			}
-			off += len(body)
+			tensor.WidenFP16(s.Features, buf[off:off+2*len(s.Features)])
+			off += 2 * len(s.Features)
 		} else {
 			readFeatures(s.Features, buf[off:])
 			off += 4 * len(s.Features)
@@ -266,78 +241,4 @@ func decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
 		return dst, fmt.Errorf("data: DecodeSampleBatch: %d trailing bytes after %d samples", len(buf)-off, count)
 	}
 	return dst, nil
-}
-
-// --- half-precision conversion (hand-written; the repo takes no deps) ---
-
-// fp16ToF32 widens an IEEE 754 binary16 value. Every one of the 65536 half
-// patterns maps to a distinct, exactly-representable float32 — including
-// subnormals, infinities, and NaNs (payload preserved in the top mantissa
-// bits) — so fp16FromF32 inverts it bit for bit (pinned by an exhaustive
-// test).
-func fp16ToF32(h uint16) float32 {
-	sign := uint32(h>>15) << 31
-	exp := uint32(h >> 10 & 0x1f)
-	man := uint32(h & 0x3ff)
-	switch {
-	case exp == 0:
-		if man == 0 {
-			return math.Float32frombits(sign) // ±0
-		}
-		// Subnormal: normalize into the f32 exponent range.
-		e := uint32(127 - 15 + 1)
-		for man&0x400 == 0 {
-			man <<= 1
-			e--
-		}
-		return math.Float32frombits(sign | e<<23 | (man&0x3ff)<<13)
-	case exp == 0x1f:
-		return math.Float32frombits(sign | 0xff<<23 | man<<13) // ±Inf / NaN
-	default:
-		return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
-	}
-}
-
-// fp16FromF32 narrows a float32 to binary16 with round-to-nearest-even.
-// Overflow rounds to the like-signed infinity; NaN payloads keep their top
-// 10 mantissa bits (quieted if that truncation would read as infinity).
-func fp16FromF32(f float32) uint16 {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & 0x8000
-	e := int32(b>>23&0xff) - 127 + 15
-	man := b & 0x7fffff
-	if b>>23&0xff == 0xff {
-		if man == 0 {
-			return sign | 0x7c00 // ±Inf
-		}
-		m := uint16(man >> 13)
-		if m == 0 {
-			m = 0x200 // payload vanished; force a quiet NaN
-		}
-		return sign | 0x7c00 | m
-	}
-	if e >= 0x1f {
-		return sign | 0x7c00 // overflow → ±Inf
-	}
-	if e <= 0 {
-		if e < -10 {
-			return sign // underflows past the smallest subnormal → ±0
-		}
-		// Subnormal result: shift the 24-bit significand down, RNE.
-		man |= 0x800000
-		shift := uint32(14 - e)
-		m := man >> shift
-		rem := man & (1<<shift - 1)
-		half := uint32(1) << (shift - 1)
-		if rem > half || (rem == half && m&1 == 1) {
-			m++
-		}
-		return sign | uint16(m) // m may carry into the exponent; that is correct
-	}
-	m := man >> 13
-	rem := man & 0x1fff
-	if rem > 0x1000 || (rem == 0x1000 && m&1 == 1) {
-		m++
-	}
-	return sign | (uint16(e)<<10 + uint16(m)) // mantissa carry rolls the exponent
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"plshuffle/internal/data"
@@ -175,6 +176,83 @@ func TestDedupTinyBudgetStillExact(t *testing.T) {
 	runEpochsDedup(t, base, n, 1.0, seed, epochs, 0, data.EncodingFP32, 0)
 	runEpochsDedup(t, lean, n, 1.0, seed, epochs, 0, data.EncodingFP32, 100) // ~2 samples
 	requireSameStores(t, base, lean, "tiny-budget")
+}
+
+// TestDedupSegmentSharesStore: a received sample is one feature array held
+// by both the store and the dedup segment — no copy — and a trainer reading
+// both while the next epoch's exchange runs on every rank is race-free
+// (CI runs this under -race): nothing writes a decoded sample's features.
+func TestDedupSegmentSharesStore(t *testing.T) {
+	const n, m, epochs, seed = 96, 4, 6, 31
+	stores, _ := mkStores(t, n, m, seed, 0)
+	var shared atomic.Int64
+	err := mpi.Run(m, func(c *mpi.Comm) error {
+		st := stores[c.Rank()]
+		sched, err := NewScheduler(c, st, 0.5, n, seed)
+		if err != nil {
+			return err
+		}
+		if err := sched.SetSampleEncoding(data.EncodingFP16Exact); err != nil {
+			return err
+		}
+		if err := sched.SetWireDedup(1 << 20); err != nil {
+			return err
+		}
+		for e := 0; e < epochs; e++ {
+			var views [][]float32
+			for _, s := range st.Samples() {
+				views = append(views, s.Features)
+				for _, seg := range sched.recvSegment {
+					got, ok := seg.Get(int64(s.ID))
+					if !ok {
+						continue
+					}
+					for j := range s.Features {
+						if math.Float32bits(got.Features[j]) != math.Float32bits(s.Features[j]) {
+							return fmt.Errorf("rank %d sample %d: segment and store differ at feature %d", c.Rank(), s.ID, j)
+						}
+					}
+					if &got.Features[0] == &s.Features[0] {
+						shared.Add(1)
+					}
+					views = append(views, got.Features)
+				}
+			}
+			read := make(chan float32, 1)
+			go func() {
+				var sum float32
+				for _, v := range views {
+					for _, f := range v {
+						sum += f
+					}
+				}
+				read <- sum
+			}()
+			if err := sched.Scheduling(e); err != nil {
+				return err
+			}
+			for posted := 0; posted < sched.Slots(); posted += 2 {
+				if _, err := sched.Communicate(2); err != nil {
+					return err
+				}
+			}
+			err := sched.Synchronize()
+			<-read
+			if err != nil {
+				return err
+			}
+			if err := sched.CleanLocalStorage(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Load() == 0 {
+		t.Fatal("no stored sample shares its feature array with a dedup segment")
+	}
 }
 
 // TestDedupIngestRejections drives the receive-side protocol errors: a ref

@@ -414,7 +414,7 @@ func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
 				return fmt.Errorf("shuffle: rank %d referenced sample %d absent from its segment (dedup state diverged)", st.Source, id)
 			}
 			sample, _ := seg.Get(id)
-			s.received = append(s.received, sample.Clone())
+			s.received = append(s.received, sample)
 		}
 	default:
 		return fmt.Errorf("shuffle: exchange frame carries %T, want []byte or transport.SampleRefs", payload)

@@ -38,9 +38,11 @@ type SampleLRU struct {
 
 // NewSampleLRU creates a cache holding at most budget bytes of samples
 // (measured by their fp32 wire size, independent of the negotiated batch
-// encoding). With retainPayloads the cache keeps deep copies of the samples
-// (receiver role); without, only IDs and sizes (sender mirror role) — the
-// two roles evict in lockstep because the metric is identical.
+// encoding). With retainPayloads the cache keeps the noted samples
+// themselves, sharing their feature arrays (receiver role: they are decoded
+// samples, whose Features nobody writes — see data.Sample); without, only
+// IDs and sizes (sender mirror role) — the two roles evict in lockstep
+// because the metric is identical.
 func NewSampleLRU(budget int64, retainPayloads bool) *SampleLRU {
 	return &SampleLRU{
 		budget:  budget,
@@ -116,7 +118,7 @@ func (c *SampleLRU) Note(s data.Sample) {
 	}
 	e := &lruEntry{id: id, size: size}
 	if c.retain {
-		e.sample = s.Clone()
+		e.sample = s
 	}
 	c.entries[id] = e
 	c.pushFront(e)

@@ -47,17 +47,16 @@ func TestSampleLRUBasics(t *testing.T) {
 	}
 }
 
-// TestSampleLRUGetIsDeepCopy: mutating a noted sample's features after Note
-// must not change the cached payload (distributed-memory semantics — the
-// receiver materializes refs from its own copy).
-func TestSampleLRUGetIsDeepCopy(t *testing.T) {
+// TestSampleLRUSharesNotedSample: the segment keeps the decoded sample it
+// was given — the feature array the store holds too — instead of a copy;
+// decoded features are never written (data.Sample).
+func TestSampleLRUSharesNotedSample(t *testing.T) {
 	c := NewSampleLRU(1<<20, true)
 	s := lruSample(5, 4)
 	c.Note(s)
-	s.Features[0] = -999
-	got, _ := c.Get(5)
-	if got.Features[0] == -999 {
-		t.Fatalf("cached payload aliases the noted sample")
+	got, ok := c.Get(5)
+	if !ok || &got.Features[0] != &s.Features[0] || len(got.Features) != len(s.Features) {
+		t.Fatalf("Get(5) = %+v, %v: want the noted sample's own feature array", got, ok)
 	}
 }
 

@@ -57,6 +57,46 @@ func bnGradsAVX2(sumDy, sumDyXhat, dy, xhat []float32)
 //go:noescape
 func bnDXAVX2(dx, dy, xhat, coef, sumDy, sumDyXhat []float32, n float32)
 
+// The F16C block converters: each converts whole blocks of 8 until one it
+// cannot vouch for, and returns the number of elements done.
+//
+//go:noescape
+func narrowBlocksF16C(dst []byte, src []float32) int
+
+//go:noescape
+func widenBlocksF16C(dst []float32, src []byte) int
+
+// narrowFP16F16C runs the vector blocks and gives each block they stop at,
+// and the ragged tail, to the loop, which decides it.
+func narrowFP16F16C(dst []byte, src []float32) bool {
+	for {
+		n := narrowBlocksF16C(dst, src)
+		dst, src = dst[2*n:], src[n:]
+		m := min(8, len(src))
+		if !narrowFP16Go(dst[:2*m], src[:m]) {
+			return false
+		}
+		if m < 8 {
+			return true
+		}
+		dst, src = dst[2*m:], src[m:]
+	}
+}
+
+// widenFP16F16C is narrowFP16F16C's shape for the widen.
+func widenFP16F16C(dst []float32, src []byte) {
+	for {
+		n := widenBlocksF16C(dst, src)
+		dst, src = dst[n:], src[2*n:]
+		m := min(8, len(dst))
+		widenFP16Go(dst[:m], src[:2*m])
+		if m < 8 {
+			return
+		}
+		dst, src = dst[m:], src[2*m:]
+	}
+}
+
 type asmKernel func(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
 
 func wrapAsm(f asmKernel) func(int, []float32, int, int, []float32, int, []float32, int) {
@@ -68,13 +108,13 @@ func wrapAsm(f asmKernel) func(int, []float32, int, int, []float32, int, []float
 // registerAsmKernels probes the CPU and prepends every usable assembly
 // micro-kernel in preference order (widest vectors first). The
 // element-wise kernels have one assembly body, AVX2: past L2 they are bound
-// by memory, not by vector width.
+// by memory, not by vector width. The fp16 pair needs F16C as well.
 func registerAsmKernels() {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
-	var hasAVX2, hasAVX512 bool
+	var hasAVX2, hasAVX512, hasF16C bool
 	if maxLeaf >= 7 {
 		_, _, c1, _ := cpuidAsm(1, 0)
-		const osxsave, avx = 1 << 27, 1 << 28
+		const osxsave, avx, f16c = 1 << 27, 1 << 28, 1 << 29
 		if c1&osxsave != 0 && c1&avx != 0 {
 			xlo, _ := xgetbvAsm()
 			osYMM := xlo&0x6 == 0x6   // XMM+YMM state saved
@@ -82,6 +122,7 @@ func registerAsmKernels() {
 			b7, _, _, _ := cpuid7()
 			hasAVX2 = osYMM && b7&(1<<5) != 0
 			hasAVX512 = osZMM && b7&(1<<16) != 0
+			hasF16C = osYMM && c1&f16c != 0
 		}
 	}
 	var avx2 *microKernel
@@ -104,6 +145,7 @@ func registerAsmKernels() {
 			bnNorm:   bnNormAVX2,
 			bnGrads:  bnGradsAVX2,
 			bnDX:     bnDXAVX2,
+			f16c:     hasF16C,
 		}
 	}
 }

@@ -14,8 +14,19 @@ import (
 // bounds checks and neither -race nor checkptr sees inside them.
 func guardedFloats(t testing.TB, n int) []float32 {
 	t.Helper()
+	b := guardedBytes(t, 4*n)
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
+}
+
+// guardedBytes is guardedFloats for a byte operand: its last byte is the
+// last one before the inaccessible page.
+func guardedBytes(t testing.TB, n int) []byte {
+	t.Helper()
 	page := syscall.Getpagesize()
-	size := (n*4+page-1)/page*page + page
+	size := (n+page-1)/page*page + page
 	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatalf("mmap %d bytes: %v", size, err)
@@ -27,5 +38,5 @@ func guardedFloats(t testing.TB, n int) []float32 {
 	if n == 0 {
 		return nil
 	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[size-page-n*4])), n)
+	return mem[size-page-n : size-page : size-page]
 }

@@ -315,11 +315,13 @@ func BenchmarkFirstLayer(b *testing.B) {
 // the sizes the gradsync workload runs them: the optimizer step over the
 // whole model (569 872 parameters), the all-reduce's add and scale over one
 // ring chunk (a quarter of it, four ranks), ReLU over a 512×512
-// activation and BatchNorm's four sweeps over one 512-feature row of it.
-// Each kernel runs with the dispatched body and with the Go loop, and
-// reports the bytes it loads and stores per second.
+// activation and BatchNorm's four sweeps over one 512-feature row of it;
+// the fp16 narrow and widen over 128 of the lean exchange's 2048-feature
+// samples, all fp16-representable (a grid of halves, as exchange_lean's
+// data is). Each kernel runs with the dispatched body and with the Go loop,
+// and reports the bytes it loads and stores per second.
 func BenchmarkStepKernels(b *testing.B) {
-	const params, chunk, act = 569_872, 569_872 / 4, 512 * 512
+	const params, chunk, act, feats = 569_872, 569_872 / 4, 512 * 512, 2048 * 128
 	r := rng.New(8)
 	floats := func(n int) []float32 { return randomMatrix(r, 1, n).Data }
 	w, g, v := floats(params), floats(params), floats(params)
@@ -329,6 +331,13 @@ func BenchmarkStepKernels(b *testing.B) {
 	var f [6][]float32 // per-feature vectors
 	for i := range f {
 		f[i] = floats(dim)
+	}
+	grid, halves, wide := floats(feats), make([]byte, 2*feats), make([]float32, feats)
+	for i, v := range grid {
+		grid[i] = float32(math.Round(float64(v)*8) / 2)
+	}
+	if !NarrowFP16Exact(halves, grid) {
+		b.Fatal("benchmark samples are not fp16-representable")
 	}
 	for _, body := range []struct {
 		name string
@@ -349,6 +358,8 @@ func BenchmarkStepKernels(b *testing.B) {
 			{"bnNorm", 7 * 4 * dim, func() { k.bnNorm(out[:dim], dx[:dim], x[:dim], f[0], f[1], f[2], f[3]) }},
 			{"bnGrads", 6 * 4 * dim, func() { k.bnGrads(f[0], f[1], dy[:dim], x[:dim]) }},
 			{"bnDX", 6 * 4 * dim, func() { k.bnDX(dx[:dim], dy[:dim], x[:dim], f[2], f[4], f[5], 512) }},
+			{"narrowFP16", 6 * feats, func() { k.narrowFP16(halves, grid) }},
+			{"widenFP16", 6 * feats, func() { k.widenFP16(wide, halves) }},
 		} {
 			b.Run(c.name+"/"+body.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -1,18 +1,25 @@
 // Element-wise kernels of the training step (DESIGN.md §14.6).
 //
 // Every O(n) loop on the step's critical path — the optimizer update, the
-// all-reduce's add and scale, ReLU, BatchNorm's row sweeps — is one
-// function here with two bodies:
+// all-reduce's add and scale, ReLU, BatchNorm's row sweeps, and the lean
+// sample wire's fp16 narrow and widen — is one function here with two
+// bodies:
 // the Go loop below, which is the definition, the oracle the tests compare
 // against and the only path off amd64 or under the purego tag, and at most
-// one AVX2 body (vec_amd64.s) installed over it by the same probe that
+// one vector body (vec_amd64.s) installed over it by the same probe that
 // picks the GEMM micro-kernel. The vector bodies are lane-wise independent
 // and issue the loop's multiplies, adds and subtracts one by one in the
 // loop's own order (never FMA), so each element is bit for bit what the
-// loop computes and nothing downstream can tell which body ran.
+// loop computes and nothing downstream can tell which body ran. The fp16
+// pair converts with the hardware instead and keeps only the blocks of 8 it
+// can prove are the loop's, handing every other block to the loop.
 package tensor
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // vecKernels is the installed body of each element-wise kernel. A body
 // takes its length from one operand and trusts the rest to match; the
@@ -29,6 +36,11 @@ type vecKernels struct {
 	bnNorm  func(xhat, out, x, mean, invStd, gamma, beta []float32)
 	bnGrads func(sumDy, sumDyXhat, dy, xhat []float32)
 	bnDX    func(dx, dy, xhat, coef, sumDy, sumDyXhat []float32, n float32)
+	// f16c selects the vector bodies of the fp16 pair (the narrowFP16 and
+	// widenFP16 methods). A flag and direct calls, not function values: a
+	// slice passed through a function value escapes, and data's
+	// representability check narrows into a buffer on its stack.
+	f16c bool
 }
 
 // goVec is the portable body of every kernel.
@@ -193,4 +205,157 @@ func bnDXGo(dx, dy, xhat, coef, sumDy, sumDyXhat []float32, n float32) {
 	for j := range dx {
 		dx[j] = coef[j] * (n*dy[j] - sumDy[j] - xhat[j]*sumDyXhat[j])
 	}
+}
+
+// --- IEEE 754 binary16: the lean sample wire's conversions (DESIGN.md §13.3) ---
+
+// NarrowFP16Exact writes src into dst as little-endian halves, two bytes an
+// element, and reports whether every element survives the fp16 round trip
+// bit for bit. When it reports false dst holds nothing meaningful: the
+// caller keeps the floats (data's v2 codec rolls the entry back to fp32).
+func NarrowFP16Exact(dst []byte, src []float32) bool {
+	halfLen("NarrowFP16Exact", dst, src)
+	return vec.narrowFP16(dst, src)
+}
+
+// WidenFP16 widens the little-endian halves in src into dst. Every half
+// widens exactly.
+func WidenFP16(dst []float32, src []byte) {
+	halfLen("WidenFP16", src, dst)
+	vec.widenFP16(dst, src)
+}
+
+func halfLen(kernel string, halves []byte, floats []float32) {
+	if len(halves) != 2*len(floats) {
+		panic(fmt.Sprintf("tensor: %s: %d bytes of halves for %d floats", kernel, len(halves), len(floats)))
+	}
+}
+
+// narrowFP16 and widenFP16 are k's bodies of the pair; dst holds 2 bytes
+// per float.
+func (k *vecKernels) narrowFP16(dst []byte, src []float32) bool {
+	if k.f16c {
+		return narrowFP16F16C(dst, src)
+	}
+	return narrowFP16Go(dst, src)
+}
+
+func (k *vecKernels) widenFP16(dst []float32, src []byte) {
+	if k.f16c {
+		widenFP16F16C(dst, src)
+		return
+	}
+	widenFP16Go(dst, src)
+}
+
+// fp16Short decides the common case of "is this float32 exactly a half?"
+// from the bits alone: an exponent inside the fp16 normal range (113..142,
+// fp16's 1..30) and the 13 mantissa bits fp16 lacks all zero. Narrowing such
+// a value is a shift and a re-bias with nothing to round. Subnormals, Inf,
+// NaN and everything inexact or out of range fail the test and go to
+// FP16FromF32/FP16ToF32, which stay the definition of representable.
+func fp16Short(b uint32) bool { return b&0x1fff == 0 && (b>>23&0xff)-113 < 30 }
+
+// narrowFP16Go classifies and narrows in one pass and gives up at the first
+// element that is not representable.
+func narrowFP16Go(dst []byte, src []float32) bool {
+	dst = dst[:2*len(src)]
+	for i, f := range src {
+		b := math.Float32bits(f)
+		var h uint16
+		if fp16Short(b) {
+			h = uint16(b>>16&0x8000) | uint16((b&0x7fffffff)>>13-112<<10)
+		} else if b<<1 == 0 {
+			h = uint16(b >> 16) // ±0, too common on real features to send to the oracle
+		} else if h = FP16FromF32(f); math.Float32bits(FP16ToF32(h)) != b {
+			return false
+		}
+		binary.LittleEndian.PutUint16(dst[2*i:], h)
+	}
+	return true
+}
+
+func widenFP16Go(dst []float32, src []byte) {
+	src = src[:2*len(dst)]
+	for j := range dst {
+		h := uint32(binary.LittleEndian.Uint16(src[2*j:]))
+		if e := h & 0x7c00; e != 0 && e != 0x7c00 {
+			// A normal half widens by a shift and a re-bias.
+			dst[j] = math.Float32frombits((h&0x8000)<<16 | ((h&0x7fff)<<13 + 112<<23))
+		} else {
+			dst[j] = FP16ToF32(uint16(h))
+		}
+	}
+}
+
+// FP16ToF32 widens an IEEE 754 binary16 value. Every one of the 65536 half
+// patterns maps to a distinct, exactly-representable float32 — including
+// subnormals, infinities, and NaNs (payload preserved in the top mantissa
+// bits, a signalling NaN left signalling) — so FP16FromF32 inverts it bit
+// for bit (pinned by an exhaustive test).
+func FP16ToF32(h uint16) float32 {
+	sign := uint32(h>>15) << 31
+	exp := uint32(h >> 10 & 0x1f)
+	man := uint32(h & 0x3ff)
+	switch {
+	case exp == 0:
+		if man == 0 {
+			return math.Float32frombits(sign) // ±0
+		}
+		// Subnormal: normalize into the f32 exponent range.
+		e := uint32(127 - 15 + 1)
+		for man&0x400 == 0 {
+			man <<= 1
+			e--
+		}
+		return math.Float32frombits(sign | e<<23 | (man&0x3ff)<<13)
+	case exp == 0x1f:
+		return math.Float32frombits(sign | 0xff<<23 | man<<13) // ±Inf / NaN
+	default:
+		return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
+	}
+}
+
+// FP16FromF32 narrows a float32 to binary16 with round-to-nearest-even.
+// Overflow rounds to the like-signed infinity; NaN payloads keep their top
+// 10 mantissa bits (quieted only if that truncation would read as infinity).
+func FP16FromF32(f float32) uint16 {
+	b := math.Float32bits(f)
+	sign := uint16(b>>16) & 0x8000
+	e := int32(b>>23&0xff) - 127 + 15
+	man := b & 0x7fffff
+	if b>>23&0xff == 0xff {
+		if man == 0 {
+			return sign | 0x7c00 // ±Inf
+		}
+		m := uint16(man >> 13)
+		if m == 0 {
+			m = 0x200 // payload vanished; force a quiet NaN
+		}
+		return sign | 0x7c00 | m
+	}
+	if e >= 0x1f {
+		return sign | 0x7c00 // overflow → ±Inf
+	}
+	if e <= 0 {
+		if e < -10 {
+			return sign // underflows past the smallest subnormal → ±0
+		}
+		// Subnormal result: shift the 24-bit significand down, RNE.
+		man |= 0x800000
+		shift := uint32(14 - e)
+		m := man >> shift
+		rem := man & (1<<shift - 1)
+		half := uint32(1) << (shift - 1)
+		if rem > half || (rem == half && m&1 == 1) {
+			m++
+		}
+		return sign | uint16(m) // m may carry into the exponent; that is correct
+	}
+	m := man >> 13
+	rem := man & 0x1fff
+	if rem > 0x1000 || (rem == 0x1000 && m&1 == 1) {
+		m++
+	}
+	return sign | (uint16(e)<<10 + uint16(m)) // mantissa carry rolls the exponent
 }

@@ -398,3 +398,80 @@ bndx_scheck:
 	JLT  bndx_sloop
 	VZEROUPPER
 	RET
+
+// The fp16 pair (F16C + AVX2). Neither body rounds anything the loop would
+// not: each converts a block of 8 with the hardware and keeps the result
+// only where it is provably the loop's, and otherwise returns the count of
+// elements done so far — always a multiple of 8 — so that the Go driver
+// (narrowFP16F16C, widenFP16F16C) hands the block to the loop and resumes.
+
+// func narrowBlocksF16C(dst []byte, src []float32) int
+//
+// VCVTPS2PH (imm 0: round to nearest even) → VCVTPH2PS → VPCMPEQD: a block
+// is stored only when all 8 floats come back with their bits, which makes
+// each one exactly a half (or a quiet NaN whose low 13 mantissa bits are
+// zero) and its half the one the loop emits. Signalling NaNs (the
+// instruction quiets them, the loop keeps the payload), f32 subnormals and
+// every inexact value fail the compare and go to the loop.
+TEXT ·narrowBlocksF16C(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), R8
+	ANDQ $-8, R8
+	XORQ AX, AX
+	JMP  narrow_check
+
+narrow_loop:
+	VMOVUPS   (SI)(AX*4), Y0
+	VCVTPS2PH $0, Y0, X1
+	VCVTPH2PS X1, Y2
+	VPCMPEQD  Y0, Y2, Y2
+	VMOVMSKPS Y2, BX
+	CMPL      BX, $0xff
+	JNE       narrow_done
+	VMOVDQU   X1, (DI)(AX*2)
+	ADDQ      $8, AX
+
+narrow_check:
+	CMPQ AX, R8
+	JLT  narrow_loop
+
+narrow_done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func widenBlocksF16C(dst []float32, src []byte) int
+//
+// VCVTPH2PS widens every finite half exactly, subnormals included. A block
+// holding an exponent-31 half (Inf or NaN — the instruction quiets a
+// signalling NaN, the loop keeps it signalling) goes to the loop.
+TEXT ·widenBlocksF16C(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), R8
+	MOVQ         src_base+24(FP), SI
+	ANDQ         $-8, R8
+	XORQ         AX, AX
+	MOVL         $0x7c007c00, BX
+	VMOVD        BX, X15
+	VPBROADCASTD X15, X15
+	JMP          widen_check
+
+widen_loop:
+	VMOVDQU   (SI)(AX*2), X0
+	VPAND     X15, X0, X1
+	VPCMPEQW  X15, X1, X1
+	VPTEST    X1, X1
+	JNE       widen_done
+	VCVTPH2PS X0, Y2
+	VMOVUPS   Y2, (DI)(AX*4)
+	ADDQ      $8, AX
+
+widen_check:
+	CMPQ AX, R8
+	JLT  widen_loop
+
+widen_done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET

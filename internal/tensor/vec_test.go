@@ -7,6 +7,7 @@ package tensor
 // loops and the suite pins their semantics against the references below.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -285,5 +286,232 @@ func FuzzVecKernels(f *testing.F) {
 			next++
 		}
 		checkVecKernels(t, n, int(off%8), lr, mom, wd, fill)
+		checkFP16Kernels(t, n, int(off%8), fill)
+		// The same bits read as halves and widened: mostly representable,
+		// so the narrow stores too.
+		checkFP16Kernels(t, n, int(off%8), func(s []float32) {
+			for i := range s {
+				s[i] = FP16ToF32(binary.LittleEndian.Uint16(raw[2*i:]))
+			}
+		})
 	})
+}
+
+// --- the fp16 pair (narrowFP16, widenFP16) ---
+
+// fp16Specials are the float32 patterns a narrow must not treat like the
+// rest. Whether each survives the round trip is the loop's call; the
+// hardware agrees on all but the signalling NaNs, which it quiets.
+var fp16Specials = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0xffc00000, 0x7fc02000, // quiet NaNs a half holds
+	0x7fc00001, 0x7fc01000, // quiet NaNs it does not (low mantissa bits)
+	0x7fa00000, 0x7f802000, 0xffbfe000, // signalling NaNs a half holds
+	0x7f800001, 0x7f801fff, // signalling NaNs it does not
+	0x00000001, 0x807fffff, 0x00400000, // f32 subnormals
+	0x33800000, 0xb3800000, 0x387fc000, 0x38000000, // fp16 subnormals
+	0x38800000, 0x477fe000, 0xc77fe000, // smallest and largest fp16 normals
+	0x477ff000, 0x47800000, // 65520 rounds to Inf, 65536 is past it
+	0x3dcccccd, 0x33000000, 0x33000001, // 0.1; half the smallest subnormal and just above
+}
+
+// halfSpecials are the halves a widen must not treat like the rest: the
+// zeros, the infinities, quiet and signalling NaNs, subnormals, the
+// largest finite.
+var halfSpecials = []uint16{0x0000, 0x8000, 0x7c00, 0xfc00, 0x7e00, 0xfe00, 0x7c01, 0x7dff, 0xfd00, 0x7fff,
+	0x0001, 0x83ff, 0x0200, 0x0400, 0x7bff}
+
+// fillHalves fills s with widened halves: every one representable, a NaN or
+// an infinity one time in 32 (exponent 31), a subnormal one in 32.
+func fillHalves(r *rng.Rand, s []float32) {
+	for i := range s {
+		s[i] = FP16ToF32(uint16(r.Uint64()))
+	}
+}
+
+const byteCanary = 0xa5
+
+// newByteOperand is newOperand for bytes: n live bytes, then off canaries
+// ending at the guard page.
+func newByteOperand(t testing.TB, n, off int) []byte {
+	b := guardedBytes(t, n+off)
+	for i := n; i < len(b); i++ {
+		b[i] = byteCanary
+	}
+	return b
+}
+
+func checkByteCanaries(t testing.TB, b []byte, n int, label string) {
+	t.Helper()
+	for i := n; i < len(b); i++ {
+		if b[i] != byteCanary {
+			t.Fatalf("%s: wrote %d bytes past its operand", label, i-n+1)
+		}
+	}
+}
+
+// checkFP16Kernels runs the dispatched narrow and widen once each on n
+// elements laid out at off (see operand), against the loops: the narrow's
+// verdict and, when it accepts, its halves; the widen's floats bit for bit;
+// inputs left alone, canaries intact. The widen reads the narrow's halves
+// when there are any and the top half of each input pattern otherwise.
+func checkFP16Kernels(t testing.TB, n, off int, fill func([]float32)) {
+	t.Helper()
+	src := newOperand(t, n, off, fill)
+	in := src.clone()
+	dst := newByteOperand(t, 2*n, 2*off)
+	want := make([]byte, 2*n)
+	gotOK, wantOK := vec.narrowFP16(dst[:2*n], src.live()), goVec.narrowFP16(want, in)
+	if gotOK != wantOK {
+		t.Fatalf("narrowFP16 of %d at offset %d: accepted %v, loop %v", n, off, gotOK, wantOK)
+	}
+	if gotOK && !bytes.Equal(dst[:2*n], want) {
+		t.Fatalf("narrowFP16 of %d at offset %d: halves differ from the loop's", n, off)
+	}
+	compare(t, "narrowFP16 input", src.live(), in, sameBits)
+	src.checkCanaries(t, "narrowFP16 input")
+	checkByteCanaries(t, dst, 2*n, "narrowFP16")
+
+	halves := newByteOperand(t, 2*n, 2*off)
+	if !wantOK {
+		for i, f := range in {
+			binary.LittleEndian.PutUint16(want[2*i:], uint16(math.Float32bits(f)>>16))
+		}
+	}
+	copy(halves, want)
+	out := newOperand(t, n, off, nil)
+	wantOut := make([]float32, n)
+	vec.widenFP16(out.live(), halves[:2*n])
+	goVec.widenFP16(wantOut, want)
+	compare(t, "widenFP16", out.live(), wantOut, sameBits)
+	out.checkCanaries(t, "widenFP16")
+	if !bytes.Equal(halves[:2*n], want) {
+		t.Fatal("widenFP16 wrote its input")
+	}
+	checkByteCanaries(t, halves, 2*n, "widenFP16 input")
+}
+
+// TestFP16KernelsMatchGoLoops: lengths 0–67 at every start offset 0–7, on
+// representable samples (the narrow stores, falling back around the blocks
+// with exponent-31 values) and on samples seeded with specials (it rolls
+// back), then one exchange sample of the benchmark's size.
+func TestFP16KernelsMatchGoLoops(t *testing.T) {
+	r := rng.New(19)
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 8; off++ {
+			checkFP16Kernels(t, n, off, func(s []float32) { fillHalves(r, s) })
+			checkFP16Kernels(t, n, off, func(s []float32) { fillSpecial(r, s) })
+		}
+	}
+	checkFP16Kernels(t, 2048, 3, func(s []float32) {
+		for i := range s {
+			s[i] = FP16ToF32(uint16(r.Uint64()) &^ 0x4000) // no exponent 31
+		}
+	})
+}
+
+// TestFP16KernelsSpecialValues puts each special at every position of a
+// 67-element sample of finite halves (eight blocks and a ragged tail). One
+// that is not representable sends its block to the loop and the whole
+// sample back, wherever it sits; one the hardware would get wrong (a
+// signalling NaN) comes out as the loop writes it. The loop's own verdict is
+// pinned to the round trip through the scalar conversions.
+func TestFP16KernelsSpecialValues(t *testing.T) {
+	const n = 67
+	r := rng.New(23)
+	base := make([]float32, n)
+	for i := range base {
+		base[i] = FP16ToF32(uint16(r.Uint64()) &^ 0x4000)
+	}
+	src, dst, want := guardedFloats(t, n), guardedBytes(t, 2*n), make([]byte, 2*n)
+	for _, v := range fp16Specials {
+		f := math.Float32frombits(v)
+		exact := math.Float32bits(FP16ToF32(FP16FromF32(f))) == v
+		for i := 0; i < n; i++ {
+			copy(src, base)
+			src[i] = f
+			gotOK, wantOK := vec.narrowFP16(dst, src), goVec.narrowFP16(want, src)
+			if wantOK != exact {
+				t.Fatalf("loop on %#08x at %d: accepted %v, round trip says %v", v, i, wantOK, exact)
+			}
+			if gotOK != wantOK || (gotOK && !bytes.Equal(dst, want)) {
+				t.Fatalf("narrowFP16 with %#08x at %d: accepted %v (loop %v), halves equal %v",
+					v, i, gotOK, wantOK, bytes.Equal(dst, want))
+			}
+		}
+	}
+	halves, out, wantOut := guardedBytes(t, 2*n), guardedFloats(t, n), make([]float32, n)
+	for i := range base {
+		binary.LittleEndian.PutUint16(halves[2*i:], FP16FromF32(base[i]))
+	}
+	for _, h := range halfSpecials {
+		for i := 0; i < n; i++ {
+			old := binary.LittleEndian.Uint16(halves[2*i:])
+			binary.LittleEndian.PutUint16(halves[2*i:], h)
+			vec.widenFP16(out, halves)
+			goVec.widenFP16(wantOut, halves)
+			compare(t, fmt.Sprintf("widenFP16 with %#04x at %d", h, i), out, wantOut, sameBits)
+			if b := math.Float32bits(out[i]); b != math.Float32bits(FP16ToF32(h)) {
+				t.Fatalf("widenFP16(%#04x) = %#08x", h, b)
+			}
+			binary.LittleEndian.PutUint16(halves[2*i:], old)
+		}
+	}
+}
+
+// TestWidenFP16AllHalves widens all 65 536 halves in order — each aligned
+// block of 8 is then all exponent-31 (the loop's) or has none (the
+// hardware's) — and holds every result to FP16ToF32, bit for bit.
+func TestWidenFP16AllHalves(t *testing.T) {
+	src := guardedBytes(t, 2<<16)
+	for h := range 1 << 16 {
+		binary.LittleEndian.PutUint16(src[2*h:], uint16(h))
+	}
+	for name, k := range map[string]vecKernels{"dispatched": vec, "go": goVec} {
+		dst := guardedFloats(t, 1<<16)
+		k.widenFP16(dst, src)
+		for h, f := range dst {
+			if got, want := math.Float32bits(f), math.Float32bits(FP16ToF32(uint16(h))); got != want {
+				t.Fatalf("%s: half %#04x widened to %#08x, want %#08x", name, h, got, want)
+			}
+		}
+	}
+}
+
+// TestNarrowFP16AllPatterns holds the dispatched narrow to the loop on all
+// 2³² float32 patterns. A body accepts a pattern only when widening its
+// half gives the pattern back, and a widened half has its low 13 mantissa
+// bits clear, so only the 2¹⁹ patterns with those bits clear can be
+// accepted: each of them runs alone, in a block of 8 copies, whose fate is
+// then its own. Every pattern then runs again in a block of 8 consecutive
+// ones, which the vector body hands to the loop.
+func TestNarrowFP16AllPatterns(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("4.3 G patterns: not under -short or -race")
+	}
+	var got, want [16]byte
+	check := func(blk []float32) {
+		gotOK, wantOK := vec.narrowFP16(got[:], blk), goVec.narrowFP16(want[:], blk)
+		if gotOK != wantOK || (gotOK && got != want) {
+			t.Fatalf("narrowFP16 of block from %#08x: accepted %v (loop %v), halves %x (loop %x)",
+				math.Float32bits(blk[0]), gotOK, wantOK, got, want)
+		}
+	}
+	var blk [8]float32
+	for p := uint32(0); p < 1<<19; p++ {
+		for i := range blk {
+			blk[i] = math.Float32frombits(p << 13)
+		}
+		check(blk[:])
+	}
+	patterns := make([]float32, 1<<16)
+	for hi := uint32(0); hi < 1<<16; hi++ {
+		for lo := range patterns {
+			patterns[lo] = math.Float32frombits(hi<<16 | uint32(lo))
+		}
+		for b := 0; b < len(patterns); b += 8 {
+			check(patterns[b : b+8])
+		}
+	}
 }

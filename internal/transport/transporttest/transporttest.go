@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,16 +72,18 @@ func (b inprocBackend) Run(n int, fn func(c *mpi.Comm) error) error {
 	}
 	defer cleanup()
 	errs := make([]error, n)
+	phases := make([]atomic.Int32, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer phases[rank].Store(returned)
 			errs[rank] = mpi.Execute(comms[rank], fn)
 		}(r)
 	}
-	if !waitTimeout(&wg, 60*time.Second) {
-		return fmt.Errorf("transporttest: %s world of %d ranks did not finish within 60s", b.name, n)
+	if !waitTimeout(&wg, runDeadline) {
+		return wedgeReport(b.name, phases, comms)
 	}
 	return errors.Join(errs...)
 }
@@ -137,21 +141,25 @@ func (b tcpBackend) Run(n int, fn func(c *mpi.Comm) error) error {
 		return err
 	}
 	errs := make([]error, n)
+	phases := make([]atomic.Int32, n)
 	var wg sync.WaitGroup
 	var failed sync.Once
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer phases[rank].Store(returned)
 			err := mpi.Execute(comms[rank], func(c *mpi.Comm) error {
 				if err := fn(c); err != nil {
 					return err
 				}
 				// Quiesce before teardown so no rank closes its transport
 				// while peers still expect frames.
+				phases[rank].Store(inBarrier)
 				c.Barrier()
 				return nil
 			})
+			phases[rank].Store(closing)
 			if err != nil {
 				// A rank that fails never reaches the barrier, and its peers
 				// would sit in theirs until the watchdog, which then reports a
@@ -169,8 +177,10 @@ func (b tcpBackend) Run(n int, fn func(c *mpi.Comm) error) error {
 			}
 		}(r)
 	}
-	if !waitTimeout(&wg, 60*time.Second) {
-		return fmt.Errorf("transporttest: %s world of %d ranks did not finish within 60s", b.name, n)
+	if !waitTimeout(&wg, runDeadline) {
+		err := wedgeReport(b.name, phases, comms)
+		cleanup() // unwinds the wedged ranks: Close wakes a blocked wait
+		return err
 	}
 	cleanup()
 	return errors.Join(errs...)
@@ -238,6 +248,53 @@ func closeAll(comms []*mpi.Comm) {
 			c.Close()
 		}
 	}
+}
+
+// runDeadline bounds a world's run. A variable so the wedge test need not
+// wait a minute; nothing else writes it.
+var runDeadline = 60 * time.Second
+
+// Where a rank of a running world is, for the watchdog's report.
+const (
+	inProgram int32 = iota // the zero value: running the rank program
+	inBarrier              // TCP: the quiesce barrier before teardown
+	closing                // TCP: closing its transport
+	returned
+)
+
+var phaseNames = [...]string{inProgram: "in its program", inBarrier: "in the closing barrier", closing: "closing its transport"}
+
+// wedgeReport is the watchdog's error: every rank that had not returned,
+// where it was, and — on a backend that tracks liveness (TCP) — how long
+// ago it last heard each peer, so a wedged world names the rank and the
+// silence it is stuck on instead of only the deadline.
+func wedgeReport(name string, phases []atomic.Int32, comms []*mpi.Comm) error {
+	now := time.Now()
+	var stuck []string
+	for r := range phases {
+		ph := phases[r].Load()
+		if ph == returned {
+			continue
+		}
+		line := fmt.Sprintf("rank %d %s", r, phaseNames[ph])
+		if ls, ok := transport.AsLivenessStatser(comms[r].Transport()); ok {
+			var heard []string
+			for p := range phases {
+				if p == r {
+					continue
+				}
+				if at := ls.LastHeard(p); at.IsZero() {
+					heard = append(heard, fmt.Sprintf("%d never", p))
+				} else {
+					heard = append(heard, fmt.Sprintf("%d %v ago", p, now.Sub(at).Round(time.Millisecond)))
+				}
+			}
+			line += " (last heard: " + strings.Join(heard, ", ") + ")"
+		}
+		stuck = append(stuck, line)
+	}
+	return fmt.Errorf("transporttest: %s world of %d ranks did not finish within %v: %s",
+		name, len(phases), runDeadline, strings.Join(stuck, "; "))
 }
 
 // waitTimeout waits for wg up to d; false means the deadline expired first.
