@@ -265,51 +265,6 @@ func BenchmarkImportance(b *testing.B) {
 
 // --- Ablation benchmarks (DESIGN.md §5) ---
 
-// BenchmarkAblationExchangeBalance compares Algorithm 1's shared-seed
-// per-slot rank permutations against naive uniform-random destinations:
-// the balanced plan has zero receive-count spread, the naive one does not.
-func BenchmarkAblationExchangeBalance(b *testing.B) {
-	const n, m, q = 16384, 32, 0.3
-	parts, err := shuffle.Partition(n, m, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var maxSpreadNaive int
-	for i := 0; i < b.N; i++ {
-		balanced := make([]shuffle.ExchangePlan, m)
-		naive := make([]shuffle.ExchangePlan, m)
-		for r := 0; r < m; r++ {
-			balanced[r], err = shuffle.PlanExchange(r, m, parts[r], q, n, 1, i)
-			if err != nil {
-				b.Fatal(err)
-			}
-			naive[r], err = shuffle.PlanExchangeUnbalanced(r, m, parts[r], q, n, 1, i)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		k := shuffle.Slots(q, n, m)
-		for _, c := range shuffle.CountImbalance(balanced, m) {
-			if c != k {
-				b.Fatalf("balanced plan imbalanced: %d != %d", c, k)
-			}
-		}
-		spread := 0
-		for _, c := range shuffle.CountImbalance(naive, m) {
-			if d := c - k; d > spread {
-				spread = d
-			} else if d := k - c; d > spread {
-				spread = d
-			}
-		}
-		if spread > maxSpreadNaive {
-			maxSpreadNaive = spread
-		}
-	}
-	b.ReportMetric(float64(maxSpreadNaive), "naive-max-receive-spread")
-	b.ReportMetric(0, "balanced-receive-spread")
-}
-
 // BenchmarkAblationOverlapChunked and ...Bulk time the real exchange with
 // per-iteration chunked posting versus one bulk epoch-boundary exchange.
 func BenchmarkAblationOverlapChunked(b *testing.B) { benchOverlap(b, 8) }

@@ -34,9 +34,9 @@ import (
 // of two same-seed worlds also requires the INPUTS to agree across worlds,
 // which rules out wall-clock timings (see DESIGN.md §16).
 type QSignal struct {
-	N int // dataset size |N|
-	M int // workers |M|
-	B int // local batch size b
+	N int     // dataset size |N|
+	M int     // workers |M|
+	B int     // local batch size b
 	Q float64 // exchange fraction currently in force
 
 	// Skew is the per-class exposure skew: the total-variation distance

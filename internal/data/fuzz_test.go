@@ -40,8 +40,8 @@ func FuzzDecodeSampleBatch(f *testing.F) {
 		{ID: 3, Label: 1, Features: []float32{-1}, Bytes: 8},
 	}))
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})          // hostile count
-	f.Add([]byte{1, 0, 0, 0})                      // count 1, no sample bytes
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                  // hostile count
+	f.Add([]byte{1, 0, 0, 0})                              // count 1, no sample bytes
 	f.Add(append([]byte{2, 0, 0, 0}, make([]byte, 28)...)) // count 2, one header
 	// v2 seeds: compact fp16 entries, mixed fp32 fallback, empty batch.
 	f.Add(AppendSampleBatchEnc(nil, nil, EncodingFP16Exact))

@@ -53,7 +53,7 @@ func HierarchicalExchangeTable(opts Options) (*Result, error) {
 		Title:  "Section V-F extension: hierarchical two-level exchange",
 		Tables: []*metrics.Table{tb},
 		Notes: []string{
-			"The hierarchical plan keeps the balanced single-source/single-destination property (see shuffle.PlanExchangeHierarchical and its GroupAlignment invariant) while collapsing per-slot inter-node traffic to M/groupSize aligned group-pairs.",
+			"The hierarchical plan keeps the balanced single-source/single-destination property while collapsing per-slot inter-node traffic to M/groupSize aligned group-pairs; the trained planner and its GroupAlignment invariant (shuffle.PlanExchangeHierarchical) are at commit 7bcfa8e, and this table is the analytic model's.",
 		},
 	}, nil
 }

@@ -116,9 +116,6 @@ func TestCorgi2StrategySurface(t *testing.T) {
 	if got := s.String(); got != "corgi2-g3" {
 		t.Fatalf("String() = %q", got)
 	}
-	if s.ExchangeFraction() != 0 {
-		t.Fatal("corgi2 exchanges no samples")
-	}
 	if s.StorageFactor(16) != 1 {
 		t.Fatal("corgi2 stores N/M locally at most")
 	}

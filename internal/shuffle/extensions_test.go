@@ -7,130 +7,6 @@ import (
 	"plshuffle/internal/mpi"
 )
 
-func TestHierarchicalPlanIsBalancedPermutation(t *testing.T) {
-	const n, m, groupSize = 256, 16, 4
-	parts, _ := Partition(n, m, 5)
-	plans := make([]ExchangePlan, m)
-	for r := 0; r < m; r++ {
-		p, err := PlanExchangeHierarchical(r, m, groupSize, parts[r], 0.5, n, 5, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[r] = p
-	}
-	k := Slots(0.5, n, m)
-	// Per slot, destinations across ranks form a permutation (balance).
-	for i := 0; i < k; i++ {
-		seen := make([]bool, m)
-		for r := 0; r < m; r++ {
-			d := plans[r].Dests[i]
-			if d < 0 || d >= m || seen[d] {
-				t.Fatalf("slot %d: rank %d destination %d breaks the permutation", i, r, d)
-			}
-			seen[d] = true
-		}
-	}
-	// Group alignment: each group sends into exactly one destination group
-	// per slot, and destination groups permute.
-	if err := GroupAlignment(plans, groupSize); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHierarchicalErrors(t *testing.T) {
-	ids := []int{1, 2, 3, 4}
-	if _, err := PlanExchangeHierarchical(0, 8, 3, ids, 0.5, 64, 1, 0); err == nil {
-		t.Error("group size not dividing world accepted")
-	}
-	if _, err := PlanExchangeHierarchical(9, 8, 4, ids, 0.5, 64, 1, 0); err == nil {
-		t.Error("bad rank accepted")
-	}
-	if _, err := PlanExchangeHierarchical(0, 8, 4, ids, 1.5, 64, 1, 0); err == nil {
-		t.Error("bad fraction accepted")
-	}
-	if _, err := PlanExchangeHierarchical(0, 8, 4, ids, 1, 64, 1, 0); err == nil {
-		t.Error("insufficient local samples accepted")
-	}
-}
-
-func TestFlatPlansFailGroupAlignment(t *testing.T) {
-	// The flat exchange should (with overwhelming probability) violate the
-	// alignment property the hierarchical plan guarantees.
-	const n, m, groupSize = 256, 16, 4
-	parts, _ := Partition(n, m, 5)
-	plans := make([]ExchangePlan, m)
-	for r := 0; r < m; r++ {
-		p, err := PlanExchange(r, m, parts[r], 0.5, n, 5, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[r] = p
-	}
-	if err := GroupAlignment(plans, groupSize); err == nil {
-		t.Fatal("flat plans unexpectedly satisfy group alignment")
-	}
-}
-
-func TestSchedulerHierarchicalConservation(t *testing.T) {
-	const n, m, groupSize = 128, 8, 4
-	stores, _ := mkStores(t, n, m, 31, 0)
-	perWorker := make([]int, m)
-	for r := range stores {
-		perWorker[r] = stores[r].Len()
-	}
-	err := mpi.Run(m, func(c *mpi.Comm) error {
-		sched, err := NewScheduler(c, stores[c.Rank()], 0.4, n, 31)
-		if err != nil {
-			return err
-		}
-		if err := sched.UseHierarchical(groupSize); err != nil {
-			return err
-		}
-		for e := 0; e < 3; e++ {
-			if err := sched.RunEpochExchange(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkConservation(t, stores, n, perWorker)
-}
-
-func TestUseHierarchicalValidation(t *testing.T) {
-	stores, _ := mkStores(t, 16, 4, 1, 0)
-	err := mpi.Run(4, func(c *mpi.Comm) error {
-		sched, err := NewScheduler(c, stores[c.Rank()], 0.5, 16, 1)
-		if err != nil {
-			return err
-		}
-		if err := sched.UseHierarchical(3); err == nil {
-			return fmt.Errorf("group size 3 accepted for world 4")
-		}
-		if err := sched.UseHierarchical(0); err == nil {
-			return fmt.Errorf("group size 0 accepted")
-		}
-		if err := sched.UseHierarchical(2); err != nil {
-			return err
-		}
-		if err := sched.Scheduling(0); err != nil {
-			return err
-		}
-		if err := sched.UseHierarchical(4); err == nil {
-			return fmt.Errorf("mode switch mid-epoch accepted")
-		}
-		if err := sched.Synchronize(); err != nil {
-			return err
-		}
-		return sched.CleanLocalStorage()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWeightedOrderIsPermutation(t *testing.T) {
 	ids := []int{3, 1, 4, 1 + 4, 9, 2, 6}
 	w := map[int]float64{3: 10, 9: 0.1}
@@ -206,6 +82,9 @@ func TestWeightedOrderPrefersHighWeights(t *testing.T) {
 	}
 }
 
+// TestSendPrioritySelectsTopWeights: with importance weights, PlanEpoch's
+// exchange sends the top of the weighted ranking — the same ranking the
+// epoch iterates in — and the Scheduler executes that plan.
 func TestSendPrioritySelectsTopWeights(t *testing.T) {
 	const n, m = 64, 4
 	stores, _ := mkStores(t, n, m, 41, 0)
@@ -228,14 +107,20 @@ func TestSendPrioritySelectsTopWeights(t *testing.T) {
 				weights[id] = 1e-12
 			}
 		}
-		sched.SetSendPriority(weights)
-		if err := sched.Scheduling(0); err != nil {
+		plan, err := PlanEpoch(Partial(0.25), World{Rank: c.Rank(), Size: m, N: n}, 41, 0, ids, weights)
+		if err != nil {
 			return err
 		}
-		for _, id := range sched.plan.SendIDs {
-			if !want[id] {
-				return fmt.Errorf("rank %d sent low-priority sample %d", c.Rank(), id)
+		if plan.Exchange.Slots() != 4 {
+			return fmt.Errorf("rank %d: %d slots, want 4", c.Rank(), plan.Exchange.Slots())
+		}
+		for i, id := range plan.Exchange.SendIDs {
+			if !want[id] || plan.Order[i] != id {
+				return fmt.Errorf("rank %d slot %d sends sample %d, not the ranking's entry %d", c.Rank(), i, id, plan.Order[i])
 			}
+		}
+		if err := sched.Open(plan.Exchange, ExchangeTag(0)); err != nil {
+			return err
 		}
 		if err := sched.Synchronize(); err != nil {
 			return err
@@ -252,15 +137,5 @@ func TestWeightedOrderEmptyWeights(t *testing.T) {
 	out := WeightedOrder(ids, map[int]float64{}, 1, 0, 0)
 	if len(out) != 3 {
 		t.Fatal("empty weights broke ordering")
-	}
-}
-
-func BenchmarkHierarchicalPlan(b *testing.B) {
-	parts, _ := Partition(16384, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PlanExchangeHierarchical(5, 64, 4, parts[5], 0.3, 16384, 1, i); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

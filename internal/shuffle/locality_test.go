@@ -244,3 +244,21 @@ func TestLocalityBlendIsBetweenExtremes(t *testing.T) {
 		t.Fatalf("coverage not ordered: loc0=%v loc0.5=%v loc1=%v", c0, cHalf, c1)
 	}
 }
+
+// ShardClassCoverage reports, for each shard, the fraction of all classes
+// present in it — the diagnostic used by the locality ablation.
+func ShardClassCoverage(parts [][]int, labels []int, classes int) []float64 {
+	out := make([]float64, len(parts))
+	for w, part := range parts {
+		seen := make([]bool, classes)
+		count := 0
+		for _, id := range part {
+			if c := labels[id]; !seen[c] {
+				seen[c] = true
+				count++
+			}
+		}
+		out[w] = float64(count) / float64(classes)
+	}
+	return out
+}

@@ -32,8 +32,7 @@ func RebalanceTag(generation, epoch int) int { return (generation+1)<<24 + 1<<23
 
 // RebalanceStats reports what one rank's share of a rebalance moved.
 type RebalanceStats struct {
-	Sent, Received       int
-	SentBytes, RecvBytes int64
+	Sent, Received int
 	// Total is the number of surviving samples across the group — the
 	// conservation denominator every member agreed on.
 	Total int
@@ -92,8 +91,8 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 		ids[i], ids[j] = ids[j], ids[i]
 	})
 	// The cut is also this rank's plan: what it holds of another member's
-	// share goes there, and its own share less what it already holds is what
-	// must arrive.
+	// share goes there, and what its own share's holders hold arrives from
+	// them.
 	m := len(group)
 	base, extra := total/m, total%m
 	plan := ExchangePlan{Epoch: epoch}
@@ -109,6 +108,11 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 		if r == c.Rank() {
 			target = append([]int(nil), share...)
 			sort.Ints(target)
+			for _, id := range share {
+				if h := holder[id]; h != r {
+					plan.Senders = append(plan.Senders, h)
+				}
+			}
 			continue
 		}
 		for _, id := range share {
@@ -118,7 +122,6 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 			}
 		}
 	}
-	expected := len(target) - (len(mine) - plan.Slots())
 
 	// One Scheduler window moves it. A member deletes what it sent only after
 	// every member has drained (the barrier), so a death before that leaves
@@ -136,7 +139,9 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 	}
 	// The membership generation is the high word of the collective sequence
 	// (train's bumpGeneration), which every member reads alike.
-	sched.open(epoch, RebalanceTag(c.CollSeq()>>32, epoch), plan, expected)
+	if err := sched.Open(plan, RebalanceTag(c.CollSeq()>>32, epoch)); err != nil {
+		return stats, err
+	}
 	err = c.Guard(func() error {
 		if err := sched.Synchronize(); err != nil {
 			return err
@@ -148,8 +153,7 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 		sched.Reset()
 		return stats, fmt.Errorf("shuffle: Rebalance: %w", err)
 	}
-	stats.Sent, stats.Received = plan.Slots(), expected
-	stats.SentBytes, stats.RecvBytes = sched.WireTraffic()
+	stats.Sent, stats.Received = plan.Slots(), len(plan.Senders)
 
 	// Conservation: this rank must now hold exactly its target share.
 	got := st.IDs()

@@ -15,7 +15,7 @@ import (
 // the PLS.Scheduler lifecycle the paper adds to PyTorch training scripts
 // (Figure 3):
 //
-//	sched.Scheduling(epoch)      // plan this epoch's exchange
+//	sched.Scheduling(epoch)      // plan this epoch's exchange, then Open it
 //	// training loop; optionally sched.Communicate(chunk) per iteration
 //	sched.Communicate(-1)        // post any remaining non-blocking traffic
 //	sched.Synchronize()          // wait for the exchange to finish
@@ -24,14 +24,15 @@ import (
 // Posting the traffic in per-iteration chunks (Q·b samples per iteration,
 // Section III-C / Figure 4) overlaps the exchange with the forward and
 // backward phases; Synchronize at the epoch boundary then has little left
-// to wait for.
+// to wait for. The Scheduler plans nothing itself beyond Scheduling's flat
+// PLS plan: it executes whatever ExchangePlan Open is given (PlanEpoch's,
+// or the post-join rebalance's).
 type Scheduler struct {
-	comm      *mpi.Comm
-	st        *store.Local
-	q         float64
-	totalN    int
-	seed      uint64
-	groupSize int // 0 = flat exchange; >0 = hierarchical (Section V-F)
+	comm   *mpi.Comm
+	st     *store.Local
+	q      float64
+	totalN int
+	seed   uint64
 
 	plan     ExchangePlan
 	tag      int          // user tag of the open window's frames
@@ -84,12 +85,6 @@ type Scheduler struct {
 	dedupSaved atomic.Int64
 	base       struct{ wireSent, wireRecv, dedupHits, dedupSaved int64 }
 
-	// sendPriority, when non-nil, biases which local samples enter the
-	// global exchange: Scheduling draws the send set by importance-weighted
-	// sampling without replacement instead of a uniform permutation
-	// (the Section IV-B importance-sampling extension).
-	sendPriority map[int]float64
-
 	// Failure policy (DESIGN.md §10): every exchange frame goes out through
 	// SendPeerAware and every blocking drain waits in WaitPeerAware, so a peer
 	// death always reaches the scheduler as a *transport.PeerError value, and
@@ -102,7 +97,6 @@ type Scheduler struct {
 	// returned to the caller.
 	degrade  bool
 	dead     map[int]bool // ranks this scheduler treats as dead
-	senders  []int        // per-slot inbound source (lazy, built on first death)
 	recvFrom map[int]int  // samples decoded per source rank this epoch
 
 	// The current epoch's canceled slots — send slots whose samples stay
@@ -139,20 +133,6 @@ func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed u
 	return s, nil
 }
 
-// UseHierarchical switches the scheduler to the two-level exchange with
-// the given group size (the workers sharing one node); groupSize must
-// divide the world size. Call it before the first Scheduling.
-func (s *Scheduler) UseHierarchical(groupSize int) error {
-	if groupSize <= 0 || s.comm.Size()%groupSize != 0 {
-		return fmt.Errorf("shuffle: UseHierarchical: group size %d must divide world size %d", groupSize, s.comm.Size())
-	}
-	if s.state != stateIdle {
-		return fmt.Errorf("shuffle: UseHierarchical: cannot switch modes mid-epoch")
-	}
-	s.groupSize = groupSize
-	return nil
-}
-
 // SetSampleEncoding selects the wire encoding of exchanged sample batches
 // (data.EncodingFP32, the default, is the legacy format). Call it before
 // the first Scheduling; every rank must configure the same encoding.
@@ -183,74 +163,48 @@ func (s *Scheduler) SetQ(q float64) error {
 	return nil
 }
 
-// Q returns the exchange fraction the next Scheduling will plan with.
+// Q returns the exchange fraction the next epoch plans with.
 func (s *Scheduler) Q() float64 { return s.q }
 
-// SetSendPriority installs per-sample importance weights (typically the
-// latest per-sample losses); subsequent epochs select the exchanged
-// samples by weighted sampling without replacement instead of uniformly.
-// Pass nil to return to the uniform Algorithm 1 selection.
-func (s *Scheduler) SetSendPriority(weights map[int]float64) {
-	s.sendPriority = weights
-}
-
-// Scheduling plans the exchange for the given epoch from the worker's
-// current local sample set. It must be called once per epoch before
-// Communicate.
+// Scheduling plans the epoch's flat PLS exchange from the worker's current
+// local sample set at the scheduler's Q and opens it. It must be called
+// once per epoch before Communicate.
 func (s *Scheduler) Scheduling(epoch int) error {
-	if s.state == stateScheduled {
-		return fmt.Errorf("shuffle: Scheduling(%d): previous epoch %d not yet synchronized and cleaned", epoch, s.ObservedEpoch())
-	}
-	ids := s.st.IDs()
-	if s.sendPriority != nil {
-		// Importance-weighted send selection: pass the ids pre-ordered by
-		// weighted ranking; the planners take a private permutation of the
-		// given order, so we substitute the permutation source instead.
-		ids = WeightedOrder(ids, s.sendPriority, s.seed, epoch, s.comm.Rank())
-	}
-	var plan ExchangePlan
-	var err error
-	if s.groupSize > 0 {
-		plan, err = PlanExchangeHierarchical(s.comm.Rank(), s.comm.Size(), s.groupSize, ids, s.q, s.totalN, s.seed, epoch)
-	} else {
-		plan, err = PlanExchange(s.comm.Rank(), s.comm.Size(), ids, s.q, s.totalN, s.seed, epoch)
-	}
+	plan, err := PlanExchange(s.comm.Rank(), s.comm.Size(), s.st.IDs(), s.q, s.totalN, s.seed, epoch)
 	if err != nil {
 		return err
 	}
-	if s.sendPriority != nil && plan.Slots() > 0 {
-		// Override the planner's uniform pick: send exactly the top-k of
-		// the weighted ranking (the destinations keep the balanced
-		// shared-seed permutations).
-		copy(plan.SendIDs, ids[:plan.Slots()])
-	}
-	s.open(epoch, ExchangeTag(epoch), plan, plan.Slots())
-	if len(s.dead) > 0 {
-		// Deaths absorbed in earlier epochs persist: rebuild this epoch's
-		// expectation around them before any traffic flows.
-		s.recomputeExpectation()
-	}
-	return nil
+	return s.Open(plan, ExchangeTag(epoch))
 }
 
-// open starts a transaction window: plan's samples go out and expected
-// samples come in on tag, then Synchronize and CleanLocalStorage (or Reset)
-// close it. Scheduling opens the epoch's balanced exchange; Rebalance opens a
-// window with a plan of its own — nothing else moves samples between stores.
-func (s *Scheduler) open(epoch, tag int, plan ExchangePlan, expected int) {
-	s.epoch.Store(int64(epoch))
+// Open starts a transaction window: plan's samples go out, one sample per
+// plan.Senders entry comes in, all on tag; Synchronize and CleanLocalStorage
+// (or Reset) close it. It is the one door samples move through — Scheduling
+// opens the flat PLS plan, the trainer PlanEpoch's exchange, Rebalance a
+// plan of its own — and it refuses while the previous window is open, so an
+// epoch synchronized but not cleaned is never silently overwritten.
+func (s *Scheduler) Open(plan ExchangePlan, tag int) error {
+	if s.state != stateIdle {
+		return fmt.Errorf("shuffle: opening epoch %d: epoch %d's window is still open (CleanLocalStorage or Reset closes it)", plan.Epoch, s.ObservedEpoch())
+	}
+	s.epoch.Store(int64(plan.Epoch))
 	s.tag = tag
 	s.plan = plan
 	s.posted = 0
-	s.expected = expected
+	s.expected = len(plan.Senders)
 	s.pending = nil
 	s.received = s.received[:0] // capacity reused across epochs
 	s.base.wireSent, s.base.wireRecv = s.CumulativeWireTraffic()
 	s.base.dedupHits, s.base.dedupSaved = s.CumulativeDedup()
-	s.senders = nil // per-epoch permutations; rebuilt lazily on demand
 	clear(s.recvFrom)
 	s.state = stateScheduled
 	s.setDegraded(0, 0)
+	if len(s.dead) > 0 {
+		// Deaths absorbed in earlier epochs persist: rebuild this window's
+		// expectation around them before any traffic flows.
+		s.recomputeExpectation()
+	}
+	return nil
 }
 
 // Slots returns the number of samples this epoch's plan exchanges.

@@ -117,18 +117,14 @@ func (s *Scheduler) drainLanded() error {
 	}
 }
 
-// recomputeExpectation rebuilds expected from the shared-seed sender
-// permutations: slots whose sender is live stay expected; slots whose
-// sender is dead are expected only up to what that sender already
-// delivered. Locally computable on every survivor — no consensus round.
+// recomputeExpectation rebuilds expected from the plan's per-slot senders:
+// slots whose sender is live stay expected; slots whose sender is dead are
+// expected only up to what that sender already delivered. Locally
+// computable on every survivor — no consensus round.
 func (s *Scheduler) recomputeExpectation() {
-	k := s.plan.Slots()
-	if s.senders == nil {
-		s.senders = ExpectedSenders(s.comm.Rank(), s.comm.Size(), s.groupSize, k, s.seed, s.ObservedEpoch())
-	}
 	fromDead := make(map[int]int, len(s.dead))
 	expected := 0
-	for _, src := range s.senders {
+	for _, src := range s.plan.Senders {
 		if s.dead[src] {
 			fromDead[src]++
 		} else {
@@ -154,5 +150,5 @@ func (s *Scheduler) recomputeExpectation() {
 		}
 	}
 	s.expected = expected
-	s.setDegraded(degradedSend, k-expected)
+	s.setDegraded(degradedSend, len(s.plan.Senders)-expected)
 }

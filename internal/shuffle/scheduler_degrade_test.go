@@ -24,48 +24,39 @@ func killComm(t *testing.T, c *mpi.Comm) {
 	k.Kill()
 }
 
-// TestExpectedSendersInvertsPlans: the locally computable sender table must
-// be the exact inverse of the shared-seed destination permutations, for
-// both the flat and the hierarchical planner.
+// TestExpectedSendersInvertsPlans: each plan's per-slot Senders must be the
+// exact inverse of the shared-seed destination permutations — the sender
+// table the degradation path rebuilds its expectation from.
 func TestExpectedSendersInvertsPlans(t *testing.T) {
 	const n, seed = 240, 77
-	for _, tc := range []struct {
-		size, groupSize int
-	}{
-		{4, 0}, {7, 0}, {1, 0}, {8, 4}, {6, 2},
-	} {
+	for _, size := range []int{4, 7, 1, 8, 6} {
 		for epoch := 0; epoch < 3; epoch++ {
-			ids := make([]int, n/tc.size+1)
-			plans := make([]ExchangePlan, tc.size)
+			ids := make([]int, n/size+1)
+			for j := range ids {
+				ids[j] = j
+			}
+			plans := make([]ExchangePlan, size)
 			for r := range plans {
-				for j := range ids {
-					ids[j] = j
-				}
 				var err error
-				if tc.groupSize > 0 {
-					plans[r], err = PlanExchangeHierarchical(r, tc.size, tc.groupSize, ids, 0.5, n, seed, epoch)
-				} else {
-					plans[r], err = PlanExchange(r, tc.size, ids, 0.5, n, seed, epoch)
-				}
-				if err != nil {
+				if plans[r], err = PlanExchange(r, size, ids, 0.5, n, seed, epoch); err != nil {
 					t.Fatal(err)
 				}
 			}
-			k := plans[0].Slots()
-			for d := 0; d < tc.size; d++ {
-				senders := ExpectedSenders(d, tc.size, tc.groupSize, k, seed, epoch)
-				for i := 0; i < k; i++ {
+			for d, p := range plans {
+				if len(p.Senders) != p.Slots() {
+					t.Fatalf("size=%d epoch=%d rank %d: %d senders for %d slots", size, epoch, d, len(p.Senders), p.Slots())
+				}
+				for i, got := range p.Senders {
 					// Brute-force: the unique rank whose slot-i destination is d.
 					want := -1
-					for s := 0; s < tc.size; s++ {
+					for s := 0; s < size; s++ {
 						if plans[s].Dests[i] == d {
 							want = s
 							break
 						}
 					}
-					if senders[i] != want {
-						t.Fatalf("size=%d gs=%d epoch=%d: ExpectedSenders(%d)[%d]=%d, want %d",
-							tc.size, tc.groupSize, epoch, d, i, senders[i], want)
+					if got != want {
+						t.Fatalf("size=%d epoch=%d: rank %d slot %d sender %d, want %d", size, epoch, d, i, got, want)
 					}
 				}
 			}
@@ -172,14 +163,21 @@ func TestDegradeKillBeforeEpoch(t *testing.T) {
 		// inbound slots whose sender is the dead rank, and outbound slots
 		// whose destination is the dead rank (= slots where this rank is
 		// the dead rank's expected sender).
+		senders := func(rank int) []int {
+			p, err := PlanExchange(rank, m, make([]int, n), q, n, seed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.Senders
+		}
 		wantRecv := 0
-		for _, s := range ExpectedSenders(r, m, 0, rep.slots, seed, 0) {
+		for _, s := range senders(r) {
 			if s == deadRank {
 				wantRecv++
 			}
 		}
 		wantSend := 0
-		for _, s := range ExpectedSenders(deadRank, m, 0, rep.slots, seed, 0) {
+		for _, s := range senders(deadRank) {
 			if s == r {
 				wantSend++
 			}
@@ -326,55 +324,6 @@ func TestSchedulerResetAfterFailedEpoch(t *testing.T) {
 	// per-rank counts are preserved.)
 	perWorker := []int{len(before[0]), len(before[1])}
 	checkConservation(t, stores, n, perWorker)
-}
-
-// TestDegradeHierarchical: the degradation path must also work under the
-// two-level exchange (its sender table inverts both permutation levels).
-func TestDegradeHierarchical(t *testing.T) {
-	const n, m, gs, q, seed, deadRank = 240, 6, 3, 0.4, 31, 4
-	stores, _ := mkStores(t, n, m, seed, 0)
-	heldBefore := map[int]bool{}
-	for r, st := range stores {
-		if r == deadRank {
-			continue
-		}
-		for _, id := range st.IDs() {
-			heldBefore[id] = true
-		}
-	}
-	err := mpi.Run(m, func(c *mpi.Comm) error {
-		if c.Rank() == deadRank {
-			killComm(t, c)
-			return nil
-		}
-		for len(c.FailedPeers()) == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed)
-		if err != nil {
-			return err
-		}
-		if err := sched.UseHierarchical(gs); err != nil {
-			return err
-		}
-		sched.SetDegradeOnPeerFailure(true)
-		for e := 0; e < 2; e++ {
-			if err := sched.Scheduling(e); err != nil {
-				return err
-			}
-			if err := sched.Synchronize(); err != nil {
-				return err
-			}
-			if err := sched.CleanLocalStorage(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	survivorConservation(t, stores, deadRank, heldBefore)
 }
 
 // TestPeerFailurePolicy is the policy matrix: {abort, degrade} × the moment

@@ -18,9 +18,6 @@ func TestStrategyBasics(t *testing.T) {
 	if Partial(0.1).String() != "partial-0.1" {
 		t.Fatalf("partial name: %s", Partial(0.1).String())
 	}
-	if GlobalShuffling().ExchangeFraction() != 1 || LocalShuffling().ExchangeFraction() != 0 || Partial(0.3).ExchangeFraction() != 0.3 {
-		t.Fatal("ExchangeFraction wrong")
-	}
 	if err := Partial(1.5).Validate(); err == nil {
 		t.Fatal("Q=1.5 validated")
 	}
@@ -455,6 +452,9 @@ func TestSchedulerLifecycleErrors(t *testing.T) {
 		}
 		if err := sched.Synchronize(); err != nil {
 			return err
+		}
+		if err := sched.Scheduling(1); err == nil {
+			return fmt.Errorf("Scheduling over a synchronized but uncleaned epoch succeeded")
 		}
 		return sched.CleanLocalStorage()
 	})

@@ -89,21 +89,6 @@ func (s Strategy) Validate() error {
 	}
 }
 
-// ExchangeFraction returns the fraction of each worker's local samples
-// exchanged per epoch: 0 for Local, Q for PartialLocal. For Global it
-// returns 1, reflecting that a fresh global permutation re-assigns (up to)
-// all local samples.
-func (s Strategy) ExchangeFraction() float64 {
-	switch s.Kind {
-	case Global:
-		return 1
-	case Local, Corgi2:
-		return 0
-	default:
-		return s.Q
-	}
-}
-
 // String renders the strategy the way the paper labels its plots:
 // "global", "local", "partial-0.1".
 func (s Strategy) String() string {

@@ -53,17 +53,18 @@ func configFingerprint(cfg Config) string {
 	if cfg.Dataset != nil {
 		n = len(cfg.Dataset.Train)
 	}
-	// LARS is spelled "opt=|lars=true|eta=0": the snapshots on disk say so,
-	// and a resume must match them byte for byte.
+	// LARS is spelled "opt=|lars=true|eta=0", and the removed hierarchical
+	// exchange's group size "egs=0": the snapshots on disk say so, and a
+	// resume must match them byte for byte.
 	opt, lars := cfg.Optimizer, cfg.Optimizer == "lars"
 	if lars {
 		opt = ""
 	}
-	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=0|seed=%d|is=%t|enc=%s|sync=%t|full=%t|loc=%g|egs=%d|autoq=%t|qmin=%g|qmax=%g|qsched=%v",
+	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=0|seed=%d|is=%t|enc=%s|sync=%t|full=%t|loc=%g|egs=0|autoq=%t|qmin=%g|qmax=%g|qsched=%v",
 		n, cfg.Model, cfg.Strategy, cfg.BatchSize, cfg.BaseLR, cfg.Momentum,
 		cfg.WeightDecay, opt, lars, cfg.Seed,
 		cfg.ImportanceSampling, cfg.SampleEncoding, cfg.SyncBatchNormStats,
-		cfg.FullSyncBatchNorm, cfg.PartitionLocality, cfg.ExchangeGroupSize,
+		cfg.FullSyncBatchNorm, cfg.PartitionLocality,
 		cfg.AutoQ, cfg.AutoQMin, cfg.AutoQMax, cfg.QSchedule)
 	return fmt.Sprintf("%08x", crc32.Checksum([]byte(desc), fingerprintTable))
 }

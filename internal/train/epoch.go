@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
@@ -144,45 +143,32 @@ func (w *worker) syncBatchNormStats() {
 	}
 }
 
-// epochIDs returns the sample IDs this worker trains on this epoch, in
-// iteration order.
-func (w *worker) epochIDs(epoch int) ([]int, error) {
-	if w.cfg.Strategy.Kind == shuffle.Global {
-		parts, err := shuffle.GlobalEpochPartition(len(w.cfg.Dataset.Train), w.comm.Size(), w.cfg.Seed, epoch)
-		if err != nil {
-			return nil, err
-		}
-		if w.lossByID != nil {
-			return shuffle.WeightedOrder(parts[w.comm.Rank()], w.lossByID, w.cfg.Seed, epoch, w.comm.Rank()), nil
-		}
-		return parts[w.comm.Rank()], nil
+// planEpoch is this rank's plan for epoch: shuffle.PlanEpoch over the
+// current world, the local store and the importance weights, at the
+// exchange fraction the scheduler holds (the controller or a QSchedule may
+// have retuned it since Strategy.Q).
+func (w *worker) planEpoch(epoch int) (shuffle.EpochPlan, error) {
+	strategy := w.cfg.Strategy
+	world := shuffle.World{Rank: w.comm.Rank(), Size: w.comm.Size(), N: len(w.cfg.Dataset.Train)}
+	var ids []int
+	if w.local != nil {
+		ids = w.local.IDs()
 	}
-	if w.lossByID != nil {
-		return shuffle.WeightedOrder(w.local.IDs(), w.lossByID, w.cfg.Seed, epoch, w.comm.Rank()), nil
+	if w.exchanger != nil {
+		strategy.Q = w.exchanger.Q()
 	}
-	return shuffle.EpochOrder(w.local.IDs(), w.cfg.Seed, epoch, w.comm.Rank()), nil
-}
-
-func (w *worker) readSample(id int, es *EpochStats) (data.Sample, error) {
-	if w.cfg.Strategy.Kind == shuffle.Global {
-		s, err := w.pfs.Read(id)
-		if err == nil {
-			es.PFSReadBytes += s.Bytes
-		}
-		return s, err
+	if w.shards != nil {
+		man := w.shards.Manifest()
+		world.Shards, world.ShardSamples, world.Window = man.NumShards, man.ShardSamples, w.corgiWindow
 	}
-	s, err := w.local.Get(id)
-	if err == nil {
-		es.LocalReadBytes += s.Bytes
-	}
-	return s, err
+	return shuffle.PlanEpoch(strategy, world, w.cfg.Seed, epoch, ids, w.lossByID)
 }
 
 func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	// The fraction this epoch plans with is known before anything in it can
 	// fail, so it is recorded first: a survivor whose epoch is cut short by a
-	// peer death (as early as Scheduling) still reports the Q every other
-	// member reports for it.
+	// peer death (as early as its exchange's Open) still reports the Q every
+	// other member reports for it.
 	if sch := w.cfg.QSchedule; len(sch) > 0 {
 		// Open-loop replay: pin this epoch's fraction from the schedule
 		// before planning (past the end, the last entry holds).
@@ -198,16 +184,13 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	}
 	// The controller (or schedule) trajectory; zero when neither is in force.
 	es.ControllerQ, es.ControllerReason = w.ctrlQ, w.ctrlReason
-	// Iteration count and effective batch are derived from the GLOBAL
-	// shape (drop-last semantics): every rank must execute the same number
-	// of collectives per epoch, even when N is not divisible by M and
-	// local counts differ by one.
-	b := w.cfg.BatchSize
-	var ids []int
-	var minLocal int
-	if w.cfg.Strategy.Kind == shuffle.Corgi2 {
-		var err error
-		if minLocal, err = w.beginCorgiEpoch(epoch); err != nil {
+	plan, err := w.planEpoch(epoch)
+	if err != nil {
+		return err
+	}
+	if w.tier != nil {
+		// The read half of a shard plan: the cache tier streams it.
+		if w.stream, err = w.tier.OpenEpoch(plan.Corgi2.Windows, plan.Corgi2.Bounds, plan.Corgi2.Order); err != nil {
 			return err
 		}
 		defer func() {
@@ -216,13 +199,12 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 				w.stream = nil
 			}
 		}()
-	} else {
-		var err error
-		if ids, err = w.epochIDs(epoch); err != nil {
-			return err
-		}
-		minLocal = len(w.cfg.Dataset.Train) / w.comm.Size()
 	}
+	// Iteration count and effective batch are derived from the GLOBAL
+	// shape (drop-last semantics, the plan's Floor): every rank must execute
+	// the same number of collectives per epoch, even when N is not divisible
+	// by M and local counts differ by one.
+	b, minLocal := w.cfg.BatchSize, plan.Floor
 	if w.comm.GroupSize() < w.comm.Size() || w.shortData {
 		// Degraded world (or one resumed from a degraded snapshot): the dead
 		// ranks' unexchanged samples are gone, so stores can dip below N/M
@@ -230,7 +212,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		// members agree on the smallest store with one group-min all-reduce
 		// — same iteration count everywhere, and no rank slices past its own
 		// sample list.
-		buf := []int{len(ids)}
+		buf := []int{len(plan.Order)}
 		mpi.Allreduce(w.comm, buf, mpi.OpMin)
 		if buf[0] < minLocal {
 			minLocal = buf[0]
@@ -244,14 +226,11 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	}
 	iters := minLocal / b
 
-	// Plan this epoch's exchange and derive the per-iteration chunk
-	// (Q·b samples per iteration, Section III-C).
+	// Open the plan's exchange and derive the per-iteration chunk (Q·b
+	// samples per iteration, Section III-C).
 	chunk := 0
 	if w.exchanger != nil {
-		if w.lossByID != nil {
-			w.exchanger.SetSendPriority(w.lossByID)
-		}
-		if err := w.exchanger.Scheduling(epoch); err != nil {
+		if err := w.exchanger.Open(plan.Exchange, shuffle.ExchangeTag(epoch)); err != nil {
 			return err
 		}
 		w.exchEpoch = epoch
@@ -277,8 +256,8 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 				return fmt.Errorf("epoch %d iteration %d: %w", epoch, it, err)
 			}
 		} else {
-			batch = ids[it*b : (it+1)*b]
-			if err := w.loadBatch(batch, es); err != nil {
+			batch = plan.Order[it*b : (it+1)*b]
+			if err := w.loadBatch(batch, plan.FromPFS, es); err != nil {
 				return fmt.Errorf("epoch %d iteration %d: %w", epoch, it, err)
 			}
 		}
@@ -337,7 +316,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		// Record the epoch's deterministic controller observations now that
 		// the exchange volumes are final; the control gather at the epoch
 		// boundary ships them to the root.
-		w.observeEpoch(ids[:iters*b], es)
+		w.observeEpoch(plan.Order[:iters*b], es)
 	}
 	if w.stream != nil {
 		w.stream.Close()
@@ -352,11 +331,11 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		// order and lands the first windows behind validation and the
 		// checkpoint — the storage-tier analogue of the Figure 4 overlap.
 		if next := epoch + 1; next < w.cfg.Epochs {
-			plan, err := w.corgiPlan(next)
+			nextPlan, err := w.planEpoch(next)
 			if err != nil {
 				return err
 			}
-			for _, win := range plan.Windows {
+			for _, win := range nextPlan.Corgi2.Windows {
 				w.tier.Prefetch(win)
 			}
 		}
@@ -368,50 +347,6 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	mpi.Allreduce(w.comm, buf, mpi.OpSum)
 	es.TrainLoss = buf[0] / float64(w.comm.GroupSize())
 	return nil
-}
-
-// beginCorgiEpoch opens the cache-tier stream over the epoch's read plan and
-// returns the iteration floor: the minimum over ranks of assigned-sample
-// totals, which every rank computes locally from the shared-seed assignment
-// (no communication) so all ranks agree on the epoch's collective count.
-func (w *worker) beginCorgiEpoch(epoch int) (int, error) {
-	plan, err := w.corgiPlan(epoch)
-	if err != nil {
-		return 0, err
-	}
-	w.stream, err = w.tier.OpenEpoch(plan.Windows, plan.Bounds, plan.Order)
-	return w.corgiMinLocal, err
-}
-
-// corgiPlan derives epoch's read plan, re-dealing the shard assignment (and
-// the iteration floor) when the epoch starts a new group. The last plan is
-// kept: each epoch's is asked for twice, at the end of the epoch before it
-// and at its start.
-func (w *worker) corgiPlan(epoch int) (shuffle.Corgi2Plan, error) {
-	man := w.shards.Manifest()
-	if group := w.cfg.Strategy.EpochGroup(epoch); group != w.assignedGroup {
-		assign, err := shuffle.Corgi2Assign(man.NumShards, w.comm.Size(), w.cfg.Seed, group)
-		if err != nil {
-			return shuffle.Corgi2Plan{}, err
-		}
-		w.assigned = assign[w.comm.Rank()]
-		w.assignedGroup, w.corgiReadAt = group, -1
-		w.corgiMinLocal = 0
-		for r, shards := range assign {
-			total := 0
-			for _, sh := range shards {
-				total += man.ShardSamples(sh)
-			}
-			if r == 0 || total < w.corgiMinLocal {
-				w.corgiMinLocal = total
-			}
-		}
-	}
-	if epoch != w.corgiReadAt {
-		w.corgiRead = shuffle.Corgi2EpochPlan(w.assigned, man.ShardSamples, w.corgiWindow, w.cfg.Seed, epoch, w.comm.Rank())
-		w.corgiReadAt = epoch
-	}
-	return w.corgiRead, nil
 }
 
 // loadBatchStream fills the reusable batch tensors from the cache-tier
@@ -434,18 +369,24 @@ func (w *worker) loadBatchStream(n int, es *EpochStats) error {
 	return nil
 }
 
-// loadBatch fills the reusable batch tensors from storage.
-func (w *worker) loadBatch(ids []int, es *EpochStats) error {
+// loadBatch fills the reusable batch tensors from the plan's read source:
+// the PFS view (fromPFS) or the local store.
+func (w *worker) loadBatch(ids []int, fromPFS bool, es *EpochStats) error {
 	dim := w.cfg.Dataset.FeatureDim
 	if w.xBuf == nil || w.xBuf.Rows != len(ids) {
 		w.xBuf = tensor.New(len(ids), dim)
 		w.yBuf = make([]int, len(ids))
 	}
+	read, booked := w.local.Get, &es.LocalReadBytes
+	if fromPFS {
+		read, booked = w.pfs.Read, &es.PFSReadBytes
+	}
 	for i, id := range ids {
-		s, err := w.readSample(id, es)
+		s, err := read(id)
 		if err != nil {
 			return err
 		}
+		*booked += s.Bytes
 		copy(w.xBuf.Row(i), s.Features)
 		w.yBuf[i] = s.Label
 	}

@@ -97,28 +97,6 @@ func TestGroupNormAvoidsGap(t *testing.T) {
 	}
 }
 
-func TestHierarchicalExchangeTraining(t *testing.T) {
-	ds := testDataset(t, 256, 4)
-	cfg := baseConfig(t, ds, 8, shuffle.Partial(0.3))
-	cfg.ExchangeGroupSize = 4
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalValAcc < 0.9 {
-		t.Fatalf("hierarchical exchange accuracy %v", res.FinalValAcc)
-	}
-	if res.Epochs[0].ExchangeBytes == 0 {
-		t.Fatal("hierarchical exchange moved no bytes")
-	}
-	// Invalid group size must surface.
-	bad := cfg
-	bad.ExchangeGroupSize = 3
-	if _, err := Run(bad); err == nil {
-		t.Fatal("group size 3 accepted for 8 workers")
-	}
-}
-
 func TestImportanceSamplingTrains(t *testing.T) {
 	ds := testDataset(t, 512, 4)
 	cfg := baseConfig(t, ds, 4, shuffle.Partial(0.25))

@@ -213,9 +213,6 @@ func (w *worker) resync(epoch int) error {
 		// empty state; the caches rebuild from live traffic in the next epoch.
 		w.exchanger.InvalidateDedup()
 	}
-	// Corgi2 shard assignments depend on the group: re-derive them at the
-	// next epoch.
-	w.assignedGroup = -1
 	w.tm.WorldSize.SetInt(int64(w.comm.GroupSize()))
 	w.tm.Generation.SetInt(int64(w.generation))
 	return nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"plshuffle/internal/checkpoint"
+	"plshuffle/internal/data"
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/transport/faultinject"
 	"plshuffle/internal/transport/transporttest"
@@ -41,6 +42,14 @@ func TestResumeBitwise(t *testing.T) {
 		}},
 		{"local", func(t *testing.T) Config {
 			return baseConfig(t, testDataset(t, 512, 4), 4, shuffle.LocalShuffling())
+		}},
+		{"global", func(t *testing.T) Config {
+			return baseConfig(t, testDataset(t, 512, 4), 4, shuffle.GlobalShuffling())
+		}},
+		{"global-importance", func(t *testing.T) Config {
+			cfg := baseConfig(t, testDataset(t, 512, 4), 4, shuffle.GlobalShuffling())
+			cfg.ImportanceSampling = true
+			return cfg
 		}},
 		{"corgi2", func(t *testing.T) Config {
 			return corgiConfig(corgiDir, 4)
@@ -82,6 +91,29 @@ func TestResumeBitwise(t *testing.T) {
 			}
 			requireBitwiseEqual(t, tc.name, flatWeights(refRes.FinalParams), flatWeights(resRes.FinalParams))
 		})
+	}
+}
+
+// TestConfigFingerprintStable pins configFingerprint's spelling: a snapshot
+// already on disk resumes only while the digest of an unchanged
+// configuration stays the same, so a Config field that goes must leave its
+// slot in the description behind.
+func TestConfigFingerprintStable(t *testing.T) {
+	ds := &data.Dataset{Train: make([]data.Sample, 512), FeatureDim: 16, Classes: 4}
+	gsImportance := baseConfig(t, ds, 4, shuffle.GlobalShuffling())
+	gsImportance.ImportanceSampling = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"pls", baseConfig(t, ds, 4, shuffle.Partial(0.3)), "84b8e879"},
+		{"global-importance", gsImportance, "64daf028"},
+		{"corgi2", corgiConfig("", 4), "b67f1fa7"},
+	} {
+		if got := configFingerprint(tc.cfg); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

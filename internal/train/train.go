@@ -86,10 +86,6 @@ type Config struct {
 	// LocalCapacityBytes bounds each worker's storage area (0 = unlimited);
 	// exceeding it fails the run, reproducing the feasibility constraints.
 	LocalCapacityBytes int64
-	// ExchangeGroupSize, when non-zero, uses the hierarchical two-level
-	// exchange (Section V-F) with groups of that many workers; it must
-	// divide Workers.
-	ExchangeGroupSize int
 	// WireDedup enables the exchange deduplication protocol (DESIGN.md §13):
 	// each directed rank pair maintains mirrored bounded caches of the
 	// samples that crossed it, and a sample the sender can prove the
@@ -568,22 +564,16 @@ type worker struct {
 	pfs       *store.PFS
 
 	// Corgi2 state: the ingested dataset (opened from Config.DataDir), the
-	// node-local cache tier over it, the epoch's open sample stream, the current epoch group's shard
-	// assignment and the read plan last derived from it (corgiRead, for
-	// epoch corgiReadAt). corgiWindow is the online-shuffle mixing radius
-	// in shards (sized so two windows fit the cache budget: one pinned, one
-	// prefetching); pfsAccounted snapshots the tier's cumulative PFS bytes
-	// so each epoch records only its own delta.
-	shards        *shard.Dataset
-	tier          *cache.Tier
-	stream        *cache.EpochStream
-	assigned      []int
-	assignedGroup int
-	corgiRead     shuffle.Corgi2Plan
-	corgiReadAt   int
-	corgiWindow   int
-	corgiMinLocal int
-	pfsAccounted  int64
+	// node-local cache tier over it, and the epoch's open sample stream.
+	// corgiWindow is the online-shuffle mixing radius in shards (sized so two
+	// windows fit the cache budget: one pinned, one prefetching);
+	// pfsAccounted snapshots the tier's cumulative PFS bytes so each epoch
+	// records only its own delta.
+	shards       *shard.Dataset
+	tier         *cache.Tier
+	stream       *cache.EpochStream
+	corgiWindow  int
+	pfsAccounted int64
 
 	xBuf *tensor.Matrix
 	yBuf []int
@@ -680,18 +670,17 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 		nn.CopyWeights(model.Params(), cfg.WarmStart)
 	}
 	w := &worker{
-		cfg:           cfg,
-		sched:         sched,
-		comm:          c,
-		model:         model,
-		params:        model.Params(),
-		pfs:           pfs,
-		shards:        shards,
-		exchEpoch:     -1,
-		assignedGroup: -1,
-		joinedEpoch:   -1,
-		arena:         arena.New(0),
-		cm:            telemetry.NewControllerMetrics(append(analysis.QReasons(), ReasonSchedule)),
+		cfg:         cfg,
+		sched:       sched,
+		comm:        c,
+		model:       model,
+		params:      model.Params(),
+		pfs:         pfs,
+		shards:      shards,
+		exchEpoch:   -1,
+		joinedEpoch: -1,
+		arena:       arena.New(0),
+		cm:          telemetry.NewControllerMetrics(append(analysis.QReasons(), ReasonSchedule)),
 	}
 	w.model.SetArena(w.arena)
 	w.loss.SetArena(w.arena)
@@ -753,11 +742,6 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 			w.exchanger, err = shuffle.NewScheduler(c, w.local, cfg.Strategy.Q, len(cfg.Dataset.Train), cfg.Seed)
 			if err != nil {
 				return nil, err
-			}
-			if cfg.ExchangeGroupSize > 0 {
-				if err := w.exchanger.UseHierarchical(cfg.ExchangeGroupSize); err != nil {
-					return nil, err
-				}
 			}
 			if cfg.OnPeerFail == "degrade" {
 				w.exchanger.SetDegradeOnPeerFailure(true)

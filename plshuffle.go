@@ -369,12 +369,6 @@ func PlanExchange(rank, size int, localIDs []int, q float64, totalN int, seed ui
 	return shuffle.PlanExchange(rank, size, localIDs, q, totalN, seed, epoch)
 }
 
-// PlanExchangeHierarchical computes the two-level (node-aware) exchange
-// plan of the Section V-F extension; groupSize must divide size.
-func PlanExchangeHierarchical(rank, size, groupSize int, localIDs []int, q float64, totalN int, seed uint64, epoch int) (ExchangePlan, error) {
-	return shuffle.PlanExchangeHierarchical(rank, size, groupSize, localIDs, q, totalN, seed, epoch)
-}
-
 // WeightedOrder orders ids by importance-weighted random ranking
 // (Gumbel-top-k), the Section IV-B importance-sampling extension.
 func WeightedOrder(ids []int, weights map[int]float64, seed uint64, epoch, rank int) []int {
