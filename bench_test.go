@@ -11,10 +11,13 @@ import (
 	"strconv"
 	"testing"
 
-	"plshuffle"
+	"plshuffle/internal/data"
 	"plshuffle/internal/experiments"
 	"plshuffle/internal/mpi"
+	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
+	"plshuffle/internal/store"
+	"plshuffle/internal/train"
 )
 
 // runExperiment executes one registered experiment per benchmark iteration
@@ -272,7 +275,7 @@ func BenchmarkAblationOverlapBulk(b *testing.B)    { benchOverlap(b, 0) }
 
 func benchOverlap(b *testing.B, chunk int) {
 	const n, m, q = 4096, 8, 0.3
-	ds, err := plshuffle.GenerateDataset(plshuffle.DatasetSpec{
+	ds, err := data.Generate(data.SyntheticSpec{
 		Name: "ablation", NumSamples: n, NumVal: 0, Classes: 4,
 		FeatureDim: 8, ClassSep: 3, NoiseStd: 1, Bytes: 1000, Seed: 9,
 	})
@@ -286,7 +289,7 @@ func benchOverlap(b *testing.B, chunk int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := mpi.Run(m, func(c *mpi.Comm) error {
-			st := plshuffle.NewLocalStore(0)
+			st := store.NewLocal(0)
 			for _, id := range parts[c.Rank()] {
 				if err := st.Put(ds.Train[id]); err != nil {
 					return err
@@ -321,7 +324,7 @@ func benchOverlap(b *testing.B, chunk int) {
 // class-local shards, the LS-vs-GS gap with batch normalization is larger
 // than without it.
 func BenchmarkAblationBatchNorm(b *testing.B) {
-	ds, err := plshuffle.GenerateDataset(plshuffle.DatasetSpec{
+	ds, err := data.Generate(data.SyntheticSpec{
 		Name: "bn-ablation", NumSamples: 1024, NumVal: 512, Classes: 16,
 		FeatureDim: 16, ClassSep: 4, NoiseStd: 1.2, Bytes: 100, Seed: 3,
 	})
@@ -329,10 +332,10 @@ func BenchmarkAblationBatchNorm(b *testing.B) {
 		b.Fatal(err)
 	}
 	gap := func(batchNorm bool) float64 {
-		spec := plshuffle.ModelSpec{Name: "abl", Hidden: []int{32, 32}, BatchNorm: batchNorm}.
+		spec := nn.ModelSpec{Name: "abl", Hidden: []int{32, 32}, BatchNorm: batchNorm}.
 			WithData(ds.FeatureDim, ds.Classes)
-		run := func(s plshuffle.Strategy) float64 {
-			res, err := plshuffle.Train(plshuffle.TrainConfig{
+		run := func(s shuffle.Strategy) float64 {
+			res, err := train.Run(train.Config{
 				Workers: 16, Strategy: s, Dataset: ds, Model: spec,
 				Epochs: 12, BatchSize: 8, BaseLR: 0.1, Momentum: 0.9,
 				WeightDecay: 1e-4, Seed: 5, PartitionLocality: 1.0,
@@ -342,7 +345,7 @@ func BenchmarkAblationBatchNorm(b *testing.B) {
 			}
 			return res.FinalValAcc
 		}
-		return run(plshuffle.Global()) - run(plshuffle.Local())
+		return run(shuffle.GlobalShuffling()) - run(shuffle.LocalShuffling())
 	}
 	var withBN, withoutBN float64
 	for i := 0; i < b.N; i++ {
@@ -360,11 +363,11 @@ func BenchmarkAblationBatchNorm(b *testing.B) {
 // the LS accuracy at each setting — the calibration curve behind the
 // accuracy figures.
 func BenchmarkAblationLocality(b *testing.B) {
-	ds, err := plshuffle.ProxyDataset("imagenet-50")
+	ds, err := data.LoadProxy("imagenet-50")
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec, err := plshuffle.ProxyModel("resnet50")
+	spec, err := nn.ProxySpec("resnet50")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -372,8 +375,8 @@ func BenchmarkAblationLocality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prev := 2.0
 		for _, loc := range []float64{0, 0.5, 1.0} {
-			res, err := plshuffle.Train(plshuffle.TrainConfig{
-				Workers: 32, Strategy: plshuffle.Local(), Dataset: ds, Model: model,
+			res, err := train.Run(train.Config{
+				Workers: 32, Strategy: shuffle.LocalShuffling(), Dataset: ds, Model: model,
 				Epochs: 8, BatchSize: 16, BaseLR: 0.05, Momentum: 0.9,
 				WeightDecay: 1e-4, Seed: 2022, PartitionLocality: loc,
 			})

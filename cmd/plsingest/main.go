@@ -18,7 +18,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"plshuffle"
+	"plshuffle/internal/data"
+	"plshuffle/internal/store/shard"
 )
 
 func main() {
@@ -35,12 +36,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "plsingest: %s already holds an ingested dataset; refusing to overwrite (remove the directory first)\n", *out)
 		os.Exit(1)
 	}
-	ds, err := plshuffle.ProxyDataset(*dataset)
+	ds, err := data.LoadProxy(*dataset)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	man, err := plshuffle.IngestDataset(*out, ds, *perShard)
+	man, err := shard.Ingest(*out, ds, *perShard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

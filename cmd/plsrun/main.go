@@ -25,8 +25,12 @@ import (
 	"strconv"
 	"time"
 
-	"plshuffle"
+	"plshuffle/internal/data"
 	"plshuffle/internal/distrun"
+	"plshuffle/internal/nn"
+	"plshuffle/internal/telemetry"
+	"plshuffle/internal/trace"
+	"plshuffle/internal/train"
 )
 
 func main() {
@@ -42,8 +46,8 @@ func main() {
 	flag.Parse()
 
 	if *listDatasets {
-		for _, k := range plshuffle.PaperDatasets() {
-			info, _ := plshuffle.PaperDatasetInfo(k)
+		for _, k := range data.DatasetKeys() {
+			info, _ := data.Info(k)
 			fmt.Printf("%-14s %s (%d samples)\n", k, info.Name, info.RealN)
 		}
 		return
@@ -60,6 +64,29 @@ func main() {
 		return
 	}
 
+	// A flag that applies to one kind of world only stops a run of the other
+	// kind instead of being silently ignored. Goroutine workers share one
+	// process: there is no wire to compress, no peer process to lose and no
+	// rank slot to join. A launched world has -launch ranks, not -workers,
+	// and its rank 0 trains inside distrun, which writes no weights file.
+	flag.Visit(func(f *flag.Flag) {
+		only := ""
+		switch f.Name {
+		case "wire-compress", "on-peer-fail", "max-world":
+			if *launch <= 0 {
+				only = "multi-process worlds only (add -launch N)"
+			}
+		case "workers", "save-weights":
+			if *launch > 0 {
+				only = "in-process worlds only (drop -launch)"
+			}
+		}
+		if only != "" {
+			fmt.Fprintf(os.Stderr, "plsrun: -%s applies to %s\n", f.Name, only)
+			os.Exit(2)
+		}
+	})
+
 	if *launch > 0 {
 		if err := runLaunched(*launch, opts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -67,17 +94,6 @@ func main() {
 		}
 		return
 	}
-
-	// Goroutine workers share one process: there is no wire to compress, no
-	// peer process to lose and no rank slot to join. Say so instead of
-	// silently ignoring the request.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "wire-compress", "on-peer-fail", "max-world":
-			fmt.Fprintf(os.Stderr, "plsrun: -%s applies to multi-process worlds only (add -launch N)\n", f.Name)
-			os.Exit(2)
-		}
-	})
 	runInproc(*workers, opts, *saveWeights)
 }
 
@@ -181,9 +197,9 @@ func runInproc(workers int, opts distrun.Options, saveWeights string) {
 	// a single server on the base address exposes the whole "world" — every
 	// per-rank series is distinguished by its {rank=...} label.
 	if opts.TelemetryAddr != "" {
-		cfg.Telemetry = plshuffle.NewTelemetryRegistry()
-		cfg.Trace = plshuffle.NewTraceRecorder()
-		srv, err := plshuffle.NewTelemetryServer(plshuffle.TelemetryServerConfig{
+		cfg.Telemetry = telemetry.NewRegistry()
+		cfg.Trace = trace.NewRecorder()
+		srv, err := telemetry.NewServer(telemetry.ServerConfig{
 			Addr:     opts.TelemetryAddr,
 			Registry: cfg.Telemetry,
 			Trace:    cfg.Trace,
@@ -197,12 +213,12 @@ func runInproc(workers int, opts distrun.Options, saveWeights string) {
 	}
 
 	type trained struct {
-		res *plshuffle.TrainResult
+		res *train.Result
 		err error
 	}
 	done := make(chan trained, 1)
 	go func() {
-		res, err := plshuffle.Train(cfg)
+		res, err := train.Run(cfg)
 		done <- trained{res, err}
 	}()
 	var t trained
@@ -245,7 +261,7 @@ func runInproc(workers int, opts distrun.Options, saveWeights string) {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := plshuffle.SaveWeights(f, res.FinalModel); err != nil {
+		if err := nn.SaveWeights(f, res.FinalModel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

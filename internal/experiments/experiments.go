@@ -1,6 +1,6 @@
 // Package experiments defines one runnable configuration per table and
 // figure of the paper's evaluation (Section V), shared by the experiments
-// CLI, the examples, and the root-level benchmark harness. Accuracy
+// CLI and the root-level benchmark harness. Accuracy
 // figures run real distributed SGD on the scaled-down proxies;
 // performance figures evaluate the calibrated analytic model at the
 // paper's scales (see DESIGN.md §2 and §4 for the substitution rationale

@@ -44,7 +44,7 @@ type BucketPlan struct {
 // per-bucket byte cap (0 = DefaultGradBucketBytes). A single layer whose
 // parameters exceed the cap gets a bucket of its own — buckets never split
 // a parameter tensor, which is what keeps per-tensor optimizer state
-// (LARS/LAMB trust ratios) and the flat layout aligned.
+// (LARS trust ratios) and the flat layout aligned.
 func NewBucketPlan(model *Sequential, capBytes int) *BucketPlan {
 	if capBytes <= 0 {
 		capBytes = DefaultGradBucketBytes

@@ -722,51 +722,3 @@ func BenchmarkForwardBackward(b *testing.B) {
 		model.Backward(ce.Backward())
 	}
 }
-
-func TestLAMBConvergesOnQuadratic(t *testing.T) {
-	w := []float32{10}
-	g := []float32{0}
-	p := []Param{{Name: "linear.W", W: w, G: g}}
-	opt := NewLAMB(0)
-	for i := 0; i < 400; i++ {
-		g[0] = 2 * (w[0] - 3)
-		opt.Step(p, 0.05)
-	}
-	if math.Abs(float64(w[0])-3) > 0.2 {
-		t.Fatalf("LAMB converged to %v, want ~3", w[0])
-	}
-}
-
-func TestLAMBTrainsModel(t *testing.T) {
-	r := rng.New(61)
-	const n, dim, classes = 256, 8, 4
-	x := tensor.New(n, dim)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := i % classes
-		labels[i] = c
-		for j := 0; j < dim; j++ {
-			v := r.NormFloat32() * 0.3
-			if j == c {
-				v += 2
-			}
-			x.Set(i, j, v)
-		}
-	}
-	spec := ModelSpec{Name: "lamb", InputDim: dim, Hidden: []int{32}, Classes: classes, BatchNorm: true}
-	model, err := spec.Build(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := NewLAMB(1e-4)
-	var ce SoftmaxCrossEntropy
-	for epoch := 0; epoch < 40; epoch++ {
-		logits := model.Forward(x, true)
-		ce.Forward(logits, labels)
-		model.Backward(ce.Backward())
-		opt.Step(model.Params(), 0.01)
-	}
-	if acc := Accuracy(model.Forward(x, false), labels); acc < 0.9 {
-		t.Fatalf("LAMB training accuracy %v", acc)
-	}
-}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"plshuffle/internal/tensor"
 )
@@ -27,7 +26,6 @@ type Optimizer interface {
 type SGD struct {
 	Momentum    float32
 	WeightDecay float32
-	Nesterov    bool
 	velocity    [][]float32
 }
 
@@ -52,93 +50,8 @@ func (o *SGD) StepPartial(params []Param, lo, hi int, lr float32) {
 	}
 	mom, wd := o.Momentum, o.WeightDecay
 	for i := lo; i < hi; i++ {
-		// Same length for all three, stated once, so the Nesterov loop runs
-		// without a bounds check per element; the plain arm is the tensor
-		// kernel every workload runs.
 		w := params[i].W
-		grad, v := params[i].G[:len(w)], o.velocity[i][:len(w)]
-		if o.Nesterov {
-			for j := range w {
-				g := grad[j] + wd*w[j]
-				v[j] = mom*v[j] + g
-				w[j] -= lr * (g + mom*v[j])
-			}
-			continue
-		}
-		tensor.SGDMomentumStep(w, grad, v, lr, mom, wd)
-	}
-}
-
-// LAMB implements layer-wise adaptive moments (You et al., ICLR 2020),
-// the successor to LARS for very-large-batch training: Adam-style first
-// and second moment estimates, with each tensor's update rescaled by the
-// trust ratio ||w|| / ||update||. Included because the paper's large-batch
-// regimes (Fig 6's 65,536 global batch) are exactly LAMB's target setting.
-type LAMB struct {
-	Beta1, Beta2 float32
-	Eps          float32
-	WeightDecay  float32
-	m, v         [][]float32
-	update       []float32 // per-step workspace, reused across tensors
-	step         int
-	// covered counts parameters stepped in the current logical iteration;
-	// the step counter (bias correction) advances exactly once per full
-	// tiling, so partial (per-bucket) stepping matches a single full Step
-	// bit for bit.
-	covered int
-}
-
-// NewLAMB creates a LAMB optimizer with the standard moment coefficients.
-func NewLAMB(weightDecay float32) *LAMB {
-	return &LAMB{Beta1: 0.9, Beta2: 0.999, Eps: 1e-6, WeightDecay: weightDecay}
-}
-
-// Step applies one LAMB update.
-func (o *LAMB) Step(params []Param, lr float32) { o.StepPartial(params, 0, len(params), lr) }
-
-// StepPartial applies the LAMB update to params[lo:hi]; see Optimizer. The
-// bias-correction step counter advances on the first partial call of each
-// iteration and the tiling is tracked by parameter count, so every bucket
-// of one iteration shares the same correction factors.
-func (o *LAMB) StepPartial(params []Param, lo, hi int, lr float32) {
-	if o.m == nil {
-		o.m = make([][]float32, len(params))
-		o.v = make([][]float32, len(params))
-		for i, p := range params {
-			o.m[i] = make([]float32, len(p.W))
-			o.v[i] = make([]float32, len(p.W))
-		}
-	}
-	if o.covered == 0 {
-		o.step++
-	}
-	o.covered += hi - lo
-	if o.covered >= len(params) {
-		o.covered = 0
-	}
-	bc1 := 1 - float32(math.Pow(float64(o.Beta1), float64(o.step)))
-	bc2 := 1 - float32(math.Pow(float64(o.Beta2), float64(o.step)))
-	for i := lo; i < hi; i++ {
-		p := params[i]
-		m, v := o.m[i], o.v[i]
-		o.update = ensureVec(o.update, len(p.W))
-		update := o.update
-		for j, g := range p.G {
-			m[j] = o.Beta1*m[j] + (1-o.Beta1)*g
-			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
-			mHat := m[j] / bc1
-			vHat := v[j] / bc2
-			update[j] = mHat/(float32(math.Sqrt(float64(vHat)))+o.Eps) + o.WeightDecay*p.W[j]
-		}
-		wNorm := tensor.Norm2Slice(p.W)
-		uNorm := tensor.Norm2Slice(update)
-		trust := float32(1)
-		if wNorm > 0 && uNorm > 0 {
-			trust = float32(wNorm / uNorm)
-		}
-		for j := range p.W {
-			p.W[j] -= lr * trust * update[j]
-		}
+		tensor.SGDMomentumStep(w, params[i].G[:len(w)], o.velocity[i][:len(w)], lr, mom, wd)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -67,10 +68,10 @@ var optimizerMagic = [5]byte{'P', 'L', 'S', 'O', 1}
 
 // Optimizer kind bytes. The kind is stored so a resume with mismatched
 // flags (-lars on one side only) fails loudly instead of silently training
-// with fresh moments.
+// with fresh moments. Kind 2 is retired, never to be reused: it is the
+// LAMB optimizer's, whose snapshots every remaining kind refuses.
 const (
 	optKindSGD  = 1
-	optKindLAMB = 2
 	optKindLARS = 3
 )
 
@@ -88,20 +89,6 @@ func SaveOptimizerState(w io.Writer, o Optimizer) error {
 		err = writeByte(w, optKindSGD)
 		if err == nil {
 			err = writeSlices(w, o.velocity)
-		}
-	case *LAMB:
-		err = writeByte(w, optKindLAMB)
-		if err == nil {
-			err = writeSlices(w, o.m)
-		}
-		if err == nil {
-			err = writeSlices(w, o.v)
-		}
-		if err == nil {
-			err = binary.Write(w, binary.LittleEndian, int64(o.step))
-		}
-		if err == nil {
-			err = binary.Write(w, binary.LittleEndian, int64(o.covered))
 		}
 	case *LARS:
 		err = writeByte(w, optKindLARS)
@@ -140,24 +127,6 @@ func LoadOptimizerState(r io.Reader, o Optimizer) error {
 			return fmt.Errorf("nn: LoadOptimizerState: snapshot kind %d, optimizer is SGD", kind)
 		}
 		o.velocity, err = readSlices(r)
-	case *LAMB:
-		if kind != optKindLAMB {
-			return fmt.Errorf("nn: LoadOptimizerState: snapshot kind %d, optimizer is LAMB", kind)
-		}
-		o.m, err = readSlices(r)
-		if err == nil {
-			o.v, err = readSlices(r)
-		}
-		if err == nil {
-			var step, covered int64
-			if err = binary.Read(r, binary.LittleEndian, &step); err == nil {
-				err = binary.Read(r, binary.LittleEndian, &covered)
-			}
-			o.step, o.covered = int(step), int(covered)
-		}
-		if err == nil && (o.m == nil) != (o.v == nil) {
-			err = fmt.Errorf("half-initialized LAMB moments (corrupt snapshot)")
-		}
 	case *LARS:
 		if kind != optKindLARS {
 			return fmt.Errorf("nn: LoadOptimizerState: snapshot kind %d, optimizer is LARS", kind)
@@ -180,8 +149,22 @@ func LoadOptimizerState(r io.Reader, o Optimizer) error {
 
 // stateLimit bounds per-field element counts when decoding attacker-shaped
 // bytes, mirroring the wire codec's discipline: a corrupt length prefix
-// must fail, not allocate gigabytes.
+// must fail, not allocate gigabytes. Below the limit the decoder still
+// allocates only for bytes that arrive (readFull), so a plausible prefix on
+// a short input fails at EOF without reserving what it promised.
 const stateLimit = 1 << 28
+
+// readFull reads exactly n bytes into a buffer that grows with the input.
+func readFull(r io.Reader, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 func writeByte(w io.Writer, b byte) error {
 	_, err := w.Write([]byte{b})
@@ -237,8 +220,8 @@ func readSlices(r io.Reader) ([][]float32, error) {
 	if count > stateLimit {
 		return nil, fmt.Errorf("implausible slice count %d", count)
 	}
-	out := make([][]float32, count)
-	for i := range out {
+	out := make([][]float32, 0, min(count, 1024))
+	for range count {
 		var n uint32
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, err
@@ -246,15 +229,15 @@ func readSlices(r io.Reader) ([][]float32, error) {
 		if n > stateLimit {
 			return nil, fmt.Errorf("implausible slice length %d", n)
 		}
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := readFull(r, 4*int64(n))
+		if err != nil {
 			return nil, err
 		}
 		v := make([]float32, n)
 		for j := range v {
 			v[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
 		}
-		out[i] = v
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -294,8 +277,8 @@ func readBools(r io.Reader) ([]bool, error) {
 	if count > stateLimit {
 		return nil, fmt.Errorf("implausible bool count %d", count)
 	}
-	buf := make([]byte, count)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readFull(r, int64(count))
+	if err != nil {
 		return nil, err
 	}
 	out := make([]bool, count)

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
 
 	"plshuffle/internal/rng"
@@ -16,7 +19,6 @@ var stateSpec = ModelSpec{Name: "state", InputDim: 8, Hidden: []int{16, 8}, Clas
 func stateOptimizers() map[string]func() Optimizer {
 	return map[string]func() Optimizer{
 		"sgd":  func() Optimizer { return NewSGD(0.9, 1e-4) },
-		"lamb": func() Optimizer { return NewLAMB(1e-4) },
 		"lars": func() Optimizer { return NewLARS(0.9, 1e-4, 0.01) },
 	}
 }
@@ -129,10 +131,6 @@ func TestOptimizerStateLazyNil(t *testing.T) {
 				if o.velocity != nil {
 					t.Fatal("nil velocity materialized through the round trip")
 				}
-			case *LAMB:
-				if o.m != nil || o.v != nil || o.step != 0 {
-					t.Fatal("nil moments materialized through the round trip")
-				}
 			case *LARS:
 				if o.velocity != nil || o.is1D != nil {
 					t.Fatal("nil velocity materialized through the round trip")
@@ -147,11 +145,40 @@ func TestOptimizerStateKindMismatch(t *testing.T) {
 	if err := SaveOptimizerState(&buf, NewSGD(0.9, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadOptimizerState(bytes.NewReader(buf.Bytes()), NewLAMB(0)); err == nil {
-		t.Fatal("SGD snapshot accepted by a LAMB optimizer")
+	if err := LoadOptimizerState(bytes.NewReader(buf.Bytes()), NewLARS(0.9, 0, 0.01)); err == nil {
+		t.Fatal("SGD snapshot accepted by a LARS optimizer")
 	}
 	if err := LoadOptimizerState(bytes.NewReader([]byte("garbage....")), NewSGD(0.9, 0)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// lambSnapshot is a well-formed snapshot of the removed LAMB optimizer:
+// kind byte 2, then its layout — first and second moments as two slice
+// sets, the bias-correction step and the tiling counter as int64s.
+func lambSnapshot() []byte {
+	var buf bytes.Buffer
+	buf.Write(optimizerMagic[:])
+	buf.WriteByte(2)
+	moments := [][]float32{{0.5, -0.25}, {1}}
+	for range 2 {
+		if err := writeSlices(&buf, moments); err != nil {
+			panic(err)
+		}
+	}
+	binary.Write(&buf, binary.LittleEndian, [2]int64{7, 0})
+	return buf.Bytes()
+}
+
+// TestOptimizerStateRefusesLAMBSnapshot keeps the kind check covered now
+// that no optimizer writes kind 2: a LAMB snapshot is refused by every
+// optimizer that remains, and the error names the kind it found.
+func TestOptimizerStateRefusesLAMBSnapshot(t *testing.T) {
+	for name, mk := range stateOptimizers() {
+		err := LoadOptimizerState(bytes.NewReader(lambSnapshot()), mk())
+		if err == nil || !strings.Contains(err.Error(), "kind 2") {
+			t.Errorf("%s: loading a LAMB snapshot: err = %v, want a refusal naming kind 2", name, err)
+		}
 	}
 }
 
@@ -170,6 +197,44 @@ func TestSetRNGStatesCountMismatch(t *testing.T) {
 	}
 	if err := SetRNGStates(plain, states); err == nil {
 		t.Fatal("surplus RNG states accepted for a dropout-free model")
+	}
+}
+
+// TestOptimizerStateShortInputAllocatesLittle pins the decoder's memory to
+// the bytes it is given: counts just under stateLimit followed by nothing
+// must fail at EOF without reserving what they promised.
+func TestOptimizerStateShortInputAllocatesLittle(t *testing.T) {
+	// blob is a snapshot header followed by fields: a uint8 presence byte or
+	// a uint32 count.
+	blob := func(kind byte, fields ...any) []byte {
+		var buf bytes.Buffer
+		buf.Write(optimizerMagic[:])
+		buf.WriteByte(kind)
+		for _, f := range fields {
+			binary.Write(&buf, binary.LittleEndian, f)
+		}
+		return buf.Bytes()
+	}
+	const present, absent, most = uint8(1), uint8(0), uint32(stateLimit)
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		opt  Optimizer
+	}{
+		{"slice count", blob(optKindSGD, present, most), NewSGD(0.9, 0)},
+		{"slice length", blob(optKindSGD, present, uint32(1), most), NewSGD(0.9, 0)},
+		{"bool count", blob(optKindLARS, absent, present, most), NewLARS(0.9, 0, 0.01)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := LoadOptimizerState(bytes.NewReader(tc.blob), tc.opt)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: truncated snapshot accepted", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d", tc.name, len(tc.blob), grew)
+		}
 	}
 }
 
@@ -194,6 +259,9 @@ func FuzzOptimizerState(f *testing.F) {
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
 	f.Add([]byte("PLSO\x01\x02\x01\xff\xff\xff\xff"))
+	lamb := lambSnapshot()
+	f.Add(lamb)
+	f.Add(lamb[:len(lamb)/2])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, mk := range stateOptimizers() {
 			_ = LoadOptimizerState(bytes.NewReader(b), mk())

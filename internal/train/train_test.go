@@ -175,20 +175,6 @@ func TestPeakStorageBound(t *testing.T) {
 	}
 }
 
-func TestCapacityFailureSurfaces(t *testing.T) {
-	ds := testDataset(t, 256, 4)
-	cfg := baseConfig(t, ds, 4, shuffle.Partial(0.5))
-	cfg.LocalCapacityBytes = 64_000 // exactly N/M: no headroom for the exchange
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("capacity-starved PLS run succeeded")
-	}
-	// LS fits exactly.
-	cfg.Strategy = shuffle.LocalShuffling()
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("LS with exact capacity failed: %v", err)
-	}
-}
-
 func TestWarmStartUsesGivenWeights(t *testing.T) {
 	ds := testDataset(t, 256, 4)
 	cfg := baseConfig(t, ds, 4, shuffle.GlobalShuffling())

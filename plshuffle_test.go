@@ -30,96 +30,3 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-func TestPublicAPIPaperRegistry(t *testing.T) {
-	keys := plshuffle.PaperDatasets()
-	if len(keys) != 6 {
-		t.Fatalf("PaperDatasets lists %d entries", len(keys))
-	}
-	for _, k := range keys {
-		info, err := plshuffle.PaperDatasetInfo(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.RealN == 0 {
-			t.Errorf("%s: missing real metadata", k)
-		}
-	}
-	ds, err := plshuffle.ProxyDataset("cifar-100")
-	if err != nil || len(ds.Train) == 0 {
-		t.Fatalf("ProxyDataset: %v", err)
-	}
-	if _, err := plshuffle.ProxyModel("resnet50"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicAPIPerfModel(t *testing.T) {
-	prof, err := plshuffle.PerfProfile("resnet50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := plshuffle.Workload{N: 1_281_167, BytesPerSample: 117 << 10, LocalBatch: 32, Model: prof}
-	gs, err := plshuffle.EpochTime(plshuffle.ABCI(), w, 128, plshuffle.Global())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := plshuffle.EpochTime(plshuffle.ABCI(), w, 128, plshuffle.Local())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.Total() <= ls.Total() {
-		t.Fatal("global should be slower than local at 128 workers")
-	}
-	if plshuffle.PFSLowerBound(plshuffle.ABCI(), 8<<40) <= 0 {
-		t.Fatal("PFS lower bound not positive")
-	}
-	if plshuffle.FitsLocalStorage(plshuffle.Fugaku(), w, 128, plshuffle.Global()) {
-		t.Fatal("ImageNet replication should not fit Fugaku")
-	}
-}
-
-func TestPublicAPIAnalysis(t *testing.T) {
-	eps, err := plshuffle.ShufflingError(1_200_000, 512, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eps < 0.999 {
-		t.Fatalf("epsilon = %v", eps)
-	}
-	if thr := plshuffle.DominationThreshold(1_200_000, 512, 32); thr <= 0 || thr >= 1 {
-		t.Fatalf("threshold = %v", thr)
-	}
-	terms, err := plshuffle.ConvergenceBound(1_200_000, 512, 32, 90, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if terms.Dominant() != "T3" {
-		t.Fatalf("dominant = %s", terms.Dominant())
-	}
-	if _, err := plshuffle.ShufflingErrorPaper(1_200_000, 512, 0.1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicAPIBuildingBlocks(t *testing.T) {
-	parts, err := plshuffle.Partition(100, 4, 7)
-	if err != nil || len(parts) != 4 {
-		t.Fatalf("Partition: %v", err)
-	}
-	st := plshuffle.NewLocalStore(0)
-	if err := st.Put(plshuffle.Sample{ID: 1, Features: []float32{1}, Bytes: 10}); err != nil {
-		t.Fatal(err)
-	}
-	err = plshuffle.RunWorkers(2, func(c *plshuffle.Comm) error {
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := plshuffle.NewWorld(3)
-	if w.Size() != 3 {
-		t.Fatal("NewWorld size")
-	}
-}
