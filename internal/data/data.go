@@ -24,10 +24,12 @@ import (
 // and the performance model (e.g. ~117 KiB for an ImageNet JPEG, ~70 MiB
 // for a DeepCAM HDF5 sample).
 //
-// A decoded sample's Features are never written after decode: the exchange
-// hands one decoded sample to both the local store and the dedup segment
-// (DESIGN.md §13.2), which share its feature array. Code that needs to
-// change features works on a Clone.
+// A sample's Features are never written while anything holds the sample:
+// the exchange hands one decoded sample to both the local store and the
+// dedup segment (DESIGN.md §13.2), which share its feature array, and
+// rewrites an array (the next decode into it, FeatureSource) only after the
+// store and every segment have let it go. Code that needs to change
+// features works on a Clone.
 type Sample struct {
 	ID       int
 	Label    int
@@ -68,9 +70,37 @@ func (s Sample) Encode() []byte {
 	return s.AppendEncode(make([]byte, 0, s.WireSize()))
 }
 
-// decodeSampleAt parses one encoded sample starting at buf[off] and returns
-// it together with the offset just past its encoding.
-func decodeSampleAt(buf []byte, off int) (Sample, int, error) {
+// FeatureSource is where the batch decoders take the feature arrays they
+// fill: arrays handed back with Recycle first, fresh ones once it runs dry.
+// The exchange scheduler keeps one and recycles the arrays of samples it
+// sent away, so a received sample lands in memory that already exists. A
+// recycled array is overwritten by the next decode that takes it: Recycle
+// only an array nothing else can still read (DESIGN.md §13.2). The nil
+// *FeatureSource allocates every array. Not safe for concurrent use.
+type FeatureSource struct {
+	free [][]float32
+}
+
+// Recycle hands f to a later decode.
+func (fs *FeatureSource) Recycle(f []float32) { fs.free = append(fs.free, f) }
+
+// take returns an array of length n for a decoder that fills all of it.
+func (fs *FeatureSource) take(n int) []float32 {
+	if fs != nil {
+		if k := len(fs.free) - 1; k >= 0 && cap(fs.free[k]) >= n {
+			f := fs.free[k][:n]
+			fs.free[k] = nil
+			fs.free = fs.free[:k]
+			return f
+		}
+	}
+	return make([]float32, n)
+}
+
+// decodeSampleAt parses one encoded sample starting at buf[off], its
+// features into an array from fs, and returns it together with the offset
+// just past its encoding.
+func (fs *FeatureSource) decodeSampleAt(buf []byte, off int) (Sample, int, error) {
 	if len(buf)-off < sampleHeaderLen {
 		return Sample{}, 0, fmt.Errorf("data: DecodeSample: buffer too short (%d bytes)", len(buf)-off)
 	}
@@ -86,14 +116,14 @@ func decodeSampleAt(buf []byte, off int) (Sample, int, error) {
 	if n < 0 || n > (len(buf)-off)/4 {
 		return Sample{}, 0, fmt.Errorf("data: DecodeSample: %d features exceed %d remaining bytes", n, len(buf)-off)
 	}
-	s.Features = make([]float32, n)
+	s.Features = fs.take(n)
 	readFeatures(s.Features, buf[off:])
 	return s, off + 4*n, nil
 }
 
 // DecodeSample parses the wire format produced by Encode.
 func DecodeSample(buf []byte) (Sample, error) {
-	s, off, err := decodeSampleAt(buf, 0)
+	s, off, err := (*FeatureSource)(nil).decodeSampleAt(buf, 0)
 	if err != nil {
 		return Sample{}, err
 	}
@@ -151,6 +181,12 @@ func DecodeSampleBatch(buf []byte) ([]Sample, error) {
 // slice's capacity across epochs this way. Any error leaves dst unchanged
 // in the returned value's prefix but the appended tail must be discarded.
 func DecodeSampleBatchInto(dst []Sample, buf []byte) ([]Sample, error) {
+	return (*FeatureSource)(nil).DecodeSampleBatchInto(dst, buf)
+}
+
+// DecodeSampleBatchInto is the package's DecodeSampleBatchInto with every
+// feature array taken from fs.
+func (fs *FeatureSource) DecodeSampleBatchInto(dst []Sample, buf []byte) ([]Sample, error) {
 	if len(buf) < 4 {
 		return dst, fmt.Errorf("data: DecodeSampleBatch: buffer too short (%d bytes)", len(buf))
 	}
@@ -158,7 +194,7 @@ func DecodeSampleBatchInto(dst []Sample, buf []byte) ([]Sample, error) {
 	if count&batchV2Flag != 0 {
 		// Compact (v2) batch — see encoding.go. The legacy encoder bounds
 		// counts at maxBatchCount, so bit 31 unambiguously marks v2.
-		return decodeSampleBatchV2(dst, buf)
+		return fs.decodeSampleBatchV2(dst, buf)
 	}
 	if count > maxBatchCount {
 		return dst, fmt.Errorf("data: DecodeSampleBatch: count %d out of range", count)
@@ -168,7 +204,7 @@ func DecodeSampleBatchInto(dst []Sample, buf []byte) ([]Sample, error) {
 	}
 	off := 4
 	for i := uint32(0); i < count; i++ {
-		s, next, err := decodeSampleAt(buf, off)
+		s, next, err := fs.decodeSampleAt(buf, off)
 		if err != nil {
 			return dst, fmt.Errorf("data: DecodeSampleBatch: sample %d: %w", i, err)
 		}

@@ -181,8 +181,9 @@ func readUvarint(buf []byte, off int) (uint64, int, error) {
 }
 
 // decodeSampleBatchV2 parses a v2 batch (count word bit 31 set), enforcing
-// canonical form. Dispatch lives in DecodeSampleBatchInto.
-func decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
+// canonical form, with feature arrays from fs. Dispatch lives in
+// DecodeSampleBatchInto.
+func (fs *FeatureSource) decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
 	count := binary.LittleEndian.Uint32(buf) &^ batchV2Flag
 	if count > maxBatchCount {
 		return dst, fmt.Errorf("data: DecodeSampleBatch: v2 count %d out of range", count)
@@ -224,7 +225,7 @@ func decodeSampleBatchV2(dst []Sample, buf []byte) ([]Sample, error) {
 		if nfeat > uint64((len(buf)-off)/width) {
 			return dst, fmt.Errorf("data: DecodeSampleBatch: sample %d: %d features exceed %d remaining bytes", i, nfeat, len(buf)-off)
 		}
-		s.Features = make([]float32, nfeat)
+		s.Features = fs.take(int(nfeat))
 		if tag == entryFP16 {
 			tensor.WidenFP16(s.Features, buf[off:off+2*len(s.Features)])
 			off += 2 * len(s.Features)

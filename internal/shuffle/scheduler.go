@@ -55,6 +55,15 @@ type Scheduler struct {
 	refShip     transport.SampleRefs
 	sentScratch map[int]bool
 
+	// The receive side's memory (DESIGN.md §13.2): features is where decoded
+	// samples take their feature arrays, and decoded maps each stored sample
+	// this Scheduler decoded to its array's first element. CleanLocalStorage
+	// recycles a sent sample's array into features only when decoded names
+	// that very array, so an array of the caller's dataset, or one another
+	// Scheduler decoded, is never rewritten.
+	features data.FeatureSource
+	decoded  map[int]*float32
+
 	// Wire-lean exchange (DESIGN.md §13). encoding selects the sample batch
 	// wire format; dedupBudget > 0 enables the pairwise dedup protocol:
 	// sendMirror[r] mirrors (IDs and sizes only) the segment rank r keeps of
@@ -71,13 +80,13 @@ type Scheduler struct {
 	// Counted quantities, one scrape-safe field each (DESIGN.md §11): the
 	// owning goroutine is the only writer, and a telemetry scrape reads the
 	// same word from the HTTP goroutine. wireSent/wireRecv are the exact wire
-	// sizes (frame overhead included) of exchanged sample frames, excluding
-	// self-sends, which never touch a network — on a wire backend, the bytes
-	// the TCP transport moves for the exchange. They and the dedup counters
-	// are cumulative over the scheduler's life (pls_exchange_* counters never
-	// reset); base is their value when the current epoch was scheduled, so
-	// the per-epoch accessors are a subtraction, not a second set of
-	// counters. epoch is the most recently scheduled epoch.
+	// sizes (frame overhead included) of exchanged sample frames — self slots
+	// send none — on a wire backend, the bytes the TCP transport moves for
+	// the exchange. They and the dedup counters are cumulative over the
+	// scheduler's life (pls_exchange_* counters never reset); base is their
+	// value when the current epoch was scheduled, so the per-epoch accessors
+	// are a subtraction, not a second set of counters. epoch is the most
+	// recently scheduled epoch.
 	epoch      atomic.Int64
 	wireSent   atomic.Int64
 	wireRecv   atomic.Int64
@@ -218,8 +227,9 @@ func (s *Scheduler) Slots() int { return s.plan.Slots() }
 //
 // Slots sharing a destination within one Communicate call are coalesced
 // into a single multi-sample frame (data.AppendSampleBatch), so a bulk
-// Communicate(-1) posts at most M frames instead of Q·N/M, and a chunked
-// call posts at most min(n, M). Inbound traffic is likewise batched:
+// Communicate(-1) posts at most M-1 frames instead of Q·N/M, and a chunked
+// call posts at most min(n, M-1): slots aimed at this rank itself send
+// nothing. Inbound traffic is likewise batched:
 // Communicate opportunistically drains any frames that have already
 // arrived (without blocking), so decode work overlaps compute too.
 func (s *Scheduler) Communicate(n int) (int, error) {
@@ -258,7 +268,11 @@ func (s *Scheduler) Communicate(n int) (int, error) {
 				}
 				s.batchShip = append(s.batchShip, sample)
 			}
-			if err := s.shipBatch(dest); err != nil {
+			if dest == s.comm.Rank() {
+				// A self slot is satisfied by the stored sample itself: no
+				// frame, no codec, and CleanLocalStorage leaves it in place.
+				s.received = append(s.received, s.batchShip...)
+			} else if err := s.shipBatch(dest); err != nil {
 				return 0, err
 			}
 			s.destSlots[dest] = slots[:0]
@@ -335,21 +349,27 @@ func (s *Scheduler) drainReceives(block bool) error {
 
 // ingestFrame decodes one exchange frame into the received set and updates
 // the per-source accounting the degradation path depends on. Two frame
-// shapes exist: a sample batch ([]byte) carrying payloads, and a dedup
+// shapes exist: a sample batch ([]byte) carrying payloads, decoded into
+// feature arrays from s.features and then handed back to the transport's
+// pool (the Scheduler owns a payload delivered on its tag), and a dedup
 // reference frame (transport.SampleRefs) whose samples this rank
 // materializes from the per-source segment it has been maintaining — a ref
 // naming a sample absent from the segment is a protocol error, never a
 // silent drop, because both sides compute the segment deterministically.
 func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
+	if st.Source == s.comm.Rank() {
+		return fmt.Errorf("shuffle: a self-send carried an exchange frame, but self slots send none")
+	}
 	before := len(s.received)
 	switch buf := payload.(type) {
 	case []byte:
 		var err error
-		s.received, err = data.DecodeSampleBatchInto(s.received, buf)
+		s.received, err = s.features.DecodeSampleBatchInto(s.received, buf)
+		transport.PutBytes(buf)
 		if err != nil {
 			return fmt.Errorf("shuffle: decoding received sample batch: %w", err)
 		}
-		if s.dedupBudget > 0 && st.Source != s.comm.Rank() {
+		if s.dedupBudget > 0 {
 			seg := s.dedupSegment(st.Source)
 			for _, sample := range s.received[before:] {
 				seg.Note(sample)
@@ -358,9 +378,6 @@ func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
 	case transport.SampleRefs:
 		if s.dedupBudget <= 0 {
 			return fmt.Errorf("shuffle: rank %d sent a dedup reference frame but dedup is disabled here", st.Source)
-		}
-		if st.Source == s.comm.Rank() {
-			return fmt.Errorf("shuffle: self-send carried a dedup reference frame")
 		}
 		seg := s.dedupSegment(st.Source)
 		for _, id := range buf {
@@ -381,9 +398,7 @@ func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
 		s.recvFrom = make(map[int]int)
 	}
 	s.recvFrom[st.Source] += n
-	if st.Source != s.comm.Rank() {
-		s.wireRecv.Add(st.Wire)
-	}
+	s.wireRecv.Add(st.Wire)
 	if s.dead[st.Source] {
 		// A dead sender's straggler landed after its slots were forfeited:
 		// accept the samples and restore the expectation they satisfy.
@@ -455,7 +470,7 @@ func (s *Scheduler) Reset() {
 func (s *Scheduler) Received() []data.Sample { return s.received }
 
 // WireTraffic returns the exact wire volume of the current epoch's exchange
-// (sent and received sample frames, headers included, self-sends excluded):
+// (sent and received sample frames, headers included; self slots send none):
 // CumulativeWireTraffic's growth since Scheduling. Read it after Synchronize.
 func (s *Scheduler) WireTraffic() (sent, recv int64) {
 	sent, recv = s.CumulativeWireTraffic()
@@ -477,8 +492,10 @@ func (s *Scheduler) ObservedEpoch() int { return int(s.epoch.Load()) }
 // samples are saved and transmitted samples removed. Receives are applied
 // before deletes — that ordering is what makes the worker's peak storage
 // (1+Q)·N/M rather than N/M (Section III-A), and the store's Peak()
-// measures it. Self-sends (a slot whose shared permutation maps this rank
-// to itself) cancel out and leave the sample in place.
+// measures it. Self slots (a slot whose shared permutation maps this rank
+// to itself) cancel out and leave the sample in place. A removed sample's
+// feature array goes back to the decoders when nothing else can read it
+// (recycle).
 func (s *Scheduler) CleanLocalStorage() error {
 	if s.state != stateSynchronized {
 		return fmt.Errorf("shuffle: CleanLocalStorage called before Synchronize")
@@ -521,14 +538,40 @@ func (s *Scheduler) CleanLocalStorage() error {
 		if err := s.st.Put(sample); err != nil {
 			return fmt.Errorf("shuffle: CleanLocalStorage: storing received sample %d: %w", sample.ID, err)
 		}
+		if len(sample.Features) > 0 {
+			if s.decoded == nil {
+				s.decoded = make(map[int]*float32)
+			}
+			s.decoded[sample.ID] = &sample.Features[0]
+		}
 	}
 	for id := range sent {
+		sample, _ := s.st.Get(id) // an absent sample fails the Delete
 		if err := s.st.Delete(id); err != nil {
 			return fmt.Errorf("shuffle: CleanLocalStorage: removing sent sample %d: %w", id, err)
 		}
+		s.recycle(sample)
 	}
 	s.state = stateIdle
 	return nil
+}
+
+// recycle hands the feature array of a sample the store has just let go to
+// the decoders, when nothing can read it any more: this Scheduler decoded
+// it (an array of the caller's dataset never qualifies) and no dedup
+// segment still holds it. The next epoch's decode overwrites it.
+func (s *Scheduler) recycle(sample data.Sample) {
+	f := sample.Features
+	if len(f) == 0 || s.decoded[sample.ID] != &f[0] {
+		return
+	}
+	delete(s.decoded, sample.ID)
+	for _, seg := range s.recvSegment {
+		if seg.Has(int64(sample.ID)) {
+			return
+		}
+	}
+	s.features.Recycle(f)
 }
 
 // RunEpochExchange is the convenience bundle Scheduling → Communicate(-1)

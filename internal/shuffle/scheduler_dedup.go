@@ -91,15 +91,13 @@ func (s *Scheduler) CumulativeDedup() (hits, savedBytes int64) {
 // compact ID-reference frame, and only the remainder ships as a payload
 // batch. The reference frame always precedes the payload frame for the same
 // destination, so both sides replay the identical Touch-then-Note sequence
-// against their pair caches. Self-sends bypass dedup entirely (they never
-// touch a wire) but still round-trip the negotiated encoding, keeping lossy
-// modes uniform across all delivered samples.
+// against their pair caches. dest is never this rank: a self slot sends
+// nothing (Communicate).
 func (s *Scheduler) shipBatch(dest int) error {
 	ship := s.batchShip
-	self := dest == s.comm.Rank()
 	var refs transport.SampleRefs
 	var refBytes int64 // what the samples travelling as references would cost as batch entries
-	if s.dedupBudget > 0 && !self {
+	if s.dedupBudget > 0 {
 		mirror := s.dedupMirror(dest)
 		s.refShip = s.refShip[:0]
 		s.shipScratch = s.shipScratch[:0]
@@ -152,9 +150,6 @@ func (s *Scheduler) shipBatch(dest int) error {
 			return err
 		}
 		wire += n
-	}
-	if self {
-		return nil
 	}
 	s.wireSent.Add(wire)
 	if s.dedupBudget > 0 {

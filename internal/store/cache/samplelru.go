@@ -40,9 +40,9 @@ type SampleLRU struct {
 // (measured by their fp32 wire size, independent of the negotiated batch
 // encoding). With retainPayloads the cache keeps the noted samples
 // themselves, sharing their feature arrays (receiver role: they are decoded
-// samples, whose Features nobody writes — see data.Sample); without, only
-// IDs and sizes (sender mirror role) — the two roles evict in lockstep
-// because the metric is identical.
+// samples, whose Features nobody writes while the cache holds them — see
+// data.Sample); without, only IDs and sizes (sender mirror role) — the two
+// roles evict in lockstep because the metric is identical.
 func NewSampleLRU(budget int64, retainPayloads bool) *SampleLRU {
 	return &SampleLRU{
 		budget:  budget,

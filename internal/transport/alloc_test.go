@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bufio"
+	"errors"
+	"net"
 	"testing"
 
 	"plshuffle/internal/data"
@@ -83,6 +86,99 @@ func TestPooledFramePathSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPooledBatchReceiveSteadyStateAllocs is the receive-side twin of the
+// gate above: what the exchange does per inbound sample-batch frame —
+// ReadFrameInto off a real TCP socket (the body lands in a GetBytes buffer),
+// the batch decoded into feature arrays earlier samples gave back
+// (data.FeatureSource), the body released with PutBytes — allocates nothing
+// once warm, when every sample finds a recycled array.
+func TestPooledBatchReceiveSteadyStateAllocs(t *testing.T) {
+	skipIfRace(t)
+	const warm, runs = 4, 200
+	samples := make([]data.Sample, 16)
+	for i := range samples {
+		fs := make([]float32, 2048) // 8 KiB, the exchange workloads' sample
+		for j := range fs {
+			fs[j] = float32(i*len(fs)+j) * 0.25
+		}
+		samples[i] = data.Sample{ID: i, Label: i % 10, Features: fs, Bytes: 8 << 10}
+	}
+	frame, err := AppendDataFrame(nil, 1, 0, 7, data.EncodeSampleBatch(samples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sent := make(chan error, 1)
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err == nil {
+			defer conn.Close()
+			// AllocsPerRun calls the function once more before it counts.
+			for i := 0; i < warm+1+runs && err == nil; i++ {
+				_, err = conn.Write(frame)
+			}
+		}
+		sent <- err
+	}()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 64<<10)
+	var (
+		scratch []byte
+		src     data.FeatureSource
+		got     []data.Sample
+		recvErr error
+	)
+	receive := func() {
+		f, _, body, _, err := ReadFrameInto(br, &scratch)
+		if err == nil && (body == nil || f.Tag != 7) {
+			err = errFrameShape
+		}
+		if err != nil {
+			recvErr = err
+			return
+		}
+		got, err = src.DecodeSampleBatchInto(got[:0], body)
+		PutBytes(body)
+		if err != nil {
+			recvErr = err
+			return
+		}
+		for _, s := range got {
+			src.Recycle(s.Features) // as CleanLocalStorage does with sent samples
+		}
+	}
+	for i := 0; i < warm; i++ {
+		receive()
+	}
+	allocs := testing.AllocsPerRun(runs, receive)
+	if recvErr != nil {
+		t.Fatal(recvErr)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range got {
+		if s.ID != samples[i].ID || s.Features[2047] != samples[i].Features[2047] {
+			t.Fatalf("sample %d decoded as %d with last feature %v", i, s.ID, s.Features[2047])
+		}
+	}
+	if allocs > 0 {
+		t.Fatalf("receiving and decoding a pooled sample-batch frame allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// errFrameShape reports a frame that did not come back as a pooled []byte
+// body on the expected tag.
+var errFrameShape = errors.New("frame did not take the pooled []byte path")
+
 // TestAppendDataFrameMatchesMarshalFrame pins that the pooled path emits
 // byte-identical frames to the allocating MarshalFrame path, so switching
 // the TCP sender over cannot change anything on the wire.
@@ -90,7 +186,6 @@ func TestAppendDataFrameMatchesMarshalFrame(t *testing.T) {
 	payloads := []any{
 		[]byte{1, 2, 3},
 		[]float32{1.5, -2.5},
-		data.Sample{ID: 3, Label: 1, Features: []float32{9}, Bytes: 5},
 		"hello",
 		nil,
 	}
@@ -110,6 +205,10 @@ func TestAppendDataFrameMatchesMarshalFrame(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("payload %T: AppendDataFrame differs from MarshalFrame:\n got  %x\n want %x", p, got, want)
 		}
+	}
+	// Neither path frames a single sample (retired code 12).
+	if _, err := AppendDataFrame(nil, 2, 5, -42, data.Sample{ID: 3, Features: []float32{9}}); err == nil {
+		t.Fatal("AppendDataFrame framed a data.Sample")
 	}
 }
 

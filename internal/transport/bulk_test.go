@@ -210,7 +210,7 @@ func TestBigEndianFallbackMatchesPerElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scratch []byte
-	f, floats, n, err := ReadFrameInto(bytes.NewReader(frame), &scratch)
+	f, floats, _, n, err := ReadFrameInto(bytes.NewReader(frame), &scratch)
 	if err != nil || floats != nil || n != len(frame) || !bytes.Equal(f.Payload, frame[4+wireHeaderLen:]) {
 		t.Fatalf("fallback ReadFrameInto: floats=%v n=%d err=%v payload=%x", floats, n, err, f.Payload)
 	}
@@ -231,7 +231,7 @@ func TestReadFrameIntoFloat32Pooled(t *testing.T) {
 			t.Fatal(err)
 		}
 		scratch := make([]byte, 0, 64)
-		f, floats, read, err := ReadFrameInto(bytes.NewReader(frame), &scratch)
+		f, floats, _, read, err := ReadFrameInto(bytes.NewReader(frame), &scratch)
 		if err != nil || read != len(frame) {
 			t.Fatalf("n=%d: read %d of %d bytes, err %v", n, read, len(frame), err)
 		}
@@ -247,22 +247,21 @@ func TestReadFrameIntoFloat32Pooled(t *testing.T) {
 		if cap(scratch) >= len(frame) && len(frame) > 64 {
 			t.Fatalf("n=%d: scratch grew to %d bytes: the body went through it", n, cap(scratch))
 		}
-		if n >= 1<<minFloatClass && cap(floats)&(cap(floats)-1) != 0 {
+		if n >= 1<<minClass && cap(floats)&(cap(floats)-1) != 0 {
 			t.Fatalf("n=%d: delivered slice has capacity %d, not a pool class", n, cap(floats))
 		}
 		PutFloat32s(floats)
 	}
 
-	// Not a float body after all: same bytes under another kind, a []byte
-	// payload, and a float payload with a ragged tail.
+	// Not a float body after all: same bytes under another kind and a float
+	// payload with a ragged tail.
 	ragged, _ := MarshalFrame(WireFrame{Kind: KindData, Payload: []byte{codeFloat32, 1, 2, 3, 4, 5}})
 	other, _ := MarshalFrame(WireFrame{Kind: KindDataRef, Payload: []byte{codeFloat32, 1, 2, 3, 4}})
-	raw, _ := AppendDataFrame(nil, 0, 1, 5, []byte{codeFloat32, 0, 0, 0})
-	for _, frame := range [][]byte{ragged, other, raw} {
+	for _, frame := range [][]byte{ragged, other} {
 		var scratch []byte
-		f, floats, _, err := ReadFrameInto(bytes.NewReader(frame), &scratch)
-		if err != nil || floats != nil || !bytes.Equal(f.Payload, frame[4+wireHeaderLen:]) {
-			t.Fatalf("frame %x: floats=%v payload=%x err=%v", frame, floats, f.Payload, err)
+		f, floats, body, _, err := ReadFrameInto(bytes.NewReader(frame), &scratch)
+		if err != nil || floats != nil || body != nil || !bytes.Equal(f.Payload, frame[4+wireHeaderLen:]) {
+			t.Fatalf("frame %x: floats=%v body=%x payload=%x err=%v", frame, floats, body, f.Payload, err)
 		}
 	}
 	if _, err := DecodePayload(ragged[4+wireHeaderLen:]); err == nil {
@@ -272,8 +271,57 @@ func TestReadFrameIntoFloat32Pooled(t *testing.T) {
 	// A body cut short is an error, and the pooled slice does not leak out.
 	frame, _ := AppendDataFrame(nil, 0, 1, 5, make([]float32, 100))
 	var scratch []byte
-	if _, floats, _, err := ReadFrameInto(bytes.NewReader(frame[:len(frame)-3]), &scratch); err == nil || floats != nil {
+	if _, floats, _, _, err := ReadFrameInto(bytes.NewReader(frame[:len(frame)-3]), &scratch); err == nil || floats != nil {
 		t.Fatalf("truncated float body: floats=%v err=%v", floats, err)
+	}
+}
+
+// TestReadFrameIntoBytesPooled: the body of a []byte data frame (a sample
+// batch) comes back in a pool-class buffer of its own, byte for byte, without
+// passing through the scratch buffer, on any host; a truncated body is an
+// error. A compressed frame's inflated payload, handed to DecodePayloadOwned,
+// is delivered at the start of the pooled buffer it was inflated into.
+func TestReadFrameIntoBytesPooled(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 4096, 70001} {
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = byte(i * 7)
+		}
+		frame, err := AppendDataFrame(nil, 2, 0, 9, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := make([]byte, 0, 64)
+		f, floats, body, read, err := ReadFrameInto(bytes.NewReader(frame), &scratch)
+		if err != nil || read != len(frame) || floats != nil {
+			t.Fatalf("n=%d: read %d of %d bytes, floats %v, err %v", n, read, len(frame), floats, err)
+		}
+		if body == nil || f.Payload != nil || !bytes.Equal(body, v) {
+			t.Fatalf("n=%d: body nil=%v equal=%v, payload %d bytes", n, body == nil, bytes.Equal(body, v), len(f.Payload))
+		}
+		if cap(scratch) > 64 {
+			t.Fatalf("n=%d: scratch grew to %d bytes: the body went through it", n, cap(scratch))
+		}
+		if n >= 1<<minClass && cap(body)&(cap(body)-1) != 0 {
+			t.Fatalf("n=%d: delivered buffer has capacity %d, not a pool class", n, cap(body))
+		}
+		PutBytes(body)
+	}
+	frame, _ := AppendDataFrame(nil, 0, 1, 5, make([]byte, 100))
+	var scratch []byte
+	if _, _, body, _, err := ReadFrameInto(bytes.NewReader(frame[:len(frame)-3]), &scratch); err == nil || body != nil {
+		t.Fatalf("truncated byte body: body=%v err=%v", body, err)
+	}
+
+	raw := GetBytes(1000)
+	raw[0] = codeBytes
+	for i := 1; i < len(raw); i++ {
+		raw[i] = byte(i)
+	}
+	v, err := DecodePayloadOwned(raw)
+	got, ok := v.([]byte)
+	if err != nil || !ok || len(got) != 999 || &got[0] != &raw[0] || got[0] != 1 || got[998] != byte(999%256) {
+		t.Fatalf("DecodePayloadOwned: %T len %d err %v, or not moved to the buffer's start", v, len(got), err)
 	}
 }
 
@@ -281,14 +329,14 @@ func TestReadFrameIntoFloat32Pooled(t *testing.T) {
 // range come back with power-of-two capacity and are reused after a Put;
 // crumbs, giants and slices the pool never issued are not kept.
 func TestFloat32PoolClasses(t *testing.T) {
-	for _, n := range []int{1 << minFloatClass, 100, 4096, 4097, 1 << maxFloatClass} {
+	for _, n := range []int{1 << minClass, 100, 4096, 4097, 1 << maxFloatClass} {
 		f := GetFloat32s(n)
-		if len(f) != n || cap(f) < n || cap(f)&(cap(f)-1) != 0 || cap(f) >= 2*n && n > 1<<minFloatClass {
+		if len(f) != n || cap(f) < n || cap(f)&(cap(f)-1) != 0 || cap(f) >= 2*n && n > 1<<minClass {
 			t.Fatalf("GetFloat32s(%d): len %d cap %d", n, len(f), cap(f))
 		}
 		PutFloat32s(f)
 	}
-	for _, n := range []int{0, 1, 1<<minFloatClass - 1, 1<<maxFloatClass + 1} {
+	for _, n := range []int{0, 1, 1<<minClass - 1, 1<<maxFloatClass + 1} {
 		if f := GetFloat32s(n); len(f) != n || cap(f) != n {
 			t.Fatalf("GetFloat32s(%d) outside the classes: len %d cap %d, want an exact make", n, len(f), cap(f))
 		}

@@ -11,9 +11,9 @@ import (
 )
 
 // Payload type codes. The set covers everything the runtime actually moves
-// between ranks: encoded samples and raw byte buffers, gradient and tensor
-// float buffers, ID lists, and the scalar types the conformance suite and
-// control paths use. The encoding is deterministic (little-endian,
+// between ranks: byte buffers (encoded sample batches among them), gradient
+// and tensor float buffers, ID lists, and the scalar types the conformance
+// suite and control paths use. The encoding is deterministic (little-endian,
 // fixed-width) so a frame's bytes are a pure function of its value —
 // the property FuzzFrameRoundTrip pins.
 const (
@@ -29,12 +29,12 @@ const (
 	codeInt     = uint8(9)  // scalar int, as int64
 	codeFloat   = uint8(10) // scalar float64
 	codeBool    = uint8(11)
-	codeSample  = uint8(12) // data.Sample via its own deterministic encoding
 	codeMatrix  = uint8(13) // *tensor.Matrix: rows, cols, row-major float32s
 	// codeSampleRefs: a SampleRefs list as delta uvarints — the compact
 	// dedup reference payload (DESIGN.md §13).
 	codeSampleRefs = uint8(14)
-	// Code 15 is retired and must not be reassigned: decoders reject it like
+	// Codes 12 (a single data.Sample; samples travel as []byte batches) and
+	// 15 are retired and must not be reassigned: decoders reject them like
 	// any unknown code.
 )
 
@@ -205,9 +205,6 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 	case SampleRefs:
 		dst = append(dst, codeSampleRefs)
 		return appendSampleRefs(dst, v)
-	case data.Sample:
-		dst = append(dst, codeSample)
-		return v.AppendEncode(dst), nil
 	case *tensor.Matrix:
 		if v == nil {
 			return append(dst, codeNil), nil
@@ -341,12 +338,6 @@ func DecodePayload(buf []byte) (any, error) {
 		return body[0] == 1, nil
 	case codeSampleRefs:
 		return decodeSampleRefs(body)
-	case codeSample:
-		s, err := data.DecodeSample(body)
-		if err != nil {
-			return nil, fmt.Errorf("transport: sample payload: %w", err)
-		}
-		return s, nil
 	case codeMatrix:
 		if len(body) < 8 {
 			return nil, fmt.Errorf("transport: matrix payload truncated")
@@ -371,14 +362,18 @@ func DecodePayload(buf []byte) (any, error) {
 	}
 }
 
-// DecodePayloadOwned is DecodePayload for a buffer the caller gives up: a
-// []byte payload comes back as a slice of buf instead of a copy of it. The
-// TCP reader decompresses into a buffer of its own and delivers it this way.
+// DecodePayloadOwned is DecodePayload for a buffer the caller gives up,
+// typically one from GetBytes: a []byte payload comes back in buf's own
+// memory, moved to its start so that it is still a buffer the pool takes
+// back, and any other payload is decoded and buf released with PutBytes.
+// The TCP reader decompresses into a pooled buffer and delivers it this way.
 func DecodePayloadOwned(buf []byte) (any, error) {
 	if len(buf) > 0 && buf[0] == codeBytes {
-		return buf[1:len(buf):len(buf)], nil
+		return buf[:copy(buf, buf[1:])], nil
 	}
-	return DecodePayload(buf)
+	v, err := DecodePayload(buf)
+	PutBytes(buf)
+	return v, err
 }
 
 // FrameWireSize returns the exact number of bytes a data frame carrying
@@ -434,8 +429,6 @@ func PayloadWireSize(p any) int64 {
 			prev = uint64(id)
 		}
 		return n
-	case data.Sample:
-		return int64(1 + 28 + 4*len(v.Features))
 	case *tensor.Matrix:
 		if v == nil {
 			return 1

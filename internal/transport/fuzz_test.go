@@ -73,17 +73,23 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// ReadFrameInto (the pooled read path) must agree as well, including
 		// when its scratch buffer carries stale bytes from a previous frame.
 		scratch := bytes.Repeat([]byte{0xAA}, 16)
-		ri, floats, n, err := ReadFrameInto(bytes.NewReader(buf), &scratch)
+		ri, floats, body, n, err := ReadFrameInto(bytes.NewReader(buf), &scratch)
 		if err != nil || n != len(buf) {
 			t.Fatalf("ReadFrameInto disagrees with ReadFrame: n=%d err=%v", n, err)
 		}
+		// A float32 or []byte body read straight into a pooled slice: what it
+		// holds must encode back to the payload bytes that were on the wire.
 		if floats != nil {
-			// A float32 body read straight into a pooled slice: what it holds
-			// must encode back to the payload bytes that were on the wire.
 			if ri.Payload, err = EncodePayload(floats); err != nil {
 				t.Fatal(err)
 			}
 			PutFloat32s(floats)
+		}
+		if body != nil {
+			if ri.Payload, err = EncodePayload(body); err != nil {
+				t.Fatal(err)
+			}
+			PutBytes(body)
 		}
 		if ri.Kind != w.Kind || ri.Src != w.Src || ri.Dst != w.Dst || ri.Tag != w.Tag || !bytes.Equal(ri.Payload, w.Payload) {
 			t.Fatalf("ReadFrameInto decoded %+v, UnmarshalFrame %+v", ri, w)
@@ -126,7 +132,6 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	seed(42)
 	seed(3.14159)
 	seed(true)
-	seed(data.Sample{ID: 9, Label: 2, Features: []float32{1, -2.5}, Bytes: 117 << 10})
 	seed(SampleRefs{})
 	seed(SampleRefs{0})
 	seed(SampleRefs{5, 6, 1 << 40})
@@ -138,6 +143,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	seed(m)
 	f.Add([]byte{})
 	f.Add([]byte{codeMatrix, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f}) // hostile dims
+	f.Add(retiredCode12Payload)
 	f.Add(retiredCode15Payload)
 
 	f.Fuzz(func(t *testing.T, buf []byte) {

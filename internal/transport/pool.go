@@ -41,59 +41,83 @@ func PutWireBuf(wb *WireBuf) {
 	wireBufPool.Put(wb)
 }
 
-// The float32 payload pool recycles gradient chunks between the side that
-// receives them — the TCP read loop, inproc's defensive clone — and the
-// collective that consumes them (internal/mpi releases a chunk once it is
-// reduced or copied). Buffers come in power-of-two capacities from
-// 1<<minFloatClass to 1<<maxFloatClass elements, the second being
-// maxPooledWireBuf bytes; anything outside that range is a plain make on Get
-// and dropped on Put, so the pool pins neither crumbs nor giants.
+// The payload pools recycle received data between the side that receives it
+// — the TCP read loop, inproc's defensive clone — and the consumer that is
+// done with it: gradient chunks ([]float32), which internal/mpi releases once
+// a chunk is reduced or copied, and sample-batch bodies ([]byte), which the
+// exchange scheduler releases once it has decoded them. Buffers come in
+// power-of-two capacities from 1<<minClass elements up to maxPooledWireBuf
+// bytes; anything outside that range is a plain make on Get and dropped on
+// Put, so a pool pins neither crumbs nor giants.
 //
-// Ownership: GetFloat32s hands the slice to the caller outright, and a slice
-// never returned is simply collected. PutFloat32s may be called only by the
-// one owner of a slice that nothing else references — in this repository,
-// the collective that received it on an internal tag. A payload delivered to
-// a user-level Recv belongs to the caller and is never released.
+// Ownership: a Get hands the slice to the caller outright, and a slice never
+// returned is simply collected. A Put may be called only by the one owner of
+// a slice that nothing else references. A delivered data payload belongs to
+// its receiver: the collectives release the chunks they receive on internal
+// tags, the exchange scheduler the batches it receives on its own tags, and
+// a payload delivered to any other Recv stays the caller's for good.
 const (
-	minFloatClass = 6
-	maxFloatClass = 20
+	minClass      = 6
+	maxFloatClass = 20 // maxPooledWireBuf bytes of float32
+	maxByteClass  = 22 // maxPooledWireBuf bytes
 )
 
-// floatBuf boxes a pooled slice so that Put does not allocate an interface
-// header; the empty boxes cycle through floatBoxes.
-type floatBuf struct{ f []float32 }
+// slicePool is one element type's set of size classes.
+type slicePool[T any] struct {
+	maxClass int
+	classes  [maxByteClass + 1]sync.Pool // by class: *sliceBox[T] with cap(s) == 1<<class
+	boxes    sync.Pool                   // empty *sliceBox[T]
+}
+
+// sliceBox boxes a pooled slice so that Put does not allocate an interface
+// header; the empty boxes cycle through the pool's boxes.
+type sliceBox[T any] struct{ s []T }
 
 var (
-	floatPools [maxFloatClass + 1]sync.Pool // by class: *floatBuf with cap(f) == 1<<class
-	floatBoxes = sync.Pool{New: func() any { return new(floatBuf) }}
+	floatPool = slicePool[float32]{maxClass: maxFloatClass}
+	bytePool  = slicePool[byte]{maxClass: maxByteClass}
 )
+
+func (p *slicePool[T]) get(n int) []T {
+	if n < 1<<minClass || n > 1<<p.maxClass {
+		return make([]T, n)
+	}
+	class := bits.Len(uint(n - 1))
+	b, _ := p.classes[class].Get().(*sliceBox[T])
+	if b == nil {
+		return make([]T, n, 1<<class)
+	}
+	s := b.s[:n]
+	b.s = nil
+	p.boxes.Put(b)
+	return s
+}
+
+func (p *slicePool[T]) put(s []T) {
+	class := bits.Len(uint(cap(s))) - 1
+	if class < minClass || class > p.maxClass || cap(s) != 1<<class {
+		return
+	}
+	b, _ := p.boxes.Get().(*sliceBox[T])
+	if b == nil {
+		b = new(sliceBox[T])
+	}
+	b.s = s[:0]
+	p.classes[class].Put(b)
+}
 
 // GetFloat32s returns a slice of length n whose contents are unspecified:
 // the caller overwrites all of it.
-func GetFloat32s(n int) []float32 {
-	if n < 1<<minFloatClass || n > 1<<maxFloatClass {
-		return make([]float32, n)
-	}
-	class := bits.Len(uint(n - 1))
-	fb, _ := floatPools[class].Get().(*floatBuf)
-	if fb == nil {
-		return make([]float32, n, 1<<class)
-	}
-	f := fb.f[:n]
-	fb.f = nil
-	floatBoxes.Put(fb)
-	return f
-}
+func GetFloat32s(n int) []float32 { return floatPool.get(n) }
 
 // PutFloat32s gives f back for reuse; the caller must not touch it again.
 // Slices whose capacity is not one of the pool's classes (not drawn from it,
 // or too large to keep) are left to the collector.
-func PutFloat32s(f []float32) {
-	class := bits.Len(uint(cap(f))) - 1
-	if class < minFloatClass || class > maxFloatClass || cap(f) != 1<<class {
-		return
-	}
-	fb := floatBoxes.Get().(*floatBuf)
-	fb.f = f[:0]
-	floatPools[class].Put(fb)
-}
+func PutFloat32s(f []float32) { floatPool.put(f) }
+
+// GetBytes is GetFloat32s for byte buffers: a slice of length n with
+// unspecified contents.
+func GetBytes(n int) []byte { return bytePool.get(n) }
+
+// PutBytes is PutFloat32s for byte buffers.
+func PutBytes(b []byte) { bytePool.put(b) }

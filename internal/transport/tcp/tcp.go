@@ -714,8 +714,9 @@ func (c *Conn) dropConn(rank int, conn net.Conn) {
 // persistent frame buffer is reused across reads (ReadFrameInto); the frame
 // payload aliasing it is consumed by DecodePayload before the next read, so
 // the steady-state receive path allocates only the decoded value — and not
-// even that for a []float32 payload, which ReadFrameInto reads from the
-// socket into a pooled slice that is delivered as it is.
+// even that for a []float32 or []byte payload, which ReadFrameInto reads
+// from the socket into a pooled slice that is delivered as it is. A
+// compressed frame is inflated into a pooled buffer too.
 func (c *Conn) readLoop(rank int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var scratch []byte
@@ -726,7 +727,7 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 		if c.cfg.HeartbeatInterval > 0 {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.PeerTimeout))
 		}
-		f, floats, n, err := transport.ReadFrameInto(br, &scratch)
+		f, floats, body, n, err := transport.ReadFrameInto(br, &scratch)
 		if err != nil {
 			c.dropConn(rank, conn)
 			return
@@ -739,30 +740,37 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 		case transport.KindData, transport.KindDataRef, transport.KindDataZ:
 			if int(f.Dst) != c.cfg.Rank {
 				transport.PutFloat32s(floats)
+				transport.PutBytes(body)
 				continue // misrouted; drop
 			}
 			var v any
 			var derr error
-			if floats != nil {
+			switch {
+			case floats != nil:
 				v = floats
-			} else if f.Kind == transport.KindDataZ {
-				// Decompress into a fresh buffer of exactly the declared size
-				// and hand that buffer on: a sample batch is delivered as a
-				// slice of it, not copied out of a scratch.
+			case body != nil:
+				v = body
+			case f.Kind == transport.KindDataZ:
+				// Inflate into a pooled buffer of the declared size and hand
+				// that buffer on: a sample batch is delivered in it, not copied
+				// out of a scratch.
 				dl, zerr := wirecomp.DecodedLen(f.Payload)
 				if zerr == nil && dl > transport.MaxFramePayload {
 					zerr = fmt.Errorf("decompressed payload %d exceeds frame limit", dl)
 				}
 				var raw []byte
 				if zerr == nil {
-					raw, zerr = wirecomp.Decode(nil, f.Payload)
+					raw = transport.GetBytes(dl)
+					if _, zerr = wirecomp.Decode(raw[:0], f.Payload); zerr != nil {
+						transport.PutBytes(raw)
+					}
 				}
 				if zerr != nil {
 					c.fail(fmt.Errorf("tcp: rank %d: compressed payload from rank %d: %w", c.cfg.Rank, f.Src, zerr))
 					continue
 				}
 				v, derr = transport.DecodePayloadOwned(raw)
-			} else {
+			default:
 				v, derr = transport.DecodePayload(f.Payload)
 			}
 			if derr != nil {

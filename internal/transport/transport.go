@@ -30,7 +30,9 @@ import (
 // is a decoded Go value: for the inproc backend it is the (cloned) value the
 // sender passed; for wire backends it is the result of DecodePayload, so
 // only wire-encodable types (see EncodePayload) can cross process
-// boundaries.
+// boundaries. A []float32 or []byte payload is memory the receiver owns
+// outright, often drawn from the payload pools: the one consumer done with
+// it may hand it back with PutFloat32s or PutBytes (see pool.go).
 type Frame struct {
 	Src     int
 	Dst     int
@@ -298,7 +300,8 @@ func ClonePayload(p any) any {
 		copy(out, v)
 		return out
 	case []byte:
-		out := make([]byte, len(v))
+		// Pooled like the floats: the exchange releases the batches it decodes.
+		out := GetBytes(len(v))
 		copy(out, v)
 		return out
 	case SampleRefs:

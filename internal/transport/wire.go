@@ -170,12 +170,15 @@ func ReadFrame(r io.Reader) (WireFrame, int, error) {
 // scratch buffer, so callers must consume (decode/copy) it first. This is
 // the TCP read loop's zero-allocation steady-state path.
 //
-// One payload skips the scratch: the body of a KindData frame carrying a
-// []float32 (a gradient chunk) is read from r straight into a slice from
-// GetFloat32s and returned, decoded, as floats (non-nil, possibly empty),
-// with f.Payload left nil. The caller owns floats. Only little-endian hosts
-// take this path; elsewhere such a frame comes back like any other.
-func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32, n int, err error) {
+// Two payloads skip the scratch and come back decoded, in pooled memory the
+// caller owns, with f.Payload left nil: the body of a KindData frame
+// carrying a []float32 (a gradient chunk) is read from r straight into a
+// slice from GetFloat32s and returned as floats, and the body of one
+// carrying a []byte (a sample batch) into a slice from GetBytes, returned as
+// body. Either is non-nil, possibly empty, when it is the one taken. Only
+// little-endian hosts read floats this way; elsewhere such a frame comes
+// back like any other.
+func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32, body []byte, n int, err error) {
 	const peek = 4 + wireHeaderLen + 1 // prefix, header and the payload's type code
 	buf := *scratch
 	if cap(buf) < peek {
@@ -184,17 +187,17 @@ func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32,
 	buf = buf[:4]
 	*scratch = buf
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return WireFrame{}, nil, 0, err
+		return WireFrame{}, nil, nil, 0, err
 	}
-	body := binary.LittleEndian.Uint32(buf)
-	if body < wireHeaderLen || body > wireHeaderLen+MaxFramePayload {
-		return WireFrame{}, nil, 4, fmt.Errorf("transport: frame body length %d out of range", body)
+	bodyLen := binary.LittleEndian.Uint32(buf)
+	if bodyLen < wireHeaderLen || bodyLen > wireHeaderLen+MaxFramePayload {
+		return WireFrame{}, nil, nil, 4, fmt.Errorf("transport: frame body length %d out of range", bodyLen)
 	}
-	need := 4 + int(body)
+	need := 4 + int(bodyLen)
 	head := min(need, peek)
 	buf = buf[:head]
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return WireFrame{}, nil, 4, fmt.Errorf("transport: reading frame body: %w", err)
+		return WireFrame{}, nil, nil, 4, fmt.Errorf("transport: reading frame body: %w", err)
 	}
 	f = WireFrame{
 		Kind: buf[4],
@@ -203,16 +206,25 @@ func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32,
 		Tag:  int64(binary.LittleEndian.Uint64(buf[13:])),
 	}
 	if f.Kind > KindDataRef {
-		return WireFrame{}, nil, head, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
+		return WireFrame{}, nil, nil, head, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
 	}
-	if rest := need - head; data.HostLittleEndian && f.Kind == KindData && head == peek &&
-		buf[peek-1] == codeFloat32 && rest%4 == 0 {
-		floats = GetFloat32s(rest / 4)
-		if _, err := io.ReadFull(r, data.BytesOf(floats)); err != nil {
-			PutFloat32s(floats)
-			return WireFrame{}, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
+	if rest := need - head; f.Kind == KindData && head == peek {
+		switch {
+		case buf[peek-1] == codeFloat32 && data.HostLittleEndian && rest%4 == 0:
+			floats = GetFloat32s(rest / 4)
+			if _, err := io.ReadFull(r, data.BytesOf(floats)); err != nil {
+				PutFloat32s(floats)
+				return WireFrame{}, nil, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
+			}
+			return f, floats, nil, need, nil
+		case buf[peek-1] == codeBytes:
+			body = GetBytes(rest)
+			if _, err := io.ReadFull(r, body); err != nil {
+				PutBytes(body)
+				return WireFrame{}, nil, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
+			}
+			return f, nil, body, need, nil
 		}
-		return f, floats, need, nil
 	}
 	if cap(buf) < need {
 		grown := make([]byte, need)
@@ -223,12 +235,12 @@ func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32,
 	}
 	*scratch = buf
 	if _, err := io.ReadFull(r, buf[head:]); err != nil {
-		return WireFrame{}, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
+		return WireFrame{}, nil, nil, head, fmt.Errorf("transport: reading frame body: %w", err)
 	}
-	if int(body) > wireHeaderLen {
+	if int(bodyLen) > wireHeaderLen {
 		f.Payload = buf[4+wireHeaderLen:]
 	}
-	return f, nil, need, nil
+	return f, nil, nil, need, nil
 }
 
 // EncodeAddrTable serializes the rank-indexed address table exchanged

@@ -121,7 +121,6 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 		2.5,
 		true,
 		false,
-		data.Sample{ID: 3, Label: 1, Features: []float32{0.25}, Bytes: 42},
 		mat,
 	}
 	for _, want := range values {
@@ -143,18 +142,26 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	if _, err := EncodePayload(struct{ A int }{}); err == nil {
 		t.Fatal("EncodePayload accepted a non-encodable type")
 	}
-	if _, err := DecodePayload([]byte{codeSample, 1, 2}); err == nil {
-		t.Fatal("DecodePayload accepted a truncated sample")
+	// A single sample is no payload any more: samples travel as []byte
+	// batches (data.AppendSampleBatchEnc).
+	if _, err := EncodePayload(data.Sample{ID: 3, Label: 1, Features: []float32{0.25}, Bytes: 42}); err == nil {
+		t.Fatal("EncodePayload accepted a data.Sample, whose code 12 is retired")
 	}
-	if v, err := DecodePayload(retiredCode15Payload); err == nil {
-		t.Fatalf("DecodePayload accepted retired payload code 15 as %T", v)
-	}
-	if v, err := DecodePayloadOwned(append([]byte(nil), retiredCode15Payload...)); err == nil {
-		t.Fatalf("DecodePayloadOwned accepted retired payload code 15 as %T", v)
+	for code, payload := range map[int][]byte{12: retiredCode12Payload, 15: retiredCode15Payload} {
+		if v, err := DecodePayload(payload); err == nil {
+			t.Fatalf("DecodePayload accepted retired payload code %d as %T", code, v)
+		}
+		if v, err := DecodePayloadOwned(append([]byte(nil), payload...)); err == nil {
+			t.Fatalf("DecodePayloadOwned accepted retired payload code %d as %T", code, v)
+		}
 	}
 }
 
-// retiredCode15Payload is a well-formed payload of retired code 15 (a code
-// byte plus the fixed 25-byte body it used to carry): a frame from a peer
-// that still sends it must be refused with an error, never a panic.
-var retiredCode15Payload = append([]byte{15}, make([]byte, 25)...)
+// retiredCode12Payload and retiredCode15Payload are well-formed payloads of
+// the retired codes (a code byte plus the body it used to carry: one encoded
+// data.Sample, and code 15's fixed 25 bytes): a frame from a peer that still
+// sends one must be refused with an error, never a panic.
+var (
+	retiredCode12Payload = append([]byte{12}, data.Sample{ID: 3, Label: 1, Features: []float32{0.25}, Bytes: 42}.Encode()...)
+	retiredCode15Payload = append([]byte{15}, make([]byte, 25)...)
+)

@@ -189,11 +189,17 @@ func appendLiterals(dst, head, lit []byte) []byte {
 	return dst
 }
 
-// DecodedLen returns the decoded size a block declares, without decoding.
+// DecodedLen returns the decoded size a block declares, without decoding,
+// and refuses a size no block of src's length can decode to — so a caller
+// may allocate the output before Decode without a hostile prefix forcing a
+// giant allocation.
 func DecodedLen(src []byte) (int, error) {
 	n, sz := binary.Uvarint(src)
 	if sz <= 0 || n > 1<<32 {
 		return 0, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
+	}
+	if n > uint64(len(src)-sz)*maxMatchTag {
+		return 0, fmt.Errorf("%w: declared length %d impossible for %d input bytes", ErrCorrupt, n, len(src)-sz)
 	}
 	return int(n), nil
 }
