@@ -61,9 +61,9 @@ type Options struct {
 	// either way, so the flag is purely a performance choice.
 	OverlapGrads bool
 
-	// WireCompress enables per-connection negotiated compression of large
-	// data frames on the TCP transport (tcp.Config.Compress). Mixed worlds
-	// interoperate: each directed link compresses only if both ends opted in.
+	// WireCompress makes this rank compress the large data frames it sends
+	// on the TCP transport (tcp.Config.Compress). Every rank decodes them,
+	// so mixed worlds interoperate.
 	WireCompress bool
 	// WireDedup enables the exchange deduplication protocol
 	// (train.Config.WireDedup): repeat samples travel as ID references.

@@ -50,7 +50,7 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&o.Locality, "locality", o.Locality, "partition class-locality in [0,1]")
 	fs.BoolVar(&o.LARS, "lars", o.LARS, "use the LARS optimizer")
 	fs.BoolVar(&o.OverlapGrads, "overlap-grads", o.OverlapGrads, "overlap the bucketed gradient all-reduce with backward (false = serial flat ring, the A/B baseline; weights are bitwise identical either way)")
-	fs.BoolVar(&o.WireCompress, "wire-compress", o.WireCompress, "multi-process worlds: compress large data frames on the TCP transport (negotiated per connection; ranks with it off interoperate)")
+	fs.BoolVar(&o.WireCompress, "wire-compress", o.WireCompress, "multi-process worlds: compress the large data frames this rank sends on the TCP transport (ranks with it off still decode them)")
 	fs.BoolVar(&o.WireDedup, "wire-dedup", o.WireDedup, "deduplicate exchange sample payloads: repeat samples travel as compact ID references (bitwise-identical training, fewer wire bytes)")
 	fs.StringVar(&o.SampleEncoding, "sample-encoding", o.SampleEncoding, "exchange sample wire format: fp32 (default) or fp16exact (compact where bitwise lossless, fp32 otherwise)")
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "run seed")

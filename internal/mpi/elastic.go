@@ -46,9 +46,9 @@ func (c *Comm) PendingJoins() []transport.JoinRequest {
 // point-to-point traffic toward it can flow. Backends without elastic
 // support (inproc, whose worlds are wired at creation) make it a no-op —
 // their tests deliver joiner traffic through pre-wired slots.
-func (c *Comm) AdmitPeer(rank int, addr string, flags byte) error {
+func (c *Comm) AdmitPeer(rank int, addr string) error {
 	if pa, ok := transport.AsPeerAdmitter(c.conn); ok {
-		return pa.AdmitPeer(rank, addr, flags)
+		return pa.AdmitPeer(rank, addr)
 	}
 	return nil
 }

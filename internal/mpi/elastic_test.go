@@ -140,7 +140,7 @@ func TestPendingJoinsQueue(t *testing.T) {
 	if got := c.PendingJoins(); len(got) != 0 {
 		t.Fatalf("fresh comm has %d pending joins", len(got))
 	}
-	c.NoteJoinRequest(transport.JoinRequest{Rank: 4, Addr: "127.0.0.1:1", Flags: 1})
+	c.NoteJoinRequest(transport.JoinRequest{Rank: 4, Addr: "127.0.0.1:1"})
 	c.NoteJoinRequest(transport.JoinRequest{Rank: 5, Addr: "127.0.0.1:2"})
 	got := c.PendingJoins()
 	if len(got) != 2 || got[0].Rank != 4 || got[1].Rank != 5 {

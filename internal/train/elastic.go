@@ -114,7 +114,7 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 		// Inproc worlds are wired at creation and note joins with an empty
 		// address; the transport-level admission is then a no-op.
 		if jr.Addr != "" {
-			if err := w.comm.AdmitPeer(jr.Rank, jr.Addr, jr.Flags); err != nil {
+			if err := w.comm.AdmitPeer(jr.Rank, jr.Addr); err != nil {
 				return err
 			}
 		}

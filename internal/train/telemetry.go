@@ -135,14 +135,17 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 	if conn.Stats().Wire {
 		// A wire backend's Stats also decompose by frame kind and carry the
 		// compressor's totals; without sockets both are zero by construction.
-		kindNames := [transport.NumKinds]string{"data", "hello", "table", "bye", "ping", "dataz", "dataref"}
+		kindNames := [transport.NumKinds]string{"data", "hello", "table", "", "ping", "dataz", "dataref"} // kind 3 is retired
 		for k := 0; k < transport.NumKinds; k++ {
+			if kindNames[k] == "" {
+				continue
+			}
 			k := k
 			for _, dir := range []string{"sent", "recv"} {
 				dir := dir
 				lk := telemetry.Labels{"rank": l["rank"], "direction": dir, "kind": kindNames[k]}
 				reg.CounterFunc("pls_transport_frames_by_kind_total",
-					"Frames moved by the transport, by wire kind (data, hello, table, bye, ping, dataz, dataref).", lk,
+					"Frames moved by the transport, by wire kind (data, hello, table, ping, dataz, dataref).", lk,
 					func() float64 {
 						st := conn.Stats()
 						if dir == "sent" {

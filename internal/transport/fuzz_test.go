@@ -26,7 +26,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	seed(WireFrame{Kind: KindData, Src: 0, Dst: 1, Tag: 7, Payload: []byte{codeInt, 1, 0, 0, 0, 0, 0, 0, 0}})
 	seed(WireFrame{Kind: KindHello, Src: 3, Dst: 0, Payload: []byte("127.0.0.1:9999")})
 	seed(WireFrame{Kind: KindTable, Src: 0, Dst: -1, Payload: EncodeAddrTable([]string{"a:1", "b:2"})})
-	seed(WireFrame{Kind: KindBye, Src: 2, Dst: 5, Tag: -12345})
+	seed(WireFrame{Kind: KindPing, Src: 2, Dst: 5, Tag: -12345})
+	seed(WireFrame{Kind: 3, Src: 2, Dst: 5})                 // retired kind: must be rejected
+	seed(WireFrame{Kind: KindHello, Src: 1, Dst: 2, Tag: 7}) // a data socket's hello, dial number 7
 	if batch, err := EncodePayload(data.EncodeSampleBatch([]data.Sample{
 		{ID: 1, Label: 0, Features: []float32{1, 2}, Bytes: 4},
 		{ID: 2, Label: 1, Features: []float32{-3}, Bytes: 8},

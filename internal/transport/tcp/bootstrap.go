@@ -57,8 +57,6 @@ func (c *Conn) bootstrapRoot(advertise string, deadline time.Time) error {
 	// stay empty until admission.
 	addrs := make([]string, c.cfg.capacity())
 	addrs[0] = advertise
-	flags := make([]byte, c.cfg.capacity())
-	flags[0] = c.cfg.capabilityFlags()
 	conns := make([]net.Conn, c.cfg.Size) // per-rank hello connection
 	defer func() {
 		for _, conn := range conns {
@@ -91,14 +89,14 @@ func (c *Conn) bootstrapRoot(advertise string, deadline time.Time) error {
 		} else {
 			seen++
 		}
-		addrs[r], flags[r] = transport.DecodeHello(f.Payload)
+		addrs[r] = string(f.Payload)
 		conns[r] = conn
 	}
 	table, err := transport.MarshalFrame(transport.WireFrame{
 		Kind:    transport.KindTable,
 		Src:     0,
 		Dst:     -1,
-		Payload: transport.EncodePeerTable(addrs, flags),
+		Payload: transport.EncodeAddrTable(addrs),
 	})
 	if err != nil {
 		return err
@@ -112,7 +110,6 @@ func (c *Conn) bootstrapRoot(advertise string, deadline time.Time) error {
 		}
 	}
 	c.addrs = addrs
-	c.peerFlags = flags
 	return nil
 }
 
@@ -136,7 +133,7 @@ func (c *Conn) rendezvous(advertise string, deadline time.Time) error {
 		Kind:    transport.KindHello,
 		Src:     src,
 		Dst:     0,
-		Payload: transport.EncodeHello(advertise, c.cfg.capabilityFlags()),
+		Payload: []byte(advertise),
 	})
 	if err != nil {
 		return err
@@ -167,7 +164,7 @@ func (c *Conn) rendezvous(advertise string, deadline time.Time) error {
 			lastErr = fmt.Errorf("%s answered with frame kind %d dst %d, want a table", what, f.Kind, f.Dst)
 			continue
 		}
-		addrs, flags, err := transport.DecodePeerTable(f.Payload)
+		addrs, err := transport.DecodeAddrTable(f.Payload)
 		if err != nil {
 			lastErr = fmt.Errorf("decoding %s table: %w", what, err)
 			continue
@@ -188,7 +185,6 @@ func (c *Conn) rendezvous(advertise string, deadline time.Time) error {
 			c.cfg.Size = c.cfg.capacity()
 		}
 		c.addrs = addrs
-		c.peerFlags = flags
 		return nil
 	}
 }
@@ -241,11 +237,10 @@ func (c *Conn) notifyJoin(jr transport.JoinRequest) {
 	}
 }
 
-// AdmitPeer records a joiner's data address and capability flags so traffic
-// toward its slot dials like any bootstrap-time peer. Every running member
-// calls it when the join protocol announces the new rank. Implements
-// transport.PeerAdmitter.
-func (c *Conn) AdmitPeer(rank int, addr string, flags byte) error {
+// AdmitPeer records a joiner's data address so traffic toward its slot dials
+// like any bootstrap-time peer. Every running member calls it when the join
+// protocol announces the new rank. Implements transport.PeerAdmitter.
+func (c *Conn) AdmitPeer(rank int, addr string) error {
 	if rank == c.cfg.Rank {
 		return nil
 	}
@@ -257,7 +252,6 @@ func (c *Conn) AdmitPeer(rank int, addr string, flags byte) error {
 	}
 	c.addrMu.Lock()
 	c.addrs[rank] = addr
-	c.peerFlags[rank] = flags
 	c.addrMu.Unlock()
 	return nil
 }
@@ -293,7 +287,7 @@ func (c *Conn) joinAcceptLoop() {
 			if err != nil || f.Kind != transport.KindHello || f.Src != -1 {
 				return // not a joiner hello; drop
 			}
-			addr, fl := transport.DecodeHello(f.Payload)
+			addr := string(f.Payload)
 			if addr == "" {
 				return
 			}
@@ -305,8 +299,7 @@ func (c *Conn) joinAcceptLoop() {
 			r := c.nextJoin
 			c.nextJoin++
 			c.addrs[r] = addr
-			c.peerFlags[r] = fl
-			table := transport.EncodePeerTable(c.addrs, c.peerFlags)
+			table := transport.EncodeAddrTable(c.addrs)
 			c.addrMu.Unlock()
 			reply, err := transport.MarshalFrame(transport.WireFrame{
 				Kind:    transport.KindTable,
@@ -325,12 +318,11 @@ func (c *Conn) joinAcceptLoop() {
 				if c.nextJoin == r+1 {
 					c.nextJoin = r
 					c.addrs[r] = ""
-					c.peerFlags[r] = 0
 				}
 				c.addrMu.Unlock()
 				return
 			}
-			c.notifyJoin(transport.JoinRequest{Rank: r, Addr: addr, Flags: fl})
+			c.notifyJoin(transport.JoinRequest{Rank: r, Addr: addr})
 		}(conn)
 	}
 }

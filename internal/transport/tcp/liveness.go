@@ -112,6 +112,7 @@ func (c *Conn) Kill() {
 			p.conn = nil
 			p.cond.Broadcast()
 			p.mu.Unlock()
+			p.in.release()
 		}
 		if c.listener != nil {
 			c.listener.Close()
@@ -131,26 +132,25 @@ func (c *Conn) Kill() {
 
 // ResetPeers forces every established connection to be recycled WITHOUT
 // marking any peer dead — the transient-blip fault (transport.Resetter).
-// Each socket's write side is shut down (half-close): bytes already
-// accepted by the kernel still flush, the remote reader consumes them and
-// then sees a clean EOF, drops the connection, and both sides redial within
-// the normal retry budget. Half-close rather than full close is what makes
-// the fault survivable-by-construction: a full close would destroy inbound
-// frames sitting in the local receive buffer — frames the peer's write
-// accounting already counted as delivered, so nothing would ever resend
-// them and the next collective would hang. (A fault that loses
-// acknowledged frames is a peer death, not a reset; inject that with
-// Kill.) Only an exhausted retry budget — never the reset itself —
-// surfaces as a peer failure.
+// Each socket's write side is shut down (half-close): bytes already accepted
+// by the kernel still flush, the reader drains them to the FIN, the writer
+// sends its next batch on a fresh dial, and the receiver reads that only
+// after the old socket's end. Half-close rather than full close is what
+// makes the fault survivable-by-construction: a full close would destroy
+// inbound frames sitting in the local receive buffer — frames the peer's
+// write accounting already counted as delivered, so nothing would ever
+// resend them and the next collective would hang. (A fault that loses
+// acknowledged frames is a peer death, not a reset; inject that with Kill.)
+// Only an exhausted retry budget — never the reset itself — surfaces as a
+// peer failure.
 func (c *Conn) ResetPeers() {
 	select {
 	case <-c.closed:
 		return // already torn down; nothing to reset
 	default:
 	}
-	// Detach each peer's canonical write connection first so writers redial
-	// instead of queueing more writes onto a socket that is about to refuse
-	// them.
+	// Detach each peer's write socket first so writers redial instead of
+	// queueing more writes onto a socket that is about to refuse them.
 	for _, p := range c.peers {
 		if p == nil {
 			continue
@@ -166,17 +166,15 @@ func (c *Conn) ResetPeers() {
 	}
 	c.connsMu.Unlock()
 	for _, conn := range conns {
-		// The socket stays tracked and its read side stays open: inbound
-		// frames keep draining until the peer reacts to the EOF, closes its
-		// end, and our reader drops the connection (dropConn unregisters
-		// it). Close and Kill can still tear it down meanwhile.
+		// The socket stays tracked and its read side stays open until the
+		// peer closes its end: a reader then retires it. Close and Kill can
+		// still tear it down meanwhile.
 		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
 			cw.CloseWrite()
 		} else {
 			// Injected test dials may not be TCP; a full close is the best
 			// available approximation there.
-			c.untrack(conn)
-			conn.Close()
+			c.closeConn(conn)
 		}
 	}
 }

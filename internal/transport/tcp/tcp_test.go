@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -246,6 +247,188 @@ func TestResetPeersIsLossless(t *testing.T) {
 		if err := c.Err(); err != nil {
 			t.Fatalf("rank %d recorded failure despite lossless resets: %v", r, err)
 		}
+	}
+}
+
+// delayProxy relays one TCP connection to target, passing on each chunk the
+// client writes — and the client's FIN — delay after it arrived. The other
+// direction, which carries only the target's FIN, passes at once. read
+// counts the client bytes the proxy has taken in. It is called from the
+// dialing rank's writer goroutine, so it reports a failure with t.Error.
+func delayProxy(t *testing.T, target string, delay time.Duration, read *atomic.Int64) (addr string) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Error(err)
+		return target
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer client.Close()
+		server, err := net.Dial("tcp", target)
+		if err != nil {
+			return
+		}
+		defer server.Close()
+		type chunk struct {
+			at time.Time
+			b  []byte // nil: the client's FIN
+		}
+		late := make(chan chunk, 1024) // more chunks than a test writes: reading never waits on the delay
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for c := range late {
+				time.Sleep(time.Until(c.at.Add(delay)))
+				if c.b == nil {
+					server.(*net.TCPConn).CloseWrite()
+					return
+				}
+				server.Write(c.b)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			io.Copy(client, server)
+			client.(*net.TCPConn).CloseWrite()
+		}()
+		for {
+			buf := make([]byte, 64<<10)
+			n, err := client.Read(buf)
+			if n > 0 {
+				read.Add(int64(n))
+				late <- chunk{time.Now(), buf[:n]}
+			}
+			if err != nil {
+				late <- chunk{at: time.Now()}
+				break
+			}
+		}
+		wg.Wait()
+	}()
+	return ln.Addr().String()
+}
+
+// TestReconnectKeepsDialOrder pins the receiver's half of FIFO across a
+// reconnect: a source's sockets are read in the order it dialed them, each
+// to its end, however late the bytes of an older socket arrive — and a dial
+// that failed before its hello was written holds up none of the later ones.
+func TestReconnectKeepsDialOrder(t *testing.T) {
+	t.Parallel()
+	const n = 100
+	frameWire := transport.FrameWireSize(0) // every payload below is an int
+	helloWire := int64(4 + 17)
+
+	// sendAcrossReset sends 2n frames from rank 0 to rank 1 and recycles rank
+	// 0's sockets between the halves, once written waits for the first half
+	// to have left rank 0; rank 1 must deliver all of them in send order.
+	sendAcrossReset := func(t *testing.T, conns []*Conn, inbox []chan transport.Frame, written func() bool) {
+		for i := 0; i < 2*n; i++ {
+			if i == n {
+				deadline := time.Now().Add(10 * time.Second)
+				for !written() && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				conns[0].ResetPeers()
+			}
+			if _, err := conns[0].Send(1, 0, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, f := range recvN(t, inbox[1], 2*n) {
+			if f.Payload.(int) != i {
+				t.Fatalf("frame %d: payload %v (the reconnect overtook the older socket)", i, f.Payload)
+			}
+		}
+		for r, c := range conns {
+			if err := c.Err(); err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+	}
+
+	t.Run("older-socket-delayed", func(t *testing.T) {
+		t.Parallel()
+		// Rank 0's first data socket runs through a proxy that holds every
+		// byte 200 ms; the socket dialed after the reset is direct, so its
+		// frames reach rank 1 long before the first socket's do.
+		var read atomic.Int64
+		conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
+			cfg.DialBackoff = time.Millisecond
+			if rank != 0 {
+				return
+			}
+			var dials atomic.Int32
+			cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+				if dials.Add(1) == 1 {
+					addr = delayProxy(t, addr, 200*time.Millisecond, &read)
+				}
+				return net.DialTimeout("tcp", addr, timeout)
+			}
+		})
+		sendAcrossReset(t, conns, inbox, func() bool {
+			return read.Load() >= helloWire+n*frameWire
+		})
+	})
+
+	t.Run("first-hello-fails", func(t *testing.T) {
+		t.Parallel()
+		// Rank 0's first data dial connects and is closed before the hello
+		// is written: rank 1 accepts a socket that ends without a hello.
+		conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
+			cfg.DialBackoff = time.Millisecond
+			if rank != 0 {
+				return
+			}
+			var dials atomic.Int32
+			cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+				conn, err := net.DialTimeout("tcp", addr, timeout)
+				if err == nil && dials.Add(1) == 1 {
+					conn.Close()
+				}
+				return conn, err
+			}
+		})
+		sendAcrossReset(t, conns, inbox, func() bool {
+			return conns[0].Stats().SentByKind[transport.KindHello] == 1
+		})
+	})
+}
+
+// TestWriteOnDialedSocketIsProtocolError: a rank reads frames only from the
+// sockets it accepted, so bytes arriving on one it dialed are an error.
+func TestWriteOnDialedSocketIsProtocolError(t *testing.T) {
+	t.Parallel()
+	conns, inbox := startWorld(t, 2, nil)
+	if _, err := conns[0].Send(1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	recvN(t, inbox[1], 1)
+	frame, err := transport.AppendDataFrame(nil, 1, 0, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 1 has dialed nothing: its one socket is the one rank 0 dialed.
+	conns[1].connsMu.Lock()
+	for conn := range conns[1].conns {
+		conn.Write(frame)
+	}
+	conns[1].connsMu.Unlock()
+	deadline := time.Now().Add(10 * time.Second)
+	for conns[0].Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := conns[0].Err(); err == nil || !strings.Contains(err.Error(), "dialed") {
+		t.Fatalf("rank 0 recorded %v, want a protocol error naming the dialed socket", err)
+	}
+	select {
+	case f := <-inbox[0]:
+		t.Fatalf("rank 0 delivered %+v from a socket it dialed", f)
+	default:
 	}
 }
 
@@ -626,11 +809,10 @@ func TestCompressionBelowThresholdStaysPlain(t *testing.T) {
 	}
 }
 
-func TestCompressionNegotiationAsymmetric(t *testing.T) {
+func TestCompressionIsTheSendersChoice(t *testing.T) {
 	t.Parallel()
-	// Only rank 0 opts in: neither direction may ship compressed frames,
-	// because rank 1 never advertised FlagCompress (0→1 blocked by the peer
-	// flag, 1→0 blocked by rank 1's own config).
+	// Only rank 0 compresses. Its frames travel as KindDataZ and rank 1,
+	// which does not compress, decodes them; rank 1's frames travel plain.
 	conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
 		cfg.Compress = rank == 0
 	})
@@ -646,14 +828,15 @@ func TestCompressionNegotiationAsymmetric(t *testing.T) {
 	for _, f := range []transport.Frame{f0, f1} {
 		got := f.Payload.([]byte)
 		if len(got) != len(payload) || got[100] != payload[100] {
-			t.Fatalf("payload mangled on mixed-capability wire")
+			t.Fatalf("payload from rank %d mangled", f.Src)
 		}
 	}
-	for r, c := range conns {
-		ks := c.Stats()
-		if ks.SentByKind[transport.KindDataZ] != 0 || ks.RecvByKind[transport.KindDataZ] != 0 {
-			t.Fatalf("rank %d shipped compressed frames without negotiation: %+v", r, ks)
-		}
+	s0, s1 := conns[0].Stats(), conns[1].Stats()
+	if s0.SentByKind[transport.KindDataZ] != 1 || s1.RecvByKind[transport.KindDataZ] != 1 {
+		t.Fatalf("0→1 did not travel compressed: rank 0 sent %v, rank 1 received %v", s0.SentByKind, s1.RecvByKind)
+	}
+	if s1.SentByKind[transport.KindData] != 1 || s1.SentByKind[transport.KindDataZ] != 0 || s0.RecvByKind[transport.KindDataZ] != 0 {
+		t.Fatalf("1→0 did not travel plain: rank 1 sent %v, rank 0 received %v", s1.SentByKind, s0.RecvByKind)
 	}
 }
 
@@ -772,7 +955,7 @@ func TestElasticJoin(t *testing.T) {
 	// Non-root members learn the joiner's address out of band (in the real
 	// protocol, from rank 0's broadcast) and admit it.
 	for r := 1; r < 3; r++ {
-		if err := conns[r].AdmitPeer(jr.Rank, jr.Addr, jr.Flags); err != nil {
+		if err := conns[r].AdmitPeer(jr.Rank, jr.Addr); err != nil {
 			t.Fatalf("rank %d AdmitPeer: %v", r, err)
 		}
 	}

@@ -209,14 +209,13 @@ type FailureNotifier interface {
 
 // JoinRequest describes a would-be rank that reached the transport's
 // rendezvous mid-run (elastic join, DESIGN.md §15): the world rank the
-// bootstrap root assigned it, the data-listener address it advertises, and
-// its negotiated capability flags. The transport only performs the
-// handshake; admitting the rank into the running world (AdmitPeer on every
-// member, mpi.Grow, state transfer) is the upper layers' protocol.
+// bootstrap root assigned it and the data-listener address it advertises.
+// The transport only performs the handshake; admitting the rank into the
+// running world (AdmitPeer on every member, mpi.Grow, state transfer) is the
+// upper layers' protocol.
 type JoinRequest struct {
-	Rank  int
-	Addr  string
-	Flags byte
+	Rank int
+	Addr string
 }
 
 // JoinNotifier is implemented by backends whose bootstrap root keeps
@@ -229,13 +228,12 @@ type JoinNotifier interface {
 }
 
 // PeerAdmitter is implemented by backends that can attach a new peer to an
-// already-running endpoint: AdmitPeer records the peer's address and
-// capability flags so subsequent sends toward rank dial it like any
-// bootstrap-time peer. The rank must lie within the endpoint's configured
+// already-running endpoint: AdmitPeer records the peer's address so
+// subsequent sends toward rank dial it like any bootstrap-time peer. The rank must lie within the endpoint's configured
 // capacity (tcp.Config.MaxSize). Shared-memory backends, whose worlds are
 // fixed at creation, simply don't implement the interface.
 type PeerAdmitter interface {
-	AdmitPeer(rank int, addr string, flags byte) error
+	AdmitPeer(rank int, addr string) error
 }
 
 // AsPeerAdmitter finds the first PeerAdmitter in c's wrapper chain.

@@ -9,17 +9,21 @@ import (
 )
 
 // Frame kinds on the wire. Data frames carry codec-encoded payloads between
-// ranks; the control kinds implement the TCP backend's bootstrap.
+// ranks; the control kinds implement the TCP backend's bootstrap and
+// liveness. Kind 3 (a shutdown marker nothing sent) is retired and must not
+// be reassigned: readers reject it like any unknown kind.
 const (
-	KindData  = uint8(0) // payload = EncodePayload output
-	KindHello = uint8(1) // dialer identifies itself; payload = optional addr
+	KindData = uint8(0) // payload = EncodePayload output
+	// KindHello opens a socket: Src is the dialer's rank. To the rendezvous
+	// the payload is the dialer's data address; on a data socket Tag is the
+	// socket's dial number (DESIGN.md §7).
+	KindHello = uint8(1)
 	KindTable = uint8(2) // rendezvous rank↔addr table; payload = EncodeAddrTable
-	KindBye   = uint8(3) // graceful shutdown marker
 	KindPing  = uint8(4) // liveness heartbeat; carries no payload
 	// KindDataZ is a compressed data frame: the payload section is a
 	// wirecomp block whose decoded bytes are exactly a KindData payload
-	// (EncodePayload output). Only sent to peers that advertised
-	// compression support during the bootstrap (DESIGN.md §13).
+	// (EncodePayload output). A rank sends it when its own config enables
+	// compression; every reader decodes it (DESIGN.md §13).
 	KindDataZ = uint8(5)
 	// KindDataRef is a dedup reference frame: the payload is an encoded
 	// SampleRefs value naming samples the receiver already holds in its
@@ -28,6 +32,9 @@ const (
 	// reference traffic the dedup protocol substitutes for payloads.
 	KindDataRef = uint8(6)
 )
+
+// knownKind reports whether k is a frame kind in use.
+func knownKind(k uint8) bool { return k <= KindDataRef && k != 3 }
 
 // WireFrame is the binary frame exchanged by wire backends:
 //
@@ -133,7 +140,7 @@ func UnmarshalFrame(buf []byte) (WireFrame, error) {
 		Dst:  int32(binary.LittleEndian.Uint32(buf[9:])),
 		Tag:  int64(binary.LittleEndian.Uint64(buf[13:])),
 	}
-	if f.Kind > KindDataRef {
+	if !knownKind(f.Kind) {
 		return WireFrame{}, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
 	}
 	if n := int(body) - wireHeaderLen; n > 0 {
@@ -205,7 +212,7 @@ func ReadFrameInto(r io.Reader, scratch *[]byte) (f WireFrame, floats []float32,
 		Dst:  int32(binary.LittleEndian.Uint32(buf[9:])),
 		Tag:  int64(binary.LittleEndian.Uint64(buf[13:])),
 	}
-	if f.Kind > KindDataRef {
+	if !knownKind(f.Kind) {
 		return WireFrame{}, nil, nil, head, fmt.Errorf("transport: unknown frame kind %d", f.Kind)
 	}
 	if rest := need - head; f.Kind == KindData && head == peek {
@@ -260,118 +267,6 @@ func EncodeAddrTable(addrs []string) []byte {
 		off += len(a)
 	}
 	return buf
-}
-
-// Per-rank capability flags carried by the v2 hello/table exchange. A rank
-// advertises what it is WILLING TO RECEIVE; senders intersect their own
-// config with the peer's advertisement, so a mixed world (some ranks with
-// -wire-compress, some without) degrades to plain frames pairwise instead
-// of failing.
-const (
-	// FlagCompress: the rank accepts KindDataZ (wirecomp-compressed)
-	// frames and would like peers to send them.
-	FlagCompress = byte(1 << 0)
-)
-
-// helloV2Marker begins a v2 hello payload. A v1 hello payload is the
-// dialer's raw listen address, which is never empty and never starts with
-// NUL, so the marker is unambiguous: marker, one flags byte, then the
-// address bytes.
-const helloV2Marker = byte(0x00)
-
-// EncodeHello serializes a dialer's hello payload: v1 (bare address) when
-// flags is zero — byte-identical to the pre-negotiation wire — and the v2
-// marker+flags+addr form otherwise.
-func EncodeHello(addr string, flags byte) []byte {
-	if flags == 0 {
-		return []byte(addr)
-	}
-	out := make([]byte, 0, 2+len(addr))
-	out = append(out, helloV2Marker, flags)
-	return append(out, addr...)
-}
-
-// DecodeHello parses a hello payload of either version.
-func DecodeHello(payload []byte) (addr string, flags byte) {
-	if len(payload) >= 2 && payload[0] == helloV2Marker {
-		return string(payload[2:]), payload[1]
-	}
-	return string(payload), 0
-}
-
-// peerTableV2 flags the count word of a v2 table. v1 tables bound the
-// count at 1<<20, so the high bit is never set by a legacy encoder.
-const peerTableV2 = uint32(1 << 31)
-
-// EncodePeerTable serializes the rendezvous rank↔(addr, capability) table.
-// With all-zero flags it emits the legacy EncodeAddrTable bytes, so worlds
-// that negotiated nothing stay wire-compatible with old peers; otherwise it
-// emits the v2 form (count|peerTableV2, then len-prefixed addr + flag byte
-// per rank).
-func EncodePeerTable(addrs []string, flags []byte) []byte {
-	anyFlags := false
-	for _, f := range flags {
-		if f != 0 {
-			anyFlags = true
-			break
-		}
-	}
-	if !anyFlags {
-		return EncodeAddrTable(addrs)
-	}
-	n := 4
-	for _, a := range addrs {
-		n += 4 + len(a) + 1
-	}
-	buf := make([]byte, n)
-	binary.LittleEndian.PutUint32(buf, uint32(len(addrs))|peerTableV2)
-	off := 4
-	for i, a := range addrs {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(a)))
-		off += 4
-		copy(buf[off:], a)
-		off += len(a)
-		var f byte
-		if i < len(flags) {
-			f = flags[i]
-		}
-		buf[off] = f
-		off++
-	}
-	return buf
-}
-
-// DecodePeerTable parses either table version; v1 input yields all-zero
-// flags.
-func DecodePeerTable(buf []byte) (addrs []string, flags []byte, err error) {
-	if len(buf) >= 4 && binary.LittleEndian.Uint32(buf)&peerTableV2 != 0 {
-		count := binary.LittleEndian.Uint32(buf) &^ peerTableV2
-		if count > 1<<20 {
-			return nil, nil, fmt.Errorf("transport: peer table count %d out of range", count)
-		}
-		off := 4
-		addrs = make([]string, 0, count)
-		flags = make([]byte, 0, count)
-		for i := uint32(0); i < count; i++ {
-			if len(buf)-off < 4 {
-				return nil, nil, fmt.Errorf("transport: peer table entry %d truncated", i)
-			}
-			l := int(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-			if l < 0 || len(buf)-off < l+1 {
-				return nil, nil, fmt.Errorf("transport: peer table entry %d length %d out of range", i, l)
-			}
-			addrs = append(addrs, string(buf[off:off+l]))
-			flags = append(flags, buf[off+l])
-			off += l + 1
-		}
-		return addrs, flags, nil
-	}
-	addrs, err = DecodeAddrTable(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return addrs, make([]byte, len(addrs)), nil
 }
 
 // DecodeAddrTable parses an EncodeAddrTable payload.

@@ -15,8 +15,8 @@ func TestFrameMarshalUnmarshal(t *testing.T) {
 		{Kind: KindData, Src: 0, Dst: 3, Tag: 17, Payload: []byte{1, 2, 3}},
 		{Kind: KindHello, Src: 2, Dst: 0, Payload: []byte("10.0.0.1:4242")},
 		{Kind: KindTable, Src: 0, Dst: -1, Payload: EncodeAddrTable([]string{"", "x:1"})},
-		{Kind: KindBye, Src: 1, Dst: 2, Tag: -9_000_000_000}, // tags exceed int32
-		{Kind: KindData, Src: 5, Dst: 6, Tag: 0},             // empty payload
+		{Kind: KindPing, Src: 1, Dst: 2, Tag: -9_000_000_000}, // tags exceed int32
+		{Kind: KindData, Src: 5, Dst: 6, Tag: 0},              // empty payload
 	}
 	for _, want := range frames {
 		buf, err := MarshalFrame(want)
@@ -52,11 +52,20 @@ func TestFrameMalformed(t *testing.T) {
 			buf[4] = 200
 			return buf
 		}(),
+		"retired kind 3": func() []byte {
+			buf, _ := MarshalFrame(WireFrame{Kind: 3})
+			return buf
+		}(),
 	}
 	for name, buf := range cases {
 		if _, err := UnmarshalFrame(buf); err == nil {
 			t.Errorf("%s: UnmarshalFrame accepted malformed input", name)
 		}
+	}
+	retired, _ := MarshalFrame(WireFrame{Kind: 3, Src: 1, Dst: 2})
+	var scratch []byte
+	if _, _, _, _, err := ReadFrameInto(bytes.NewReader(retired), &scratch); err == nil {
+		t.Error("ReadFrameInto accepted retired frame kind 3")
 	}
 	// ReadFrame on a truncated stream must report an error, not block or panic.
 	full, _ := MarshalFrame(WireFrame{Kind: KindData, Payload: []byte{1, 2, 3, 4}})
