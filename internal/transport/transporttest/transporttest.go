@@ -653,7 +653,7 @@ func RunTransportTests(t *testing.T, b Backend) {
 		payloads := [perRound]any{
 			[]int{1, 2, 3},
 			make([]float32, 1000),
-			data.EncodeSampleBatch(samples), // large and compressible: KindDataZ where negotiated
+			data.EncodeSampleBatch(samples), // large and compressible: KindDataZ where the sender compresses
 			transport.SampleRefs{2, 3, 40, 1 << 41},
 		}
 		for i := 0; i < rounds*perRound; i++ {
