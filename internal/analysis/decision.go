@@ -1,7 +1,7 @@
 package analysis
 
-// Closed-loop Q decision function (DESIGN.md §16). The controller that
-// retunes the exchange fraction per epoch lives in internal/shuffle/control;
+// Closed-loop Q decision function (DESIGN.md §16). The controller round that
+// retunes the exchange fraction per epoch lives in internal/train;
 // everything that decides HOW Q moves is here, as a pure function over a
 // per-epoch signal, so the raise/hold/lower geometry is unit- and
 // property-testable without a world.

@@ -237,38 +237,20 @@ func (d *Dataset) TotalBytes() int64 {
 	return t
 }
 
-// SyntheticSpec configures the Gaussian-mixture generator.
-//
-// The discriminative features (FeatureDim of them, separated by ClassSep)
-// set the task difficulty. The optional nuisance features model what makes
-// image datasets batch-norm-sensitive: directions with large between-class
-// variance but no extra margin (backgrounds, color statistics, object
-// scale). A worker whose small local shard covers only part of the classes
-// sees strongly shifted statistics along the nuisance directions, and batch
-// normalization propagates that shift into every hidden unit — the
-// Section IV-A.1 mechanism behind local shuffling's accuracy loss at scale.
+// SyntheticSpec configures the Gaussian-mixture generator: FeatureDim
+// discriminative features whose class means are separated by ClassSep set
+// the task difficulty.
 type SyntheticSpec struct {
-	Name        string
-	NumSamples  int     // training samples N
-	NumVal      int     // validation samples
-	Classes     int     // C
-	FeatureDim  int     // discriminative dimensions D
-	ClassSep    float32 // distance scale between class means (task difficulty)
-	NoiseStd    float32 // within-class standard deviation
-	NuisanceDim int     // extra high-between-class-variance dimensions
-	NuisanceSep float32 // class-mean scale of the nuisance dimensions
-	// NuisanceGroups shares one nuisance mean among C/NuisanceGroups
-	// classes (0 = per-class). Grouped nuisance directions shift shard
-	// statistics without adding class margin within a group, which is what
-	// lets the proxy exhibit the paper's BN-driven LS degradation without
-	// making the task trivially separable.
-	NuisanceGroups int
-	Bytes          int64 // simulated bytes per sample
-	Seed           uint64
+	Name       string
+	NumSamples int     // training samples N
+	NumVal     int     // validation samples
+	Classes    int     // C
+	FeatureDim int     // discriminative dimensions D
+	ClassSep   float32 // distance scale between class means (task difficulty)
+	NoiseStd   float32 // within-class standard deviation
+	Bytes      int64   // simulated bytes per sample
+	Seed       uint64
 }
-
-// TotalDim returns the full feature dimensionality.
-func (sp SyntheticSpec) TotalDim() int { return sp.FeatureDim + sp.NuisanceDim }
 
 // Validate reports configuration errors.
 func (sp SyntheticSpec) Validate() error {
@@ -280,9 +262,6 @@ func (sp SyntheticSpec) Validate() error {
 	}
 	if sp.FeatureDim <= 0 {
 		return fmt.Errorf("data: spec %q: FeatureDim must be positive, got %d", sp.Name, sp.FeatureDim)
-	}
-	if sp.NuisanceDim < 0 {
-		return fmt.Errorf("data: spec %q: NuisanceDim must be non-negative, got %d", sp.Name, sp.NuisanceDim)
 	}
 	return nil
 }
@@ -296,28 +275,14 @@ func Generate(sp SyntheticSpec) (*Dataset, error) {
 		return nil, err
 	}
 	r := rng.New(sp.Seed)
-	dim := sp.TotalDim()
-	scale := sp.ClassSep / float32(math.Sqrt(float64(sp.FeatureDim)))
+	dim := sp.FeatureDim
+	scale := sp.ClassSep / float32(math.Sqrt(float64(dim)))
 	means := make([][]float32, sp.Classes)
 	for c := range means {
 		means[c] = make([]float32, dim)
-		for j := 0; j < sp.FeatureDim; j++ {
+		for j := range means[c] {
 			means[c][j] = r.NormFloat32() * scale
 		}
-	}
-	groups := sp.NuisanceGroups
-	if groups <= 0 || groups > sp.Classes {
-		groups = sp.Classes
-	}
-	groupMeans := make([][]float32, groups)
-	for g := range groupMeans {
-		groupMeans[g] = make([]float32, sp.NuisanceDim)
-		for j := range groupMeans[g] {
-			groupMeans[g][j] = r.NormFloat32() * sp.NuisanceSep
-		}
-	}
-	for c := range means {
-		copy(means[c][sp.FeatureDim:], groupMeans[c%groups])
 	}
 	mk := func(id int) Sample {
 		c := id % sp.Classes

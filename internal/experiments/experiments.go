@@ -199,7 +199,7 @@ func Table1(opts Options) (*Result, error) {
 		tb.Row(models, info.Name,
 			fmt.Sprintf("%d", info.RealN),
 			metrics.FormatBytes(info.RealBytes),
-			fmt.Sprintf("%d/%d/%d", info.Proxy.NumSamples, info.Proxy.Classes, info.Proxy.TotalDim()))
+			fmt.Sprintf("%d/%d/%d", info.Proxy.NumSamples, info.Proxy.Classes, info.Proxy.FeatureDim))
 	}
 	return &Result{ID: "table1", Title: "Datasets and models", Tables: []*metrics.Table{tb}}, nil
 }

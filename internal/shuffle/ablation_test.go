@@ -26,7 +26,7 @@ func PlanExchangeUnbalanced(rank, size int, localIDs []int, q float64, totalN in
 	if k > len(localIDs) {
 		return ExchangePlan{}, fmt.Errorf("shuffle: PlanExchangeUnbalanced: %d slots but only %d local samples", k, len(localIDs))
 	}
-	plan := ExchangePlan{Epoch: epoch, SendIDs: make([]int, k), Dests: make([]int, k)}
+	plan := ExchangePlan{Epoch: epoch, Q: q, SendIDs: make([]int, k), Dests: make([]int, k)}
 	if k == 0 {
 		return plan, nil
 	}

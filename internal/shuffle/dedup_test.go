@@ -336,8 +336,8 @@ func TestSetWireDedupLifecycle(t *testing.T) {
 // dedup counters (DESIGN.md §11): WireTraffic and DedupStats are the
 // cumulative counters' growth since Scheduling, so a reader that takes them
 // once per scheduled epoch — completed or abandoned — sums to exactly what
-// /metrics serves, across a Reset and a SetQ change, and the abandoned
-// epoch's partial traffic is still readable after the Reset.
+// /metrics serves, across a Reset and a change of the plans' Q, and the
+// abandoned epoch's partial traffic is still readable after the Reset.
 func TestEpochDeltasSumToCumulative(t *testing.T) {
 	const n, m, seed, abandoned, epochs = 64, 2, 17, 3, 6
 	stores, _ := mkStores(t, n, m, seed, 0)
@@ -361,12 +361,15 @@ func TestEpochDeltasSumToCumulative(t *testing.T) {
 			return nil
 		}
 		for e := 0; e < epochs; e++ {
-			if e == abandoned+1 {
-				if err := sched.SetQ(0.5); err != nil {
-					return err
-				}
+			q := 1.0
+			if e > abandoned {
+				q = 0.5
 			}
-			if err := sched.Scheduling(e); err != nil {
+			plan, err := PlanExchange(c.Rank(), m, stores[c.Rank()].IDs(), q, n, seed, e)
+			if err != nil {
+				return err
+			}
+			if err := sched.Open(plan, ExchangeTag(e)); err != nil {
 				return err
 			}
 			if e == abandoned {

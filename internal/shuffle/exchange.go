@@ -15,9 +15,12 @@ import (
 // that permutation's inverse at this rank, so every rank knows whom it
 // waits for without asking (the degradation path rebuilds its receive
 // expectation from it). A plan that is not per-slot balanced (the post-join
-// rebalance) lists one sender per sample it receives.
+// rebalance) lists one sender per sample it receives. Q is the exchange
+// fraction the plan was drawn at (zero for a plan that is not a PLS exchange):
+// the Scheduler's EffectiveQ scales it.
 type ExchangePlan struct {
 	Epoch   int
+	Q       float64
 	SendIDs []int
 	Dests   []int
 	Senders []int
@@ -49,7 +52,7 @@ func PlanExchange(rank, size int, localIDs []int, q float64, totalN int, seed ui
 	if k > len(localIDs) {
 		return ExchangePlan{}, fmt.Errorf("shuffle: PlanExchange: %d slots but only %d local samples on rank %d", k, len(localIDs), rank)
 	}
-	plan := ExchangePlan{Epoch: epoch, SendIDs: make([]int, k), Dests: make([]int, k), Senders: make([]int, k)}
+	plan := ExchangePlan{Epoch: epoch, Q: q, SendIDs: make([]int, k), Dests: make([]int, k), Senders: make([]int, k)}
 	if k == 0 {
 		return plan, nil
 	}

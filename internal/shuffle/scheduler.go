@@ -126,7 +126,8 @@ const (
 
 // NewScheduler creates a scheduler for one worker. totalN is the global
 // number of training samples (used to derive the shared slot count); q is
-// the exchange fraction.
+// the exchange fraction Scheduling plans at. A plan handed to Open carries
+// its own fraction (ExchangePlan.Q).
 func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed uint64) (*Scheduler, error) {
 	if comm == nil || st == nil {
 		return nil, fmt.Errorf("shuffle: NewScheduler: nil communicator or store")
@@ -137,7 +138,8 @@ func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed u
 	if totalN <= 0 {
 		return nil, fmt.Errorf("shuffle: NewScheduler: totalN must be positive, got %d", totalN)
 	}
-	s := &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed}
+	// Until the first Open, EffectiveQ reads an empty plan drawn at q.
+	s := &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed, plan: ExchangePlan{Q: q}}
 	s.setDegraded(0, 0)
 	return s, nil
 }
@@ -153,30 +155,8 @@ func (s *Scheduler) SetSampleEncoding(enc data.Encoding) error {
 	return nil
 }
 
-// SetQ retunes the exchange fraction for the NEXT epoch (the closed-loop
-// controller of DESIGN.md §16, or a fixed per-epoch schedule). It is legal
-// only between epochs — after Reset or CleanLocalStorage, before the next
-// Scheduling — because a mid-epoch change would desynchronize the
-// shared-seed plan the ranks already agreed on. Every rank must apply the
-// same Q before the same Scheduling; the controller's broadcast protocol
-// guarantees that.
-func (s *Scheduler) SetQ(q float64) error {
-	if s.state != stateIdle {
-		return fmt.Errorf("shuffle: SetQ: cannot retune mid-epoch")
-	}
-	if q < 0 || q > 1 {
-		return fmt.Errorf("shuffle: SetQ: fraction %v out of [0,1]", q)
-	}
-	s.q = q
-	s.setDegraded(s.DegradedSlots()) // same slots, re-scaled: EffectiveQ follows q
-	return nil
-}
-
-// Q returns the exchange fraction the next epoch plans with.
-func (s *Scheduler) Q() float64 { return s.q }
-
 // Scheduling plans the epoch's flat PLS exchange from the worker's current
-// local sample set at the scheduler's Q and opens it. It must be called
+// local sample set at the q NewScheduler was given, and opens it. It must be called
 // once per epoch before Communicate.
 func (s *Scheduler) Scheduling(epoch int) error {
 	plan, err := PlanExchange(s.comm.Rank(), s.comm.Size(), s.st.IDs(), s.q, s.totalN, s.seed, epoch)

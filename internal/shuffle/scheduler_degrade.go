@@ -41,20 +41,20 @@ func (s *Scheduler) DegradedSlots() (sendSlots, recvSlots int) {
 }
 
 // EffectiveQ returns the exchange fraction the current epoch actually
-// realized: q scaled by the surviving fraction of the plan's slots
-// (averaging the send and receive directions, which degrade
-// independently). With no deaths it equals the configured q. Safe from any
+// realized: the opened plan's Q scaled by the surviving fraction of its
+// slots (averaging the send and receive directions, which degrade
+// independently). With no deaths it equals the plan's Q. Safe from any
 // goroutine — it backs the pls_exchange_effective_q gauge.
 func (s *Scheduler) EffectiveQ() float64 { return math.Float64frombits(s.effQ.Load()) }
 
 // setDegraded records the current epoch's canceled slots and the exchange
-// fraction they leave of q — the one place either is written.
+// fraction they leave of the plan's Q — the one place either is written.
 func (s *Scheduler) setDegraded(sendSlots, recvSlots int) {
 	s.degradedSend.Store(int64(sendSlots))
 	s.degradedRecv.Store(int64(recvSlots))
-	eff := s.q
+	eff := s.plan.Q
 	if k := s.plan.Slots(); k > 0 {
-		eff = s.q * float64(2*k-sendSlots-recvSlots) / float64(2*k)
+		eff = s.plan.Q * float64(2*k-sendSlots-recvSlots) / float64(2*k)
 	}
 	s.effQ.Store(math.Float64bits(eff))
 }

@@ -202,6 +202,58 @@ func TestDegradeKillBeforeEpoch(t *testing.T) {
 	survivorConservation(t, stores, deadRank, heldBefore)
 }
 
+// TestEffectiveQScalesTheOpenedPlan: EffectiveQ is the fraction of the plan
+// Open was handed, not the q the Scheduler was built with — before any
+// death, and scaled by the surviving slots after one. Before the first Open
+// it reads the constructor's q.
+func TestEffectiveQScalesTheOpenedPlan(t *testing.T) {
+	const n, m, seed, deadRank = 160, 4, 31, 1
+	const built, drawn = 1.0, 0.5
+	stores, _ := mkStores(t, n, m, seed, 0)
+	err := mpi.Run(m, func(c *mpi.Comm) error {
+		if c.Rank() == deadRank {
+			killComm(t, c)
+			return nil
+		}
+		for len(c.FailedPeers()) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		sched, err := NewScheduler(c, stores[c.Rank()], built, n, seed)
+		if err != nil {
+			return err
+		}
+		sched.SetDegradeOnPeerFailure(true)
+		if got := sched.EffectiveQ(); got != built {
+			return fmt.Errorf("rank %d: EffectiveQ before the first Open = %v, want the constructor's %v", c.Rank(), got, built)
+		}
+		plan, err := PlanExchange(c.Rank(), m, stores[c.Rank()].IDs(), drawn, n, seed, 0)
+		if err != nil {
+			return err
+		}
+		if err := sched.Open(plan, ExchangeTag(0)); err != nil {
+			return err
+		}
+		if got := sched.EffectiveQ(); got != drawn {
+			return fmt.Errorf("rank %d: EffectiveQ of the opened plan = %v, want the plan's %v", c.Rank(), got, drawn)
+		}
+		if err := sched.Synchronize(); err != nil {
+			return err
+		}
+		ds, dr := sched.DegradedSlots()
+		if ds+dr == 0 {
+			return fmt.Errorf("rank %d: the death of rank %d degraded no slot", c.Rank(), deadRank)
+		}
+		k := plan.Slots()
+		if got, want := sched.EffectiveQ(), drawn*float64(2*k-ds-dr)/float64(2*k); got != want {
+			return fmt.Errorf("rank %d: degraded EffectiveQ = %v, want %v (%d+%d of 2·%d slots lost)", c.Rank(), got, want, ds, dr, k)
+		}
+		return sched.CleanLocalStorage()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDegradeKillMidEpoch: the rank dies after shipping part of its epoch
 // traffic. Survivors absorb the death mid-drain, accept the straggler
 // samples that landed before it, and complete this and subsequent epochs

@@ -7,7 +7,7 @@ package telemetry
 // anyway — all labels are formatted at Register time, and Note only touches
 // atomics.
 type ControllerMetrics struct {
-	// Q mirrors the fraction the next Scheduling will plan with — the
+	// Q shows the fraction the next epoch plans with — the
 	// pls_controller_q gauge.
 	Q Gauge
 
@@ -46,10 +46,9 @@ func (m *ControllerMetrics) Register(reg *Registry, rank int) {
 	}
 }
 
-// Note records one applied decision: the new Q and the reason's counter.
-// Unknown reasons update only the gauge.
-func (m *ControllerMetrics) Note(q float64, reason string) {
-	m.Q.Set(q)
+// Note counts one applied decision under its reason (unknown reasons are
+// not counted). The gauge is Q's, set where the fraction is.
+func (m *ControllerMetrics) Note(reason string) {
 	if i, ok := m.index[reason]; ok {
 		m.decisions[i].Add(1)
 	}

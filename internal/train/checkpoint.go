@@ -65,7 +65,7 @@ func configFingerprint(cfg Config) string {
 		cfg.WeightDecay, opt, lars, cfg.Seed,
 		cfg.ImportanceSampling, cfg.SampleEncoding, cfg.SyncBatchNormStats,
 		cfg.FullSyncBatchNorm, cfg.PartitionLocality,
-		cfg.AutoQ, cfg.AutoQMin, cfg.AutoQMax, cfg.QSchedule)
+		cfg.AutoQ, cfg.AutoQMin, cfg.AutoQMax, cfg.qSchedule)
 	return fmt.Sprintf("%08x", crc32.Checksum([]byte(desc), fingerprintTable))
 }
 
@@ -101,13 +101,13 @@ func (w *worker) snapshotSections() (map[string][]byte, error) {
 	if w.lossByID != nil {
 		sections["loss"] = encodeLossMap(w.lossByID)
 	}
-	if w.ctrl != nil {
+	if w.cfg.AutoQ {
 		// The controller's trajectory position. The boundary decides the
 		// NEXT epoch's Q before the snapshot is taken (train loop order), so
-		// a resume re-enters Scheduling with exactly the fraction the
+		// a resume plans its first epoch at exactly the fraction the
 		// uninterrupted run would have used — the Q trajectory replays
 		// bitwise from any snapshot.
-		sections["controller"] = encodeControllerState(w.ctrlQ, w.ctrlReason)
+		sections["controller"] = encodeControllerState(w.q, w.qReason)
 	}
 	return sections, nil
 }
@@ -291,7 +291,7 @@ func (w *worker) applyResume(rs *resumeState) error {
 		return fmt.Errorf("train: resume: snapshot is already at epoch %d of %d — nothing left to train (raise Epochs to extend the run)",
 			rs.meta.NextEpoch, w.cfg.Epochs)
 	}
-	if w.ctrl != nil {
+	if w.cfg.AutoQ {
 		cb, err := sec("controller")
 		if err != nil {
 			return err
@@ -300,11 +300,7 @@ func (w *worker) applyResume(rs *resumeState) error {
 		if err != nil {
 			return err
 		}
-		w.ctrl.Adopt(q)
-		if err := w.exchanger.SetQ(q); err != nil {
-			return fmt.Errorf("train: resume: %w", err)
-		}
-		w.ctrlQ, w.ctrlReason = q, reason
+		w.setQ(q, reason)
 	}
 	w.startEpoch = rs.meta.NextEpoch
 	w.generation = rs.meta.Generation

@@ -161,13 +161,12 @@ type Config struct {
 	// default policy clamps [0.05, 0.5]). Both must lie in [0,1] with
 	// AutoQMin ≤ AutoQMax.
 	AutoQMin, AutoQMax float64
-	// QSchedule, when non-empty, pins epoch e's exchange fraction to
-	// QSchedule[min(e, len-1)] — a deterministic open-loop replay of a
-	// recorded controller trajectory (the bitwise acceptance harness:
-	// an AutoQ run and a QSchedule replay of its trajectory must produce
-	// crc32c-identical weights). Mutually exclusive with AutoQ;
-	// PartialLocal only.
-	QSchedule []float64
+
+	// qSchedule, when non-empty, pins epoch e's exchange fraction to
+	// qSchedule[min(e, len-1)] — the open-loop replay of a recorded
+	// controller trajectory that tests hold an AutoQ run against (same
+	// weights, bit for bit). Set without AutoQ, under PartialLocal.
+	qSchedule []float64
 
 	// testIterHook, when non-nil, runs at the top of every training
 	// iteration (after the epoch's exchange is scheduled). Tests use it to
@@ -239,21 +238,16 @@ func (c Config) Validate() error {
 	if c.Resume && c.CheckpointDir == "" {
 		return fmt.Errorf("train: Resume requires CheckpointDir")
 	}
-	if c.AutoQ || len(c.QSchedule) > 0 {
+	if c.AutoQ {
 		if c.Strategy.Kind != shuffle.PartialLocal {
-			return fmt.Errorf("train: AutoQ/QSchedule retune the exchange fraction and need strategy pls")
+			return fmt.Errorf("train: AutoQ retunes the exchange fraction and needs strategy pls")
 		}
-		if c.AutoQ && len(c.QSchedule) > 0 {
-			return fmt.Errorf("train: AutoQ and QSchedule are mutually exclusive (closed loop vs open-loop replay)")
+		if c.Workers < 2 {
+			return fmt.Errorf("train: AutoQ needs at least 2 workers, got %d", c.Workers)
 		}
 	}
-	if c.AutoQMin < 0 || c.AutoQMax > 1 || c.AutoQMin > c.AutoQMax {
-		return fmt.Errorf("train: AutoQ clamps [%v, %v] out of order or out of [0,1]", c.AutoQMin, c.AutoQMax)
-	}
-	for i, q := range c.QSchedule {
-		if q < 0 || q > 1 {
-			return fmt.Errorf("train: QSchedule[%d] = %v out of [0,1]", i, q)
-		}
+	if err := c.qPolicy().Validate(); err != nil {
+		return fmt.Errorf("train: AutoQ clamps: %w", err)
 	}
 	return c.Model.Validate()
 }

@@ -1,19 +1,18 @@
 // Closed-loop shuffle controller wiring (DESIGN.md §16). The decision
-// geometry is analysis.DecideQ and the trajectory bookkeeping is
-// control.Controller; this file owns the round that makes one decision per
-// epoch bitwise-identical on every rank:
+// geometry is analysis.DecideQ; the trajectory is the worker's q and qReason,
+// the one copy of the fraction in force. This file owns the round that makes
+// one decision per epoch bitwise-identical on every rank:
 //
 //  1. After epoch e's collectives settle, every rank records two
 //     DETERMINISTIC observations — the total-variation distance between
 //     the labels it trained on and the global label distribution, and a
 //     MODELED exchange/compute cost ratio at fixed reference rates. Never
 //     wall-clock: two same-seed worlds observe identically.
-//  2. One Gather ships the observations to the group root, which steps
-//     control.Controller.Decide.
+//  2. One Gather ships the observations to the group root, which reduces
+//     them to the worst rank on each axis and steps analysis.DecideQ.
 //  3. agreeQ: one Bcast carries the root's (epoch, Q, reason); every member
-//     checks the epoch stamp, Adopts the root's float64 verbatim, and
-//     applies it with Scheduler.SetQ before epoch e+1's Scheduling re-plans
-//     from the shared seed at the new fraction.
+//     checks the epoch stamp and installs the root's float64 verbatim, and
+//     epoch e+1's plan is drawn from the shared seed at the new fraction.
 //
 // Both collectives run under the same Guard as the epoch itself, so a peer
 // death mid-round funnels into the ordinary degrade recovery, whose resync
@@ -25,10 +24,9 @@ import (
 
 	"plshuffle/internal/analysis"
 	"plshuffle/internal/mpi"
-	"plshuffle/internal/shuffle/control"
 )
 
-// ReasonSchedule is the trajectory label of an open-loop QSchedule replay —
+// ReasonSchedule is the trajectory label of an open-loop schedule replay —
 // the one reason the closed loop never emits (see analysis.QReasons for the
 // decision reasons proper).
 const ReasonSchedule = "schedule"
@@ -43,27 +41,23 @@ const (
 	refFlopsPerSec     = 1e10
 )
 
-// initController builds the worker's controller from the run configuration:
-// the default policy with the operator's clamps, the dataset's global label
-// histogram, and Strategy.Q as the trajectory's (clamped) starting point,
-// applied to the exchange scheduler before the first epoch plans.
-func (w *worker) initController() error {
-	cfg := w.cfg
+// qPolicy is the decision policy of an AutoQ run: the default one, with
+// the operator's clamps when any are given.
+func (c Config) qPolicy() analysis.QPolicy {
 	pol := analysis.DefaultQPolicy()
-	if cfg.AutoQMin != 0 || cfg.AutoQMax != 0 {
-		pol.MinQ, pol.MaxQ = cfg.AutoQMin, cfg.AutoQMax
+	if c.AutoQMin != 0 || c.AutoQMax != 0 {
+		pol.MinQ, pol.MaxQ = c.AutoQMin, c.AutoQMax
 	}
-	ctrl, err := control.New(control.Config{
-		N: len(cfg.Dataset.Train), M: w.comm.GroupSize(), B: cfg.BatchSize, Policy: pol,
-	}, cfg.Strategy.Q)
-	if err != nil {
-		return err
-	}
-	w.ctrl = ctrl
-	w.ctrlQ, w.ctrlReason = ctrl.Q(), analysis.ReasonHold
-	if err := w.exchanger.SetQ(w.ctrlQ); err != nil {
-		return err
-	}
+	return pol
+}
+
+// initController starts the trajectory at Strategy.Q clamped into the
+// policy's [MinQ, MaxQ], so the first epoch already respects the operator's
+// bounds, and fixes the dataset's global label histogram.
+func (w *worker) initController() {
+	cfg := w.cfg
+	pol := cfg.qPolicy()
+	w.setQ(min(max(cfg.Strategy.Q, pol.MinQ), pol.MaxQ), analysis.ReasonHold)
 	n := len(cfg.Dataset.Train)
 	w.globalHist = make([]float64, cfg.Dataset.Classes)
 	for _, s := range cfg.Dataset.Train {
@@ -72,7 +66,14 @@ func (w *worker) initController() error {
 	for i := range w.globalHist {
 		w.globalHist[i] /= float64(n)
 	}
-	return nil
+}
+
+// setQ installs the fraction the next epoch plans with and the reason that
+// set it (empty while Q is the fixed Strategy.Q), and shows it on the
+// pls_controller_q gauge.
+func (w *worker) setQ(q float64, reason string) {
+	w.q, w.qReason = q, reason
+	w.cm.Q.Set(q)
 }
 
 // observeEpoch records the epoch's controller observations from the sample
@@ -123,25 +124,36 @@ func (w *worker) paramCount() int {
 // file header. Call it under a Guard after epoch's stats are final and
 // before the checkpoint for epoch+1 snapshots.
 func (w *worker) controllerStep(epoch int) error {
-	group := w.comm.GroupRanks()
-	root := group[0]
+	root := w.comm.GroupRanks()[0]
 	obs := mpi.Gather(w.comm, []float64{w.obsSkew, w.obsComm}, root)
 	if w.comm.Rank() == root {
-		all := make([]control.Obs, 0, len(group))
-		for g := 0; g < len(group); g++ {
-			all = append(all, control.Obs{Skew: obs[2*g], CommRatio: obs[2*g+1]})
-		}
-		d, err := w.ctrl.Decide(epoch, all)
+		skew, comm := worstRank(obs)
+		q, reason, err := analysis.DecideQ(analysis.QSignal{
+			N: len(w.cfg.Dataset.Train), M: w.comm.GroupSize(), B: w.cfg.BatchSize,
+			Q: w.q, Skew: skew, CommRatio: comm,
+		}, w.cfg.qPolicy())
 		if err != nil {
-			return err
+			return fmt.Errorf("epoch %d: %w", epoch, err)
 		}
-		w.ctrlReason = d.Reason
+		w.setQ(q, reason)
 	}
 	if err := w.agreeQ(epoch); err != nil {
 		return err
 	}
-	w.cm.Note(w.ctrlQ, w.ctrlReason) // a decision, not only an adoption
+	w.cm.Note(w.qReason) // a decision, not only an adoption
 	return nil
+}
+
+// worstRank reduces the gathered (skew, comm ratio) pairs to the worst rank
+// on each axis: the most skewed rank justifies more exchange, and the
+// exchange must hide behind compute on EVERY rank, so the largest ratio
+// governs. Maxima are order-independent, so the decision does not depend on
+// gather order.
+func worstRank(obs []float64) (skew, comm float64) {
+	for i := 0; i+1 < len(obs); i += 2 {
+		skew, comm = max(skew, obs[i]), max(comm, obs[i+1])
+	}
+	return skew, comm
 }
 
 // agreeQ is the one Q agreement of the epoch boundary: the group root's
@@ -150,22 +162,14 @@ func (w *worker) controllerStep(epoch int) error {
 // joiners of a grow all agree through here (resync). Q travels as the root's
 // float64 — the trajectory is the root's, bit for bit. The collective's tag
 // carries the membership generation; the epoch stamp catches a member that
-// reached a different boundary. The exchange window is closed at every call
-// site, so SetQ cannot race a live plan.
+// reached a different boundary. No exchange window is open at any call site,
+// and the next one opens a plan drawn at the agreed Q.
 func (w *worker) agreeQ(epoch int) error {
-	buf := []float64{float64(epoch), w.ctrl.Q(), float64(analysis.ReasonCode(w.ctrlReason))}
+	buf := []float64{float64(epoch), w.q, float64(analysis.ReasonCode(w.qReason))}
 	mpi.Bcast(w.comm, buf, w.comm.GroupRanks()[0])
 	if int(buf[0]) != epoch {
 		return fmt.Errorf("stale Q decision: root stamped epoch %d, this rank stands at epoch %d", int(buf[0]), epoch)
 	}
-	w.ctrl.Adopt(buf[1])
-	// The non-domination threshold moves with the group (a no-op in steady
-	// state).
-	w.ctrl.SetWorld(w.comm.GroupSize())
-	if err := w.exchanger.SetQ(buf[1]); err != nil {
-		return err
-	}
-	w.ctrlQ, w.ctrlReason = buf[1], analysis.ReasonFromCode(uint8(buf[2]))
-	w.cm.Q.Set(w.ctrlQ)
+	w.setQ(buf[1], analysis.ReasonFromCode(uint8(buf[2])))
 	return nil
 }

@@ -145,17 +145,14 @@ func (w *worker) syncBatchNormStats() {
 
 // planEpoch is this rank's plan for epoch: shuffle.PlanEpoch over the
 // current world, the local store and the importance weights, at the
-// exchange fraction the scheduler holds (the controller or a QSchedule may
-// have retuned it since Strategy.Q).
+// fraction in force (w.q).
 func (w *worker) planEpoch(epoch int) (shuffle.EpochPlan, error) {
 	strategy := w.cfg.Strategy
+	strategy.Q = w.q
 	world := shuffle.World{Rank: w.comm.Rank(), Size: w.comm.Size(), N: len(w.cfg.Dataset.Train)}
 	var ids []int
 	if w.local != nil {
 		ids = w.local.IDs()
-	}
-	if w.exchanger != nil {
-		strategy.Q = w.exchanger.Q()
 	}
 	if w.shards != nil {
 		man := w.shards.Manifest()
@@ -164,26 +161,26 @@ func (w *worker) planEpoch(epoch int) (shuffle.EpochPlan, error) {
 	return shuffle.PlanEpoch(strategy, world, w.cfg.Seed, epoch, ids, w.lossByID)
 }
 
+// stampQ records the fraction in force and its reason in es when a
+// trajectory (AutoQ or the schedule hook) sets it; a fixed Q leaves both zero.
+func (w *worker) stampQ(es *EpochStats) {
+	if w.qReason != "" {
+		es.ControllerQ, es.ControllerReason = w.q, w.qReason
+	}
+}
+
 func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	// The fraction this epoch plans with is known before anything in it can
 	// fail, so it is recorded first: a survivor whose epoch is cut short by a
 	// peer death (as early as its exchange's Open) still reports the Q every
 	// other member reports for it.
-	if sch := w.cfg.QSchedule; len(sch) > 0 {
+	if sch := w.cfg.qSchedule; len(sch) > 0 {
 		// Open-loop replay: pin this epoch's fraction from the schedule
 		// before planning (past the end, the last entry holds).
-		idx := epoch
-		if idx >= len(sch) {
-			idx = len(sch) - 1
-		}
-		if err := w.exchanger.SetQ(sch[idx]); err != nil {
-			return err
-		}
-		w.ctrlQ, w.ctrlReason = sch[idx], ReasonSchedule
-		w.cm.Note(w.ctrlQ, w.ctrlReason)
+		w.setQ(sch[min(epoch, len(sch)-1)], ReasonSchedule)
+		w.cm.Note(ReasonSchedule)
 	}
-	// The controller (or schedule) trajectory; zero when neither is in force.
-	es.ControllerQ, es.ControllerReason = w.ctrlQ, w.ctrlReason
+	w.stampQ(es)
 	plan, err := w.planEpoch(epoch)
 	if err != nil {
 		return err
@@ -312,7 +309,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		}
 		w.tm.ExchangeNs.Add(int64(time.Since(t0)))
 	}
-	if w.ctrl != nil {
+	if w.cfg.AutoQ {
 		// Record the epoch's deterministic controller observations now that
 		// the exchange volumes are final; the control gather at the epoch
 		// boundary ships them to the root.

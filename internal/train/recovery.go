@@ -159,9 +159,9 @@ func (w *worker) recoverPeerFailure(epoch int, first *transport.PeerError, es *E
 	} else if w.exchanger != nil {
 		w.recordDegradation(es)
 	}
-	// Step 5. SetQ inside resync is legal: recovery left the exchange window
-	// closed (finishExchange or Reset above). Survivors may stand one epoch
-	// apart, so the Q agreement is stamped with the resume point they share.
+	// Step 5, with the exchange window closed (finishExchange or Reset
+	// above). Survivors may stand one epoch apart, so the Q agreement is
+	// stamped with the resume point they share.
 	if err := w.resync(resume); err != nil {
 		return 0, err
 	}
@@ -196,7 +196,7 @@ func (w *worker) resync(epoch int) error {
 	for _, p := range w.params {
 		mpi.Bcast(w.comm, p.W, root)
 	}
-	if w.ctrl != nil {
+	if w.cfg.AutoQ {
 		if err := w.agreeQ(epoch); err != nil {
 			return err
 		}

@@ -63,8 +63,8 @@ type EpochStats struct {
 	// partial-local strategy (zero otherwise).
 	EffectiveQ float64
 	// ControllerQ is the exchange fraction this epoch actually planned with
-	// — the controller's (or QSchedule's) trajectory, scrape-able live as
-	// pls_controller_q. Zero when neither AutoQ nor QSchedule is in force.
+	// — the controller's (or the schedule hook's) trajectory, scrape-able
+	// live as pls_controller_q. Zero when neither is in force.
 	// ControllerReason is the canonical label of the decision that set it
 	// ("hold", "raise-skew", "raise-clamp", "lower-hidden", "lower-clamp",
 	// or "schedule" for open-loop replay).

@@ -74,10 +74,9 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 			func() float64 { _, s := ex.CumulativeDedup(); return float64(s) })
 	}
 
-	// --- closed-loop shuffle controller (AutoQ / QSchedule; DESIGN.md §16) ---
-	if w.ctrl != nil || len(w.cfg.QSchedule) > 0 {
+	// --- closed-loop shuffle controller (AutoQ / the schedule hook; DESIGN.md §16) ---
+	if w.cfg.AutoQ || w.cfg.qSchedule != nil {
 		w.cm.Register(reg, rank)
-		w.cm.Q.Set(w.ctrlQ)
 	}
 
 	// --- storage hierarchy (Corgi2 only) ---

@@ -26,7 +26,6 @@ import (
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
-	"plshuffle/internal/shuffle/control"
 	"plshuffle/internal/store"
 	"plshuffle/internal/store/cache"
 	"plshuffle/internal/store/shard"
@@ -272,20 +271,19 @@ type worker struct {
 	// the same collectives.
 	shortData bool
 
-	// Closed-loop controller state (DESIGN.md §16). ctrl owns the Q
-	// trajectory (nil unless cfg.AutoQ); every rank holds one so survivors
-	// and joiners can adopt the running Q without re-deriving it, but only
-	// the group root Decides. ctrlQ/ctrlReason mirror the fraction the next
-	// Scheduling will plan with and the decision that set it (QSchedule
-	// replays stamp reason "schedule"). globalHist is the dataset's global
-	// label distribution, fixed at construction; obsSkew/obsComm are the
-	// epoch's deterministic observations (label-exposure total variation
-	// and the modeled exchange/compute cost ratio) the control gather
-	// ships to the root. cm is the controller's telemetry bundle (always
-	// owned, registered with the rest).
-	ctrl             *control.Controller
-	ctrlQ            float64
-	ctrlReason       string
+	// The exchange fraction (DESIGN.md §16). q is the one copy of the
+	// fraction the next epoch plans with and qReason the decision that set
+	// it: Strategy.Q with no reason; under AutoQ the controller trajectory's
+	// position — started by initController, decided by the group root and
+	// installed by agreeQ, restored by applyResume; or the schedule hook's
+	// entry (reason "schedule"). setQ is its one writer. globalHist is the
+	// dataset's global label distribution, fixed at construction;
+	// obsSkew/obsComm are the epoch's deterministic observations
+	// (label-exposure total variation and the modeled exchange/compute cost
+	// ratio) the control gather ships to the root. cm is the controller's
+	// telemetry bundle (always owned, registered with the rest).
+	q                float64
+	qReason          string
 	globalHist       []float64
 	obsSkew, obsComm float64
 	cm               *telemetry.ControllerMetrics
@@ -314,6 +312,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 		arena:       arena.New(0),
 		cm:          telemetry.NewControllerMetrics(append(analysis.QReasons(), ReasonSchedule)),
 	}
+	w.setQ(cfg.Strategy.Q, "")
 	w.model.SetArena(w.arena)
 	w.loss.SetArena(w.arena)
 	if cfg.ImportanceSampling {
@@ -391,16 +390,7 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 				}
 			}
 			if cfg.AutoQ {
-				if err := w.initController(); err != nil {
-					return nil, err
-				}
-			} else if len(cfg.QSchedule) > 0 {
-				// Open-loop replay: the trajectory is the schedule itself;
-				// epoch 0's value applies before the first Scheduling.
-				w.ctrlQ, w.ctrlReason = cfg.QSchedule[0], ReasonSchedule
-				if err := w.exchanger.SetQ(w.ctrlQ); err != nil {
-					return nil, err
-				}
+				w.initController()
 			}
 		}
 	}
@@ -520,7 +510,7 @@ func (w *worker) train() ([]EpochStats, error) {
 			// see the same decision the uninterrupted run made there. A peer
 			// death during the gather or broadcast funnels into the same
 			// recovery as a mid-epoch one.
-			if w.ctrl != nil {
+			if w.cfg.AutoQ {
 				if cerr := w.comm.Guard(func() error { return w.controllerStep(epoch) }); cerr != nil {
 					err = fmt.Errorf("controller step after epoch %d: %w", epoch, cerr)
 				}
@@ -559,13 +549,11 @@ func (w *worker) train() ([]EpochStats, error) {
 			for skip := stood + 1; skip < resume && skip < w.cfg.Epochs; skip++ {
 				sk := EpochStats{Epoch: skip, Skipped: true,
 					DegradedSlots: es.DegradedSlots, EffectiveQ: es.EffectiveQ}
-				if w.ctrl != nil {
-					// The members that did enter the skipped epoch planned it
-					// with the fraction resync just adopted from the root (a
-					// disrupted epoch reaches no decision), so every survivor
-					// reports one trajectory.
-					sk.ControllerQ, sk.ControllerReason = w.ctrlQ, w.ctrlReason
-				}
+				// The members that did enter the skipped epoch planned it with
+				// the fraction resync just adopted from the root (a disrupted
+				// epoch reaches no decision), so every survivor reports one
+				// trajectory.
+				w.stampQ(&sk)
 				stats = append(stats, sk)
 			}
 			epoch = resume - 1
