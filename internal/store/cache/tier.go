@@ -10,7 +10,8 @@
 //
 // Admission is shard-granular: a fetch reads the whole shard from the PFS
 // tier (internal/store/shard.Dataset.FetchShardInto) straight into a free
-// slot and opens it in place; eviction hands the slot back. The byte budget
+// slot, where it is verified and opened in one parse; eviction hands the
+// slot back. The byte budget
 // plays the (1+Q)·N/M role of Section III-A: the sum of cached shard file
 // bytes never exceeds it, pinned (in-use) shards are never evicted or
 // overwritten, and an admission that cannot fit even after evicting every
@@ -294,12 +295,8 @@ func (t *Tier) land(e *entry) {
 	buf := t.slots.buf(e.slot)
 	t.mu.Unlock()
 	start := nowNano()
-	img, err := t.pfs.FetchShardInto(e.id, buf)
+	sh, err := t.pfs.FetchShardInto(e.id, buf)
 	took := nowNano() - start
-	var sh *shard.Shard
-	if err == nil {
-		sh, err = shard.FromBytes(img)
-	}
 	t.mu.Lock()
 	t.st.PFSReadNs += took
 	if err != nil {

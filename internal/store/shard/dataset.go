@@ -200,14 +200,19 @@ func (d *Dataset) throttle(bytes int64, elapsed time.Duration) {
 // FetchShard reads shard file shardID from the PFS tier, verifies it, and
 // returns the raw image in a fresh buffer.
 func (d *Dataset) FetchShard(shardID int) ([]byte, error) {
-	return d.FetchShardInto(shardID, nil)
+	sh, err := d.FetchShardInto(shardID, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sh.buf, nil
 }
 
 // FetchShardInto is FetchShard into the caller's buffer (the cache tier's
 // landing slot; nil allocates one): one read of exactly the manifest's
-// byte count, verified in place. This is the slow path the cache tier pays
-// on a miss. The returned image aliases buf.
-func (d *Dataset) FetchShardInto(shardID int, buf []byte) ([]byte, error) {
+// byte count, verified and opened in place — the image is parsed once, and
+// the Shard returned is that parse. This is the slow path the cache tier
+// pays on a miss. The Shard aliases buf.
+func (d *Dataset) FetchShardInto(shardID int, buf []byte) (*Shard, error) {
 	if shardID < 0 || shardID >= d.man.NumShards {
 		return nil, fmt.Errorf("shard: FetchShard: shard %d out of [0,%d)", shardID, d.man.NumShards)
 	}
@@ -232,11 +237,12 @@ func (d *Dataset) FetchShardInto(shardID int, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil, fmt.Errorf("shard: FetchShard %d: %w", shardID, err)
 	}
-	if err := Verify(buf); err != nil {
+	p, err := parse(buf)
+	if err != nil {
 		return nil, fmt.Errorf("shard: FetchShard %d: %w", shardID, err)
 	}
 	d.throttle(want, time.Since(start))
-	return buf, nil
+	return &Shard{p: p, buf: buf}, nil
 }
 
 // LoadVal reads and decodes the validation split (a one-time startup cost;

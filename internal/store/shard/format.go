@@ -114,16 +114,6 @@ func WriteShard(path string, shardID int, samples []data.Sample) (int64, error) 
 	return int64(len(buf)), nil
 }
 
-// Verify checks a full shard file image: magic, version, region bounds,
-// the trailing CRC32C, and every index entry against its sample header.
-// It is what Open and FromBytes run on every image and what the PFS tier
-// runs on every fetch, so a flipped bit or a truncated transfer never
-// reaches the trainer.
-func Verify(buf []byte) error {
-	_, err := parse(buf)
-	return err
-}
-
 // parsed is the validated view of a shard image.
 type parsed struct {
 	shardID int
@@ -132,7 +122,11 @@ type parsed struct {
 	index   []byte // the index region
 }
 
-// parse validates the image and returns region views into it.
+// parse checks a full shard file image — magic, version, region bounds, the
+// trailing CRC32C, and every index entry against its sample header — and
+// returns region views into it. Open and FromBytes run it on every image and
+// the PFS tier on every fetch, once, so a flipped bit or a truncated transfer
+// never reaches the trainer.
 func parse(buf []byte) (parsed, error) {
 	if len(buf) < headerLen+footerLen {
 		return parsed{}, fmt.Errorf("shard: file too short (%d bytes)", len(buf))

@@ -5,6 +5,7 @@ package tcp
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -16,23 +17,32 @@ import (
 	"plshuffle/internal/transport/wirecomp"
 )
 
-// peer is what this rank keeps about one remote rank: an unbounded FIFO frame
-// queue drained by a single writer goroutine onto the socket this rank
-// dialed, and the order it reads the sockets the peer dialed in.
+// peer is what this rank keeps about one remote rank: the socket this rank
+// dialed to it, an unbounded FIFO queue of frames waiting for that socket, a
+// writer goroutine that drains the queue, and the order it reads the sockets
+// the peer dialed in.
+//
+// One frame or batch is written at a time, by whoever holds writing: Send,
+// for a frame that finds the peer idle (socket up, queue empty, nothing being
+// written), or the writer goroutine, for everything else. The holder alone
+// uses the write scratch (iov, wv, hdr).
 type peer struct {
 	rank int
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *sync.Cond           // the writer goroutine waits on it
 	queue   []*transport.WireBuf // marshalled frames, length prefix included
 	spare   []*transport.WireBuf // recycled backing array for queue
 	conn    net.Conn             // the dialed socket frames are written on; nil → dial on demand
+	writing bool                 // a frame or batch is being written
 	closing bool
 	dead    bool                 // retry budget exhausted; queue is discarded
 	err     *transport.PeerError // why the peer is dead (set with dead)
 
-	iov   net.Buffers // writer-goroutine scratch for vectored writes
-	dials int64       // writer goroutine only: the dial number the next hello carries
+	iov   net.Buffers               // the buffers of the write in progress
+	wv    net.Buffers               // iov as WriteTo consumes it (a field, so it does not escape per write)
+	hdr   [frameWireOffset + 1]byte // an inline frame's header and payload type code
+	dials int64                     // writer goroutine only: the dial number the next hello carries
 
 	in inbound
 }
@@ -223,17 +233,18 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 	}
 }
 
-// writeLoop drains one peer's queue. Each pass swaps out everything queued
-// since the last write and pushes it in a single vectored write (writev), so
-// many small frames queued during one compute phase cost one syscall — the
-// flush-on-drain coalescing. On write failure the connection is redialed
-// with exponential backoff up to the attempt budget; exhausting the budget
-// marks the peer dead and records a wrapped error.
+// writeLoop drains one peer's queue. Each pass waits out a write Send is
+// making, swaps out everything queued since the last write and pushes it in a
+// single vectored write (writev), so many small frames queued during one
+// compute phase cost one syscall — the flush-on-drain coalescing. On write
+// failure the connection is redialed with exponential backoff up to the
+// attempt budget; exhausting the budget marks the peer dead and records a
+// wrapped error.
 func (c *Conn) writeLoop(p *peer) {
 	defer c.writerWG.Done()
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closing {
+		for p.writing || (len(p.queue) == 0 && !p.closing) {
 			p.cond.Wait()
 		}
 		if len(p.queue) == 0 && p.closing {
@@ -247,6 +258,7 @@ func (c *Conn) writeLoop(p *peer) {
 		} else {
 			p.queue = nil
 		}
+		p.writing = true
 		p.mu.Unlock()
 
 		err := c.writeBatch(p, batch)
@@ -258,6 +270,7 @@ func (c *Conn) writeLoop(p *peer) {
 			// gone — at the end of a run the fastest rank closes first, and
 			// its exit must not read as a failure to the ranks behind it.
 			p.mu.Lock()
+			p.writing = false
 			for _, wb := range p.queue {
 				transport.PutWireBuf(wb)
 			}
@@ -272,6 +285,7 @@ func (c *Conn) writeLoop(p *peer) {
 			}
 			c.fail(err)
 			p.mu.Lock()
+			p.writing = false
 			p.dead = true
 			p.err = pe
 			for _, wb := range p.queue {
@@ -284,6 +298,7 @@ func (c *Conn) writeLoop(p *peer) {
 		}
 		clear(batch)
 		p.mu.Lock()
+		p.writing = false
 		if p.spare == nil {
 			p.spare = batch[:0]
 		}
@@ -354,12 +369,8 @@ func (c *Conn) writeBatch(p *peer, batch []*transport.WireBuf) error {
 		for _, wb := range batch[done:] {
 			p.iov = append(p.iov, wb.B)
 		}
-		iov := p.iov // WriteTo advances its receiver; keep p.iov's header intact
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		n, err := iov.WriteTo(conn)
-		clear(p.iov) // drop buffer refs; the backing array is reused next pass
+		n, err := p.writev(conn)
 		if err == nil {
-			conn.SetWriteDeadline(time.Time{})
 			return nil
 		}
 		lastErr = err
@@ -372,6 +383,61 @@ func (c *Conn) writeBatch(p *peer, batch []*transport.WireBuf) error {
 	return &transport.PeerError{Rank: p.rank, Phase: phase,
 		Err: fmt.Errorf("tcp: rank %d: sending to rank %d failed after %d attempts: %w",
 			c.cfg.Rank, p.rank, attempt, lastErr)}
+}
+
+// writeInline writes one frame on Send's goroutine, which holds p.writing:
+// the peer's socket was up and nothing was queued or being written, so the
+// frame is next on the wire. Either wb holds the whole frame, or the header
+// goes from the peer's scratch and the body from the caller's memory. A
+// failed write drops the socket and puts the frame at the head of the queue —
+// copied into a buffer first if it was the caller's — and the writer
+// goroutine resends it on a fresh dial, as it does a batch cut short.
+func (c *Conn) writeInline(p *peer, conn net.Conn, wb *transport.WireBuf, tag int, code byte, body []byte, payload any) {
+	if wb != nil {
+		p.iov = append(p.iov[:0], wb.B)
+	} else {
+		// A header-only frame cannot exceed the payload limit, AppendFrame's
+		// one error; the length prefix is patched to cover the payload.
+		h, _ := transport.AppendFrame(p.hdr[:0], transport.WireFrame{
+			Kind: transport.KindData, Src: int32(c.cfg.Rank), Dst: int32(p.rank), Tag: int64(tag)})
+		h = append(h, code)
+		binary.LittleEndian.PutUint32(h, uint32(len(h)-4+len(body)))
+		p.iov = append(p.iov[:0], h, body)
+	}
+	_, err := p.writev(conn)
+	if err != nil {
+		c.dropConn(p, conn)
+		if wb == nil {
+			// refBody admitted the payload, so encoding it cannot fail.
+			wb, _ = c.encodeFrame(p.rank, tag, payload)
+		}
+	}
+	p.mu.Lock()
+	p.writing = false
+	if err != nil && !p.dead {
+		p.queue = append(p.queue, nil)
+		copy(p.queue[1:], p.queue)
+		p.queue[0] = wb
+		wb = nil
+	}
+	if len(p.queue) > 0 || p.closing {
+		p.cond.Signal()
+	}
+	p.mu.Unlock()
+	transport.PutWireBuf(wb)
+}
+
+// writev writes p.iov to conn in one vectored write under writeTimeout and
+// drops the buffer references; the caller holds p.writing.
+func (p *peer) writev(conn net.Conn) (int64, error) {
+	p.wv = p.iov // WriteTo advances its receiver; keep p.iov's header intact
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	n, err := p.wv.WriteTo(conn)
+	if err == nil {
+		conn.SetWriteDeadline(time.Time{})
+	}
+	clear(p.iov) // the backing array is reused by the next write
+	return n, err
 }
 
 // peerConn returns the socket frames to the peer are written on, dialing the

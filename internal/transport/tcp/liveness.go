@@ -87,7 +87,8 @@ func (c *Conn) notifyPeerFailure(pe transport.PeerError) {
 
 // Kill tears the endpoint down instantly — no drain, no goodbye frames —
 // exactly as SIGKILL would: every socket and the listener close, queued
-// frames are discarded, and subsequent Sends fail. Peers observe the death
+// frames are discarded, a Send blocked in an inline write returns, and
+// subsequent Sends fail. Peers observe the death
 // through their own detectors (read resets, heartbeat silence, exhausted
 // redial budgets). Implements transport.Killer for fault-injection tests.
 func (c *Conn) Kill() {

@@ -16,18 +16,25 @@
 //
 // # Ordering, retries, failure
 //
-// Each peer has one writer goroutine draining an unbounded FIFO queue, so
-// Send is eager (never blocks on the receiver) and per-(pair) frame order
-// is the sender's program order — the non-overtaking guarantee the mailbox
-// layer requires. A reconnect keeps it: each hello carries the socket's dial
-// number, and the receiver reads a source's sockets one at a time in that
-// order, each to its end. Dials and writes have deadlines; a failed
-// connection is redialed with exponential backoff up to a bounded attempt
-// budget, after which the transport records a wrapped error, fails the
-// queued frame, and surfaces the error on subsequent Send and Close calls.
-// Close drains the outbound queues, half-closes every connection and reads
-// it to the peer's FIN (all bounded by DrainTimeout) before tearing it down:
-// no socket is closed with unread bytes in it.
+// When the peer is idle — its socket up, nothing queued, nothing being
+// written — Send writes the frame itself, in one writev, a []byte or
+// []float32 body straight from the caller's memory. Otherwise it queues the
+// frame for the peer's writer goroutine, which drains an unbounded FIFO queue
+// and owns dialing, redials and backlogs. One frame or batch is written at a
+// time, so per-(pair) frame order is the sender's program order — the
+// non-overtaking guarantee the mailbox layer requires — and Send blocks at
+// most for one frame's write into a socket the peer's reader is draining,
+// which cannot deadlock. A reconnect keeps the order: each hello carries the
+// socket's dial number, and the receiver reads a source's sockets one at a
+// time in that order, each to its end. Dials and writes have deadlines; a
+// failed write drops the socket and leaves the frame at the head of the
+// queue, and a failed connection is redialed with exponential backoff up to a
+// bounded attempt budget, after which the transport records a wrapped error,
+// fails the queued frame, and surfaces the error on subsequent Send and Close
+// calls. Close waits out a write in flight, drains the outbound queues,
+// half-closes every connection and reads it to the peer's FIN (all bounded by
+// DrainTimeout) before tearing it down: no socket is closed with unread bytes
+// in it. Kill releases a write in flight at once.
 package tcp
 
 import (
@@ -39,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"plshuffle/internal/data"
 	"plshuffle/internal/transport"
 	"plshuffle/internal/transport/wirecomp"
 )
@@ -392,13 +400,20 @@ func (c *Conn) Stats() transport.Stats {
 // frame: the u32 length prefix plus the 17-byte header.
 const frameWireOffset = 4 + 17
 
-// bytesPayloadCode is what the payload codec puts in front of a []byte
-// value (its one-byte type code): the encoding of the empty slice.
-var bytesPayloadCode, _ = transport.EncodePayload([]byte{})
+// bytesPayloadCode and float32PayloadCode are what the payload codec puts in
+// front of a []byte and a []float32 value (the one-byte type code): the
+// encodings of the empty slices.
+var (
+	bytesPayloadCode, _   = transport.EncodePayload([]byte{})
+	float32PayloadCode, _ = transport.EncodePayload([]float32{})
+)
 
-// Send serializes the payload and enqueues it toward dst, returning the exact
-// number of bytes the frame occupies on the wire — the post-compression
-// serialized size, length prefix and header included. Self-sends loop back
+// Send serializes the payload toward dst, returning the exact number of bytes
+// the frame occupies on the wire — the post-compression serialized size,
+// length prefix and header included. When the peer is idle Send writes the
+// frame itself, so it returns once the kernel has taken the bytes; otherwise
+// it queues the frame for the peer's writer goroutine. Either way the
+// caller's buffer is free again when Send returns. Self-sends loop back
 // through the codec (an encode/decode round trip) so semantics match remote
 // delivery exactly, and report 0.
 func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
@@ -442,21 +457,98 @@ func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 		c.handler(transport.Frame{Src: dst, Dst: dst, Tag: tag, Payload: v})
 		return 0, nil
 	}
-	// Serialize straight into a pooled buffer — payload encoding and frame
-	// header in one pass, no intermediate payload slice. The buffer travels
-	// through the peer's writer queue and returns to the pool once written.
+	p := c.peers[dst]
+	// A []byte or []float32 body goes to the socket from the caller's memory
+	// when the peer is idle as Send reaches it; anything else, and such a body
+	// bound for the queue after all, is encoded into a pooled buffer first.
+	code, body, byRef := c.refBody(payload)
+	kind, wire := transport.KindData, int64(len(p.hdr)+len(body))
+	var wb *transport.WireBuf
+	if !byRef {
+		var err error
+		if wb, err = c.encodeFrame(dst, tag, payload); err != nil {
+			return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, err)
+		}
+		kind, wire = wb.B[4], int64(len(wb.B)) // byte 4 of a marshalled frame is its wire kind
+	}
+	for {
+		p.mu.Lock()
+		if p.dead {
+			pe := p.err
+			p.mu.Unlock()
+			transport.PutWireBuf(wb)
+			if pe != nil {
+				return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, pe)
+			}
+			return 0, &transport.PeerError{Rank: dst, Phase: transport.PhaseSend}
+		}
+		if p.closing {
+			p.mu.Unlock()
+			transport.PutWireBuf(wb)
+			return 0, fmt.Errorf("tcp: Send to rank %d: transport closing", dst)
+		}
+		if p.conn != nil && len(p.queue) == 0 && !p.writing {
+			p.writing = true
+			conn := p.conn
+			p.mu.Unlock()
+			c.countSent(kind, wire)
+			c.writeInline(p, conn, wb, tag, code, body, payload)
+			return wire, nil
+		}
+		if wb != nil {
+			p.queue = append(p.queue, wb)
+			if !p.writing { // a writer finishing a write looks at the queue again
+				p.cond.Signal()
+			}
+			p.mu.Unlock()
+			c.countSent(kind, wire)
+			return wire, nil
+		}
+		p.mu.Unlock()
+		// refBody admitted the payload, so encoding it cannot fail.
+		wb, _ = c.encodeFrame(dst, tag, payload)
+	}
+}
+
+// refBody returns the payload type code and the body of a payload that can be
+// written from the caller's memory: a []byte this rank does not compress, or
+// a []float32 on a little-endian host, whose memory is its encoding. ok is
+// false for every other payload.
+func (c *Conn) refBody(payload any) (code byte, body []byte, ok bool) {
+	switch v := payload.(type) {
+	case []byte:
+		if len(v) >= transport.MaxFramePayload || c.compresses(v) {
+			return 0, nil, false
+		}
+		return bytesPayloadCode[0], v, true
+	case []float32:
+		if 4*len(v) >= transport.MaxFramePayload || !data.HostLittleEndian {
+			return 0, nil, false
+		}
+		return float32PayloadCode[0], data.BytesOf(v), true
+	}
+	return 0, nil, false
+}
+
+// compresses reports whether this rank tries to compress a sample-batch
+// payload ([]byte): it compresses, and the payload section is large enough to
+// beat the codec overhead.
+func (c *Conn) compresses(pb []byte) bool {
+	return c.cfg.Compress && len(pb) >= minCompressPayload && len(pb) < transport.MaxFramePayload
+}
+
+// encodeFrame serializes a data frame into a pooled buffer — payload encoding
+// and frame header in one pass, no intermediate payload slice.
+//
+// Compression happens here, synchronously, rather than in the writer
+// goroutine: the frame's final wire size must be known when Send returns, and
+// the scheduler's accounting relies on that exactness. The block is built
+// from the caller's bytes directly into the frame (the payload's type code
+// rides in front as a literal), so the plain frame is only ever materialised
+// for a payload that does not shrink.
+func (c *Conn) encodeFrame(dst, tag int, payload any) (*transport.WireBuf, error) {
 	wb := transport.GetWireBuf()
-	// Compression happens here, synchronously, rather than in the writer
-	// goroutine: the frame's final wire size must be known when Send
-	// returns, and the scheduler's accounting relies on that exactness.
-	// Eligibility: this rank compresses, sample-batch payload ([]byte), and
-	// a payload section large enough to beat the codec overhead. The block
-	// is built from the caller's bytes directly into the frame that is
-	// queued (the payload's type code rides in front as a literal), so the
-	// plain frame is only ever materialised for a payload that does not
-	// shrink.
-	compressed := false
-	if pb, ok := payload.([]byte); ok && len(pb) >= minCompressPayload && len(pb) < transport.MaxFramePayload && c.cfg.Compress {
+	if pb, ok := payload.([]byte); ok && c.compresses(pb) {
 		// A header-only frame cannot exceed the payload limit, AppendFrame's
 		// one error.
 		z, _ := transport.AppendFrame(wb.B[:0], transport.WireFrame{
@@ -467,39 +559,16 @@ func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 			binary.LittleEndian.PutUint32(z, uint32(len(z)-4))
 			c.compRaw.Add(int64(raw))
 			c.compWire.Add(int64(len(z) - frameWireOffset))
-			compressed = true
+			return wb, nil
 		}
 	}
-	if !compressed {
-		buf, err := transport.AppendDataFrame(wb.B[:0], int32(c.cfg.Rank), int32(dst), int64(tag), payload)
-		wb.B = buf
-		if err != nil {
-			transport.PutWireBuf(wb)
-			return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, err)
-		}
-	}
-	kind, wire := wb.B[4], int64(len(wb.B)) // byte 4 of a marshalled frame is its wire kind
-	p := c.peers[dst]
-	p.mu.Lock()
-	if p.dead {
-		pe := p.err
-		p.mu.Unlock()
+	buf, err := transport.AppendDataFrame(wb.B[:0], int32(c.cfg.Rank), int32(dst), int64(tag), payload)
+	wb.B = buf
+	if err != nil {
 		transport.PutWireBuf(wb)
-		if pe != nil {
-			return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, pe)
-		}
-		return 0, &transport.PeerError{Rank: dst, Phase: transport.PhaseSend}
+		return nil, err
 	}
-	if p.closing {
-		p.mu.Unlock()
-		transport.PutWireBuf(wb)
-		return 0, fmt.Errorf("tcp: Send to rank %d: transport closing", dst)
-	}
-	p.queue = append(p.queue, wb)
-	p.cond.Signal()
-	p.mu.Unlock()
-	c.countSent(kind, wire)
-	return wire, nil
+	return wb, nil
 }
 
 // countSent records a frame the moment its peer's queue accepts it — the
@@ -515,10 +584,10 @@ func (c *Conn) countSent(kind uint8, wire int64) {
 	c.sentKindBytes[kind].Add(wire)
 }
 
-// Close drains the outbound queues, half-closes every connection and reads
-// each to the peer's FIN (all of it bounded by DrainTimeout), then tears the
-// connections down and returns the first transport failure observed during
-// the connection's lifetime, if any.
+// Close waits out a write Send has in flight, drains the outbound queues,
+// half-closes every connection and reads each to the peer's FIN (all of it
+// bounded by DrainTimeout), then tears the connections down and returns the
+// first transport failure observed during the connection's lifetime, if any.
 //
 // The half-close is Close's linearisation point: on a socket this rank
 // dialed, a FIN travels behind the last queued byte, and the peer's reader

@@ -226,17 +226,70 @@ func TestResetPeersIsLossless(t *testing.T) {
 		}
 	}
 
-	// Each rank receives rounds*perRound frames from its single upstream
-	// neighbour, in FIFO order despite the resets.
+	// Then rounds of 256 KiB []float32 frames, which go to the socket inline
+	// from each sender's own goroutine — from the caller's buffer, refilled
+	// for every frame — while the resets land: a reset that cuts an inline
+	// write leaves a truncated frame on the old socket, and the sender must
+	// resend it whole on the next.
+	const bigRounds, perBig, bigLen = 3, 16, 64 << 10
+	for round := 0; round < bigRounds; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(conns))
+		for src := range conns {
+			wg.Add(1)
+			go func(src int) {
+				defer wg.Done()
+				buf := make([]float32, bigLen)
+				for i := 0; i < perBig && errs[src] == nil; i++ {
+					seq := (round*perBig + i) * 3
+					for j := range buf {
+						buf[j] = float32(j)
+					}
+					buf[0] = float32(seq + src)
+					_, errs[src] = conns[src].Send((src+1)%3, 1, buf)
+				}
+			}(src)
+		}
+		for k := 0; k < 2; k++ {
+			time.Sleep(2 * time.Millisecond)
+			for _, c := range conns {
+				c.ResetPeers()
+			}
+		}
+		wg.Wait()
+		for src, err := range errs {
+			if err != nil {
+				t.Fatalf("big round %d: rank %d send: %v", round, src, err)
+			}
+		}
+	}
+
+	// Each rank receives every frame from its single upstream neighbour once,
+	// whole and in FIFO order despite the resets.
 	for dst := range conns {
 		src := (dst + 2) % 3
-		got := recvN(t, inbox[dst], rounds*perRound)
+		got := recvN(t, inbox[dst], rounds*perRound+bigRounds*perBig)
 		for i, f := range got {
 			if f.Src != src {
 				t.Fatalf("rank %d frame %d: src %d, want %d", dst, i, f.Src, src)
 			}
-			if want := i*3 + src; f.Payload.(int) != want {
-				t.Fatalf("rank %d frame %d: payload %v, want %d (reset broke FIFO)", dst, i, f.Payload, want)
+			if i < rounds*perRound {
+				if want := i*3 + src; f.Payload.(int) != want {
+					t.Fatalf("rank %d frame %d: payload %v, want %d (reset broke FIFO)", dst, i, f.Payload, want)
+				}
+				continue
+			}
+			fs, ok := f.Payload.([]float32)
+			if !ok || len(fs) != bigLen {
+				t.Fatalf("rank %d frame %d: payload %T of %d elements, want %d float32s", dst, i, f.Payload, len(fs), bigLen)
+			}
+			if want := (i-rounds*perRound)*3 + src; fs[0] != float32(want) {
+				t.Fatalf("rank %d frame %d: big frame %v, want %d (reset broke FIFO)", dst, i, fs[0], want)
+			}
+			for j := 1; j < bigLen; j++ {
+				if fs[j] != float32(j) {
+					t.Fatalf("rank %d frame %d: element %d = %v, want %d (frame not whole)", dst, i, j, fs[j], j)
+				}
 			}
 		}
 	}
@@ -669,29 +722,186 @@ func TestRendezvousRetryBoundedByTotalDeadline(t *testing.T) {
 func TestCloseDrainsQueuedFrames(t *testing.T) {
 	t.Parallel()
 	conns, inbox := startWorld(t, 2, nil)
-	const n = 200
-	payload := make([]float32, 512)
-	for i := 0; i < n; i++ {
-		if _, err := conns[0].Send(1, i, payload); err != nil {
+	// The first frame opens the socket. Then a sender streams 1 MiB frames
+	// until Send refuses: they go to the socket inline from its goroutine, one
+	// after another. Once one of those writes is seen in flight, this
+	// goroutine queues small frames behind it and closes, so Close has an
+	// inline write to wait out and a queue to drain.
+	const n, bodyLen, queued = 32, 256 << 10, 16
+	if _, err := conns[0].Send(1, 0, make([]float32, bodyLen)); err != nil {
+		t.Fatal(err)
+	}
+	first := recvN(t, inbox[1], 1)
+	accepted := make(chan int, 1)
+	go func() {
+		payload := make([]float32, bodyLen)
+		i := 1
+		for ; i < n; i++ {
+			if _, err := conns[0].Send(1, i, payload); err != nil {
+				break
+			}
+		}
+		accepted <- i
+	}()
+	p := conns[0].peers[1]
+	for busy := false; !busy; {
+		p.mu.Lock()
+		busy = p.writing || len(accepted) > 0
+		p.mu.Unlock()
+	}
+	for i := 0; i < queued; i++ {
+		if _, err := conns[0].Send(1, n+i, make([]float32, 512)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Close immediately: the queued frames must flush before teardown — and
 	// Close reads each connection to the peer's FIN, which the peer's reader
-	// sends only after delivering everything before it. So when Close
-	// returns, all n frames are already in the peer's inbox; nothing is
+	// sends only after delivering everything before it. So when Close returns,
+	// every frame Send accepted is already in the peer's inbox; nothing is
 	// still in a socket buffer for a reset to destroy.
 	if err := conns[0].Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if delivered := len(inbox[1]); delivered != n {
-		t.Fatalf("Close returned with %d/%d frames delivered to the peer", delivered, n)
+	sent := <-accepted + queued
+	if delivered := len(first) + len(inbox[1]); delivered != sent {
+		t.Fatalf("Close returned with %d/%d accepted frames delivered to the peer", delivered, sent)
 	}
-	got := recvN(t, inbox[1], n)
-	for i, f := range got {
-		if f.Tag != i {
-			t.Fatalf("frame %d has tag %d: drain reordered or lost frames", i, f.Tag)
+	// Each sender's frames arrive whole and in its order.
+	next := [2]int{0, n}
+	for i, f := range append(first, recvN(t, inbox[1], sent-len(first))...) {
+		fs, _ := f.Payload.([]float32)
+		from, size := 0, bodyLen
+		if f.Tag >= n {
+			from, size = 1, 512
 		}
+		if f.Tag != next[from] || len(fs) != size {
+			t.Fatalf("frame %d: tag %d with %d floats, want tag %d with %d: drain reordered or lost frames",
+				i, f.Tag, len(fs), next[from], size)
+		}
+		next[from]++
+	}
+}
+
+// awaitIdle waits until p's socket is up and nothing is queued or being
+// written, so that the next Send to it goes inline.
+func awaitIdle(p *peer) {
+	for {
+		p.mu.Lock()
+		idle := p.conn != nil && len(p.queue) == 0 && !p.writing
+		p.mu.Unlock()
+		if idle {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestKillReleasesBlockedInlineWrite pins that an inline write is released by
+// Kill at once rather than by writeTimeout (30 s). Rank 0's socket to rank 1
+// is one end of a net.Pipe whose other side reads the hello and the frame
+// that opened the socket, then nothing, so the next Send, which finds the
+// peer idle, blocks inside its write.
+func TestKillReleasesBlockedInlineWrite(t *testing.T) {
+	t.Parallel()
+	opened := make(chan error, 1)
+	conns, _ := startWorld(t, 2, func(rank int, cfg *Config) {
+		if rank != 0 {
+			return
+		}
+		cfg.Dial = func(string, time.Duration) (net.Conn, error) {
+			ours, theirs := net.Pipe()
+			go func() {
+				var err error
+				for i := 0; i < 2 && err == nil; i++ { // the hello, then the first frame
+					_, _, err = transport.ReadFrame(theirs)
+				}
+				opened <- err
+			}()
+			return ours, nil
+		}
+	})
+	if _, err := conns[0].Send(1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-opened; err != nil {
+		t.Fatalf("reading the socket's first frames: %v", err)
+	}
+	awaitIdle(conns[0].peers[1]) // the writer goroutine lets go of the socket it opened
+	returned := make(chan error, 1)
+	go func() {
+		_, err := conns[0].Send(1, 0, make([]float32, 256<<10)) // 1 MiB
+		returned <- err
+	}()
+	select {
+	case err := <-returned:
+		t.Fatalf("Send returned (%v) while nobody reads the socket: the frame was not written inline", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	killed := time.Now()
+	conns[0].Kill()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("Kill did not release an inline write within 1s")
+	}
+	t.Logf("Kill released the inline write after %v", time.Since(killed))
+}
+
+// TestInlineSendSteadyStateAllocs pins that a frame written inline allocates
+// nothing: the header is built in the peer's scratch, and a []float32 body
+// goes to the socket from the caller's memory. Rank 0's socket to rank 1 ends
+// at a sink that reads the hello and discards everything after it, so the
+// count holds only the sender's allocations.
+func TestInlineSendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	go func() {
+		conn, err := sink.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := transport.ReadFrame(conn); err != nil {
+			return
+		}
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conns, _ := startWorld(t, 2, func(rank int, cfg *Config) {
+		if rank == 0 {
+			cfg.Dial = func(_ string, timeout time.Duration) (net.Conn, error) {
+				return net.DialTimeout("tcp", sink.Addr().String(), timeout)
+			}
+		}
+	})
+	var payload any = make([]float32, 4096) // boxed once, as Send receives it
+	// Open the socket and warm the scratch.
+	for i := 0; i < 16; i++ {
+		if _, err := conns[0].Send(1, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitIdle(conns[0].peers[1])
+	var sendErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := conns[0].Send(1, 0, payload); err != nil {
+			sendErr = err
+		}
+	})
+	if sendErr != nil {
+		t.Fatal(sendErr)
+	}
+	if allocs > 0 {
+		t.Fatalf("an inline Send allocates %.1f times per frame, want 0", allocs)
 	}
 }
 

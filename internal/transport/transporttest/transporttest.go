@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -475,9 +476,11 @@ func RunTransportTests(t *testing.T, b Backend) {
 	})
 
 	run("EagerPairwiseExchange", 2, func(c *mpi.Comm) error {
-		// Both ranks send a large buffer first, then receive: eager sends
-		// must not deadlock against each other (socket backpressure).
-		buf := make([]float32, 1<<16)
+		// Both ranks send a large buffer first, then receive: sends must not
+		// deadlock against each other (socket backpressure). At 8 MiB the
+		// body is larger than loopback's socket buffers, so on TCP both
+		// ranks' writes wait on the other's reader at once.
+		buf := make([]float32, 2<<20)
 		for i := range buf {
 			buf[i] = float32(c.Rank()*len(buf) + i)
 		}
@@ -487,21 +490,60 @@ func RunTransportTests(t *testing.T, b Backend) {
 		if len(got) != len(buf) {
 			return fmt.Errorf("exchange returned %d elements, want %d", len(got), len(buf))
 		}
-		if got[1] != float32(other*len(buf)+1) {
-			return fmt.Errorf("exchange element mismatch: %v", got[1])
+		for i, v := range got {
+			if v != float32(other*len(buf)+i) {
+				return fmt.Errorf("exchange element %d mismatch: %v", i, v)
+			}
 		}
 		return nil
 	})
 
 	run("SendBufferReuse", 2, func(c *mpi.Comm) error {
+		// Every buffer is overwritten the moment Send returns; the receiver
+		// must see what was sent. On TCP the 1 MiB bodies take both send
+		// paths: in pass 0 they queue behind the frames sent while the first
+		// socket is dialed, and are copied into the queue; in pass 1 the peer
+		// is idle, and a []float32 or []byte body goes to the socket from the
+		// caller's memory (a compressing rank's []byte from its block).
+		const big = 1 << 20
+		floats, raw := make([]float32, big/4), make([]byte, big)
+		fill := func(pass int) {
+			for i := range floats {
+				floats[i] = float32(pass*len(floats) + i)
+			}
+			for i := range raw {
+				raw[i] = byte(i*31 + pass)
+			}
+		}
 		if c.Rank() == 0 {
+			fill(0) // before the first Send: pass 0 must follow it at once
 			buf := []float64{1, 2, 3}
 			c.Send(1, 0, buf)
 			buf[0] = 99 // must not reach the receiver
-			c.Barrier()
+			for pass := 0; pass < 2; pass++ {
+				if pass > 0 {
+					fill(pass)
+				}
+				c.Send(1, 1, floats)
+				clear(floats)
+				c.Send(1, 2, raw)
+				clear(raw)
+				c.Barrier()
+			}
 			return nil
 		}
-		c.Barrier()
+		for pass := 0; pass < 2; pass++ {
+			c.Barrier()
+			fill(pass)
+			pf, _ := c.Recv(0, 1)
+			if got := pf.([]float32); !slices.Equal(got, floats) {
+				return fmt.Errorf("pass %d: receiver saw a mutated []float32 buffer", pass)
+			}
+			pb, _ := c.Recv(0, 2)
+			if got := pb.([]byte); !slices.Equal(got, raw) {
+				return fmt.Errorf("pass %d: receiver saw a mutated []byte buffer", pass)
+			}
+		}
 		p, _ := c.Recv(0, 0)
 		if got := p.([]float64)[0]; got != 1 {
 			return fmt.Errorf("receiver saw mutated buffer: %v", got)
