@@ -60,13 +60,13 @@ func TestAllreduceSteadyStateAllocBound(t *testing.T) {
 		// Release the world together so rank 0's baseline read precedes the
 		// measured iterations (Bcast itself is inside the measured window on
 		// non-root ranks only as its constant send cost — negligible noise).
-		Bcast(c, []int32{1}, 0)
+		Bcast(c, []int{1}, 0)
 		for i := 0; i < iters; i++ {
 			Allreduce(c, buf, OpSum)
 		}
 		// Gather-to-root as the stop line: rank 0 reads the end stats only
 		// after every rank has finished its iterations.
-		Gather(c, []int32{int32(c.Rank())}, 0)
+		Gather(c, []int{c.Rank()}, 0)
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&m1)
 			perOp = float64(m1.Mallocs-m0.Mallocs) / iters

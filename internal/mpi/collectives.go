@@ -7,15 +7,13 @@ import (
 	"plshuffle/internal/transport"
 )
 
-// Op identifies a reduction operator for Reduce/Allreduce.
+// Op identifies a reduction operator for Allreduce.
 type Op int
 
 // Reduction operators.
 const (
 	OpSum Op = iota
-	OpMax
 	OpMin
-	OpProd
 	// OpAvg is OpSum followed by one multiplication by 1/GroupSize(), done
 	// once per element by whichever rank finishes reducing it — bit for bit
 	// what summing and then scaling every element on every rank gives, for
@@ -25,7 +23,7 @@ const (
 
 // Number constrains the element types supported by the numeric collectives.
 type Number interface {
-	~int | ~int32 | ~int64 | ~float32 | ~float64
+	~int | ~int64 | ~float32 | ~float64
 }
 
 // reduceInto folds src into dst[:len(src)]. Gradients — []float32 under
@@ -42,21 +40,11 @@ func reduceInto[T Number](dst, src []T, op Op) {
 		for i, v := range src {
 			dst[i] += v
 		}
-	case OpMax:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
 	case OpMin:
 		for i, v := range src {
 			if v < dst[i] {
 				dst[i] = v
 			}
-		}
-	case OpProd:
-		for i, v := range src {
-			dst[i] *= v
 		}
 	default:
 		panic(fmt.Sprintf("mpi: unknown reduction op %d", op))
@@ -78,22 +66,11 @@ func scaleAvg[T Number](s []T, size int) {
 	}
 }
 
-// isendBuf sends a buffer the caller goes on using. Slice types the
-// transport clones (inproc) or serialises (wire backends) before Send
-// returns go as they are; the rest would be delivered by reference on a
-// shared-memory backend, so they are copied first.
-func isendBuf[T any](c *Comm, dest, tag int, s []T) int64 {
-	if !transport.CloneCovers(any(s)) {
-		s = append([]T(nil), s...)
-	}
-	return c.isendInternal(dest, tag, s)
-}
-
 // release returns a payload received on an internal collective tag to the
 // transport's float pool once the collective has reduced or copied it out.
 // The collective that received a buffer is its only owner and releases it
 // exactly once; payloads a collective hands on to its caller
-// (AllgatherVarLen, Alltoall) and everything a user-level Recv returns are
+// (AllgatherVarLen) and everything a user-level Recv returns are
 // the caller's and are never released.
 func release(payload any) {
 	if f, ok := payload.([]float32); ok {
@@ -161,45 +138,8 @@ func Bcast[T any](c *Comm, buf []T, root int) {
 	for bit := 1; bit < lowBit && bit < size; bit <<= 1 {
 		child := vrank | bit
 		if child < size {
-			isendBuf(c, c.worldRank((child+groot)%size), collTag(seq, 0), buf)
+			c.isendInternal(c.worldRank((child+groot)%size), collTag(seq, 0), buf)
 		}
-	}
-}
-
-// Reduce combines each rank's buffer element-wise with op into root's
-// buffer. It gathers up a binomial tree. Non-root buffers are left
-// unchanged (a scratch copy is reduced).
-func Reduce[T Number](c *Comm, buf []T, op Op, root int) {
-	groot := c.collRoot(root, "Reduce")
-	seq := c.nextSeq()
-	size, rank := c.GroupSize(), c.gidx
-	if size == 1 {
-		return
-	}
-	vrank := (rank - groot + size) % size
-	acc := append([]T(nil), buf...)
-	// Binomial tree reduction: at round k, vranks with bit k set send to
-	// vrank with that bit cleared, then retire.
-	for bit := 1; bit < size; bit <<= 1 {
-		if vrank&bit != 0 {
-			// Send the partial reduction to the partner and retire.
-			dest := c.worldRank(((vrank &^ bit) + groot) % size)
-			c.isendInternal(dest, collTag(seq, 0), acc)
-			return
-		}
-		// We are a receiver in this round if our partner exists.
-		partner := vrank | bit
-		if partner < size {
-			payload, _ := c.collWait(c.irecvInternal(c.worldRank((partner+groot)%size), collTag(seq, 0)))
-			reduceInto(acc, payload.([]T), op)
-			release(payload)
-		}
-	}
-	if c.rank == root {
-		if op == OpAvg {
-			scaleAvg(acc, size)
-		}
-		copy(buf, acc)
 	}
 }
 
@@ -272,8 +212,8 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int) (se
 	size, rank := c.GroupSize(), c.gidx
 	chunk := func(i int) []T { i = ((i % size) + size) % size; return buf[bounds[i]:bounds[i+1]] }
 
-	// Ring segments go out as sub-slices of buf (see isendBuf), so later
-	// steps may mutate buf freely.
+	// Ring segments go out as sub-slices of buf, which every backend copies
+	// or serialises before Send returns, so later steps may mutate buf freely.
 	right := c.worldRank((rank + 1) % size)
 	left := c.worldRank((rank - 1 + size) % size)
 
@@ -287,7 +227,7 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int) (se
 			req = c.irecvInternal(left, collTag(seq, step))
 		}
 		if len(chunk(sendIdx)) > 0 {
-			sent += isendBuf(c, right, collTag(seq, step), chunk(sendIdx))
+			sent += c.isendInternal(right, collTag(seq, step), chunk(sendIdx))
 		}
 		if req != nil {
 			payload, st := c.collWait(req)
@@ -308,7 +248,7 @@ func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int) (se
 			req = c.irecvInternal(left, collTag(seq, size+step))
 		}
 		if len(chunk(sendIdx)) > 0 {
-			sent += isendBuf(c, right, collTag(seq, size+step), chunk(sendIdx))
+			sent += c.isendInternal(right, collTag(seq, size+step), chunk(sendIdx))
 		}
 		if req != nil {
 			payload, st := c.collWait(req)
@@ -332,7 +272,7 @@ func Gather[T any](c *Comm, send []T, root int) []T {
 	seq := c.nextSeq()
 	size, rank := c.GroupSize(), c.gidx
 	if c.rank != root {
-		isendBuf(c, root, collTag(seq, 0), send)
+		c.isendInternal(root, collTag(seq, 0), send)
 		return nil
 	}
 	out := make([]T, size*len(send))
@@ -346,32 +286,6 @@ func Gather[T any](c *Comm, send []T, root int) []T {
 	for g, req := range reqs {
 		payload, _ := c.collWait(req)
 		copy(out[g*len(send):], payload.([]T))
-		release(payload)
-	}
-	return out
-}
-
-// Allgather collects each group member's equal-length send buffer on every
-// member, ordered by group index (world-rank order over the members),
-// using a ring.
-func Allgather[T any](c *Comm, send []T) []T {
-	seq := c.nextSeq()
-	size, rank := c.GroupSize(), c.gidx
-	out := make([]T, size*len(send))
-	copy(out[rank*len(send):(rank+1)*len(send)], send)
-	if size == 1 {
-		return out
-	}
-	right := c.worldRank((rank + 1) % size)
-	left := c.worldRank((rank - 1 + size) % size)
-	k := len(send)
-	for step := 0; step < size-1; step++ {
-		sendIdx := ((rank-step)%size + size) % size
-		recvIdx := ((rank-step-1)%size + size) % size
-		req := c.irecvInternal(left, collTag(seq, step))
-		isendBuf(c, right, collTag(seq, step), out[sendIdx*k:(sendIdx+1)*k])
-		payload, _ := c.collWait(req)
-		copy(out[recvIdx*k:(recvIdx+1)*k], payload.([]T))
 		release(payload)
 	}
 	return out
@@ -392,37 +306,7 @@ func AllgatherVarLen[T any](c *Comm, send []T) [][]T {
 		if r == c.rank {
 			continue
 		}
-		isendBuf(c, r, collTag(seq, 0), send)
-		reqs = append(reqs, c.irecvInternal(r, collTag(seq, 0)))
-	}
-	for _, req := range reqs {
-		payload, st := c.collWait(req)
-		out[st.Source] = payload.([]T)
-	}
-	return out
-}
-
-// Alltoall performs a personalized all-to-all exchange over the collective
-// group: send[i] is delivered to world rank i, and the result's element i
-// is what world rank i sent to this rank. send must have length Size()
-// (world-indexed); entries for ranks outside the group are ignored, and the
-// result's entries for non-members are nil. Slices may have differing
-// lengths (MPI_Alltoallv-style).
-func Alltoall[T any](c *Comm, send [][]T) [][]T {
-	seq := c.nextSeq()
-	size := c.GroupSize()
-	if len(send) != c.size {
-		panic(fmt.Sprintf("mpi: Alltoall: len(send)=%d, want world size %d", len(send), c.size))
-	}
-	out := make([][]T, c.size)
-	out[c.rank] = append([]T(nil), send[c.rank]...)
-	reqs := make([]*Request, 0, size-1)
-	for g := 0; g < size; g++ {
-		r := c.worldRank(g)
-		if r == c.rank {
-			continue
-		}
-		isendBuf(c, r, collTag(seq, 0), send[r])
+		c.isendInternal(r, collTag(seq, 0), send)
 		reqs = append(reqs, c.irecvInternal(r, collTag(seq, 0)))
 	}
 	for _, req := range reqs {

@@ -2,13 +2,18 @@ package mpi
 
 // Library code that only tests and benchmarks call, kept beside them: the
 // naive all-reduce the ring is compared against, the default-partition
-// IAllreduce (the trainer always passes its own chunk bounds), and the
-// wait-for-all helpers. Exported here so the external mpi_test package sees
-// them too.
+// IAllreduce (the trainer always passes its own chunk bounds), the
+// wait-for-all helpers, and the reduction steps the collectives apply.
+// Exported here so the external mpi_test package sees them too.
 
 // RaceEnabled lets the external test package skip allocation gates under
 // the race detector (see raceEnabled).
 const RaceEnabled = raceEnabled
+
+// ReduceInto and ScaleAvg are the element-wise steps every all-reduce
+// applies to a chunk: fold a peer's values in, and finish an OpAvg.
+func ReduceInto[T Number](dst, src []T, op Op) { reduceInto(dst, src, op) }
+func ScaleAvg[T Number](s []T, size int)       { scaleAvg(s, size) }
 
 // AllreduceNaive gathers every buffer to rank 0, reduces there, and
 // broadcasts the result. It exists as the ablation baseline for the ring
@@ -33,10 +38,10 @@ func AllreduceNaive[T Number](c *Comm, buf []T, op Op) {
 			scaleAvg(buf, size)
 		}
 		for r := 1; r < size; r++ {
-			isendBuf(c, c.worldRank(r), collTag(seq, 1), buf)
+			c.isendInternal(c.worldRank(r), collTag(seq, 1), buf)
 		}
 	} else {
-		isendBuf(c, c.worldRank(0), collTag(seq, 0), buf)
+		c.isendInternal(c.worldRank(0), collTag(seq, 0), buf)
 		payload, _ := c.collWait(c.irecvInternal(c.worldRank(0), collTag(seq, 1)))
 		copy(buf, payload.([]T))
 		release(payload)

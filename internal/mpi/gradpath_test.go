@@ -46,11 +46,11 @@ func TestAllreduceWireTCPAllocGate(t *testing.T) {
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&m0)
 		}
-		mpi.Bcast(c, []int32{1}, 0)
+		mpi.Bcast(c, []int{1}, 0)
 		for i := 0; i < iters; i++ {
 			mpi.AllreduceWire(c, buf, mpi.OpAvg)
 		}
-		mpi.Gather(c, []int32{int32(c.Rank())}, 0)
+		mpi.Gather(c, []int{c.Rank()}, 0)
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&m1)
 			perCall = float64(m1.TotalAlloc-m0.TotalAlloc) / (iters * ranks)
@@ -141,7 +141,7 @@ func TestPooledChunksNeverAliasUserPayloads(t *testing.T) {
 // bit for bit what summing and then scaling every element on every rank
 // gave, for every group size the trainer can be in (including a shrunken
 // group), on the blocking ring, the bucketed non-blocking ring with clamped
-// bounds, and the two tree reductions.
+// bounds, and the naive gather-to-rank-0 reduction.
 func TestOpAvgEqualsSumThenScaleBitwise(t *testing.T) {
 	const n = 1031 // prime: no group size divides it
 	check := func(c *mpi.Comm, label string, avg, sum []float32) error {
@@ -187,17 +187,7 @@ func TestOpAvgEqualsSumThenScaleBitwise(t *testing.T) {
 		mpi.AllreduceNaive(c, naive, mpi.OpAvg)
 		nsum := fill(c)
 		mpi.AllreduceNaive(c, nsum, mpi.OpSum)
-		if err := check(c, "AllreduceNaive", naive, nsum); err != nil {
-			return err
-		}
-		root := c.GroupRanks()[0]
-		red, rsum := fill(c), fill(c)
-		mpi.Reduce(c, red, mpi.OpAvg, root)
-		mpi.Reduce(c, rsum, mpi.OpSum, root)
-		if c.Rank() == root {
-			return check(c, "Reduce", red, rsum)
-		}
-		return nil
+		return check(c, "AllreduceNaive", naive, nsum)
 	}
 	for m := 2; m <= 5; m++ {
 		t.Run(fmt.Sprintf("M=%d", m), func(t *testing.T) {
@@ -234,29 +224,38 @@ func TestOpAvgEqualsSumThenScaleBitwise(t *testing.T) {
 // TestFloat32ReduceMatchesGenericLoop: a []float32 under OpSum/OpAvg folds
 // through tensor's vector kernels, every other element type through the
 // generic loops. A named float32 type takes the loops, so the same values
-// reduced both ways must agree bit for bit — at a length with a ragged
-// vector tail in every ring chunk.
+// reduced both ways must agree bit for bit — on the chunks a 4-rank ring
+// gives a 1031-element buffer, each with a ragged vector tail, folded in
+// ring order and finished as the chunk's owner finishes it.
 func TestFloat32ReduceMatchesGenericLoop(t *testing.T) {
 	type named float32
-	const n = 1031
+	const n, ranks = 1031, 4
 	for _, op := range []mpi.Op{mpi.OpSum, mpi.OpAvg} {
-		err := mpi.Run(4, func(c *mpi.Comm) error {
-			fast, slow := make([]float32, n), make([]named, n)
-			for i := range fast {
-				fast[i] = gradValue(c.Rank(), i)
-				slow[i] = named(fast[i])
+		for k := 0; k < ranks; k++ {
+			lo, hi := k*n/ranks, (k+1)*n/ranks
+			values := func(r int) ([]float32, []named) {
+				f, s := make([]float32, hi-lo), make([]named, hi-lo)
+				for i := range f {
+					f[i] = gradValue(r, lo+i)
+					s[i] = named(f[i])
+				}
+				return f, s
 			}
-			mpi.Allreduce(c, fast, op)
-			mpi.Allreduce(c, slow, op)
+			fast, slow := values(k)
+			for j := 1; j < ranks; j++ {
+				fsrc, ssrc := values((k + j) % ranks)
+				mpi.ReduceInto(fast, fsrc, op)
+				mpi.ReduceInto(slow, ssrc, op)
+			}
+			if op == mpi.OpAvg {
+				mpi.ScaleAvg(fast, ranks)
+				mpi.ScaleAvg(slow, ranks)
+			}
 			for i := range fast {
 				if math.Float32bits(fast[i]) != math.Float32bits(float32(slow[i])) {
-					return fmt.Errorf("rank %d op %d element %d: kernel %v, loop %v", c.Rank(), op, i, fast[i], slow[i])
+					t.Fatalf("op %d chunk %d element %d: kernel %v, loop %v", op, k, lo+i, fast[i], slow[i])
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -126,12 +126,12 @@ func TestIAllreduceOverlapsBlockingCollectives(t *testing.T) {
 			reqs[i] = IAllreduce(c, bufs[i], OpSum)
 		}
 		// Blocking traffic while the rings progress in the background.
-		probe := []int32{int32(c.Rank())}
+		probe := []int{c.Rank()}
 		Allreduce(c, probe, OpSum)
-		if want := int32(0 + 1 + 2 + 3); probe[0] != want {
+		if want := 0 + 1 + 2 + 3; probe[0] != want {
 			return fmt.Errorf("rank %d: blocking Allreduce = %d, want %d", c.Rank(), probe[0], want)
 		}
-		b := []int32{int32(c.Rank() + 7)}
+		b := []int{c.Rank() + 7}
 		Bcast(c, b, 2)
 		if b[0] != 9 {
 			return fmt.Errorf("rank %d: Bcast = %d, want 9", c.Rank(), b[0])
@@ -160,7 +160,7 @@ func TestIAllreduceInheritsProgramOrderTags(t *testing.T) {
 		for iter := 0; iter < 10; iter++ {
 			a := []float32{float32(c.Rank() + iter)}
 			req := IAllreduce(c, a, OpSum)
-			s := []int32{1}
+			s := []int{1}
 			Allreduce(c, s, OpSum)
 			req.Wait()
 			if want := float32(0 + 1 + 2 + 3*iter); a[0] != want {
@@ -270,11 +270,11 @@ func TestIAllreduceSteadyStateAllocBound(t *testing.T) {
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&m0)
 		}
-		Bcast(c, []int32{1}, 0)
+		Bcast(c, []int{1}, 0)
 		for i := 0; i < iters; i++ {
 			IAllreduceChunks(c, buf, OpSum, bounds).Wait()
 		}
-		Gather(c, []int32{int32(c.Rank())}, 0)
+		Gather(c, []int{c.Rank()}, 0)
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&m1)
 			perOp = float64(m1.Mallocs-m0.Mallocs) / iters

@@ -1,7 +1,8 @@
 // Package mpi implements a message-passing runtime with MPI-like semantics:
 // ranks, non-blocking point-to-point operations with tag and ANY_SOURCE
-// matching, and the collectives required by distributed SGD (Barrier, Bcast,
-// Reduce, Allreduce, Allgather, Alltoall, Gather).
+// matching, and the collectives the trainer calls: Allreduce for gradient
+// averaging (blocking, or overlapped with IAllreduceChunks), and Barrier,
+// Bcast, Gather and AllgatherVarLen to agree at epoch boundaries.
 //
 // The paper's sample-exchange scheme (Algorithm 1) is specified in terms of
 // MPI_Isend/MPI_Irecv with MPI_ANY_SOURCE, and the trainer relies on
@@ -16,7 +17,8 @@
 //     posted receive matches the earliest acceptable message.
 //   - Isend completes eagerly (the payload is copied or serialized into the
 //     runtime), so a send request is always immediately complete, as with
-//     small-message eager protocols in real MPI implementations.
+//     small-message eager protocols in real MPI implementations. A payload
+//     is one of the transport codec's seven types on every backend.
 //   - Collectives must be invoked by every rank of the world in the same
 //     program order; they are internally sequenced so that back-to-back
 //     collectives never interfere. Barrier is a dissemination barrier built
@@ -431,10 +433,11 @@ func (c *Comm) SendPeerAware(dest, tag int, payload any) (int64, *transport.Peer
 }
 
 // Isend starts a non-blocking send of payload to rank dest with the given
-// tag. The payload is copied for common slice types (inproc backend; see
-// transport.ClonePayload) or serialized (wire backends), so the caller may
-// reuse its buffers immediately. The returned request is already complete;
-// Wait on it is allowed and returns instantly.
+// tag. The payload is copied (inproc backend; see transport.ClonePayload) or
+// serialized (wire backends), so the caller may reuse its buffers
+// immediately; a type outside the transport codec's set unwinds the rank
+// with the backend's error. The returned request is already complete; Wait
+// on it is allowed and returns instantly.
 func (c *Comm) Isend(dest, tag int, payload any) *Request {
 	c.checkRank(dest, "Isend")
 	c.checkUserTag(tag, "Isend")
@@ -465,14 +468,6 @@ func (c *Comm) Send(dest, tag int, payload any) {
 // Recv is a blocking receive (Irecv + Wait).
 func (c *Comm) Recv(src, tag int) (any, Status) {
 	return c.Irecv(src, tag).Wait()
-}
-
-// SendRecv performs a combined send and receive, safe against the pairwise
-// exchange deadlock (both sides send first, then receive).
-func (c *Comm) SendRecv(dest, sendTag int, payload any, src, recvTag int) (any, Status) {
-	req := c.Irecv(src, recvTag)
-	c.Isend(dest, sendTag, payload)
-	return req.Wait()
 }
 
 // Barrier blocks until every rank in the communicator's group (the full

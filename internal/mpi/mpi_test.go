@@ -84,15 +84,15 @@ func TestSendCopiesSlices(t *testing.T) {
 func TestTagMatching(t *testing.T) {
 	runOrFail(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 5, "tag5")
-			c.Send(1, 9, "tag9")
+			c.Send(1, 5, []byte("tag5"))
+			c.Send(1, 9, []byte("tag9"))
 			return nil
 		}
 		// Receive in the opposite order of sending: tag matching must pick
 		// the right message regardless of arrival order.
 		p9, _ := c.Recv(0, 9)
 		p5, _ := c.Recv(0, 5)
-		if p9.(string) != "tag9" || p5.(string) != "tag5" {
+		if string(p9.([]byte)) != "tag9" || string(p5.([]byte)) != "tag5" {
 			return fmt.Errorf("tag matching wrong: got %v and %v", p9, p5)
 		}
 		return nil
@@ -104,13 +104,13 @@ func TestFIFOPerSourceAndTag(t *testing.T) {
 	runOrFail(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				c.Send(1, 3, i)
+				c.Send(1, 3, []int{i})
 			}
 			return nil
 		}
 		for i := 0; i < n; i++ {
 			p, _ := c.Recv(0, 3)
-			if p.(int) != i {
+			if p.([]int)[0] != i {
 				return fmt.Errorf("message %d arrived out of order: got %d", i, p)
 			}
 		}
@@ -121,13 +121,13 @@ func TestFIFOPerSourceAndTag(t *testing.T) {
 func TestAnySource(t *testing.T) {
 	runOrFail(t, 4, func(c *Comm) error {
 		if c.Rank() != 0 {
-			c.Send(0, 1, c.Rank())
+			c.Send(0, 1, []int{c.Rank()})
 			return nil
 		}
 		seen := map[int]bool{}
 		for i := 0; i < 3; i++ {
 			p, st := c.Recv(AnySource, 1)
-			if p.(int) != st.Source {
+			if p.([]int)[0] != st.Source {
 				return fmt.Errorf("payload %v does not match status source %d", p, st.Source)
 			}
 			seen[st.Source] = true
@@ -142,7 +142,7 @@ func TestAnySource(t *testing.T) {
 func TestAnyTag(t *testing.T) {
 	runOrFail(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 42, "x")
+			c.Send(1, 42, []byte("x"))
 			return nil
 		}
 		_, st := c.Recv(0, AnyTag)
@@ -159,13 +159,13 @@ func TestIrecvBeforeSend(t *testing.T) {
 			req := c.Irecv(0, 0)
 			c.Barrier() // guarantee the recv is posted before the send
 			p, _ := req.Wait()
-			if p.(int) != 123 {
+			if p.([]int)[0] != 123 {
 				return fmt.Errorf("got %v", p)
 			}
 			return nil
 		}
 		c.Barrier()
-		c.Send(1, 0, 123)
+		c.Send(1, 0, []int{123})
 		return nil
 	})
 }
@@ -174,7 +174,7 @@ func TestTestNonBlocking(t *testing.T) {
 	runOrFail(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Barrier() // let rank 1 observe "not done" first
-			c.Send(1, 0, 1)
+			c.Send(1, 0, []int{1})
 			return nil
 		}
 		req := c.Irecv(0, 0)
@@ -184,7 +184,7 @@ func TestTestNonBlocking(t *testing.T) {
 		c.Barrier()
 		for {
 			if ok, p, _ := req.Test(); ok {
-				if p.(int) != 1 {
+				if p.([]int)[0] != 1 {
 					return fmt.Errorf("got %v", p)
 				}
 				return nil
@@ -196,8 +196,9 @@ func TestTestNonBlocking(t *testing.T) {
 func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 	runOrFail(t, 2, func(c *Comm) error {
 		other := 1 - c.Rank()
-		p, _ := c.SendRecv(other, 0, c.Rank(), other, 0)
-		if p.(int) != other {
+		c.Isend(other, 0, []int{c.Rank()})
+		p, _ := c.Recv(other, 0)
+		if p.([]int)[0] != other {
 			return fmt.Errorf("exchange got %v, want %d", p, other)
 		}
 		return nil
@@ -214,14 +215,14 @@ func TestWaitAll(t *testing.T) {
 			WaitAll(reqs)
 			for i, r := range reqs {
 				p, _ := r.Wait()
-				if p.(int) != i {
+				if p.([]int)[0] != i {
 					return fmt.Errorf("req %d: got %v", i, p)
 				}
 			}
 			return nil
 		}
 		for i := 9; i >= 0; i-- {
-			c.Send(0, i, i)
+			c.Send(0, i, []int{i})
 		}
 		return nil
 	})
@@ -344,51 +345,6 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 4, 6, 8, 9} {
-		for root := 0; root < size; root += 2 {
-			size, root := size, root
-			t.Run(fmt.Sprintf("size=%d/root=%d", size, root), func(t *testing.T) {
-				runOrFail(t, size, func(c *Comm) error {
-					buf := []int{c.Rank() + 1, 10 * (c.Rank() + 1)}
-					orig := append([]int(nil), buf...)
-					Reduce(c, buf, OpSum, root)
-					total := size * (size + 1) / 2
-					if c.Rank() == root {
-						if buf[0] != total || buf[1] != 10*total {
-							return fmt.Errorf("root got %v, want [%d %d]", buf, total, 10*total)
-						}
-					} else if buf[0] != orig[0] || buf[1] != orig[1] {
-						return fmt.Errorf("non-root buffer mutated: %v", buf)
-					}
-					return nil
-				})
-			})
-		}
-	}
-}
-
-func TestReduceMaxMinProd(t *testing.T) {
-	runOrFail(t, 4, func(c *Comm) error {
-		bmax := []int{c.Rank()}
-		Reduce(c, bmax, OpMax, 0)
-		if c.Rank() == 0 && bmax[0] != 3 {
-			return fmt.Errorf("max got %v", bmax)
-		}
-		bmin := []int{c.Rank() + 5}
-		Reduce(c, bmin, OpMin, 0)
-		if c.Rank() == 0 && bmin[0] != 5 {
-			return fmt.Errorf("min got %v", bmin)
-		}
-		bprod := []int{c.Rank() + 1}
-		Reduce(c, bprod, OpProd, 0)
-		if c.Rank() == 0 && bprod[0] != 24 {
-			return fmt.Errorf("prod got %v", bprod)
-		}
-		return nil
-	})
-}
-
 func TestAllreduceRingMatchesExpected(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 4, 5, 8, 13} {
 		for _, n := range []int{0, 1, 3, 16, 100} {
@@ -433,12 +389,14 @@ func TestAllreduceNaiveMatchesRing(t *testing.T) {
 	})
 }
 
-func TestAllreduceMax(t *testing.T) {
+// TestAllreduceMin: the group-min the trainer takes over its members' store
+// sizes in a degraded world.
+func TestAllreduceMin(t *testing.T) {
 	runOrFail(t, 6, func(c *Comm) error {
-		buf := []float64{float64(c.Rank()), -float64(c.Rank())}
-		Allreduce(c, buf, OpMax)
-		if buf[0] != 5 || buf[1] != 0 {
-			return fmt.Errorf("got %v", buf)
+		buf := []int{c.Rank() + 3, -c.Rank()}
+		Allreduce(c, buf, OpMin)
+		if buf[0] != 3 || buf[1] != -5 {
+			return fmt.Errorf("got %v, want [3 -5]", buf)
 		}
 		return nil
 	})
@@ -487,26 +445,6 @@ func TestGather(t *testing.T) {
 	})
 }
 
-func TestAllgather(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 5, 8} {
-		size := size
-		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
-			runOrFail(t, size, func(c *Comm) error {
-				out := Allgather(c, []int{c.Rank(), -c.Rank()})
-				if len(out) != 2*size {
-					return fmt.Errorf("len(out)=%d", len(out))
-				}
-				for r := 0; r < size; r++ {
-					if out[2*r] != r || out[2*r+1] != -r {
-						return fmt.Errorf("out = %v", out)
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func TestAllgatherVarLen(t *testing.T) {
 	runOrFail(t, 4, func(c *Comm) error {
 		send := make([]int, c.Rank())
@@ -526,36 +464,6 @@ func TestAllgatherVarLen(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestAlltoallPersonalized(t *testing.T) {
-	for _, size := range []int{1, 2, 4, 7} {
-		size := size
-		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
-			runOrFail(t, size, func(c *Comm) error {
-				send := make([][]int, size)
-				for d := range send {
-					// Rank r sends r*size+d copies-of-value; variable lengths.
-					send[d] = make([]int, d+1)
-					for i := range send[d] {
-						send[d][i] = c.Rank()*1000 + d
-					}
-				}
-				out := Alltoall(c, send)
-				for src := 0; src < size; src++ {
-					if len(out[src]) != c.Rank()+1 {
-						return fmt.Errorf("from %d: len %d, want %d", src, len(out[src]), c.Rank()+1)
-					}
-					for _, v := range out[src] {
-						if v != src*1000+c.Rank() {
-							return fmt.Errorf("from %d got %d", src, v)
-						}
-					}
-				}
-				return nil
-			})
-		})
-	}
 }
 
 func TestAllreduceQuickProperty(t *testing.T) {

@@ -186,7 +186,7 @@ func TestAppendDataFrameMatchesMarshalFrame(t *testing.T) {
 	payloads := []any{
 		[]byte{1, 2, 3},
 		[]float32{1.5, -2.5},
-		"hello",
+		[]byte("hello"),
 		nil,
 	}
 	for _, p := range payloads {

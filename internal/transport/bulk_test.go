@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"plshuffle/internal/data"
-	"plshuffle/internal/tensor"
 )
 
 // refAppendSlice and refDecodeSlice are the per-element slice encoder and
@@ -33,27 +32,10 @@ func refAppendSlice(dst []byte, p any) []byte {
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
 		}
-	case []int32:
-		dst = append(dst, codeInt32s)
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
-		}
 	case []int64:
 		dst = append(dst, codeInt64s)
 		for _, x := range v {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
-		}
-	case []uint64:
-		dst = append(dst, codeUint64s)
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, x)
-		}
-	case *tensor.Matrix:
-		dst = append(dst, codeMatrix)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Rows))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Cols))
-		for _, f := range v.Data {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
 		}
 	default:
 		panic(fmt.Sprintf("refAppendSlice: %T", p))
@@ -82,30 +64,12 @@ func refDecodeSlice(buf []byte) any {
 			out[i] = int(int64(binary.LittleEndian.Uint64(body[8*i:])))
 		}
 		return out
-	case codeInt32s:
-		out := make([]int32, len(body)/4)
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
-		}
-		return out
 	case codeInt64s:
 		out := make([]int64, len(body)/8)
 		for i := range out {
 			out[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 		return out
-	case codeUint64s:
-		out := make([]uint64, len(body)/8)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(body[8*i:])
-		}
-		return out
-	case codeMatrix:
-		m := tensor.New(int(binary.LittleEndian.Uint32(body)), int(binary.LittleEndian.Uint32(body[4:])))
-		for i := range m.Data {
-			m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*i:]))
-		}
-		return m
 	default:
 		panic(fmt.Sprintf("refDecodeSlice: code %d", code))
 	}
@@ -125,25 +89,14 @@ func sliceVectors(lens []int) []any {
 		a := make([]float32, n)
 		b := make([]float64, n)
 		c := make([]int, n)
-		d := make([]int32, n)
 		e := make([]int64, n)
-		g := make([]uint64, n)
 		for i := 0; i < n; i++ {
 			a[i] = math.Float32frombits(f32[i%len(f32)] ^ uint32(i/len(f32))<<3)
 			b[i] = math.Float64frombits(f64[i%len(f64)] ^ uint64(i/len(f64))<<5)
 			e[i] = int64(f64[i%len(f64)]) - int64(i)
 			c[i] = int(e[i])
-			d[i] = int32(f32[i%len(f32)]) + int32(i)
-			g[i] = f64[i%len(f64)] + uint64(i)
 		}
-		out = append(out, a, b, c, d, e, g)
-		rows := 1
-		if n%3 == 0 {
-			rows = 3
-		}
-		m := tensor.New(rows, n/rows)
-		copy(m.Data, a)
-		out = append(out, m)
+		out = append(out, a, b, c, e)
 	}
 	return out
 }
@@ -361,7 +314,11 @@ func TestClonePayloadFloat32Independent(t *testing.T) {
 	for i := range src {
 		src[i] = float32(i)
 	}
-	dup := ClonePayload(src).([]float32)
+	v, err := ClonePayload(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := v.([]float32)
 	src[7] = -1
 	if len(dup) != len(src) || dup[7] != 7 || &dup[0] == &src[0] {
 		t.Fatalf("ClonePayload([]float32) aliases or truncates its input (len %d, dup[7]=%v)", len(dup), dup[7])

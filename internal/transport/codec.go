@@ -7,35 +7,30 @@ import (
 	"math/bits"
 
 	"plshuffle/internal/data"
-	"plshuffle/internal/tensor"
 )
 
-// Payload type codes. The set covers everything the runtime actually moves
-// between ranks: byte buffers (encoded sample batches among them), gradient
-// and tensor float buffers, ID lists, and the scalar types the conformance
-// suite and control paths use. The encoding is deterministic (little-endian,
-// fixed-width) so a frame's bytes are a pure function of its value —
-// the property FuzzFrameRoundTrip pins.
+// Payload type codes. The set is exactly what the runtime moves between
+// ranks, and every backend accepts the same set (see ClonePayload): nil
+// (Barrier), byte buffers (encoded sample batches, the join blob), gradient
+// and weight floats, float64 reductions, ID and report lists, and dedup
+// references. The encoding is deterministic (little-endian, fixed-width) so a
+// frame's bytes are a pure function of its value — the property
+// FuzzFrameRoundTrip pins.
 const (
 	codeNil     = uint8(0)
 	codeBytes   = uint8(1)
-	codeFloat32 = uint8(2) // []float32 — gradient buffers
-	codeFloat64 = uint8(3) // []float64 — loss/metric reductions
+	codeFloat32 = uint8(2) // []float32 — gradients, weights
+	codeFloat64 = uint8(3) // []float64 — Q agreement, loss, validation
 	codeInts    = uint8(4) // []int, as int64 on the wire
-	codeInt32s  = uint8(5)
 	codeInt64s  = uint8(6)
-	codeUint64s = uint8(7)
-	codeString  = uint8(8)
-	codeInt     = uint8(9)  // scalar int, as int64
-	codeFloat   = uint8(10) // scalar float64
-	codeBool    = uint8(11)
-	codeMatrix  = uint8(13) // *tensor.Matrix: rows, cols, row-major float32s
 	// codeSampleRefs: a SampleRefs list as delta uvarints — the compact
 	// dedup reference payload (DESIGN.md §13).
 	codeSampleRefs = uint8(14)
-	// Codes 12 (a single data.Sample; samples travel as []byte batches) and
-	// 15 are retired and must not be reassigned: decoders reject them like
-	// any unknown code.
+	// Codes 5, 7–13 and 15 are retired and must not be reassigned: decoders
+	// reject them like any unknown code. They carried []int32, []uint64,
+	// string, int, float64, bool, a single data.Sample (12; samples travel as
+	// []byte batches), *tensor.Matrix (13) and a Q-controller decision (15),
+	// none of which the runtime sends.
 )
 
 // intIs64 gates the bulk path of []int, which travels as int64.
@@ -113,8 +108,7 @@ func uvarintLen(v uint64) int64 {
 
 // EncodePayload serializes a payload value for a wire backend. The first
 // byte is a type code; the rest is the value. It returns an error for types
-// outside the wire-encodable set — such payloads work on the inproc backend
-// (passed by reference) but cannot cross a process boundary.
+// outside the wire-encodable set, which no backend sends.
 func EncodePayload(p any) ([]byte, error) {
 	return AppendPayload(make([]byte, 0, PayloadWireSize(p)), p)
 }
@@ -160,15 +154,6 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
 		}
 		return dst, nil
-	case []int32:
-		dst = append(dst, codeInt32s)
-		if data.HostLittleEndian {
-			return append(dst, data.BytesOf(v)...), nil
-		}
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
-		}
-		return dst, nil
 	case []int64:
 		dst = append(dst, codeInt64s)
 		if data.HostLittleEndian {
@@ -178,50 +163,18 @@ func AppendPayload(dst []byte, p any) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
 		}
 		return dst, nil
-	case []uint64:
-		dst = append(dst, codeUint64s)
-		if data.HostLittleEndian {
-			return append(dst, data.BytesOf(v)...), nil
-		}
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint64(dst, x)
-		}
-		return dst, nil
-	case string:
-		dst = append(dst, codeString)
-		return append(dst, v...), nil
-	case int:
-		dst = append(dst, codeInt)
-		return binary.LittleEndian.AppendUint64(dst, uint64(int64(v))), nil
-	case float64:
-		dst = append(dst, codeFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v)), nil
-	case bool:
-		b := byte(0)
-		if v {
-			b = 1
-		}
-		return append(dst, codeBool, b), nil
 	case SampleRefs:
 		dst = append(dst, codeSampleRefs)
 		return appendSampleRefs(dst, v)
-	case *tensor.Matrix:
-		if v == nil {
-			return append(dst, codeNil), nil
-		}
-		dst = append(dst, codeMatrix)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Rows))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Cols))
-		if data.HostLittleEndian {
-			return append(dst, data.BytesOf(v.Data)...), nil
-		}
-		for _, f := range v.Data {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-		}
-		return dst, nil
 	default:
-		return dst, fmt.Errorf("transport: payload type %T is not wire-encodable", p)
+		return dst, unencodable(p)
 	}
+}
+
+// unencodable is the error every backend returns for a payload type outside
+// the codec's set.
+func unencodable(p any) error {
+	return fmt.Errorf("transport: payload type %T is not wire-encodable", p)
 }
 
 // DecodePayload parses an EncodePayload buffer back into the corresponding
@@ -280,19 +233,6 @@ func DecodePayload(buf []byte) (any, error) {
 			out[i] = int(int64(binary.LittleEndian.Uint64(body[8*i:])))
 		}
 		return out, nil
-	case codeInt32s:
-		if len(body)%4 != 0 {
-			return nil, fmt.Errorf("transport: int32 payload length %d not a multiple of 4", len(body))
-		}
-		out := make([]int32, len(body)/4)
-		if data.HostLittleEndian {
-			copy(data.BytesOf(out), body)
-			return out, nil
-		}
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
-		}
-		return out, nil
 	case codeInt64s:
 		if len(body)%8 != 0 {
 			return nil, fmt.Errorf("transport: int64 payload length %d not a multiple of 8", len(body))
@@ -306,57 +246,8 @@ func DecodePayload(buf []byte) (any, error) {
 			out[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 		return out, nil
-	case codeUint64s:
-		if len(body)%8 != 0 {
-			return nil, fmt.Errorf("transport: uint64 payload length %d not a multiple of 8", len(body))
-		}
-		out := make([]uint64, len(body)/8)
-		if data.HostLittleEndian {
-			copy(data.BytesOf(out), body)
-			return out, nil
-		}
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(body[8*i:])
-		}
-		return out, nil
-	case codeString:
-		return string(body), nil
-	case codeInt:
-		if len(body) != 8 {
-			return nil, fmt.Errorf("transport: scalar int payload length %d, want 8", len(body))
-		}
-		return int(int64(binary.LittleEndian.Uint64(body))), nil
-	case codeFloat:
-		if len(body) != 8 {
-			return nil, fmt.Errorf("transport: scalar float payload length %d, want 8", len(body))
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(body)), nil
-	case codeBool:
-		if len(body) != 1 || body[0] > 1 {
-			return nil, fmt.Errorf("transport: malformed bool payload")
-		}
-		return body[0] == 1, nil
 	case codeSampleRefs:
 		return decodeSampleRefs(body)
-	case codeMatrix:
-		if len(body) < 8 {
-			return nil, fmt.Errorf("transport: matrix payload truncated")
-		}
-		rows := int(binary.LittleEndian.Uint32(body))
-		cols := int(binary.LittleEndian.Uint32(body[4:]))
-		if rows < 0 || cols < 0 || rows*cols < 0 || len(body)-8 != 4*rows*cols ||
-			(cols > 0 && rows > MaxFramePayload/4/cols) {
-			return nil, fmt.Errorf("transport: matrix payload %dx%d does not match %d data bytes", rows, cols, len(body)-8)
-		}
-		m := tensor.New(rows, cols)
-		if data.HostLittleEndian {
-			copy(data.BytesOf(m.Data), body[8:])
-			return m, nil
-		}
-		for i := range m.Data {
-			m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*i:]))
-		}
-		return m, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown payload type code %d", code)
 	}
@@ -386,9 +277,9 @@ func FrameWireSize(p any) int64 {
 	return 4 + wireHeaderLen + PayloadWireSize(p)
 }
 
-// PayloadWireSize estimates the encoded size of a payload without
-// allocating — the inproc backend's byte accounting. Unknown types count as
-// zero bytes (they never cross a wire).
+// PayloadWireSize returns the encoded size of a payload without allocating —
+// the inproc backend's byte accounting. A type outside the codec's set counts
+// as zero bytes: every backend refuses to send it.
 func PayloadWireSize(p any) int64 {
 	switch v := p.(type) {
 	case nil:
@@ -401,22 +292,8 @@ func PayloadWireSize(p any) int64 {
 		return int64(1 + 8*len(v))
 	case []int:
 		return int64(1 + 8*len(v))
-	case []int32:
-		return int64(1 + 4*len(v))
-	case []int64, []uint64:
-		switch w := p.(type) {
-		case []int64:
-			return int64(1 + 8*len(w))
-		case []uint64:
-			return int64(1 + 8*len(w))
-		}
-		return 1
-	case string:
-		return int64(1 + len(v))
-	case int, float64:
-		return 9
-	case bool:
-		return 2
+	case []int64:
+		return int64(1 + 8*len(v))
 	case SampleRefs:
 		n := int64(1)
 		prev := uint64(0)
@@ -429,11 +306,6 @@ func PayloadWireSize(p any) int64 {
 			prev = uint64(id)
 		}
 		return n
-	case *tensor.Matrix:
-		if v == nil {
-			return 1
-		}
-		return int64(9 + 4*len(v.Data))
 	default:
 		return 0
 	}

@@ -293,6 +293,13 @@ func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 	if d.drop {
 		return estimate, nil
 	}
+	// The inner Send is deferred, so the caller's buffer is copied now
+	// (transport contract: buffers are reusable the moment Send returns), and
+	// a payload no backend carries is refused as every backend refuses it.
+	p, err := transport.ClonePayload(payload)
+	if err != nil {
+		return 0, err
+	}
 	c.mu.Lock()
 	if err := c.asyncErr[dst]; err != nil {
 		c.mu.Unlock()
@@ -304,14 +311,10 @@ func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 		c.queues[dst] = dq
 	}
 	c.mu.Unlock()
-	// The inner Send is deferred, so the caller's buffer must be
-	// defensively copied now (transport contract: buffers are reusable
-	// the moment Send returns). Types ClonePayload does not cover pass
-	// by reference and must be treated as immutable, as with inproc.
-	p := transport.ClonePayload(payload)
 	err = dq.enqueue(tag, p, d.delay)
 	if err == nil && d.dup {
-		err = dq.enqueue(tag, transport.ClonePayload(p), 0)
+		dup, _ := transport.ClonePayload(p) // p's type cloned once already
+		err = dq.enqueue(tag, dup, 0)
 	}
 	if err != nil {
 		return 0, err

@@ -165,7 +165,7 @@ func TestDelayPreservesPerDestinationOrder(t *testing.T) {
 	const per = 60
 	for i := 0; i < per; i++ {
 		for dst := 0; dst < 3; dst++ { // self-sends ride the queue too
-			if _, err := c.Send(dst, 0, dst*1000+i); err != nil {
+			if _, err := c.Send(dst, 0, []int{dst*1000 + i}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -180,7 +180,7 @@ func TestDelayPreservesPerDestinationOrder(t *testing.T) {
 	next := map[int]int{}
 	for _, f := range frames {
 		want := f.Dst*1000 + next[f.Dst]
-		if f.Payload.(int) != want {
+		if f.Payload.([]int)[0] != want {
 			t.Fatalf("dst %d: frame overtook: got %v, want %d", f.Dst, f.Payload, want)
 		}
 		next[f.Dst]++
@@ -246,11 +246,11 @@ func TestCrashAtTagCount(t *testing.T) {
 func TestCrashDiscardsDelayedFrames(t *testing.T) {
 	fake := newFake(0, 2)
 	c := New(fake, Script{Seed: 8, DelayProb: 1, MaxDelay: time.Hour, CrashTag: 9, CrashCount: 1})
-	if _, err := c.Send(1, 0, 1); err != nil { // sleeps for up to an hour
+	if _, err := c.Send(1, 0, []int{1}); err != nil { // sleeps for up to an hour
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { _, err := c.Send(1, 9, 2); done <- err }()
+	go func() { _, err := c.Send(1, 9, []int{2}); done <- err }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrCrashed) {
@@ -334,12 +334,12 @@ func TestAsyncErrorSurfacesOnNextSend(t *testing.T) {
 		mu.Unlock()
 	})
 	fake.Kill() // every inner Send now fails with a PeerError
-	if _, err := c.Send(1, 0, 1); err != nil {
+	if _, err := c.Send(1, 0, []int{1}); err != nil {
 		t.Fatalf("first send should enqueue cleanly, got %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := c.Send(1, 0, 2)
+		_, err := c.Send(1, 0, []int{2})
 		if err != nil {
 			if _, ok := transport.AsPeerError(err); !ok {
 				t.Fatalf("async failure surfaced as %v, want a PeerError", err)

@@ -5,10 +5,10 @@
 // order per (source, destination) pair is the sender's program order, which
 // is exactly the non-overtaking guarantee the mailbox layer needs.
 //
-// Payloads are defensively cloned for the common slice types so
-// distributed-memory semantics hold despite the shared address space;
-// other types pass by reference and must be treated as immutable after a
-// send (see transport.ClonePayload).
+// Every payload is copied (transport.ClonePayload) so distributed-memory
+// semantics hold despite the shared address space, and a payload type the
+// wire codec cannot carry is refused with the codec's error, as TCP refuses
+// it, so a program that runs here runs across processes too.
 package inproc
 
 import (
@@ -109,8 +109,9 @@ type conn struct {
 func (c *conn) Rank() int { return c.rank }
 func (c *conn) Size() int { return c.net.size }
 
-// Send clones the payload and delivers it synchronously into the
-// destination handler. It cannot fail for in-range destinations. The size it
+// Send copies the payload and delivers it synchronously into the destination
+// handler. It fails only for an out-of-range, dead or detached destination, a
+// closed connection, or a payload type outside the wire codec's set. The size it
 // returns is the deterministic frame size a wire backend would have moved
 // (transport.FrameWireSize), so byte accounting behaves identically across
 // backends; self-delivery never touches a wire on any backend and reports 0.
@@ -131,6 +132,10 @@ func (c *conn) Send(dst, tag int, payload any) (int64, error) {
 	if h == nil {
 		return 0, fmt.Errorf("inproc: Send: destination rank %d not attached", dst)
 	}
+	clone, err := transport.ClonePayload(payload)
+	if err != nil {
+		return 0, err
+	}
 	sz := transport.PayloadWireSize(payload)
 	src, dstStats := &c.net.stats[c.rank], &c.net.stats[dst]
 	src.framesSent.Add(1)
@@ -141,7 +146,7 @@ func (c *conn) Send(dst, tag int, payload any) (int64, error) {
 	if dst != c.rank {
 		wire = transport.FrameWireSize(payload)
 	}
-	h(transport.Frame{Src: c.rank, Dst: dst, Tag: tag, Payload: transport.ClonePayload(payload), Wire: wire})
+	h(transport.Frame{Src: c.rank, Dst: dst, Tag: tag, Payload: clone, Wire: wire})
 	return wire, nil
 }
 

@@ -139,11 +139,11 @@ func TestBootstrapSurvivesFlakyDial(t *testing.T) {
 			}
 		}
 	})
-	if _, err := conns[1].Send(0, 1, "hello"); err != nil {
+	if _, err := conns[1].Send(0, 1, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	f := recvN(t, inbox[0], 1)[0]
-	if f.Payload.(string) != "hello" || f.Src != 1 {
+	if string(f.Payload.([]byte)) != "hello" || f.Src != 1 {
 		t.Fatalf("unexpected frame %+v", f)
 	}
 }
@@ -156,7 +156,7 @@ func TestReconnectAfterDroppedConnection(t *testing.T) {
 
 	const batch = 50
 	for i := 0; i < batch; i++ {
-		if _, err := conns[0].Send(1, 0, i); err != nil {
+		if _, err := conns[0].Send(1, 0, []int{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestReconnectAfterDroppedConnection(t *testing.T) {
 	live.Close()
 
 	for i := batch; i < 2*batch; i++ {
-		if _, err := conns[0].Send(1, 0, i); err != nil {
+		if _, err := conns[0].Send(1, 0, []int{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestReconnectAfterDroppedConnection(t *testing.T) {
 
 	all := append(first, second...)
 	for i, f := range all {
-		if f.Payload.(int) != i {
+		if f.Payload.([]int)[0] != i {
 			t.Fatalf("frame %d: got payload %v (reconnect broke FIFO)", i, f.Payload)
 		}
 	}
@@ -213,7 +213,7 @@ func TestResetPeersIsLossless(t *testing.T) {
 		for i := 0; i < perRound; i++ {
 			for src := range conns {
 				dst := (src + 1) % 3
-				if _, err := conns[src].Send(dst, 0, sent*3+src); err != nil {
+				if _, err := conns[src].Send(dst, 0, []int{sent*3 + src}); err != nil {
 					t.Fatalf("round %d: rank %d send: %v", round, src, err)
 				}
 			}
@@ -274,7 +274,7 @@ func TestResetPeersIsLossless(t *testing.T) {
 				t.Fatalf("rank %d frame %d: src %d, want %d", dst, i, f.Src, src)
 			}
 			if i < rounds*perRound {
-				if want := i*3 + src; f.Payload.(int) != want {
+				if want := i*3 + src; f.Payload.([]int)[0] != want {
 					t.Fatalf("rank %d frame %d: payload %v, want %d (reset broke FIFO)", dst, i, f.Payload, want)
 				}
 				continue
@@ -388,12 +388,12 @@ func TestReconnectKeepsDialOrder(t *testing.T) {
 				}
 				conns[0].ResetPeers()
 			}
-			if _, err := conns[0].Send(1, 0, i); err != nil {
+			if _, err := conns[0].Send(1, 0, []int{i}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i, f := range recvN(t, inbox[1], 2*n) {
-			if f.Payload.(int) != i {
+			if f.Payload.([]int)[0] != i {
 				t.Fatalf("frame %d: payload %v (the reconnect overtook the older socket)", i, f.Payload)
 			}
 		}
@@ -457,11 +457,11 @@ func TestReconnectKeepsDialOrder(t *testing.T) {
 func TestWriteOnDialedSocketIsProtocolError(t *testing.T) {
 	t.Parallel()
 	conns, inbox := startWorld(t, 2, nil)
-	if _, err := conns[0].Send(1, 0, 1); err != nil {
+	if _, err := conns[0].Send(1, 0, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	recvN(t, inbox[1], 1)
-	frame, err := transport.AppendDataFrame(nil, 1, 0, 0, 2)
+	frame, err := transport.AppendDataFrame(nil, 1, 0, 0, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestRetryBudgetExhaustedFailsFast(t *testing.T) {
 	if err := conns[1].Close(); err != nil {
 		t.Fatalf("closing rank 1: %v", err)
 	}
-	if _, err := conns[0].Send(1, 0, 42); err != nil {
+	if _, err := conns[0].Send(1, 0, []int{42}); err != nil {
 		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
 	}
 
@@ -522,7 +522,7 @@ func TestRetryBudgetExhaustedFailsFast(t *testing.T) {
 	if !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Fatalf("error does not mention the exhausted attempt budget: %v", err)
 	}
-	if _, serr := conns[0].Send(1, 0, 43); serr == nil {
+	if _, serr := conns[0].Send(1, 0, []int{43}); serr == nil {
 		t.Fatal("Send succeeded after the transport failed")
 	}
 	if cerr := conns[0].Close(); cerr == nil {
@@ -545,7 +545,7 @@ func TestWriteRetryRespectsTotalDeadline(t *testing.T) {
 		t.Fatalf("closing rank 1: %v", err)
 	}
 	start := time.Now()
-	if _, err := conns[0].Send(1, 0, 42); err != nil {
+	if _, err := conns[0].Send(1, 0, []int{42}); err != nil {
 		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -583,7 +583,7 @@ func TestPeerDeathIsScopedAndNotified(t *testing.T) {
 	conns[0].OnPeerFailure(func(pe transport.PeerError) { failed <- pe })
 
 	conns[2].Kill()
-	if _, err := conns[0].Send(2, 0, 1); err != nil {
+	if _, err := conns[0].Send(2, 0, []int{1}); err != nil {
 		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
 	}
 	select {
@@ -595,16 +595,16 @@ func TestPeerDeathIsScopedAndNotified(t *testing.T) {
 		t.Fatal("OnPeerFailure callback never fired")
 	}
 	// Sends toward the dead peer now fail fast with a typed error.
-	_, err := conns[0].Send(2, 0, 2)
+	_, err := conns[0].Send(2, 0, []int{2})
 	if pe, ok := transport.AsPeerError(err); !ok || pe.Rank != 2 {
 		t.Fatalf("Send to dead peer returned %v, want PeerError for rank 2", err)
 	}
 	// Traffic to the surviving peer keeps flowing.
-	if _, err := conns[0].Send(1, 9, "alive"); err != nil {
+	if _, err := conns[0].Send(1, 9, []byte("alive")); err != nil {
 		t.Fatalf("send to surviving peer failed: %v", err)
 	}
 	f := recvN(t, inbox[1], 1)[0]
-	if f.Payload.(string) != "alive" || f.Src != 0 {
+	if string(f.Payload.([]byte)) != "alive" || f.Src != 0 {
 		t.Fatalf("unexpected frame %+v", f)
 	}
 }
@@ -673,7 +673,7 @@ func TestKillStopsEndpointImmediately(t *testing.T) {
 		cfg.DialBackoff = time.Millisecond
 	})
 	conns[0].Kill()
-	if _, err := conns[0].Send(1, 0, 1); err == nil {
+	if _, err := conns[0].Send(1, 0, []int{1}); err == nil {
 		t.Fatal("Send succeeded on a killed transport")
 	}
 	// Kill must be idempotent and compatible with a later Close.
@@ -819,7 +819,7 @@ func TestKillReleasesBlockedInlineWrite(t *testing.T) {
 			return ours, nil
 		}
 	})
-	if _, err := conns[0].Send(1, 0, 1); err != nil {
+	if _, err := conns[0].Send(1, 0, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-opened; err != nil {
@@ -1093,11 +1093,11 @@ func TestSelfSendRoundTripsThroughCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Send(0, 5, []int32{1, 2, 3}); err != nil {
+	if _, err := c.Send(0, 5, []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	f := <-inbox
-	got, ok := f.Payload.([]int32)
+	got, ok := f.Payload.([]int)
 	if !ok || len(got) != 3 || got[2] != 3 || f.Tag != 5 {
 		t.Fatalf("self-send mangled frame: %+v", f)
 	}
@@ -1171,16 +1171,16 @@ func TestElasticJoin(t *testing.T) {
 	}
 
 	for r := 0; r < 3; r++ {
-		if _, err := conns[r].Send(3, 5, r*10); err != nil {
+		if _, err := conns[r].Send(3, 5, []int{r * 10}); err != nil {
 			t.Fatalf("rank %d send to joiner: %v", r, err)
 		}
-		if _, err := joiner.Send(r, 6, 100+r); err != nil {
+		if _, err := joiner.Send(r, 6, []int{100 + r}); err != nil {
 			t.Fatalf("joiner send to rank %d: %v", r, err)
 		}
 	}
 	got := map[int]int{}
 	for _, f := range recvN(t, joinInbox, 3) {
-		got[f.Src] = f.Payload.(int)
+		got[f.Src] = f.Payload.([]int)[0]
 	}
 	for r := 0; r < 3; r++ {
 		if got[r] != r*10 {
@@ -1189,7 +1189,7 @@ func TestElasticJoin(t *testing.T) {
 	}
 	for r := 0; r < 3; r++ {
 		f := recvN(t, inbox[r], 1)[0]
-		if f.Src != 3 || f.Payload.(int) != 100+r {
+		if f.Src != 3 || f.Payload.([]int)[0] != 100+r {
 			t.Fatalf("rank %d got %+v from joiner, want src=3 payload=%d", r, f, 100+r)
 		}
 	}

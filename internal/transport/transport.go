@@ -7,8 +7,8 @@
 // Two backends ship with the repo:
 //
 //   - inproc: the original single-process runtime. Ranks are goroutines and
-//     Send is a synchronous function call into the destination's handler,
-//     with defensive payload cloning. This is the default and the fastest.
+//     Send is a synchronous function call into the destination's handler
+//     with a copy of the payload. This is the default and the fastest.
 //   - tcp: ranks are OS processes. Frames are length-prefixed binary
 //     records over persistent TCP connections, with a rendezvous bootstrap,
 //     dial retry with exponential backoff, and drained shutdown. See
@@ -17,7 +17,9 @@
 // The split mirrors how real MPI implementations layer matching over BTLs
 // (byte-transfer layers): semantics live in one place, wires in another,
 // and the conformance suite (internal/transport/transporttest) pins the
-// semantics both backends must provide.
+// semantics both backends must provide. Both carry the same seven payload
+// types, the ones the runtime sends (see AppendPayload), and refuse any
+// other with the same error.
 package transport
 
 import (
@@ -27,12 +29,12 @@ import (
 )
 
 // Frame is one addressed message as delivered to a rank's handler. Payload
-// is a decoded Go value: for the inproc backend it is the (cloned) value the
-// sender passed; for wire backends it is the result of DecodePayload, so
-// only wire-encodable types (see EncodePayload) can cross process
-// boundaries. A []float32 or []byte payload is memory the receiver owns
-// outright, often drawn from the payload pools: the one consumer done with
-// it may hand it back with PutFloat32s or PutBytes (see pool.go).
+// is a Go value of one of the codec's types: for the inproc backend a copy
+// of the value the sender passed (ClonePayload), for wire backends the
+// result of DecodePayload. A []float32 or []byte payload is memory the
+// receiver owns outright, often drawn from the payload pools: the one
+// consumer done with it may hand it back with PutFloat32s or PutBytes (see
+// pool.go).
 type Frame struct {
 	Src     int
 	Dst     int
@@ -263,63 +265,44 @@ type Resetter interface {
 	ResetPeers()
 }
 
-// ClonePayload defensively copies the slice types commonly exchanged by the
-// library (gradients, sample bytes, ID lists) so distributed-memory
-// semantics hold on shared-memory backends: after a send, mutating the
-// caller's buffer must not affect the receiver. Other payload types are
-// passed by reference; callers sending custom types must treat them as
-// immutable after the send.
-func ClonePayload(p any) any {
+// ClonePayload copies a payload for a backend that delivers it without a
+// wire (inproc, and the fault injector's delay queue), so distributed-memory
+// semantics hold in a shared address space: after a send, mutating the
+// caller's buffer must not affect the receiver. It accepts exactly the types
+// AppendPayload encodes and refuses any other with AppendPayload's error, so
+// every backend refuses what a wire backend cannot carry.
+func ClonePayload(p any) (any, error) {
 	switch v := p.(type) {
+	case nil:
+		return nil, nil
+	case []byte:
+		// Pooled: the exchange releases the batches it decodes.
+		out := GetBytes(len(v))
+		copy(out, v)
+		return out, nil
 	case []float32:
 		// From the pool the collectives release received chunks into, so an
 		// inproc ring recycles its clones the way a TCP ring recycles reads.
 		out := GetFloat32s(len(v))
 		copy(out, v)
-		return out
+		return out, nil
 	case []float64:
-		out := make([]float64, len(v))
-		copy(out, v)
-		return out
+		return cloneSlice(v), nil
 	case []int:
-		out := make([]int, len(v))
-		copy(out, v)
-		return out
-	case []int32:
-		out := make([]int32, len(v))
-		copy(out, v)
-		return out
+		return cloneSlice(v), nil
 	case []int64:
-		out := make([]int64, len(v))
-		copy(out, v)
-		return out
-	case []uint64:
-		out := make([]uint64, len(v))
-		copy(out, v)
-		return out
-	case []byte:
-		// Pooled like the floats: the exchange releases the batches it decodes.
-		out := GetBytes(len(v))
-		copy(out, v)
-		return out
+		return cloneSlice(v), nil
 	case SampleRefs:
-		out := make(SampleRefs, len(v))
-		copy(out, v)
-		return out
+		return cloneSlice(v), nil
 	default:
-		return p
+		return nil, unencodable(p)
 	}
 }
 
-// CloneCovers reports whether ClonePayload defensively copies values of p's
-// type. Hot paths that want to send a scratch buffer and immediately reuse
-// it may only do so when this holds — otherwise a shared-memory backend
-// would deliver an aliased slice.
-func CloneCovers(p any) bool {
-	switch p.(type) {
-	case []float32, []float64, []int, []int32, []int64, []uint64, []byte, SampleRefs:
-		return true
-	default:
-		return false
-	}
+// cloneSlice copies s into a new non-nil slice, as DecodePayload returns an
+// empty one.
+func cloneSlice[S ~[]E, E any](s S) S {
+	out := make(S, len(s))
+	copy(out, s)
+	return out
 }

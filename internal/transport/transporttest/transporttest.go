@@ -2,7 +2,8 @@
 // backends. RunTransportTests exercises, through a real mpi.Comm, the MPI
 // semantics the exchange scheduler and the trainer depend on — per-(pair,
 // tag) FIFO non-overtaking, ANY_SOURCE/ANY_TAG matching, deadlock-free
-// eager pairwise exchange, and back-to-back collectives — so every backend
+// eager pairwise exchange, back-to-back collectives, and one payload set
+// refused alike everywhere — so every backend
 // (inproc goroutines, TCP processes, and whatever comes next) is held to
 // the same contract.
 package transporttest
@@ -372,8 +373,8 @@ func RunCloseSemanticsTests(t *testing.T, b Backend) {
 }
 
 // RunTransportTests runs the conformance suite against a backend. Every
-// subtest uses only wire-encodable payload types so the same programs are
-// valid over every backend.
+// subtest sends only the payload types of the transport codec, which every
+// backend carries; UnencodablePayloadRefused pins that each refuses the rest.
 func RunTransportTests(t *testing.T, b Backend) {
 	t.Helper()
 
@@ -390,7 +391,7 @@ func RunTransportTests(t *testing.T, b Backend) {
 		const msgs = 200
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
-				c.Send(1, 3, i)
+				c.Send(1, 3, []int{i})
 			}
 			return nil
 		}
@@ -399,7 +400,7 @@ func RunTransportTests(t *testing.T, b Backend) {
 			if st.Source != 0 || st.Tag != 3 {
 				return fmt.Errorf("message %d: status %+v", i, st)
 			}
-			if p.(int) != i {
+			if p.([]int)[0] != i {
 				return fmt.Errorf("message %d arrived out of order: got %v", i, p)
 			}
 		}
@@ -410,20 +411,20 @@ func RunTransportTests(t *testing.T, b Backend) {
 		const msgs = 50
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
-				c.Send(1, 10, i)
-				c.Send(1, 11, -i)
+				c.Send(1, 10, []int{i})
+				c.Send(1, 11, []int{-i})
 			}
 			return nil
 		}
 		// Drain tag 11 first, then tag 10: each stream must stay ordered
 		// even when received out of send order.
 		for i := 0; i < msgs; i++ {
-			if p, _ := c.Recv(0, 11); p.(int) != -i {
+			if p, _ := c.Recv(0, 11); p.([]int)[0] != -i {
 				return fmt.Errorf("tag 11 msg %d: got %v", i, p)
 			}
 		}
 		for i := 0; i < msgs; i++ {
-			if p, _ := c.Recv(0, 10); p.(int) != i {
+			if p, _ := c.Recv(0, 10); p.([]int)[0] != i {
 				return fmt.Errorf("tag 10 msg %d: got %v", i, p)
 			}
 		}
@@ -432,13 +433,13 @@ func RunTransportTests(t *testing.T, b Backend) {
 
 	run("AnySourceMatching", 4, func(c *mpi.Comm) error {
 		if c.Rank() != 0 {
-			c.Send(0, 1, c.Rank())
+			c.Send(0, 1, []int{c.Rank()})
 			return nil
 		}
 		seen := map[int]bool{}
 		for i := 0; i < c.Size()-1; i++ {
 			p, st := c.Recv(mpi.AnySource, 1)
-			if p.(int) != st.Source {
+			if p.([]int)[0] != st.Source {
 				return fmt.Errorf("payload %v does not match status source %d", p, st.Source)
 			}
 			seen[st.Source] = true
@@ -451,11 +452,11 @@ func RunTransportTests(t *testing.T, b Backend) {
 
 	run("AnyTagMatching", 2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 42, "tagged")
+			c.Send(1, 42, []byte("tagged"))
 			return nil
 		}
 		p, st := c.Recv(0, mpi.AnyTag)
-		if st.Tag != 42 || p.(string) != "tagged" {
+		if st.Tag != 42 || string(p.([]byte)) != "tagged" {
 			return fmt.Errorf("AnyTag got %v with status %+v", p, st)
 		}
 		return nil
@@ -463,13 +464,13 @@ func RunTransportTests(t *testing.T, b Backend) {
 
 	run("TagMatchingOutOfOrder", 2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 5, "tag5")
-			c.Send(1, 9, "tag9")
+			c.Send(1, 5, []byte("tag5"))
+			c.Send(1, 9, []byte("tag9"))
 			return nil
 		}
 		p9, _ := c.Recv(0, 9)
 		p5, _ := c.Recv(0, 5)
-		if p9.(string) != "tag9" || p5.(string) != "tag5" {
+		if string(p9.([]byte)) != "tag9" || string(p5.([]byte)) != "tag5" {
 			return fmt.Errorf("tag matching wrong: %v / %v", p9, p5)
 		}
 		return nil
@@ -485,7 +486,8 @@ func RunTransportTests(t *testing.T, b Backend) {
 			buf[i] = float32(c.Rank()*len(buf) + i)
 		}
 		other := 1 - c.Rank()
-		p, _ := c.SendRecv(other, 0, buf, other, 0)
+		c.Isend(other, 0, buf)
+		p, _ := c.Recv(other, 0)
 		got := p.([]float32)
 		if len(got) != len(buf) {
 			return fmt.Errorf("exchange returned %d elements, want %d", len(got), len(buf))
@@ -567,28 +569,6 @@ func RunTransportTests(t *testing.T, b Backend) {
 				return fmt.Errorf("iter %d: bcast got %d", iter, b[0])
 			}
 			c.Barrier()
-		}
-		return nil
-	})
-
-	run("AlltoallPersonalized", 4, func(c *mpi.Comm) error {
-		send := make([][]int, c.Size())
-		for d := range send {
-			send[d] = make([]int, d+1)
-			for i := range send[d] {
-				send[d][i] = c.Rank()*1000 + d
-			}
-		}
-		out := mpi.Alltoall(c, send)
-		for src := 0; src < c.Size(); src++ {
-			if len(out[src]) != c.Rank()+1 {
-				return fmt.Errorf("from %d: len %d, want %d", src, len(out[src]), c.Rank()+1)
-			}
-			for _, v := range out[src] {
-				if v != src*1000+c.Rank() {
-					return fmt.Errorf("from %d got %d", src, v)
-				}
-			}
 		}
 		return nil
 	})
@@ -726,6 +706,37 @@ func RunTransportTests(t *testing.T, b Backend) {
 		if got != want {
 			return fmt.Errorf("Send returned %d wire bytes in total, want %d (uncompressed estimate %d)", got, want, estimate)
 		}
+		return nil
+	})
+
+	run("UnencodablePayloadRefused", 2, func(c *mpi.Comm) error {
+		// Every backend carries the payload types the runtime sends and
+		// refuses any other before a frame leaves, so a program that runs in
+		// process runs across processes too.
+		const tag = 30
+		if c.Rank() == 1 {
+			p, _ := c.Recv(0, tag)
+			if got, ok := p.([]int); !ok || len(got) != 1 || got[0] != 7 {
+				return fmt.Errorf("first frame on tag %d is %T %v, want []int{7}", tag, p, p)
+			}
+			return nil
+		}
+		type named float32
+		conn := c.Transport()
+		for _, p := range []any{"x", 42, []int32{1}, []named{1}, struct{}{}} {
+			before := conn.Stats().FramesSent
+			_, err := conn.Send(1, tag, p)
+			if err == nil {
+				return fmt.Errorf("Send accepted a %T payload", p)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("%T", p)) {
+				return fmt.Errorf("Send refused a %T payload with %q, which does not name the type", p, err)
+			}
+			if after := conn.Stats().FramesSent; after != before {
+				return fmt.Errorf("refused %T payload counted as sent: FramesSent %d -> %d", p, before, after)
+			}
+		}
+		c.Send(1, tag, []int{7})
 		return nil
 	})
 

@@ -2,12 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
 	"plshuffle/internal/data"
-	"plshuffle/internal/tensor"
 )
 
 func TestFrameMarshalUnmarshal(t *testing.T) {
@@ -112,25 +113,13 @@ func TestAddrTableRoundTrip(t *testing.T) {
 }
 
 func TestPayloadCodecRoundTrip(t *testing.T) {
-	mat := tensor.New(3, 2)
-	for i := range mat.Data {
-		mat.Data[i] = float32(i) - 2.5
-	}
 	values := []any{
 		nil,
 		[]byte{0, 255, 3},
 		[]float32{1.5, -2, 0},
 		[]float64{3.25},
 		[]int{-4, 1 << 50},
-		[]int32{9},
 		[]int64{-1},
-		[]uint64{12345},
-		"shuffle",
-		-77,
-		2.5,
-		true,
-		false,
-		mat,
 	}
 	for _, want := range values {
 		buf, err := EncodePayload(want)
@@ -156,21 +145,45 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	if _, err := EncodePayload(data.Sample{ID: 3, Label: 1, Features: []float32{0.25}, Bytes: 42}); err == nil {
 		t.Fatal("EncodePayload accepted a data.Sample, whose code 12 is retired")
 	}
-	for code, payload := range map[int][]byte{12: retiredCode12Payload, 15: retiredCode15Payload} {
+	for _, payload := range retiredPayloads {
 		if v, err := DecodePayload(payload); err == nil {
-			t.Fatalf("DecodePayload accepted retired payload code %d as %T", code, v)
+			t.Fatalf("DecodePayload accepted retired payload code %d as %T", payload[0], v)
 		}
 		if v, err := DecodePayloadOwned(append([]byte(nil), payload...)); err == nil {
-			t.Fatalf("DecodePayloadOwned accepted retired payload code %d as %T", code, v)
+			t.Fatalf("DecodePayloadOwned accepted retired payload code %d as %T", payload[0], v)
+		}
+	}
+	// The code table: exactly the seven kept codes decode. Each accepts an
+	// empty body; every other code byte refuses both an empty body and an
+	// eight-byte one.
+	kept := map[byte]bool{codeNil: true, codeBytes: true, codeFloat32: true, codeFloat64: true,
+		codeInts: true, codeInt64s: true, codeSampleRefs: true}
+	for code := 0; code < 256; code++ {
+		c := byte(code)
+		_, errEmpty := DecodePayload([]byte{c})
+		_, err8 := DecodePayload([]byte{c, 1, 0, 0, 0, 0, 0, 0, 0})
+		if kept[c] && errEmpty != nil {
+			t.Errorf("payload code %d: DecodePayload refused an empty body: %v", code, errEmpty)
+		}
+		if !kept[c] && (errEmpty == nil || err8 == nil) {
+			t.Errorf("payload code %d is not one of the seven but DecodePayload accepted it", code)
 		}
 	}
 }
 
-// retiredCode12Payload and retiredCode15Payload are well-formed payloads of
-// the retired codes (a code byte plus the body it used to carry: one encoded
-// data.Sample, and code 15's fixed 25 bytes): a frame from a peer that still
-// sends one must be refused with an error, never a panic.
-var (
-	retiredCode12Payload = append([]byte{12}, data.Sample{ID: 3, Label: 1, Features: []float32{0.25}, Bytes: 42}.Encode()...)
-	retiredCode15Payload = append([]byte{15}, make([]byte, 25)...)
-)
+// retiredPayloads are well-formed payloads of the retired codes, each a code
+// byte plus the body it carried before it was retired: a frame from a peer
+// that still sends one must be refused with an error, never a panic.
+var retiredPayloads = [][]byte{
+	{5, 0xf9, 0xff, 0xff, 0xff, 7, 0, 0, 0},                                 // []int32{-7, 7}
+	{7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},                     // []uint64{^uint64(0)}
+	append([]byte{8}, "hello world"...),                                     // string
+	{9, 42, 0, 0, 0, 0, 0, 0, 0},                                            // int 42
+	binary.LittleEndian.AppendUint64([]byte{10}, math.Float64bits(3.14159)), // float64
+	{11, 1}, // bool true
+	// One encoded data.Sample; samples travel as []byte batches.
+	append([]byte{12}, data.Sample{ID: 3, Label: 1, Features: []float32{0.25}, Bytes: 42}.Encode()...),
+	// A 2×1 *tensor.Matrix: rows and cols as uint32, then rows·cols float32s.
+	{13, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40},
+	append([]byte{15}, make([]byte, 25)...), // code 15's fixed 25 bytes
+}
