@@ -19,14 +19,15 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 // The micro-kernels. c points at an MR×NR tile with row stride ldc
-// floats; each accumulates kc k-steps into the tile in place, reading A
-// and B through the strides microKernel documents.
+// floats; each accumulates kc k-steps into the tile in place (onto its
+// contents with acc, onto +0 without), reading A and B through the strides
+// microKernel documents.
 //
 //go:noescape
-func microAVX28x8Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
+func microAVX28x8Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int, acc bool)
 
 //go:noescape
-func microAVX5128x16Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
+func microAVX5128x16Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int, acc bool)
 
 // The AVX2 bodies of the element-wise kernels (vec.go), in vec_amd64.s.
 //
@@ -97,11 +98,11 @@ func widenFP16F16C(dst []float32, src []byte) {
 	}
 }
 
-type asmKernel func(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
+type asmKernel func(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int, acc bool)
 
-func wrapAsm(f asmKernel) func(int, []float32, int, int, []float32, int, []float32, int) {
-	return func(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int) {
-		f(kc, &a[0], ars, aks, &b[0], brs, &c[0], ldc)
+func wrapAsm(f asmKernel) func(int, []float32, int, int, []float32, int, []float32, int, bool) {
+	return func(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int, acc bool) {
+		f(kc, &a[0], ars, aks, &b[0], brs, &c[0], ldc, acc)
 	}
 }
 

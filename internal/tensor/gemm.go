@@ -14,12 +14,17 @@
 // swept once is read in place, everything else is copied into contiguous
 // cache-tile buffers, ragged edges zero-padded (the rule is at gemmRows).
 //
+// dst is never cleared first: the first k-panel runs the kernels in
+// overwrite mode, whose accumulators start at +0 in registers and never
+// load C; later panels accumulate onto what the earlier ones stored.
+//
 // Determinism contract: every kernel — the scalar reference, the pure-Go
 // tiled kernel, and the SIMD paths — accumulates each output element
 // C[i,j] as fl(c + fl(a[i,k]*b[k,j])) for k strictly ascending, one
 // rounding per multiply and one per add (no FMA contraction). Blocking
 // over i/j never reorders a single element's reduction, and blocking over
-// k only inserts exact store/load round-trips at panel boundaries, so the
+// k only inserts exact store/load round-trips at panel boundaries (and the
+// first panel's register +0 is the value a zeroed C would load), so the
 // result is bitwise-identical to the naive triple loop for all finite
 // inputs, independent of tile constants, kernel choice, worker count,
 // whether an operand was packed or read in place, or how rows are split
@@ -40,25 +45,34 @@ import (
 // packed B strip (KC·NR floats, ≤16 KiB at NR=16) plus one A strip
 // (KC·MR floats, 8 KiB) stream through L1, the packed A block (MC·KC
 // floats, 128 KiB) stays L2-resident across the whole jr loop.
+//
+// gemmKCStrided is the panel depth when an operand read in place has a
+// depth stride other than 1 (Xᵀ in MatMulTA, B in every product one row
+// strip tall): each of its k-steps is a different memory row, and KC of
+// them is more streams than the L2 prefetcher tracks — the lines are gone
+// before the adjacent strip comes back for them. 16–64 measure alike.
 const (
-	gemmNC = 512
-	gemmKC = 256
-	gemmMC = 128
+	gemmNC        = 512
+	gemmKC        = 256
+	gemmKCStrided = 32
+	gemmMC        = 128
 )
 
-// microKernel is one register-tiled inner kernel: it accumulates an MR×NR
+// microKernel is one register-tiled inner kernel: it computes an MR×NR
 // C tile (row stride ldc floats) over kc k-steps, k ascending, mul and add
 // rounded separately.
 //
 // Element (r, k) of the A strip is a[r*ars + k*aks] and element (k, j) of
 // the B strip is b[k*brs + j]: a packed strip is (ars, aks) = (1, MR) or
 // brs = NR, an operand read in place passes its own strides. The kernel
-// reads exactly MR×kc and kc×NR elements, never past them. c must hold
-// the running partial sums on entry (the driver zeroes dst first).
+// reads exactly MR×kc and kc×NR elements, never past them. With acc, c
+// holds the running partial sums on entry and the kernel adds to them;
+// without it (the first k-panel) the sums start at +0 and c is only
+// written, whatever it held.
 type microKernel struct {
 	name   string
 	mr, nr int
-	kern   func(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int)
+	kern   func(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int, acc bool)
 	// narrow is the registered kernel of the same family with the next
 	// smaller NR, if any: a column strip that fits it runs there directly
 	// instead of through this kernel's zero-padded scratch tile.
@@ -68,7 +82,7 @@ type microKernel struct {
 // microGo8x4 is the portable 8×4 register-tiled micro-kernel: 32 scalar
 // accumulators, manually unrolled. It is the default on architectures
 // without an assembly path and the universal fallback everywhere.
-func microGo8x4(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int) {
+func microGo8x4(kc int, a []float32, ars, aks int, b []float32, brs int, c []float32, ldc int, acc bool) {
 	r0 := c[0*ldc : 0*ldc+4 : 0*ldc+4]
 	r1 := c[1*ldc : 1*ldc+4 : 1*ldc+4]
 	r2 := c[2*ldc : 2*ldc+4 : 2*ldc+4]
@@ -77,14 +91,20 @@ func microGo8x4(kc int, a []float32, ars, aks int, b []float32, brs int, c []flo
 	r5 := c[5*ldc : 5*ldc+4 : 5*ldc+4]
 	r6 := c[6*ldc : 6*ldc+4 : 6*ldc+4]
 	r7 := c[7*ldc : 7*ldc+4 : 7*ldc+4]
-	c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
-	c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
-	c20, c21, c22, c23 := r2[0], r2[1], r2[2], r2[3]
-	c30, c31, c32, c33 := r3[0], r3[1], r3[2], r3[3]
-	c40, c41, c42, c43 := r4[0], r4[1], r4[2], r4[3]
-	c50, c51, c52, c53 := r5[0], r5[1], r5[2], r5[3]
-	c60, c61, c62, c63 := r6[0], r6[1], r6[2], r6[3]
-	c70, c71, c72, c73 := r7[0], r7[1], r7[2], r7[3]
+	var c00, c01, c02, c03, c10, c11, c12, c13 float32
+	var c20, c21, c22, c23, c30, c31, c32, c33 float32
+	var c40, c41, c42, c43, c50, c51, c52, c53 float32
+	var c60, c61, c62, c63, c70, c71, c72, c73 float32
+	if acc {
+		c00, c01, c02, c03 = r0[0], r0[1], r0[2], r0[3]
+		c10, c11, c12, c13 = r1[0], r1[1], r1[2], r1[3]
+		c20, c21, c22, c23 = r2[0], r2[1], r2[2], r2[3]
+		c30, c31, c32, c33 = r3[0], r3[1], r3[2], r3[3]
+		c40, c41, c42, c43 = r4[0], r4[1], r4[2], r4[3]
+		c50, c51, c52, c53 = r5[0], r5[1], r5[2], r5[3]
+		c60, c61, c62, c63 = r6[0], r6[1], r6[2], r6[3]
+		c70, c71, c72, c73 = r7[0], r7[1], r7[2], r7[3]
+	}
 	ao, bo := 0, 0
 	for k := 0; k < kc; k++ {
 		bk := b[bo : bo+4 : bo+4]
@@ -185,6 +205,14 @@ func packA(dst []float32, a gemmOperand, i0, i1, k0, k1, mr int) {
 			p += kc * mr
 			continue
 		}
+		if full && a.rowStride == 1 {
+			// Contiguous rows at each depth (MatMulTA): copy mr-wide runs.
+			for k := k0; k < k1; k++ {
+				copy(dst[p:p+mr], a.data[k*a.depthStride+is:])
+				p += mr
+			}
+			continue
+		}
 		for k := k0; k < k1; k++ {
 			col := a.data[k*a.depthStride:]
 			for r := 0; r < mr; r++ {
@@ -243,7 +271,8 @@ func kernelFor(n int) *microKernel {
 }
 
 // gemmRows computes rows [lo,hi) of dst = effA · effB with the micro-kernel
-// kernelFor(n) picks. dst rows are fully overwritten.
+// kernelFor(n) picks. dst rows are fully overwritten; what they held is
+// never read.
 //
 // One rule decides, per operand, between reading it in place and packing
 // it: a packed panel earns its copy by being swept once per strip of the
@@ -253,7 +282,9 @@ func kernelFor(n int) *microKernel {
 // fit one row strip and B's rows are contiguous (the kernel loads NR
 // adjacent floats). Only whole strips can be read in place — a ragged tail
 // strip would run off the operand — so the tail, and every operand the
-// rule does not cover, is packed and zero-padded.
+// rule does not cover, is packed and zero-padded. An operand read in place
+// with a depth stride other than 1 walks panels of gemmKCStrided k-steps
+// instead of gemmKC, so a kernel call touches that many rows of it.
 func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
 	ws := gemmPool.Get().(*gemmWS)
 	ws.a.Reset()
@@ -266,20 +297,23 @@ func gemmRows(dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
 func gemmRowsIn(ar *arena.Arena, dst *Matrix, a, b gemmOperand, n, k, lo, hi int) {
 	mk := kernelFor(n)
 	ldc := dst.Cols
-
-	// The kernels accumulate into dst, so start every covered element at
-	// +0 — same initialization as the reference triple loop.
-	zero := dst.Data[lo*ldc : hi*ldc]
-	for i := range zero {
-		zero[i] = 0
+	if n == 0 || hi <= lo {
+		return
 	}
-	if k == 0 || n == 0 || hi <= lo {
+	if k == 0 {
+		// No panel runs, so nothing overwrites: the empty sum is +0, as in
+		// the reference triple loop.
+		clear(dst.Data[lo*ldc : hi*ldc])
 		return
 	}
 
 	mr, nr := mk.mr, mk.nr
 	aInPlace := n <= nr
 	bInPlace := hi-lo <= mr && b.rowStride == 1
+	kcMax := gemmKC
+	if (aInPlace && a.depthStride != 1) || (bInPlace && b.depthStride != 1) {
+		kcMax = gemmKCStrided
+	}
 	ap := ar.Floats(((gemmMC + mr - 1) / mr * mr) * gemmKC)
 	bp := ar.Floats(((gemmNC + nr - 1) / nr * nr) * gemmKC)
 	ct := ar.Floats(mr * nr)
@@ -293,8 +327,9 @@ func gemmRowsIn(ar *arena.Arena, dst *Matrix, a, b gemmOperand, n, k, lo, hi int
 		if bInPlace {
 			jp += nc / nr * nr
 		}
-		for kp := 0; kp < k; kp += gemmKC {
-			kc := min(gemmKC, k-kp)
+		for kp := 0; kp < k; kp += kcMax {
+			kc := min(kcMax, k-kp)
+			acc := kp > 0 // the first panel overwrites C
 			packB(bp[(jp-jc)*kc:], b, kp, kp+kc, jp, jc+nc, nr)
 			for ic := lo; ic < hi; ic += gemmMC {
 				mc := min(gemmMC, hi-ic)
@@ -317,20 +352,21 @@ func gemmRowsIn(ar *arena.Arena, dst *Matrix, a, b gemmOperand, n, k, lo, hi int
 						}
 						if iw == mr && jw == nr {
 							cs := dst.Data[(ic+ir)*ldc+jc+jr:]
-							mk.kern(kc, as, ars, aks, bs, brs, cs, ldc)
+							mk.kern(kc, as, ars, aks, bs, brs, cs, ldc, acc)
 							continue
 						}
 						// Ragged edge: run the full tile against a scratch
-						// MR×NR block seeded with the live C values (padding
-						// lanes stay zero: their packed operands are zero),
-						// then copy the valid region back.
-						for i := range ct {
-							ct[i] = 0
+						// MR×NR block, then copy the valid region back. After
+						// the first panel the block is cleared and seeded
+						// with the live C values; lanes never cross, so the
+						// padding lanes, cropped here, affect nothing.
+						if acc {
+							clear(ct)
+							for r := 0; r < iw; r++ {
+								copy(ct[r*nr:r*nr+jw], dst.Data[(ic+ir+r)*ldc+jc+jr:])
+							}
 						}
-						for r := 0; r < iw; r++ {
-							copy(ct[r*nr:r*nr+jw], dst.Data[(ic+ir+r)*ldc+jc+jr:])
-						}
-						mk.kern(kc, as, ars, aks, bs, brs, ct, nr)
+						mk.kern(kc, as, ars, aks, bs, brs, ct, nr, acc)
 						for r := 0; r < iw; r++ {
 							copy(dst.Data[(ic+ir+r)*ldc+jc+jr:(ic+ir+r)*ldc+jc+jr+jw], ct[r*nr:])
 						}

@@ -15,12 +15,20 @@
 // all strides in BYTES (shifted on entry). A packed strip is (ars, aks) =
 // (1, MR) or brs = NR floats; an operand read in place brings its own.
 //
-// Each kernel loads the 8×NR C tile into vector registers, accumulates kc
-// k-steps with a separate multiply and add per step (NO FMA: contraction
-// would change the rounding and break the bitwise-determinism gates), and
-// stores the tile back. Lanes never cross: lane j of an accumulator holds
-// exactly C[i][j]'s running sum, k ascending — the same reduction schedule
-// as the scalar reference kernel. A is read one float at a time and B NR
+// Each kernel starts the 8×NR C tile in vector registers — loaded from C
+// when acc is set, cleared to +0 when it is not (the first k-panel: C is
+// then only written) — accumulates kc k-steps with a separate multiply and
+// add per step (NO FMA: contraction would change the rounding and break
+// the bitwise-determinism gates), and stores the tile back. Lanes never
+// cross: lane j of an accumulator holds exactly C[i][j]'s running sum, k
+// ascending — the same reduction schedule as the scalar reference kernel.
+//
+// Without acc the kernel still prefetches the tile's eight C rows before
+// the k-loop: a store that misses waits for its line at the end of the
+// call, and on a C larger than L2 walked one column strip at a time those
+// misses would otherwise serialise (the contended 256×4096 A·Bᵀ ran at
+// half speed without it). A prefetch is a hint: it never faults and
+// changes no value. A is read one float at a time and B NR
 // floats at a time, so neither is touched past its last element.
 
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -42,11 +50,11 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func microAVX28x8Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
+// func microAVX28x8Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int, acc bool)
 //
 // 8×8 tile in Y0–Y7. VBROADCASTSS from memory is a pure load µop, so the
 // inner loop is bound by the two FP ports: 8 VMULPS + 8 VADDPS per k.
-TEXT ·microAVX28x8Asm(SB), NOSPLIT, $0-64
+TEXT ·microAVX28x8Asm(SB), NOSPLIT, $0-65
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), AX
 	MOVQ ars+16(FP), R13
@@ -64,6 +72,8 @@ TEXT ·microAVX28x8Asm(SB), NOSPLIT, $0-64
 	LEAQ (R10)(R13*4), R12
 	LEAQ (SI)(SI*2), R8
 
+	CMPB acc+64(FP), $0
+	JEQ  avx2_zero
 	VMOVUPS (DI), Y0
 	VMOVUPS (DI)(SI*1), Y1
 	VMOVUPS (DI)(SI*2), Y2
@@ -73,6 +83,26 @@ TEXT ·microAVX28x8Asm(SB), NOSPLIT, $0-64
 	VMOVUPS (DI)(SI*1), Y5
 	VMOVUPS (DI)(SI*2), Y6
 	VMOVUPS (DI)(R8*1), Y7
+	JMP     avx2_loop
+
+avx2_zero:
+	PREFETCHT0 (DI)
+	PREFETCHT0 (DI)(SI*1)
+	PREFETCHT0 (DI)(SI*2)
+	PREFETCHT0 (DI)(R8*1)
+	LEAQ       (DI)(SI*4), DI
+	PREFETCHT0 (DI)
+	PREFETCHT0 (DI)(SI*1)
+	PREFETCHT0 (DI)(SI*2)
+	PREFETCHT0 (DI)(R8*1)
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 
 avx2_loop:
 	VMOVUPS (BX), Y8
@@ -126,10 +156,10 @@ avx2_loop:
 	VZEROUPPER
 	RET
 
-// func microAVX5128x16Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int)
+// func microAVX5128x16Asm(kc int, a *float32, ars, aks int, b *float32, brs int, c *float32, ldc int, acc bool)
 //
 // 8×16 tile in Z0–Z7, one 64-byte B vector per k.
-TEXT ·microAVX5128x16Asm(SB), NOSPLIT, $0-64
+TEXT ·microAVX5128x16Asm(SB), NOSPLIT, $0-65
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), AX
 	MOVQ ars+16(FP), R13
@@ -147,6 +177,8 @@ TEXT ·microAVX5128x16Asm(SB), NOSPLIT, $0-64
 	LEAQ (R10)(R13*4), R12
 	LEAQ (SI)(SI*2), R8
 
+	CMPB acc+64(FP), $0
+	JEQ  avx512_zero
 	VMOVUPS (DI), Z0
 	VMOVUPS (DI)(SI*1), Z1
 	VMOVUPS (DI)(SI*2), Z2
@@ -156,6 +188,26 @@ TEXT ·microAVX5128x16Asm(SB), NOSPLIT, $0-64
 	VMOVUPS (DI)(SI*1), Z5
 	VMOVUPS (DI)(SI*2), Z6
 	VMOVUPS (DI)(R8*1), Z7
+	JMP     avx512_loop
+
+avx512_zero:
+	PREFETCHT0 (DI)
+	PREFETCHT0 (DI)(SI*1)
+	PREFETCHT0 (DI)(SI*2)
+	PREFETCHT0 (DI)(R8*1)
+	LEAQ       (DI)(SI*4), DI
+	PREFETCHT0 (DI)
+	PREFETCHT0 (DI)(SI*1)
+	PREFETCHT0 (DI)(SI*2)
+	PREFETCHT0 (DI)(R8*1)
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
 
 avx512_loop:
 	VMOVUPS (BX), Z8

@@ -3,8 +3,9 @@ package tensor
 // Fuzz target for the micro-kernels: feed raw fuzz bytes in as float32
 // operands under fuzzed strides (sanitized to finite values — the bitwise
 // contract in DESIGN.md §14 is scoped to finite inputs; NaN payload
-// propagation is explicitly outside it) and require every registered
-// kernel to match the scalar reduction bit for bit. Run continuously with
+// propagation is explicitly outside it), in the accumulate or the
+// overwrite mode the input picks, and require every registered kernel to
+// match the scalar reduction bit for bit. Run continuously with
 //
 //	go test ./internal/tensor/ -fuzz FuzzMicroKernels
 //
@@ -27,10 +28,12 @@ func fuzzFloat(b []byte) float32 {
 }
 
 func FuzzMicroKernels(f *testing.F) {
-	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), []byte{})
-	f.Add(uint8(17), uint8(20), uint8(1), uint8(23), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4})
-	f.Add(uint8(64), uint8(1), uint8(13), uint8(16), []byte{0xff, 0xff, 0xff, 0x7f, 0x01, 0x00, 0x80, 0xff})
-	f.Fuzz(func(t *testing.T, kcRaw, arsRaw, aksRaw, brsRaw uint8, raw []byte) {
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), true, []byte{})
+	f.Add(uint8(17), uint8(20), uint8(1), uint8(23), true, []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4})
+	f.Add(uint8(64), uint8(1), uint8(13), uint8(16), true, []byte{0xff, 0xff, 0xff, 0x7f, 0x01, 0x00, 0x80, 0xff})
+	f.Add(uint8(31), uint8(4), uint8(96), uint8(9), false, []byte{0, 0, 0x80, 0x80, 7, 0, 0, 0xc0})
+	f.Add(uint8(32), uint8(1), uint8(8), uint8(16), true, []byte{0, 0, 0, 0x80, 0, 0, 0x80, 0x3f})
+	f.Fuzz(func(t *testing.T, kcRaw, arsRaw, aksRaw, brsRaw uint8, acc bool, raw []byte) {
 		kc := int(kcRaw)%96 + 1
 		at := func(i int) float32 {
 			if len(raw) < 4 {
@@ -43,8 +46,8 @@ func FuzzMicroKernels(f *testing.F) {
 		// even alias); the packed triple is always among the cases.
 		ars, aks, brs := int(arsRaw)%100, int(aksRaw)%100, int(brsRaw)%100
 		for _, mk := range gemmKernels {
-			checkMicroKernel(t, mk, kc, 1, mk.mr, mk.nr, at)
-			checkMicroKernel(t, mk, kc, ars, aks, brs, at)
+			checkMicroKernel(t, mk, kc, 1, mk.mr, mk.nr, acc, at)
+			checkMicroKernel(t, mk, kc, ars, aks, brs, acc, at)
 		}
 	})
 }

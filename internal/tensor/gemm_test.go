@@ -460,10 +460,13 @@ func microRef(kc, mr, nr int, a []float32, ars, aks int, b []float32, brs int, c
 }
 
 // checkMicroKernel runs mk once over operands laid out by the given
-// strides and filled from val, against microRef. Every operand — the C
-// tile included — ends exactly where its slice does, in front of a guard
-// page, so a kernel that touches one element too many faults.
-func checkMicroKernel(t testing.TB, mk *microKernel, kc, ars, aks, brs int, val func(i int) float32) {
+// strides and filled from val, against microRef, in accumulate mode (acc)
+// or overwrite mode. In overwrite mode C holds NaN on entry, so a kernel
+// that loads it anyway shows; the reference then sums onto +0. Every
+// operand — the C tile included — ends exactly where its slice does, in
+// front of a guard page, so a kernel that touches one element too many
+// faults.
+func checkMicroKernel(t testing.TB, mk *microKernel, kc, ars, aks, brs int, acc bool, val func(i int) float32) {
 	t.Helper()
 	a := guardedFloats(t, (mk.mr-1)*ars+(kc-1)*aks+1)
 	b := guardedFloats(t, (kc-1)*brs+mk.nr)
@@ -478,20 +481,28 @@ func checkMicroKernel(t testing.TB, mk *microKernel, kc, ars, aks, brs int, val 
 		}
 	}
 	copy(want, got)
-	mk.kern(kc, a, ars, aks, b, brs, got, ldc)
+	if !acc {
+		nan := float32(math.NaN())
+		for r := 0; r < mk.mr; r++ {
+			for j := 0; j < mk.nr; j++ {
+				got[r*ldc+j], want[r*ldc+j] = nan, 0
+			}
+		}
+	}
+	mk.kern(kc, a, ars, aks, b, brs, got, ldc, acc)
 	microRef(kc, mk.mr, mk.nr, a, ars, aks, b, brs, want, ldc)
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s kc=%d strides a=(%d,%d) b=%d: element %d: got %v (%#08x) want %v (%#08x)",
-				mk.name, kc, ars, aks, brs, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			t.Fatalf("%s kc=%d strides a=(%d,%d) b=%d acc=%v: element %d: got %v (%#08x) want %v (%#08x)",
+				mk.name, kc, ars, aks, brs, acc, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }
 
 // TestMicroKernelsMatchScalar drives every registered kernel's inner
-// function directly, no driver in between, over each operand layout
-// gemmRows hands it: the packed triple, A in place row-major (MatMul,
-// MatMulTB) and column-major (MatMulTA), B in place, and both.
+// function directly, no driver in between, in both modes over each operand
+// layout gemmRows hands it: the packed triple, A in place row-major
+// (MatMul, MatMulTB) and column-major (MatMulTA), B in place, and both.
 func TestMicroKernelsMatchScalar(t *testing.T) {
 	r := rng.New(23)
 	val := func(int) float32 { return r.NormFloat32() }
@@ -505,8 +516,69 @@ func TestMicroKernelsMatchScalar(t *testing.T) {
 				{kc, 1, mk.nr},         // A rows in place, no gap between rows
 				{kc + 3, 1, mk.nr + 7}, // both in place
 			} {
-				checkMicroKernel(t, mk, kc, l[0], l[1], l[2], val)
+				for _, acc := range []bool{true, false} {
+					checkMicroKernel(t, mk, kc, l[0], l[1], l[2], acc, val)
+				}
 			}
 		}
 	}
+}
+
+// TestGemmOverwritesStaleDst pins that the packed core writes every element
+// of dst and reads none: dst starts as NaN, so an element left unwritten,
+// or a first panel that loads C instead of starting from +0, shows. Every
+// shape is above gemmMinWork, so the public entry points take the packed
+// path: one column strip wide (A in place) at each kernel's NR±1, one row
+// strip tall (B in place; A·Bᵀ's transposed arm) at MR±1, and both packed,
+// each at k = 1, on either side of the short panel and of KC, and past two
+// KC panels.
+func TestGemmOverwritesStaleDst(t *testing.T) {
+	ks := []int{1, gemmKCStrided - 1, gemmKCStrided, gemmKCStrided + 1, gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 1}
+	forEachKernel(t, func(t *testing.T) {
+		r := rng.New(31)
+		var shapes [][3]int
+		for _, k := range ks {
+			// rows, cols such that 2·rows·k·cols clears gemmMinWork with the
+			// thin side fixed; +3 keeps the long side ragged.
+			long := func(thin int) int { return gemmMinWork/(2*k*thin) + 3 }
+			for _, nr := range []int{4, 8, 16} {
+				for _, n := range []int{nr - 1, nr, nr + 1} {
+					shapes = append(shapes, [3]int{max(long(n), 2*gemmMC+5), k, n})
+				}
+			}
+			for _, m := range []int{curKernel.mr - 1, curKernel.mr, curKernel.mr + 1} {
+				shapes = append(shapes, [3]int{m, k, max(long(m), 70)})
+			}
+			shapes = append(shapes, [3]int{long(37) + 29, k, 37})
+		}
+		for _, s := range shapes {
+			n, k, m := s[0], s[1], s[2]
+			if 2*n*k*m < gemmMinWork {
+				t.Fatalf("%v is below gemmMinWork: it would take the reference loop", s)
+			}
+			a, at, b, bt := New(n, k), New(k, n), New(k, m), New(m, k)
+			for _, x := range []*Matrix{a, at, b, bt} {
+				fillMixed(r, x)
+			}
+			got, want := New(n, m), New(n, m)
+			for _, v := range []struct {
+				name string
+				run  func(dst *Matrix)
+				ref  func(dst *Matrix)
+			}{
+				{"MatMulInto", func(d *Matrix) { MatMulInto(d, a, b) }, func(d *Matrix) { matMulRef(d, a, b, 0, n) }},
+				{"MatMulTAInto", func(d *Matrix) { MatMulTAInto(d, at, b) }, func(d *Matrix) { matMulTARef(d, at, b, 0, n) }},
+				{"MatMulTBInto", func(d *Matrix) { MatMulTBInto(d, a, bt) }, func(d *Matrix) { matMulTBRef(d, a, bt, 0, n) }},
+			} {
+				for i := range got.Data {
+					got.Data[i] = float32(math.NaN())
+				}
+				v.run(got)
+				v.ref(want)
+				if i := firstMismatch(got, want); i >= 0 {
+					t.Fatalf("%s %dx%dx%d: element %d: got %v want %v", v.name, n, k, m, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -283,29 +284,69 @@ func BenchmarkMatMulTB256(b *testing.B) {
 	reportGFLOPS(b, 2*256*256*256)
 }
 
-// BenchmarkFirstLayer times the three GEMMs of a Linear layer at the
-// b×in×out shapes the benchmark workloads' thin layers run (storage,
-// exchange_*, gradsync and compute, in that order): the shapes that take
-// the in-place arms of gemmRows (DESIGN.md §14), plus one that packs.
+// firstLayerShapes are the b×in×out shapes the benchmark workloads' thin
+// layers run (storage, exchange_*, gradsync and compute, in that order):
+// the shapes that take the in-place arms of gemmRows (DESIGN.md §14), plus
+// one that packs.
+var firstLayerShapes = [][3]int{{256, 4096, 8}, {128, 2048, 8}, {8, 512, 512}, {512, 64, 512}}
+
+// firstLayerGEMMNames name a Linear layer's three GEMMs, in the order
+// firstLayerGEMMs returns them.
+var firstLayerGEMMNames = []string{"forward", "GW", "dx"}
+
+// firstLayerGEMMs returns the three GEMMs of a Linear layer of shape s
+// (b×in×out) over operands of its own drawn from seed.
+func firstLayerGEMMs(s [3]int, seed uint64) []func() {
+	bs, in, out := s[0], s[1], s[2]
+	r := rng.New(seed)
+	x, w, dy := randomMatrix(r, bs, in), randomMatrix(r, in, out), randomMatrix(r, bs, out)
+	y, gw, dx := New(bs, out), New(in, out), New(bs, in)
+	return []func(){
+		func() { MatMulInto(y, x, w) },
+		func() { MatMulTAInto(gw, x, dy) },
+		func() { MatMulTBInto(dx, dy, w) },
+	}
+}
+
+// BenchmarkFirstLayer times the three GEMMs of a Linear layer at each of
+// firstLayerShapes, alone.
 func BenchmarkFirstLayer(b *testing.B) {
-	for _, s := range [][3]int{{256, 4096, 8}, {128, 2048, 8}, {8, 512, 512}, {512, 64, 512}} {
-		bs, in, out := s[0], s[1], s[2]
-		r := rng.New(4)
-		x, w, dy := randomMatrix(r, bs, in), randomMatrix(r, in, out), randomMatrix(r, bs, out)
-		y, gw, dx := New(bs, out), New(in, out), New(bs, in)
-		for _, k := range []struct {
-			name string
-			fn   func()
-		}{
-			{"forward", func() { MatMulInto(y, x, w) }},
-			{"GW", func() { MatMulTAInto(gw, x, dy) }},
-			{"dx", func() { MatMulTBInto(dx, dy, w) }},
-		} {
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", bs, in, out, k.name), func(b *testing.B) {
+	for _, s := range firstLayerShapes {
+		for g, fn := range firstLayerGEMMs(s, 4) {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s[0], s[1], s[2], firstLayerGEMMNames[g]), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					k.fn()
+					fn()
 				}
-				reportGFLOPS(b, 2*bs*in*out)
+				reportGFLOPS(b, 2*s[0]*s[1]*s[2])
+			})
+		}
+	}
+}
+
+// BenchmarkFirstLayerContended is BenchmarkFirstLayer as the benchmark
+// worlds run it: 2·GOMAXPROCS goroutines, each with operands of its own,
+// run the same GEMM at once — at -cpu 2, four ranks on two cores. A GEMM
+// that only keeps its lines in cache while it has the core to itself is
+// fast alone and slow here. ns/op is wall time per GEMM, all goroutines
+// counted; gflops/op is their sum.
+func BenchmarkFirstLayerContended(b *testing.B) {
+	for _, s := range firstLayerShapes {
+		for g, name := range firstLayerGEMMNames {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s[0], s[1], s[2], name), func(b *testing.B) {
+				const parallelism = 2
+				fns := make(chan func(), parallelism*runtime.GOMAXPROCS(0))
+				for i := range cap(fns) {
+					fns <- firstLayerGEMMs(s, uint64(4+i))[g]
+				}
+				b.SetParallelism(parallelism)
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					fn := <-fns
+					for pb.Next() {
+						fn()
+					}
+				})
+				reportGFLOPS(b, 2*s[0]*s[1]*s[2])
 			})
 		}
 	}
