@@ -39,3 +39,17 @@ func TestDocsNameExistingPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignDocBudget keeps DESIGN.md a statement of the current design:
+// history and measurements belong in CHANGES.md, so the document stays
+// short enough to read in one sitting.
+func TestDesignDocBudget(t *testing.T) {
+	const budget = 1500
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(text), "\n"); n >= budget {
+		t.Errorf("DESIGN.md has %d lines, want fewer than %d: move history and measured tables to CHANGES.md", n, budget)
+	}
+}

@@ -25,8 +25,6 @@ func TestAutoQWorldsTCP(t *testing.T) {
 		Strategy:   "partial",
 		Q:          0.2,
 		AutoQ:      true,
-		AutoQMin:   0.05,
-		AutoQMax:   0.5,
 		Epochs:     3,
 		Batch:      16,
 		LR:         0.05,

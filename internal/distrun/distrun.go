@@ -80,9 +80,6 @@ type Options struct {
 	// broadcast so every rank re-plans identically. partial strategy only;
 	// every rank must agree.
 	AutoQ bool
-	// AutoQMin / AutoQMax clamp the controller's trajectory
-	// (0,0 = the default policy clamps).
-	AutoQMin, AutoQMax float64
 
 	// Timeout bounds the whole run. When it expires — typically because a
 	// peer died before reaching a collective — the rank unwinds with a clear

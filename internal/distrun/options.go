@@ -39,8 +39,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&o.Strategy, "strategy", o.Strategy, "global | local | partial | corgi2")
 	fs.Float64Var(&o.Q, "q", o.Q, "exchange fraction for -strategy partial")
 	fs.BoolVar(&o.AutoQ, "auto-q", o.AutoQ, "with -strategy partial: retune Q online with the closed-loop controller — -q becomes the starting point, and every epoch boundary re-decides from gathered deterministic stats (no hand tuning; two same-seed runs stay bitwise identical)")
-	fs.Float64Var(&o.AutoQMin, "auto-q-min", o.AutoQMin, "lower clamp of the -auto-q trajectory (0 with -auto-q-max 0 = the default policy clamps)")
-	fs.Float64Var(&o.AutoQMax, "auto-q-max", o.AutoQMax, "upper clamp of the -auto-q trajectory")
 	fs.StringVar(&o.DataDir, "data-dir", o.DataDir, "ingested on-disk dataset directory (cmd/plsingest) for -strategy corgi2; replaces -dataset")
 	fs.Int64Var(&o.CacheBytes, "cache-bytes", o.CacheBytes, "per-rank node-local cache budget in bytes for -strategy corgi2 (0 = unlimited)")
 	fs.IntVar(&o.GroupEpochs, "group-epochs", o.GroupEpochs, "corgi2 epoch-group length: shard assignments reshuffle across ranks every this many epochs")
@@ -86,10 +84,11 @@ func (o Options) strategy() (shuffle.Strategy, error) {
 		return shuffle.Partial(o.Q), nil
 	case "corgi2":
 		g := o.GroupEpochs
-		if g <= 0 {
+		if g == 0 {
 			g = 1
 		}
-		return shuffle.Corgi2Shuffling(g), nil
+		s := shuffle.Corgi2Shuffling(g)
+		return s, s.Validate()
 	default:
 		return shuffle.Strategy{}, fmt.Errorf("distrun: unknown strategy %q (want global, local, partial, or corgi2)", o.Strategy)
 	}
@@ -147,8 +146,6 @@ func (o Options) TrainConfig() (train.Config, error) {
 		WireDedup:         o.WireDedup,
 		SampleEncoding:    o.SampleEncoding,
 		AutoQ:             o.AutoQ,
-		AutoQMin:          o.AutoQMin,
-		AutoQMax:          o.AutoQMax,
 		OnPeerFail:        o.OnPeerFail,
 		CheckpointDir:     o.CheckpointDir,
 		CheckpointEvery:   o.CheckpointEvery,

@@ -3,6 +3,7 @@ package distrun
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
@@ -17,7 +18,7 @@ func TestArgsRoundTripEveryBoundFlag(t *testing.T) {
 		DataDir: "/data/in 50", CacheBytes: 1 << 24, GroupEpochs: 5,
 		Epochs: 7, Batch: 32, LR: 0.0125, Locality: 0.9, LARS: true, Seed: 1<<63 + 11,
 		OverlapGrads: false, WireCompress: true, WireDedup: true, SampleEncoding: "fp16exact",
-		AutoQ: true, AutoQMin: 0.05, AutoQMax: 0.5,
+		AutoQ:   true,
 		Timeout: 90 * time.Second, OnPeerFail: "degrade",
 		CheckpointDir: "ckpt", CheckpointEvery: 2, Resume: true,
 		MaxWorld: 6, TelemetryAddr: "127.0.0.1:9400",
@@ -51,5 +52,29 @@ func TestBindTakesDefaultsFromReceiver(t *testing.T) {
 	}
 	if o.Epochs != 15 || o.Q != 0.3 || !o.OverlapGrads {
 		t.Errorf("parsed options %+v: want epochs 15, q 0.3, overlap-grads on", o)
+	}
+}
+
+// TestStrategyGroupEpochs: the zero -group-epochs runs corgi2 with groups of
+// one epoch, and a negative one is refused as Strategy.Validate refuses it
+// instead of running as 1.
+func TestStrategyGroupEpochs(t *testing.T) {
+	for _, tc := range []struct {
+		groupEpochs, want int
+		refused           bool
+	}{
+		{0, 1, false},
+		{4, 4, false},
+		{-3, 0, true},
+	} {
+		s, err := Options{Strategy: "corgi2", GroupEpochs: tc.groupEpochs}.strategy()
+		switch {
+		case tc.refused && (err == nil || !strings.Contains(err.Error(), "must be at least 1 epoch")):
+			t.Errorf("-group-epochs %d: got %v, want Strategy.Validate's refusal", tc.groupEpochs, err)
+		case !tc.refused && err != nil:
+			t.Errorf("-group-epochs %d: %v", tc.groupEpochs, err)
+		case !tc.refused && s.GroupEpochs != tc.want:
+			t.Errorf("-group-epochs %d runs groups of %d epochs, want %d", tc.groupEpochs, s.GroupEpochs, tc.want)
+		}
 	}
 }

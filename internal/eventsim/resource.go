@@ -123,9 +123,6 @@ func (r *PSResource) Submit(bytes float64, done func()) {
 	r.reschedule()
 }
 
-// Active returns the number of in-flight jobs (diagnostics).
-func (r *PSResource) Active() int { return len(r.jobs) }
-
 // Barrier synchronizes n parties: when the last one arrives, all waiting
 // callbacks run (after an optional fixed delay). It is reusable across
 // rounds: arrivals for round k+1 may come in before round k fully drains

@@ -83,8 +83,6 @@ func AutoQTable(opts Options) (*Result, error) {
 
 	autoCfg := base(shuffle.Partial(0.2))
 	autoCfg.AutoQ = true
-	autoCfg.AutoQMin = 0.05
-	autoCfg.AutoQMax = 0.5
 	autoRes, err := train.Run(autoCfg)
 	if err != nil {
 		return nil, err

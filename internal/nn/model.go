@@ -150,18 +150,6 @@ func (s ModelSpec) WithData(inputDim, classes int) ModelSpec {
 	return s
 }
 
-// WithBatchNorm returns a copy with batch normalization toggled; used by
-// the batch-norm ablation (DESIGN.md §5).
-func (s ModelSpec) WithBatchNorm(on bool) ModelSpec {
-	s.BatchNorm = on
-	if on {
-		s.Norm = NormBatch
-	} else {
-		s.Norm = NormNone
-	}
-	return s
-}
-
 // WithNorm returns a copy using the given normalization layer; used by the
 // normalization ablation (batch vs group vs none).
 func (s ModelSpec) WithNorm(n Norm) ModelSpec {

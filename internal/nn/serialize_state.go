@@ -16,12 +16,6 @@ import (
 // the per-worker rng states, a rank's snapshot fully determines the rest of
 // its run.
 
-// CheckpointTensors lists every tensor a checkpoint stores: all learnable
-// parameters plus all layer state (batch-norm running statistics), in layer
-// order. It is the exported handle the trainer uses to broadcast a full
-// model image to a joining rank over the wire.
-func CheckpointTensors(model *Sequential) []Param { return checkpointTensors(model) }
-
 // RNGStates captures the stream positions of every distinct RNG feeding the
 // model's dropout layers, in first-use layer order. Layers built from one
 // shared generator (ModelSpec.Build uses a single dropRNG) contribute one

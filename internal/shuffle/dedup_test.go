@@ -29,14 +29,8 @@ func runEpochsDedup(t *testing.T, stores []*store.Local, n int, q float64, seed 
 	m := len(stores)
 	out := make([]dedupRunStats, m)
 	err := mpi.Run(m, func(c *mpi.Comm) error {
-		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed)
+		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed, Options{Encoding: enc, DedupBudget: dedupBudget})
 		if err != nil {
-			return err
-		}
-		if err := sched.SetSampleEncoding(enc); err != nil {
-			return err
-		}
-		if err := sched.SetWireDedup(dedupBudget); err != nil {
 			return err
 		}
 		for e := 0; e < epochs; e++ {
@@ -188,14 +182,8 @@ func TestDedupSegmentSharesStore(t *testing.T) {
 	var shared atomic.Int64
 	err := mpi.Run(m, func(c *mpi.Comm) error {
 		st := stores[c.Rank()]
-		sched, err := NewScheduler(c, st, 0.5, n, seed)
+		sched, err := NewScheduler(c, st, 0.5, n, seed, Options{Encoding: data.EncodingFP16Exact, DedupBudget: 1 << 20})
 		if err != nil {
-			return err
-		}
-		if err := sched.SetSampleEncoding(data.EncodingFP16Exact); err != nil {
-			return err
-		}
-		if err := sched.SetWireDedup(1 << 20); err != nil {
 			return err
 		}
 		for e := 0; e < epochs; e++ {
@@ -273,7 +261,7 @@ func TestDedupIngestRejections(t *testing.T) {
 			!strings.Contains(err.Error(), "dedup is disabled") {
 			return fmt.Errorf("disabled-dedup ref frame: got %v", err)
 		}
-		if err := sched.SetWireDedup(1 << 20); err != nil {
+		if sched, err = NewScheduler(c, st, 0.5, 16, 1, Options{DedupBudget: 1 << 20}); err != nil {
 			return err
 		}
 		if err := sched.ingestFrame(refs, mpi.Status{Source: 0}); err == nil ||
@@ -343,11 +331,8 @@ func TestEpochDeltasSumToCumulative(t *testing.T) {
 	stores, _ := mkStores(t, n, m, seed, 0)
 	var worldHits int64
 	err := mpi.Run(m, func(c *mpi.Comm) error {
-		sched, err := NewScheduler(c, stores[c.Rank()], 1.0, n, seed)
+		sched, err := NewScheduler(c, stores[c.Rank()], 1.0, n, seed, Options{DedupBudget: 1 << 20})
 		if err != nil {
-			return err
-		}
-		if err := sched.SetWireDedup(1 << 20); err != nil {
 			return err
 		}
 		var sum dedupRunStats

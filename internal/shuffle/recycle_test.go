@@ -52,14 +52,8 @@ func TestRecycledFeaturesStayPrivate(t *testing.T) {
 			var reused atomic.Int64
 			err := mpi.Run(m, func(c *mpi.Comm) error {
 				st := stores[c.Rank()]
-				sched, err := NewScheduler(c, st, 0.5, n, seed)
+				sched, err := NewScheduler(c, st, 0.5, n, seed, Options{Encoding: tc.enc, DedupBudget: tc.budget})
 				if err != nil {
-					return err
-				}
-				if err := sched.SetSampleEncoding(tc.enc); err != nil {
-					return err
-				}
-				if err := sched.SetWireDedup(tc.budget); err != nil {
 					return err
 				}
 				held := make(map[*float32]int) // an array → the sample last seen in it

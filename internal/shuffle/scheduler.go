@@ -124,11 +124,30 @@ const (
 	stateSynchronized
 )
 
+// Options are the settings a Scheduler is built with. Every rank of a world
+// must pass the same Encoding and DedupBudget: the dedup protocol rests on a
+// sender's mirror and its receiver's segment evicting in lockstep.
+type Options struct {
+	// Encoding is the wire format of exchanged sample batches (the zero
+	// value, data.EncodingFP32, is the legacy format).
+	Encoding data.Encoding
+	// DedupBudget > 0 enables the pairwise dedup protocol (DESIGN.md §13)
+	// with this byte budget per directed pair.
+	DedupBudget int64
+	// Degrade selects the failure policy (DESIGN.md §10): a peer death
+	// observed while sending or draining is absorbed, and the epoch
+	// completes over the survivors with DegradedSlots accounting the
+	// canceled traffic. Off, the operation that observed it returns an error
+	// carrying the *transport.PeerError (mpi.PeerErrorFrom).
+	Degrade bool
+}
+
 // NewScheduler creates a scheduler for one worker. totalN is the global
 // number of training samples (used to derive the shared slot count); q is
 // the exchange fraction Scheduling plans at. A plan handed to Open carries
-// its own fraction (ExchangePlan.Q).
-func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed uint64) (*Scheduler, error) {
+// its own fraction (ExchangePlan.Q). opts holds at most one Options; none
+// means the zero value.
+func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed uint64, opts ...Options) (*Scheduler, error) {
 	if comm == nil || st == nil {
 		return nil, fmt.Errorf("shuffle: NewScheduler: nil communicator or store")
 	}
@@ -138,21 +157,50 @@ func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed u
 	if totalN <= 0 {
 		return nil, fmt.Errorf("shuffle: NewScheduler: totalN must be positive, got %d", totalN)
 	}
+	if len(opts) > 1 {
+		return nil, fmt.Errorf("shuffle: NewScheduler: at most one Options value, got %d", len(opts))
+	}
+	var o Options
+	if len(opts) == 1 {
+		o = opts[0]
+	}
 	// Until the first Open, EffectiveQ reads an empty plan drawn at q.
-	s := &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed, plan: ExchangePlan{Q: q}}
+	s := &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed, plan: ExchangePlan{Q: q}, degrade: o.Degrade}
 	s.setDegraded(0, 0)
+	s.configure(o.Encoding, o.DedupBudget) // idle: cannot fail
 	return s, nil
 }
 
-// SetSampleEncoding selects the wire encoding of exchanged sample batches
-// (data.EncodingFP32, the default, is the legacy format). Call it before
-// the first Scheduling; every rank must configure the same encoding.
-func (s *Scheduler) SetSampleEncoding(enc data.Encoding) error {
+// configure installs the wire settings. It refuses while an epoch's window is
+// open, and keeps the pair caches when the dedup budget does not change.
+func (s *Scheduler) configure(enc data.Encoding, dedupBudget int64) error {
 	if s.state != stateIdle {
-		return fmt.Errorf("shuffle: SetSampleEncoding: cannot reconfigure mid-epoch")
+		return fmt.Errorf("shuffle: cannot reconfigure the exchange wire mid-epoch")
 	}
 	s.encoding = enc
+	dedupBudget = max(dedupBudget, 0)
+	if dedupBudget == s.dedupBudget {
+		return nil
+	}
+	s.dedupBudget = dedupBudget
+	s.sendMirror, s.recvSegment = nil, nil
+	if dedupBudget > 0 {
+		s.sendMirror = make(map[int]*cache.SampleLRU)
+		s.recvSegment = make(map[int]*cache.SampleLRU)
+	}
 	return nil
+}
+
+// SetSampleEncoding sets Options.Encoding after construction, between
+// epochs. It exists only because the benchmark module calls it.
+func (s *Scheduler) SetSampleEncoding(enc data.Encoding) error {
+	return s.configure(enc, s.dedupBudget)
+}
+
+// SetWireDedup sets Options.DedupBudget after construction, between epochs.
+// It exists only because the benchmark module calls it.
+func (s *Scheduler) SetWireDedup(budget int64) error {
+	return s.configure(s.encoding, budget)
 }
 
 // Scheduling plans the epoch's flat PLS exchange from the worker's current

@@ -5,32 +5,12 @@ package shuffle
 // and payload frames.
 
 import (
-	"fmt"
 	"sort"
 
 	"plshuffle/internal/data"
 	"plshuffle/internal/store/cache"
 	"plshuffle/internal/transport"
 )
-
-// SetWireDedup enables exchange deduplication with the given per-directed-
-// pair byte budget (≤ 0 disables). Every rank must configure the same
-// budget — the protocol's correctness rests on sender mirror and receiver
-// segment evicting in lockstep. Call it before the first Scheduling.
-func (s *Scheduler) SetWireDedup(budgetBytes int64) error {
-	if s.state != stateIdle {
-		return fmt.Errorf("shuffle: SetWireDedup: cannot reconfigure mid-epoch")
-	}
-	if budgetBytes <= 0 {
-		s.dedupBudget = 0
-		s.sendMirror, s.recvSegment = nil, nil
-		return nil
-	}
-	s.dedupBudget = budgetBytes
-	s.sendMirror = make(map[int]*cache.SampleLRU)
-	s.recvSegment = make(map[int]*cache.SampleLRU)
-	return nil
-}
 
 // InvalidateDedup drops every pairwise dedup cache (both roles). It must
 // run on EVERY surviving rank whenever any event could desynchronize a

@@ -12,14 +12,6 @@ import (
 	"plshuffle/internal/transport"
 )
 
-// SetDegradeOnPeerFailure selects the scheduler's failure policy. With
-// degrade on, a peer death observed while sending or draining the exchange
-// is absorbed (the epoch completes over the survivors, with DegradedSlots
-// accounting the canceled traffic); with it off (the default) the operation
-// that observed it returns an error carrying the *transport.PeerError
-// (mpi.PeerErrorFrom), within the transport's peer timeout.
-func (s *Scheduler) SetDegradeOnPeerFailure(on bool) { s.degrade = on }
-
 // DeadRanks returns the sorted ranks this scheduler has absorbed as dead.
 func (s *Scheduler) DeadRanks() []int {
 	out := make([]int, 0, len(s.dead))

@@ -127,11 +127,10 @@ func TestDegradeKillBeforeEpoch(t *testing.T) {
 		for len(c.FailedPeers()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed)
+		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed, Options{Degrade: true})
 		if err != nil {
 			return err
 		}
-		sched.SetDegradeOnPeerFailure(true)
 		for e := 0; e < 3; e++ {
 			if err := sched.Scheduling(e); err != nil {
 				return err
@@ -218,11 +217,10 @@ func TestEffectiveQScalesTheOpenedPlan(t *testing.T) {
 		for len(c.FailedPeers()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		sched, err := NewScheduler(c, stores[c.Rank()], built, n, seed)
+		sched, err := NewScheduler(c, stores[c.Rank()], built, n, seed, Options{Degrade: true})
 		if err != nil {
 			return err
 		}
-		sched.SetDegradeOnPeerFailure(true)
 		if got := sched.EffectiveQ(); got != built {
 			return fmt.Errorf("rank %d: EffectiveQ before the first Open = %v, want the constructor's %v", c.Rank(), got, built)
 		}
@@ -274,11 +272,10 @@ func TestDegradeKillMidEpoch(t *testing.T) {
 
 	var sawDegradation atomic.Bool
 	err := mpi.Run(m, func(c *mpi.Comm) error {
-		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed)
+		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed, Options{Degrade: true})
 		if err != nil {
 			return err
 		}
-		sched.SetDegradeOnPeerFailure(true)
 		if c.Rank() == deadRank {
 			// Ship a few slots, then die abruptly mid-Communicate. The
 			// count is kept below any survivor's inbound expectation from
@@ -451,11 +448,10 @@ func TestPeerFailurePolicy(t *testing.T) {
 					errs := make([]error, m)
 					took := make([]time.Duration, m) // kill → return, per survivor
 					program := func(c *mpi.Comm) error {
-						sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed)
+						sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed, Options{Degrade: degrade})
 						if err != nil {
 							return err
 						}
-						sched.SetDegradeOnPeerFailure(degrade)
 						if c.Rank() == victim {
 							switch moment {
 							case afterCommunicate:

@@ -29,7 +29,10 @@ import (
 //     wrapper between mpi and the socket must not turn the compressed
 //     sizes Send reports back into estimates.
 //  2. Equivalence — every rank's final store is bitwise identical between
-//     the two runs: the lean wire changes not a single sample bit.
+//     the two runs: the lean wire changes not a single sample bit. A fourth
+//     run builds the lean world through the SetSampleEncoding and
+//     SetWireDedup setters instead of Options, and must book the same wire
+//     bytes and dedup hits and end with the same stores.
 //  3. The win — the lean run moves at most half the exchange bytes of the
 //     baseline (the ISSUE's ≥2× bar).
 func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
@@ -75,7 +78,9 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 		return string(b)
 	}
 
-	run := func(lean bool, wrap transporttest.WrapConn) [m]rankOut {
+	// viaShims configures the lean world through SetSampleEncoding and
+	// SetWireDedup after construction instead of through Options.
+	run := func(lean, viaShims bool, wrap transporttest.WrapConn) [m]rankOut {
 		backend := transporttest.TCP()
 		if lean {
 			backend = transporttest.TCPWrapped("tcp-lean", wrap,
@@ -93,16 +98,16 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 					return err
 				}
 			}
-			sched, err := shuffle.NewScheduler(c, st, q, n, seed)
+			var opts shuffle.Options
+			if lean && !viaShims {
+				opts = shuffle.Options{Encoding: data.EncodingFP16Exact, DedupBudget: 8 << 20}
+			}
+			sched, err := shuffle.NewScheduler(c, st, q, n, seed, opts)
 			if err != nil {
 				return err
 			}
-			if lean {
-				enc, err := data.ParseEncoding("fp16exact")
-				if err != nil {
-					return err
-				}
-				if err := sched.SetSampleEncoding(enc); err != nil {
+			if lean && viaShims {
+				if err := sched.SetSampleEncoding(data.EncodingFP16Exact); err != nil {
 					return err
 				}
 				if err := sched.SetWireDedup(8 << 20); err != nil {
@@ -171,11 +176,12 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 		return out
 	}
 
-	base := run(false, nil)
-	lean := run(true, nil)
-	wrapped := run(true, func(_ int, inner transport.Conn) transport.Conn {
+	base := run(false, false, nil)
+	lean := run(true, false, nil)
+	wrapped := run(true, false, func(_ int, inner transport.Conn) transport.Conn {
 		return faultinject.New(inner, faultinject.Script{})
 	})
+	shims := run(true, true, nil)
 
 	var baseWire, leanWire, hits int64
 	for r := 0; r < m; r++ {
@@ -186,6 +192,10 @@ func TestExchangeWireLeanAcceptanceTCP(t *testing.T) {
 		if wrapped[r] != lean[r] {
 			t.Fatalf("rank %d: the lean exchange under an idle injector booked %d wire bytes (%d dedup hits), bare %d (%d)",
 				r, wrapped[r].wire, wrapped[r].dedupHits, lean[r].wire, lean[r].dedupHits)
+		}
+		if shims[r] != lean[r] {
+			t.Fatalf("rank %d: the lean exchange configured through the setters booked %d wire bytes (%d dedup hits), through Options %d (%d), or holds different samples",
+				r, shims[r].wire, shims[r].dedupHits, lean[r].wire, lean[r].dedupHits)
 		}
 		baseWire += base[r].wire
 		leanWire += lean[r].wire
@@ -244,21 +254,13 @@ func BenchmarkExchangeWireTCPQ25(b *testing.B) {
 							return err
 						}
 					}
-					sched, err := shuffle.NewScheduler(c, st, q, n, seed)
+					var opts shuffle.Options
+					if lean {
+						opts = shuffle.Options{Encoding: data.EncodingFP16Exact, DedupBudget: 8 << 20}
+					}
+					sched, err := shuffle.NewScheduler(c, st, q, n, seed, opts)
 					if err != nil {
 						return err
-					}
-					if lean {
-						enc, err := data.ParseEncoding("fp16exact")
-						if err != nil {
-							return err
-						}
-						if err := sched.SetSampleEncoding(enc); err != nil {
-							return err
-						}
-						if err := sched.SetWireDedup(8 << 20); err != nil {
-							return err
-						}
 					}
 					for epoch := 0; epoch < 2; epoch++ {
 						if err := sched.RunEpochExchange(epoch); err != nil {

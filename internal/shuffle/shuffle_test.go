@@ -478,6 +478,9 @@ func TestNewSchedulerValidation(t *testing.T) {
 	if _, err := NewScheduler(w.Comm(0), st, 0.5, 0, 1); err == nil {
 		t.Fatal("bad totalN accepted")
 	}
+	if _, err := NewScheduler(w.Comm(0), st, 0.5, 10, 1, Options{}, Options{Degrade: true}); err == nil {
+		t.Fatal("two Options values accepted")
+	}
 }
 
 // ExchangeResult reports what one epoch's exchange moved.

@@ -116,31 +116,3 @@ func (l *Local) Samples() []data.Sample {
 	}
 	return out
 }
-
-// PFS is the shared parallel-file-system view: the full training set,
-// readable by every worker (global shuffling reads from here). It is
-// read-only after construction and therefore safe for concurrent reads.
-type PFS struct {
-	byID map[int]data.Sample
-}
-
-// NewPFS indexes the full training set.
-func NewPFS(train []data.Sample) *PFS {
-	p := &PFS{byID: make(map[int]data.Sample, len(train))}
-	for _, s := range train {
-		p.byID[s.ID] = s
-	}
-	return p
-}
-
-// Read fetches a sample by ID.
-func (p *PFS) Read(id int) (data.Sample, error) {
-	s, ok := p.byID[id]
-	if !ok {
-		return data.Sample{}, fmt.Errorf("store: PFS.Read: sample %d not present", id)
-	}
-	return s, nil
-}
-
-// Len returns the number of samples on the PFS.
-func (p *PFS) Len() int { return len(p.byID) }

@@ -150,21 +150,6 @@ func TestAccountingInvariantQuick(t *testing.T) {
 	}
 }
 
-func TestPFS(t *testing.T) {
-	train := []data.Sample{sample(0, 5), sample(1, 5), sample(2, 5)}
-	p := NewPFS(train)
-	if p.Len() != 3 {
-		t.Fatalf("PFS.Len = %d", p.Len())
-	}
-	s, err := p.Read(2)
-	if err != nil || s.ID != 2 {
-		t.Fatalf("Read: %v %v", s, err)
-	}
-	if _, err := p.Read(99); err == nil {
-		t.Fatal("Read of absent sample succeeded")
-	}
-}
-
 func TestNewLocalPanicsOnNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -53,19 +53,20 @@ func configFingerprint(cfg Config) string {
 	if cfg.Dataset != nil {
 		n = len(cfg.Dataset.Train)
 	}
-	// LARS is spelled "opt=|lars=true|eta=0", and the removed hierarchical
-	// exchange's group size "egs=0": the snapshots on disk say so, and a
-	// resume must match them byte for byte.
+	// LARS is spelled "opt=|lars=true|eta=0", the removed hierarchical
+	// exchange's group size "egs=0", and the removed controller clamps
+	// "qmin=0|qmax=0": the snapshots on disk say so, and a resume must match
+	// them byte for byte.
 	opt, lars := cfg.Optimizer, cfg.Optimizer == "lars"
 	if lars {
 		opt = ""
 	}
-	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=0|seed=%d|is=%t|enc=%s|sync=%t|full=%t|loc=%g|egs=0|autoq=%t|qmin=%g|qmax=%g|qsched=%v",
+	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=0|seed=%d|is=%t|enc=%s|sync=%t|full=%t|loc=%g|egs=0|autoq=%t|qmin=0|qmax=0|qsched=%v",
 		n, cfg.Model, cfg.Strategy, cfg.BatchSize, cfg.BaseLR, cfg.Momentum,
 		cfg.WeightDecay, opt, lars, cfg.Seed,
 		cfg.ImportanceSampling, cfg.SampleEncoding, cfg.SyncBatchNormStats,
 		cfg.FullSyncBatchNorm, cfg.PartitionLocality,
-		cfg.AutoQ, cfg.AutoQMin, cfg.AutoQMax, cfg.qSchedule)
+		cfg.AutoQ, cfg.qSchedule)
 	return fmt.Sprintf("%08x", crc32.Checksum([]byte(desc), fingerprintTable))
 }
 
@@ -321,17 +322,23 @@ func encodeIDs(ids []int) []byte {
 	return buf
 }
 
-func decodeIDs(b []byte) ([]int, error) {
+// decodeIDs decodes a snapshot's stored sample IDs, refusing any outside
+// [0, n): the snapshot is outside input.
+func decodeIDs(b []byte, n int) ([]int, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("train: resume: truncated store section (%d bytes)", len(b))
 	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) != 4+8*n {
-		return nil, fmt.Errorf("train: resume: store section is %d bytes, want %d for %d ids", len(b), 4+8*n, n)
+	count := int(binary.LittleEndian.Uint32(b))
+	if len(b) != 4+8*count {
+		return nil, fmt.Errorf("train: resume: store section is %d bytes, want %d for %d ids", len(b), 4+8*count, count)
 	}
-	ids := make([]int, n)
+	ids := make([]int, count)
 	for i := range ids {
-		ids[i] = int(binary.LittleEndian.Uint64(b[4+8*i:]))
+		id := binary.LittleEndian.Uint64(b[4+8*i:])
+		if id >= uint64(n) {
+			return nil, fmt.Errorf("train: resume: store section names sample %d, but the dataset has %d", id, n)
+		}
+		ids[i] = int(id)
 	}
 	return ids, nil
 }

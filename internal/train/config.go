@@ -91,9 +91,6 @@ type Config struct {
 	// baseline (-overlap-grads=false on the CLIs); the resulting weights are
 	// bitwise identical.
 	OverlapGrads bool
-	// GradBucketBytes caps each gradient bucket's size in bytes
-	// (0 = nn.DefaultGradBucketBytes). Only meaningful with OverlapGrads.
-	GradBucketBytes int
 	// ImportanceSampling enables the Section IV-B extension: per-sample
 	// losses weight both the local iteration order (hard samples first)
 	// and the selection of samples pushed into the global exchange (hard
@@ -155,18 +152,20 @@ type Config struct {
 	// cost ratio), steps the pure decision function analysis.DecideQ, and
 	// broadcasts the new exchange fraction before the next Scheduling.
 	// Strategy.Q becomes the starting point of the trajectory rather than a
-	// fixed constant. PartialLocal only.
+	// fixed constant; the trajectory, start included, stays within
+	// analysis.DefaultQPolicy's [0.05, 0.5]. PartialLocal only.
 	AutoQ bool
-	// AutoQMin / AutoQMax clamp the controller's trajectory (0,0 = the
-	// default policy clamps [0.05, 0.5]). Both must lie in [0,1] with
-	// AutoQMin ≤ AutoQMax.
-	AutoQMin, AutoQMax float64
 
 	// qSchedule, when non-empty, pins epoch e's exchange fraction to
 	// qSchedule[min(e, len-1)] — the open-loop replay of a recorded
 	// controller trajectory that tests hold an AutoQ run against (same
 	// weights, bit for bit). Set without AutoQ, under PartialLocal.
 	qSchedule []float64
+
+	// gradBucketBytes, when positive, caps each gradient bucket under
+	// OverlapGrads in place of nn.DefaultGradBucketBytes; tests use small
+	// caps to get several buckets from a small model.
+	gradBucketBytes int
 
 	// testIterHook, when non-nil, runs at the top of every training
 	// iteration (after the epoch's exchange is scheduled). Tests use it to
@@ -203,6 +202,11 @@ func (c Config) Validate() error {
 		if len(c.Dataset.Train) < c.Workers {
 			return fmt.Errorf("train: %d samples over %d workers", len(c.Dataset.Train), c.Workers)
 		}
+		for i, s := range c.Dataset.Train {
+			if s.ID != i {
+				return fmt.Errorf("train: training sample %d has ID %d (IDs must index the training split)", i, s.ID)
+			}
+		}
 	}
 	if c.Epochs <= 0 || c.BatchSize <= 0 {
 		return fmt.Errorf("train: Epochs and BatchSize must be positive (%d, %d)", c.Epochs, c.BatchSize)
@@ -220,9 +224,6 @@ func (c Config) Validate() error {
 	case "", "sgd", "lars":
 	default:
 		return fmt.Errorf("train: unknown optimizer %q (want sgd or lars)", c.Optimizer)
-	}
-	if c.GradBucketBytes < 0 {
-		return fmt.Errorf("train: GradBucketBytes must be non-negative, got %d", c.GradBucketBytes)
 	}
 	switch c.OnPeerFail {
 	case "", "abort", "degrade":
@@ -245,9 +246,6 @@ func (c Config) Validate() error {
 		if c.Workers < 2 {
 			return fmt.Errorf("train: AutoQ needs at least 2 workers, got %d", c.Workers)
 		}
-	}
-	if err := c.qPolicy().Validate(); err != nil {
-		return fmt.Errorf("train: AutoQ clamps: %w", err)
 	}
 	return c.Model.Validate()
 }

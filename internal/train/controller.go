@@ -41,22 +41,12 @@ const (
 	refFlopsPerSec     = 1e10
 )
 
-// qPolicy is the decision policy of an AutoQ run: the default one, with
-// the operator's clamps when any are given.
-func (c Config) qPolicy() analysis.QPolicy {
-	pol := analysis.DefaultQPolicy()
-	if c.AutoQMin != 0 || c.AutoQMax != 0 {
-		pol.MinQ, pol.MaxQ = c.AutoQMin, c.AutoQMax
-	}
-	return pol
-}
-
 // initController starts the trajectory at Strategy.Q clamped into the
-// policy's [MinQ, MaxQ], so the first epoch already respects the operator's
-// bounds, and fixes the dataset's global label histogram.
+// policy's [MinQ, MaxQ], so the first epoch already respects its bounds,
+// and fixes the dataset's global label histogram.
 func (w *worker) initController() {
 	cfg := w.cfg
-	pol := cfg.qPolicy()
+	pol := analysis.DefaultQPolicy()
 	w.setQ(min(max(cfg.Strategy.Q, pol.MinQ), pol.MaxQ), analysis.ReasonHold)
 	n := len(cfg.Dataset.Train)
 	w.globalHist = make([]float64, cfg.Dataset.Classes)
@@ -131,7 +121,7 @@ func (w *worker) controllerStep(epoch int) error {
 		q, reason, err := analysis.DecideQ(analysis.QSignal{
 			N: len(w.cfg.Dataset.Train), M: w.comm.GroupSize(), B: w.cfg.BatchSize,
 			Q: w.q, Skew: skew, CommRatio: comm,
-		}, w.cfg.qPolicy())
+		}, analysis.DefaultQPolicy())
 		if err != nil {
 			return fmt.Errorf("epoch %d: %w", epoch, err)
 		}

@@ -55,9 +55,6 @@ func TestControllerConfigValidation(t *testing.T) {
 	}{
 		{"auto-q-needs-pls", func(c *Config) { c.Strategy = shuffle.GlobalShuffling(); c.AutoQ = true }},
 		{"auto-q-one-worker", func(c *Config) { c.AutoQ = true; c.Workers = 1 }},
-		{"clamps-inverted", func(c *Config) { c.AutoQ = true; c.AutoQMin = 0.5; c.AutoQMax = 0.1 }},
-		{"clamp-above-one", func(c *Config) { c.AutoQ = true; c.AutoQMax = 1.5 }},
-		{"policy-negative-floor", func(c *Config) { c.AutoQ = true; c.AutoQMin = -0.1; c.AutoQMax = 0.5 }},
 		{"epochs-past-tag-layout", func(c *Config) { c.Epochs = maxEpochs }},
 	}
 	for _, tc := range cases {
@@ -341,7 +338,6 @@ func TestAutoQMatchesScheduleReplayBitwise(t *testing.T) {
 
 			replay := cfg
 			replay.AutoQ = false
-			replay.AutoQMin, replay.AutoQMax = 0, 0
 			replay.qSchedule = closedTraj
 			openTraj, openW := run(replay)
 

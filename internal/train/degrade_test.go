@@ -208,7 +208,7 @@ func TestDegradeModeOverlappedGrads(t *testing.T) {
 	cfg.Epochs = 3
 	cfg.OnPeerFail = "degrade"
 	cfg.OverlapGrads = true
-	cfg.GradBucketBytes = 4 << 10
+	cfg.gradBucketBytes = 4 << 10
 
 	rrs, errs := runWorldWithVictim(t, cfg, workers, victim, 1, 2)
 	var survivors []*RankResult

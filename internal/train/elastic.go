@@ -160,7 +160,7 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 // was launched with; Workers (if non-zero) must equal this communicator's
 // world size, which is the post-join rank name space.
 func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
-	cfg, sched, _, pfs, shards, err := prepareRank(c, cfg)
+	cfg, err := resolveConfig(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -171,22 +171,13 @@ func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 	if err := c.Grow(adm.size, adm.group); err != nil {
 		return nil, err
 	}
-	w, err := newWorker(c, cfg, sched, nil, pfs, shards, nil)
+	w, err := newWorker(c, cfg, nil, &adm)
 	if err != nil {
 		return nil, err
 	}
 	if w.tier != nil {
 		defer w.tier.Close()
 	}
-	// The joiner takes the same generation bump the members took when they
-	// admitted it, and lands on their collective sequence base.
-	w.generation = adm.generation - 1
-	if err := w.bumpGeneration(); err != nil {
-		return nil, err
-	}
-	w.startEpoch = adm.epoch
-	w.joinedEpoch = adm.epoch
-	w.shortData = adm.short
 	// Rendezvous with the members' post-grow Barrier, then adopt the current
 	// replica state and take this rank's share of the samples.
 	c.Barrier()

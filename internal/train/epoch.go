@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"plshuffle/internal/data"
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
@@ -376,7 +377,7 @@ func (w *worker) loadBatch(ids []int, fromPFS bool, es *EpochStats) error {
 	}
 	read, booked := w.local.Get, &es.LocalReadBytes
 	if fromPFS {
-		read, booked = w.pfs.Read, &es.PFSReadBytes
+		read, booked = w.readPFS, &es.PFSReadBytes
 	}
 	for i, id := range ids {
 		s, err := read(id)
@@ -389,6 +390,10 @@ func (w *worker) loadBatch(ids []int, fromPFS bool, es *EpochStats) error {
 	}
 	return nil
 }
+
+// readPFS reads a sample from the shared training set, where global
+// shuffling draws its batches (Config.Validate pins Train[id].ID == id).
+func (w *worker) readPFS(id int) (data.Sample, error) { return w.cfg.Dataset.Train[id], nil }
 
 // validate evaluates the model on a shard of the validation set and
 // combines correct counts across workers. Each worker evaluates with its

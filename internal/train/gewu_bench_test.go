@@ -39,13 +39,13 @@ func BenchmarkGEWUStepOverTCP(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cleanup()
-	cfg, sched, parts, pfs, _, err := prepareRank(comms[0], cfg)
+	cfg, err = resolveConfig(comms[0], cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	workers := make([]*worker, ranks)
 	for r, c := range comms {
-		if workers[r], err = newWorker(c, cfg, sched, parts, pfs, nil, nil); err != nil {
+		if workers[r], err = newWorker(c, cfg, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,7 +68,7 @@ func TestOverlapBitwiseEquivalence(t *testing.T) {
 
 			over := cfg
 			over.OverlapGrads = true
-			over.GradBucketBytes = tc.bucketBytes
+			over.gradBucketBytes = tc.bucketBytes
 			ores, err := Run(over)
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +99,7 @@ func TestOverlapBitwiseEquivalenceOverTCP(t *testing.T) {
 			cfg := baseConfig(t, ds, 4, shuffle.Partial(0.25))
 			cfg.Epochs = 3
 			cfg.OverlapGrads = overlap
-			cfg.GradBucketBytes = 512
+			cfg.gradBucketBytes = 512
 			rr, err := RunRank(c, cfg)
 			if err != nil {
 				return err
@@ -194,7 +194,7 @@ func TestOverlapNoGoroutineLeak(t *testing.T) {
 	cfg := baseConfig(t, ds, 4, shuffle.Partial(0.25))
 	cfg.Epochs = 3
 	cfg.OverlapGrads = true
-	cfg.GradBucketBytes = 512 // several buckets per iteration
+	cfg.gradBucketBytes = 512 // several buckets per iteration
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -210,17 +210,13 @@ func TestOverlapNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestOverlapValidate pins config validation for the new knobs.
+// TestOverlapValidate: a configuration with the overlapped gradient sync
+// validates.
 func TestOverlapValidate(t *testing.T) {
 	ds := testDataset(t, 192, 4)
 	cfg := baseConfig(t, ds, 2, shuffle.GlobalShuffling())
 	cfg.OverlapGrads = true
-	cfg.GradBucketBytes = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative GradBucketBytes accepted")
-	}
-	cfg.GradBucketBytes = 0
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("zero GradBucketBytes rejected: %v", err)
+		t.Fatalf("overlapped gradient sync rejected: %v", err)
 	}
 }

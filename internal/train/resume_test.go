@@ -159,9 +159,10 @@ func TestCheckpointCadence(t *testing.T) {
 }
 
 // TestResumeRejections covers the resume preflight: an empty checkpoint
-// directory, a hyperparameter drift (fingerprint mismatch), and a world
-// size matching neither the snapshot's full nor live shape must all fail
-// loudly instead of silently diverging.
+// directory, a hyperparameter drift (fingerprint mismatch), a world size
+// matching neither the snapshot's full nor live shape, and a store section
+// naming a sample the dataset lacks must all fail loudly instead of
+// silently diverging.
 func TestResumeRejections(t *testing.T) {
 	ds := testDataset(t, 256, 4)
 	ckptDir := t.TempDir()
@@ -197,6 +198,15 @@ func TestResumeRejections(t *testing.T) {
 		_, err := Run(cfg)
 		if err == nil || !strings.Contains(err.Error(), "world size") {
 			t.Fatalf("resume with 2 ranks onto a 4-rank snapshot: %v, want world-size error", err)
+		}
+	})
+	t.Run("store-id-out-of-range", func(t *testing.T) {
+		n := len(ds.Train)
+		if _, err := decodeIDs(encodeIDs([]int{0, n - 1}), n); err != nil {
+			t.Fatalf("in-range store section refused: %v", err)
+		}
+		if _, err := decodeIDs(encodeIDs([]int{0, n}), n); err == nil {
+			t.Fatalf("store section naming sample %d of a %d-sample dataset decoded", n, n)
 		}
 	})
 	t.Run("resume-without-dir", func(t *testing.T) {
@@ -260,7 +270,7 @@ func TestDegradedCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d snapshot: %v", r, err)
 		}
-		ids, err := decodeIDs(sections["store"])
+		ids, err := decodeIDs(sections["store"], len(ds.Train))
 		if err != nil {
 			t.Fatal(err)
 		}

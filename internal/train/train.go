@@ -84,7 +84,7 @@ func Run(cfg Config) (*Result, error) {
 // zero (it defaults to the communicator's world size) but must otherwise
 // match it.
 func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
-	cfg, sched, parts, pfs, shards, err := prepareRank(c, cfg)
+	cfg, err := resolveConfig(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 			return nil, err
 		}
 	}
-	w, err := newWorker(c, cfg, sched, parts, pfs, shards, rs)
+	w, err := newWorker(c, cfg, rs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -104,59 +104,17 @@ func RunRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 	return w.run()
 }
 
-// prepareRank checks the configuration against the communicator and
-// resolves the derived run inputs every entry point (RunRank, JoinRank)
-// shares: Workers (zero defaults to the world size), the Corgi2 shard store
-// and proxy dataset, the LR schedule, the initial partition of the
-// local-family strategies, and the PFS view.
-func prepareRank(c *mpi.Comm, cfg Config) (Config, nn.Schedule, [][]int, *store.PFS, *shard.Dataset, error) {
+// resolveConfig defaults Workers to the world size, checks it against the
+// communicator, and validates the configuration — the checks every entry
+// point (RunRank, JoinRank) makes before it touches the world.
+func resolveConfig(c *mpi.Comm, cfg Config) (Config, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = c.Size()
 	}
 	if cfg.Workers != c.Size() {
-		return cfg, nil, nil, nil, nil, fmt.Errorf("train: cfg.Workers = %d but world size is %d", cfg.Workers, c.Size())
+		return cfg, fmt.Errorf("train: cfg.Workers = %d but world size is %d", cfg.Workers, c.Size())
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, nil, nil, nil, nil, err
-	}
-	var shards *shard.Dataset
-	if cfg.Strategy.Kind == shuffle.Corgi2 {
-		var err error
-		if shards, err = shard.OpenDataset(cfg.DataDir); err != nil {
-			return cfg, nil, nil, nil, nil, err
-		}
-		if cfg.Dataset == nil {
-			if cfg.Dataset, err = shards.Proxy(); err != nil {
-				return cfg, nil, nil, nil, nil, err
-			}
-		}
-	}
-	sched := cfg.Schedule
-	if sched == nil {
-		sched = nn.Constant{Base: cfg.BaseLR}
-	}
-
-	// Initial partition for the local-family strategies — deterministic in
-	// (n, Workers, Seed), hence identical across processes. Corgi2 assigns
-	// shards, not samples, and re-derives the assignment per epoch group.
-	var parts [][]int
-	if cfg.Strategy.Kind != shuffle.Global && cfg.Strategy.Kind != shuffle.Corgi2 {
-		n := len(cfg.Dataset.Train)
-		var err error
-		if cfg.PartitionLocality > 0 {
-			labels := make([]int, n)
-			for i, s := range cfg.Dataset.Train {
-				labels[i] = s.Label
-			}
-			parts, err = shuffle.PartitionWithLocality(labels, cfg.Workers, cfg.PartitionLocality, cfg.Seed)
-		} else {
-			parts, err = shuffle.Partition(n, cfg.Workers, cfg.Seed)
-		}
-		if err != nil {
-			return cfg, nil, nil, nil, nil, err
-		}
-	}
-	return cfg, sched, parts, store.NewPFS(cfg.Dataset.Train), shards, nil
+	return cfg, cfg.Validate()
 }
 
 // run trains and assembles the rank's result — the shared tail of RunRank
@@ -192,7 +150,6 @@ type worker struct {
 
 	local     *store.Local       // LS/PLS storage area
 	exchanger *shuffle.Scheduler // PLS only
-	pfs       *store.PFS
 
 	// Corgi2 state: the ingested dataset (opened from Config.DataDir), the
 	// node-local cache tier over it, and the epoch's open sample stream.
@@ -289,7 +246,24 @@ type worker struct {
 	cm               *telemetry.ControllerMetrics
 }
 
-func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *store.PFS, shards *shard.Dataset, rs *resumeState) (*worker, error) {
+// newWorker builds one rank's worker from a resolved configuration and one
+// of three origins: a founding rank stages its share of the seed's partition;
+// a resumed rank (rs non-nil) restores its snapshot; a joiner (adm non-nil)
+// starts with an empty store at the admitted epoch and generation, and
+// receives its samples through the post-admission rebalance.
+func newWorker(c *mpi.Comm, cfg Config, rs *resumeState, adm *admitMsg) (*worker, error) {
+	var shards *shard.Dataset
+	if cfg.Strategy.Kind == shuffle.Corgi2 {
+		var err error
+		if shards, err = shard.OpenDataset(cfg.DataDir); err != nil {
+			return nil, err
+		}
+		if cfg.Dataset == nil {
+			if cfg.Dataset, err = shards.Proxy(); err != nil {
+				return nil, err
+			}
+		}
+	}
 	// Same init seed on every rank: identical starting weights. Dropout
 	// streams differ per rank.
 	model, err := cfg.Model.Build(cfg.Seed, cfg.Seed+uint64(1000+c.Rank()))
@@ -301,16 +275,18 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 	}
 	w := &worker{
 		cfg:         cfg,
-		sched:       sched,
+		sched:       cfg.Schedule,
 		comm:        c,
 		model:       model,
 		params:      model.Params(),
-		pfs:         pfs,
 		shards:      shards,
 		exchEpoch:   -1,
 		joinedEpoch: -1,
 		arena:       arena.New(0),
 		cm:          telemetry.NewControllerMetrics(append(analysis.QReasons(), ReasonSchedule)),
+	}
+	if w.sched == nil {
+		w.sched = nn.Constant{Base: cfg.BaseLR}
 	}
 	w.setQ(cfg.Strategy.Q, "")
 	w.model.SetArena(w.arena)
@@ -344,65 +320,87 @@ func newWorker(c *mpi.Comm, cfg Config, sched nn.Schedule, parts [][]int, pfs *s
 			}
 		}
 	} else if cfg.Strategy.Kind != shuffle.Global {
-		w.local = store.NewLocal(0)
-		// A resumed rank restores the sample set its snapshot recorded (the
-		// exchange has moved samples since the initial partition); a joiner
-		// (nil parts, nil rs) starts empty and receives its share through
-		// the post-admission rebalance.
-		var stage []int
-		switch {
-		case rs != nil:
-			ids, err := decodeIDs(rs.sections["store"])
-			if err != nil {
-				return nil, fmt.Errorf("restoring stored sample set: %w", err)
-			}
-			stage = ids
-		case parts != nil:
-			stage = parts[c.Rank()]
-		}
-		for _, id := range stage {
-			s, err := pfs.Read(id)
-			if err != nil {
-				return nil, err
-			}
-			if err := w.local.Put(s); err != nil {
-				return nil, fmt.Errorf("staging initial partition: %w", err)
-			}
+		if err := w.stageLocal(rs, adm); err != nil {
+			return nil, err
 		}
 		if cfg.Strategy.Kind == shuffle.PartialLocal {
-			w.exchanger, err = shuffle.NewScheduler(c, w.local, cfg.Strategy.Q, len(cfg.Dataset.Train), cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.OnPeerFail == "degrade" {
-				w.exchanger.SetDegradeOnPeerFailure(true)
-			}
 			enc, err := data.ParseEncoding(cfg.SampleEncoding)
 			if err != nil {
 				return nil, err
 			}
-			if err := w.exchanger.SetSampleEncoding(enc); err != nil {
-				return nil, err
-			}
+			opts := shuffle.Options{Encoding: enc, Degrade: cfg.OnPeerFail == "degrade"}
 			if cfg.WireDedup {
-				if err := w.exchanger.SetWireDedup(DefaultWireDedupBudget); err != nil {
-					return nil, err
-				}
+				opts.DedupBudget = DefaultWireDedupBudget
+			}
+			w.exchanger, err = shuffle.NewScheduler(c, w.local, cfg.Strategy.Q, len(cfg.Dataset.Train), cfg.Seed, opts)
+			if err != nil {
+				return nil, err
 			}
 			if cfg.AutoQ {
 				w.initController()
 			}
 		}
 	}
-	if rs != nil {
+	switch {
+	case rs != nil:
 		if err := w.applyResume(rs); err != nil {
 			return nil, err
 		}
+	case adm != nil:
+		// The joiner takes the same generation bump the members took when
+		// they admitted it, and lands on their collective sequence base.
+		w.generation = adm.generation - 1
+		if err := w.bumpGeneration(); err != nil {
+			return nil, err
+		}
+		w.startEpoch, w.joinedEpoch, w.shortData = adm.epoch, adm.epoch, adm.short
 	}
 	if cfg.Telemetry != nil {
 		w.registerTelemetry(cfg.Telemetry)
 	}
 	return w, nil
+}
+
+// stageLocal fills the local-family store from the worker's origin: the
+// snapshot's sample set (the exchange has moved samples since the initial
+// partition), nothing for a joiner, or a founding rank's share of the
+// partition — deterministic in (N, Workers, Seed), hence identical across
+// processes.
+func (w *worker) stageLocal(rs *resumeState, adm *admitMsg) error {
+	cfg := w.cfg
+	train := cfg.Dataset.Train
+	w.local = store.NewLocal(0)
+	var stage []int
+	switch {
+	case rs != nil:
+		ids, err := decodeIDs(rs.sections["store"], len(train))
+		if err != nil {
+			return fmt.Errorf("restoring stored sample set: %w", err)
+		}
+		stage = ids
+	case adm == nil:
+		var parts [][]int
+		var err error
+		if cfg.PartitionLocality > 0 {
+			labels := make([]int, len(train))
+			for i, s := range train {
+				labels[i] = s.Label
+			}
+			parts, err = shuffle.PartitionWithLocality(labels, cfg.Workers, cfg.PartitionLocality, cfg.Seed)
+		} else {
+			parts, err = shuffle.Partition(len(train), cfg.Workers, cfg.Seed)
+		}
+		if err != nil {
+			return err
+		}
+		stage = parts[w.comm.Rank()]
+	}
+	for _, id := range stage {
+		if err := w.local.Put(train[id]); err != nil {
+			return fmt.Errorf("staging initial partition: %w", err)
+		}
+	}
+	return nil
 }
 
 // newOptimizer builds the configured update rule. resync re-runs it after a
@@ -423,7 +421,7 @@ func newOptimizer(cfg Config) nn.Optimizer {
 // reduction order (see mpi.IAllreduceChunks). Chunks outside the bucket
 // clamp to empty and the ring skips them symmetrically.
 func (w *worker) setupOverlap() {
-	capBytes := w.cfg.GradBucketBytes
+	capBytes := w.cfg.gradBucketBytes
 	if !w.cfg.OverlapGrads {
 		// The serial A/B baseline is a bucket plan too: one bucket spanning
 		// the model, ready only when backward has finished its first layer, so

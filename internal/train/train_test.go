@@ -53,6 +53,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Strategy = shuffle.Partial(2) },
 		func(c *Config) { c.Model.InputDim = 0 },
 		func(c *Config) { c.Workers = 10000 },
+		func(c *Config) {
+			d := *c.Dataset
+			d.Train = append([]data.Sample(nil), d.Train...)
+			d.Train[3].ID = 7
+			c.Dataset = &d
+		},
 	}
 	for i, mutate := range cases {
 		c := good
