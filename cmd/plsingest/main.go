@@ -2,7 +2,7 @@
 // store: checksummed shard files holding the training samples in ID order,
 // one extra file for the validation split, and a JSON manifest describing
 // the layout. The output directory models the slow shared "PFS" tier that
-// plsrun/plsd stream from under -strategy=corgi2, with each rank pulling
+// plsrun streams from under -strategy=corgi2, with each rank pulling
 // shards through its bounded node-local cache.
 //
 // Ingest a paper proxy dataset and train from it:

@@ -1,11 +1,17 @@
 // Command plsrun runs a single distributed training configuration and
-// prints the per-epoch accuracy curve and phase accounting.
+// prints the per-epoch accuracy curve and the run report.
 //
-// By default the workers are goroutines in this process (the inproc
-// transport). With -launch N the same configuration runs as N OS processes
-// exchanging samples and gradients over localhost TCP: plsrun reserves a
-// rendezvous port, forks N-1 copies of itself as worker ranks, and plays
-// rank 0 itself.
+// The world-size flag given picks the world; every kind runs the same
+// per-rank program (internal/distrun):
+//
+//   - -workers N (the default, 8): N goroutine ranks in this process over
+//     the inproc transport.
+//   - -launch N: N OS processes over localhost TCP. plsrun reserves a
+//     rendezvous port, forks N-1 copies of itself as -rank r -world N, and
+//     plays rank 0 itself.
+//   - -world N: this process is rank -rank of an N-rank TCP world that
+//     forms at -rendezvous; start one per rank, on one host or many. -join
+//     enters an already-running elastic world instead.
 //
 // Examples:
 //
@@ -13,6 +19,10 @@
 //	plsrun -dataset cifar-100 -model inceptionv4 -workers 16 -strategy local -locality 0.9
 //	plsrun -launch 4 -dataset imagenet-50 -strategy partial -q 0.25 -epochs 3 -timeout 2m
 //	plsrun -launch 4 -strategy corgi2 -data-dir /data/in50 -cache-bytes 16777216 -group-epochs 5
+//	plsrun -rank 1 -world 4 -rendezvous host0:7077 -strategy partial -q 0.25   # one per rank
+//
+// Every rank must be given identical training flags; the dataset, model,
+// and initial partition are derived deterministically from the seed.
 package main
 
 import (
@@ -23,26 +33,22 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"time"
+	"strings"
 
 	"plshuffle/internal/data"
 	"plshuffle/internal/distrun"
-	"plshuffle/internal/nn"
-	"plshuffle/internal/telemetry"
-	"plshuffle/internal/trace"
-	"plshuffle/internal/train"
 )
 
 func main() {
 	opts := distrun.DefaultOptions()
-	opts.Epochs = 15
 	opts.Bind(flag.CommandLine)
-	workers := flag.Int("workers", 8, "number of data-parallel workers")
-	launch := flag.Int("launch", 0, "run as this many OS processes over localhost TCP (0 = in-process goroutines)")
-	saveWeights := flag.String("save-weights", "", "write the trained model checkpoint to this file")
+	workers := flag.Int("workers", 8, "run as this many goroutine ranks in this process")
+	launch := flag.Int("launch", 0, "run as this many OS processes over localhost TCP")
+	flag.IntVar(&opts.World, "world", 1, "run as rank -rank of a TCP world of this many ranks (one process per rank)")
+	flag.IntVar(&opts.Rank, "rank", 0, "with -world: this process's rank in [0, world)")
+	flag.StringVar(&opts.Rendezvous, "rendezvous", "127.0.0.1:7077", "with -world: host:port rank 0 listens on for bootstrap")
+	flag.BoolVar(&opts.Join, "join", false, "with -world: join an already-running elastic world instead of bootstrapping one: the root assigns a free slot and the members admit this rank at the next epoch boundary (-rank is ignored; all training flags must match the running world's)")
 	listDatasets := flag.Bool("list-datasets", false, "list dataset keys and exit")
-	workerRank := flag.Int("worker-rank", -1, "internal: play one rank of a -launch world")
-	flag.StringVar(&opts.Rendezvous, "rendezvous", "", "internal: rendezvous address of a -launch world")
 	flag.Parse()
 
 	if *listDatasets {
@@ -53,48 +59,50 @@ func main() {
 		return
 	}
 
-	if *workerRank >= 0 {
-		// Forked worker: play one rank of the distributed world and exit.
-		opts.Rank = *workerRank
-		opts.World = *launch
-		if err := distrun.Run(opts, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	// A flag that belongs to another kind of world stops the run instead of
+	// being silently ignored: one world-size flag at most, the per-rank flags
+	// with -world only, and no wire to compress, peer process to lose or rank
+	// slot to reserve among goroutine ranks.
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	refuse := func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "plsrun: "+format+"\n", a...)
+		os.Exit(2)
+	}
+	var sizes []string
+	for _, name := range []string{"workers", "launch", "world"} {
+		if given[name] {
+			sizes = append(sizes, "-"+name)
 		}
-		return
+	}
+	if len(sizes) > 1 {
+		refuse("%s each size the world; give one", strings.Join(sizes, " and "))
+	}
+	for _, name := range []string{"rank", "rendezvous", "join"} {
+		if given[name] && !given["world"] {
+			refuse("-%s applies to one rank of a multi-process world only (add -world N)", name)
+		}
+	}
+	for _, name := range []string{"wire-compress", "on-peer-fail", "max-world"} {
+		if given[name] && !given["launch"] && !given["world"] {
+			refuse("-%s applies to multi-process worlds only (add -launch N or -world N)", name)
+		}
 	}
 
-	// A flag that applies to one kind of world only stops a run of the other
-	// kind instead of being silently ignored. Goroutine workers share one
-	// process: there is no wire to compress, no peer process to lose and no
-	// rank slot to join. A launched world has -launch ranks, not -workers,
-	// and its rank 0 trains inside distrun, which writes no weights file.
-	flag.Visit(func(f *flag.Flag) {
-		only := ""
-		switch f.Name {
-		case "wire-compress", "on-peer-fail", "max-world":
-			if *launch <= 0 {
-				only = "multi-process worlds only (add -launch N)"
-			}
-		case "workers", "save-weights":
-			if *launch > 0 {
-				only = "in-process worlds only (drop -launch)"
-			}
-		}
-		if only != "" {
-			fmt.Fprintf(os.Stderr, "plsrun: -%s applies to %s\n", f.Name, only)
-			os.Exit(2)
-		}
-	})
-
-	if *launch > 0 {
-		if err := runLaunched(*launch, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case given["launch"]:
+		err = runLaunched(*launch, opts)
+	case given["world"]:
+		err = distrun.Run(opts, os.Stdout)
+	default:
+		opts.World = *workers
+		err = distrun.RunInproc(opts, os.Stdout)
 	}
-	runInproc(*workers, opts, *saveWeights)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
 // runLaunched forks world-1 copies of this binary as worker ranks and plays
@@ -118,10 +126,10 @@ func runLaunched(world int, opts distrun.Options) error {
 	opts.Rendezvous = ln.Addr().String()
 	opts.RendezvousListener = ln
 
-	args := append([]string{"-launch", strconv.Itoa(world), "-rendezvous", opts.Rendezvous}, opts.Args()...)
+	args := append([]string{"-world", strconv.Itoa(world), "-rendezvous", opts.Rendezvous}, opts.Args()...)
 	cmds := make([]*exec.Cmd, 0, world-1)
 	for r := 1; r < world; r++ {
-		cmd := exec.Command(exe, append([]string{"-worker-rank", strconv.Itoa(r)}, args...)...)
+		cmd := exec.Command(exe, append([]string{"-rank", strconv.Itoa(r)}, args...)...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -182,89 +190,4 @@ func runLaunched(world int, opts distrun.Options) error {
 		return nil
 	}
 	return fmt.Errorf("plsrun: %d-rank launched world failed (per-rank report above)", world)
-}
-
-// runInproc is the original single-process path (goroutine workers).
-func runInproc(workers int, opts distrun.Options, saveWeights string) {
-	cfg, err := opts.TrainConfig()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cfg.Workers = workers
-
-	// Inproc telemetry: all workers are goroutines sharing one registry, so
-	// a single server on the base address exposes the whole "world" — every
-	// per-rank series is distinguished by its {rank=...} label.
-	if opts.TelemetryAddr != "" {
-		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.Trace = trace.NewRecorder()
-		srv, err := telemetry.NewServer(telemetry.ServerConfig{
-			Addr:     opts.TelemetryAddr,
-			Registry: cfg.Telemetry,
-			Trace:    cfg.Trace,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plsrun: telemetry listen %s: %v\n", opts.TelemetryAddr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: http://%s/metrics (also /trace, /healthz, /debug/pprof)\n", srv.Addr())
-	}
-
-	type trained struct {
-		res *train.Result
-		err error
-	}
-	done := make(chan trained, 1)
-	go func() {
-		res, err := train.Run(cfg)
-		done <- trained{res, err}
-	}()
-	var t trained
-	if opts.Timeout > 0 {
-		select {
-		case t = <-done:
-		case <-time.After(opts.Timeout):
-			fmt.Fprintf(os.Stderr, "plsrun: run made no progress within %v; aborting instead of hanging\n", opts.Timeout)
-			os.Exit(1)
-		}
-	} else {
-		t = <-done
-	}
-	if t.err != nil {
-		fmt.Fprintln(os.Stderr, t.err)
-		os.Exit(1)
-	}
-	res := t.res
-
-	fmt.Printf("%s on %s proxy, %d workers, strategy %s (locality %.2f)\n",
-		opts.Model, opts.DatasetLabel(cfg), workers, cfg.Strategy, opts.Locality)
-	fmt.Printf("%-6s  %-8s  %-8s  %-12s  %-12s\n", "epoch", "loss", "val-acc", "local-read", "exchanged")
-	for _, e := range res.Epochs {
-		fmt.Printf("%-6d  %-8.4f  %-8.4f  %-12d  %-12d\n",
-			e.Epoch+1, e.TrainLoss, e.ValAcc, e.LocalReadBytes, e.ExchangeBytes)
-	}
-	fmt.Printf("final=%.4f best=%.4f peak-storage/worker=%d bytes\n",
-		res.FinalValAcc, res.BestValAcc, res.PeakStorageBytes)
-	if opts.AutoQ {
-		fmt.Printf("controller q trajectory:")
-		for _, e := range res.Epochs {
-			fmt.Printf(" %g(%s)", e.ControllerQ, e.ControllerReason)
-		}
-		fmt.Println()
-	}
-	if saveWeights != "" {
-		f, err := os.Create(saveWeights)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := nn.SaveWeights(f, res.FinalModel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("checkpoint written to %s\n", saveWeights)
-	}
 }

@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// TestRefusesFlagsOutsideTheirWorld runs the built binary: each flag that
-// applies to one kind of world only must stop a run of the other kind with
-// exit status 2 before it trains, instead of being silently ignored.
+// TestRefusesFlagsOutsideTheirWorld runs the built binary: two world-size
+// flags, and each flag that applies to one kind of world only given to
+// another, must stop the run with exit status 2 before it trains, instead of
+// being silently ignored.
 func TestRefusesFlagsOutsideTheirWorld(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -26,9 +27,12 @@ func TestRefusesFlagsOutsideTheirWorld(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-launch", "2", "-save-weights", filepath.Join(t.TempDir(), "w.bin")}, "-save-weights applies to in-process worlds only"},
-		{[]string{"-launch", "2", "-workers", "4"}, "-workers applies to in-process worlds only"},
+		{[]string{"-launch", "2", "-world", "4"}, "-launch and -world each size the world"},
+		{[]string{"-launch", "2", "-workers", "4"}, "-workers and -launch each size the world"},
 		{[]string{"-wire-compress"}, "-wire-compress applies to multi-process worlds only"},
+		{[]string{"-workers", "2", "-on-peer-fail", "degrade"}, "-on-peer-fail applies to multi-process worlds only"},
+		{[]string{"-max-world", "4"}, "-max-world applies to multi-process worlds only"},
+		{[]string{"-join"}, "-join applies to one rank of a multi-process world only"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()

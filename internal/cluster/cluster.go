@@ -4,8 +4,6 @@
 // Fugaku) with the storage/network parameters the performance model needs.
 package cluster
 
-import "fmt"
-
 const (
 	// KiB etc. are byte units used throughout the cluster tables.
 	KiB = int64(1) << 10
@@ -169,20 +167,3 @@ func Fugaku() Machine {
 		AllreduceBW:      6e9,
 	}
 }
-
-// Machines returns the experiment platforms by name.
-func Machines() map[string]Machine {
-	return map[string]Machine{"abci": ABCI(), "fugaku": Fugaku()}
-}
-
-// MachineByName looks up "abci" or "fugaku".
-func MachineByName(name string) (Machine, error) {
-	m, ok := Machines()[name]
-	if !ok {
-		return Machine{}, fmt.Errorf("cluster: unknown machine %q (known: abci, fugaku)", name)
-	}
-	return m, nil
-}
-
-// MaxWorkers returns the machine's total worker slots.
-func (m Machine) MaxWorkers() int { return m.WorkersPerNode * m.Nodes }

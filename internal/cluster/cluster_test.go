@@ -103,9 +103,6 @@ func TestMachinePresets(t *testing.T) {
 	if abci.WorkersPerNode != 4 || abci.Nodes != 1088 {
 		t.Fatalf("ABCI shape: %d workers/node, %d nodes", abci.WorkersPerNode, abci.Nodes)
 	}
-	if abci.MaxWorkers() != 4352 {
-		t.Fatalf("ABCI MaxWorkers = %d", abci.MaxWorkers())
-	}
 	fugaku := Fugaku()
 	if fugaku.Nodes != 158976 {
 		t.Fatalf("Fugaku nodes = %d", fugaku.Nodes)
@@ -121,17 +118,5 @@ func TestMachinePresets(t *testing.T) {
 		if m.PFSEffectiveBW >= m.PFSPeakBW {
 			t.Fatalf("%s: effective PFS bandwidth should be below peak", m.Name)
 		}
-	}
-}
-
-func TestMachineByName(t *testing.T) {
-	if _, err := MachineByName("abci"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MachineByName("fugaku"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MachineByName("frontier"); err == nil {
-		t.Fatal("unknown machine accepted")
 	}
 }

@@ -228,15 +228,6 @@ type Dataset struct {
 	SampleBytes int64 // simulated bytes per sample
 }
 
-// TotalBytes returns the simulated total size of the training set.
-func (d *Dataset) TotalBytes() int64 {
-	var t int64
-	for _, s := range d.Train {
-		t += s.Bytes
-	}
-	return t
-}
-
 // SyntheticSpec configures the Gaussian-mixture generator: FeatureDim
 // discriminative features whose class means are separated by ClassSep set
 // the task difficulty.

@@ -38,8 +38,8 @@ func ingestCorgiDataset(t *testing.T) (dir string, maxShard int64) {
 }
 
 // runCorgiWorld runs one full 4-rank corgi2 world over real TCP (one
-// goroutine per rank, each calling Run exactly as plsd does) and returns
-// rank 0's report.
+// goroutine per rank, each calling Run exactly as plsrun -rank does) and
+// returns rank 0's report.
 func runCorgiWorld(t *testing.T, opts Options) string {
 	t.Helper()
 	rln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -1,11 +1,14 @@
-// Package distrun runs one rank of a distributed training world over the
-// TCP transport. It is the shared engine behind cmd/plsd (one rank per
-// process, launched manually or by a scheduler) and cmd/plsrun's -launch
-// mode (which forks a local world and plays rank 0 itself).
+// Package distrun is the one per-rank program every training world runs.
+// Run plays one rank of a TCP world (cmd/plsrun -rank/-world, one process
+// per rank, and each rank -launch forks); RunInproc plays every rank of a
+// goroutine world in this process (cmd/plsrun -workers). Both hand each
+// connected communicator to the same body: phase trace, per-rank telemetry,
+// the run deadline, training, the gathered report on the lowest live rank,
+// and close.
 //
 // Every rank receives the identical Options; datasets, models, and the
 // initial partition are derived deterministically from the seed, so no
-// state crosses processes except the MPI traffic itself.
+// state crosses ranks except the MPI traffic itself.
 package distrun
 
 import (
@@ -15,9 +18,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"time"
 
 	"plshuffle/internal/mpi"
+	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/telemetry"
 	"plshuffle/internal/trace"
@@ -26,8 +31,8 @@ import (
 	"plshuffle/internal/transport/tcp"
 )
 
-// Options describes one rank's share of a distributed run. The training
-// fields must be identical on every rank.
+// Options describes one rank's share of a run. The training fields must be
+// identical on every rank.
 type Options struct {
 	Rank       int
 	World      int
@@ -81,9 +86,10 @@ type Options struct {
 	// every rank must agree.
 	AutoQ bool
 
-	// Timeout bounds the whole run. When it expires — typically because a
-	// peer died before reaching a collective — the rank unwinds with a clear
-	// error instead of blocking forever. Zero means no watchdog.
+	// Timeout is a deadline on the whole run, armed when the rank starts:
+	// when it expires — typically because a peer died before reaching a
+	// collective — the rank unwinds with an error naming its last completed
+	// phase instead of blocking forever. Zero means no deadline.
 	Timeout time.Duration
 
 	// OnPeerFail selects what a rank does when the transport declares a
@@ -122,31 +128,30 @@ type Options struct {
 	Join bool
 
 	// TelemetryAddr, when non-empty, is the BASE listen address of the
-	// per-rank telemetry endpoints (DESIGN.md §11): rank r serves
-	// /metrics, /trace, /healthz, and /debug/pprof on port+r (the same
-	// port-offset rule the launcher uses), and rank 0 additionally serves
-	// /cluster/metrics, the concatenated exposition of every rank. Empty
-	// disables telemetry entirely — zero observers, zero overhead beyond
-	// the always-on atomic counters.
+	// per-rank telemetry endpoints (DESIGN.md §11): in every kind of world,
+	// rank r serves /metrics, /trace, /healthz, and /debug/pprof on port+r,
+	// and rank 0 additionally serves /cluster/metrics, the concatenated
+	// exposition of every rank. Empty disables telemetry entirely — zero
+	// observers, zero overhead beyond the always-on atomic counters.
 	TelemetryAddr string
+
+	// SaveWeights, when non-empty, is the file the reporting rank writes
+	// the trained model to (nn.SaveWeights) after the run.
+	SaveWeights string
 }
 
-// Run executes one rank to completion: connect over TCP, train, verify the
-// sample balance, report on rank 0, and tear the transport down. out
-// receives rank 0's run report (other ranks write nothing).
+// Run executes one rank of a TCP world to completion: connect to the world
+// over the rendezvous, then run the per-rank program (runRank). out receives
+// the run report on the reporting rank (other ranks write nothing).
 func Run(o Options, out io.Writer) error {
 	// Resolve the configuration before connecting: a bad option fails here,
 	// not after the world has formed.
-	cfg, err := o.TrainConfig()
+	cfg, err := o.prepare()
 	if err != nil {
 		return err
 	}
-
 	if o.Join && o.MaxWorld <= o.World {
 		return fmt.Errorf("distrun: -join requires an elastic world (-max-world greater than -world, identical to the running members')")
-	}
-	if o.Resume && o.CheckpointDir == "" {
-		return fmt.Errorf("distrun: -resume requires -checkpoint-dir")
 	}
 
 	bootstrap := 30 * time.Second
@@ -184,7 +189,45 @@ func Run(o Options, out io.Writer) error {
 		// adopt it so telemetry ports and failure reports name the real slot.
 		o.Rank = comm.Rank()
 	}
+	return runRank(comm, o, cfg, out)
+}
 
+// RunInproc runs a world of o.World goroutine ranks in this process over the
+// inproc transport (mpi.Run). Every rank runs the same per-rank program as a
+// TCP rank, so the world gets the same report, deadline and telemetry; out
+// receives rank 0's report. A rank that fails aborts the world (MPI_Abort),
+// and the returned error joins every rank's.
+func RunInproc(o Options, out io.Writer) error {
+	if o.World < 1 {
+		return fmt.Errorf("distrun: a world needs at least one rank, got %d", o.World)
+	}
+	cfg, err := o.prepare()
+	if err != nil {
+		return err
+	}
+	return mpi.Run(o.World, func(c *mpi.Comm) error {
+		ro, rout := o, io.Discard
+		ro.Rank = c.Rank()
+		if ro.Rank == 0 {
+			rout = out
+		}
+		return runRank(c, ro, cfg, rout)
+	})
+}
+
+// prepare checks the options every world refuses alike and resolves the
+// training configuration the ranks share.
+func (o Options) prepare() (train.Config, error) {
+	if o.Resume && o.CheckpointDir == "" {
+		return train.Config{}, fmt.Errorf("distrun: -resume requires -checkpoint-dir")
+	}
+	return o.TrainConfig()
+}
+
+// runRank is the per-rank program of every world, on a connected comm: it
+// records phase trace events, serves the rank's telemetry, runs trainRank
+// under the watchdog, and closes the comm.
+func runRank(comm *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 	// Every rank records phase trace events so a watchdog report can name
 	// where each rank last made progress, not just that it stopped.
 	rec := trace.NewRecorder()
@@ -235,6 +278,7 @@ func Run(o Options, out io.Writer) error {
 		})
 	}()
 
+	var err error
 	if o.Timeout > 0 {
 		select {
 		case err = <-done:
@@ -247,7 +291,7 @@ func Run(o Options, out io.Writer) error {
 			case <-time.After(5 * time.Second):
 			}
 			comm.Close()
-			return fmt.Errorf("distrun: rank %d: no progress within %v (last completed phase: %s) — a peer likely exited before reaching a collective; aborting instead of hanging",
+			return fmt.Errorf("distrun: rank %d: run did not finish within -timeout %v (last completed phase: %s) — a peer likely exited before reaching a collective; aborting instead of hanging",
 				o.Rank, o.Timeout, lastPhase(rec))
 		}
 	} else {
@@ -258,6 +302,10 @@ func Run(o Options, out io.Writer) error {
 		// reads as a story, not a stack of timeouts.
 		err = fmt.Errorf("distrun: rank %d: peer rank %d died during %s (last completed phase here: %s): %w",
 			o.Rank, pe.Rank, pe.Phase, lastPhase(rec), err)
+	} else if err != nil {
+		// A rank unwound by a failing peer's abort (a goroutine world's
+		// first expired deadline aborts them all) still says where it was.
+		err = fmt.Errorf("distrun: rank %d (last completed phase: %s): %w", o.Rank, lastPhase(rec), err)
 	}
 	if cerr := comm.Close(); err == nil && cerr != nil {
 		if _, isPeer := transport.AsPeerError(cerr); isPeer {
@@ -319,8 +367,9 @@ func telemetryTargets(base string, world int) []string {
 	return targets
 }
 
-// trainRank is the per-rank program: train, gather balance/peak/byte
-// accounting at the lowest surviving rank, and print the report there.
+// trainRank trains the rank, gathers balance/peak/byte accounting at the
+// lowest surviving rank, and prints the report (and writes -save-weights)
+// there.
 func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 	strat, ds := cfg.Strategy, cfg.Dataset
 	var rr *train.RankResult
@@ -392,8 +441,12 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 		peak = max(peak, row[vPeak])
 	}
 
-	fmt.Fprintf(out, "%s on %s proxy, %d ranks over tcp, strategy %s (locality %.2f)\n",
-		o.Model, o.DatasetLabel(cfg), c.Size(), strat, o.Locality)
+	over := "inproc"
+	if st.Wire {
+		over = "tcp"
+	}
+	fmt.Fprintf(out, "%s on %s proxy, %d ranks over %s, strategy %s (locality %.2f)\n",
+		o.Model, o.DatasetLabel(cfg), c.Size(), over, strat, o.Locality)
 	fmt.Fprintf(out, "%-6s  %-8s  %-8s  %-14s\n", "epoch", "loss", "val-acc", "exchange-wire")
 	for _, e := range rr.Epochs {
 		fmt.Fprintf(out, "%-6d  %-8.4f  %-8.4f  %-14d\n", e.Epoch+1, e.TrainLoss, e.ValAcc, e.ExchangeWireBytes)
@@ -429,6 +482,12 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "weights crc32c=%08x\n", h.Sum32())
+	if o.SaveWeights != "" {
+		if err := saveWeights(o.SaveWeights, rr.FinalModel); err != nil {
+			return fmt.Errorf("distrun: -save-weights: %w", err)
+		}
+		fmt.Fprintf(out, "weights written to %s\n", o.SaveWeights)
+	}
 
 	if strat.Kind == shuffle.Corgi2 {
 		fmt.Fprintf(out, "cache: hits=%d misses=%d evictions=%d prefetch=%d bytes pfs-read=%d bytes\n",
@@ -461,4 +520,17 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 		fmt.Fprintf(out, "sample balance OK: every rank holds N/M = %d..%d of %d samples\n", lo, hi, n)
 	}
 	return nil
+}
+
+// saveWeights writes the trained model to path (nn.SaveWeights).
+func saveWeights(path string, m *nn.Sequential) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := nn.SaveWeights(f, m); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -45,8 +45,8 @@ func pickBasePort(t *testing.T, count int) int {
 }
 
 // TestRunWorldWithTelemetry drives the full distrun stack end to end: a
-// 3-rank world (one goroutine per rank, each calling Run exactly as plsd
-// does) over real TCP, with the telemetry plane live on port-offset
+// 3-rank world (one goroutine per rank, each calling Run exactly as plsrun
+// -rank does) over real TCP, with the telemetry plane live on port-offset
 // endpoints. While the run is in flight the test scrapes each rank's
 // /metrics and /healthz and rank 0's /cluster/metrics, which must aggregate
 // every rank's series under a single set of family headers.

@@ -12,8 +12,8 @@ import (
 )
 
 // runWorld plays every member rank of opts' world as a goroutine (each
-// calling Run exactly as plsd does) and returns rank 0's report plus the
-// per-rank errors. extra ranks (joiners) are appended after the members.
+// calling Run exactly as plsrun -rank does) and returns rank 0's report plus
+// the per-rank errors. extra ranks (joiners) are appended after the members.
 func runWorld(t *testing.T, opts Options, extra ...Options) (string, []error) {
 	t.Helper()
 	rln, err := net.Listen("tcp", "127.0.0.1:0")

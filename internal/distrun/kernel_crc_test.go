@@ -1,6 +1,8 @@
 package distrun
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 )
@@ -20,6 +22,8 @@ const (
 // TestKernelWeightCRCGolden runs full 4-rank TCP trainings and pins the
 // final weights crc32c to the golden values above. Any kernel, blocking,
 // or dispatch change that alters a single bit of any weight fails here.
+// The same options run as a goroutine world (RunInproc) must print the same
+// goldens: every world runs one per-rank program, over either transport.
 func TestKernelWeightCRCGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rank TCP end-to-end in -short mode")
@@ -56,6 +60,32 @@ func TestKernelWeightCRCGolden(t *testing.T) {
 			}
 			if m[1] != tc.want {
 				t.Fatalf("weights crc32c=%s, want golden %s (kernel change broke bitwise determinism)", m[1], tc.want)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		want   string
+		report string // a line only the shared report prints
+	}{
+		{"pls-goroutines", pls, goldenPLSWeightsCRC, "sample balance OK"},
+		{"corgi2-goroutines", corgi, goldenCorgi2WeightsCRC, "cache: hits="},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := RunInproc(tc.opts, &out); err != nil {
+				t.Fatal(err)
+			}
+			m := weightsLine.FindStringSubmatch(out.String())
+			if m == nil {
+				t.Fatalf("no weights line:\n%s", out.String())
+			}
+			if m[1] != tc.want {
+				t.Fatalf("weights crc32c=%s, want golden %s (the goroutine world left the TCP world's bits)", m[1], tc.want)
+			}
+			if !strings.Contains(out.String(), "4 ranks over inproc") || !strings.Contains(out.String(), tc.report) {
+				t.Fatalf("goroutine world report lacks %q or %q:\n%s", "4 ranks over inproc", tc.report, out.String())
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 	"plshuffle/internal/train"
 )
 
-// DefaultOptions returns the run options cmd/plsrun and cmd/plsd start from.
+// DefaultOptions returns the run options cmd/plsrun starts from.
 func DefaultOptions() Options {
 	return Options{
 		Dataset:      "imagenet-50",
@@ -28,11 +28,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// Bind registers the run options cmd/plsrun and cmd/plsd share onto fs,
+// Bind registers the run options every rank of a world shares onto fs,
 // storing straight into o's fields; each flag's default is the field's
 // current value. Every rank of a world must be given the same values. Rank,
-// World, Rendezvous and Join are left to the binaries, which spell them
-// differently.
+// World, Rendezvous and Join differ per rank or per world and are left to
+// cmd/plsrun.
 func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&o.Dataset, "dataset", o.Dataset, "paper dataset key (plsrun -list-datasets prints them)")
 	fs.StringVar(&o.Model, "model", o.Model, "proxy model name")
@@ -52,13 +52,14 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.BoolVar(&o.WireDedup, "wire-dedup", o.WireDedup, "deduplicate exchange sample payloads: repeat samples travel as compact ID references (bitwise-identical training, fewer wire bytes)")
 	fs.StringVar(&o.SampleEncoding, "sample-encoding", o.SampleEncoding, "exchange sample wire format: fp32 (default) or fp16exact (compact where bitwise lossless, fp32 otherwise)")
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "run seed")
-	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "exit non-zero instead of hanging if the run makes no progress for this long (0 = no watchdog)")
+	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "deadline on the whole run: exit non-zero, naming each rank's last completed phase, if it has not finished this long after it started (0 = no deadline)")
 	fs.StringVar(&o.OnPeerFail, "on-peer-fail", o.OnPeerFail, "multi-process worlds: policy when a peer rank dies mid-run — abort (fail fast, naming the dead rank) or degrade (survivors finish with a reduced effective Q)")
 	fs.StringVar(&o.CheckpointDir, "checkpoint-dir", o.CheckpointDir, "directory for atomic epoch-boundary snapshots (empty = checkpointing off)")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery, "snapshot every Nth epoch boundary (0 = every epoch)")
 	fs.BoolVar(&o.Resume, "resume", o.Resume, "restore the newest complete snapshot under -checkpoint-dir before training; the resumed run is bitwise identical to one that never stopped")
 	fs.IntVar(&o.MaxWorld, "max-world", o.MaxWorld, "multi-process worlds: elastic capacity — rank slots [world, max-world) stay reserved for mid-run joiners (0 = fixed world)")
-	fs.StringVar(&o.TelemetryAddr, "telemetry-addr", o.TelemetryAddr, "BASE host:port of the live telemetry endpoints (/metrics, /trace, /healthz, /debug/pprof); in a multi-process world rank r serves on port+r and rank 0 additionally serves /cluster/metrics (empty = telemetry off)")
+	fs.StringVar(&o.TelemetryAddr, "telemetry-addr", o.TelemetryAddr, "BASE host:port of the live telemetry endpoints (/metrics, /trace, /healthz, /debug/pprof); rank r serves on port+r and rank 0 additionally serves /cluster/metrics (empty = telemetry off)")
+	fs.StringVar(&o.SaveWeights, "save-weights", o.SaveWeights, "write the trained model to this file (rank 0 writes it)")
 }
 
 // Args spells every option Bind registers as a -name=value argument, for a

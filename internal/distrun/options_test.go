@@ -21,7 +21,7 @@ func TestArgsRoundTripEveryBoundFlag(t *testing.T) {
 		AutoQ:   true,
 		Timeout: 90 * time.Second, OnPeerFail: "degrade",
 		CheckpointDir: "ckpt", CheckpointEvery: 2, Resume: true,
-		MaxWorld: 6, TelemetryAddr: "127.0.0.1:9400",
+		MaxWorld: 6, TelemetryAddr: "127.0.0.1:9400", SaveWeights: "w.bin",
 	}
 	for _, o := range []Options{want, {}, DefaultOptions()} {
 		got := DefaultOptions()
@@ -37,8 +37,9 @@ func TestArgsRoundTripEveryBoundFlag(t *testing.T) {
 	}
 }
 
-// TestBindTakesDefaultsFromReceiver: plsrun and plsd share the flag set but
-// not every default (-epochs 15 vs 5).
+// TestBindTakesDefaultsFromReceiver: each flag's default is the receiver's
+// field, so a caller that changes a field before Bind changes that flag's
+// default.
 func TestBindTakesDefaultsFromReceiver(t *testing.T) {
 	o := DefaultOptions()
 	o.Epochs = 15

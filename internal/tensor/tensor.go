@@ -446,16 +446,6 @@ func (m *Matrix) ArgmaxRows() []int {
 	return out
 }
 
-// Norm2 returns the Euclidean norm of all elements (accumulated in float64
-// for stability; used by LARS trust ratios).
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // Norm2Slice returns the Euclidean norm of a float32 vector.
 func Norm2Slice(v []float32) float64 {
 	var s float64

@@ -184,10 +184,6 @@ func TestArgmaxRows(t *testing.T) {
 }
 
 func TestNorm2(t *testing.T) {
-	a := FromSlice(1, 2, []float32{3, 4})
-	if n := a.Norm2(); math.Abs(n-5) > 1e-9 {
-		t.Fatalf("Norm2 = %v, want 5", n)
-	}
 	if n := Norm2Slice([]float32{3, 4}); math.Abs(n-5) > 1e-9 {
 		t.Fatalf("Norm2Slice = %v, want 5", n)
 	}

@@ -124,8 +124,3 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	return nil
 }
-
-// WriteChrome writes the recorder's events as Chrome trace JSON.
-func (r *Recorder) WriteChrome(w io.Writer) error {
-	return WriteChromeTrace(w, r.Events())
-}

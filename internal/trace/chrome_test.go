@@ -83,7 +83,7 @@ func TestChromeTraceShape(t *testing.T) {
 	for _, e := range goldenEvents() {
 		rec.Record(e)
 	}
-	if err := rec.WriteChrome(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

@@ -129,25 +129,6 @@ func (r *Recorder) PhaseTotals() map[string]time.Duration {
 	return out
 }
 
-// EpochBreakdown returns, for one epoch, the mean per-rank duration of
-// each phase — one bar of a Figure 10 style plot.
-func (r *Recorder) EpochBreakdown(epoch int) map[string]time.Duration {
-	sums := map[string]time.Duration{}
-	counts := map[string]int{}
-	for _, e := range r.Events() {
-		if e.Epoch != epoch {
-			continue
-		}
-		sums[e.Phase] += e.Duration
-		counts[e.Phase]++
-	}
-	out := map[string]time.Duration{}
-	for p, s := range sums {
-		out[p] = s / time.Duration(counts[p])
-	}
-	return out
-}
-
 // WriteJSONL writes one JSON object per event.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -75,17 +75,6 @@ func TestPhaseTotals(t *testing.T) {
 	}
 }
 
-func TestEpochBreakdownAverages(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Event{Rank: 0, Epoch: 2, Phase: PhaseExchange, Duration: 2 * time.Second})
-	r.Record(Event{Rank: 1, Epoch: 2, Phase: PhaseExchange, Duration: 4 * time.Second})
-	r.Record(Event{Rank: 0, Epoch: 3, Phase: PhaseExchange, Duration: 100 * time.Second})
-	bd := r.EpochBreakdown(2)
-	if bd[PhaseExchange] != 3*time.Second {
-		t.Fatalf("epoch 2 exchange mean = %v, want 3s", bd[PhaseExchange])
-	}
-}
-
 func TestJSONLRoundtrip(t *testing.T) {
 	r := NewRecorder()
 	r.Record(Event{Rank: 0, Epoch: 0, Phase: PhaseIO, Duration: time.Second, Bytes: 1234})

@@ -100,7 +100,7 @@ func TestReformationMatrix(t *testing.T) {
 					rrs, errs := runRanks(t, b, tc.capacity, func(c *mpi.Comm) (*RankResult, error) {
 						defer func() { collSeq[c.Rank()] = c.CollSeq() }()
 						if c.Rank() >= tc.members {
-							// A plsd whose JoinRank fails (by error or by unwinding)
+							// A joining process whose JoinRank fails (by error or by unwinding)
 							// exits, and its sockets close with it; here the endpoint
 							// outlives the goroutine unless it is torn down by hand.
 							joined := false

@@ -77,9 +77,10 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunRank executes one rank's share of the configured training on an
-// already-connected communicator — the entry point for distributed worlds
-// where each rank is its own OS process (cmd/plsd). Every rank must pass an
-// identical Config: the initial partition is derived deterministically from
+// already-connected communicator of any backend — the entry point of the
+// per-rank program every cmd/plsrun world runs (internal/distrun), whether
+// its ranks are OS processes over TCP or goroutines over inproc. Every rank
+// must pass an identical Config: the initial partition is derived deterministically from
 // the seed, so no rank needs to see another's memory. cfg.Workers may be
 // zero (it defaults to the communicator's world size) but must otherwise
 // match it.
