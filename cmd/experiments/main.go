@@ -49,8 +49,6 @@ func main() {
 	short := flag.Bool("short", false, "reduced epochs for a quick pass")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
 	csvDir := flag.String("csv", "", "also write each figure's series grid as CSV into this directory")
-	wireDedup := flag.Bool("wire-dedup", false, "run every training config with exchange dedup on (curves must be identical — an end-to-end equivalence check)")
-	sampleEncoding := flag.String("sample-encoding", "", "exchange sample wire format for every training config: fp32 or fp16exact (identical curves)")
 	flag.Parse()
 
 	if *list || *run == "" {
@@ -64,8 +62,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Short: *short, Seed: *seed,
-		WireDedup: *wireDedup, SampleEncoding: *sampleEncoding}
+	opts := experiments.Options{Short: *short, Seed: *seed}
 	var ids []string
 	if *run == "all" {
 		for _, e := range experiments.Registry() {

@@ -51,7 +51,11 @@ type accuracySpec struct {
 	// Pretrain warm-starts every run from a short global-shuffling
 	// pretraining pass (the paper's pretrained ResNet50 for Stanford Cars).
 	Pretrain bool
-	Notes    []string
+	// LocalitySweep, when set, adds a table of local-shuffling accuracy at
+	// the last scale for each of these partition localities: the
+	// calibration curve behind LocalityCoef.
+	LocalitySweep []float64
+	Notes         []string
 }
 
 // localityAt returns the partition locality for a scale with the given
@@ -79,7 +83,7 @@ func (s accuracySpec) epochs(opts Options) int {
 
 // runAccuracy executes the spec: real distributed SGD per (scale,
 // strategy), one figure per scale (validation accuracy vs epoch) plus a
-// final-accuracy summary table.
+// final-accuracy summary table, and the LocalitySweep table when set.
 func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 	ds, err := data.LoadProxy(spec.DatasetKey)
 	if err != nil {
@@ -95,47 +99,55 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 	summary := metrics.NewTable(fmt.Sprintf("%s: final top-1 validation accuracy (%d epochs)", spec.ID, epochs))
 	summary.Header("scale", "strategy", "final acc", "best acc", "peak storage/worker")
 
+	// run trains one strategy at one scale and partition locality.
+	run := func(sc scalePoint, strat shuffle.Strategy, loc float64) (*train.Result, error) {
+		batch := spec.Batch
+		if sc.Batch != 0 {
+			batch = sc.Batch
+		}
+		cfg := train.Config{
+			Workers:           sc.Workers,
+			Strategy:          strat,
+			Dataset:           ds,
+			Model:             modelSpec,
+			Epochs:            epochs,
+			BatchSize:         batch,
+			BaseLR:            spec.BaseLR,
+			Momentum:          0.9,
+			WeightDecay:       1e-4,
+			Optimizer:         sc.Optimizer,
+			Seed:              opts.seed(),
+			PartitionLocality: loc,
+			Schedule: nn.StepDecay{
+				Base: spec.BaseLR, Gamma: 0.2,
+				Milestones: []float64{float64(epochs) * 0.5, float64(epochs) * 0.75},
+			},
+		}
+		if sc.Optimizer == "lars" {
+			cfg.Schedule = nn.Warmup{Inner: cfg.Schedule, Epochs: float64(epochs) / 8, StartFactor: 0.25}
+		}
+		if spec.Pretrain {
+			warm, err := pretrainWeights(ds, modelSpec, opts)
+			if err != nil {
+				return nil, err
+			}
+			cfg.WarmStart = warm
+		}
+		r, err := train.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s M=%d: %w", spec.ID, strat, sc.Workers, err)
+		}
+		return r, nil
+	}
+
 	for _, sc := range spec.Scales {
 		fig := metrics.NewFigure(
 			fmt.Sprintf("%s — %s (proxy M=%d)", spec.Title, sc.PaperLabel, sc.Workers),
 			"epoch", "top-1 accuracy")
 		for _, strat := range sc.Strategies {
-			batch := spec.Batch
-			if sc.Batch != 0 {
-				batch = sc.Batch
-			}
-			cfg := train.Config{
-				Workers:           sc.Workers,
-				Strategy:          strat,
-				Dataset:           ds,
-				Model:             modelSpec,
-				Epochs:            epochs,
-				BatchSize:         batch,
-				BaseLR:            spec.BaseLR,
-				Momentum:          0.9,
-				WeightDecay:       1e-4,
-				Optimizer:         sc.Optimizer,
-				Seed:              opts.seed(),
-				PartitionLocality: spec.localityAt(len(ds.Train) / sc.Workers),
-				Schedule: nn.StepDecay{
-					Base: spec.BaseLR, Gamma: 0.2,
-					Milestones: []float64{float64(epochs) * 0.5, float64(epochs) * 0.75},
-				},
-			}
-			opts.applyWire(&cfg)
-			if sc.Optimizer == "lars" {
-				cfg.Schedule = nn.Warmup{Inner: cfg.Schedule, Epochs: float64(epochs) / 8, StartFactor: 0.25}
-			}
-			if spec.Pretrain {
-				warm, err := pretrainWeights(ds, modelSpec, opts)
-				if err != nil {
-					return nil, err
-				}
-				cfg.WarmStart = warm
-			}
-			r, err := train.Run(cfg)
+			r, err := run(sc, strat, spec.localityAt(len(ds.Train)/sc.Workers))
 			if err != nil {
-				return nil, fmt.Errorf("%s %s M=%d: %w", spec.ID, strat, sc.Workers, err)
+				return nil, err
 			}
 			series := fig.AddSeries(strat.String())
 			for _, e := range r.Epochs {
@@ -149,6 +161,21 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 		res.Figures = append(res.Figures, fig)
 	}
 	res.Tables = append(res.Tables, summary)
+
+	if len(spec.LocalitySweep) > 0 {
+		sc := spec.Scales[len(spec.Scales)-1]
+		sweep := metrics.NewTable(fmt.Sprintf("%s: local-shuffling accuracy vs partition locality (%s, proxy M=%d, %d epochs)",
+			spec.ID, sc.PaperLabel, sc.Workers, epochs))
+		sweep.Header("locality", "final acc")
+		for _, loc := range spec.LocalitySweep {
+			r, err := run(sc, shuffle.LocalShuffling(), loc)
+			if err != nil {
+				return nil, err
+			}
+			sweep.Row(fmt.Sprintf("%g", loc), fmt.Sprintf("%.4f", r.FinalValAcc))
+		}
+		res.Tables = append(res.Tables, sweep)
+	}
 	return res, nil
 }
 
@@ -241,7 +268,8 @@ func Fig5e(opts Options) (*Result, error) {
 			{Workers: 32, PaperLabel: "128 GPUs", Strategies: gsLsPartial(0.1, 0.3, 0.7)},
 		},
 		Epochs: 20, Batch: 16, BaseLR: 0.05, LocalityCoef: 18,
-		Notes: []string{"paper: ~10% LS gap at 32 GPUs, up to 30% at 128 GPUs; partial-0.7 required to approach GS."},
+		LocalitySweep: []float64{0, 0.5, 1},
+		Notes:         []string{"paper: ~10% LS gap at 32 GPUs, up to 30% at 128 GPUs; partial-0.7 required to approach GS."},
 	}, opts)
 }
 
@@ -263,14 +291,21 @@ func Fig5f(opts Options) (*Result, error) {
 // global batch (65,536 in the paper): LS accuracy decreases as workers
 // grow (292 samples/worker at 4,096), partial-0.1 restores GS accuracy.
 func Fig6(opts Options) (*Result, error) {
+	scales := []scalePoint{
+		{Workers: 16, PaperLabel: "2048 workers", Strategies: gsLsPartial(0.1), Batch: 16, Optimizer: "lars"},
+		{Workers: 64, PaperLabel: "4096 workers", Strategies: gsLsPartial(0.1), Batch: 4, Optimizer: "lars"},
+	}
+	if opts.Short {
+		// Half the world at the same global batch: half the worker-steps
+		// per epoch, which small-batch training time follows.
+		scales[0].Workers, scales[0].Batch = 8, 32
+		scales[1].Workers, scales[1].Batch = 32, 8
+	}
 	return runAccuracy(accuracySpec{
 		ID: "fig6", Title: "ResNet50 / ImageNet-1K strong scaling (Fugaku, fixed global batch)",
 		DatasetKey: "imagenet-1k", Model: "resnet50",
-		Scales: []scalePoint{
-			{Workers: 16, PaperLabel: "2048 workers", Strategies: gsLsPartial(0.1), Batch: 16, Optimizer: "lars"},
-			{Workers: 64, PaperLabel: "4096 workers", Strategies: gsLsPartial(0.1), Batch: 4, Optimizer: "lars"},
-		},
-		Epochs: 20, ShortEpochs: 14, Batch: 16, BaseLR: 0.08, LocalityCoef: 12,
+		Scales: scales,
+		Epochs: 20, ShortEpochs: 8, Batch: 16, BaseLR: 0.08, LocalityCoef: 12,
 		Notes: []string{
 			"global batch is fixed (proxy 256 samples) while workers grow; paper: LS decreases with scale, partial-0.1 matches GS up to 4,096 workers storing only ~0.03% of the dataset each.",
 		},

@@ -36,7 +36,7 @@ func AutoQTable(opts Options) (*Result, error) {
 	}
 
 	base := func(strat shuffle.Strategy) train.Config {
-		cfg := train.Config{
+		return train.Config{
 			Workers:           workers,
 			Strategy:          strat,
 			Dataset:           ds,
@@ -49,8 +49,6 @@ func AutoQTable(opts Options) (*Result, error) {
 			Seed:              opts.seed(),
 			PartitionLocality: 0.3,
 		}
-		opts.applyWire(&cfg)
-		return cfg
 	}
 
 	type outcome struct {

@@ -1,6 +1,6 @@
 // Package experiments defines one runnable configuration per table and
-// figure of the paper's evaluation (Section V), shared by the experiments
-// CLI and the root-level benchmark harness. Accuracy
+// figure of the paper's evaluation (Section V). cmd/experiments runs them,
+// and TestPaperShapes checks each one's shape in its short form. Accuracy
 // figures run real distributed SGD on the scaled-down proxies;
 // performance figures evaluate the calibrated analytic model at the
 // paper's scales (see DESIGN.md §2 and §4 for the substitution rationale
@@ -17,7 +17,6 @@ import (
 	"plshuffle/internal/metrics"
 	"plshuffle/internal/perfmodel"
 	"plshuffle/internal/shuffle"
-	"plshuffle/internal/train"
 )
 
 // Options tunes an experiment run.
@@ -26,19 +25,6 @@ type Options struct {
 	Short bool
 	// Seed overrides the default experiment seed when non-zero.
 	Seed uint64
-	// WireDedup and SampleEncoding thread the wire-lean exchange options
-	// (DESIGN.md §13) into every training run an experiment performs. With
-	// dedup or the fp16exact encoding the curves must be IDENTICAL to a
-	// plain run — regenerating a figure with these on is a cheap end-to-end
-	// equivalence check on the whole wire-lean stack.
-	WireDedup      bool
-	SampleEncoding string
-}
-
-// applyWire copies the wire-lean exchange options into a training config.
-func (o Options) applyWire(cfg *train.Config) {
-	cfg.WireDedup = o.WireDedup
-	cfg.SampleEncoding = o.SampleEncoding
 }
 
 func (o Options) seed() uint64 {
@@ -112,7 +98,6 @@ func Registry() []struct {
 		{"norm-ablation", NormAblation},
 		{"hier-exchange", HierarchicalExchangeTable},
 		{"eventsim", EventSimVsModel},
-		{"importance", ImportanceSamplingTable},
 		{"autoq", AutoQTable},
 	}
 }

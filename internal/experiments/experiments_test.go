@@ -7,8 +7,8 @@ import (
 
 func TestRegistryAndLookup(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 20 {
-		t.Fatalf("registry has %d experiments, want 20 (every table and figure + extensions)", len(reg))
+	if len(reg) != 19 {
+		t.Fatalf("registry has %d experiments, want 19 (every table and figure + extensions)", len(reg))
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {
@@ -24,7 +24,7 @@ func TestRegistryAndLookup(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"fig1", "table1", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f",
-		"fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "shuffling-error", "norm-ablation", "hier-exchange", "eventsim", "importance", "autoq"} {
+		"fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "shuffling-error", "norm-ablation", "hier-exchange", "eventsim", "autoq"} {
 		if !seen[want] {
 			t.Errorf("registry missing %q", want)
 		}
@@ -63,98 +63,6 @@ func TestTable1Content(t *testing.T) {
 	}
 	if res.Tables[0].NumRows() != 6 {
 		t.Fatalf("table1 rows = %d, want 6 datasets", res.Tables[0].NumRows())
-	}
-}
-
-func TestFig9Shape(t *testing.T) {
-	res, err := Fig9(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig := res.Figures[0]
-	gs, ls, pls := fig.Lookup("global"), fig.Lookup("local"), fig.Lookup("partial-0.1")
-	if gs == nil || ls == nil || pls == nil {
-		t.Fatal("fig9 missing series")
-	}
-	if len(gs.X) != 8 {
-		t.Fatalf("fig9 has %d scale points, want 8", len(gs.X))
-	}
-	for i := range gs.Y {
-		if gs.Y[i] <= ls.Y[i] {
-			t.Errorf("global should be slower than local at %v workers", gs.X[i])
-		}
-		if pls.Y[i] < ls.Y[i] {
-			t.Errorf("partial-0.1 should not beat local at %v workers", pls.X[i])
-		}
-	}
-}
-
-func TestFig10Shape(t *testing.T) {
-	res, err := Fig10(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) != 2 {
-		t.Fatalf("fig10 tables = %d", len(res.Tables))
-	}
-}
-
-func TestFig7bShape(t *testing.T) {
-	res, err := Fig7b(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig := res.Figures[0]
-	bound := fig.Lookup("PFS lower bound (global)")
-	if bound == nil || bound.Last() <= 0 {
-		t.Fatal("missing PFS lower bound line")
-	}
-	for _, name := range []string{"local", "partial-0.25", "partial-0.5", "partial-0.9"} {
-		s := fig.Lookup(name)
-		if s == nil {
-			t.Fatalf("missing series %s", name)
-		}
-		if s.Last() >= bound.Last() {
-			t.Errorf("%s should sit below the PFS bound", name)
-		}
-	}
-}
-
-func TestShufflingErrorTable(t *testing.T) {
-	res, err := ShufflingErrorTable(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tables[0].NumRows() != 15 {
-		t.Fatalf("rows = %d", res.Tables[0].NumRows())
-	}
-}
-
-// TestFig5eShortShape runs the cheapest gap-producing accuracy experiment
-// end-to-end in short mode and checks the paper's shape: LS collapses at
-// the large scale and recovery grows with Q. The other accuracy figures
-// share the same runner and are exercised (with their own assertions) by
-// the root-level benchmarks.
-func TestFig5eShortShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("accuracy experiment: skipped with -short")
-	}
-	res, err := Fig5e(Options{Short: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := res.Figures[1]
-	gs := big.Lookup("global").Last()
-	ls := big.Lookup("local").Last()
-	p7 := big.Lookup("partial-0.7").Last()
-	if gs-ls < 0.05 {
-		t.Errorf("expected an LS gap at the large scale: gs=%.3f ls=%.3f", gs, ls)
-	}
-	if p7-ls < (gs-ls)/2 {
-		t.Errorf("partial-0.7 should close at least half the gap: gs=%.3f ls=%.3f p7=%.3f", gs, ls, p7)
-	}
-	if res.Tables[0].NumRows() != 8 {
-		t.Errorf("summary rows = %d", res.Tables[0].NumRows())
 	}
 }
 

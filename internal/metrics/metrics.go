@@ -174,6 +174,22 @@ func (t *Table) Row(cells ...string) { t.rows = append(t.rows, cells) }
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
+// Cell returns the cell under header col in the first row whose first cell
+// is key, and whether there is one.
+func (t *Table) Cell(key, col string) (string, bool) {
+	for c, h := range t.headers {
+		if h != col {
+			continue
+		}
+		for _, row := range t.rows {
+			if len(row) > c && row[0] == key {
+				return row[c], true
+			}
+		}
+	}
+	return "", false
+}
+
 // Render writes the table with aligned columns.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.headers))

@@ -91,6 +91,21 @@ func TestTableRenderAligned(t *testing.T) {
 	}
 }
 
+func TestTableCell(t *testing.T) {
+	tb := NewTable("Title")
+	tb.Header("name", "value")
+	tb.Row("a", "1")
+	tb.Row("b", "2")
+	if v, ok := tb.Cell("b", "value"); !ok || v != "2" {
+		t.Fatalf("Cell(b, value) = %q, %v", v, ok)
+	}
+	for _, k := range [][2]string{{"c", "value"}, {"a", "other"}} {
+		if v, ok := tb.Cell(k[0], k[1]); ok {
+			t.Fatalf("Cell(%s, %s) = %q, want none", k[0], k[1], v)
+		}
+	}
+}
+
 func TestFormatBytes(t *testing.T) {
 	cases := map[int64]string{
 		512:            "512 B",

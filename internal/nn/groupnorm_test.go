@@ -150,23 +150,6 @@ func TestModelSpecNormChoices(t *testing.T) {
 	}
 }
 
-func TestPerSampleLosses(t *testing.T) {
-	var ce SoftmaxCrossEntropy
-	logits := tensor.FromSlice(2, 2, []float32{10, 0, 0, 10})
-	mean := ce.Forward(logits, []int{0, 0})
-	ps := ce.PerSample()
-	if len(ps) != 2 {
-		t.Fatalf("per-sample count %d", len(ps))
-	}
-	// Row 0 is confidently correct (tiny loss); row 1 confidently wrong.
-	if ps[0] > 0.01 || ps[1] < 5 {
-		t.Fatalf("per-sample losses %v", ps)
-	}
-	if math.Abs(mean-(ps[0]+ps[1])/2) > 1e-9 {
-		t.Fatalf("mean %v inconsistent with per-sample %v", mean, ps)
-	}
-}
-
 func TestGroupNormLearns(t *testing.T) {
 	r := rng.New(31)
 	const n, dim, classes = 256, 8, 4

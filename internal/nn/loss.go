@@ -14,11 +14,10 @@ import (
 // batch size, so gradients averaged across workers by Allreduce(Sum)/M
 // reproduce Equation 1 of the paper.
 type SoftmaxCrossEntropy struct {
-	probs     *tensor.Matrix
-	labels    []int
-	perSample []float64
-	grad      *tensor.Matrix // backward workspace, reused across calls
-	arena     *arena.Arena
+	probs  *tensor.Matrix
+	labels []int
+	grad   *tensor.Matrix // backward workspace, reused across calls
+	arena  *arena.Arena
 }
 
 // SetArena moves the probability and gradient workspaces into a (nil
@@ -33,10 +32,6 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Matrix, labels []int) float
 	}
 	l.probs = tensor.EnsureShapeArena(l.arena, l.probs, logits.Rows, logits.Cols)
 	l.labels = labels
-	if cap(l.perSample) < logits.Rows {
-		l.perSample = make([]float64, logits.Rows)
-	}
-	l.perSample = l.perSample[:logits.Rows]
 	var loss float64
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)
@@ -62,17 +57,10 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Matrix, labels []int) float
 		if p < 1e-12 {
 			p = 1e-12
 		}
-		l.perSample[i] = -math.Log(p)
-		loss += l.perSample[i]
+		loss -= math.Log(p)
 	}
 	return loss / float64(logits.Rows)
 }
-
-// PerSample returns each row's cross-entropy loss from the last Forward
-// call — the importance weights for the Section IV-B sampling extension.
-// The returned slice is owned by the loss and overwritten on the next
-// Forward.
-func (l *SoftmaxCrossEntropy) PerSample() []float64 { return l.perSample }
 
 // Backward returns the gradient of the mean loss with respect to the
 // logits: (softmax - onehot) / batch. The returned matrix is a reused

@@ -45,17 +45,13 @@ type EpochPlan struct {
 }
 
 // PlanEpoch returns rank w.Rank's plan for epoch. localIDs is the rank's
-// local sample set (LS and PLS; store.Local.IDs order). weights, when
-// non-nil, are the Section IV-B importance weights (per-sample losses): the
-// iteration order becomes WeightedOrder's ranking, and PLS sends its top
-// Slots entries instead of a uniform pick (the destinations keep the
-// balanced shared-seed permutations).
+// local sample set (LS and PLS; store.Local.IDs order).
 //
 // The result is a pure function of the arguments — no state of the caller
 // feeds back into it — which is what lets every rank agree on the epoch
 // without a message, lets a re-formed world re-deal by construction, and
 // lets testdata/plans.golden pin it.
-func PlanEpoch(s Strategy, w World, seed uint64, epoch int, localIDs []int, weights map[int]float64) (EpochPlan, error) {
+func PlanEpoch(s Strategy, w World, seed uint64, epoch int, localIDs []int) (EpochPlan, error) {
 	if err := s.Validate(); err != nil {
 		return EpochPlan{}, err
 	}
@@ -70,26 +66,14 @@ func PlanEpoch(s Strategy, w World, seed uint64, epoch int, localIDs []int, weig
 			return EpochPlan{}, err
 		}
 		p.Order, p.FromPFS = parts[w.Rank], true
-		if weights != nil {
-			p.Order = WeightedOrder(p.Order, weights, seed, epoch, w.Rank)
-		}
 	case Local, PartialLocal:
-		if weights != nil {
-			p.Order = WeightedOrder(localIDs, weights, seed, epoch, w.Rank)
-		} else {
-			p.Order = EpochOrder(localIDs, seed, epoch, w.Rank)
-		}
+		p.Order = EpochOrder(localIDs, seed, epoch, w.Rank)
 		if s.Kind == Local {
 			break
 		}
 		x, err := PlanExchange(w.Rank, w.Size, localIDs, s.Q, w.N, seed, epoch)
 		if err != nil {
 			return EpochPlan{}, err
-		}
-		if weights != nil {
-			// One weighted ranking serves both halves: the iteration order,
-			// and (its first Slots entries) the send set.
-			copy(x.SendIDs, p.Order)
 		}
 		p.Exchange = x
 	case Corgi2:

@@ -31,7 +31,6 @@ type planCase struct {
 	strategy Strategy
 	n, m     int
 	seed     uint64
-	weights  map[int]float64 // nil = uniform
 	// Corgi2 only: the shard count, each shard's sample count, and the
 	// online-shuffle window in shards.
 	shards       int
@@ -56,22 +55,19 @@ func vectorPreset(t *testing.T, preset string) ([]planCase, int) {
 	}
 	const seed, epochs, perShard = 2022, 3, 6
 	strategies := []struct {
-		name     string
-		s        Strategy
-		weighted bool
-		window   int
+		name   string
+		s      Strategy
+		window int
 	}{
-		{"global", GlobalShuffling(), false, 0},
-		{"global-w", GlobalShuffling(), true, 0},
-		{"local", LocalShuffling(), false, 0},
-		{"pls-q0.25", Partial(0.25), false, 0},
-		{"pls-q0.5", Partial(0.5), false, 0},
-		{"pls-q1", Partial(1), false, 0},
-		{"pls-q0.5-w", Partial(0.5), true, 0},
-		{"corgi2-g1-win0", Corgi2Shuffling(1), false, 0},
-		{"corgi2-g1-win2", Corgi2Shuffling(1), false, 2},
-		{"corgi2-g2-win0", Corgi2Shuffling(2), false, 0},
-		{"corgi2-g2-win2", Corgi2Shuffling(2), false, 2},
+		{"global", GlobalShuffling(), 0},
+		{"local", LocalShuffling(), 0},
+		{"pls-q0.25", Partial(0.25), 0},
+		{"pls-q0.5", Partial(0.5), 0},
+		{"pls-q1", Partial(1), 0},
+		{"corgi2-g1-win0", Corgi2Shuffling(1), 0},
+		{"corgi2-g1-win2", Corgi2Shuffling(1), 2},
+		{"corgi2-g2-win0", Corgi2Shuffling(2), 0},
+		{"corgi2-g2-win2", Corgi2Shuffling(2), 2},
 	}
 	var cases []planCase
 	for _, n := range []int{64, 67} {
@@ -84,18 +80,10 @@ func vectorPreset(t *testing.T, preset string) ([]planCase, int) {
 			}
 			return perShard
 		}
-		weights := make(map[int]float64, n)
-		for id := 0; id < n; id++ {
-			weights[id] = float64(id % 7) // multiples of 7 take the floor
-		}
 		for _, m := range []int{1, 4, 5} {
 			for _, st := range strategies {
-				c := planCase{name: st.name, strategy: st.s, n: n, m: m, seed: seed,
-					shards: shards, shardSamples: counts, window: st.window}
-				if st.weighted {
-					c.weights = weights
-				}
-				cases = append(cases, c)
+				cases = append(cases, planCase{name: st.name, strategy: st.s, n: n, m: m, seed: seed,
+					shards: shards, shardSamples: counts, window: st.window})
 			}
 		}
 	}

@@ -3,11 +3,11 @@ package train
 // Deterministic checkpoint/resume (DESIGN.md §15). Every rank's replica
 // state is a pure function of (config, seed, epoch) plus the mutable pieces
 // this file snapshots: weights (batch-norm running statistics included),
-// optimizer moments, the dropout RNG cursors, the stored sample set of the
-// local-family strategies, and the per-sample loss table of importance
-// sampling. Restoring exactly those pieces and re-entering the training
-// loop at the snapshot's NextEpoch reproduces the uninterrupted run bit for
-// bit — the elastic CI gate compares weight checksums to prove it.
+// optimizer moments, the dropout RNG cursors, and the stored sample set of
+// the local-family strategies. Restoring exactly those pieces and
+// re-entering the training loop at the snapshot's NextEpoch reproduces the
+// uninterrupted run bit for bit — the elastic CI gate compares weight
+// checksums to prove it.
 //
 // Commit protocol (all ranks at the same epoch boundary):
 //
@@ -53,18 +53,18 @@ func configFingerprint(cfg Config) string {
 	if cfg.Dataset != nil {
 		n = len(cfg.Dataset.Train)
 	}
-	// LARS is spelled "opt=|lars=true|eta=0", the removed hierarchical
-	// exchange's group size "egs=0", and the removed controller clamps
-	// "qmin=0|qmax=0": the snapshots on disk say so, and a resume must match
-	// them byte for byte.
+	// LARS is spelled "opt=|lars=true|eta=0", the removed importance
+	// sampling "is=false", the removed hierarchical exchange's group size
+	// "egs=0", and the removed controller clamps "qmin=0|qmax=0": the
+	// snapshots on disk say so, and a resume must match them byte for byte.
 	opt, lars := cfg.Optimizer, cfg.Optimizer == "lars"
 	if lars {
 		opt = ""
 	}
-	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=0|seed=%d|is=%t|enc=%s|sync=%t|full=%t|loc=%g|egs=0|autoq=%t|qmin=0|qmax=0|qsched=%v",
+	desc := fmt.Sprintf("v2|n=%d|model=%+v|strat=%+v|b=%d|lr=%g|mom=%g|wd=%g|opt=%s|lars=%t|eta=0|seed=%d|is=false|enc=%s|sync=%t|full=%t|loc=%g|egs=0|autoq=%t|qmin=0|qmax=0|qsched=%v",
 		n, cfg.Model, cfg.Strategy, cfg.BatchSize, cfg.BaseLR, cfg.Momentum,
 		cfg.WeightDecay, opt, lars, cfg.Seed,
-		cfg.ImportanceSampling, cfg.SampleEncoding, cfg.SyncBatchNormStats,
+		cfg.SampleEncoding, cfg.SyncBatchNormStats,
 		cfg.FullSyncBatchNorm, cfg.PartitionLocality,
 		cfg.AutoQ, cfg.qSchedule)
 	return fmt.Sprintf("%08x", crc32.Checksum([]byte(desc), fingerprintTable))
@@ -98,9 +98,6 @@ func (w *worker) snapshotSections() (map[string][]byte, error) {
 	sections["rng"] = encodeRNG(nn.RNGStates(w.model))
 	if w.local != nil {
 		sections["store"] = encodeIDs(w.local.IDs())
-	}
-	if w.lossByID != nil {
-		sections["loss"] = encodeLossMap(w.lossByID)
 	}
 	if w.cfg.AutoQ {
 		// The controller's trajectory position. The boundary decides the
@@ -279,15 +276,6 @@ func (w *worker) applyResume(rs *resumeState) error {
 	if err := nn.SetRNGStates(w.model, states); err != nil {
 		return fmt.Errorf("train: resume: %w", err)
 	}
-	if w.lossByID != nil {
-		if lb, ok := rs.sections["loss"]; ok {
-			m, err := decodeLossMap(lb)
-			if err != nil {
-				return err
-			}
-			w.lossByID = m
-		}
-	}
 	if rs.meta.NextEpoch >= w.cfg.Epochs {
 		return fmt.Errorf("train: resume: snapshot is already at epoch %d of %d — nothing left to train (raise Epochs to extend the run)",
 			rs.meta.NextEpoch, w.cfg.Epochs)
@@ -390,37 +378,4 @@ func decodeControllerState(b []byte) (float64, string, error) {
 		return 0, "", fmt.Errorf("train: resume: controller fraction %v out of [0,1]", q)
 	}
 	return q, analysis.ReasonFromCode(b[8]), nil
-}
-
-// encodeLossMap serializes the importance-sampling loss table sorted by
-// sample ID, so the snapshot image stays deterministic.
-func encodeLossMap(m map[int]float64) []byte {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	buf := make([]byte, 4+16*len(ids))
-	binary.LittleEndian.PutUint32(buf, uint32(len(ids)))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint64(buf[4+16*i:], uint64(id))
-		binary.LittleEndian.PutUint64(buf[4+16*i+8:], math.Float64bits(m[id]))
-	}
-	return buf
-}
-
-func decodeLossMap(b []byte) (map[int]float64, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("train: resume: truncated loss section (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) != 4+16*n {
-		return nil, fmt.Errorf("train: resume: loss section is %d bytes, want %d for %d entries", len(b), 4+16*n, n)
-	}
-	m := make(map[int]float64, n)
-	for i := 0; i < n; i++ {
-		id := int(binary.LittleEndian.Uint64(b[4+16*i:]))
-		m[id] = math.Float64frombits(binary.LittleEndian.Uint64(b[4+16*i+8:]))
-	}
-	return m, nil
 }

@@ -91,11 +91,6 @@ type Config struct {
 	// baseline (-overlap-grads=false on the CLIs); the resulting weights are
 	// bitwise identical.
 	OverlapGrads bool
-	// ImportanceSampling enables the Section IV-B extension: per-sample
-	// losses weight both the local iteration order (hard samples first)
-	// and the selection of samples pushed into the global exchange (hard
-	// samples circulate between workers).
-	ImportanceSampling bool
 	// WarmStart, if non-nil, initializes every worker's weights from these
 	// parameters instead of random init (Fig 8 downstream training and the
 	// pretrained ResNet50 of Fig 5d). Lengths must match the built model's.
@@ -185,9 +180,6 @@ func (c Config) Validate() error {
 		// in-memory training split stays empty.
 		if c.DataDir == "" {
 			return fmt.Errorf("train: corgi2 needs DataDir (an ingested dataset; see cmd/plsingest)")
-		}
-		if c.ImportanceSampling {
-			return fmt.Errorf("train: ImportanceSampling is not supported with corgi2 (the epoch order is fixed by the shard plan)")
 		}
 		if c.OnPeerFail == "degrade" {
 			return fmt.Errorf("train: OnPeerFail=degrade is not supported with corgi2 (shard assignments are static within an epoch group)")

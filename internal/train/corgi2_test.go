@@ -124,7 +124,6 @@ func TestCorgi2ValidateRejections(t *testing.T) {
 	dir := ingestTestDataset(t, 256, 4, 32)
 	cases := []func(c *Config){
 		func(c *Config) { c.DataDir = "" },
-		func(c *Config) { c.ImportanceSampling = true },
 		func(c *Config) { c.OnPeerFail = "degrade" },
 		func(c *Config) { c.PartitionLocality = 0.5 },
 		func(c *Config) { c.Strategy.GroupEpochs = 0 },

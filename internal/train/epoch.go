@@ -145,8 +145,7 @@ func (w *worker) syncBatchNormStats() {
 }
 
 // planEpoch is this rank's plan for epoch: shuffle.PlanEpoch over the
-// current world, the local store and the importance weights, at the
-// fraction in force (w.q).
+// current world and the local store, at the fraction in force (w.q).
 func (w *worker) planEpoch(epoch int) (shuffle.EpochPlan, error) {
 	strategy := w.cfg.Strategy
 	strategy.Q = w.q
@@ -159,7 +158,7 @@ func (w *worker) planEpoch(epoch int) (shuffle.EpochPlan, error) {
 		man := w.shards.Manifest()
 		world.Shards, world.ShardSamples, world.Window = man.NumShards, man.ShardSamples, w.corgiWindow
 	}
-	return shuffle.PlanEpoch(strategy, world, w.cfg.Seed, epoch, ids, w.lossByID)
+	return shuffle.PlanEpoch(strategy, world, w.cfg.Seed, epoch, ids)
 }
 
 // stampQ records the fraction in force and its reason in es when a
@@ -284,11 +283,6 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		w.arena.Reset()
 		logits := w.model.Forward(w.xBuf, true)
 		lossSum += w.loss.Forward(logits, w.yBuf)
-		if w.lossByID != nil {
-			for bi, l := range w.loss.PerSample() {
-				w.lossByID[batch[bi]] = l
-			}
-		}
 		w.model.BackwardWithHook(w.loss.Backward(), w.bucketHook)
 		w.tm.FWBWNs.Add(int64(time.Since(t0)))
 

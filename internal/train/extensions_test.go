@@ -97,39 +97,6 @@ func TestGroupNormAvoidsGap(t *testing.T) {
 	}
 }
 
-func TestImportanceSamplingTrains(t *testing.T) {
-	ds := testDataset(t, 512, 4)
-	cfg := baseConfig(t, ds, 4, shuffle.Partial(0.25))
-	cfg.ImportanceSampling = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalValAcc < 0.9 {
-		t.Fatalf("importance-sampling run accuracy %v", res.FinalValAcc)
-	}
-	// Deterministic like everything else.
-	res2, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Epochs {
-		if res.Epochs[i].TrainLoss != res2.Epochs[i].TrainLoss {
-			t.Fatal("importance sampling broke determinism")
-		}
-	}
-}
-
-func TestImportanceSamplingWithGlobal(t *testing.T) {
-	ds := testDataset(t, 256, 4)
-	cfg := baseConfig(t, ds, 4, shuffle.GlobalShuffling())
-	cfg.ImportanceSampling = true
-	cfg.Epochs = 3
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSyncBNWithoutBNIsNoop(t *testing.T) {
 	ds := testDataset(t, 256, 4)
 	cfg := baseConfig(t, ds, 4, shuffle.LocalShuffling())

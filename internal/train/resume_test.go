@@ -18,8 +18,8 @@ import (
 // TestResumeBitwise is the tentpole gate: a run interrupted at an epoch
 // boundary and resumed from its checkpoint must end bitwise identical to
 // the uninterrupted run — for the PLS exchange with flat and overlapped
-// gradient sync, for importance sampling (the loss table is part of the
-// snapshot), and for the corgi2 hybrid path.
+// gradient sync, for local and global shuffling, and for the corgi2 hybrid
+// path.
 func TestResumeBitwise(t *testing.T) {
 	const epochs = 6
 	corgiDir := ingestTestDataset(t, 512, 4, 32)
@@ -35,21 +35,11 @@ func TestResumeBitwise(t *testing.T) {
 			cfg.OverlapGrads = true
 			return cfg
 		}},
-		{"pls-importance", func(t *testing.T) Config {
-			cfg := baseConfig(t, testDataset(t, 512, 4), 4, shuffle.Partial(0.3))
-			cfg.ImportanceSampling = true
-			return cfg
-		}},
 		{"local", func(t *testing.T) Config {
 			return baseConfig(t, testDataset(t, 512, 4), 4, shuffle.LocalShuffling())
 		}},
 		{"global", func(t *testing.T) Config {
 			return baseConfig(t, testDataset(t, 512, 4), 4, shuffle.GlobalShuffling())
-		}},
-		{"global-importance", func(t *testing.T) Config {
-			cfg := baseConfig(t, testDataset(t, 512, 4), 4, shuffle.GlobalShuffling())
-			cfg.ImportanceSampling = true
-			return cfg
 		}},
 		{"corgi2", func(t *testing.T) Config {
 			return corgiConfig(corgiDir, 4)
@@ -100,15 +90,12 @@ func TestResumeBitwise(t *testing.T) {
 // slot in the description behind.
 func TestConfigFingerprintStable(t *testing.T) {
 	ds := &data.Dataset{Train: make([]data.Sample, 512), FeatureDim: 16, Classes: 4}
-	gsImportance := baseConfig(t, ds, 4, shuffle.GlobalShuffling())
-	gsImportance.ImportanceSampling = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
 	}{
 		{"pls", baseConfig(t, ds, 4, shuffle.Partial(0.3)), "84b8e879"},
-		{"global-importance", gsImportance, "64daf028"},
 		{"corgi2", corgiConfig("", 4), "b67f1fa7"},
 	} {
 		if got := configFingerprint(tc.cfg); got != tc.want {

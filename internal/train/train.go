@@ -190,10 +190,6 @@ type worker struct {
 	bucketReqs   []*mpi.CollRequest
 	bucketHook   func(layer int)
 
-	// lossByID holds the latest per-sample loss, the importance weight of
-	// the ImportanceSampling extension.
-	lossByID map[int]float64
-
 	// tm holds the rank's cumulative counters — the one place a clocked
 	// interval or a gradient wire byte is booked (a single atomic add on the
 	// hot path). Registering it for scraping is optional (cfg.Telemetry);
@@ -292,9 +288,6 @@ func newWorker(c *mpi.Comm, cfg Config, rs *resumeState, adm *admitMsg) (*worker
 	w.setQ(cfg.Strategy.Q, "")
 	w.model.SetArena(w.arena)
 	w.loss.SetArena(w.arena)
-	if cfg.ImportanceSampling {
-		w.lossByID = make(map[int]float64)
-	}
 	if cfg.FullSyncBatchNorm {
 		for _, layer := range model.Layers {
 			if bn, ok := layer.(*nn.BatchNorm); ok {
