@@ -1,10 +1,11 @@
 // Package checkpoint implements the on-disk format of the elastic trainer's
 // snapshots (DESIGN.md §15): one directory per snapshot containing a
 // CRC-checksummed, versioned file per rank plus a JSON manifest that rank 0
-// commits last. Every write follows the shard store's discipline — write to
-// a temp name, fsync, rename — so a crash at any instant leaves either the
-// previous complete snapshot or a torn temp file that loading ignores, never
-// a half-written snapshot that parses.
+// commits last. Every file, the manifest included, is written to a temp
+// name and fsynced, then renamed into place and its directory fsynced, so a
+// crash at any instant leaves either the previous complete snapshot or a
+// torn temp file that loading ignores, never a half-written snapshot that
+// parses.
 //
 // The commit protocol (driven by internal/train) is:
 //

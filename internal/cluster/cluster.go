@@ -10,7 +10,6 @@ const (
 	MiB = int64(1) << 20
 	GiB = int64(1) << 30
 	TiB = int64(1) << 40
-	PiB = int64(1) << 50
 )
 
 // System is one row of Figure 1: a supercomputer's per-node dedicated
@@ -96,7 +95,6 @@ type Machine struct {
 	LocalSeqBW    float64 // effective per-worker large-file sequential read, bytes/s
 
 	// Parallel file system.
-	PFSCapacity     int64
 	PFSPeakBW       float64 // theoretical aggregate peak, bytes/s (Fig 7b red line)
 	PFSEffectiveBW  float64 // effective aggregate under DL random small reads
 	PFSPerClientBW  float64 // per-client ceiling (metadata/small-file bound)
@@ -129,7 +127,6 @@ func ABCI() Machine {
 		LocalSSDBytes:    400 * GiB, // 1.6 TB shared by 4 workers
 		LocalReadBW:      34e6,      // calibrated: 274 MB epoch share read in ~8 s (Fig 10)
 		LocalSeqBW:       1.5e9,
-		PFSCapacity:      35 * PiB,
 		PFSPeakBW:        100e9,
 		PFSEffectiveBW:   7.5e9, // effective aggregate under DL random small reads
 		PFSPerClientBW:   12e6,  // calibrated: ~20-26 s average GS read at 512 workers
@@ -154,7 +151,6 @@ func Fugaku() Machine {
 		LocalSSDBytes:    12*GiB + 512*MiB, // 50 GB node slice / 4 workers
 		LocalReadBW:      25e6,             // shared SSD, smaller per-worker share
 		LocalSeqBW:       600e6,
-		PFSCapacity:      150 * PiB,
 		PFSPeakBW:        1.5e12,
 		PFSEffectiveBW:   20e9,
 		PFSPerClientBW:   8e6,

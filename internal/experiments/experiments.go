@@ -97,7 +97,6 @@ func Registry() []struct {
 		{"shuffling-error", ShufflingErrorTable},
 		{"norm-ablation", NormAblation},
 		{"hier-exchange", HierarchicalExchangeTable},
-		{"eventsim", EventSimVsModel},
 		{"autoq", AutoQTable},
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 func TestRegistryAndLookup(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 19 {
-		t.Fatalf("registry has %d experiments, want 19 (every table and figure + extensions)", len(reg))
+	if len(reg) != 18 {
+		t.Fatalf("registry has %d experiments, want 18 (every table and figure + extensions)", len(reg))
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {
@@ -24,7 +24,7 @@ func TestRegistryAndLookup(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"fig1", "table1", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f",
-		"fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "shuffling-error", "norm-ablation", "hier-exchange", "eventsim", "autoq"} {
+		"fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "shuffling-error", "norm-ablation", "hier-exchange", "autoq"} {
 		if !seen[want] {
 			t.Errorf("registry missing %q", want)
 		}

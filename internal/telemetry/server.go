@@ -147,19 +147,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	events := s.cfg.Trace.Events()
 	switch r.URL.Query().Get("format") {
 	case "", "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		trace.WriteChromeTrace(w, events)
+		trace.WriteChromeTrace(w, s.cfg.Trace.Events())
 	case "jsonl":
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, e := range events {
-			if enc.Encode(e) != nil {
-				return
-			}
-		}
+		s.cfg.Trace.WriteJSONL(w)
 	default:
 		http.Error(w, "unknown format (want chrome or jsonl)", http.StatusBadRequest)
 	}

@@ -120,15 +120,6 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// PhaseTotals sums durations per phase across all ranks and epochs.
-func (r *Recorder) PhaseTotals() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, e := range r.Events() {
-		out[e.Phase] += e.Duration
-	}
-	return out
-}
-
 // WriteJSONL writes one JSON object per event.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -61,20 +61,6 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestPhaseTotals(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Event{Rank: 0, Epoch: 0, Phase: PhaseIO, Duration: 2 * time.Second})
-	r.Record(Event{Rank: 1, Epoch: 0, Phase: PhaseIO, Duration: 3 * time.Second})
-	r.Record(Event{Rank: 0, Epoch: 0, Phase: PhaseFWBW, Duration: time.Second})
-	totals := r.PhaseTotals()
-	if totals[PhaseIO] != 5*time.Second {
-		t.Fatalf("io total = %v", totals[PhaseIO])
-	}
-	if totals[PhaseFWBW] != time.Second {
-		t.Fatalf("fwbw total = %v", totals[PhaseFWBW])
-	}
-}
-
 func TestJSONLRoundtrip(t *testing.T) {
 	r := NewRecorder()
 	r.Record(Event{Rank: 0, Epoch: 0, Phase: PhaseIO, Duration: time.Second, Bytes: 1234})

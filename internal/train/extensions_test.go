@@ -121,17 +121,18 @@ func TestTraceRecorderReceivesEvents(t *testing.T) {
 	if rec.Len() != 40 {
 		t.Fatalf("trace events = %d, want 40", rec.Len())
 	}
-	totals := rec.PhaseTotals()
-	for _, phase := range []string{trace.PhaseIO, trace.PhaseExchange, trace.PhaseFWBW, trace.PhaseGEWU, trace.PhaseValidate} {
-		if _, ok := totals[phase]; !ok {
-			t.Errorf("phase %q missing from trace", phase)
-		}
-	}
+	seen := map[string]bool{}
 	// Exchange events carry the byte volume.
 	bytes := int64(0)
 	for _, e := range rec.Events() {
+		seen[e.Phase] = true
 		if e.Phase == trace.PhaseExchange {
 			bytes += e.Bytes
+		}
+	}
+	for _, phase := range []string{trace.PhaseIO, trace.PhaseExchange, trace.PhaseFWBW, trace.PhaseGEWU, trace.PhaseValidate} {
+		if !seen[phase] {
+			t.Errorf("phase %q missing from trace", phase)
 		}
 	}
 	if bytes == 0 {
