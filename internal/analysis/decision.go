@@ -11,9 +11,9 @@ package analysis
 // testing/quick suite in decision_test.go pins that, along with the
 // monotonicity and step-function shape of ε(n,m,q) the regions rest on:
 //
-//	safe   := ε(n,m,q) ≤ Safety·sqrt(b·m/n)   (Section IV-B non-domination)
-//	Raise  := ¬safe ∧ Skew > SkewBound
-//	Lower  := ¬Raise ∧ CommRatio > LowerRatio
+//	safe   := ε(n,m,q) ≤ qSafety·sqrt(b·m/n)   (Section IV-B non-domination)
+//	Raise  := ¬safe ∧ Skew > qSkewBound
+//	Lower  := ¬Raise ∧ CommRatio > qLowerRatio
 //	Hold   := everything else
 //
 // The theory term gates the empirical one: when ε is already under the
@@ -49,43 +49,19 @@ type QSignal struct {
 	CommRatio float64
 }
 
-// QPolicy parameterizes the decision regions and the step the controller
-// takes inside them.
-type QPolicy struct {
-	Safety     float64 // fraction of the non-domination threshold deemed safe
-	SkewBound  float64 // exposure skew above which ¬safe raises Q
-	LowerRatio float64 // comm/compute ratio above which Q is lowered
-	Step       float64 // additive Q step per decision
-	MinQ, MaxQ float64 // clamp range for every decision
-}
+// The controller's policy (DESIGN.md §16.1): half the non-domination
+// threshold as the safety margin, a 2% exposure skew bound, lower only when
+// modeled exchange exceeds modeled compute, and 0.05 steps inside
+// [MinQ, MaxQ].
+const (
+	qSafety     = 0.5  // fraction of the non-domination threshold deemed safe
+	qSkewBound  = 0.02 // exposure skew above which ¬safe raises Q
+	qLowerRatio = 1.0  // comm/compute ratio above which Q is lowered
+	qStep       = 0.05 // additive Q step per decision
 
-// DefaultQPolicy is the policy -auto-q runs with when no clamps are given:
-// half the non-domination threshold as the safety margin, a 2% exposure
-// skew bound, lower only when modeled exchange exceeds modeled compute, and
-// 0.05 steps inside [0.05, 0.5].
-func DefaultQPolicy() QPolicy {
-	return QPolicy{Safety: 0.5, SkewBound: 0.02, LowerRatio: 1.0, Step: 0.05, MinQ: 0.05, MaxQ: 0.5}
-}
-
-// Validate reports whether the policy is internally consistent.
-func (p QPolicy) Validate() error {
-	if p.Step <= 0 {
-		return fmt.Errorf("analysis: QPolicy: step %v must be positive", p.Step)
-	}
-	if p.MinQ < 0 || p.MaxQ > 1 || p.MinQ > p.MaxQ {
-		return fmt.Errorf("analysis: QPolicy: clamp range [%v, %v] not within [0,1]", p.MinQ, p.MaxQ)
-	}
-	if p.Safety <= 0 {
-		return fmt.Errorf("analysis: QPolicy: safety fraction %v must be positive", p.Safety)
-	}
-	if p.SkewBound < 0 {
-		return fmt.Errorf("analysis: QPolicy: skew bound %v must be non-negative", p.SkewBound)
-	}
-	if p.LowerRatio <= 0 {
-		return fmt.Errorf("analysis: QPolicy: lower ratio %v must be positive", p.LowerRatio)
-	}
-	return nil
-}
+	// MinQ and MaxQ clamp every decision and the starting fraction.
+	MinQ, MaxQ = 0.05, 0.5
+)
 
 // QRegion names the decision region a signal falls into.
 type QRegion int
@@ -162,13 +138,10 @@ func checkSignal(sig QSignal) error {
 	return nil
 }
 
-// ClassifyQ places a signal into exactly one decision region under the
-// policy. It errors on invalid world shapes ((n, m, q) outside
-// ShufflingError's domain) or signal values.
-func ClassifyQ(sig QSignal, pol QPolicy) (QRegion, error) {
-	if err := pol.Validate(); err != nil {
-		return QHold, err
-	}
+// ClassifyQ places a signal into exactly one decision region. It errors on
+// invalid world shapes ((n, m, q) outside ShufflingError's domain) or signal
+// values.
+func ClassifyQ(sig QSignal) (QRegion, error) {
 	if err := checkSignal(sig); err != nil {
 		return QHold, err
 	}
@@ -176,11 +149,11 @@ func ClassifyQ(sig QSignal, pol QPolicy) (QRegion, error) {
 	if err != nil {
 		return QHold, err
 	}
-	safe := eps <= pol.Safety*DominationThreshold(sig.N, sig.M, sig.B)
+	safe := eps <= qSafety*DominationThreshold(sig.N, sig.M, sig.B)
 	switch {
-	case !safe && sig.Skew > pol.SkewBound:
+	case !safe && sig.Skew > qSkewBound:
 		return QRaise, nil
-	case sig.CommRatio > pol.LowerRatio:
+	case sig.CommRatio > qLowerRatio:
 		return QLower, nil
 	default:
 		return QHold, nil
@@ -188,29 +161,23 @@ func ClassifyQ(sig QSignal, pol QPolicy) (QRegion, error) {
 }
 
 // DecideQ maps a signal to the next epoch's exchange fraction and the
-// reason label for the move. Raises and lowers step by pol.Step, clamped
-// into [MinQ, MaxQ]; a step pinned at its clamp reports the -clamp variant
-// of its reason. Hold leaves Q untouched.
-func DecideQ(sig QSignal, pol QPolicy) (float64, string, error) {
-	region, err := ClassifyQ(sig, pol)
+// reason label for the move. Raises and lowers step by 0.05, clamped into
+// [MinQ, MaxQ]; a step pinned at its clamp reports the -clamp variant of
+// its reason. Hold leaves Q untouched.
+func DecideQ(sig QSignal) (float64, string, error) {
+	region, err := ClassifyQ(sig)
 	if err != nil {
 		return sig.Q, ReasonHold, err
 	}
 	switch region {
 	case QRaise:
-		next := snapQ(sig.Q + pol.Step)
-		if next > pol.MaxQ {
-			next = pol.MaxQ
-		}
+		next := min(snapQ(sig.Q+qStep), MaxQ)
 		if next <= sig.Q {
 			return sig.Q, ReasonRaiseClamp, nil
 		}
 		return next, ReasonRaiseSkew, nil
 	case QLower:
-		next := snapQ(sig.Q - pol.Step)
-		if next < pol.MinQ {
-			next = pol.MinQ
-		}
+		next := max(snapQ(sig.Q-qStep), MinQ)
 		if next >= sig.Q {
 			return sig.Q, ReasonLowerClamp, nil
 		}

@@ -108,7 +108,6 @@ func TestShufflingErrorBoundary(t *testing.T) {
 // them. This is the safety net under the controller protocol: every epoch
 // produces exactly one decision, whatever the stats say.
 func TestDecisionRegionsExhaustiveExclusive(t *testing.T) {
-	pol := DefaultQPolicy()
 	prop := func(a, b, c, uq, us, ur uint64) bool {
 		n, m, batch := drawWorld(a, b, c)
 		sig := QSignal{
@@ -121,9 +120,9 @@ func TestDecisionRegionsExhaustiveExclusive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		safe := eps <= pol.Safety*DominationThreshold(sig.N, sig.M, sig.B)
-		raiseP := !safe && sig.Skew > pol.SkewBound
-		lowerP := !raiseP && sig.CommRatio > pol.LowerRatio
+		safe := eps <= qSafety*DominationThreshold(sig.N, sig.M, sig.B)
+		raiseP := !safe && sig.Skew > qSkewBound
+		lowerP := !raiseP && sig.CommRatio > qLowerRatio
 		holdP := !raiseP && !lowerP
 		count := 0
 		for _, p := range []bool{raiseP, lowerP, holdP} {
@@ -135,7 +134,7 @@ func TestDecisionRegionsExhaustiveExclusive(t *testing.T) {
 			t.Logf("%+v: %d regions claim the signal", sig, count)
 			return false
 		}
-		region, err := ClassifyQ(sig, pol)
+		region, err := ClassifyQ(sig)
 		if err != nil {
 			return false
 		}
@@ -163,7 +162,6 @@ func TestDecisionRegionsExhaustiveExclusive(t *testing.T) {
 // of the canonical labels, and the reason's direction matches the actual
 // movement.
 func TestDecideQStaysClamped(t *testing.T) {
-	pol := DefaultQPolicy()
 	canonical := make(map[string]bool)
 	for _, r := range QReasons() {
 		canonical[r] = true
@@ -176,7 +174,7 @@ func TestDecideQStaysClamped(t *testing.T) {
 			Skew:      drawQ(us),
 			CommRatio: 4 * drawQ(ur),
 		}
-		next, reason, err := DecideQ(sig, pol)
+		next, reason, err := DecideQ(sig)
 		if err != nil {
 			return false
 		}
@@ -184,7 +182,7 @@ func TestDecideQStaysClamped(t *testing.T) {
 			t.Logf("%+v: non-canonical reason %q", sig, reason)
 			return false
 		}
-		lo, hi := math.Min(pol.MinQ, sig.Q), math.Max(pol.MaxQ, sig.Q)
+		lo, hi := math.Min(MinQ, sig.Q), math.Max(MaxQ, sig.Q)
 		if next < lo || next > hi {
 			t.Logf("%+v: decision %v escaped [%v,%v]", sig, next, lo, hi)
 			return false

@@ -60,11 +60,6 @@ type Options struct {
 	Locality    float64
 	LARS        bool
 	Seed        uint64
-	// OverlapGrads selects the bucketed non-blocking gradient all-reduce
-	// that pipelines with backward (train.Config.OverlapGrads); false runs
-	// one ring over the whole model after backward, the A/B baseline. Results are bitwise identical
-	// either way, so the flag is purely a performance choice.
-	OverlapGrads bool
 
 	// WireCompress makes this rank compress the large data frames it sends
 	// on the TCP transport (tcp.Config.Compress). Every rank decodes them,

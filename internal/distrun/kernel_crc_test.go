@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// Golden weight checksums for the four acceptance configurations
-// (PLS/corgi2 × flat/overlap allreduce), captured on the pre-blocking
-// scalar kernels and required to survive every compute-kernel change
-// since: the packed GEMM core (DESIGN.md §14) promises bitwise-identical
-// training, so these constants are the end-to-end teeth of that promise.
-// Overlap and flat allreduce converge to the same bits by PR-4's
-// bucket-order argument, hence one golden value per strategy.
+// Golden weight checksums for the acceptance configurations (PLS and
+// corgi2), captured on the pre-blocking scalar kernels with the flat
+// all-reduce and required to survive every compute-kernel change since: the
+// packed GEMM core (DESIGN.md §14) promises bitwise-identical training, so
+// these constants are the end-to-end teeth of that promise. The overlapped
+// all-reduce every world runs converges to the flat ring's bits by the
+// bucket-order argument (DESIGN.md §9; internal/train's overlap tests pin
+// the two paths against each other), hence one golden value per strategy.
 const (
 	goldenPLSWeightsCRC    = "930e840f"
 	goldenCorgi2WeightsCRC = "a78e1d7e"
@@ -40,20 +41,15 @@ func TestKernelWeightCRCGolden(t *testing.T) {
 		LR: 0.05, Seed: 11, Timeout: 2 * time.Minute, OnPeerFail: "abort",
 	}
 	for _, tc := range []struct {
-		name    string
-		opts    Options
-		overlap bool
-		want    string
+		name string
+		opts Options
+		want string
 	}{
-		{"pls-flat", pls, false, goldenPLSWeightsCRC},
-		{"pls-overlap", pls, true, goldenPLSWeightsCRC},
-		{"corgi2-flat", corgi, false, goldenCorgi2WeightsCRC},
-		{"corgi2-overlap", corgi, true, goldenCorgi2WeightsCRC},
+		{"pls-overlap", pls, goldenPLSWeightsCRC},
+		{"corgi2-overlap", corgi, goldenCorgi2WeightsCRC},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o := tc.opts
-			o.OverlapGrads = tc.overlap
-			out := runCorgiWorld(t, o)
+			out := runCorgiWorld(t, tc.opts)
 			m := weightsLine.FindStringSubmatch(out)
 			if m == nil {
 				t.Fatalf("no weights line:\n%s", out)

@@ -14,17 +14,16 @@ import (
 // DefaultOptions returns the run options cmd/plsrun starts from.
 func DefaultOptions() Options {
 	return Options{
-		Dataset:      "imagenet-50",
-		Model:        "resnet50",
-		Strategy:     "partial",
-		Q:            0.1,
-		GroupEpochs:  1,
-		Epochs:       5,
-		Batch:        16,
-		LR:           0.05,
-		Seed:         42,
-		OverlapGrads: true,
-		OnPeerFail:   "abort",
+		Dataset:     "imagenet-50",
+		Model:       "resnet50",
+		Strategy:    "partial",
+		Q:           0.1,
+		GroupEpochs: 1,
+		Epochs:      5,
+		Batch:       16,
+		LR:          0.05,
+		Seed:        42,
+		OnPeerFail:  "abort",
 	}
 }
 
@@ -47,7 +46,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&o.LR, "lr", o.LR, "base learning rate")
 	fs.Float64Var(&o.Locality, "locality", o.Locality, "partition class-locality in [0,1]")
 	fs.BoolVar(&o.LARS, "lars", o.LARS, "use the LARS optimizer")
-	fs.BoolVar(&o.OverlapGrads, "overlap-grads", o.OverlapGrads, "overlap the bucketed gradient all-reduce with backward (false = serial flat ring, the A/B baseline; weights are bitwise identical either way)")
 	fs.BoolVar(&o.WireCompress, "wire-compress", o.WireCompress, "multi-process worlds: compress the large data frames this rank sends on the TCP transport (ranks with it off still decode them)")
 	fs.BoolVar(&o.WireDedup, "wire-dedup", o.WireDedup, "deduplicate exchange sample payloads: repeat samples travel as compact ID references (bitwise-identical training, fewer wire bytes)")
 	fs.StringVar(&o.SampleEncoding, "sample-encoding", o.SampleEncoding, "exchange sample wire format: fp32 (default) or fp16exact (compact where bitwise lossless, fp32 otherwise)")
@@ -143,7 +141,7 @@ func (o Options) TrainConfig() (train.Config, error) {
 		DataDir:           o.DataDir,
 		CacheBytes:        o.CacheBytes,
 		PartitionLocality: o.Locality,
-		OverlapGrads:      o.OverlapGrads,
+		OverlapGrads:      true,
 		WireDedup:         o.WireDedup,
 		SampleEncoding:    o.SampleEncoding,
 		AutoQ:             o.AutoQ,

@@ -3,6 +3,10 @@ package distrun
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,14 +14,13 @@ import (
 
 // TestArgsRoundTripEveryBoundFlag: a launcher hands Args() to its forked
 // ranks, which parse them through Bind — every shared option must arrive
-// intact, including the ones whose default is not the zero value
-// (-overlap-grads) and the ones whose value is empty.
+// intact, including the ones whose value is empty.
 func TestArgsRoundTripEveryBoundFlag(t *testing.T) {
 	want := Options{
 		Dataset: "cifar-100", Model: "mlp", Strategy: "corgi2", Q: 0.25,
 		DataDir: "/data/in 50", CacheBytes: 1 << 24, GroupEpochs: 5,
 		Epochs: 7, Batch: 32, LR: 0.0125, Locality: 0.9, LARS: true, Seed: 1<<63 + 11,
-		OverlapGrads: false, WireCompress: true, WireDedup: true, SampleEncoding: "fp16exact",
+		WireCompress: true, WireDedup: true, SampleEncoding: "fp16exact",
 		AutoQ:   true,
 		Timeout: 90 * time.Second, OnPeerFail: "degrade",
 		CheckpointDir: "ckpt", CheckpointEvery: 2, Resume: true,
@@ -51,8 +54,8 @@ func TestBindTakesDefaultsFromReceiver(t *testing.T) {
 	if err := fs.Parse([]string{"-q", "0.3"}); err != nil {
 		t.Fatal(err)
 	}
-	if o.Epochs != 15 || o.Q != 0.3 || !o.OverlapGrads {
-		t.Errorf("parsed options %+v: want epochs 15, q 0.3, overlap-grads on", o)
+	if o.Epochs != 15 || o.Q != 0.3 || o.OnPeerFail != "abort" {
+		t.Errorf("parsed options %+v: want epochs 15, q 0.3, on-peer-fail abort", o)
 	}
 }
 
@@ -77,5 +80,44 @@ func TestStrategyGroupEpochs(t *testing.T) {
 		case !tc.refused && s.GroupEpochs != tc.want:
 			t.Errorf("-group-epochs %d runs groups of %d epochs, want %d", tc.groupEpochs, s.GroupEpochs, tc.want)
 		}
+	}
+}
+
+// TestREADMEFlagTableMatchesBind: the first column of README.md's "Flags"
+// table names exactly the flags Bind registers, so a flag added to or
+// removed from Bind without its row fails here.
+func TestREADMEFlagTableMatchesBind(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), "\n### Flags\n")
+	if !ok {
+		t.Fatal(`README.md has no "### Flags" section`)
+	}
+	flagName := regexp.MustCompile("`-([a-z0-9-]+)`")
+	var documented []string
+	inTable := false
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		first := strings.Split(line, "|")[1]
+		for _, m := range flagName.FindAllStringSubmatch(first, -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	var bound []string
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	o := DefaultOptions()
+	o.Bind(fs)
+	fs.VisitAll(func(f *flag.Flag) { bound = append(bound, f.Name) })
+	slices.Sort(documented)
+	if !slices.Equal(documented, bound) {
+		t.Errorf("README.md's Flags table names %d flags %v;\nOptions.Bind registers %d: %v", len(documented), documented, len(bound), bound)
 	}
 }

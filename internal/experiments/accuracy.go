@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"plshuffle/internal/data"
-	"plshuffle/internal/metrics"
 	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/train"
@@ -96,8 +95,14 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 	modelSpec = modelSpec.WithData(ds.FeatureDim, ds.Classes)
 	epochs := spec.epochs(opts)
 	res := &Result{ID: spec.ID, Title: spec.Title, Notes: spec.Notes}
-	summary := metrics.NewTable(fmt.Sprintf("%s: final top-1 validation accuracy (%d epochs)", spec.ID, epochs))
+	summary := newTable(fmt.Sprintf("%s: final top-1 validation accuracy (%d epochs)", spec.ID, epochs))
 	summary.Header("scale", "strategy", "final acc", "best acc", "peak storage/worker")
+	var warm []nn.Param // train.Run copies it into each worker, so runs share it
+	if spec.Pretrain {
+		if warm, err = pretrainWeights(ds, modelSpec, opts); err != nil {
+			return nil, err
+		}
+	}
 
 	// run trains one strategy at one scale and partition locality.
 	run := func(sc scalePoint, strat shuffle.Strategy, loc float64) (*train.Result, error) {
@@ -118,6 +123,7 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 			Optimizer:         sc.Optimizer,
 			Seed:              opts.seed(),
 			PartitionLocality: loc,
+			WarmStart:         warm,
 			Schedule: nn.StepDecay{
 				Base: spec.BaseLR, Gamma: 0.2,
 				Milestones: []float64{float64(epochs) * 0.5, float64(epochs) * 0.75},
@@ -125,13 +131,6 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 		}
 		if sc.Optimizer == "lars" {
 			cfg.Schedule = nn.Warmup{Inner: cfg.Schedule, Epochs: float64(epochs) / 8, StartFactor: 0.25}
-		}
-		if spec.Pretrain {
-			warm, err := pretrainWeights(ds, modelSpec, opts)
-			if err != nil {
-				return nil, err
-			}
-			cfg.WarmStart = warm
 		}
 		r, err := train.Run(cfg)
 		if err != nil {
@@ -141,7 +140,7 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 	}
 
 	for _, sc := range spec.Scales {
-		fig := metrics.NewFigure(
+		fig := newFigure(
 			fmt.Sprintf("%s — %s (proxy M=%d)", spec.Title, sc.PaperLabel, sc.Workers),
 			"epoch", "top-1 accuracy")
 		for _, strat := range sc.Strategies {
@@ -156,7 +155,7 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 			summary.Row(sc.PaperLabel, strat.String(),
 				fmt.Sprintf("%.4f", r.FinalValAcc),
 				fmt.Sprintf("%.4f", r.BestValAcc),
-				metrics.FormatBytes(r.PeakStorageBytes))
+				formatBytes(r.PeakStorageBytes))
 		}
 		res.Figures = append(res.Figures, fig)
 	}
@@ -164,7 +163,7 @@ func runAccuracy(spec accuracySpec, opts Options) (*Result, error) {
 
 	if len(spec.LocalitySweep) > 0 {
 		sc := spec.Scales[len(spec.Scales)-1]
-		sweep := metrics.NewTable(fmt.Sprintf("%s: local-shuffling accuracy vs partition locality (%s, proxy M=%d, %d epochs)",
+		sweep := newTable(fmt.Sprintf("%s: local-shuffling accuracy vs partition locality (%s, proxy M=%d, %d epochs)",
 			spec.ID, sc.PaperLabel, sc.Workers, epochs))
 		sweep.Header("locality", "final acc")
 		for _, loc := range spec.LocalitySweep {
@@ -267,7 +266,7 @@ func Fig5e(opts Options) (*Result, error) {
 			{Workers: 8, PaperLabel: "32 GPUs", Strategies: gsLsPartial(0.3)},
 			{Workers: 32, PaperLabel: "128 GPUs", Strategies: gsLsPartial(0.1, 0.3, 0.7)},
 		},
-		Epochs: 20, Batch: 16, BaseLR: 0.05, LocalityCoef: 18,
+		Epochs: 20, ShortEpochs: 10, Batch: 16, BaseLR: 0.05, LocalityCoef: 18,
 		LocalitySweep: []float64{0, 0.5, 1},
 		Notes:         []string{"paper: ~10% LS gap at 32 GPUs, up to 30% at 128 GPUs; partial-0.7 required to approach GS."},
 	}, opts)
@@ -359,9 +358,9 @@ func Fig8(opts Options) (*Result, error) {
 		epochs, downEpochs = 6, 4
 	}
 	res := &Result{ID: "fig8", Title: "Upstream ImageNet-21K pretraining, downstream ImageNet-1K fine-tuning"}
-	upFig := metrics.NewFigure("Figure 8(a): upstream top-1 accuracy (proxy M=24)", "epoch", "top-1 accuracy")
-	downFig := metrics.NewFigure("Figure 8(b): downstream top-1 accuracy (proxy M=8)", "epoch", "top-1 accuracy")
-	summary := metrics.NewTable("fig8: upstream vs downstream final accuracy")
+	upFig := newFigure("Figure 8(a): upstream top-1 accuracy (proxy M=24)", "epoch", "top-1 accuracy")
+	downFig := newFigure("Figure 8(b): downstream top-1 accuracy (proxy M=8)", "epoch", "top-1 accuracy")
+	summary := newTable("fig8: upstream vs downstream final accuracy")
 	summary.Header("upstream strategy", "upstream acc", "downstream acc")
 
 	for _, strat := range gsLsPartial(0.1) {
@@ -404,8 +403,8 @@ func Fig8(opts Options) (*Result, error) {
 			fmt.Sprintf("%.4f", upRes.FinalValAcc),
 			fmt.Sprintf("%.4f", downRes.FinalValAcc))
 	}
-	res.Figures = []*metrics.Figure{upFig, downFig}
-	res.Tables = []*metrics.Table{summary}
+	res.Figures = []*Figure{upFig, downFig}
+	res.Tables = []*Table{summary}
 	res.Notes = []string{
 		"paper: upstream LS lags GS by ~3% at 2,048 GPUs, but downstream fine-tuning accuracy is unaffected — (partial) local shuffling can cut pretraining cost without hurting the final task.",
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plshuffle/internal/data"
-	"plshuffle/internal/metrics"
 	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/train"
@@ -93,7 +92,7 @@ func AutoQTable(opts Options) (*Result, error) {
 	}
 	runs = append(runs, outcome{label: "partial auto-Q", res: autoRes, moved: aBytes, trajectory: traj})
 
-	tb := metrics.NewTable(fmt.Sprintf("Self-tuning Q: accuracy vs data movement (%s, M=%d, %d epochs)", datasetKey, workers, epochs))
+	tb := newTable(fmt.Sprintf("Self-tuning Q: accuracy vs data movement (%s, M=%d, %d epochs)", datasetKey, workers, epochs))
 	tb.Header("strategy", "final acc", "best acc", "data moved", "vs GS")
 	for _, r := range runs {
 		ratio := "1.00x"
@@ -103,7 +102,7 @@ func AutoQTable(opts Options) (*Result, error) {
 		tb.Row(r.label,
 			fmt.Sprintf("%.4f", r.res.FinalValAcc),
 			fmt.Sprintf("%.4f", r.res.BestValAcc),
-			metrics.FormatBytes(r.moved), ratio)
+			formatBytes(r.moved), ratio)
 	}
 	notes := []string{
 		"GS's data movement is its per-epoch PFS re-read; PLS moves only the Q-fraction exchange (simulated Sample.Bytes on both sides).",
@@ -112,7 +111,7 @@ func AutoQTable(opts Options) (*Result, error) {
 	return &Result{
 		ID:     "autoq",
 		Title:  "Closed-loop shuffle controller vs GS and fixed Q",
-		Tables: []*metrics.Table{tb},
+		Tables: []*Table{tb},
 		Notes:  notes,
 	}, nil
 }

@@ -14,7 +14,6 @@ import (
 	"plshuffle/internal/analysis"
 	"plshuffle/internal/cluster"
 	"plshuffle/internal/data"
-	"plshuffle/internal/metrics"
 	"plshuffle/internal/perfmodel"
 	"plshuffle/internal/shuffle"
 )
@@ -38,8 +37,8 @@ func (o Options) seed() uint64 {
 type Result struct {
 	ID      string
 	Title   string
-	Figures []*metrics.Figure
-	Tables  []*metrics.Table
+	Figures []*Figure
+	Tables  []*Table
 	Notes   []string
 }
 
@@ -116,7 +115,7 @@ func Lookup(id string) (Runner, error) {
 func Fig1(opts Options) (*Result, error) {
 	systems := cluster.Top500Systems()
 	datasets := cluster.Figure1Datasets()
-	tb := metrics.NewTable("Figure 1: per-node dedicated storage vs dataset sizes (TOP500, Nov 2020)")
+	tb := newTable("Figure 1: per-node dedicated storage vs dataset sizes (TOP500, Nov 2020)")
 	tb.Header("system", "node-local", "network flash", "DL-designed", "fits ImageNet-1K", "fits DeepCAM")
 	var imagenet, deepcam int64
 	for _, d := range datasets {
@@ -133,13 +132,13 @@ func Fig1(opts Options) (*Result, error) {
 			star = "*"
 		}
 		tb.Row(s.Name,
-			metrics.FormatBytes(s.NodeLocalBytes),
-			metrics.FormatBytes(s.NetworkFlashBytes),
+			formatBytes(s.NodeLocalBytes),
+			formatBytes(s.NetworkFlashBytes),
 			star,
 			fmt.Sprintf("%v", s.Fits(imagenet)),
 			fmt.Sprintf("%v", s.Fits(deepcam)))
 	}
-	dt := metrics.NewTable("Figure 1 dataset lines")
+	dt := newTable("Figure 1 dataset lines")
 	dt.Header("dataset", "size", "systems it fits on (of 15)")
 	for _, d := range datasets {
 		fits := 0
@@ -148,12 +147,12 @@ func Fig1(opts Options) (*Result, error) {
 				fits++
 			}
 		}
-		dt.Row(d.Name, metrics.FormatBytes(d.Bytes), fmt.Sprintf("%d", fits))
+		dt.Row(d.Name, formatBytes(d.Bytes), fmt.Sprintf("%d", fits))
 	}
 	return &Result{
 		ID:     "fig1",
 		Title:  "Node-local storage vs dataset sizes",
-		Tables: []*metrics.Table{tb, dt},
+		Tables: []*Table{tb, dt},
 		Notes: []string{
 			"Several datasets exceed every system's per-node storage: replicating the dataset to node-local SSDs is increasingly infeasible (Section II).",
 		},
@@ -163,7 +162,7 @@ func Fig1(opts Options) (*Result, error) {
 // Table1 regenerates Table I: datasets and models used in the experiments,
 // including this reproduction's proxy configuration.
 func Table1(opts Options) (*Result, error) {
-	tb := metrics.NewTable("Table I: datasets and models")
+	tb := newTable("Table I: datasets and models")
 	tb.Header("model", "dataset", "#samples", "size", "proxy N/classes/dim")
 	for _, key := range data.DatasetKeys() {
 		info, err := data.Info(key)
@@ -182,10 +181,10 @@ func Table1(opts Options) (*Result, error) {
 		}
 		tb.Row(models, info.Name,
 			fmt.Sprintf("%d", info.RealN),
-			metrics.FormatBytes(info.RealBytes),
+			formatBytes(info.RealBytes),
 			fmt.Sprintf("%d/%d/%d", info.Proxy.NumSamples, info.Proxy.Classes, info.Proxy.FeatureDim))
 	}
-	return &Result{ID: "table1", Title: "Datasets and models", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "table1", Title: "Datasets and models", Tables: []*Table{tb}}, nil
 }
 
 // perfWorkload builds the paper-scale workload for a registry dataset and
@@ -216,9 +215,9 @@ func Fig9(opts Options) (*Result, error) {
 		return nil, err
 	}
 	mc := cluster.ABCI()
-	fig := metrics.NewFigure("Figure 9: ResNet50/ImageNet-1K epoch time on ABCI", "workers", "seconds/epoch")
+	fig := newFigure("Figure 9: ResNet50/ImageNet-1K epoch time on ABCI", "workers", "seconds/epoch")
 	strategies := []shuffle.Strategy{shuffle.GlobalShuffling(), shuffle.LocalShuffling(), shuffle.Partial(0.1)}
-	series := make(map[string]*metrics.Series)
+	series := make(map[string]*Series)
 	for _, s := range strategies {
 		series[s.String()] = fig.AddSeries(s.String())
 	}
@@ -236,7 +235,7 @@ func Fig9(opts Options) (*Result, error) {
 	return &Result{
 		ID:      "fig9",
 		Title:   "Epoch time vs workers",
-		Figures: []*metrics.Figure{fig},
+		Figures: []*Figure{fig},
 		Notes: []string{
 			fmt.Sprintf("global / local at 128 workers = %.1fx (paper: ~5x)", gs128/ls128),
 			"partial-0.1 tracks local up to 512 workers, then degrades as only ~40/20 iterations remain to overlap the exchange (Section V-F).",
@@ -255,7 +254,7 @@ func Fig10(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb := metrics.NewTable(fmt.Sprintf("Figure 10 (%s): seconds per phase at 512 workers", model))
+		tb := newTable(fmt.Sprintf("Figure 10 (%s): seconds per phase at 512 workers", model))
 		tb.Header("strategy", "IO", "EXCHANGE", "FW+BW", "GE+WU", "total", "IO slowest")
 		row := func(label string, s shuffle.Strategy) error {
 			b, err := perfmodel.EpochTime(mc, w, 512, s)
@@ -263,9 +262,9 @@ func Fig10(opts Options) (*Result, error) {
 				return err
 			}
 			tb.Row(label,
-				metrics.FormatSeconds(b.IO), metrics.FormatSeconds(b.Exchange),
-				metrics.FormatSeconds(b.FWBW), metrics.FormatSeconds(b.GEWU),
-				metrics.FormatSeconds(b.Total()), metrics.FormatSeconds(b.IOSlowest))
+				formatSeconds(b.IO), formatSeconds(b.Exchange),
+				formatSeconds(b.FWBW), formatSeconds(b.GEWU),
+				formatSeconds(b.Total()), formatSeconds(b.IOSlowest))
 			return nil
 		}
 		if err := row("local", shuffle.LocalShuffling()); err != nil {
@@ -299,9 +298,9 @@ func Fig7b(opts Options) (*Result, error) {
 		return nil, err
 	}
 	bound := perfmodel.PFSLowerBound(mc, info.RealBytes)
-	fig := metrics.NewFigure("Figure 7(b): DeepCAM epoch time on ABCI", "workers", "seconds/epoch")
+	fig := newFigure("Figure 7(b): DeepCAM epoch time on ABCI", "workers", "seconds/epoch")
 	ls := fig.AddSeries("local")
-	qs := map[float64]*metrics.Series{}
+	qs := map[float64]*Series{}
 	for _, q := range []float64{0.25, 0.5, 0.9} {
 		qs[q] = fig.AddSeries(fmt.Sprintf("partial-%g", q))
 	}
@@ -324,7 +323,7 @@ func Fig7b(opts Options) (*Result, error) {
 	return &Result{
 		ID:      "fig7b",
 		Title:   "DeepCAM performance",
-		Figures: []*metrics.Figure{fig},
+		Figures: []*Figure{fig},
 		Notes: []string{
 			fmt.Sprintf("PFS lower bound = %.0f s (8.2 TiB / theoretical peak bandwidth); the exchange incurs noticeable overhead but stays multiple times below the bound.", bound),
 		},
@@ -337,7 +336,7 @@ func Fig7b(opts Options) (*Result, error) {
 // internal/analysis for the documented discrepancy).
 func ShufflingErrorTable(opts Options) (*Result, error) {
 	const n = 1_200_000
-	tb := metrics.NewTable("Section IV-B: shuffling error for ImageNet (|N|=1.2e6)")
+	tb := newTable("Section IV-B: shuffling error for ImageNet (|N|=1.2e6)")
 	tb.Header("workers", "Q", "eps (corrected)", "eps (Eq.9, clamped)", "threshold sqrt(bM/N)", "dominates")
 	for _, m := range []int{4, 128, 512, 2048, 100_000} {
 		b := 100_000 / m
@@ -366,7 +365,7 @@ func ShufflingErrorTable(opts Options) (*Result, error) {
 	return &Result{
 		ID:     "shuffling-error",
 		Title:  "Shuffling error and convergence-bound domination",
-		Tables: []*metrics.Table{tb},
+		Tables: []*Table{tb},
 		Notes: []string{
 			"For practical sizes the shuffling error approaches 1 and dominates the Equation 6 bound, as the paper concludes — even though convergence is unaffected in practice (Section V).",
 			"Equation 9 overcounts at small M (sigma > N!); the corrected count is used for the headline numbers (see internal/analysis).",

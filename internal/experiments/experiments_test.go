@@ -42,8 +42,8 @@ func TestFig1Content(t *testing.T) {
 	if len(res.Tables) != 2 {
 		t.Fatalf("fig1 tables = %d", len(res.Tables))
 	}
-	if res.Tables[0].NumRows() != 15 {
-		t.Fatalf("fig1 system rows = %d, want 15", res.Tables[0].NumRows())
+	if len(res.Tables[0].rows) != 15 {
+		t.Fatalf("fig1 system rows = %d, want 15", len(res.Tables[0].rows))
 	}
 	var b strings.Builder
 	if err := res.Render(&b); err != nil {
@@ -61,8 +61,8 @@ func TestTable1Content(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tables[0].NumRows() != 6 {
-		t.Fatalf("table1 rows = %d, want 6 datasets", res.Tables[0].NumRows())
+	if len(res.Tables[0].rows) != 6 {
+		t.Fatalf("table1 rows = %d, want 6 datasets", len(res.Tables[0].rows))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plshuffle/internal/cluster"
-	"plshuffle/internal/metrics"
 	"plshuffle/internal/perfmodel"
 	"plshuffle/internal/shuffle"
 )
@@ -26,7 +25,7 @@ func HierarchicalExchangeTable(opts Options) (*Result, error) {
 	hier.ExchangeGroupSize = 4 // ABCI: 4 workers (GPUs) per node
 	mc := cluster.ABCI()
 
-	tb := metrics.NewTable("Hierarchical vs flat exchange: partial-0.1 epoch time on ABCI (ResNet50/ImageNet-1K)")
+	tb := newTable("Hierarchical vs flat exchange: partial-0.1 epoch time on ABCI (ResNet50/ImageNet-1K)")
 	tb.Header("workers", "local", "partial-0.1 flat", "partial-0.1 hierarchical", "flat/local", "hier/local")
 	for _, m := range []int{128, 256, 512, 1024, 2048} {
 		ls, err := perfmodel.EpochTime(mc, flat, m, shuffle.LocalShuffling())
@@ -42,16 +41,16 @@ func HierarchicalExchangeTable(opts Options) (*Result, error) {
 			return nil, err
 		}
 		tb.Row(fmt.Sprintf("%d", m),
-			metrics.FormatSeconds(ls.Total()),
-			metrics.FormatSeconds(pf.Total()),
-			metrics.FormatSeconds(ph.Total()),
+			formatSeconds(ls.Total()),
+			formatSeconds(pf.Total()),
+			formatSeconds(ph.Total()),
 			fmt.Sprintf("%.2fx", pf.Total()/ls.Total()),
 			fmt.Sprintf("%.2fx", ph.Total()/ls.Total()))
 	}
 	return &Result{
 		ID:     "hier-exchange",
 		Title:  "Section V-F extension: hierarchical two-level exchange",
-		Tables: []*metrics.Table{tb},
+		Tables: []*Table{tb},
 		Notes: []string{
 			"The hierarchical plan keeps the balanced single-source/single-destination property while collapsing per-slot inter-node traffic to M/groupSize aligned group-pairs; the trained planner and its GroupAlignment invariant (shuffle.PlanExchangeHierarchical) are at commit 7bcfa8e, and this table is the analytic model's.",
 		},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plshuffle/internal/data"
-	"plshuffle/internal/metrics"
 	"plshuffle/internal/nn"
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/train"
@@ -52,7 +51,7 @@ func NormAblation(opts Options) (*Result, error) {
 		{"no-norm", base.WithNorm(nn.NormNone), nil},
 	}
 
-	tb := metrics.NewTable(fmt.Sprintf("Normalization ablation: LS-vs-GS gap under class-local shards (%d epochs, M=16, locality=1)", epochs))
+	tb := newTable(fmt.Sprintf("Normalization ablation: LS-vs-GS gap under class-local shards (%d epochs, M=16, locality=1)", epochs))
 	tb.Header("normalization", "global acc", "local acc", "gap")
 	gaps := map[string]float64{}
 	for _, v := range variants {
@@ -82,7 +81,7 @@ func NormAblation(opts Options) (*Result, error) {
 	return &Result{
 		ID:     "norm-ablation",
 		Title:  "Mechanism: which normalization statistics cause the LS gap",
-		Tables: []*metrics.Table{tb},
+		Tables: []*Table{tb},
 		Notes: []string{
 			"Section IV-A.1 attributes the LS degradation to batch normalization; this ablation confirms it and localizes the damage to the TRAIN-time batch statistics: full SyncBatchNorm and GroupNorm close the gap, while synchronizing only the running (eval) statistics does not.",
 		},

@@ -148,9 +148,6 @@ func (c *SampleLRU) Len() int { return len(c.entries) }
 // Bytes returns the cached bytes under the fp32 size metric.
 func (c *SampleLRU) Bytes() int64 { return c.used }
 
-// Budget returns the configured byte budget.
-func (c *SampleLRU) Budget() int64 { return c.budget }
-
 // Clear discards every entry — the dedup invalidation hook: after any event
 // that could desynchronize a pair (peer failure recovery, scheduler reset),
 // both sides drop to the shared empty state and rebuild from live traffic.

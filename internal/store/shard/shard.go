@@ -56,11 +56,6 @@ func (sh *Shard) ID() int { return sh.p.shardID }
 // Count returns the number of samples in the shard.
 func (sh *Shard) Count() int { return sh.p.count }
 
-// Size returns the shard file's byte size.
-func (sh *Shard) Size() int64 {
-	return int64(headerLen + len(sh.p.data) + len(sh.p.index) + footerLen)
-}
-
 // header decodes sample i's fixed header fields and returns its encoding.
 func (sh *Shard) header(i int) (enc []byte, id, label int, sim int64, feat int, err error) {
 	if i < 0 || i >= sh.p.count {

@@ -93,9 +93,6 @@ func (l *Local) Used() int64 { return l.used }
 // by (1+Q)·N/M in Section III-A.
 func (l *Local) Peak() int64 { return l.peak }
 
-// Capacity returns the configured capacity (0 = unlimited).
-func (l *Local) Capacity() int64 { return l.capacity }
-
 // IDs returns the stored sample IDs in ascending order (deterministic
 // iteration for the epoch samplers).
 func (l *Local) IDs() []int {

@@ -344,32 +344,21 @@ func rangesPartition(t *testing.T, got [][2]int, n int, label string) {
 	}
 }
 
-// TestParallelRowsDegenerate is the regression test for the rows<=0 and
-// rows<workers cases: zero rows must not call fn at all (the old code
-// could hand out empty or negative ranges), and tiny row counts must still
-// partition exactly.
-func TestParallelRowsDegenerate(t *testing.T) {
+// TestParallelTilesDegenerate is the regression test for the tiles<=0 and
+// tiles<workers cases: no tiles must not call fn at all (never an empty or
+// negative range), and tiny tile counts must still partition exactly.
+func TestParallelTilesDegenerate(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 
-	for _, rows := range []int{0, -1} {
-		got := collectRanges(func(fn func(lo, hi int)) { parallelRows(rows, 1<<20, fn) })
-		if len(got) != 0 {
-			t.Fatalf("parallelRows(%d) called fn with %v", rows, got)
-		}
-	}
-	for _, rows := range []int{1, 2, 3, 7, 8, 9, 63} {
-		got := collectRanges(func(fn func(lo, hi int)) { parallelRows(rows, 1<<20, fn) })
-		rangesPartition(t, got, rows, "parallelRows")
-	}
-	for _, tiles := range []int{0, 1, 2, 5, 8, 17} {
+	for _, tiles := range []int{0, -1} {
 		got := collectRanges(func(fn func(lo, hi int)) { parallelTiles(tiles, 1<<20, fn) })
-		if tiles == 0 {
-			if len(got) != 0 {
-				t.Fatalf("parallelTiles(0) called fn with %v", got)
-			}
-			continue
+		if len(got) != 0 {
+			t.Fatalf("parallelTiles(%d) called fn with %v", tiles, got)
 		}
+	}
+	for _, tiles := range []int{1, 2, 3, 5, 7, 8, 9, 17, 63} {
+		got := collectRanges(func(fn func(lo, hi int)) { parallelTiles(tiles, 1<<20, fn) })
 		rangesPartition(t, got, tiles, "parallelTiles")
 	}
 }

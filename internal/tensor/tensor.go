@@ -127,60 +127,23 @@ const minParallelWork = 1 << 16
 // a throughput decision.
 const gemmMinWork = 1 << 15
 
-// serialRows reports whether a row-parallel kernel over rows rows with
-// workPerRow estimated flops per row should run on the calling goroutine.
-// Kernels branch on it (or on serialTiles) before constructing the
-// parallelRows closure, so the serial fast path — every small kernel in
-// the training loop — allocates nothing.
-func serialRows(rows, workPerRow int) bool {
-	return runtime.GOMAXPROCS(0) <= 1 || rows <= 1 || rows*workPerRow < minParallelWork
-}
-
-// serialTiles is serialRows for tile-granular kernels: the packed GEMM
-// forks over whole MC-row tiles, so the fork/join decision weighs per-tile
-// work units, not raw rows.
+// serialTiles reports whether a tile-granular kernel over tiles work units
+// of workPerTile estimated flops each should run on the calling goroutine.
+// Kernels branch on it before constructing the parallelTiles closure, so the
+// serial fast path — every small kernel in the training loop — allocates
+// nothing. The packed GEMM forks over whole MC-row tiles, so the fork/join
+// decision weighs per-tile work units, not raw rows.
 func serialTiles(tiles, workPerTile int) bool {
 	return runtime.GOMAXPROCS(0) <= 1 || tiles <= 1 || tiles*workPerTile < minParallelWork
-}
-
-// parallelRows splits [0, rows) into contiguous chunks and runs fn on each
-// chunk concurrently. Small workloads run inline to avoid goroutine
-// overhead; work is an estimate of per-row flops. rows == 0 is a no-op
-// (fn is never called with an empty range), and the chunk count never
-// exceeds rows, so every invocation of fn covers at least one row.
-func parallelRows(rows int, workPerRow int, fn func(lo, hi int)) {
-	if rows <= 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 || rows*workPerRow < minParallelWork {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * rows / workers
-		hi := (w + 1) * rows / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // parallelTiles splits [0, tiles) tile indices into contiguous chunks and
 // runs fn on each chunk concurrently — the tile-granular fork the packed
 // GEMM chunks over (whole MC-row blocks, never raw rows, so no worker ever
 // splits a pack unit). Callers gate with serialTiles first to keep the
-// serial path closure-free.
+// serial path closure-free. tiles <= 0 is a no-op (fn is never called with
+// an empty range), and the chunk count never exceeds tiles, so every
+// invocation of fn covers at least one tile.
 func parallelTiles(tiles, workPerTile int, fn func(lo, hi int)) {
 	if tiles <= 0 {
 		return
@@ -336,33 +299,6 @@ func matMulTBRef(dst, a, b *Matrix, lo, hi int) {
 			}
 			oi[j] = sum
 		}
-	}
-}
-
-// Add computes m += other element-wise.
-func (m *Matrix) Add(other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("tensor: Add: shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
-}
-
-// AddScaled computes m += alpha*other element-wise.
-func (m *Matrix) AddScaled(other *Matrix, alpha float32) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("tensor: AddScaled: shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element by alpha.
-func (m *Matrix) Scale(alpha float32) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
 	}
 }
 

@@ -131,30 +131,6 @@ func TestMatMulPanicsOnShapeMismatch(t *testing.T) {
 	MatMul(New(2, 3), New(4, 5))
 }
 
-func TestAddAndAddScaled(t *testing.T) {
-	a := FromSlice(2, 2, []float32{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float32{10, 20, 30, 40})
-	a.Add(b)
-	if a.At(1, 1) != 44 {
-		t.Fatalf("Add: got %v", a.Data)
-	}
-	a.AddScaled(b, 0.5)
-	if a.At(0, 0) != 16 {
-		t.Fatalf("AddScaled: got %v", a.Data)
-	}
-}
-
-func TestScale(t *testing.T) {
-	a := FromSlice(1, 3, []float32{1, -2, 3})
-	a.Scale(-2)
-	want := []float32{-2, 4, -6}
-	for i := range want {
-		if a.Data[i] != want[i] {
-			t.Fatalf("Scale: got %v", a.Data)
-		}
-	}
-}
-
 func TestAddRowVecAndColSum(t *testing.T) {
 	a := New(3, 2)
 	a.AddRowVec([]float32{1, 2})

@@ -148,7 +148,7 @@ type Config struct {
 	// broadcasts the new exchange fraction before the next Scheduling.
 	// Strategy.Q becomes the starting point of the trajectory rather than a
 	// fixed constant; the trajectory, start included, stays within
-	// analysis.DefaultQPolicy's [0.05, 0.5]. PartialLocal only.
+	// [analysis.MinQ, analysis.MaxQ] = [0.05, 0.5]. PartialLocal only.
 	AutoQ bool
 
 	// qSchedule, when non-empty, pins epoch e's exchange fraction to

@@ -41,13 +41,12 @@ const (
 	refFlopsPerSec     = 1e10
 )
 
-// initController starts the trajectory at Strategy.Q clamped into the
-// policy's [MinQ, MaxQ], so the first epoch already respects its bounds,
-// and fixes the dataset's global label histogram.
+// initController starts the trajectory at Strategy.Q clamped into
+// [analysis.MinQ, analysis.MaxQ], so the first epoch already respects the
+// controller's bounds, and fixes the dataset's global label histogram.
 func (w *worker) initController() {
 	cfg := w.cfg
-	pol := analysis.DefaultQPolicy()
-	w.setQ(min(max(cfg.Strategy.Q, pol.MinQ), pol.MaxQ), analysis.ReasonHold)
+	w.setQ(min(max(cfg.Strategy.Q, analysis.MinQ), analysis.MaxQ), analysis.ReasonHold)
 	n := len(cfg.Dataset.Train)
 	w.globalHist = make([]float64, cfg.Dataset.Classes)
 	for _, s := range cfg.Dataset.Train {
@@ -121,7 +120,7 @@ func (w *worker) controllerStep(epoch int) error {
 		q, reason, err := analysis.DecideQ(analysis.QSignal{
 			N: len(w.cfg.Dataset.Train), M: w.comm.GroupSize(), B: w.cfg.BatchSize,
 			Q: w.q, Skew: skew, CommRatio: comm,
-		}, analysis.DefaultQPolicy())
+		})
 		if err != nil {
 			return fmt.Errorf("epoch %d: %w", epoch, err)
 		}

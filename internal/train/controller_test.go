@@ -66,9 +66,9 @@ func TestControllerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestAutoQRefusesInvalidInputs: bad world shapes, starting fractions,
-// policies and empty observation sets error instead of deciding garbage —
-// the world shape and starting Q at Validate, the rest at the root's step.
+// TestAutoQRefusesInvalidInputs: bad world shapes, starting fractions and
+// empty observation sets error instead of deciding garbage — the world shape
+// and starting Q at Validate, the rest at the root's step.
 func TestAutoQRefusesInvalidInputs(t *testing.T) {
 	ds := testDataset(t, 256, 4)
 	for _, tc := range []struct {
@@ -88,36 +88,19 @@ func TestAutoQRefusesInvalidInputs(t *testing.T) {
 		}
 	}
 
-	step := func(obs []float64, pol analysis.QPolicy) error {
+	step := func(obs []float64) error {
 		skew, comm := worstRank(obs)
 		_, _, err := analysis.DecideQ(analysis.QSignal{
 			N: 100, M: len(obs) / 2, B: 16, Q: 0.25, Skew: skew, CommRatio: comm,
-		}, pol)
+		})
 		return err
 	}
-	good := []float64{0.01, 0.2, 0.01, 0.2, 0.01, 0.2, 0.01, 0.2}
-	if err := step(good, testPolicy()); err != nil {
+	if err := step([]float64{0.01, 0.2, 0.01, 0.2, 0.01, 0.2, 0.01, 0.2}); err != nil {
 		t.Fatalf("root step refused a valid signal: %v", err)
 	}
-	bad := testPolicy()
-	bad.Step = 0
-	if err := step(good, bad); err == nil {
-		t.Error("root step accepted a zero-step policy")
-	}
-	if err := step(nil, testPolicy()); err == nil {
+	if err := step(nil); err == nil {
 		t.Error("root step accepted an empty observation set")
 	}
-}
-
-// testPolicy uses exactly-representable binary fractions (1/16 steps) so
-// the pinned trajectories below compare against exact float64 literals —
-// the same bitwise-determinism property the live protocol guarantees.
-func testPolicy() analysis.QPolicy {
-	p := analysis.DefaultQPolicy()
-	p.Step = 0.0625
-	p.MinQ = 0.0625
-	p.MaxQ = 0.5
-	return p
 }
 
 // TestWorstRank: the root decides on the worst rank of each axis, whichever
@@ -143,7 +126,8 @@ func TestWorstRank(t *testing.T) {
 
 // TestQTrajectories replays canned multi-epoch observation traces through
 // the root's step — worstRank, then analysis.DecideQ — with no live world,
-// and pins the exact Q value and reason of every decision.
+// and pins the exact Q value and reason of every decision. Each step lands
+// on the 1e-6 grid, so the trajectories compare against float64 literals.
 func TestQTrajectories(t *testing.T) {
 	const n, m, b = 50000, 4, 16
 	flat := func(skew, comm float64, ranks int) []float64 {
@@ -171,9 +155,9 @@ func TestQTrajectories(t *testing.T) {
 			// Modeled exchange cost above compute on every rank: walk Q
 			// down a step per epoch until the floor, then report the clamp.
 			name:        "comm-bound",
-			trace:       [][]float64{flat(0.005, 2.5, m), flat(0.005, 2.5, m), flat(0.005, 2.5, m), flat(0.005, 2.5, m)},
-			wantQ:       []float64{0.1875, 0.125, 0.0625, 0.0625},
-			wantReasons: []string{"lower-hidden", "lower-hidden", "lower-hidden", "lower-clamp"},
+			trace:       [][]float64{flat(0.005, 2.5, m), flat(0.005, 2.5, m), flat(0.005, 2.5, m), flat(0.005, 2.5, m), flat(0.005, 2.5, m)},
+			wantQ:       []float64{0.2, 0.15, 0.1, 0.05, 0.05},
+			wantReasons: []string{"lower-hidden", "lower-hidden", "lower-hidden", "lower-hidden", "lower-clamp"},
 		},
 		{
 			// One rank's exposure skews hard (the max governs even if the
@@ -181,10 +165,10 @@ func TestQTrajectories(t *testing.T) {
 			name: "skewed-exposure",
 			trace: [][]float64{
 				{0.01, 0.2, 0.3, 0.2, 0.01, 0.2, 0.01, 0.2},
-				flat(0.3, 0.2, m), flat(0.3, 0.2, m), flat(0.3, 0.2, m), flat(0.3, 0.2, m),
+				flat(0.3, 0.2, m), flat(0.3, 0.2, m), flat(0.3, 0.2, m), flat(0.3, 0.2, m), flat(0.3, 0.2, m),
 			},
-			wantQ:       []float64{0.3125, 0.375, 0.4375, 0.5, 0.5},
-			wantReasons: []string{"raise-skew", "raise-skew", "raise-skew", "raise-skew", "raise-clamp"},
+			wantQ:       []float64{0.3, 0.35, 0.4, 0.45, 0.5, 0.5},
+			wantReasons: []string{"raise-skew", "raise-skew", "raise-skew", "raise-skew", "raise-skew", "raise-clamp"},
 		},
 		{
 			// A rank dies after epoch 1: the survivors keep deciding from
@@ -192,7 +176,7 @@ func TestQTrajectories(t *testing.T) {
 			// (larger) non-domination threshold and their skewed exposure.
 			name:        "degraded-world",
 			trace:       [][]float64{flat(0.01, 0.2, m), flat(0.01, 0.2, m), flat(0.1, 0.2, m-1), flat(0.1, 0.2, m-1)},
-			wantQ:       []float64{0.25, 0.25, 0.3125, 0.375},
+			wantQ:       []float64{0.25, 0.25, 0.3, 0.35},
 			wantReasons: []string{"hold", "hold", "raise-skew", "raise-skew"},
 		},
 	}
@@ -203,7 +187,7 @@ func TestQTrajectories(t *testing.T) {
 				skew, comm := worstRank(obs)
 				next, reason, err := analysis.DecideQ(analysis.QSignal{
 					N: n, M: len(obs) / 2, B: b, Q: q, Skew: skew, CommRatio: comm,
-				}, testPolicy())
+				})
 				if err != nil {
 					t.Fatalf("epoch %d: %v", e, err)
 				}

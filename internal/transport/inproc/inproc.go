@@ -81,9 +81,6 @@ func (n *Network) Kill(rank int) {
 	}
 }
 
-// Size returns the number of ranks in the network.
-func (n *Network) Size() int { return n.size }
-
 // Attach registers rank's inbound handler and returns its connection
 // endpoint. Each rank must be attached exactly once before it exchanges
 // traffic.

@@ -39,7 +39,6 @@ package tcp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -675,8 +674,3 @@ func waitUntil(wg *sync.WaitGroup, deadline time.Time) bool {
 }
 
 var _ transport.Conn = (*Conn)(nil)
-
-// ErrClosed reports whether err stems from using a closed transport.
-func ErrClosed(err error) bool {
-	return err != nil && errors.Is(err, net.ErrClosed)
-}

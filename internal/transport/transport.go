@@ -162,11 +162,10 @@ type Conn interface {
 // They name the transport operation that exposed the failure, not the
 // training phase (the trainer maps failures onto its own phases).
 const (
-	PhaseSend      = "send"      // outbound frame could not be delivered
-	PhaseRecv      = "recv"      // inbound connection died mid-stream
-	PhaseDial      = "dial"      // peer's data listener unreachable
-	PhaseHeartbeat = "heartbeat" // liveness probe went unanswered
-	PhaseClose     = "close"     // local endpoint closed while ops pending
+	PhaseSend  = "send"  // outbound frame could not be delivered
+	PhaseRecv  = "recv"  // inbound connection died mid-stream
+	PhaseDial  = "dial"  // peer's data listener unreachable
+	PhaseClose = "close" // local endpoint closed while ops pending
 )
 
 // PeerError is the typed failure a transport backend reports when one
