@@ -1,289 +1,350 @@
-// Package wirecomp is the self-contained block codec the TCP transport
-// wraps around coalesced sample-batch frames (DESIGN.md §13). It is an
-// LZ77 byte-oriented format in the spirit of snappy — greedy single-probe
-// hash matching, literal runs and back-references, no entropy stage — chosen
-// because sample batches are dominated by repeated header structure and
-// near-duplicate feature blocks, and because the decoder must be cheap
-// enough to sit on the transport's read loop.
+// Package wirecomp is the block codec the TCP transport wraps around
+// coalesced sample-batch frames (DESIGN.md §13.1): a canonical order-0
+// Huffman code over bytes, at most 11 bits long, in four bitstreams that
+// decode side by side.
 //
-// The format is deliberately tiny:
+//	block   := uvarint(n)                                                n = 0
+//	         | uvarint(n) lengths uvarint(size0) uvarint(size1) uvarint(size2)
+//	           stream0 stream1 stream2 stream3                           n > 0
+//	lengths := 128 bytes: byte i holds the code length of symbol 2i in its
+//	           low nibble and of 2i+1 in its high one; 0 = absent, ≤ 11
 //
-//	block      := uvarint(decodedLen) element*
-//	element    := literal | match
-//	literal    := tag(bit0=0, runLen-1 in bits 1..7) byte{runLen}   runLen 1..128
-//	match      := tag(bit0=1, matchLen-minMatch in bits 1..7)
-//	              uvarint(offset)                                   matchLen 4..131
-//
-// Offsets are distances back into the already-decoded output (1 ≤ offset ≤
-// pos) and may overlap forward, so runs compress (offset 1). Every element
-// is bounds-checked on decode; Decode never reads or writes out of range
-// and returns an error for any malformed block, making the codec safe on
-// untrusted wire input.
-//
-// Encode does a bounded amount of work per source byte — one hash-table
-// store per scanned position plus two per match — so its cost is linear in
-// the input whatever the match structure (pinned by a count in the tests,
-// not a timing).
+// Stream k codes output bytes [k·q, (k+1)·q) clipped to n, q = ⌈n/4⌉; the last
+// stream is what remains of the block. Codes are canonical (shorter first,
+// then by symbol), packed least significant bit first, each stream padded
+// with zero bits to a whole byte. Decode checks every length, the Kraft sum,
+// every stream bound and every padding bit, so it is safe on untrusted input.
 package wirecomp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
+	"slices"
 )
 
 const (
-	minMatch      = 4
-	maxMatchTag   = minMatch + 127 // longest match one tag byte encodes
-	maxLiteralRun = 128
-
-	// The hash table has one slot per source byte, rounded up to a power of
-	// two within these bounds, so a small frame clears a small table. More
-	// than 2^14 slots buys nothing on sample batches (their alphabet of
-	// 4-byte windows is small) and costs cache.
-	minTableBits = 8
-	maxTableBits = 14
+	maxCodeLen = 11 // longest code; the decode table is indexed by this many bits
+	tableSize  = 1 << maxCodeLen
+	lengthsLen = 128 // 256 four-bit code lengths
+	streams    = 4
 )
 
 // ErrCorrupt is wrapped by every Decode failure.
 var ErrCorrupt = errors.New("wirecomp: corrupt block")
 
-// MaxEncodedLen bounds the encoded size of n source bytes: the worst case
-// is pure literals (one tag byte per 128 source bytes) plus the length
-// prefix. Callers sizing scratch buffers use it; Encode never exceeds it.
+var flat = [256]uint8(bytes.Repeat([]byte{8}, 256)) // code lengths of the fallback
+
+// MaxEncodedLen bounds the encoded size of n source bytes: the streams take at
+// most n (Encode falls back to flat 8-bit codes when a Huffman code would be
+// longer), the length prefix, code lengths and three stream sizes the rest.
 func MaxEncodedLen(n int) int {
-	return n + n/maxLiteralRun + binary.MaxVarintLen64 + 1
+	return n + lengthsLen + streams*binary.MaxVarintLen64
 }
 
-// tablePool recycles hash tables across Encode calls; each call clears only
-// the prefix it uses.
-var tablePool = sync.Pool{New: func() any { return new([1 << maxTableBits]int32) }}
-
 // Encode appends the compressed form of src to dst and returns the extended
-// slice. It never fails; incompressible input degrades to literal runs
-// (bounded by MaxEncodedLen). Encoding is deterministic: the same src
-// always yields the same bytes.
+// slice. It never fails, and the same src always yields the same bytes.
 func Encode(dst, src []byte) []byte {
 	return EncodeTagged(dst, nil, src)
 }
 
 // EncodeTagged appends the block whose decoded form is head followed by src,
 // without materialising the concatenation: the transport compresses a
-// payload's type byte and body straight into the outgoing frame. head (at
-// most maxLiteralRun bytes) opens the first literal run and is never matched
-// against. The bound is MaxEncodedLen(len(head)+len(src)), as for Encode.
+// payload's type byte and body straight into the outgoing frame.
 func EncodeTagged(dst, head, src []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(head)+len(src)))
-	dst, _ = encodeBody(dst, head, src)
+	n, h := len(head)+len(src), len(head)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	if n == 0 {
+		return dst
+	}
+	q := (n + streams - 1) / streams
+	var segs [streams][2][]byte // each stream's share of head and of src
+	for k := range segs {
+		lo, hi := min(k*q, n), min((k+1)*q, n)
+		segs[k] = [2][]byte{head[min(lo, h):min(hi, h)], src[max(lo-h, 0):max(hi-h, 0)]}
+	}
+	// Per-stream histograms, filled side by side: no run chains one counter.
+	var hist [streams][256]uint32
+	a, b, c, d := segs[0][1], segs[1][1], segs[2][1], segs[3][1]
+	m := min(len(a), len(b), len(c), len(d))
+	for i, x := range a[:m] {
+		hist[0][x]++
+		hist[1][b[i]]++
+		hist[2][c[i]]++
+		hist[3][d[i]]++
+	}
+	var freq [256]uint32
+	for k, s := range segs { // the rest: head, and the longer segments' tails
+		for _, x := range s[0] {
+			hist[k][x]++
+		}
+		for _, x := range s[1][m:] {
+			hist[k][x]++
+		}
+		for x, f := range &hist[k] {
+			freq[x] += f
+		}
+	}
+	var lens [256]uint8
+	huffmanLengths(&freq, &lens)
+	var size [streams]int
+	for k := range size {
+		for x, f := range &hist[k] {
+			size[k] += int(f) * int(lens[x])
+		}
+		size[k] = (size[k] + 7) / 8
+	}
+	if size[0]+size[1]+size[2]+size[3] > n {
+		lens = flat
+		for k, s := range segs {
+			size[k] = len(s[0]) + len(s[1])
+		}
+	}
+	for i := 0; i < 256; i += 2 {
+		dst = append(dst, lens[i]|lens[i+1]<<4)
+	}
+	for _, sz := range size[:streams-1] {
+		dst = binary.AppendUvarint(dst, uint64(sz))
+	}
+	codes := canonical(&lens)
+	dst = slices.Grow(dst, size[0]+size[1]+size[2]+size[3]+8)
+	for k, s := range segs {
+		dst = appendStream(dst, &codes, &lens, s, size[k])
+	}
 	return dst
 }
 
-// encodeBody appends the elements for head+src (no length prefix) and
-// returns the number of hash-table stores it made — the unit of encoder work
-// the linear-time test bounds.
-func encodeBody(dst, head, src []byte) ([]byte, int) {
-	if len(src) <= minMatch {
-		return appendLiterals(dst, head, src), 0
+// huffmanLengths sets lens to a Huffman code for freq (two queues: symbols by
+// frequency, merged nodes as made), halving freq until no code is over 11 bits.
+func huffmanLengths(freq *[256]uint32, lens *[256]uint8) {
+	var order [256]uint64 // freq<<8 | symbol, for the symbols present
+	n := 0
+	for s, f := range freq {
+		if f > 0 {
+			order[n], n = uint64(f)<<8|uint64(s), n+1
+		}
 	}
-	tableBits := min(max(bits.Len(uint(len(src)-1)), minTableBits), maxTableBits)
-	full := tablePool.Get().(*[1 << maxTableBits]int32)
-	defer tablePool.Put(full)
-	table := full[:1<<tableBits] // position+1 of the last occurrence of each hash; 0 = empty
-	clear(table)
-	shift := 32 - uint(tableBits)
-
-	stores := 0
-	litStart := 0 // start of the pending literal run
-	pos := 0
-	limit := len(src) - minMatch
-	for pos <= limit {
-		v := binary.LittleEndian.Uint32(src[pos:])
-		h := (v * 2654435761) >> shift
-		cand := int(table[h]) - 1
-		table[h] = int32(pos) + 1
-		stores++
-		if cand < 0 || binary.LittleEndian.Uint32(src[cand:]) != v {
-			pos++
-			continue
+	slices.Sort(order[:n])
+	for deep := true; deep; {
+		var weight [2 * 256]uint64
+		var parent, depth [2 * 256]uint16
+		for i := range n {
+			weight[i] = order[i] >> 8
 		}
-		n := minMatch + matchLen(src, cand+minMatch, pos+minMatch)
-		offset := uint64(pos - cand)
-		// A match costs its element (tag + offset bytes) and, because it
-		// splits the literal run around it, possibly one more literal tag. It
-		// must cover at least that much, or short matches far back (3+ offset
-		// bytes) would grow the block past MaxEncodedLen.
-		if offset >= 1<<14 && n < (bits.Len64(offset)+6)/7+2 {
-			pos++
-			continue
-		}
-		if litStart < pos || len(head) > 0 { // back-to-back matches have nothing between them
-			dst = appendLiterals(dst, head, src[litStart:pos])
-			head = nil
-		}
-		if offset < 1<<14 && n <= maxMatchTag {
-			// One element with a one- or two-byte offset — nearly every match
-			// of a sample batch. Which of the two is a coin flip there, so
-			// write both bytes and keep the second only if it is needed,
-			// instead of branching on it.
-			two := int((offset + (1<<14 - 1<<7)) >> 14) // 1 iff offset ≥ 128
-			dst = append(dst, byte((n-minMatch)<<1)|1, byte(offset)|byte(two<<7), byte(offset>>7))
-			dst = dst[:len(dst)-1+two]
-			pos += n
-		} else {
-			// A tail shorter than a match element folds into the next literal run.
-			for n >= minMatch {
-				m := min(n, maxMatchTag)
-				dst = append(dst, byte((m-minMatch)<<1)|1)
-				dst = binary.AppendUvarint(dst, offset)
-				pos += m
-				n -= m
+		leaf, node := 0, n // fronts of the leaf and merged-node queues
+		for next := n; next < 2*n-1; next++ {
+			for range 2 {
+				x := node
+				if leaf < n && (node == next || weight[leaf] <= weight[node]) {
+					x, leaf = leaf, leaf+1
+				} else {
+					node++
+				}
+				weight[next] += weight[x]
+				parent[x] = uint16(next)
 			}
 		}
-		litStart = pos
-		// The scan resumes past the match, so the windows straddling its end
-		// would never enter the table; seed the last two (on half-precision
-		// batches, whose matches are a few values long, they are where the
-		// next match starts). Two stores per match, whatever its length or
-		// distance — the seed encoder walked back over the whole distance.
-		if pos-1 <= limit {
-			table[(binary.LittleEndian.Uint32(src[pos-2:])*2654435761)>>shift] = int32(pos) - 1
-			table[(binary.LittleEndian.Uint32(src[pos-1:])*2654435761)>>shift] = int32(pos)
-			stores += 2
+		deep = false
+		for i := 2*n - 3; i >= 0; i-- {
+			depth[i] = depth[parent[i]] + 1
+			deep = deep || depth[i] > maxCodeLen
+		}
+		for i, o := range order[:n] {
+			lens[byte(o)] = uint8(max(depth[i], 1)) // a lone symbol gets 1 bit
+			order[i] = (o>>9+1)<<8 | o&0xff         // halved, still in order
 		}
 	}
-	return appendLiterals(dst, head, src[litStart:]), stores
 }
 
-// matchLen returns how many bytes src[a:] and src[b:] share (a < b),
-// comparing a word at a time and finishing on the first differing byte.
-func matchLen(src []byte, a, b int) int {
-	n := 0
-	for ; b+n+8 <= len(src); n += 8 {
-		if x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:]); x != 0 {
-			return n + bits.TrailingZeros64(x)>>3
+// canonical returns the canonical code of each symbol, bit-reversed for
+// LSB-first packing.
+func canonical(lens *[256]uint8) (codes [256]uint32) {
+	var count, next [maxCodeLen + 1]uint32
+	for _, l := range lens {
+		count[l]++
+	}
+	for l := 2; l <= maxCodeLen; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
+	}
+	for s, l := range lens {
+		if l > 0 {
+			codes[s] = bits.Reverse32(next[l]) >> (32 - l)
+			next[l]++
 		}
 	}
-	for b+n < len(src) && src[a+n] == src[b+n] {
-		n++
-	}
-	return n
+	return codes
 }
 
-// appendLiterals appends head+lit as literal runs; head must fit one run.
-func appendLiterals(dst, head, lit []byte) []byte {
-	if len(head) > 0 {
-		n := min(len(lit), maxLiteralRun-len(head))
-		dst = append(dst, byte((len(head)+n-1)<<1))
-		dst = append(dst, head...)
-		dst = append(dst, lit[:n]...)
-		lit = lit[n:]
+// appendStream appends the codes of parts' bytes as one stream of exactly
+// size bytes, four codes (≤ 44 bits, on top of < 8 pending) per word store.
+func appendStream(dst []byte, codes *[256]uint32, lens *[256]uint8, parts [2][]byte, size int) []byte {
+	o := len(dst)
+	dst = slices.Grow(dst, size+8)[:o+size+8] // word stores may run 8 bytes past
+	var acc uint64
+	var nb uint
+	for _, p := range parts {
+		for ; len(p) >= 4; p = p[4:] {
+			acc, nb = acc|uint64(codes[p[0]])<<(nb&63), nb+uint(lens[p[0]])
+			acc, nb = acc|uint64(codes[p[1]])<<(nb&63), nb+uint(lens[p[1]])
+			acc, nb = acc|uint64(codes[p[2]])<<(nb&63), nb+uint(lens[p[2]])
+			acc, nb = acc|uint64(codes[p[3]])<<(nb&63), nb+uint(lens[p[3]])
+			binary.LittleEndian.PutUint64(dst[o:], acc)
+			o, acc, nb = o+int(nb>>3), acc>>(nb&56), nb&7
+		}
+		for _, x := range p {
+			acc, nb = acc|uint64(codes[x])<<(nb&63), nb+uint(lens[x])
+		}
+		binary.LittleEndian.PutUint64(dst[o:], acc)
+		o, acc, nb = o+int(nb>>3), acc>>(nb&56), nb&7
 	}
-	for len(lit) > 0 {
-		n := min(len(lit), maxLiteralRun)
-		dst = append(dst, byte((n-1)<<1))
-		dst = append(dst, lit[:n]...)
-		lit = lit[n:]
-	}
-	return dst
+	binary.LittleEndian.PutUint64(dst[o:], acc)
+	return dst[:o+int(nb+7)/8]
 }
 
-// DecodedLen returns the decoded size a block declares, without decoding,
-// and refuses a size no block of src's length can decode to — so a caller
-// may allocate the output before Decode without a hostile prefix forcing a
-// giant allocation.
+// parseHeader reads a block's length, code lengths and stream bounds (stream k
+// is src[at[k]:at[k+1]]), refusing over 8 output bytes per stream byte.
+func parseHeader(src []byte) (n int, lens []byte, at [streams + 1]int, err error) {
+	d, p := binary.Uvarint(src)
+	if p <= 0 || d > 1<<32 {
+		return 0, nil, at, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
+	}
+	if d == 0 && p != len(src) {
+		return 0, nil, at, fmt.Errorf("%w: %d bytes after an empty block", ErrCorrupt, len(src)-p)
+	} else if d == 0 {
+		return 0, nil, at, nil
+	}
+	if len(src)-p < lengthsLen {
+		return 0, nil, at, fmt.Errorf("%w: truncated code lengths", ErrCorrupt)
+	}
+	lens, p = src[p:p+lengthsLen], p+lengthsLen
+	for k := 1; k < streams; k++ { // stream ends, relative to the first's start
+		v, w := binary.Uvarint(src[p:])
+		if w <= 0 || v > uint64(len(src)) {
+			return 0, nil, at, fmt.Errorf("%w: truncated or oversized stream size", ErrCorrupt)
+		}
+		at[k], p = at[k-1]+int(v), p+w
+	}
+	if at[0], at[1], at[2], at[3], at[4] = p, at[1]+p, at[2]+p, at[3]+p, len(src); at[3] > len(src) {
+		return 0, nil, at, fmt.Errorf("%w: streams of %d bytes overrun the block", ErrCorrupt, at[3]-p)
+	}
+	if d > 8*uint64(len(src)-at[0]) {
+		return 0, nil, at, fmt.Errorf("%w: declared length %d impossible for %d stream bytes", ErrCorrupt, d, len(src)-at[0])
+	}
+	return int(d), lens, at, nil
+}
+
+// DecodedLen returns the size a block declares, without decoding it, and refuses
+// one its length cannot hold: a hostile prefix cannot force a giant allocation.
 func DecodedLen(src []byte) (int, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 || n > 1<<32 {
-		return 0, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
-	}
-	if n > uint64(len(src)-sz)*maxMatchTag {
-		return 0, fmt.Errorf("%w: declared length %d impossible for %d input bytes", ErrCorrupt, n, len(src)-sz)
-	}
-	return int(n), nil
+	n, _, _, err := parseHeader(src)
+	return n, err
 }
 
-// Decode appends the decompressed form of src to dst and returns the
-// extended slice. Any structural violation — truncated element, offset
-// beyond the produced output, output running past or stopping short of the
-// declared length — returns an error wrapping ErrCorrupt with dst unusable.
-func Decode(dst, src []byte) ([]byte, error) {
-	declared, sz := binary.Uvarint(src)
-	if sz <= 0 || declared > 1<<32 {
-		return dst, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
+// buildTable fills t from the packed code lengths. Indexed by 11 bits, low
+// first, an entry holds as many whole codes as they begin with, up to four:
+// the bits consumed in bits 0–5, the symbols from bit 8, the first code's
+// length from bit 40 and the symbol count from bit 61. Zero names no code.
+func buildTable(t *[tableSize]uint64, packed []byte) error {
+	var lens [256]uint8
+	var present [256]byte
+	order, kraft := present[:0], 0 // the symbols present, shortest code first
+	for s := range lens {
+		if lens[s] = packed[s/2] >> (s % 2 * 4) & 15; lens[s] > maxCodeLen {
+			return fmt.Errorf("%w: code length %d above %d", ErrCorrupt, lens[s], maxCodeLen)
+		} else if lens[s] > 0 {
+			order, kraft = append(order, byte(s)), kraft+tableSize>>lens[s]
+		}
 	}
-	src = src[sz:]
-	// A match element (2+ input bytes) expands to at most maxMatchTag output
-	// bytes, so any block declaring more than that ratio is corrupt — checked
-	// before the pre-allocation so hostile prefixes cannot force huge allocs.
-	if declared > uint64(len(src))*maxMatchTag {
-		return dst, fmt.Errorf("%w: declared length %d impossible for %d input bytes", ErrCorrupt, declared, len(src))
+	if kraft == 0 || kraft > tableSize {
+		return fmt.Errorf("%w: code lengths with Kraft sum %d/%d", ErrCorrupt, kraft, tableSize)
+	}
+	slices.SortFunc(order, func(a, b byte) int { return int(lens[a]) - int(lens[b]) })
+	codes := canonical(&lens)
+	fill(t, order, &codes, &lens, 0, 0, 0)
+	return nil
+}
+
+// fill writes entry e to every index whose low bits are the k codes e holds
+// (prefix), then, over those, each entry one code longer that still fits.
+func fill(t *[tableSize]uint64, order []byte, codes *[256]uint32, lens *[256]uint8, prefix, e uint64, k int) {
+	used := e & 63
+	for j, step := prefix, uint64(1)<<used; j < tableSize && k > 0; j += step { // t starts zeroed
+		t[j] = e
+	}
+	for _, s := range order {
+		l := uint64(lens[s])
+		if k == 4 || used+l > maxCodeLen {
+			return
+		}
+		first := l << 40 * uint64(1-min(k, 1)) // the first code's length
+		fill(t, order, codes, lens, prefix|uint64(codes[s])<<used, e+uint64(s)<<(8+8*k)+l+first+1<<61, k+1)
+	}
+}
+
+// Decode appends the decompressed form of src to dst and returns the extended
+// slice, or an error wrapping ErrCorrupt (dst then unusable) if src is malformed.
+func Decode(dst, src []byte) ([]byte, error) {
+	n, lens, at, err := parseHeader(src)
+	var t [tableSize]uint64
+	if err == nil && n > 0 {
+		err = buildTable(&t, lens)
+	}
+	if err != nil || n == 0 {
+		return dst, err
 	}
 	base := len(dst)
-	if cap(dst)-base < int(declared) {
-		grown := make([]byte, base, base+int(declared))
-		copy(grown, dst)
-		dst = grown
+	dst = slices.Grow(dst, n)[:base+n]
+	out, q := dst[base:], (n+streams-1)/streams
+	p0, p1, p2, p3 := 8*at[0], 8*at[1], 8*at[2], 8*at[3] // bit positions in src
+	o0, o1, o2, o3 := 0, min(q, n), min(2*q, n), min(3*q, n)
+	oend := [streams]int{o1, o2, o3, n}
+	// The streams in lockstep while each has 8 bytes of input and room for 16
+	// output bytes: a word load gives each 56 bits for four lookups of up to 11,
+	// under a sentinel bit that ends where they stopped (unmoved at a pattern
+	// naming no code). Each lookup stores four bytes, whatever it yields.
+	for o0+16 <= oend[0] && o1+16 <= oend[1] && o2+16 <= oend[2] && o3+16 <= oend[3] &&
+		p0+64 <= 8*at[1] && p1+64 <= 8*at[2] && p2+64 <= 8*at[3] && p3+64 <= 8*at[4] {
+		v0 := binary.LittleEndian.Uint64(src[p0>>3:])>>(p0&7)&(1<<56-1) | 1<<56
+		v1 := binary.LittleEndian.Uint64(src[p1>>3:])>>(p1&7)&(1<<56-1) | 1<<56
+		v2 := binary.LittleEndian.Uint64(src[p2>>3:])>>(p2&7)&(1<<56-1) | 1<<56
+		v3 := binary.LittleEndian.Uint64(src[p3>>3:])>>(p3&7)&(1<<56-1) | 1<<56
+		for range 4 {
+			e0, e1, e2, e3 := t[v0&(tableSize-1)], t[v1&(tableSize-1)], t[v2&(tableSize-1)], t[v3&(tableSize-1)]
+			binary.LittleEndian.PutUint32(out[o0:], uint32(e0>>8))
+			binary.LittleEndian.PutUint32(out[o1:], uint32(e1>>8))
+			binary.LittleEndian.PutUint32(out[o2:], uint32(e2>>8))
+			binary.LittleEndian.PutUint32(out[o3:], uint32(e3>>8))
+			o0, o1, o2, o3 = o0+int(e0>>61), o1+int(e1>>61), o2+int(e2>>61), o3+int(e3>>61)
+			v0, v1, v2, v3 = v0>>(e0&63), v1>>(e1&63), v2>>(e2&63), v3>>(e3&63)
+		}
+		if max(v0, v1, v2, v3) >= 1<<56 {
+			return dst, fmt.Errorf("%w: a bit pattern names no code", ErrCorrupt)
+		}
+		p0, p1, p2, p3 = p0+bits.LeadingZeros64(v0)-7, p1+bits.LeadingZeros64(v1)-7, p2+bits.LeadingZeros64(v2)-7, p3+bits.LeadingZeros64(v3)-7
 	}
-	out := dst[base : base+int(declared)]
-	d := 0 // bytes of out produced so far
-	for s := 0; s < len(src); {
-		tag := src[s]
-		s++
-		if tag&1 == 0 { // literal run
-			n := int(tag>>1) + 1
-			if n > len(src)-s {
-				return dst, fmt.Errorf("%w: literal run of %d overruns input", ErrCorrupt, n)
+	pos, o := [streams]int{p0, p1, p2, p3}, [streams]int{o0, o1, o2, o3}
+	// Each stream's tail one symbol at a time, reading zeros past its end.
+	for k, p := range pos {
+		s := src[:at[k+1]]
+		for ; o[k] < oend[k]; o[k]++ {
+			e := t[peek(s, p)&(tableSize-1)]
+			if p += int(e >> 40 & 15); e == 0 || p > 8*len(s) {
+				return dst, fmt.Errorf("%w: stream %d ends early or names no code", ErrCorrupt, k)
 			}
-			if n > len(out)-d {
-				return dst, fmt.Errorf("%w: output exceeds the declared %d bytes", ErrCorrupt, declared)
-			}
-			d += copy(out[d:], src[s:s+n])
-			s += n
-			continue
+			out[o[k]] = byte(e >> 8)
 		}
-		n := int(tag>>1) + minMatch
-		// The offset. One- and two-byte varints (every distance below 16 KiB)
-		// are decoded without a branch on which of the two it is: on sample
-		// batches that is a coin flip the predictor loses.
-		var offset uint64
-		if s+2 <= len(src) && src[s]&src[s+1]&0x80 == 0 {
-			two := uint64(src[s] >> 7)
-			offset = uint64(src[s]&0x7f) | uint64(src[s+1])<<7*two
-			s += 1 + int(two)
-		} else {
-			var osz int
-			if offset, osz = binary.Uvarint(src[s:]); osz <= 0 {
-				return dst, fmt.Errorf("%w: truncated match offset", ErrCorrupt)
-			}
-			s += osz
-		}
-		if offset == 0 || offset > uint64(d) {
-			return dst, fmt.Errorf("%w: match offset %d at output position %d", ErrCorrupt, offset, d)
-		}
-		if n > len(out)-d {
-			return dst, fmt.Errorf("%w: output exceeds the declared %d bytes", ErrCorrupt, declared)
-		}
-		from, end := d-int(offset), d+n
-		if n <= 16 && offset >= 8 && len(out)-d >= 16 {
-			// Short match, the common case on sample batches: two word moves
-			// beat a copy call. They may write past the match (never past
-			// out); whatever follows overwrites the excess.
-			binary.LittleEndian.PutUint64(out[d:], binary.LittleEndian.Uint64(out[from:]))
-			binary.LittleEndian.PutUint64(out[d+8:], binary.LittleEndian.Uint64(out[from+8:]))
-			d = end
-			continue
-		}
-		// An overlapping match (offset < n) replicates its period: each pass
-		// copies everything produced since the match source began, doubling
-		// the span; a non-overlapping match is one copy.
-		for d < end {
-			d += copy(out[d:end], out[from:d])
+		if (p+7)/8 != len(s) || peek(s, p) != 0 {
+			return dst, fmt.Errorf("%w: stream %d has bits left over", ErrCorrupt, k)
 		}
 	}
-	if d != len(out) {
-		return dst, fmt.Errorf("%w: decoded %d bytes, block declares %d", ErrCorrupt, d, declared)
-	}
-	return dst[:base+d], nil
+	return dst, nil
+}
+
+// peek returns the bits of s from bit p on, zero past its end (p ≤ 8·len(s)).
+func peek(s []byte, p int) uint64 {
+	var w [8]byte
+	copy(w[:], s[p>>3:])
+	return binary.LittleEndian.Uint64(w[:]) >> (p & 7)
 }
