@@ -167,8 +167,6 @@ func Run(o Options, out io.Writer) error {
 			// seconds — feeding abort's fail-fast report or degrade's shrink —
 			// never as an eternal block that only the watchdog breaks.
 			HeartbeatInterval: 500 * time.Millisecond,
-			PeerTimeout:       2 * time.Second,
-			RetryTimeout:      10 * time.Second,
 			DrainTimeout:      5 * time.Second,
 			Compress:          o.WireCompress,
 		}, h)

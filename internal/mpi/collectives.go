@@ -82,9 +82,8 @@ func release(payload any) {
 // collective invocation. seq is the per-comm collective sequence number,
 // which advances identically on all ranks, and phase distinguishes message
 // rounds within a single collective. The phase space is wide enough for
-// ring algorithms on worlds of up to half a million ranks. Tags start at
-// -2 so no internal tag ever equals AnyTag (-1), which would make a posted
-// internal receive match arbitrary user messages.
+// ring algorithms on worlds of up to half a million ranks. Tags start at -2;
+// being negative, no internal tag matches a user receive (checkUserTag).
 func collTag(seq, phase int) int {
 	const phaseSpace = 1 << 20
 	return -(2 + seq*phaseSpace + phase)

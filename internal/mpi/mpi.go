@@ -1,8 +1,9 @@
 // Package mpi implements a message-passing runtime with MPI-like semantics:
-// ranks, non-blocking point-to-point operations with tag and ANY_SOURCE
-// matching, and the collectives the trainer calls: Allreduce for gradient
-// averaging (blocking, or overlapped with IAllreduceChunks), and Barrier,
-// Bcast, Gather and AllgatherVarLen to agree at epoch boundaries.
+// ranks, non-blocking point-to-point operations between distinct ranks with
+// tag and ANY_SOURCE matching, and the collectives the trainer calls:
+// Allreduce for gradient averaging (blocking, or overlapped with
+// IAllreduceChunks), and Barrier, Bcast, Gather and AllgatherVarLen to agree
+// at epoch boundaries.
 //
 // The paper's sample-exchange scheme (Algorithm 1) is specified in terms of
 // MPI_Isend/MPI_Irecv with MPI_ANY_SOURCE, and the trainer relies on
@@ -40,11 +41,6 @@ import (
 // mirroring MPI_ANY_SOURCE.
 const AnySource = -1
 
-// AnyTag matches a receive against messages with any tag, mirroring
-// MPI_ANY_TAG. User tags must be non-negative; negative tags are reserved
-// for internal collective traffic.
-const AnyTag = -1
-
 // Status describes a completed receive: which rank the message came from and
 // with which tag it was sent.
 type Status struct {
@@ -52,7 +48,6 @@ type Status struct {
 	Tag    int
 	// Wire is the exact number of bytes the message's frame occupied on the
 	// wire (compressed size if it traveled compressed; see transport.Frame).
-	// Zero for self-delivered messages.
 	Wire int64
 }
 
@@ -67,7 +62,7 @@ type message struct {
 // pendingRecv is a posted, not-yet-matched receive.
 type pendingRecv struct {
 	src int // AnySource allowed
-	tag int // AnyTag allowed
+	tag int
 	req *Request
 }
 
@@ -162,7 +157,7 @@ type mailbox struct {
 func (mb *mailbox) deliver(m message) {
 	mb.mu.Lock()
 	for i, pr := range mb.posted {
-		if (pr.src == AnySource || pr.src == m.src) && (pr.tag == AnyTag || pr.tag == m.tag) {
+		if (pr.src == AnySource || pr.src == m.src) && pr.tag == m.tag {
 			mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
 			mb.mu.Unlock()
 			pr.req.payload = m.payload
@@ -180,7 +175,7 @@ func (mb *mailbox) deliver(m message) {
 func (mb *mailbox) post(src, tag int, req *Request) {
 	mb.mu.Lock()
 	for i, m := range mb.unexpected {
-		if (src == AnySource || src == m.src) && (tag == AnyTag || tag == m.tag) {
+		if (src == AnySource || src == m.src) && tag == m.tag {
 			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
 			mb.mu.Unlock()
 			req.payload = m.payload
@@ -417,13 +412,13 @@ func (c *Comm) sendFailed(err error) *transport.PeerError {
 
 // SendPeerAware sends payload to dest like Send and returns the frame's exact
 // wire size (transport.Conn.Send's: post-compression on a compressing
-// backend, 0 for a self-send), but a dead destination surfaces as a returned
-// *transport.PeerError instead of a rank unwind — the sender-side twin of
-// WaitPeerAware, and the one value-returning post. Non-peer transport errors
-// still unwind. The exchange scheduler sends every frame through it, so a
-// send racing a peer's death is a value its failure policy decides about.
+// backend), but a dead destination surfaces as a returned *transport.PeerError
+// instead of a rank unwind — the sender-side twin of WaitPeerAware, and the
+// one value-returning post. Non-peer transport errors still unwind. The
+// exchange scheduler sends every frame through it, so a send racing a peer's
+// death is a value its failure policy decides about.
 func (c *Comm) SendPeerAware(dest, tag int, payload any) (int64, *transport.PeerError) {
-	c.checkRank(dest, "SendPeerAware")
+	c.checkDest(dest, "SendPeerAware")
 	c.checkUserTag(tag, "SendPeerAware")
 	wire, err := c.conn.Send(dest, tag, payload)
 	if err != nil {
@@ -432,29 +427,27 @@ func (c *Comm) SendPeerAware(dest, tag int, payload any) (int64, *transport.Peer
 	return wire, nil
 }
 
-// Isend starts a non-blocking send of payload to rank dest with the given
-// tag. The payload is copied (inproc backend; see transport.ClonePayload) or
-// serialized (wire backends), so the caller may reuse its buffers
-// immediately; a type outside the transport codec's set unwinds the rank
-// with the backend's error. The returned request is already complete; Wait
+// Isend starts a non-blocking send of payload to rank dest, another rank, with
+// the given tag. The payload is copied (inproc backend; see
+// transport.ClonePayload) or serialized (wire backends), so the caller may
+// reuse its buffers immediately; a type outside the transport codec's set
+// unwinds the rank with the backend's error. The returned request is already complete; Wait
 // on it is allowed and returns instantly.
 func (c *Comm) Isend(dest, tag int, payload any) *Request {
-	c.checkRank(dest, "Isend")
+	c.checkDest(dest, "Isend")
 	c.checkUserTag(tag, "Isend")
 	c.send(dest, tag, payload)
 	return completedRequest()
 }
 
 // Irecv posts a non-blocking receive matching the given source (or
-// AnySource) and tag (or AnyTag). The returned request completes when a
-// matching message arrives.
+// AnySource) and tag. The returned request completes when a matching message
+// arrives.
 func (c *Comm) Irecv(src, tag int) *Request {
 	if src != AnySource {
 		c.checkRank(src, "Irecv")
 	}
-	if tag != AnyTag {
-		c.checkUserTag(tag, "Irecv")
-	}
+	c.checkUserTag(tag, "Irecv")
 	req := &Request{abortCh: c.abortCh, closedCh: c.closedCh, done: make(chan struct{})}
 	c.mbox.post(src, tag, req)
 	return req
@@ -496,6 +489,15 @@ func (c *Comm) checkRank(r int, op string) {
 	}
 }
 
+// checkDest refuses a destination out of range or equal to this rank: what a
+// rank would send itself it keeps, and no backend carries it.
+func (c *Comm) checkDest(dest int, op string) {
+	c.checkRank(dest, op)
+	if dest == c.rank {
+		panic(fmt.Sprintf("mpi: %s: rank %d addressed itself; a rank keeps what it would send itself", op, dest))
+	}
+}
+
 func (c *Comm) checkUserTag(tag int, op string) {
 	if tag < 0 {
 		panic(fmt.Sprintf("mpi: %s: tag %d is negative; negative tags are reserved", op, tag))
@@ -504,7 +506,7 @@ func (c *Comm) checkUserTag(tag int, op string) {
 
 // isendInternal bypasses the user-tag check for collective traffic.
 func (c *Comm) isendInternal(dest, tag int, payload any) int64 {
-	c.checkRank(dest, "isendInternal")
+	c.checkDest(dest, "isendInternal")
 	return c.send(dest, tag, payload)
 }
 

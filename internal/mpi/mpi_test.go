@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -139,20 +140,6 @@ func TestAnySource(t *testing.T) {
 	})
 }
 
-func TestAnyTag(t *testing.T) {
-	runOrFail(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 42, []byte("x"))
-			return nil
-		}
-		_, st := c.Recv(0, AnyTag)
-		if st.Tag != 42 {
-			return fmt.Errorf("AnyTag status.Tag = %d, want 42", st.Tag)
-		}
-		return nil
-	})
-}
-
 func TestIrecvBeforeSend(t *testing.T) {
 	runOrFail(t, 2, func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -251,12 +238,33 @@ func TestBarrierOrdering(t *testing.T) {
 }
 
 func TestNegativeUserTagPanics(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		c.Isend(0, -5, nil)
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Isend(1, -5, nil)
+		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("negative user tag did not produce an error")
+	if err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("negative user tag produced %v, want an error naming it", err)
+	}
+}
+
+// TestSendToSelfPanics: every send path refuses the own rank as it refuses
+// one out of range, before the transport sees the frame.
+func TestSendToSelfPanics(t *testing.T) {
+	for name, send := range map[string]func(c *Comm){
+		"Isend":         func(c *Comm) { c.Isend(c.Rank(), 0, []int{1}) },
+		"SendPeerAware": func(c *Comm) { c.SendPeerAware(c.Rank(), 0, []int{1}) },
+	} {
+		err := Run(2, func(c *Comm) error {
+			if c.Rank() == 1 {
+				send(c)
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "addressed itself") {
+			t.Fatalf("%s to the own rank produced %v, want the refusal", name, err)
+		}
 	}
 }
 

@@ -137,11 +137,6 @@ func ProxySpec(name string) (ModelSpec, error) {
 	return s, nil
 }
 
-// ProxyNames lists the available proxy model names.
-func ProxyNames() []string {
-	return []string{"resnet50", "densenet161", "wideresnet28", "inceptionv4", "deepcam", "mlp"}
-}
-
 // WithData returns a copy of the spec bound to a dataset's input dimension
 // and class count.
 func (s ModelSpec) WithData(inputDim, classes int) ModelSpec {

@@ -542,16 +542,6 @@ func TestSchedules(t *testing.T) {
 	if math.Abs(float64(sd.LR(30))-0.1) > 1e-6 || math.Abs(float64(sd.LR(60))-0.01) > 1e-6 {
 		t.Fatalf("StepDecay milestones wrong: %v %v", sd.LR(30), sd.LR(60))
 	}
-	cos := Cosine{Base: 1, Min: 0, Total: 100}
-	if cos.LR(0) != 1 {
-		t.Fatalf("Cosine start = %v", cos.LR(0))
-	}
-	if math.Abs(float64(cos.LR(50))-0.5) > 1e-6 {
-		t.Fatalf("Cosine midpoint = %v", cos.LR(50))
-	}
-	if cos.LR(100) != 0 || cos.LR(200) != 0 {
-		t.Fatal("Cosine end wrong")
-	}
 	w := Warmup{Inner: Constant{Base: 1}, Epochs: 5, StartFactor: 0.1}
 	if math.Abs(float64(w.LR(0))-0.1) > 1e-6 {
 		t.Fatalf("Warmup start = %v", w.LR(0))
@@ -603,7 +593,7 @@ func TestModelBuildDeterministicInit(t *testing.T) {
 }
 
 func TestProxySpecsExist(t *testing.T) {
-	for _, name := range ProxyNames() {
+	for name := range proxySpecs {
 		s, err := ProxySpec(name)
 		if err != nil {
 			t.Fatalf("ProxySpec(%q): %v", name, err)

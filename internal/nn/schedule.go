@@ -1,11 +1,9 @@
 package nn
 
-import "math"
-
 // Schedule maps training progress (fractional epochs) to a learning rate.
 // The paper keeps each model's original regime: base LR with step decay for
-// ImageNet-style runs (Goyal et al.), cosine for CIFAR-style runs, and a
-// linear warmup for large-batch training.
+// ImageNet-style runs (Goyal et al.) and a linear warmup for large-batch
+// training.
 type Schedule interface {
 	LR(epoch float64) float32
 }
@@ -33,22 +31,6 @@ func (s StepDecay) LR(epoch float64) float32 {
 		}
 	}
 	return lr
-}
-
-// Cosine anneals the rate from Base to Min over Total epochs.
-type Cosine struct {
-	Base  float32
-	Min   float32
-	Total float64
-}
-
-// LR returns the cosine-annealed rate.
-func (s Cosine) LR(epoch float64) float32 {
-	if epoch >= s.Total {
-		return s.Min
-	}
-	frac := epoch / s.Total
-	return s.Min + (s.Base-s.Min)*float32((1+math.Cos(math.Pi*frac))/2)
 }
 
 // Warmup linearly ramps the rate from Base*StartFactor to the wrapped

@@ -224,8 +224,6 @@ func TestRebalanceUnderDeath(t *testing.T) {
 		{transporttest.InprocWrapped("inproc", func(_ int, c transport.Conn) transport.Conn { return c }), 2 * time.Second},
 		{transporttest.TCPWrapped("tcp", nil, func(_ int, cfg *tcp.Config) {
 			cfg.HeartbeatInterval = 500 * time.Millisecond
-			cfg.PeerTimeout = 2 * time.Second
-			cfg.RetryTimeout = 10 * time.Second
 		}), 10 * time.Second},
 	}
 	// Ranks 0..2 hold a third each; rank 3 holds nothing, like a joiner.

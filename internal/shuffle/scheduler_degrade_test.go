@@ -407,8 +407,6 @@ func TestPeerFailurePolicy(t *testing.T) {
 		{transporttest.InprocWrapped("inproc", func(_ int, c transport.Conn) transport.Conn { return c }), 2 * time.Second},
 		{transporttest.TCPWrapped("tcp", nil, func(_ int, cfg *tcp.Config) {
 			cfg.HeartbeatInterval = 500 * time.Millisecond
-			cfg.PeerTimeout = 2 * time.Second
-			cfg.RetryTimeout = 10 * time.Second
 		}), 10 * time.Second},
 	}
 	for _, be := range backends {

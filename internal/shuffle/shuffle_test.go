@@ -491,23 +491,28 @@ type ExchangeResult struct {
 
 // Execute runs the plan synchronously over the communicator: it posts all
 // non-blocking sends and ANY_SOURCE receives (lines 4-5 of Algorithm 1),
-// then waits for completion (line 7). lookup resolves a local sample ID to
-// its sample (typically store.Local.Get). The per-epoch message tag keeps
-// epochs separated.
+// then waits for completion (line 7). A slot aimed at this rank itself keeps
+// its sample and sends nothing. lookup resolves a local sample ID to its
+// sample (typically store.Local.Get). The per-epoch message tag keeps epochs
+// separated.
 //
 // Execute is the bulk (non-overlapped) variant — Algorithm 1 as written, one
 // frame per sample — kept beside the test that holds the Scheduler's
 // coalesced, chunk-wise exchange to it.
 func (p ExchangePlan) Execute(c *mpi.Comm, lookup func(id int) (data.Sample, error)) (ExchangeResult, error) {
 	res := ExchangeResult{SentIDs: append([]int(nil), p.SendIDs...)}
-	recvReqs := make([]*mpi.Request, p.Slots())
+	var recvReqs []*mpi.Request
 	for i, id := range p.SendIDs {
 		s, err := lookup(id)
 		if err != nil {
 			return ExchangeResult{}, fmt.Errorf("shuffle: Execute: looking up sample %d: %w", id, err)
 		}
+		if p.Dests[i] == c.Rank() {
+			res.Received = append(res.Received, s)
+			continue
+		}
 		c.Isend(p.Dests[i], ExchangeTag(p.Epoch), s.Encode())
-		recvReqs[i] = c.Irecv(mpi.AnySource, ExchangeTag(p.Epoch))
+		recvReqs = append(recvReqs, c.Irecv(mpi.AnySource, ExchangeTag(p.Epoch)))
 	}
 	for _, req := range recvReqs {
 		payload, _ := req.Wait()

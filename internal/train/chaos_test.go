@@ -64,13 +64,10 @@ func chaosWrap(scripts []faultinject.Script, conns []*faultinject.Conn) transpor
 	}
 }
 
-// chaosTCPConfig enables the failure detectors with test-sized budgets: a
-// dead peer is detected within a few seconds instead of the production
-// defaults.
+// chaosTCPConfig enables heartbeats as distrun does (a silent connection is
+// retired after 2 s) and bounds the teardown drain at 2 s.
 func chaosTCPConfig(rank int, cfg *tcp.Config) {
-	cfg.HeartbeatInterval = 200 * time.Millisecond
-	cfg.PeerTimeout = 2 * time.Second
-	cfg.RetryTimeout = 5 * time.Second
+	cfg.HeartbeatInterval = 500 * time.Millisecond
 	cfg.DrainTimeout = 2 * time.Second
 }
 

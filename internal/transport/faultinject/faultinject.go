@@ -260,9 +260,13 @@ func (c *Conn) decide(tag int) (decision, error) {
 // The returned size is the inner connection's own answer whenever the frame
 // goes straight through. A frame the injector queues or drops has no inner
 // answer by the time Send returns, so it reports the uncompressed
-// transport.FrameWireSize estimate (0 for a self-send); a duplicate is the
-// injector's frame, not the caller's, and is not reported.
+// transport.FrameWireSize estimate; a duplicate is the injector's frame, not
+// the caller's, and is not reported. A send to the own rank is refused before
+// the script sees it, as every backend refuses it.
 func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
+	if dst == c.inner.Rank() {
+		return 0, fmt.Errorf("faultinject: Send to rank %d: %w", dst, transport.ErrSelfSend)
+	}
 	d, err := c.decide(tag)
 	if err != nil {
 		return 0, err
@@ -286,10 +290,7 @@ func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 		}
 		return wire, err
 	}
-	var estimate int64
-	if dst != c.inner.Rank() {
-		estimate = transport.FrameWireSize(payload)
-	}
+	estimate := transport.FrameWireSize(payload)
 	if d.drop {
 		return estimate, nil
 	}

@@ -101,7 +101,7 @@ func TestValidateRejectsBadScripts(t *testing.T) {
 }
 
 func TestZeroScriptIsTransparent(t *testing.T) {
-	fake := newFake(0, 4)
+	fake := newFake(4, 5)
 	c := New(fake, Script{})
 	for i := 0; i < 50; i++ {
 		if _, err := c.Send(i%4, i, i); err != nil {
@@ -160,11 +160,11 @@ func TestDropAndDupCounts(t *testing.T) {
 }
 
 func TestDelayPreservesPerDestinationOrder(t *testing.T) {
-	fake := newFake(0, 3)
+	fake := newFake(3, 4)
 	c := New(fake, Script{Seed: 99, DelayProb: 0.6, MaxDelay: 2 * time.Millisecond})
 	const per = 60
 	for i := 0; i < per; i++ {
-		for dst := 0; dst < 3; dst++ { // self-sends ride the queue too
+		for dst := 0; dst < 3; dst++ {
 			if _, err := c.Send(dst, 0, []int{dst*1000 + i}); err != nil {
 				t.Fatal(err)
 			}
@@ -287,12 +287,31 @@ func TestResetEveryDelegatesToResetter(t *testing.T) {
 	}
 }
 
+// TestSelfSendRefused: a send to the own rank is refused before the script
+// sees it — no frame counted, no fault drawn, nothing handed to the inner
+// connection — on the straight path and the delaying one alike.
+func TestSelfSendRefused(t *testing.T) {
+	for _, script := range []Script{{}, {Seed: 1, DelayProb: 1, MaxDelay: time.Millisecond}} {
+		fake := newFake(1, 2)
+		c := New(fake, script)
+		if _, err := c.Send(1, 0, []int{1}); !errors.Is(err, transport.ErrSelfSend) {
+			t.Fatalf("script %+v: self-send returned %v, want ErrSelfSend", script, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if inj, n := c.Injected(), len(fake.snapshot()); inj.Frames != 0 || n != 0 {
+			t.Fatalf("script %+v: a refused self-send counted %d frames, delivered %d", script, inj.Frames, n)
+		}
+	}
+}
+
 // TestDeterministicPerSeed pins the reproducibility contract: identical
 // (script, send sequence) pairs commit identical faults, and the delivered
 // frame sequence is identical run over run.
 func TestDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) ([]transport.Frame, Injected) {
-		fake := newFake(0, 4)
+		fake := newFake(4, 5)
 		c := New(fake, Script{Seed: seed, DropProb: 0.3, DupProb: 0.2, ResetEvery: 7})
 		for i := 0; i < 200; i++ {
 			if _, err := c.Send(i%4, i%3, i); err != nil {

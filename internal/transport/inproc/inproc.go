@@ -107,14 +107,17 @@ func (c *conn) Rank() int { return c.rank }
 func (c *conn) Size() int { return c.net.size }
 
 // Send copies the payload and delivers it synchronously into the destination
-// handler. It fails only for an out-of-range, dead or detached destination, a
-// closed connection, or a payload type outside the wire codec's set. The size it
-// returns is the deterministic frame size a wire backend would have moved
-// (transport.FrameWireSize), so byte accounting behaves identically across
-// backends; self-delivery never touches a wire on any backend and reports 0.
+// handler. It fails only for an out-of-range, dead or detached destination, the
+// sending rank itself, a closed connection, or a payload type outside the wire
+// codec's set. The size it returns is the deterministic frame size a wire
+// backend would have moved (transport.FrameWireSize), so byte accounting
+// behaves identically across backends.
 func (c *conn) Send(dst, tag int, payload any) (int64, error) {
 	if dst < 0 || dst >= c.net.size {
 		return 0, fmt.Errorf("inproc: Send: rank %d out of range [0,%d)", dst, c.net.size)
+	}
+	if dst == c.rank {
+		return 0, fmt.Errorf("inproc: Send to rank %d: %w", dst, transport.ErrSelfSend)
 	}
 	if c.closed.Load() {
 		return 0, fmt.Errorf("inproc: Send: connection for rank %d is closed", c.rank)
@@ -139,10 +142,7 @@ func (c *conn) Send(dst, tag int, payload any) (int64, error) {
 	src.bytesSent.Add(sz)
 	dstStats.framesRecv.Add(1)
 	dstStats.bytesRecv.Add(sz)
-	var wire int64
-	if dst != c.rank {
-		wire = transport.FrameWireSize(payload)
-	}
+	wire := transport.FrameWireSize(payload)
 	h(transport.Frame{Src: c.rank, Dst: dst, Tag: tag, Payload: clone, Wire: wire})
 	return wire, nil
 }

@@ -114,10 +114,10 @@ func (c *Conn) bootstrapRoot(advertise string, deadline time.Time) error {
 }
 
 // rendezvous is the non-root side of the rendezvous — dial, announce the
-// data address, wait for the table — retrying the whole round with backoff
-// until the deadline. Retrying the full round (not just the dial) is what
-// lets a rank survive a flaky rendezvous: a listener that accepts and then
-// drops the connection just costs one backoff step.
+// data address, wait for the table — retrying the whole round with the dial
+// backoff (retry) until the deadline. Retrying the full round (not just the
+// dial) is what lets a rank survive a flaky rendezvous: a listener that
+// accepts and then drops the connection just costs one backoff step.
 //
 // A bootstrap-time peer announces its rank; a mid-run joiner (cfg.Join)
 // announces Src == -1, adopts the slot the root assigned it from the reply's
@@ -138,24 +138,9 @@ func (c *Conn) rendezvous(advertise string, deadline time.Time) error {
 	if err != nil {
 		return err
 	}
-	backoff := c.cfg.DialBackoff
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if time.Now().Add(backoff).After(deadline) {
-				if join {
-					return fmt.Errorf("tcp: join via %s failed within %v: %w",
-						c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
-				}
-				return fmt.Errorf("tcp: rank %d: rendezvous %s failed within %v: %w",
-					c.cfg.Rank, c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
-			}
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		}
-		f, err := c.rendezvousRound(hello, what, deadline)
+	for r := retryUntil(deadline); r.next(); {
+		f, err := c.rendezvousRound(hello, what, r.dialTimeout(), deadline)
 		if err != nil {
 			lastErr = err
 			continue
@@ -187,12 +172,18 @@ func (c *Conn) rendezvous(advertise string, deadline time.Time) error {
 		c.addrs = addrs
 		return nil
 	}
+	if join {
+		return fmt.Errorf("tcp: join via %s failed within %v: %w",
+			c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
+	}
+	return fmt.Errorf("tcp: rank %d: rendezvous %s failed within %v: %w",
+		c.cfg.Rank, c.cfg.Rendezvous, c.cfg.BootstrapTimeout, lastErr)
 }
 
-// rendezvousRound is one attempt's socket work: dial, send the hello, read
-// the reply frame.
-func (c *Conn) rendezvousRound(hello []byte, what string, deadline time.Time) (transport.WireFrame, error) {
-	conn, err := c.cfg.Dial(c.cfg.Rendezvous, c.cfg.DialTimeout)
+// rendezvousRound is one attempt's socket work: dial within dialTimeout, send
+// the hello, read the reply frame by the deadline.
+func (c *Conn) rendezvousRound(hello []byte, what string, dialTimeout time.Duration, deadline time.Time) (transport.WireFrame, error) {
+	conn, err := c.cfg.Dial(c.cfg.Rendezvous, dialTimeout)
 	if err != nil {
 		return transport.WireFrame{}, fmt.Errorf("dialing rendezvous: %w", err)
 	}

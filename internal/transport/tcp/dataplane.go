@@ -171,10 +171,18 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 		// exchanges can be arbitrarily long; with them a healthy peer
 		// guarantees traffic at least every HeartbeatInterval.
 		if c.cfg.HeartbeatInterval > 0 {
-			conn.SetReadDeadline(time.Now().Add(c.cfg.PeerTimeout))
+			conn.SetReadDeadline(time.Now().Add(silentBeats * c.cfg.HeartbeatInterval))
 		}
 		f, floats, body, n, err := transport.ReadFrameInto(br, &scratch)
 		if err != nil {
+			return
+		}
+		if int(f.Src) != rank {
+			// The socket's hello proved who is on the other end; a frame
+			// naming another source would be matched as that rank's.
+			transport.PutFloat32s(floats)
+			transport.PutBytes(body)
+			c.fail(fmt.Errorf("tcp: rank %d: a frame on rank %d's socket claims source %d", c.cfg.Rank, rank, f.Src))
 			return
 		}
 		c.bytesRecv.Add(int64(n))
@@ -211,7 +219,7 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 					}
 				}
 				if zerr != nil {
-					c.fail(fmt.Errorf("tcp: rank %d: compressed payload from rank %d: %w", c.cfg.Rank, f.Src, zerr))
+					c.fail(fmt.Errorf("tcp: rank %d: compressed payload from rank %d: %w", c.cfg.Rank, rank, zerr))
 					continue
 				}
 				v, derr = transport.DecodePayloadOwned(raw)
@@ -219,11 +227,11 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 				v, derr = transport.DecodePayload(f.Payload)
 			}
 			if derr != nil {
-				c.fail(fmt.Errorf("tcp: rank %d: payload from rank %d: %w", c.cfg.Rank, f.Src, derr))
+				c.fail(fmt.Errorf("tcp: rank %d: payload from rank %d: %w", c.cfg.Rank, rank, derr))
 				continue
 			}
 			c.framesRecv.Add(1)
-			c.handler(transport.Frame{Src: int(f.Src), Dst: int(f.Dst), Tag: int(f.Tag), Payload: v, Wire: int64(n)})
+			c.handler(transport.Frame{Src: rank, Dst: c.cfg.Rank, Tag: int(f.Tag), Payload: v, Wire: int64(n)})
 		case transport.KindPing:
 			// Liveness probe: the successful read is the signal; nothing to
 			// deliver. (Byte accounting above already includes it.)
@@ -237,9 +245,9 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 // making, swaps out everything queued since the last write and pushes it in a
 // single vectored write (writev), so many small frames queued during one
 // compute phase cost one syscall — the flush-on-drain coalescing. On write
-// failure the connection is redialed with exponential backoff up to the
-// attempt budget; exhausting the budget marks the peer dead and records a
-// wrapped error.
+// failure the connection is redialed with exponential backoff until
+// RetryTimeout runs out, which marks the peer dead and records a wrapped
+// error.
 func (c *Conn) writeLoop(p *peer) {
 	defer c.writerWG.Done()
 	for {
@@ -331,35 +339,24 @@ func pingsOnly(batch []*transport.WireBuf) bool {
 // its end before the new one, delivering every whole frame on it and
 // discarding the truncated tail, so each frame arrives once and in order.
 func (c *Conn) writeBatch(p *peer, batch []*transport.WireBuf) error {
-	done := 0 // frames fully written
-	backoff := c.cfg.DialBackoff
-	deadline := time.Now().Add(c.cfg.RetryTimeout)
+	done := 0                    // frames fully written
 	phase := transport.PhaseDial // no connection ever established this batch
 	var lastErr error
-	attempt := 0
-	for ; attempt < c.cfg.DialAttempts; attempt++ {
+	r := retryUntil(time.Now().Add(c.cfg.RetryTimeout))
+	for r.next() {
 		if c.killed.Load() {
 			return &transport.PeerError{Rank: p.rank, Phase: transport.PhaseClose,
 				Err: errors.New("transport killed")}
 		}
-		if attempt > 0 {
+		if r.attempts > 1 {
 			p.mu.Lock()
 			closing := p.closing
 			p.mu.Unlock()
 			if closing && pingsOnly(batch[done:]) {
 				return errPingsAbandonedOnClose
 			}
-			if time.Now().Add(backoff).After(deadline) {
-				return &transport.PeerError{Rank: p.rank, Phase: phase,
-					Err: fmt.Errorf("tcp: rank %d: sending to rank %d failed after %d attempts (retry deadline %v exceeded): %w",
-						c.cfg.Rank, p.rank, attempt, c.cfg.RetryTimeout, lastErr)}
-			}
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
 		}
-		conn, err := c.peerConn(p)
+		conn, err := c.peerConn(p, r.dialTimeout())
 		if err != nil {
 			lastErr = err
 			continue
@@ -381,8 +378,8 @@ func (c *Conn) writeBatch(p *peer, batch []*transport.WireBuf) error {
 		c.dropConn(p, conn)
 	}
 	return &transport.PeerError{Rank: p.rank, Phase: phase,
-		Err: fmt.Errorf("tcp: rank %d: sending to rank %d failed after %d attempts: %w",
-			c.cfg.Rank, p.rank, attempt, lastErr)}
+		Err: fmt.Errorf("tcp: rank %d: sending to rank %d failed after %d attempts (retry deadline %v exceeded): %w",
+			c.cfg.Rank, p.rank, r.attempts, c.cfg.RetryTimeout, lastErr)}
 }
 
 // writeInline writes one frame on Send's goroutine, which holds p.writing:
@@ -441,11 +438,11 @@ func (p *peer) writev(conn net.Conn) (int64, error) {
 }
 
 // peerConn returns the socket frames to the peer are written on, dialing the
-// peer's data listener if there is none. The hello that opens the socket
-// carries its dial number in Tag, spent only once the hello is written: the
-// numbers have no gaps, so the peer, which reads them in order, never waits
-// on a dial that failed.
-func (c *Conn) peerConn(p *peer) (net.Conn, error) {
+// peer's data listener within timeout if there is none. The hello that opens
+// the socket carries its dial number in Tag, spent only once the hello is
+// written: the numbers have no gaps, so the peer, which reads them in order,
+// never waits on a dial that failed.
+func (c *Conn) peerConn(p *peer, timeout time.Duration) (net.Conn, error) {
 	p.mu.Lock()
 	conn := p.conn
 	p.mu.Unlock()
@@ -459,7 +456,7 @@ func (c *Conn) peerConn(p *peer) (net.Conn, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("rank %d not admitted (no address)", p.rank)
 	}
-	conn, err := c.cfg.Dial(addr, c.cfg.DialTimeout)
+	conn, err := c.cfg.Dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}

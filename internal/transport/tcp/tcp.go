@@ -28,13 +28,14 @@
 // socket's dial number, and the receiver reads a source's sockets one at a
 // time in that order, each to its end. Dials and writes have deadlines; a
 // failed write drops the socket and leaves the frame at the head of the
-// queue, and a failed connection is redialed with exponential backoff up to a
-// bounded attempt budget, after which the transport records a wrapped error,
+// queue, and a failed connection is redialed with exponential backoff until
+// RetryTimeout runs out, after which the transport records a wrapped error,
 // fails the queued frame, and surfaces the error on subsequent Send and Close
 // calls. Close waits out a write in flight, drains the outbound queues,
 // half-closes every connection and reads it to the peer's FIN (all bounded by
 // DrainTimeout) before tearing it down: no socket is closed with unread bytes
-// in it. Kill releases a write in flight at once.
+// in it. Kill releases a write in flight at once. A rank never sends to
+// itself.
 package tcp
 
 import (
@@ -69,20 +70,13 @@ type Config struct {
 	// multi-homed hosts). Default: the data listener's own address.
 	AdvertiseAddr string
 
-	// DialTimeout bounds one dial attempt. Default 2s.
-	DialTimeout time.Duration
-	// DialAttempts bounds dial/redial retries per frame before the
-	// transport gives up. Default 8.
-	DialAttempts int
-	// DialBackoff is the initial retry backoff, doubled per attempt and
-	// capped at 1s. Default 25ms.
-	DialBackoff time.Duration
-	// BootstrapTimeout bounds the whole rendezvous phase. Default 30s.
+	// BootstrapTimeout bounds the whole rendezvous phase, dials included.
+	// Default 30s.
 	BootstrapTimeout time.Duration
-	// RetryTimeout is the TOTAL deadline for one outbound batch's
-	// dial/redial retry loop, layered on top of the per-attempt budget
-	// (DialAttempts × backoff): whichever bound is hit first marks the
-	// peer dead. Default 20s.
+	// RetryTimeout bounds how long one outbound batch may spend dialing and
+	// redialing its peer: when it runs out, the peer is dead. Attempts back
+	// off from 25ms, doubling to at most 1s, and no dial outlives the
+	// budget. Default 2.5s.
 	RetryTimeout time.Duration
 	// DrainTimeout bounds how long Close waits for queued outbound frames
 	// to flush and for every peer to answer the half-close. Default 10s.
@@ -93,14 +87,11 @@ type Config struct {
 	// interval. Because pings ride the normal write path — dial, retry
 	// budget, deadlines — a dead or partitioned peer is detected even by
 	// ranks that never send it data, surfacing as a *transport.PeerError
-	// through OnPeerFailure instead of an eternal block. Zero (the
-	// default) disables heartbeats; byte accounting then stays exactly the
-	// data traffic, which the wire-exactness tests rely on.
+	// through OnPeerFailure instead of an eternal block. An accepted
+	// connection silent for four intervals is retired. Zero (the default)
+	// disables heartbeats; byte accounting then stays exactly the data
+	// traffic, which the wire-exactness tests rely on.
 	HeartbeatInterval time.Duration
-	// PeerTimeout bounds how long a silent established connection is
-	// trusted when heartbeats are enabled (it becomes the read deadline on
-	// data connections). Default 4 × HeartbeatInterval.
-	PeerTimeout time.Duration
 
 	// Compress makes this rank wirecomp-compress the large data-frame
 	// payloads it sends (coalesced sample batches). Compressed frames travel
@@ -109,8 +100,9 @@ type Config struct {
 	// real (compressed) socket bytes. Default off.
 	Compress bool
 
-	// Dial overrides the dial function (tests inject flaky networks).
-	// Default net.DialTimeout("tcp", addr, timeout).
+	// Dial overrides the dial function (tests inject flaky networks). The
+	// timeout is what is left of the retry budget, at most 2s. Default
+	// net.DialTimeout("tcp", addr, timeout).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 
 	// MaxSize, when greater than Size, makes the world elastic: rank slots
@@ -149,32 +141,63 @@ const minCompressPayload = 512
 // writeTimeout bounds one frame write (and the hello of a fresh dial).
 const writeTimeout = 30 * time.Second
 
+// silentBeats is how many heartbeat intervals an accepted connection may stay
+// silent before its reader retires it.
+const silentBeats = 4
+
+// The backoff of every dial retry, a writer's toward its peer and a rank's
+// toward the rendezvous.
+const (
+	backoffMin     = 25 * time.Millisecond
+	backoffMax     = time.Second
+	maxDialTimeout = 2 * time.Second
+)
+
+// retry is one run of the dial retry loop. Its deadline — RetryTimeout for a
+// peer, BootstrapTimeout for the rendezvous — is its only bound: no attempt
+// starts whose backoff would end past it, and no dial outlives it.
+type retry struct {
+	deadline time.Time
+	wait     time.Duration // the backoff before the next attempt
+	attempts int           // attempts started
+}
+
+func retryUntil(deadline time.Time) retry {
+	return retry{deadline: deadline, wait: backoffMin}
+}
+
+// next reports whether another attempt may start, first sleeping out the
+// backoff unless it is the first.
+func (r *retry) next() bool {
+	if r.attempts > 0 {
+		if time.Now().Add(r.wait).After(r.deadline) {
+			return false
+		}
+		time.Sleep(r.wait)
+		r.wait = min(2*r.wait, backoffMax)
+	}
+	r.attempts++
+	return true
+}
+
+// dialTimeout bounds the current attempt's dial: what is left of the budget,
+// at most maxDialTimeout.
+func (r *retry) dialTimeout() time.Duration {
+	return min(time.Until(r.deadline), maxDialTimeout)
+}
+
 func (c *Config) fillDefaults() {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = 8
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = 25 * time.Millisecond
 	}
 	if c.BootstrapTimeout <= 0 {
 		c.BootstrapTimeout = 30 * time.Second
 	}
 	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 20 * time.Second
+		c.RetryTimeout = 2500 * time.Millisecond
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.HeartbeatInterval > 0 {
-		if c.PeerTimeout <= 0 {
-			c.PeerTimeout = 4 * c.HeartbeatInterval
-		}
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -202,11 +225,8 @@ func (c *Config) validate() error {
 	if c.MaxSize != 0 && c.MaxSize < c.Size {
 		return fmt.Errorf("tcp: MaxSize %d smaller than world size %d", c.MaxSize, c.Size)
 	}
-	if c.Size > 1 && c.Rendezvous == "" && (c.Rank != 0 || c.RendezvousListener == nil) {
-		return fmt.Errorf("tcp: rendezvous address required for world size %d", c.Size)
-	}
 	if c.capacity() > 1 && c.Rendezvous == "" && (c.Rank != 0 || c.RendezvousListener == nil) {
-		return fmt.Errorf("tcp: rendezvous address required for elastic capacity %d", c.capacity())
+		return fmt.Errorf("tcp: rendezvous address required for a world of capacity %d", c.capacity())
 	}
 	return nil
 }
@@ -301,7 +321,7 @@ func New(cfg Config, h transport.Handler) (*Conn, error) {
 	c.nextJoin = cfg.Size
 
 	if capacity == 1 {
-		// Single-rank fixed world: only self-delivery, no sockets.
+		// Single-rank fixed world: no peers, no sockets.
 		c.addrs = []string{""}
 		c.peers = []*peer{nil}
 		return c, nil
@@ -412,12 +432,14 @@ var (
 // length prefix and header included. When the peer is idle Send writes the
 // frame itself, so it returns once the kernel has taken the bytes; otherwise
 // it queues the frame for the peer's writer goroutine. Either way the
-// caller's buffer is free again when Send returns. Self-sends loop back
-// through the codec (an encode/decode round trip) so semantics match remote
-// delivery exactly, and report 0.
+// caller's buffer is free again when Send returns. A send to this rank itself
+// is refused (transport.ErrSelfSend).
 func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 	if dst < 0 || dst >= c.cfg.capacity() {
 		return 0, fmt.Errorf("tcp: Send: rank %d out of range [0,%d)", dst, c.cfg.capacity())
+	}
+	if dst == c.cfg.Rank {
+		return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, transport.ErrSelfSend)
 	}
 	if err := c.Err(); err != nil {
 		// A peer-scoped failure poisons only sends toward that peer (checked
@@ -430,31 +452,6 @@ func (c *Conn) Send(dst, tag int, payload any) (int64, error) {
 	case <-c.closed:
 		return 0, fmt.Errorf("tcp: Send to rank %d: transport closed", dst)
 	default:
-	}
-	if dst == c.cfg.Rank {
-		// Self-send: loop back through the codec (an encode/decode round
-		// trip, so semantics match remote delivery exactly) using a pooled
-		// buffer for the transient encoding. Never touches a wire, so the
-		// metered size is 0.
-		wb := transport.GetWireBuf()
-		enc, err := transport.AppendPayload(wb.B[:0], payload)
-		wb.B = enc
-		if err != nil {
-			transport.PutWireBuf(wb)
-			return 0, fmt.Errorf("tcp: Send to rank %d: %w", dst, err)
-		}
-		v, derr := transport.DecodePayload(enc)
-		transport.PutWireBuf(wb)
-		if derr != nil {
-			return 0, fmt.Errorf("tcp: self-send round trip: %w", derr)
-		}
-		kind := transport.DataKindFor(payload)
-		c.framesSent.Add(1)
-		c.framesRecv.Add(1)
-		c.sentKind[kind].Add(1)
-		c.recvKind[kind].Add(1)
-		c.handler(transport.Frame{Src: dst, Dst: dst, Tag: tag, Payload: v})
-		return 0, nil
 	}
 	p := c.peers[dst]
 	// A []byte or []float32 body goes to the socket from the caller's memory

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -104,7 +105,6 @@ func TestBootstrapSurvivesFlakyRendezvous(t *testing.T) {
 	// Rank 0's rendezvous listener drops the first three accepted
 	// connections; peers must retry the full round and still form the world.
 	conns, inbox := startWorld(t, 3, func(rank int, cfg *Config) {
-		cfg.DialBackoff = time.Millisecond
 		if rank == 0 {
 			cfg.RendezvousListener = &flakyListener{Listener: cfg.RendezvousListener, drops: 3}
 		}
@@ -128,7 +128,6 @@ func TestBootstrapSurvivesFlakyDial(t *testing.T) {
 	t.Parallel()
 	// Every non-root rank's first two dials fail outright.
 	conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
-		cfg.DialBackoff = time.Millisecond
 		if rank != 0 {
 			var failures int32 = 2
 			cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -150,9 +149,7 @@ func TestBootstrapSurvivesFlakyDial(t *testing.T) {
 
 func TestReconnectAfterDroppedConnection(t *testing.T) {
 	t.Parallel()
-	conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
-		cfg.DialBackoff = time.Millisecond
-	})
+	conns, inbox := startWorld(t, 2, nil)
 
 	const batch = 50
 	for i := 0; i < batch; i++ {
@@ -200,9 +197,7 @@ func TestResetPeersIsLossless(t *testing.T) {
 	// sitting in the local receive buffer that the sender already counted
 	// as delivered.
 	var failures atomic.Int32
-	conns, inbox := startWorld(t, 3, func(rank int, cfg *Config) {
-		cfg.DialBackoff = time.Millisecond
-	})
+	conns, inbox := startWorld(t, 3, nil)
 	for _, c := range conns {
 		c.OnPeerFailure(func(transport.PeerError) { failures.Add(1) })
 	}
@@ -411,7 +406,6 @@ func TestReconnectKeepsDialOrder(t *testing.T) {
 		// frames reach rank 1 long before the first socket's do.
 		var read atomic.Int64
 		conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
-			cfg.DialBackoff = time.Millisecond
 			if rank != 0 {
 				return
 			}
@@ -433,7 +427,6 @@ func TestReconnectKeepsDialOrder(t *testing.T) {
 		// Rank 0's first data dial connects and is closed before the hello
 		// is written: rank 1 accepts a socket that ends without a hello.
 		conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
-			cfg.DialBackoff = time.Millisecond
 			if rank != 0 {
 				return
 			}
@@ -494,77 +487,66 @@ func TestResetPeersAfterCloseIsNoop(t *testing.T) {
 	conns[0].ResetPeers() // must not panic or resurrect dial loops
 }
 
-func TestRetryBudgetExhaustedFailsFast(t *testing.T) {
-	t.Parallel()
-	conns, _ := startWorld(t, 2, func(rank int, cfg *Config) {
-		cfg.DialBackoff = time.Millisecond
-		cfg.DialAttempts = 3
-		cfg.DialTimeout = 200 * time.Millisecond
-	})
-
-	// Kill rank 1 outright: its listener and every socket close, so rank 0's
-	// redials are refused.
-	if err := conns[1].Close(); err != nil {
-		t.Fatalf("closing rank 1: %v", err)
-	}
-	if _, err := conns[0].Send(1, 0, []int{42}); err != nil {
-		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for conns[0].Err() == nil && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	err := conns[0].Err()
-	if err == nil {
-		t.Fatal("transport never surfaced a failure after the retry budget")
-	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("error does not mention the exhausted attempt budget: %v", err)
-	}
-	if _, serr := conns[0].Send(1, 0, []int{43}); serr == nil {
-		t.Fatal("Send succeeded after the transport failed")
-	}
-	if cerr := conns[0].Close(); cerr == nil {
-		t.Fatal("Close returned nil after a recorded transport failure")
-	}
+// hangingDial is a Dial hook for a peer that never answers: it blocks until
+// its timeout, then fails.
+func hangingDial(addr string, timeout time.Duration) (net.Conn, error) {
+	time.Sleep(timeout)
+	return nil, fmt.Errorf("dial %s: no answer within %v", addr, timeout)
 }
 
+// TestWriteRetryRespectsTotalDeadline: RetryTimeout alone bounds how long a
+// batch redials an unreachable peer, whether its dials are refused at once or
+// hang until their timeout, which is clamped to what is left of the budget.
+// The peer is then dead: Err names it, later Sends fail, and Close returns
+// the error.
 func TestWriteRetryRespectsTotalDeadline(t *testing.T) {
 	t.Parallel()
-	// A huge attempt budget must still be cut short by RetryTimeout: the
-	// total deadline, not the per-attempt count, bounds how long a dead peer
-	// can wedge the writer.
-	conns, _ := startWorld(t, 2, func(rank int, cfg *Config) {
-		cfg.DialAttempts = 1 << 20
-		cfg.DialBackoff = 20 * time.Millisecond
-		cfg.DialTimeout = 200 * time.Millisecond
-		cfg.RetryTimeout = 300 * time.Millisecond
-	})
-	if err := conns[1].Close(); err != nil {
-		t.Fatalf("closing rank 1: %v", err)
-	}
-	start := time.Now()
-	if _, err := conns[0].Send(1, 0, []int{42}); err != nil {
-		t.Fatalf("eager send must enqueue even while the peer is down: %v", err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for conns[0].Err() == nil && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	err := conns[0].Err()
-	if err == nil {
-		t.Fatal("transport never surfaced a failure despite the retry deadline")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("failure took %v to surface; RetryTimeout was 300ms", elapsed)
-	}
-	if !strings.Contains(err.Error(), "retry deadline") {
-		t.Fatalf("error does not mention the retry deadline: %v", err)
-	}
-	pe, ok := transport.AsPeerError(err)
-	if !ok || pe.Rank != 1 {
-		t.Fatalf("recorded error is not a PeerError for rank 1: %v", err)
+	const budget = 300 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		dial func(addr string, timeout time.Duration) (net.Conn, error) // rank 0's; nil dials for real
+	}{
+		{"refused", nil}, // rank 1 closes, so its listener refuses
+		{"hanging", hangingDial},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			conns, _ := startWorld(t, 2, func(rank int, cfg *Config) {
+				cfg.RetryTimeout = budget
+				if rank == 0 && tc.dial != nil {
+					cfg.Dial = tc.dial
+				}
+			})
+			if tc.dial == nil {
+				if err := conns[1].Close(); err != nil {
+					t.Fatalf("closing rank 1: %v", err)
+				}
+			}
+			start := time.Now()
+			if _, err := conns[0].Send(1, 0, []int{42}); err != nil {
+				t.Fatalf("eager send must enqueue even while the peer is unreachable: %v", err)
+			}
+			for conns[0].Err() == nil && time.Since(start) < 10*time.Second {
+				time.Sleep(5 * time.Millisecond)
+			}
+			elapsed := time.Since(start)
+			err := conns[0].Err()
+			if pe, ok := transport.AsPeerError(err); !ok || pe.Rank != 1 {
+				t.Fatalf("recorded %v, want a PeerError for rank 1", err)
+			}
+			if elapsed > budget+250*time.Millisecond {
+				t.Fatalf("the failure took %v to surface; RetryTimeout is %v", elapsed, budget)
+			}
+			if !strings.Contains(err.Error(), "retry deadline") {
+				t.Fatalf("error does not mention the retry deadline: %v", err)
+			}
+			if _, serr := conns[0].Send(1, 0, []int{43}); serr == nil {
+				t.Fatal("Send to the dead peer succeeded")
+			}
+			if cerr := conns[0].Close(); cerr == nil {
+				t.Fatal("Close returned nil after a recorded transport failure")
+			}
+		})
 	}
 }
 
@@ -575,9 +557,7 @@ func TestPeerDeathIsScopedAndNotified(t *testing.T) {
 	// exchanging traffic with rank 1 — peer death is scoped, not a
 	// whole-transport poison.
 	conns, inbox := startWorld(t, 3, func(rank int, cfg *Config) {
-		cfg.DialBackoff = time.Millisecond
-		cfg.DialAttempts = 3
-		cfg.DialTimeout = 200 * time.Millisecond
+		cfg.RetryTimeout = 300 * time.Millisecond
 	})
 	failed := make(chan transport.PeerError, 4)
 	conns[0].OnPeerFailure(func(pe transport.PeerError) { failed <- pe })
@@ -613,12 +593,10 @@ func TestHeartbeatDetectsSilentPeerDeath(t *testing.T) {
 	t.Parallel()
 	// Rank 0 never sends rank 1 any data. With heartbeats enabled it must
 	// still detect rank 1's death: pings ride the normal write path, so the
-	// exhausted redial budget surfaces as a PeerError.
+	// exhausted retry budget surfaces as a PeerError.
 	conns, _ := startWorld(t, 2, func(rank int, cfg *Config) {
 		cfg.HeartbeatInterval = 20 * time.Millisecond
-		cfg.DialBackoff = time.Millisecond
-		cfg.DialAttempts = 3
-		cfg.DialTimeout = 200 * time.Millisecond
+		cfg.RetryTimeout = 300 * time.Millisecond
 	})
 	failed := make(chan transport.PeerError, 4)
 	conns[0].OnPeerFailure(func(pe transport.PeerError) { failed <- pe })
@@ -645,8 +623,7 @@ func TestCloseAbandonsPingsToExitedPeer(t *testing.T) {
 		cfg.HeartbeatInterval = 10 * time.Millisecond
 		// Keep the retry budget far longer than this test: the failure must
 		// be averted by the closing check, not by winning a race against it.
-		cfg.DialBackoff = 50 * time.Millisecond
-		cfg.DialAttempts = 8
+		cfg.RetryTimeout = 10 * time.Second
 	})
 	failed := make(chan transport.PeerError, 4)
 	conns[0].OnPeerFailure(func(pe transport.PeerError) { failed <- pe })
@@ -669,9 +646,7 @@ func TestCloseAbandonsPingsToExitedPeer(t *testing.T) {
 
 func TestKillStopsEndpointImmediately(t *testing.T) {
 	t.Parallel()
-	conns, _ := startWorld(t, 2, func(rank int, cfg *Config) {
-		cfg.DialBackoff = time.Millisecond
-	})
+	conns, _ := startWorld(t, 2, nil)
 	conns[0].Kill()
 	if _, err := conns[0].Send(1, 0, []int{1}); err == nil {
 		t.Fatal("Send succeeded on a killed transport")
@@ -683,9 +658,9 @@ func TestKillStopsEndpointImmediately(t *testing.T) {
 
 func TestRendezvousRetryBoundedByTotalDeadline(t *testing.T) {
 	t.Parallel()
-	// A rendezvous endpoint that accepts but never answers must not hang the
-	// bootstrap forever: the retry loop is bounded by BootstrapTimeout as a
-	// total deadline, and New fails with a descriptive error.
+	// A rendezvous that never answers must not hang the bootstrap: whether
+	// it accepts and goes silent or its dials hang, BootstrapTimeout bounds
+	// the whole retry loop, and New fails with a descriptive error.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -700,22 +675,34 @@ func TestRendezvousRetryBoundedByTotalDeadline(t *testing.T) {
 			_ = conn // accept and go silent; never send the table
 		}
 	}()
-	start := time.Now()
-	_, err = New(Config{
-		Rank:             1,
-		Size:             2,
-		Rendezvous:       ln.Addr().String(),
-		BootstrapTimeout: 400 * time.Millisecond,
-		DialBackoff:      time.Millisecond,
-	}, func(transport.Frame) {})
-	if err == nil {
-		t.Fatal("New succeeded against a mute rendezvous")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("bootstrap failure took %v; BootstrapTimeout was 400ms", elapsed)
-	}
-	if !strings.Contains(err.Error(), "rendezvous") {
-		t.Fatalf("error does not mention the rendezvous: %v", err)
+	const budget = 400 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		dial func(addr string, timeout time.Duration) (net.Conn, error) // nil dials for real
+	}{
+		{"mute", nil},
+		{"hanging", hangingDial},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			start := time.Now()
+			_, err := New(Config{
+				Rank:             1,
+				Size:             2,
+				Rendezvous:       ln.Addr().String(),
+				BootstrapTimeout: budget,
+				Dial:             tc.dial,
+			}, func(transport.Frame) {})
+			if err == nil {
+				t.Fatal("New succeeded against a rendezvous that never answers")
+			}
+			if elapsed := time.Since(start); elapsed > budget+250*time.Millisecond {
+				t.Fatalf("bootstrap failure took %v; BootstrapTimeout is %v", elapsed, budget)
+			}
+			if !strings.Contains(err.Error(), "rendezvous") {
+				t.Fatalf("error does not mention the rendezvous: %v", err)
+			}
+		})
 	}
 }
 
@@ -1085,43 +1072,117 @@ func TestSampleRefsFrameOverTCP(t *testing.T) {
 	}
 }
 
+// TestSelfSendRoundTripsThroughCodec: no self-send reaches the codec. A rank
+// keeps what it would send itself, so Send to the own rank is refused, in a
+// world of one and of two, whatever the payload, and delivers and counts
+// nothing.
 func TestSelfSendRoundTripsThroughCodec(t *testing.T) {
 	t.Parallel()
-	inbox := make(chan transport.Frame, 1)
-	c, err := New(Config{Rank: 0, Size: 1}, func(f transport.Frame) { inbox <- f })
+	solo := make(chan transport.Frame, 1)
+	c, err := New(Config{Rank: 0, Size: 1}, func(f transport.Frame) { solo <- f })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Send(0, 5, []int{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	f := <-inbox
-	got, ok := f.Payload.([]int)
-	if !ok || len(got) != 3 || got[2] != 3 || f.Tag != 5 {
-		t.Fatalf("self-send mangled frame: %+v", f)
-	}
-	// Non-encodable payloads must fail loudly even for self-sends: the wire
-	// transport has identical semantics for every destination.
-	if _, err := c.Send(0, 0, struct{ X int }{1}); err == nil {
-		t.Fatal("self-send of a non-encodable payload succeeded")
+	conns, inbox := startWorld(t, 2, nil)
+	for _, tc := range []struct {
+		c     *Conn
+		inbox chan transport.Frame
+	}{{c, solo}, {conns[1], inbox[1]}} {
+		for _, p := range []any{[]int{1, 2, 3}, struct{ X int }{1}} {
+			if _, err := tc.c.Send(tc.c.Rank(), 5, p); !errors.Is(err, transport.ErrSelfSend) {
+				t.Fatalf("rank %d of %d: self-send of %T returned %v, want ErrSelfSend", tc.c.Rank(), tc.c.Size(), p, err)
+			}
+		}
+		if st := tc.c.Stats(); st.FramesSent != 0 || st.BytesSent != 0 || len(tc.inbox) != 0 {
+			t.Fatalf("rank %d of %d: refused self-sends counted %d frames, %d bytes, delivered %d",
+				tc.c.Rank(), tc.c.Size(), st.FramesSent, st.BytesSent, len(tc.inbox))
+		}
 	}
 }
 
 func TestSendValidation(t *testing.T) {
 	t.Parallel()
-	c, err := New(Config{Rank: 0, Size: 1}, func(transport.Frame) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Send(7, 0, nil); err == nil {
+	conns, _ := startWorld(t, 2, nil)
+	if _, err := conns[0].Send(7, 0, nil); err == nil {
 		t.Fatal("Send to out-of-range rank succeeded")
 	}
-	if err := c.Close(); err != nil {
+	if err := conns[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Send(0, 0, nil); err == nil {
+	if _, err := conns[0].Send(1, 0, nil); err == nil {
 		t.Fatal("Send on a closed transport succeeded")
+	}
+}
+
+// TestConfigValidate: New refuses each inconsistent Config before binding
+// anything, naming what is wrong.
+func TestConfigValidate(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"size-zero", Config{Size: 0}, "must be positive"},
+		{"rank-negative", Config{Rank: -1, Size: 2, Rendezvous: "127.0.0.1:1"}, "out of range"},
+		{"rank-too-large", Config{Rank: 2, Size: 2, Rendezvous: "127.0.0.1:1"}, "out of range"},
+		{"max-below-size", Config{Size: 3, MaxSize: 2, Rendezvous: "127.0.0.1:1"}, "MaxSize 2 smaller"},
+		{"no-rendezvous", Config{Rank: 1, Size: 2}, "rendezvous address required"},
+		{"no-rendezvous-elastic", Config{Size: 1, MaxSize: 2}, "rendezvous address required"},
+		{"join-no-rendezvous", Config{Join: true, MaxSize: 3}, "join mode requires a rendezvous"},
+		{"join-no-capacity", Config{Join: true, MaxSize: 1, Rendezvous: "127.0.0.1:1"}, "MaxSize > 1"},
+	} {
+		if _, err := New(tc.cfg, func(transport.Frame) {}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestForeignFrameSourceIsProtocolError: a frame is delivered as from the
+// rank whose hello opened its socket. A raw socket hellos to rank 0 as rank 1
+// and sends an honest frame, then one whose header names another source — a
+// third rank, or rank 0 itself: that is a protocol error, and the frame is
+// not delivered.
+func TestForeignFrameSourceIsProtocolError(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		src  int32
+	}{{"third-rank", 2}, {"own-rank", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			conns, inbox := startWorld(t, 3, nil)
+			raw, err := net.Dial("tcp", conns[0].listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			// Dial number 0: the real rank 1 has dialed nothing yet.
+			wire, _ := transport.MarshalFrame(transport.WireFrame{Kind: transport.KindHello, Src: 1, Dst: 0})
+			for i, src := range []int32{1, tc.src} {
+				if wire, err = transport.AppendDataFrame(wire, src, 0, 5, []int{i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := raw.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			if f := recvN(t, inbox[0], 1)[0]; f.Src != 1 || f.Payload.([]int)[0] != 0 {
+				t.Fatalf("honest frame delivered as %+v, want src 1 payload [0]", f)
+			}
+			for start := time.Now(); conns[0].Err() == nil && time.Since(start) < 10*time.Second; {
+				time.Sleep(time.Millisecond)
+			}
+			if err := conns[0].Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("claims source %d", tc.src)) {
+				t.Fatalf("rank 0 recorded %v, want a protocol error naming source %d", err, tc.src)
+			}
+			select {
+			case f := <-inbox[0]:
+				t.Fatalf("rank 0 delivered %+v from a frame naming source %d on rank 1's socket", f, tc.src)
+			default:
+			}
+		})
 	}
 }
 
@@ -1251,7 +1312,6 @@ func TestElasticJoinWorldFull(t *testing.T) {
 		MaxSize:          3,
 		Rendezvous:       conns[0].cfg.Rendezvous,
 		BootstrapTimeout: 1500 * time.Millisecond,
-		DialBackoff:      50 * time.Millisecond,
 	}, func(transport.Frame) {})
 	if err == nil {
 		t.Fatal("joiner beyond capacity was admitted")

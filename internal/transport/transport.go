@@ -1,7 +1,7 @@
 // Package transport defines the pluggable point-to-point message layer the
 // MPI-like runtime (internal/mpi) sits on. A backend moves addressed frames
-// between ranks; everything above it — mailbox matching with MPI semantics
-// (per-(pair, tag) FIFO, ANY_SOURCE/ANY_TAG), collectives, the exchange
+// between distinct ranks; everything above it — mailbox matching with MPI
+// semantics (per-(pair, tag) FIFO, ANY_SOURCE), collectives, the exchange
 // scheduler — is backend-agnostic.
 //
 // Two backends ship with the repo:
@@ -43,8 +43,7 @@ type Frame struct {
 	// Wire is the exact number of bytes this frame occupied on the wire
 	// (length prefix and header included): the bytes actually read off the
 	// socket for the TCP backend — compressed size if the frame traveled as
-	// KindDataZ — and the deterministic FrameWireSize for inproc. Zero for
-	// self-delivered frames, which never touch a wire.
+	// KindDataZ — and the deterministic FrameWireSize for inproc.
 	Wire int64
 }
 
@@ -137,15 +136,17 @@ func AsLivenessStatser(c Conn) (LivenessStatser, bool) { return findConn[Livenes
 //     After Send returns the caller may mutate its buffers freely.
 //   - Non-overtaking: two frames from the same source to the same
 //     destination arrive in the order they were sent.
-//   - Self-delivery: Send(ownRank, ...) loops back through the handler.
+//   - Distinct ranks: Send(ownRank, ...) is refused with ErrSelfSend. What a
+//     rank would send itself it keeps.
+//   - Attribution: a delivered frame's Src is the rank that sent it.
 //
 // Send returns the exact number of bytes the frame occupies on the wire —
 // length prefix and header included, after compression if the backend
-// compressed it; the deterministic FrameWireSize on backends without a wire;
-// 0 for a self-send, which never touches one. It is the sender-side twin of
-// Frame.Wire, and the same bytes Stats counts. Send returns an error only for
-// local failures (unencodable payload, closed transport, exhausted retry
-// budget); delivery itself is asynchronous.
+// compressed it; the deterministic FrameWireSize on backends without a wire.
+// It is the sender-side twin of Frame.Wire, and the same bytes Stats counts.
+// Send returns an error only for local failures (a send to itself,
+// unencodable payload, closed transport, exhausted retry budget); delivery
+// itself is asynchronous.
 type Conn interface {
 	Rank() int
 	Size() int
@@ -157,6 +158,10 @@ type Conn interface {
 	// failure observed during the connection's lifetime, if any.
 	Close() error
 }
+
+// ErrSelfSend is what every backend's Send returns, wrapped, for a frame
+// addressed to the sending rank itself.
+var ErrSelfSend = errors.New("transport: a rank does not send to itself")
 
 // Phases a peer failure can be observed in — the Phase field of PeerError.
 // They name the transport operation that exposed the failure, not the

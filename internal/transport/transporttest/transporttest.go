@@ -1,9 +1,9 @@
 // Package transporttest is the shared conformance suite for transport
 // backends. RunTransportTests exercises, through a real mpi.Comm, the MPI
 // semantics the exchange scheduler and the trainer depend on — per-(pair,
-// tag) FIFO non-overtaking, ANY_SOURCE/ANY_TAG matching, deadlock-free
-// eager pairwise exchange, back-to-back collectives, and one payload set
-// refused alike everywhere — so every backend
+// tag) FIFO non-overtaking, ANY_SOURCE matching, deadlock-free eager
+// pairwise exchange, back-to-back collectives, one payload set refused alike
+// everywhere, and no send to the own rank — so every backend
 // (inproc goroutines, TCP processes, and whatever comes next) is held to
 // the same contract.
 package transporttest
@@ -450,18 +450,6 @@ func RunTransportTests(t *testing.T, b Backend) {
 		return nil
 	})
 
-	run("AnyTagMatching", 2, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 42, []byte("tagged"))
-			return nil
-		}
-		p, st := c.Recv(0, mpi.AnyTag)
-		if st.Tag != 42 || string(p.([]byte)) != "tagged" {
-			return fmt.Errorf("AnyTag got %v with status %+v", p, st)
-		}
-		return nil
-	})
-
 	run("TagMatchingOutOfOrder", 2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 5, []byte("tag5"))
@@ -687,14 +675,9 @@ func RunTransportTests(t *testing.T, b Backend) {
 			got += wire
 			estimate += transport.FrameWireSize(p)
 		}
-		wire, err := conn.Send(0, tagSelf, []int{1})
-		if err != nil {
-			return err
+		if wire, err := conn.Send(0, tagSelf, []int{1}); !errors.Is(err, transport.ErrSelfSend) || wire != 0 {
+			return fmt.Errorf("self-send returned %d wire bytes and %v, want 0 and ErrSelfSend", wire, err)
 		}
-		if wire != 0 {
-			return fmt.Errorf("self-send reported %d wire bytes, want 0", wire)
-		}
-		c.Recv(0, tagSelf)
 		// The receiver has every frame, so an injector's queue has handed them
 		// all to the wire and the counters are final.
 		c.Recv(1, tagAck)
@@ -737,6 +720,28 @@ func RunTransportTests(t *testing.T, b Backend) {
 			}
 		}
 		c.Send(1, tag, []int{7})
+		return nil
+	})
+
+	run("SelfSendRefused", 2, func(c *mpi.Comm) error {
+		// Algorithm 1 keeps the slots a rank draws for itself, and no
+		// collective addresses its own rank, so a frame to the own rank is a
+		// bug: every backend refuses it before it counts or delivers anything.
+		const tag = 40
+		conn := c.Transport()
+		before := conn.Stats()
+		for _, p := range []any{[]int{1}, []byte("self"), "x"} {
+			if _, err := conn.Send(c.Rank(), tag, p); !errors.Is(err, transport.ErrSelfSend) {
+				return fmt.Errorf("Send of a %T to the own rank returned %v, want ErrSelfSend", p, err)
+			}
+		}
+		if after := conn.Stats(); after.FramesSent != before.FramesSent || after.BytesSent != before.BytesSent {
+			return fmt.Errorf("refused self-sends counted: %d frames, %d bytes -> %d frames, %d bytes",
+				before.FramesSent, before.BytesSent, after.FramesSent, after.BytesSent)
+		}
+		if done, p, _ := c.Irecv(c.Rank(), tag).Test(); done {
+			return fmt.Errorf("a refused self-send delivered %v", p)
+		}
 		return nil
 	})
 
