@@ -84,10 +84,10 @@ func release(payload any) {
 // rounds within a single collective. The phase space is wide enough for
 // ring algorithms on worlds of up to half a million ranks. Tags start at -2;
 // being negative, no internal tag matches a user receive (checkUserTag).
-func collTag(seq, phase int) int {
-	const phaseSpace = 1 << 20
-	return -(2 + seq*phaseSpace + phase)
-}
+func collTag(seq, phase int) int { return -(2 + seq<<20 + phase) }
+
+// collTagGeneration is the generation (sequence high word) of a collTag.
+func collTagGeneration(tag int) int { return (-tag - 2) >> (20 + 32) }
 
 // nextSeq reserves a collective sequence number on this rank.
 func (c *Comm) nextSeq() int {

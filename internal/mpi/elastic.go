@@ -61,25 +61,29 @@ func (c *Comm) AdmitPeer(rank int, addr string) error {
 // arguments at a quiescent point. Unlike Shrink it may introduce ranks this
 // communicator has never exchanged a frame with — the caller is responsible
 // for having admitted them at the transport level first (AdmitPeer).
-func (c *Comm) Grow(newSize int, group []int) error {
+func (c *Comm) Grow(newSize int, group []int) error { return c.regroup("Grow", newSize, group) }
+
+// regroup validates and installs a world size and collective group for
+// Shrink and Grow.
+func (c *Comm) regroup(op string, newSize int, group []int) error {
 	if newSize <= 0 {
-		return fmt.Errorf("mpi: Grow: world size %d must be positive", newSize)
+		return fmt.Errorf("mpi: %s: world size %d must be positive", op, newSize)
 	}
 	if len(group) == 0 {
-		return fmt.Errorf("mpi: Grow: empty group")
+		return fmt.Errorf("mpi: %s: empty group", op)
 	}
 	g := append([]int(nil), group...)
 	for i, r := range g {
 		if r < 0 || r >= newSize {
-			return fmt.Errorf("mpi: Grow: rank %d out of range [0,%d)", r, newSize)
+			return fmt.Errorf("mpi: %s: rank %d out of range [0,%d)", op, r, newSize)
 		}
 		if i > 0 && g[i-1] >= r {
-			return fmt.Errorf("mpi: Grow: group not strictly sorted at index %d", i)
+			return fmt.Errorf("mpi: %s: group not strictly sorted at index %d", op, i)
 		}
 	}
 	idx := sort.SearchInts(g, c.rank)
 	if idx == len(g) || g[idx] != c.rank {
-		return fmt.Errorf("mpi: Grow: group does not contain this rank %d", c.rank)
+		return fmt.Errorf("mpi: %s: group does not contain this rank %d", op, c.rank)
 	}
 	c.size = newSize
 	if len(g) == newSize {

@@ -1,9 +1,12 @@
 package mpi
 
+import "plshuffle/internal/transport"
+
 // Library code that only tests and benchmarks call, kept beside them: the
 // naive all-reduce the ring is compared against, the default-partition
 // IAllreduce (the trainer always passes its own chunk bounds), the
-// wait-for-all helpers, and the reduction steps the collectives apply.
+// wait-for-all helpers, the reduction steps the collectives apply, and the
+// mailbox and tag views the agreement tests check.
 // Exported here so the external mpi_test package sees them too.
 
 // RaceEnabled lets the external test package skip allocation gates under
@@ -84,3 +87,18 @@ func WaitAll(reqs []*Request) {
 		}
 	}
 }
+
+// UnexpectedLen is the length of c's queue of delivered, unmatched messages.
+func UnexpectedLen(c *Comm) int {
+	c.mbox.mu.Lock()
+	defer c.mbox.mu.Unlock()
+	return len(c.mbox.unexpected)
+}
+
+// CollTag is the internal tag of phase (an Agree round, a ring step) of the
+// collective with sequence number seq — what a fault script crashes on.
+func CollTag(seq, phase int) int { return collTag(seq, phase) }
+
+// NotePeerFailure feeds a failure into the registry by hand, with the same
+// wake-all-waiters semantics as a transport-detected death.
+func (c *Comm) NotePeerFailure(pe transport.PeerError) { c.failures.note(pe) }

@@ -29,20 +29,23 @@ import (
 // blocked in a Wait when the communicator was closed.
 var ErrCommClosed = errors.New("mpi: communicator closed")
 
-// failureRegistry tracks which peers the transport has reported dead. The
-// replace-channel idiom gives waiters an edge-triggered broadcast: each new
-// failure closes the current channel and installs a fresh one, so a waiter
-// snapshots (version, channel), checks its predicate, and blocks on the
-// channel knowing any later failure will wake it.
+// failureRegistry tracks which peers the transport has reported dead, first
+// reported first, and the latest generation each peer's collective frames
+// have shown. The replace-channel idiom gives waiters an edge-triggered
+// broadcast: each change closes the current channel and installs a fresh
+// one, so a waiter takes the channel, checks its predicate, and blocks on
+// the channel knowing any later change will wake it.
 type failureRegistry struct {
-	mu   sync.Mutex
-	dead map[int]*transport.PeerError
-	ver  int
-	ch   chan struct{}
+	mu    sync.Mutex
+	dead  map[int]*transport.PeerError
+	order []int       // dead ranks, first reported first
+	gens  map[int]int // peer → latest generation of its collective frames
+	ch    chan struct{}
 }
 
 func (fr *failureRegistry) init() {
 	fr.dead = make(map[int]*transport.PeerError)
+	fr.gens = make(map[int]int)
 	fr.ch = make(chan struct{})
 }
 
@@ -55,19 +58,41 @@ func (fr *failureRegistry) note(pe transport.PeerError) {
 	}
 	cp := pe
 	fr.dead[pe.Rank] = &cp
-	fr.ver++
+	fr.order = append(fr.order, pe.Rank)
+	fr.wakeLocked()
+}
+
+// noteGeneration records that rank sent a collective frame of generation g.
+func (fr *failureRegistry) noteGeneration(rank, g int) {
+	fr.mu.Lock()
+	if fr.gens[rank] >= g {
+		fr.mu.Unlock()
+		return
+	}
+	fr.gens[rank] = g
+	fr.wakeLocked()
+}
+
+func (fr *failureRegistry) generation(rank int) int {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	return fr.gens[rank]
+}
+
+// wakeLocked wakes every waiter; it releases fr.mu.
+func (fr *failureRegistry) wakeLocked() {
 	ch := fr.ch
 	fr.ch = make(chan struct{})
 	fr.mu.Unlock()
 	close(ch)
 }
 
-// snapshot returns the current version and the channel that will be closed
-// by the next new failure. Check predicates AFTER taking the snapshot.
-func (fr *failureRegistry) snapshot() (int, <-chan struct{}) {
+// changed returns the channel the next change closes. Check predicates
+// AFTER taking it.
+func (fr *failureRegistry) changed() <-chan struct{} {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	return fr.ver, fr.ch
+	return fr.ch
 }
 
 func (fr *failureRegistry) get(rank int) *transport.PeerError {
@@ -78,13 +103,8 @@ func (fr *failureRegistry) get(rank int) *transport.PeerError {
 
 func (fr *failureRegistry) ranks() []int {
 	fr.mu.Lock()
-	out := make([]int, 0, len(fr.dead))
-	for r := range fr.dead {
-		out = append(out, r)
-	}
-	fr.mu.Unlock()
-	sort.Ints(out)
-	return out
+	defer fr.mu.Unlock()
+	return append([]int(nil), fr.order...)
 }
 
 // notePeerFailure is the transport.FailureNotifier callback registered by
@@ -93,12 +113,8 @@ func (c *Comm) notePeerFailure(pe transport.PeerError) {
 	c.failures.note(pe)
 }
 
-// NotePeerFailure lets callers above the transport (fault injectors, the
-// launcher's watchdog) feed a failure into the registry by hand, with the
-// same wake-all-waiters semantics as a transport-detected death.
-func (c *Comm) NotePeerFailure(pe transport.PeerError) { c.failures.note(pe) }
-
-// FailedPeers returns the sorted ranks the transport has reported dead.
+// FailedPeers returns the ranks the transport has reported dead, first
+// reported first.
 func (c *Comm) FailedPeers() []int { return c.failures.ranks() }
 
 // PeerFailure returns the recorded failure for rank, or nil if the rank has
@@ -106,20 +122,18 @@ func (c *Comm) FailedPeers() []int { return c.failures.ranks() }
 func (c *Comm) PeerFailure(rank int) *transport.PeerError { return c.failures.get(rank) }
 
 // waitWatching is the one blocking wait of the runtime: it returns req's
-// payload and status once it completes, or an error when a peer not covered
-// by known is reported dead (the *transport.PeerError itself) or the
-// communicator closes (ErrCommClosed) first. On error the posted receive has
-// been withdrawn, so it cannot steal a future message; a failed withdrawal
+// payload and status once it completes, or an error when stop — checked at
+// the start and after every change in the failure registry — returns one, or
+// the communicator closes (ErrCommClosed) first. On error the posted receive
+// has been withdrawn, so it cannot steal a future message; a failed withdrawal
 // means a delivery already committed (done closes imminently — deliver closes
 // it right after unhooking the receive), and the completed message wins over
 // the error.
-func (c *Comm) waitWatching(req *Request, known func(rank int) bool) (any, Status, error) {
+func (c *Comm) waitWatching(req *Request, stop func() error) (any, Status, error) {
 	for {
-		_, ch := c.failures.snapshot()
-		var err error
-		if pe := c.newFailure(known); pe != nil {
-			err = pe
-		} else {
+		ch := c.failures.changed()
+		err := stop()
+		if err == nil {
 			select {
 			case <-req.done:
 				return req.payload, req.status, nil
@@ -128,7 +142,7 @@ func (c *Comm) waitWatching(req *Request, known func(rank int) bool) (any, Statu
 			case <-c.closedCh:
 				err = ErrCommClosed
 			case <-ch:
-				continue // new failure recorded; re-check the predicate
+				continue // the registry changed; re-check stop
 			}
 		}
 		if c.mbox.cancel(req) {
@@ -149,7 +163,7 @@ func (c *Comm) waitWatching(req *Request, known func(rank int) bool) (any, Statu
 // blocked forever. The panic is recovered by Run/Execute (into a per-rank
 // error) or by a transaction guard (train's degrade mode).
 func (c *Comm) collWait(req *Request) (any, Status) {
-	payload, st, err := c.waitWatching(req, c.outsideGroup)
+	payload, st, err := c.waitWatching(req, c.deathOutside(c.outsideGroup))
 	if err != nil {
 		panic(transportFailure{err})
 	}
@@ -167,7 +181,7 @@ func (c *Comm) collWait(req *Request) (any, Status) {
 // a dead peer mid-drain surfaces as a value it can degrade around, not a
 // rank unwind.
 func (c *Comm) WaitPeerAware(req *Request, known func(rank int) bool) (any, Status, error) {
-	payload, st, err := c.waitWatching(req, known)
+	payload, st, err := c.waitWatching(req, c.deathOutside(known))
 	if err == ErrCommClosed {
 		err = fmt.Errorf("mpi: rank %d: %w", c.rank, ErrCommClosed)
 	}
@@ -178,24 +192,19 @@ func (c *Comm) WaitPeerAware(req *Request, known func(rank int) bool) (any, Stat
 // the deaths a collective can ignore.
 func (c *Comm) outsideGroup(rank int) bool { return c.groupIndex(rank) < 0 }
 
-// newFailure returns the lowest-ranked recorded failure not covered by
-// known, or nil.
-func (c *Comm) newFailure(known func(rank int) bool) *transport.PeerError {
-	c.failures.mu.Lock()
-	defer c.failures.mu.Unlock()
-	best := -1
-	for r := range c.failures.dead {
-		if known != nil && known(r) {
-			continue
+// deathOutside returns the stop condition of a wait that a reported death
+// not covered by known interrupts: the first such *transport.PeerError.
+func (c *Comm) deathOutside(known func(rank int) bool) func() error {
+	return func() error {
+		c.failures.mu.Lock()
+		defer c.failures.mu.Unlock()
+		for _, r := range c.failures.order {
+			if known == nil || !known(r) {
+				return c.failures.dead[r]
+			}
 		}
-		if best < 0 || r < best {
-			best = r
-		}
-	}
-	if best < 0 {
 		return nil
 	}
-	return c.failures.dead[best]
 }
 
 // CancelRecv withdraws a posted receive (e.g. the exchange scheduler's
@@ -261,30 +270,7 @@ func (c *Comm) groupIndex(rank int) int {
 // usual re-formation contract after a failure (compare MPI-ULFM's
 // MPI_Comm_shrink). Shrinking back to the full world is expressed by
 // passing all ranks.
-func (c *Comm) Shrink(live []int) error {
-	if len(live) == 0 {
-		return fmt.Errorf("mpi: Shrink: empty group")
-	}
-	g := append([]int(nil), live...)
-	for i, r := range g {
-		if r < 0 || r >= c.size {
-			return fmt.Errorf("mpi: Shrink: rank %d out of range [0,%d)", r, c.size)
-		}
-		if i > 0 && g[i-1] >= r {
-			return fmt.Errorf("mpi: Shrink: group not strictly sorted at index %d", i)
-		}
-	}
-	idx := sort.SearchInts(g, c.rank)
-	if idx == len(g) || g[idx] != c.rank {
-		return fmt.Errorf("mpi: Shrink: group does not contain this rank %d", c.rank)
-	}
-	if len(g) == c.size {
-		c.group, c.gidx = nil, c.rank
-		return nil
-	}
-	c.group, c.gidx = g, idx
-	return nil
-}
+func (c *Comm) Shrink(live []int) error { return c.regroup("Shrink", c.size, live) }
 
 // GroupRank returns this rank's index within the collective group (Rank()
 // for a full world). Callers that shard work across the group — validation
@@ -314,22 +300,37 @@ func (c *Comm) Guard(fn func() error) (err error) {
 	return fn()
 }
 
-// CollSeq returns the communicator's next collective sequence number. After
-// a recovery, survivors exchange these and realign with SetCollSeq so the
-// derived internal tag spaces stay in lock-step. Safe to call from any
+// CollSeq returns the communicator's next collective sequence number; its
+// high word is the membership generation (Generation). Safe to call from any
 // goroutine (telemetry samples it as a progress gauge).
 func (c *Comm) CollSeq() int { return int(c.collSeq.Load()) }
 
 // SetCollSeq realigns the collective sequence counter. seq must be at least
-// the current value on every surviving rank (typically max over survivors,
-// exchanged during reconciliation) so that no future collective reuses a
-// tag a sacrificed collective's stale frames still occupy. Must only be
-// called by the owning goroutine with no collective in flight.
+// the current value on every surviving rank so that no future collective
+// reuses a tag a sacrificed collective's stale frames still occupy. Must only
+// be called by the owning goroutine with no collective in flight.
 func (c *Comm) SetCollSeq(seq int) {
 	if cur := int(c.collSeq.Load()); seq < cur {
 		panic(fmt.Sprintf("mpi: SetCollSeq(%d): would rewind past %d and collide with stale tags", seq, cur))
 	}
 	c.collSeq.Store(int64(seq))
+}
+
+// Generation returns the membership generation, the count of re-formations
+// (persisted in snapshots): the high word of the collective sequence, so it
+// salts every collective's tags — no frame of an earlier generation matches
+// a live one — and the rebalance's (shuffle.RebalanceTag).
+func (c *Comm) Generation() int { return c.CollSeq() >> 32 }
+
+// EnterGeneration opens generation g, above the current one. Every member of
+// a re-formed group enters the same g before its next collective; a joiner
+// the one its admission names, a resumed rank its snapshot's.
+func (c *Comm) EnterGeneration(g int) error {
+	if cur := c.Generation(); g <= cur {
+		return fmt.Errorf("mpi: EnterGeneration(%d): generation %d is already open", g, cur)
+	}
+	c.SetCollSeq(g << 32)
+	return nil
 }
 
 // InflightCollectives returns the number of non-blocking collectives

@@ -362,3 +362,17 @@ func TestSetCollSeqRealign(t *testing.T) {
 	}()
 	c.SetCollSeq(1)
 }
+
+func TestEnterGeneration(t *testing.T) {
+	c := NewWorld(2).Comm(0)
+	c.SetCollSeq(7)
+	if err := c.EnterGeneration(2); err != nil || c.Generation() != 2 || c.CollSeq() != 2<<32 {
+		t.Fatalf("EnterGeneration(2): err %v, generation %d, sequence %#x", err, c.Generation(), c.CollSeq())
+	}
+	if err := c.EnterGeneration(2); err == nil {
+		t.Fatal("re-entering the open generation: want an error")
+	}
+	if got := collTagGeneration(collTag(c.CollSeq()+5, 3)); got != 2 {
+		t.Fatalf("a generation-2 collective's tag decodes to generation %d", got)
+	}
+}

@@ -2,8 +2,8 @@
 // ranks, non-blocking point-to-point operations between distinct ranks with
 // tag and ANY_SOURCE matching, and the collectives the trainer calls:
 // Allreduce for gradient averaging (blocking, or overlapped with
-// IAllreduceChunks), and Barrier, Bcast, Gather and AllgatherVarLen to agree
-// at epoch boundaries.
+// IAllreduceChunks), Barrier, Bcast, Gather and AllgatherVarLen, and Agree,
+// the fault-tolerant agreement that decides the epoch boundary.
 //
 // The paper's sample-exchange scheme (Algorithm 1) is specified in terms of
 // MPI_Isend/MPI_Irecv with MPI_ANY_SOURCE, and the trainer relies on
@@ -343,8 +343,14 @@ func Connect(dial func(transport.Handler) (transport.Conn, error)) (*Comm, error
 }
 
 // handleFrame is the transport delivery callback: it feeds inbound frames
-// into the rank's matching engine.
+// into the rank's matching engine, noting senders already in a later
+// generation (they left every collective of this one; see Agree).
 func (c *Comm) handleFrame(f transport.Frame) {
+	if f.Tag < 0 {
+		if g := collTagGeneration(f.Tag); g > c.Generation() {
+			c.failures.noteGeneration(f.Src, g)
+		}
+	}
 	c.mbox.deliver(message{src: f.Src, tag: f.Tag, payload: f.Payload, wire: f.Wire})
 }
 

@@ -12,11 +12,13 @@ package shuffle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/rng"
 	"plshuffle/internal/store"
+	"plshuffle/internal/transport"
 )
 
 // saltRebalance keeps the rebalance target permutation off every other
@@ -24,10 +26,11 @@ import (
 const saltRebalance uint64 = 0x4eba
 
 // RebalanceTag is the user tag of the rebalance window before epoch in
-// membership generation generation (layout table in internal/train/tags.go).
-// The generation salts it as it salts the collectives: a rebalance abandoned
-// to a death is retried — the same epoch, the next generation — and must not
-// match the frames the first attempt left in the mailboxes.
+// membership generation generation (mpi.Comm.Generation; layout table in
+// internal/train/tags.go). The generation salts it as it salts the
+// collectives: a rebalance abandoned to a death is retried — the same epoch,
+// the next generation — and must not match the frames the first attempt left
+// in the mailboxes.
 func RebalanceTag(generation, epoch int) int { return (generation+1)<<24 + 1<<23 + epoch }
 
 // RebalanceStats reports what one rank's share of a rebalance moved.
@@ -45,10 +48,11 @@ type RebalanceStats struct {
 // each misplaced sample from its holder to its target in the Scheduler's
 // transaction: one batched frame per destination, receives applied before
 // deletes (the exchange's storage discipline, so the transient peak is the
-// old share plus the incoming one), and nothing applied at all unless every
-// member received its share — a member's death meanwhile returns an error
-// carrying the *transport.PeerError (mpi.PeerErrorFrom) within the
-// transport's peer timeout and leaves this rank's store untouched.
+// old share plus the incoming one). One mpi.Agree on "received my share"
+// then commits the window on every member or abandons it on every member: a
+// member's death before the decision returns, on every survivor, an error
+// carrying the dead member's *transport.PeerError (mpi.PeerErrorFrom) and
+// leaves the store untouched.
 //
 // Every member must call Rebalance with the same (seed, epoch) at a
 // quiescent point — no exchange window open, no collective in flight. A
@@ -123,9 +127,8 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 		}
 	}
 
-	// One Scheduler window moves it. A member deletes what it sent only after
-	// every member has drained (the barrier), so a death before that leaves
-	// every survivor's store as it was.
+	// One Scheduler window moves it; the agreement commits it everywhere or
+	// nowhere.
 	sched, err := NewScheduler(c, st, 0, total, seed)
 	if err != nil {
 		return stats, err
@@ -137,20 +140,37 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 			sched.dead[r] = true
 		}
 	}
-	// The membership generation is the high word of the collective sequence
-	// (train's bumpGeneration), which every member reads alike.
-	if err := sched.Open(plan, RebalanceTag(c.CollSeq()>>32, epoch)); err != nil {
+	if err := sched.Open(plan, RebalanceTag(c.Generation(), epoch)); err != nil {
 		return stats, err
 	}
-	err = c.Guard(func() error {
-		if err := sched.Synchronize(); err != nil {
-			return err
-		}
-		c.Barrier()
-		return sched.CleanLocalStorage()
-	})
-	if err != nil {
+	syncErr := sched.Synchronize()
+	ok := 0
+	if syncErr == nil {
+		ok = 1
+	}
+	agreed, dead, err := mpi.Agree(c, []int{ok})
+	if err == nil && agreed[0] == 1 && len(dead) == 0 {
+		err = sched.commit()
+	} else {
 		sched.Reset()
+		switch {
+		case err != nil:
+		case len(dead) > 0:
+			// Named by the first this rank saw die (see train's deadPeer).
+			err = &transport.PeerError{Rank: dead[0], Phase: "agree"}
+			for _, r := range c.FailedPeers() {
+				if slices.Contains(dead, r) {
+					err = c.PeerFailure(r)
+					break
+				}
+			}
+		case syncErr != nil:
+			err = syncErr
+		default:
+			err = fmt.Errorf("a member did not receive its share")
+		}
+	}
+	if err != nil {
 		return stats, fmt.Errorf("shuffle: Rebalance: %w", err)
 	}
 	stats.Sent, stats.Received = plan.Slots(), len(plan.Senders)

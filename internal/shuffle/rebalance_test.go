@@ -367,7 +367,7 @@ func TestRebalanceUnderDeath(t *testing.T) {
 // frame per (sender, destination) on the wire — GroupSize−1 per sender —
 // however many samples move. The window's frames are what the rank's
 // data-kind frame counter grows by beyond the rebalance's two collectives,
-// which a calibration round of the same gather and barrier measures.
+// which a calibration round of the same gather and agreement measures.
 func TestRebalanceJoinFramesTCP(t *testing.T) {
 	const n, members, m, seed = 400, 4, 5, 5
 	dataFrames := func(c *mpi.Comm) int64 {
@@ -385,7 +385,9 @@ func TestRebalanceJoinFramesTCP(t *testing.T) {
 		}
 		f0 := dataFrames(c)
 		mpi.AllgatherVarLen(c, st.IDs())
-		c.Barrier()
+		if _, _, err := mpi.Agree(c, []int{1}); err != nil {
+			return err
+		}
 		f1 := dataFrames(c)
 		stats, err := Rebalance(c, st, seed, 1)
 		if err != nil {

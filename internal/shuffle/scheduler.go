@@ -536,6 +536,12 @@ func (s *Scheduler) CleanLocalStorage() error {
 	if err := s.notePeerFailures(); err != nil {
 		return err
 	}
+	return s.commit()
+}
+
+// commit applies a synchronized window to the store; the rebalance calls it
+// directly, its agreement having decided the window.
+func (s *Scheduler) commit() error {
 	if s.sentScratch == nil {
 		s.sentScratch = make(map[int]bool, len(s.plan.SendIDs))
 	} else {
@@ -597,16 +603,4 @@ func (s *Scheduler) recycle(sample data.Sample) {
 		}
 	}
 	s.features.Recycle(f)
-}
-
-// RunEpochExchange is the convenience bundle Scheduling → Communicate(-1)
-// → Synchronize → CleanLocalStorage for callers that do not overlap.
-func (s *Scheduler) RunEpochExchange(epoch int) error {
-	if err := s.Scheduling(epoch); err != nil {
-		return err
-	}
-	if err := s.Synchronize(); err != nil {
-		return err
-	}
-	return s.CleanLocalStorage()
 }

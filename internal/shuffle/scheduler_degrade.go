@@ -6,21 +6,10 @@ package shuffle
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/transport"
 )
-
-// DeadRanks returns the sorted ranks this scheduler has absorbed as dead.
-func (s *Scheduler) DeadRanks() []int {
-	out := make([]int, 0, len(s.dead))
-	for r := range s.dead {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // DegradedSlots reports the current epoch's canceled exchange slots:
 // sendSlots had a dead destination (their samples are retained locally),

@@ -56,6 +56,18 @@ func chaosScripts(n, victim, killEpoch int, resets bool) []faultinject.Script {
 	return scripts
 }
 
+// setAgreeHook installs testAgreeHook for the rest of the test.
+func setAgreeHook(t *testing.T, hook func(c *mpi.Comm, point string, epoch int)) {
+	restore := testAgreeHook
+	testAgreeHook = hook
+	t.Cleanup(func() { testAgreeHook = restore })
+}
+
+// collTag is mpi's internal tag for phase (an agreement round, a gather) of
+// the collective with sequence number seq; a hook reads seq from
+// Comm.CollSeq and arms a crash on it (faultinject.Conn.CrashOn).
+func collTag(seq, phase int) int { return -(2 + seq<<20 + phase) }
+
 func chaosWrap(scripts []faultinject.Script, conns []*faultinject.Conn) transporttest.WrapConn {
 	return func(rank int, inner transport.Conn) transport.Conn {
 		c := faultinject.New(inner, scripts[rank])
@@ -99,6 +111,12 @@ func runRanks(t *testing.T, b transporttest.Backend, n int, program func(c *mpi.
 				rrs[rank] = rr
 				return err
 			})
+			if k, ok := comms[rank].Transport().(transport.Killer); ok && errs[rank] != nil {
+				// A rank whose program fails is a process that exits: its
+				// endpoint goes with it, so its peers see it die instead of
+				// waiting for it in an agreement.
+				k.Kill()
+			}
 		}(r)
 	}
 	done := make(chan struct{})

@@ -13,12 +13,10 @@ package train
 //
 //  1. Every rank encodes its sections and durably writes rank-R.snap.tmp
 //     (write + fsync; checkpoint.WriteTemp).
-//  2. Non-root ranks report {crc32c, size} to the group root on the
-//     checkpoint tag, then rename .tmp → .snap (checkpoint.Commit).
-//  3. The root commits its own file, gathers every member's report with
-//     failure-aware waits, and atomically writes MANIFEST.json.
-//  4. Barrier: nobody trains past the boundary until the snapshot
-//     generation is fully on disk.
+//  2. The {crc32c, size} reports reach the group root through one Gather.
+//  3. One mpi.Agree on "wrote ok": on an agreed 1 with nobody dead every rank
+//     renames .tmp → .snap (checkpoint.Commit) and the root atomically writes
+//     MANIFEST.json; otherwise nobody does.
 //
 // The manifest is the snapshot's commit point: LoadLatest ignores
 // directories without one and verifies every listed rank file against its
@@ -33,7 +31,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"sort"
 	"time"
 
 	"plshuffle/internal/analysis"
@@ -110,92 +107,81 @@ func (w *worker) snapshotSections() (map[string][]byte, error) {
 	return sections, nil
 }
 
-// saveCheckpoint runs the commit protocol described at the top of the file.
-// Call it under a Guard at an epoch boundary. Disk failures are fatal to the
-// rank in every mode; peer failures are fatal under "abort", while the
-// degrade path in train() funnels them into the usual shrink-and-continue
-// recovery (a fast rank can be dead in the NEXT epoch's exchange while slow
-// ranks still sit in this barrier).
+// saveCheckpoint runs the commit protocol described at the top of the file,
+// under a Guard at an epoch boundary. A disk failure is fatal; a death
+// returns a *transport.PeerError on every survivor alike (reform decides).
 func (w *worker) saveCheckpoint(nextEpoch int) error {
 	t0 := time.Now()
 	dir := checkpoint.Dir(w.cfg.CheckpointDir, nextEpoch)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	sections, err := w.snapshotSections()
-	if err != nil {
-		return err
-	}
-	image := checkpoint.EncodeSnapshot(sections)
+	path := checkpoint.RankPath(dir, w.comm.Rank())
+	image, werr := w.writeSnapshot(dir, path)
 	crc := checkpoint.CRC(image)
-	rank := w.comm.Rank()
-	path := checkpoint.RankPath(dir, rank)
-	if err := checkpoint.WriteTemp(path, image); err != nil {
-		return err
-	}
 	group := w.comm.GroupRanks()
 	root := group[0]
-	tag := ckptTag(w.generation, nextEpoch)
-	if rank != root {
-		// Report the durably-written temp to the root, then commit. The
-		// chaos tests crash a rank exactly at this send: its torn .tmp is
-		// never renamed and the root never writes a manifest, so the
-		// half-born snapshot stays invisible to LoadLatest.
-		if _, pe := w.comm.SendPeerAware(root, tag, []int{int(crc), len(image)}); pe != nil {
-			return pe
-		}
-		if err := checkpoint.Commit(path); err != nil {
-			return err
-		}
-	} else {
-		if err := checkpoint.Commit(path); err != nil {
-			return err
-		}
-		inGroup := make(map[int]bool, len(group))
-		for _, r := range group {
-			inGroup[r] = true
-		}
-		known := func(r int) bool { return !inGroup[r] }
-		ranks := []checkpoint.RankFile{{Rank: rank, CRC: crc, Size: int64(len(image))}}
-		for _, r := range group {
-			if r == root {
-				continue
-			}
-			req := w.comm.Irecv(r, tag)
-			payload, _, err := w.comm.WaitPeerAware(req, known)
-			if err != nil {
-				return fmt.Errorf("gathering checkpoint report from rank %d: %w", r, err)
-			}
-			rep, ok := payload.([]int)
-			if !ok || len(rep) != 2 {
-				return fmt.Errorf("malformed checkpoint report from rank %d: %T", r, payload)
-			}
-			ranks = append(ranks, checkpoint.RankFile{Rank: r, CRC: uint32(rep[0]), Size: int64(rep[1])})
-		}
-		sort.Slice(ranks, func(i, j int) bool { return ranks[i].Rank < ranks[j].Rank })
+	testAgreeHook(w.comm, "checkpoint", nextEpoch)
+	// A death that unwinds the gather votes 0, and still takes part.
+	var reports []int
+	gerr := w.comm.Guard(func() error {
+		reports = mpi.Gather(w.comm, []int{int(crc), len(image)}, root)
+		return nil
+	})
+	ok := 0
+	if werr == nil && gerr == nil {
+		ok = 1
+	}
+	agreed, dead, err := mpi.Agree(w.comm, []int{ok})
+	switch {
+	case err != nil:
+		return err
+	case werr != nil:
+		return werr
+	case len(dead) > 0:
+		return deadPeer(w.comm, dead)
+	case agreed[0] == 0:
+		return fmt.Errorf("checkpoint before epoch %d abandoned: a member could not write its snapshot", nextEpoch)
+	}
+	if err := checkpoint.Commit(path); err != nil {
+		return err
+	}
+	if w.comm.Rank() == root {
 		meta := checkpoint.Meta{
 			NextEpoch:   nextEpoch,
 			WorldSize:   w.comm.Size(),
-			Generation:  w.generation,
+			Generation:  w.comm.Generation(),
 			Seed:        w.cfg.Seed,
 			Fingerprint: configFingerprint(w.cfg),
-			Ranks:       ranks,
+		}
+		for i, r := range group {
+			meta.Ranks = append(meta.Ranks, checkpoint.RankFile{Rank: r, CRC: uint32(reports[2*i]), Size: int64(reports[2*i+1])})
 		}
 		if len(group) != w.comm.Size() {
 			// Satellite of DESIGN.md §15: a degraded world persists its
 			// post-shrink group so a resume restores the shrunken partition
 			// instead of silently reverting to the pre-failure one.
-			meta.Group = append([]int(nil), group...)
+			meta.Group = group
 		}
 		if err := checkpoint.WriteManifest(dir, meta); err != nil {
 			return err
 		}
 	}
-	w.comm.Barrier()
 	w.tm.CheckpointWrites.Add(1)
 	w.tm.CheckpointNs.Add(int64(time.Since(t0)))
 	w.tm.CheckpointBytes.Add(int64(len(image)))
 	return nil
+}
+
+// writeSnapshot encodes this rank's sections and durably writes them to
+// path's temp file (step 1), returning the image.
+func (w *worker) writeSnapshot(dir, path string) ([]byte, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	sections, err := w.snapshotSections()
+	if err != nil {
+		return nil, err
+	}
+	image := checkpoint.EncodeSnapshot(sections)
+	return image, checkpoint.WriteTemp(path, image)
 }
 
 // resumeState is a loaded snapshot: the manifest and this rank's decoded
@@ -292,7 +278,11 @@ func (w *worker) applyResume(rs *resumeState) error {
 		w.setQ(q, reason)
 	}
 	w.startEpoch = rs.meta.NextEpoch
-	w.generation = rs.meta.Generation
+	if g := rs.meta.Generation; g > 0 {
+		if err := w.comm.EnterGeneration(g); err != nil {
+			return fmt.Errorf("train: resume: %w", err)
+		}
+	}
 	if rs.meta.Group != nil {
 		w.shortData = true
 	}

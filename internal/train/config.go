@@ -88,8 +88,9 @@ type Config struct {
 	// gradients are written — while earlier layers are still computing
 	// backward. False selects the same path with a single bucket spanning
 	// the model — one ring launched when backward ends, the serial A/B
-	// baseline (-overlap-grads=false on the CLIs); the resulting weights are
-	// bitwise identical.
+	// baseline that TestOverlapBitwiseEquivalence(OverTCP), TestOverlapStats
+	// and the overlap benchmarks set (no flag selects it); the resulting
+	// weights are bitwise identical.
 	OverlapGrads bool
 	// WarmStart, if non-nil, initializes every worker's weights from these
 	// parameters instead of random init (Fig 8 downstream training and the

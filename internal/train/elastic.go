@@ -10,19 +10,20 @@ package train
 //	root drains PendingJoins             blocks on Irecv(admitTag)
 //	Bcast join list over group
 //	AdmitPeer each joiner
-//	bumpGeneration,
+//	EnterGeneration(next),
 //	Grow(newSize, newGroup)
 //	root sends admission ──────────────▶ Grow(newSize, newGroup),
-//	                                     bumpGeneration to the members'
+//	                                     EnterGeneration(the members')
 //	Barrier over grown group ◀─────────▶ Barrier
 //	resync (root's weights and Q) ◀────▶ resync
 //	Rebalance stored samples ◀─────────▶ Rebalance (receives its share)
 //	train epoch e                        train() from startEpoch = e
 //
 // The rebalance is one shuffle.Scheduler window on RebalanceTag(generation,
-// e): a member's death inside it reaches every other member and the joiner
-// as a typed peer error with the stores untouched (DESIGN.md §15.4 says what
-// each failure policy does next).
+// e), committed or abandoned on every member alike by one mpi.Agree: a
+// member's death inside it reaches every other member and the joiner as a
+// typed peer error with the stores untouched (DESIGN.md §15.4 says what each
+// failure policy does next).
 //
 // The admission message is point-to-point on a per-joiner tag, so a joiner
 // can never confuse another joiner's admission (or a stale epoch's) with
@@ -34,6 +35,7 @@ package train
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/shuffle"
@@ -118,12 +120,14 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 				return err
 			}
 		}
-		group = unionSorted(group, []int{jr.Rank})
+		if i, found := slices.BinarySearch(group, jr.Rank); !found {
+			group = slices.Insert(group, i, jr.Rank)
+		}
 		if jr.Rank+1 > newSize {
 			newSize = jr.Rank + 1
 		}
 	}
-	if err := w.bumpGeneration(); err != nil {
+	if err := w.comm.EnterGeneration(w.comm.Generation() + 1); err != nil {
 		return err
 	}
 	if err := w.comm.Grow(newSize, group); err != nil {
@@ -133,7 +137,7 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 	if w.comm.Rank() == root {
 		for _, jr := range joins {
 			w.comm.Isend(jr.Rank, admitTag(jr.Rank), encodeAdmit(admitMsg{
-				size: newSize, generation: w.generation, epoch: epoch,
+				size: newSize, generation: w.comm.Generation(), epoch: epoch,
 				short: w.shortData, group: group,
 			}))
 		}
@@ -144,12 +148,17 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 	if err := w.resync(epoch); err != nil {
 		return err
 	}
-	if w.local != nil {
-		if _, err := shuffle.Rebalance(w.comm, w.local, w.cfg.Seed, epoch); err != nil {
-			return err
-		}
+	return w.rebalance(epoch)
+}
+
+// rebalance deals the grown group's stores a balanced partition.
+func (w *worker) rebalance(epoch int) error {
+	if w.local == nil {
+		return nil
 	}
-	return nil
+	testAgreeHook(w.comm, "rebalance", epoch)
+	_, err := shuffle.Rebalance(w.comm, w.local, w.cfg.Seed, epoch)
+	return err
 }
 
 // JoinRank enters an already-running elastic world as a fresh rank: it
@@ -179,15 +188,21 @@ func JoinRank(c *mpi.Comm, cfg Config) (*RankResult, error) {
 		defer w.tier.Close()
 	}
 	// Rendezvous with the members' post-grow Barrier, then adopt the current
-	// replica state and take this rank's share of the samples.
-	c.Barrier()
-	if err := w.resync(adm.epoch); err != nil {
-		return nil, err
-	}
-	if w.local != nil {
-		if _, err := shuffle.Rebalance(c, w.local, cfg.Seed, adm.epoch); err != nil {
-			return nil, err
+	// replica state and take this rank's share of the samples. A death meanwhile
+	// abandons the admission on every member; the joiner does not re-enter.
+	err = c.Guard(func() error {
+		c.Barrier()
+		if err := w.resync(adm.epoch); err != nil {
+			return err
 		}
+		return w.rebalance(adm.epoch)
+	})
+	if pe, ok := mpi.PeerErrorFrom(err); ok {
+		err = fmt.Errorf("train: JoinRank: admission before epoch %d in generation %d abandoned: member rank %d died; not re-entering: %w",
+			adm.epoch, adm.generation, pe.Rank, err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return w.run()
 }

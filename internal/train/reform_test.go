@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,13 +16,16 @@ import (
 	"plshuffle/internal/transport/transporttest"
 )
 
-// TestReformationMatrix drives the one re-formation path (bumpGeneration +
+// TestReformationMatrix drives the one re-formation path (EnterGeneration +
 // resync) through every way a group changes shape — a rank killed
 // mid-exchange, a rank joining, and both in one run — with a fixed Q and with
-// the controller live. Whatever the event, from it on every live member
-// reports one Q trajectory and ends on bitwise-identical weights, the stores
-// stay disjoint and conserved, every member's collective sequence sits in
-// the generation the events opened, and no goroutine outlives the world.
+// the controller live, and kills a member inside each of the boundary's
+// agreements: the checkpoint's, the post-join rebalance's, and the recovery's
+// own. Whatever the event, from it on every live member reports one Q
+// trajectory and ends on bitwise-identical weights, the stores stay disjoint
+// and conserved, every member sits in the generation the events opened, and
+// no goroutine outlives the world; under abort every survivor names the
+// member that died first.
 func TestReformationMatrix(t *testing.T) {
 	const (
 		epochs  = 5
@@ -36,7 +41,13 @@ func TestReformationMatrix(t *testing.T) {
 		// or, with inRebalance, on its second frame of the post-join rebalance.
 		victim, killEpoch int
 		inRebalance       bool
-		policy            string // OnPeerFail when a victim is scripted; "" = degrade
+		// agree names the boundary agreement agreeVictim dies inside, after its
+		// first round reached only some peers: "checkpoint" (before epoch 2),
+		// "rebalance" (the post-join one) or "reconcile" (the recovery from
+		// victim's death).
+		agree       string
+		agreeVictim int
+		policy      string // OnPeerFail when a victim is scripted; "" = degrade
 		// event is the first epoch the re-formed group shares; generations is
 		// how many re-formations every live member has been through by the end.
 		event, generations int
@@ -46,6 +57,11 @@ func TestReformationMatrix(t *testing.T) {
 		{name: "grow-then-shrink", capacity: 5, members: 4, victim: 2, killEpoch: 2, event: 1, generations: 2},
 		{name: "grow-killed-in-rebalance-abort", capacity: 5, members: 4, victim: 2, inRebalance: true, policy: "abort"},
 		{name: "grow-killed-in-rebalance-degrade", capacity: 5, members: 4, victim: 2, inRebalance: true, policy: "degrade", event: 1, generations: 2},
+		{name: "checkpoint-agree-killed-abort", capacity: 4, members: 4, victim: -1, agree: "checkpoint", agreeVictim: 2, policy: "abort"},
+		{name: "checkpoint-agree-killed-degrade", capacity: 4, members: 4, victim: -1, agree: "checkpoint", agreeVictim: 2, policy: "degrade", event: 2, generations: 1},
+		{name: "grow-killed-in-rebalance-agree-abort", capacity: 5, members: 4, victim: -1, inRebalance: true, agree: "rebalance", agreeVictim: 2, policy: "abort"},
+		{name: "grow-killed-in-rebalance-agree-degrade", capacity: 5, members: 4, victim: -1, inRebalance: true, agree: "rebalance", agreeVictim: 2, policy: "degrade", event: 1, generations: 2},
+		{name: "shrink-killed-in-reconcile-agree", capacity: 4, members: 4, victim: 2, killEpoch: 1, agree: "reconcile", agreeVictim: 1, policy: "degrade", event: 1, generations: 1},
 	}
 	type backend struct {
 		name string
@@ -63,8 +79,16 @@ func TestReformationMatrix(t *testing.T) {
 		for _, tc := range cases {
 			for _, autoQ := range []bool{false, true} {
 				be, tc, autoQ := be, tc, autoQ
-				if tc.inRebalance && autoQ {
-					continue // the controller plays no part in a failed admission
+				if (tc.inRebalance || tc.agree != "" || tc.policy == "abort") && autoQ {
+					continue // the controller plays no part in a failed admission, an aborted run or an agreement
+				}
+				// killed lists the scripted deaths in order; survivors name the first.
+				var killed []int
+				if tc.victim >= 0 {
+					killed = append(killed, tc.victim)
+				}
+				if tc.agree != "" {
+					killed = append(killed, tc.agreeVictim)
 				}
 				mode := "fixed-q"
 				if autoQ {
@@ -73,13 +97,18 @@ func TestReformationMatrix(t *testing.T) {
 				t.Run(be.name+"/"+tc.name+"/"+mode, func(t *testing.T) {
 					base := runtime.NumGoroutine()
 					ds := testDataset(t, samples, 4)
+					ckptDir := ""
+					if tc.agree == "checkpoint" {
+						ckptDir = t.TempDir()
+					}
 					mkConfig := func(workers int) Config {
 						cfg := baseConfig(t, ds, workers, shuffle.Partial(q))
 						cfg.Epochs = epochs
 						cfg.PartitionLocality = 0.8 // skewed shards: the controller has something to decide
 						cfg.AutoQ = autoQ
 						cfg.Elastic = tc.members < tc.capacity
-						if tc.victim >= 0 {
+						cfg.CheckpointDir = ckptDir
+						if len(killed) > 0 {
 							cfg.OnPeerFail = "degrade"
 							if tc.policy != "" {
 								cfg.OnPeerFail = tc.policy
@@ -90,28 +119,31 @@ func TestReformationMatrix(t *testing.T) {
 
 					conns := make([]*faultinject.Conn, tc.capacity)
 					scripts := chaosScripts(tc.capacity, tc.victim, tc.killEpoch, false)
-					if tc.inRebalance {
+					if tc.inRebalance && tc.agree == "" {
 						// The join is admitted before epoch 1, in generation 1.
 						scripts[tc.victim].CrashTag = shuffle.RebalanceTag(1, 1)
 					}
+					if tc.agree != "" {
+						setAgreeHook(t, func(c *mpi.Comm, point string, epoch int) {
+							if c.Rank() != tc.agreeVictim || point != tc.agree || point == "checkpoint" && epoch != 2 {
+								return
+							}
+							// The checkpoint's and the rebalance's agreement follow one
+							// gather; the recovery's is its generation's first collective.
+							seq := c.CollSeq()
+							if point != "reconcile" {
+								seq++
+							}
+							conns[c.Rank()].CrashOn(collTag(seq, 0), 2)
+						})
+					}
 					b := be.mk(chaosWrap(scripts, conns))
-					collSeq := make([]int, tc.capacity)
+					gens := make([]int, tc.capacity)
 					var joinOnce sync.Once
 					rrs, errs := runRanks(t, b, tc.capacity, func(c *mpi.Comm) (*RankResult, error) {
-						defer func() { collSeq[c.Rank()] = c.CollSeq() }()
+						defer func() { gens[c.Rank()] = c.Generation() }()
 						if c.Rank() >= tc.members {
-							// A joining process whose JoinRank fails (by error or by unwinding)
-							// exits, and its sockets close with it; here the endpoint
-							// outlives the goroutine unless it is torn down by hand.
-							joined := false
-							defer func() {
-								if !joined {
-									conns[c.Rank()].Kill()
-								}
-							}()
-							rr, err := JoinRank(c, mkConfig(tc.capacity))
-							joined = err == nil
-							return rr, err
+							return JoinRank(c, mkConfig(tc.capacity))
 						}
 						cfg := mkConfig(tc.members)
 						if tc.members < tc.capacity {
@@ -139,21 +171,25 @@ func TestReformationMatrix(t *testing.T) {
 
 					var live []int
 					for r := 0; r < tc.capacity; r++ {
-						if r == tc.victim {
+						if slices.Contains(killed, r) {
 							if !errors.Is(errs[r], faultinject.ErrCrashed) {
 								t.Fatalf("victim rank %d: err %v, want the scripted crash", r, errs[r])
 							}
 							continue
 						}
-						// A death inside the post-join rebalance is fatal to the
-						// admission: the joiner under either policy, and under
-						// abort every member, ends with the typed error naming the
-						// victim. Under degrade the members re-form without the
-						// joiner and train on from the stores the abandoned
+						// Under abort every survivor ends with the typed error naming
+						// the first death. A death inside the post-join rebalance is
+						// fatal to the admission under either policy: the joiner says
+						// so in one line. Under degrade the members re-form without
+						// the joiner and train on from the stores the abandoned
 						// rebalance left untouched.
-						if tc.inRebalance && (tc.policy == "abort" || r >= tc.members) {
-							if pe, ok := mpi.PeerErrorFrom(errs[r]); !ok || pe.Rank != tc.victim {
-								t.Fatalf("rank %d: err %v, want one carrying a PeerError for rank %d", r, errs[r], tc.victim)
+						if tc.policy == "abort" || (tc.inRebalance && r >= tc.members) {
+							if pe, ok := mpi.PeerErrorFrom(errs[r]); !ok || pe.Rank != killed[0] {
+								t.Fatalf("rank %d: err %v, want one carrying a PeerError for rank %d", r, errs[r], killed[0])
+							}
+							line := fmt.Sprintf("admission before epoch 1 in generation 1 abandoned: member rank %d died", killed[0])
+							if r >= tc.members && !strings.Contains(errs[r].Error(), line) {
+								t.Fatalf("joiner: err %q, want it to say %q", errs[r], line)
 							}
 							continue
 						}
@@ -219,17 +255,25 @@ func TestReformationMatrix(t *testing.T) {
 						}
 					}
 					lost := samples - len(holder)
-					maxLost := 0
-					if tc.victim >= 0 {
-						maxLost = int(float64(samples/tc.members)*(1+q)) + tc.capacity
-					}
+					maxLost := len(killed) * (int(float64(samples/tc.members)*(1+q)) + tc.capacity)
 					if lost > maxLost {
 						t.Errorf("%d samples missing from the live stores, at most %d may have died with a rank", lost, maxLost)
 					}
+					if len(killed) == 0 {
+						// Nobody died: the rebalance left a ±1-balanced cover of the
+						// dataset, and balanced exchanges keep it one.
+						lo, hi := samples, 0
+						for _, r := range live {
+							lo, hi = min(lo, len(rrs[r].FinalLocalIDs)), max(hi, len(rrs[r].FinalLocalIDs))
+						}
+						if lost != 0 || hi-lo > 1 {
+							t.Errorf("stores hold %d..%d samples, %d missing; want a ±1-balanced cover", lo, hi, lost)
+						}
+					}
 
 					for _, r := range live {
-						if collSeq[r] < tc.generations<<32 {
-							t.Errorf("rank %d ended at collective sequence %#x, below generation %d's base", r, collSeq[r], tc.generations)
+						if gens[r] < tc.generations {
+							t.Errorf("rank %d ended in generation %d, want at least %d", r, gens[r], tc.generations)
 						}
 					}
 					waitGoroutines(t, base)

@@ -50,8 +50,8 @@ type EpochStats struct {
 	IOTime, ExchangeTime, FWBWTime, GEWUTime time.Duration
 	// ValidateTime is the sharded evaluation after the epoch (zero when the
 	// epoch was disrupted before validating). CheckpointTime is the snapshot
-	// encode + write + commit barrier at the epoch's boundary, including a
-	// post-recovery snapshot (zero when none was due).
+	// encode + write + agreement + commit at the epoch's boundary, including
+	// a post-recovery snapshot (zero when none was due).
 	ValidateTime, CheckpointTime time.Duration
 	// DegradedSlots counts the exchange slots this epoch forfeited because
 	// their partner rank was dead (send slots whose destination died plus

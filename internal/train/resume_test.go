@@ -2,6 +2,7 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 
 	"plshuffle/internal/checkpoint"
 	"plshuffle/internal/data"
+	"plshuffle/internal/mpi"
 	"plshuffle/internal/shuffle"
 	"plshuffle/internal/transport/faultinject"
 	"plshuffle/internal/transport/transporttest"
@@ -274,25 +276,38 @@ func TestDegradedCheckpointResume(t *testing.T) {
 		t.Fatalf("full-size resume of a degraded snapshot: %v, want degraded-group refusal", err)
 	}
 
-	// Relaunch with the surviving count: new rank i adopts live[i]'s state
-	// and the run completes on the short stores.
+	// Relaunch with the surviving count: new rank i adopts live[i]'s state,
+	// every rank enters the snapshot's generation, and the run completes on
+	// the short stores.
+	if meta.Generation == 0 {
+		t.Fatal("snapshot of a shrunken group records generation 0")
+	}
 	resumed := baseConfig(t, ds, workers-1, shuffle.Partial(0.5))
 	resumed.Epochs = epochs + 2
 	resumed.CheckpointDir = cfg.CheckpointDir
 	resumed.Resume = true
-	res, err := Run(resumed)
+	err = mpi.Run(workers-1, func(c *mpi.Comm) error {
+		rr, err := RunRank(c, resumed)
+		if err != nil {
+			return err
+		}
+		if len(rr.Epochs) != 2 {
+			return fmt.Errorf("rank %d: degraded resume trained %d epochs, want 2", c.Rank(), len(rr.Epochs))
+		}
+		if g := c.Generation(); g != meta.Generation {
+			return fmt.Errorf("rank %d resumed in generation %d, the snapshot's is %d", c.Rank(), g, meta.Generation)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.Epochs) != 2 {
-		t.Fatalf("degraded resume trained %d epochs, want 2", len(res.Epochs))
 	}
 }
 
 // TestChaosCrashMidCheckpoint is the second satellite: a rank dies exactly
-// while reporting its checkpoint CRC to the root. The half-born snapshot —
-// a torn temp file, committed peers, no manifest — must stay invisible, and
-// a fresh world must resume from the previous complete snapshot and land
+// while reporting its checkpoint CRC to the root (the report gather). The
+// half-born snapshot — a torn temp file, no manifest — must stay invisible,
+// and a fresh world must resume from the previous complete snapshot and land
 // bitwise on the uninterrupted run.
 func TestChaosCrashMidCheckpoint(t *testing.T) {
 	const (
@@ -315,12 +330,16 @@ func TestChaosCrashMidCheckpoint(t *testing.T) {
 	cfg.Epochs = epochs
 	cfg.CheckpointDir = t.TempDir()
 
-	// Crash the victim on its first frame tagged with the epoch-2 boundary's
-	// checkpoint tag: that is the CRC report sent AFTER its temp file was
-	// durably written but BEFORE the rename — the torn-file window.
+	// Crash the victim on its first frame of the epoch-2 boundary's report
+	// gather: the CRC report sent AFTER its temp file was durably written but
+	// BEFORE the rename — the torn-file window.
 	scripts := make([]faultinject.Script, workers)
-	scripts[victim] = faultinject.Script{CrashTag: ckptTag(0, 2), CrashCount: 1}
 	conns := make([]*faultinject.Conn, workers)
+	setAgreeHook(t, func(c *mpi.Comm, point string, epoch int) {
+		if c.Rank() == victim && point == "checkpoint" && epoch == 2 {
+			conns[victim].CrashOn(collTag(c.CollSeq(), 0), 1)
+		}
+	})
 	b := transporttest.InprocWrapped("ckpt-crash", chaosWrap(scripts, conns))
 	_, errs := runChaosWorld(t, b, workers, cfg)
 	for r, err := range errs {

@@ -28,16 +28,13 @@ func TestTagSpacesDisjoint(t *testing.T) {
 	for _, r := range edges(maxRank) {
 		spaces[1].tags = append(spaces[1].tags, admitTag(r))
 	}
-	// Checkpoint and rebalance tags: one interval each per generation;
-	// nextEpoch runs to Epochs, itself below maxEpochs.
+	// Rebalance tags: one interval per generation.
 	for _, g := range []int{0, 1, 2, 1 << 10, 1 << 30} {
-		ck := space{name: "checkpoint", lo: (g + 1) << 24, hi: (g+1)<<24 + 1<<20 - 1}
 		rb := space{name: "rebalance", lo: (g+1)<<24 + 1<<23, hi: (g+1)<<24 + 1<<23 + 1<<20 - 1}
 		for _, e := range edges(maxEpochs - 1) {
-			ck.tags = append(ck.tags, ckptTag(g, e))
 			rb.tags = append(rb.tags, shuffle.RebalanceTag(g, e))
 		}
-		spaces = append(spaces, ck, rb)
+		spaces = append(spaces, rb)
 	}
 	for i, a := range spaces {
 		for _, tag := range a.tags {

@@ -22,7 +22,7 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 	w.tm.Register(reg, rank)
 	w.tm.EpochsTotal.SetInt(int64(w.cfg.Epochs))
 	w.tm.WorldSize.SetInt(int64(w.comm.GroupSize()))
-	w.tm.Generation.SetInt(int64(w.generation))
+	w.tm.Generation.SetInt(int64(w.comm.Generation()))
 
 	// --- mpi runtime ---
 	c := w.comm

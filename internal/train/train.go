@@ -202,12 +202,9 @@ type worker struct {
 	// exchEpoch is the epoch whose exchange is currently open (-1 when no
 	// Scheduling…CleanLocalStorage window is in flight) — the recovery path
 	// uses it to decide whether the disrupted epoch's exchange must be
-	// completed or abandoned. generation counts group re-formations (shrinks
-	// AND grows); it seeds the deterministic collective-sequence realignment
-	// every member computes without communicating, and it is persisted in
-	// checkpoints so a resumed world keeps counting from where it left off.
-	exchEpoch  int
-	generation int
+	// completed or abandoned. The membership generation lives in the
+	// communicator (mpi.Comm.Generation).
+	exchEpoch int
 	// startEpoch is the first epoch this rank trains — non-zero after a
 	// resume (the snapshot's NextEpoch) or a mid-run join (the epoch the
 	// admission message named).
@@ -341,10 +338,9 @@ func newWorker(c *mpi.Comm, cfg Config, rs *resumeState, adm *admitMsg) (*worker
 			return nil, err
 		}
 	case adm != nil:
-		// The joiner takes the same generation bump the members took when
-		// they admitted it, and lands on their collective sequence base.
-		w.generation = adm.generation - 1
-		if err := w.bumpGeneration(); err != nil {
+		// The joiner enters the generation the members opened when they
+		// admitted it, and lands on their collective sequence base.
+		if err := c.EnterGeneration(adm.generation); err != nil {
 			return nil, err
 		}
 		w.startEpoch, w.joinedEpoch, w.shortData = adm.epoch, adm.epoch, adm.short
@@ -473,11 +469,9 @@ func (w *worker) train() ([]EpochStats, error) {
 			}
 		}
 		if err == nil {
-			// The whole per-epoch block runs under a Guard: in degrade mode a
-			// peer death unwinds the current collective on every survivor
-			// (mpi.collWait) and surfaces here as a typed error instead of
-			// killing the rank — the transaction boundary at which the group
-			// re-forms.
+			// Under a Guard a peer death unwinds the current collective on every
+			// survivor (mpi.collWait) into a typed error: the transaction
+			// boundary at which the group re-forms.
 			err = w.comm.Guard(func() error {
 				if err := w.runEpoch(epoch, &es); err != nil {
 					return err
@@ -494,14 +488,10 @@ func (w *worker) train() ([]EpochStats, error) {
 		}
 		if err == nil {
 			mine, stats = len(stats), append(stats, es)
-			// The controller retunes Q at this boundary — after the epoch's
-			// collectives settle, BEFORE the snapshot — so the checkpoint
-			// already carries the next epoch's decided fraction and a resume
-			// replays the trajectory bitwise (DESIGN.md §16). It runs at the
-			// FINAL boundary too: a run stopped at Epochs=k and resumed must
-			// see the same decision the uninterrupted run made there. A peer
-			// death during the gather or broadcast funnels into the same
-			// recovery as a mid-epoch one.
+			// The controller retunes Q at this boundary, BEFORE the snapshot,
+			// so the checkpoint carries the next epoch's fraction and a resume
+			// replays the trajectory bitwise (DESIGN.md §16) — at the FINAL
+			// boundary too, for a run stopped at Epochs=k and resumed.
 			if w.cfg.AutoQ {
 				if cerr := w.comm.Guard(func() error { return w.controllerStep(epoch) }); cerr != nil {
 					err = fmt.Errorf("controller step after epoch %d: %w", epoch, cerr)
@@ -509,12 +499,9 @@ func (w *worker) train() ([]EpochStats, error) {
 			}
 		}
 		if err == nil {
-			// Snapshot AFTER the epoch's collectives settle: every rank
-			// reaches this point at the same step, so all ranks snapshot the
-			// same state. A peer may still die while the boundary drains (a
-			// slow rank can sit in the commit barrier while a fast one is
-			// already deep in the next epoch's exchange); in degrade mode
-			// that death funnels into the same recovery as a mid-epoch one.
+			// Snapshot AFTER the epoch's collectives settle, so every rank
+			// snapshots the same state; a death while the boundary drains
+			// funnels into the same recovery as a mid-epoch one.
 			if w.checkpointDue(epoch + 1) {
 				if cerr := w.comm.Guard(func() error { return w.saveCheckpoint(epoch + 1) }); cerr != nil {
 					err = fmt.Errorf("checkpoint before epoch %d: %w", epoch+1, cerr)
@@ -522,13 +509,9 @@ func (w *worker) train() ([]EpochStats, error) {
 			}
 		}
 		if err != nil {
-			pe, isPeer := mpi.PeerErrorFrom(err)
-			if !isPeer || w.cfg.OnPeerFail != "degrade" {
-				return nil, err // abort policy (or a non-failure error)
-			}
-			resume, rerr := w.recoverPeerFailure(stood, pe, &es)
+			resume, rerr := w.reform(err, stood, &es)
 			if rerr != nil {
-				return nil, fmt.Errorf("recovering from death of rank %d: %w", pe.Rank, rerr)
+				return nil, rerr // abort policy (or a non-failure error)
 			}
 			if disrupted {
 				es.Disrupted = true
@@ -549,19 +532,6 @@ func (w *worker) train() ([]EpochStats, error) {
 				stats = append(stats, sk)
 			}
 			epoch = resume - 1
-			// Every recovery of a checkpointing run commits a post-shrink
-			// snapshot at the agreed resume boundary: the degraded group is
-			// durably recorded the moment it forms (a resume restores the
-			// shrunken partition, never the pre-failure one), and a snapshot
-			// generation interrupted by the death — whichever protocol step
-			// it reached — is superseded by a complete one. All survivors
-			// reach here with the same resume point, whether the failure
-			// surfaced in their epoch or in their checkpoint barrier.
-			if w.cfg.CheckpointDir != "" && resume <= w.cfg.Epochs {
-				if cerr := w.checkpointAfterRecovery(resume); cerr != nil {
-					return nil, cerr
-				}
-			}
 		}
 		if mine >= 0 {
 			w.closeEpoch(&stats[mine])

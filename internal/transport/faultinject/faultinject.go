@@ -194,6 +194,15 @@ func (c *Conn) Underlying() transport.Conn { return c.inner }
 
 var _ transport.Unwrapper = (*Conn)(nil)
 
+// CrashOn re-arms the crash point: the endpoint dies on the count-th
+// outbound frame carrying tag from now on. Tests arm it where the tag is only
+// known at run time (a collective's round, derived from its sequence number).
+func (c *Conn) CrashOn(tag, count int) {
+	c.mu.Lock()
+	c.script.CrashTag, c.script.CrashCount, c.tagSeen = tag, count, 0
+	c.mu.Unlock()
+}
+
 // Injected returns a snapshot of the committed faults.
 func (c *Conn) Injected() Injected {
 	c.mu.Lock()

@@ -192,9 +192,12 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 		switch f.Kind {
 		case transport.KindData, transport.KindDataRef, transport.KindDataZ:
 			if int(f.Dst) != c.cfg.Rank {
+				// The sender counted it sent; dropping it would leave a
+				// receiver waiting for it without a word.
 				transport.PutFloat32s(floats)
 				transport.PutBytes(body)
-				continue // misrouted; drop
+				c.fail(fmt.Errorf("tcp: rank %d: a frame on rank %d's socket is addressed to rank %d", c.cfg.Rank, rank, f.Dst))
+				return
 			}
 			var v any
 			var derr error

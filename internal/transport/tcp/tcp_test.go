@@ -1140,16 +1140,22 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestForeignFrameSourceIsProtocolError: a frame is delivered as from the
-// rank whose hello opened its socket. A raw socket hellos to rank 0 as rank 1
-// and sends an honest frame, then one whose header names another source — a
-// third rank, or rank 0 itself: that is a protocol error, and the frame is
-// not delivered.
+// rank whose hello opened its socket, and only to the rank it is addressed
+// to. A raw socket hellos to rank 0 as rank 1 and sends an honest frame, then
+// one whose header names another source — a third rank, or rank 0 itself — or
+// another destination: that is a protocol error within 250 ms, and the frame
+// is not delivered.
 func TestForeignFrameSourceIsProtocolError(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
-		name string
-		src  int32
-	}{{"third-rank", 2}, {"own-rank", 0}} {
+		name     string
+		src, dst int32
+		want     string
+	}{
+		{"third-rank", 2, 0, "claims source 2"},
+		{"own-rank", 0, 0, "claims source 0"},
+		{"foreign-destination", 1, 2, "addressed to rank 2"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			conns, inbox := startWorld(t, 3, nil)
@@ -1160,10 +1166,8 @@ func TestForeignFrameSourceIsProtocolError(t *testing.T) {
 			defer raw.Close()
 			// Dial number 0: the real rank 1 has dialed nothing yet.
 			wire, _ := transport.MarshalFrame(transport.WireFrame{Kind: transport.KindHello, Src: 1, Dst: 0})
-			for i, src := range []int32{1, tc.src} {
-				if wire, err = transport.AppendDataFrame(wire, src, 0, 5, []int{i}); err != nil {
-					t.Fatal(err)
-				}
+			if wire, err = transport.AppendDataFrame(wire, 1, 0, 5, []int{0}); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := raw.Write(wire); err != nil {
 				t.Fatal(err)
@@ -1171,15 +1175,25 @@ func TestForeignFrameSourceIsProtocolError(t *testing.T) {
 			if f := recvN(t, inbox[0], 1)[0]; f.Src != 1 || f.Payload.([]int)[0] != 0 {
 				t.Fatalf("honest frame delivered as %+v, want src 1 payload [0]", f)
 			}
-			for start := time.Now(); conns[0].Err() == nil && time.Since(start) < 10*time.Second; {
+			if wire, err = transport.AppendDataFrame(nil, tc.src, tc.dst, 5, []int{1}); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if _, err := raw.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			for conns[0].Err() == nil && time.Since(start) < 10*time.Second {
 				time.Sleep(time.Millisecond)
 			}
-			if err := conns[0].Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("claims source %d", tc.src)) {
-				t.Fatalf("rank 0 recorded %v, want a protocol error naming source %d", err, tc.src)
+			if took := time.Since(start); took > 250*time.Millisecond {
+				t.Errorf("protocol error took %v, want within 250ms", took)
+			}
+			if err := conns[0].Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("rank 0 recorded %v, want a protocol error saying %q", err, tc.want)
 			}
 			select {
 			case f := <-inbox[0]:
-				t.Fatalf("rank 0 delivered %+v from a frame naming source %d on rank 1's socket", f, tc.src)
+				t.Fatalf("rank 0 delivered %+v from a frame with source %d and destination %d on rank 1's socket", f, tc.src, tc.dst)
 			default:
 			}
 		})
