@@ -34,7 +34,6 @@ type GroupNorm struct {
 
 	// reusable workspaces
 	out   *tensor.Matrix
-	dx    *tensor.Matrix
 	arena *arena.Arena
 }
 
@@ -101,18 +100,17 @@ func (l *GroupNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return out
 }
 
-// Backward implements the per-group normalization gradient.
+// Backward implements the per-group normalization gradient, written over
+// dout: each group's elements are rewritten only after its sums read them.
 func (l *GroupNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	gsize := l.Dim / l.Groups
 	n := float32(gsize)
-	l.dx = tensor.EnsureShapeArena(l.arena, l.dx, dout.Rows, dout.Cols)
-	dx := l.dx
 	for j := range l.GGamma {
 		l.GGamma[j] = 0
 		l.GBeta[j] = 0
 	}
 	for i := 0; i < dout.Rows; i++ {
-		drow, hrow, xrow := dout.Row(i), l.xhat.Row(i), dx.Row(i)
+		drow, hrow := dout.Row(i), l.xhat.Row(i)
 		for j, d := range drow {
 			l.GBeta[j] += d
 			l.GGamma[j] += d * hrow[j]
@@ -127,11 +125,11 @@ func (l *GroupNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			inv := l.invStd[i*l.Groups+g]
 			for j := g * gsize; j < (g+1)*gsize; j++ {
 				dy := drow[j] * l.Gamma[j]
-				xrow[j] = inv / n * (n*dy - sumDy - hrow[j]*sumDyXhat)
+				drow[j] = inv / n * (n*dy - sumDy - hrow[j]*sumDyXhat)
 			}
 		}
 	}
-	return dx
+	return dout
 }
 
 // bindGrads implements gradBinder.

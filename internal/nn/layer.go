@@ -23,9 +23,8 @@ import (
 // in a caller-owned bump arena instead of individual heap buffers. The
 // trainer attaches one arena per worker goroutine and Resets it at the top
 // of every training step (DESIGN.md §14): all workspaces for one
-// forward+backward pass are bump-allocated from the same backing array and
-// reclaimed wholesale, so the steady state does zero heap allocation and
-// the activations of one step are packed contiguously.
+// forward+backward pass are bump-allocated from the same chunks and
+// reclaimed wholesale, so the steady state does zero heap allocation.
 //
 // The contract tightens Layer's buffer-ownership rule: with an arena
 // attached, matrices returned by Forward/Backward are valid only until the
@@ -52,6 +51,12 @@ type Param struct {
 // layer-owned workspaces, reused on the layer's next Forward/Backward call
 // (the zero-allocation steady state). Callers that retain a result across
 // iterations — metrics, tests, checkpoints — must Clone it first.
+//
+// Backward may overwrite dout and return it as its result: a layer that is
+// element-wise once its reductions over dout are done (ReLU, BatchNorm,
+// GroupNorm, Dropout) writes its gradient in place, so the backward pass
+// keeps no batch-sized buffer of its own (Chen et al. 2016's in-place
+// gradients). A caller that needs dout afterwards passes a Clone.
 type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	Backward(dout *tensor.Matrix) *tensor.Matrix
@@ -151,7 +156,6 @@ func (l *Linear) Params() []Param {
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	out   *tensor.Matrix // forward workspace, and what Backward masks by
-	dx    *tensor.Matrix // backward workspace
 	arena *arena.Arena
 }
 
@@ -168,13 +172,12 @@ func (l *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return l.out
 }
 
-// Backward zeroes the gradient where the input was non-positive. Which
-// elements those were is read back from the forward output, which is
+// Backward zeroes dout where the input was non-positive and returns it.
+// Which elements those were is read back from the forward output, which is
 // non-positive in exactly the same places; no separate mask is kept.
 func (l *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	l.dx = tensor.EnsureShapeArena(l.arena, l.dx, dout.Rows, dout.Cols)
-	tensor.ReLUGradInto(l.dx.Data, dout.Data, l.out.Data)
-	return l.dx
+	tensor.ReLUGradInto(dout.Data, dout.Data, l.out.Data)
+	return dout
 }
 
 // Params returns nil: ReLU has no learnable parameters.
@@ -213,7 +216,6 @@ type BatchNorm struct {
 
 	// reusable workspaces (zero-allocation steady state)
 	out      *tensor.Matrix
-	dx       *tensor.Matrix
 	stats    []float32 // forward sums/sumsq/count accumulator
 	mean     []float32
 	variance []float32
@@ -222,7 +224,7 @@ type BatchNorm struct {
 	arena    *arena.Arena
 }
 
-// SetArena moves the batch-shaped workspaces (out, xhat, dx) into a (nil
+// SetArena moves the batch-shaped workspaces (out, xhat) into a (nil
 // detaches). The per-feature statistics vectors stay heap-resident: they
 // are tiny and the Sync hook may hold them across the arena's lifetime.
 func (l *BatchNorm) SetArena(a *arena.Arena) { l.arena = a }
@@ -313,17 +315,16 @@ func (l *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return out
 }
 
-// Backward implements the standard batch-norm gradient. With a Sync hook
-// the reduction terms are summed across workers, matching the gradient of
-// the globally-normalized forward pass.
+// Backward implements the standard batch-norm gradient, written over dout
+// once the reductions have read it. With a Sync hook the reduction terms
+// are summed across workers, matching the gradient of the
+// globally-normalized forward pass.
 func (l *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	nRows := dout.Rows
 	n := l.countN
 	if n == 0 {
 		n = float32(nRows)
 	}
-	l.dx = tensor.EnsureShapeArena(l.arena, l.dx, dout.Rows, dout.Cols)
-	dx := l.dx
 	// dGamma_j = sum_i dout_ij * xhat_ij ; dBeta_j = sum_i dout_ij
 	l.dstats = ensureVec(l.dstats, 2*l.Dim)
 	stats := l.dstats
@@ -348,9 +349,10 @@ func (l *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		l.coef[j] = l.Gamma[j] * l.invStd[j] / n
 	}
 	for i := 0; i < nRows; i++ {
-		tensor.BNInputGrad(dx.Row(i), dout.Row(i), l.xhat.Row(i), l.coef, sumDy, sumDyXhat, n)
+		row := dout.Row(i)
+		tensor.BNInputGrad(row, row, l.xhat.Row(i), l.coef, sumDy, sumDyXhat, n)
 	}
-	return dx
+	return dout
 }
 
 // bindGrads implements gradBinder.
@@ -375,7 +377,6 @@ type Dropout struct {
 	rand  *rng.Rand
 	mask  []float32
 	out   *tensor.Matrix // forward workspace
-	dx    *tensor.Matrix // backward workspace
 	arena *arena.Arena
 }
 
@@ -416,16 +417,12 @@ func (l *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return l.out
 }
 
-// Backward applies the same mask to the gradient.
+// Backward applies the same mask to dout and returns it.
 func (l *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if len(l.mask) == 0 {
-		return dout
+	for i, m := range l.mask {
+		dout.Data[i] *= m
 	}
-	l.dx = tensor.EnsureShapeArena(l.arena, l.dx, dout.Rows, dout.Cols)
-	for i, v := range dout.Data {
-		l.dx.Data[i] = v * l.mask[i]
-	}
-	return l.dx
+	return dout
 }
 
 // Params returns nil: dropout has no learnable parameters.

@@ -247,7 +247,10 @@ func TestBatchNormMatchesElementLoops(t *testing.T) {
 			bn.Gamma[j], bn.Beta[j] = 0.5+r.Float32(), r.Float32()-0.5
 		}
 		out := bn.Forward(x, true).Clone()
-		dx := bn.Backward(dy).Clone()
+		dx := dy.Clone() // Backward writes the gradient over its dout
+		if got := bn.Backward(dx); got != dx {
+			t.Fatalf("dim %d: Backward returned a matrix other than its dout", dim)
+		}
 
 		n := float32(rows)
 		sums, sumsq := make([]float32, dim), make([]float32, dim)

@@ -1,14 +1,14 @@
 package shuffle
 
-// Store rebalance for elastic worlds (DESIGN.md §15): when the collective
-// group changes shape outside the failure path — a joiner arrived mid-run —
-// the local-family strategies must restore the invariant the exchange
-// scheduler and the iteration-count derivation rely on: every group member
-// holds a balanced, disjoint share of the surviving samples. Rebalance
-// computes a deterministic target partition of whatever currently survives
-// (a degraded world may have lost the dead ranks' unexchanged samples) and
-// moves exactly the samples that are on the wrong rank through one Scheduler
-// window on a dedicated tag space.
+// Store rebalance for elastic worlds (DESIGN.md §10, §15): when the
+// collective group changes shape — a joiner arrived mid-run, or the group
+// shrank around the dead — the local-family strategies must restore the
+// invariant the exchange scheduler and the iteration-count derivation rely
+// on: every group member holds a balanced, disjoint share of the surviving
+// samples. Rebalance computes a deterministic target partition of whatever
+// currently survives (a degraded world may have lost the dead ranks'
+// unexchanged samples) that keeps every sample it can where it is, and moves
+// the rest through one Scheduler window on a dedicated tag space.
 
 import (
 	"fmt"
@@ -43,16 +43,16 @@ type RebalanceStats struct {
 
 // Rebalance redistributes the group's stored samples to a deterministic
 // balanced partition: gather every member's current ID set (one
-// AllgatherVarLen), shuffle the union with a stream shared via (seed,
-// epoch), cut it into GroupSize near-equal chunks in group order, and ship
-// each misplaced sample from its holder to its target in the Scheduler's
-// transaction: one batched frame per destination, receives applied before
-// deletes (the exchange's storage discipline, so the transient peak is the
-// old share plus the incoming one). One mpi.Agree on "received my share"
-// then commits the window on every member or abandons it on every member: a
-// member's death before the decision returns, on every survivor, an error
-// carrying the dead member's *transport.PeerError (mpi.PeerErrorFrom) and
-// leaves the store untouched.
+// AllgatherVarLen), let each member keep a seeded random choice of its own
+// up to its near-equal share, deal the surplus to the members short of
+// theirs, and ship each dealt sample from its holder to its target in the
+// Scheduler's transaction: one batched frame per destination, receives
+// applied before deletes (the exchange's storage discipline, so the
+// transient peak is the old share plus the incoming one). One mpi.Agree on
+// "received my share" then commits the window on every member or abandons
+// it on every member: a member's death before the decision returns, on
+// every survivor, an error carrying the dead member's *transport.PeerError
+// (mpi.PeerErrorFrom) and leaves the store untouched.
 //
 // Every member must call Rebalance with the same (seed, epoch) at a
 // quiescent point — no exchange window open, no collective in flight. A
@@ -83,49 +83,48 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 	}
 	stats.Total = total
 
-	// Deterministic target: sorted union, shared-stream shuffle, contiguous
-	// cut in group order (first total%m members take one extra). Identical
-	// inputs on every member ⇒ identical plan, no further coordination.
-	ids := make([]int, 0, total)
-	for id := range holder {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	rng.NewStream(seed, saltRebalance, uint64(epoch)).Shuffle(len(ids), func(i, j int) {
-		ids[i], ids[j] = ids[j], ids[i]
-	})
-	// The cut is also this rank's plan: what it holds of another member's
-	// share goes there, and what its own share's holders hold arrives from
-	// them.
+	// Deterministic target, moving as little as it can: member gi of the
+	// group is owed base samples, one more for the first total%m, and keeps
+	// that many of its own, picked by a stream of (seed, epoch, rank); the
+	// rest of its holdings is surplus. The surplus, in group order, fills the
+	// short members in group order. Identical inputs on every member ⇒
+	// identical plan, no further coordination.
 	m := len(group)
 	base, extra := total/m, total%m
-	plan := ExchangePlan{Epoch: epoch}
-	var target []int
-	off := 0
+	var surplus, target []int
+	var short []int // group members owed samples, with multiplicity
 	for gi, r := range group {
-		size := base
+		owed := base
 		if gi < extra {
-			size++
+			owed++
 		}
-		share := ids[off : off+size]
-		off += size
+		held := slices.Clone(all[r])
+		rng.NewStream(seed, saltRebalance, uint64(epoch), uint64(r)).Shuffle(len(held), func(i, j int) {
+			held[i], held[j] = held[j], held[i]
+		})
+		keep := min(owed, len(held))
 		if r == c.Rank() {
-			target = append([]int(nil), share...)
-			sort.Ints(target)
-			for _, id := range share {
-				if h := holder[id]; h != r {
-					plan.Senders = append(plan.Senders, h)
-				}
-			}
-			continue
+			target = slices.Clone(held[:keep])
 		}
-		for _, id := range share {
-			if holder[id] == c.Rank() {
-				plan.SendIDs = append(plan.SendIDs, id)
-				plan.Dests = append(plan.Dests, r)
-			}
+		surplus = append(surplus, held[keep:]...)
+		for range owed - keep {
+			short = append(short, r)
 		}
 	}
+	// That is also this rank's plan: its surplus goes where the deal sends
+	// it, and what the deal owes it arrives from the holders.
+	plan := ExchangePlan{Epoch: epoch}
+	for i, id := range surplus {
+		switch h, to := holder[id], short[i]; {
+		case h == c.Rank():
+			plan.SendIDs = append(plan.SendIDs, id)
+			plan.Dests = append(plan.Dests, to)
+		case to == c.Rank():
+			plan.Senders = append(plan.Senders, h)
+			target = append(target, id)
+		}
+	}
+	sort.Ints(target)
 
 	// One Scheduler window moves it; the agreement commits it everywhere or
 	// nowhere.

@@ -41,6 +41,10 @@ type TrainMetrics struct {
 	// growth.
 	GradWireBytes Counter
 
+	// ArenaBytes is the capacity of the rank's step arena (DESIGN.md
+	// §14.4): what one training step or eval batch holds at its peak.
+	ArenaBytes Gauge
+
 	// Elastic-world shape (DESIGN.md §15): the collective group's current
 	// member count and the membership generation (bumped by every shrink or
 	// join). WorldSize tracks GroupSize, not the rank name space.
@@ -96,6 +100,8 @@ func (m *TrainMetrics) Register(reg *Registry, rank int) {
 	reg.CounterFunc("pls_train_grad_wire_bytes_total",
 		"Exact wire bytes moved by the gradient all-reduce (sent+recv, frame headers included).", l,
 		func() float64 { return float64(m.GradWireBytes.Load()) })
+	reg.GaugeFunc("pls_train_arena_bytes", "Capacity of this rank's training-step arena, bytes.", l,
+		func() float64 { return m.ArenaBytes.Load() })
 	reg.GaugeFunc("pls_world_size", "Live members of the collective group (shrinks on failure, grows on join).", l,
 		func() float64 { return m.WorldSize.Load() })
 	reg.GaugeFunc("pls_world_generation", "Membership generation: re-formations of the collective group (shrink or grow).", l,

@@ -126,7 +126,8 @@ func reluGo(dst, x []float32) {
 // ReLUGradInto computes dx = dy where ReLU let its input through and +0
 // elsewhere, reading the decision back from the forward output out: an
 // element passed iff it is not ≤ 0, which holds for exactly the positive
-// and the NaN inputs ReLUInto copied.
+// and the NaN inputs ReLUInto copied. dx may be dy (nn.ReLU's in-place
+// backward): every body reads an element before it writes it.
 func ReLUGradInto(dx, dy, out []float32) {
 	sameLen("ReLUGradInto", len(dx), dy, out)
 	vec.reluGrad(dx, dy, out)
@@ -193,7 +194,7 @@ func bnGradsGo(sumDy, sumDyXhat, dy, xhat []float32) {
 
 // BNInputGrad computes one row of BatchNorm's input gradient:
 // dx = coef·(n·dy - sumDy - xhat·sumDyXhat), coef being the per-feature
-// gamma·invStd/n.
+// gamma·invStd/n. dx may be dy, as for ReLUGradInto.
 func BNInputGrad(dx, dy, xhat, coef, sumDy, sumDyXhat []float32, n float32) {
 	sameLen("BNInputGrad", len(dx), dy, xhat, coef, sumDy, sumDyXhat)
 	vec.bnDX(dx, dy, xhat, coef, sumDy, sumDyXhat, n)

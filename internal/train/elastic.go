@@ -39,6 +39,7 @@ import (
 
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/shuffle"
+	"plshuffle/internal/store"
 	"plshuffle/internal/transport"
 )
 
@@ -151,14 +152,22 @@ func (w *worker) applyJoins(epoch int, joins []transport.JoinRequest) error {
 	return w.rebalance(epoch)
 }
 
-// rebalance deals the grown group's stores a balanced partition.
+// testRebalanced runs on every member whose rebalance committed, with the
+// store it dealt; tests read the group's cover from it.
+var testRebalanced = func(c *mpi.Comm, st *store.Local) {}
+
+// rebalance deals the re-formed group's stores — grown or shrunk — a
+// balanced partition.
 func (w *worker) rebalance(epoch int) error {
 	if w.local == nil {
 		return nil
 	}
 	testAgreeHook(w.comm, "rebalance", epoch)
-	_, err := shuffle.Rebalance(w.comm, w.local, w.cfg.Seed, epoch)
-	return err
+	if _, err := shuffle.Rebalance(w.comm, w.local, w.cfg.Seed, epoch); err != nil {
+		return err
+	}
+	testRebalanced(w.comm, w.local)
+	return nil
 }
 
 // JoinRank enters an already-running elastic world as a fresh rank: it

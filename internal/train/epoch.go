@@ -285,6 +285,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		lossSum += w.loss.Forward(logits, w.yBuf)
 		w.model.BackwardWithHook(w.loss.Backward(), w.bucketHook)
 		w.tm.FWBWNs.Add(int64(time.Since(t0)))
+		w.tm.ArenaBytes.SetInt(4 * int64(w.arena.Cap()))
 
 		// Phase: gradient exchange + weight update (Equation 1: average
 		// the per-worker gradients, then step): drain the bucket requests in
@@ -429,6 +430,7 @@ func (w *worker) validate() float64 {
 			}
 		}
 	}
+	w.tm.ArenaBytes.SetInt(4 * int64(w.arena.Cap()))
 	buf := []float64{float64(correct)}
 	mpi.Allreduce(w.comm, buf, mpi.OpSum)
 	return buf[0] / float64(len(val))

@@ -30,10 +30,12 @@ func deadPeer(c *mpi.Comm, dead []int) *transport.PeerError {
 
 // reform handles a failed epoch boundary: err itself under abort or for
 // anything but a peer death; under degrade, re-forming the group around the
-// dead (recoverPeerFailure), resyncing the survivors and, in a checkpointing
-// run, committing the post-shrink snapshot at the agreed resume boundary. A
-// death during that tail re-forms again from the boundary before resume;
-// each re-formation removes a member. stood is the epoch this rank reports.
+// dead (recoverPeerFailure), resyncing the survivors, rebalancing their
+// stores (the dead took their samples, so the survivors' are disjoint but
+// uneven) and, in a checkpointing run, committing the post-shrink snapshot
+// at the agreed resume boundary. A death during that tail re-forms again
+// from the boundary before resume; each re-formation removes a member.
+// stood is the epoch this rank reports.
 func (w *worker) reform(err error, stood int, es *EpochStats) (resume int, _ error) {
 	for attempt := 0; ; attempt++ {
 		pe, isPeer := mpi.PeerErrorFrom(err)
@@ -49,6 +51,9 @@ func (w *worker) reform(err error, stood int, es *EpochStats) (resume int, _ err
 		}
 		err = w.comm.Guard(func() error {
 			if err := w.resync(resume); err != nil {
+				return err
+			}
+			if err := w.rebalance(resume); err != nil {
 				return err
 			}
 			if w.cfg.CheckpointDir == "" || resume > w.cfg.Epochs {

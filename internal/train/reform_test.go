@@ -11,6 +11,7 @@ import (
 
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/shuffle"
+	"plshuffle/internal/store"
 	"plshuffle/internal/transport"
 	"plshuffle/internal/transport/faultinject"
 	"plshuffle/internal/transport/transporttest"
@@ -23,9 +24,9 @@ import (
 // agreements: the checkpoint's, the post-join rebalance's, and the recovery's
 // own. Whatever the event, from it on every live member reports one Q
 // trajectory and ends on bitwise-identical weights, the stores stay disjoint
-// and conserved, every member sits in the generation the events opened, and
-// no goroutine outlives the world; under abort every survivor names the
-// member that died first.
+// and conserved and every re-formation deals them a ±1-balanced cover, every
+// member sits in the generation the events opened, and no goroutine outlives
+// the world; under abort every survivor names the member that died first.
 func TestReformationMatrix(t *testing.T) {
 	const (
 		epochs  = 5
@@ -38,7 +39,7 @@ func TestReformationMatrix(t *testing.T) {
 		// `members` asks to join during epoch 0 and is admitted before epoch 1.
 		capacity, members int
 		// victim crashes on its second exchange frame of killEpoch (-1: none) —
-		// or, with inRebalance, on its second frame of the post-join rebalance.
+		// or, with inRebalance, on its frame of the post-join rebalance.
 		victim, killEpoch int
 		inRebalance       bool
 		// agree names the boundary agreement agreeVictim dies inside, after its
@@ -120,8 +121,11 @@ func TestReformationMatrix(t *testing.T) {
 					conns := make([]*faultinject.Conn, tc.capacity)
 					scripts := chaosScripts(tc.capacity, tc.victim, tc.killEpoch, false)
 					if tc.inRebalance && tc.agree == "" {
-						// The join is admitted before epoch 1, in generation 1.
+						// The join is admitted before epoch 1, in generation 1. A
+						// member's surplus all goes to the joiner in one batched
+						// frame; the victim dies sending it.
 						scripts[tc.victim].CrashTag = shuffle.RebalanceTag(1, 1)
+						scripts[tc.victim].CrashCount = 1
 					}
 					if tc.agree != "" {
 						setAgreeHook(t, func(c *mpi.Comm, point string, epoch int) {
@@ -137,6 +141,14 @@ func TestReformationMatrix(t *testing.T) {
 							conns[c.Rank()].CrashOn(collTag(seq, 0), 2)
 						})
 					}
+					// dealt is each member's store as its latest rebalance left
+					// it, and the generation that rebalance ran in.
+					dealt, dealtGen := make([][]int, tc.capacity), make([]int, tc.capacity)
+					restore := testRebalanced
+					testRebalanced = func(c *mpi.Comm, st *store.Local) {
+						dealt[c.Rank()], dealtGen[c.Rank()] = st.IDs(), c.Generation()
+					}
+					t.Cleanup(func() { testRebalanced = restore })
 					b := be.mk(chaosWrap(scripts, conns))
 					gens := make([]int, tc.capacity)
 					var joinOnce sync.Once
@@ -268,6 +280,28 @@ func TestReformationMatrix(t *testing.T) {
 						}
 						if lost != 0 || hi-lo > 1 {
 							t.Errorf("stores hold %d..%d samples, %d missing; want a ±1-balanced cover", lo, hi, lost)
+						}
+					} else {
+						// A shrink ends in a rebalance as a join does: in the last
+						// generation every live member's store was dealt its ±1 share
+						// of one disjoint cover of what survived. (The degraded epochs
+						// after it forfeit the dead ranks' slots, so the final stores
+						// drift from that deal by a few samples.)
+						lo, hi, held := samples, 0, make(map[int]bool)
+						for _, r := range live {
+							if dealtGen[r] != gens[r] {
+								t.Fatalf("rank %d: last rebalance in generation %d, want its final generation %d", r, dealtGen[r], gens[r])
+							}
+							lo, hi = min(lo, len(dealt[r])), max(hi, len(dealt[r]))
+							for _, id := range dealt[r] {
+								if held[id] {
+									t.Fatalf("rebalance dealt sample %d twice", id)
+								}
+								held[id] = true
+							}
+						}
+						if hi-lo > 1 || samples-len(held) > maxLost {
+							t.Errorf("the last rebalance dealt %d..%d samples, %d missing; want a ±1-balanced cover of what survived", lo, hi, samples-len(held))
 						}
 					}
 

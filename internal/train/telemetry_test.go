@@ -332,6 +332,9 @@ func telemetryConformanceTCP(t *testing.T, victim int) {
 		if got := m[`pls_train_epochs_total{`+rl+`}`]; got != epochs {
 			t.Errorf("rank %d: epochs_total %v, want %d", r, got, epochs)
 		}
+		if got := m[`pls_train_arena_bytes{`+rl+`}`]; got <= 0 {
+			t.Errorf("rank %d: arena bytes %v, want the step arena's capacity", r, got)
+		}
 		if got := m[`pls_train_samples_total{`+rl+`}`]; got < float64(epochs*len(ds.Train)/n) {
 			t.Errorf("rank %d: samples_total %v, want ≥ %d", r, got, epochs*len(ds.Train)/n)
 		}
