@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"plshuffle/internal/rng"
 )
@@ -257,10 +259,24 @@ func (sp SyntheticSpec) Validate() error {
 	return nil
 }
 
+// chunkDraws bounds the generator draws one chunk of samples takes — a
+// worker's unit of work in Generate. It is counted in draws, not samples,
+// so that narrow samples pay a channel hop as seldom as wide ones: 64
+// samples of 4096 features, or 4096 samples of 64.
+const chunkDraws = 1 << 19
+
 // Generate builds the synthetic dataset: class means are random Gaussian
 // vectors scaled by ClassSep/sqrt(D); each sample is its class mean plus
 // N(0, NoiseStd) noise. Labels cycle round-robin so classes are balanced,
 // and sample IDs enumerate the training set 0..N-1 (validation IDs follow).
+//
+// The samples are drawn on GOMAXPROCS workers and are the same bits as one
+// walk of the seed's stream, class means first and then every sample in ID
+// order. Every sample takes exactly 2·FeatureDim draws (NormFloat64 is
+// Box–Muller over two Float64s), so where a chunk of samples starts in the
+// stream is known without computing the normals before it: the caller walks
+// the raw stream only to snapshot its state at each chunk boundary, and a
+// worker restores a chunk's snapshot and draws its samples from there.
 func Generate(sp SyntheticSpec) (*Dataset, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -275,7 +291,7 @@ func Generate(sp SyntheticSpec) (*Dataset, error) {
 			means[c][j] = r.NormFloat32() * scale
 		}
 	}
-	mk := func(id int) Sample {
+	mk := func(r *rng.Rand, id int) Sample {
 		c := id % sp.Classes
 		f := make([]float32, dim)
 		for j := range f {
@@ -291,11 +307,43 @@ func Generate(sp SyntheticSpec) (*Dataset, error) {
 		Train:       make([]Sample, sp.NumSamples),
 		Val:         make([]Sample, sp.NumVal),
 	}
-	for i := 0; i < sp.NumSamples; i++ {
-		d.Train[i] = mk(i)
+	type chunk struct {
+		lo, hi int // sample IDs [lo, hi)
+		state  [4]uint64
 	}
-	for i := 0; i < sp.NumVal; i++ {
-		d.Val[i] = mk(sp.NumSamples + i)
+	total := sp.NumSamples + sp.NumVal
+	drawsPerSample := 2 * dim
+	per := max(1, chunkDraws/drawsPerSample)
+	workers := min(runtime.GOMAXPROCS(0), (total+per-1)/per)
+	chunks := make(chan chunk, workers) // the walk stays a chunk ahead of each worker
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var wr rng.Rand
+			for ch := range chunks {
+				wr.SetState(ch.state)
+				for id := ch.lo; id < ch.hi; id++ {
+					if id < sp.NumSamples {
+						d.Train[id] = mk(&wr, id)
+					} else {
+						d.Val[id-sp.NumSamples] = mk(&wr, id)
+					}
+				}
+			}
+		}()
 	}
+	for lo := 0; lo < total; lo += per {
+		hi := min(lo+per, total)
+		chunks <- chunk{lo: lo, hi: hi, state: r.State()}
+		if hi < total {
+			for k := (hi - lo) * drawsPerSample; k > 0; k-- {
+				r.Uint64()
+			}
+		}
+	}
+	close(chunks)
+	wg.Wait()
 	return d, nil
 }

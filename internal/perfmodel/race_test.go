@@ -3,7 +3,7 @@
 package perfmodel
 
 // raceEnabled reports that this test binary was built with -race. The
-// calibration cross-validation compares wall-clock timings; race
+// calibrated-profile ordering compares wall-clock timings; race
 // instrumentation slows the two sides by different factors, so the
 // comparison is skipped.
 const raceEnabled = true

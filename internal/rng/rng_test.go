@@ -249,3 +249,42 @@ func TestSetStateZeroGuard(t *testing.T) {
 		t.Fatal("SetState accepted the invalid all-zero state")
 	}
 }
+
+// TestUint64Golden pins the xoshiro256** stream itself: the 1001st to
+// 1003rd draws from seed 2022 and the state after them.
+func TestUint64Golden(t *testing.T) {
+	r := New(2022)
+	for i := 0; i < 1000; i++ {
+		r.Uint64()
+	}
+	for i, want := range []uint64{0x774a1015746c58c3, 0x093a89a4f305c2d9, 0x5fc76d3de0d076c2} {
+		if got := r.Uint64(); got != want {
+			t.Fatalf("draw %d: %#x, want %#x", 1001+i, got, want)
+		}
+	}
+	want := [4]uint64{0x45edcc157cf3812d, 0xe95bbcc4d1cbebf9, 0x2b6e0c509897072b, 0x306a97cb379674fd}
+	if got := r.State(); got != want {
+		t.Fatalf("state %#x, want %#x", got, want)
+	}
+}
+
+// TestNormFloat64TakesTwoDraws: a normal variate advances the stream exactly
+// as two Uint64 draws do, whatever it returns. Parallel dataset synthesis
+// (data.Generate) finds each chunk's start in the stream by counting draws
+// on this.
+func TestNormFloat64TakesTwoDraws(t *testing.T) {
+	norm, raw := New(7), New(7)
+	for i := 0; i < 10000; i++ {
+		norm.NormFloat64()
+		raw.Uint64()
+		raw.Uint64()
+		if norm.State() != raw.State() {
+			t.Fatalf("after %d normals the state differs from %d draws", i+1, 2*(i+1))
+		}
+		if i%2 == 1 {
+			norm.NormFloat32()
+			raw.Uint64()
+			raw.Uint64()
+		}
+	}
+}

@@ -6,6 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"plshuffle/internal/data"
@@ -102,23 +105,37 @@ func Ingest(dir string, ds *data.Dataset, samplesPerShard int) (*Manifest, error
 		NumShards:       numShards,
 		ShardFileBytes:  make([]int64, numShards),
 	}
-	for sh := 0; sh < numShards; sh++ {
-		lo := sh * samplesPerShard
-		hi := lo + samplesPerShard
-		if hi > n {
-			hi = n
-		}
-		size, err := WriteShard(Path(dir, sh), sh, ds.Train[lo:hi])
+	// The shard files and the validation file (file numShards) are encoded
+	// and written on GOMAXPROCS workers, the validation file first because it
+	// is the largest. Each file's bytes depend only on its own samples, so
+	// the directory is the same whatever the schedule, and the error reported
+	// is the lowest-numbered file's, as a serial loop's would be.
+	files := numShards + 1
+	errs := make([]error, files)
+	var taken atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), files); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := int(taken.Add(1) - 1); j < files; j = int(taken.Add(1) - 1) {
+				sh := (j + numShards) % files // numShards, 0, 1, ...
+				if sh == numShards {
+					man.ValFileBytes, errs[sh] = WriteShard(filepath.Join(dir, valFileName), sh, ds.Val)
+					continue
+				}
+				lo := sh * samplesPerShard
+				hi := min(lo+samplesPerShard, n)
+				man.ShardFileBytes[sh], errs[sh] = WriteShard(Path(dir, sh), sh, ds.Train[lo:hi])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		man.ShardFileBytes[sh] = size
 	}
-	valSize, err := WriteShard(filepath.Join(dir, valFileName), numShards, ds.Val)
-	if err != nil {
-		return nil, err
-	}
-	man.ValFileBytes = valSize
 
 	b, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {

@@ -97,17 +97,19 @@ func EncodeShard(shardID int, samples []data.Sample) ([]byte, error) {
 }
 
 // WriteShard writes the samples as a shard file at path (atomically, via a
-// temp file and rename) and returns the file's byte size.
+// temp file and rename) and returns the file's byte size. A failed write
+// leaves no temp file behind.
 func WriteShard(path string, shardID int, samples []data.Sample) (int64, error) {
 	buf, err := EncodeShard(shardID, samples)
 	if err != nil {
 		return 0, err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return 0, fmt.Errorf("shard: WriteShard: %w", err)
+	err = os.WriteFile(tmp, buf, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("shard: WriteShard: %w", err)
 	}

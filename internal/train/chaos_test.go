@@ -76,8 +76,8 @@ func chaosWrap(scripts []faultinject.Script, conns []*faultinject.Conn) transpor
 	}
 }
 
-// chaosTCPConfig enables heartbeats as distrun does (a silent connection is
-// retired after 2 s) and bounds the teardown drain at 2 s.
+// chaosTCPConfig enables heartbeats as distrun does (a peer silent for 2 s
+// is dead) and bounds the teardown drain at 2 s.
 func chaosTCPConfig(rank int, cfg *tcp.Config) {
 	cfg.HeartbeatInterval = 500 * time.Millisecond
 	cfg.DrainTimeout = 2 * time.Second

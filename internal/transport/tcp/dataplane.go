@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -34,9 +35,10 @@ type peer struct {
 	queue   []*transport.WireBuf // marshalled frames, length prefix included
 	spare   []*transport.WireBuf // recycled backing array for queue
 	conn    net.Conn             // the dialed socket frames are written on; nil → dial on demand
+	dialed  int64                // unix nanos conn was set up
 	writing bool                 // a frame or batch is being written
 	closing bool
-	dead    bool                 // retry budget exhausted; queue is discarded
+	dead    bool                 // retry budget exhausted or silent too long; queue is discarded
 	err     *transport.PeerError // why the peer is dead (set with dead)
 
 	iov   net.Buffers               // the buffers of the write in progress
@@ -175,6 +177,9 @@ func (c *Conn) readLoop(rank int, conn net.Conn) {
 		}
 		f, floats, body, n, err := transport.ReadFrameInto(br, &scratch)
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				c.silenced(c.peers[rank])
+			}
 			return
 		}
 		if int(f.Src) != rank {
@@ -294,17 +299,10 @@ func (c *Conn) writeLoop(p *peer) {
 			if !ok {
 				pe = &transport.PeerError{Rank: p.rank, Phase: transport.PhaseSend, Err: err}
 			}
-			c.fail(err)
 			p.mu.Lock()
 			p.writing = false
-			p.dead = true
-			p.err = pe
-			for _, wb := range p.queue {
-				transport.PutWireBuf(wb)
-			}
-			p.queue = nil
 			p.mu.Unlock()
-			c.notifyPeerFailure(*pe)
+			c.peerFailed(p, pe)
 			return
 		}
 		clear(batch)
@@ -351,13 +349,14 @@ func (c *Conn) writeBatch(p *peer, batch []*transport.WireBuf) error {
 			return &transport.PeerError{Rank: p.rank, Phase: transport.PhaseClose,
 				Err: errors.New("transport killed")}
 		}
-		if r.attempts > 1 {
-			p.mu.Lock()
-			closing := p.closing
-			p.mu.Unlock()
-			if closing && pingsOnly(batch[done:]) {
-				return errPingsAbandonedOnClose
-			}
+		p.mu.Lock()
+		closing, dead := p.closing, p.err
+		p.mu.Unlock()
+		if dead != nil {
+			return dead // declared dead meanwhile (silenced): no redial
+		}
+		if r.attempts > 1 && closing && pingsOnly(batch[done:]) {
+			return errPingsAbandonedOnClose
 		}
 		conn, err := c.peerConn(p, r.dialTimeout())
 		if err != nil {
@@ -483,7 +482,7 @@ func (c *Conn) peerConn(p *peer, timeout time.Duration) (net.Conn, error) {
 	c.sentKind[transport.KindHello].Add(1)
 
 	p.mu.Lock()
-	p.conn = conn
+	p.conn, p.dialed = conn, time.Now().UnixNano()
 	p.mu.Unlock()
 	c.readerWG.Add(1)
 	go c.awaitFIN(p, conn)

@@ -6,6 +6,7 @@ package tcp
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"time"
 
@@ -15,16 +16,20 @@ import (
 // heartbeatLoop enqueues a KindPing frame to every live peer each interval.
 // Pings ride the normal write path — dial, retry budget, deadlines — so a
 // dead peer is detected (and surfaces through OnPeerFailure) even by ranks
-// that never send it data.
+// that never send it data. A peer that holds the socket this rank dialed
+// open and has said nothing for silentBeats intervals since it accepted
+// that socket is frozen: its kernel takes the pings, it never answers, and
+// it is declared dead.
 func (c *Conn) heartbeatLoop() {
 	defer c.beatWG.Done()
 	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {
+		var now time.Time
 		select {
 		case <-c.closed:
 			return
-		case <-ticker.C:
+		case now = <-ticker.C:
 		}
 		for _, p := range c.peers {
 			if p == nil {
@@ -38,6 +43,12 @@ func (c *Conn) heartbeatLoop() {
 			c.addrMu.RUnlock()
 			if !admitted {
 				continue
+			}
+			p.mu.Lock()
+			open, since := p.conn != nil, max(p.dialed, c.lastHeard[p.rank].Load())
+			p.mu.Unlock()
+			if open && now.UnixNano()-since > int64(silentBeats*c.cfg.HeartbeatInterval) {
+				c.silenced(p)
 			}
 			wb := transport.GetWireBuf()
 			buf, err := transport.AppendFrame(wb.B[:0], transport.WireFrame{
@@ -64,13 +75,50 @@ func (c *Conn) heartbeatLoop() {
 	}
 }
 
-// OnPeerFailure registers the callback invoked (at most once per peer, from
-// a writer goroutine) when that peer's retry budget or deadline is
-// exhausted. Implements transport.FailureNotifier.
+// OnPeerFailure registers the callback invoked (at most once per peer) when
+// that peer's retry budget runs out or, under heartbeats, it stays silent
+// for silentBeats intervals. Implements transport.FailureNotifier.
 func (c *Conn) OnPeerFailure(cb func(transport.PeerError)) {
 	c.errMu.Lock()
 	c.onFail = cb
 	c.errMu.Unlock()
+}
+
+// silenced declares p dead because nothing was heard from it for
+// silentBeats heartbeat intervals — unless this rank is closing, when
+// peers fall silent by design.
+func (c *Conn) silenced(p *peer) {
+	select {
+	case <-c.closed:
+		return
+	default:
+	}
+	c.peerFailed(p, &transport.PeerError{Rank: p.rank, Phase: transport.PhaseRecv,
+		Err: fmt.Errorf("tcp: rank %d: nothing heard from rank %d for %v", c.cfg.Rank, p.rank, silentBeats*c.cfg.HeartbeatInterval)})
+}
+
+// peerFailed records pe and, the first time p fails, marks it dead, drops
+// what is queued for it and closes the socket this rank dialed to it, so
+// that no writer redials it and Close waits for no drain to it, then
+// reports the failure.
+func (c *Conn) peerFailed(p *peer, pe *transport.PeerError) {
+	c.fail(pe)
+	p.mu.Lock()
+	if p.dead {
+		p.mu.Unlock()
+		return
+	}
+	p.dead, p.err = true, pe
+	for _, wb := range p.queue {
+		transport.PutWireBuf(wb)
+	}
+	p.queue = nil
+	conn := p.conn
+	p.mu.Unlock()
+	if conn != nil {
+		conn.Close() // its awaitFIN returns and retires it
+	}
+	c.notifyPeerFailure(*pe)
 }
 
 func (c *Conn) notifyPeerFailure(pe transport.PeerError) {

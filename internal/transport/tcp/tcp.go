@@ -87,8 +87,9 @@ type Config struct {
 	// interval. Because pings ride the normal write path — dial, retry
 	// budget, deadlines — a dead or partitioned peer is detected even by
 	// ranks that never send it data, surfacing as a *transport.PeerError
-	// through OnPeerFailure instead of an eternal block. An accepted
-	// connection silent for four intervals is retired. Zero (the default)
+	// through OnPeerFailure instead of an eternal block. A peer that holds
+	// a socket open and says nothing for four intervals is dead too (a
+	// frozen process). Zero (the default)
 	// disables heartbeats; byte accounting then stays exactly the data
 	// traffic, which the wire-exactness tests rely on.
 	HeartbeatInterval time.Duration
@@ -141,8 +142,8 @@ const minCompressPayload = 512
 // writeTimeout bounds one frame write (and the hello of a fresh dial).
 const writeTimeout = 30 * time.Second
 
-// silentBeats is how many heartbeat intervals an accepted connection may stay
-// silent before its reader retires it.
+// silentBeats is how many heartbeat intervals a peer holding a socket open
+// may stay silent before it is declared dead.
 const silentBeats = 4
 
 // The backoff of every dial retry, a writer's toward its peer and a rank's

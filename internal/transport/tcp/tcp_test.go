@@ -612,6 +612,94 @@ func TestHeartbeatDetectsSilentPeerDeath(t *testing.T) {
 	}
 }
 
+// frozenListener accepts sockets and never reads or writes on them: the
+// kernel of a peer whose process no longer runs (stopped, or wedged).
+func frozenListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, conn := range held {
+			conn.Close()
+		}
+		mu.Unlock()
+	})
+	return ln.Addr().String()
+}
+
+// TestFrozenPeerIsDeclaredDead: under heartbeats a peer that takes this
+// rank's pings into its socket buffer and says nothing is dead within
+// silentBeats intervals, whether it never spoke or fell silent after a
+// frame. OnPeerFailure names it within the bound, and Close then waits for
+// no drain to it.
+func TestFrozenPeerIsDeclaredDead(t *testing.T) {
+	t.Parallel()
+	const beat = 50 * time.Millisecond
+	const bound = silentBeats*beat + 250*time.Millisecond
+	for _, spoke := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spoke=%v", spoke), func(t *testing.T) {
+			t.Parallel()
+			frozen := frozenListener(t)
+			// Rank 1 is the frozen process: it runs no heartbeat, and every
+			// socket rank 0 dials to it lands in a kernel that never reads.
+			conns, inbox := startWorld(t, 2, func(rank int, cfg *Config) {
+				if rank == 0 {
+					cfg.HeartbeatInterval = beat
+					cfg.Dial = func(_ string, timeout time.Duration) (net.Conn, error) {
+						return net.DialTimeout("tcp", frozen, timeout)
+					}
+				}
+			})
+			failed := make(chan transport.PeerError, 4)
+			conns[0].OnPeerFailure(func(pe transport.PeerError) { failed <- pe })
+			start := time.Now()
+			if spoke {
+				if _, err := conns[1].Send(0, 0, []int{1}); err != nil {
+					t.Fatal(err)
+				}
+				recvN(t, inbox[0], 1)
+				start = time.Now()
+			}
+			select {
+			case pe := <-failed:
+				if pe.Rank != 1 {
+					t.Fatalf("failure callback named rank %d, want 1", pe.Rank)
+				}
+				if took := time.Since(start); took > bound {
+					t.Fatalf("the frozen peer was declared dead after %v, want within %v", took, bound)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a frozen peer was never declared dead")
+			}
+			t0 := time.Now()
+			err := conns[0].Close()
+			if took := time.Since(t0); took > bound {
+				t.Fatalf("Close took %v after the peer was declared dead, want within %v", took, bound)
+			}
+			if pe, ok := transport.AsPeerError(err); !ok || pe.Rank != 1 {
+				t.Fatalf("Close returned %v, want a PeerError for rank 1", err)
+			}
+		})
+	}
+}
+
 func TestCloseAbandonsPingsToExitedPeer(t *testing.T) {
 	t.Parallel()
 	// End-of-run shutdown race: rank 1 finishes and closes first; rank 0's

@@ -69,7 +69,9 @@ type Dataset = data.Dataset
 // DatasetSpec configures the synthetic Gaussian-mixture generator.
 type DatasetSpec = data.SyntheticSpec
 
-// GenerateDataset builds a synthetic dataset from the spec.
+// GenerateDataset builds a synthetic dataset from the spec. It draws the
+// samples on every core (GOMAXPROCS workers) and gives the same bits at any
+// core count: those of one walk of the spec's seeded stream.
 func GenerateDataset(spec DatasetSpec) (*Dataset, error) { return data.Generate(spec) }
 
 // ModelSpec describes an MLP proxy model; bind it to a dataset with
