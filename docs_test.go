@@ -1,10 +1,13 @@
 package plshuffle_test
 
 import (
+	"bytes"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"plshuffle/internal/telemetry"
 )
 
 // TestDocsNameExistingPaths keeps README.md and DESIGN.md true to the
@@ -52,4 +55,66 @@ func TestDesignDocBudget(t *testing.T) {
 	if n := strings.Count(string(text), "\n"); n >= budget {
 		t.Errorf("DESIGN.md has %d lines, want fewer than %d: move history and measured tables to CHANGES.md", n, budget)
 	}
+}
+
+// TestMetricRegistryNamesTrainSeries keeps DESIGN.md's metric name registry
+// true to the bundles that register without a world: every family that
+// telemetry.TrainMetrics and ControllerMetrics register must be listed,
+// either in full or as a "_suffix" after a full name on the same line that
+// shares the rest of the name.
+func TestMetricRegistryNamesTrainSeries(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(text)
+	start := strings.Index(doc, "### Metric name registry")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no metric name registry")
+	}
+	end := strings.Index(doc[start+1:], "\n### ")
+	if end < 0 {
+		end = len(doc) - start - 1
+	}
+	lines := strings.Split(doc[start:start+1+end], "\n")
+
+	reg := telemetry.NewRegistry()
+	new(telemetry.TrainMetrics).Register(reg, 0)
+	telemetry.NewControllerMetrics([]string{"hold"}).Register(reg, 0)
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	full := regexp.MustCompile(`\bpls_\w+`)
+	suffix := regexp.MustCompile(`(?:^|[\s/])(_\w+)`)
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(out.String(), -1) {
+		if !listed(m[1], lines, full, suffix) {
+			t.Errorf("DESIGN.md's metric name registry does not list %s", m[1])
+		}
+	}
+}
+
+// listed reports whether name appears on a registry line, in full or as a
+// suffix whose prefix begins a full name on that line.
+func listed(name string, lines []string, full, suffix *regexp.Regexp) bool {
+	for _, line := range lines {
+		names := full.FindAllString(line, -1)
+		for _, n := range names {
+			if n == name {
+				return true
+			}
+		}
+		for _, s := range suffix.FindAllStringSubmatch(line, -1) {
+			prefix, ok := strings.CutSuffix(name, s[1])
+			if !ok {
+				continue
+			}
+			for _, n := range names {
+				if strings.HasPrefix(n, prefix+"_") {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

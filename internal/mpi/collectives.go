@@ -158,7 +158,7 @@ func AllreduceWire[T Number](c *Comm, buf []T, op Op) (sent, recv int64) {
 	if c.GroupSize() == 1 {
 		return 0, 0
 	}
-	return ringAllreduce(c, buf, op, c.nextSeq(), c.defaultBounds(len(buf)))
+	return ringAllreduce(c, buf, buf, op, c.nextSeq(), c.defaultBounds(len(buf)), nil)
 }
 
 // defaultBounds fills the Comm's reusable bounds table with the canonical
@@ -192,6 +192,14 @@ func fillDefaultBounds(bounds []int, n, size int) {
 // partition are skipped entirely — bounds are identical on every rank, so
 // the skip is symmetric and no message is orphaned.
 //
+// The optional owner step sits between the two phases. The reduce-scatter
+// leaves this rank the only holder of chunk (rank+1) fully reduced (and,
+// under OpAvg, scaled); step(lo, hi) gets that chunk's range of buf, unless
+// it is empty, and writes its result into out[lo:hi]. The allgather then
+// circulates out's chunks, so every rank ends with every owner's result in
+// out. Without a step, out is buf: the allgather circulates the reduced
+// values themselves.
+//
 // Determinism contract: for a fixed chunk partition, the element-wise
 // reduction order depends only on the element's chunk index (chunk i is
 // accumulated in ring order starting at rank i, and float addition is
@@ -207,52 +215,56 @@ func fillDefaultBounds(bounds []int, n, size int) {
 // reserved by the owning goroutine and bounds is not mutated while it
 // runs: the mailbox and both transport backends are concurrency-safe, and
 // internal tags derived from seq never collide with other collectives.
-func ringAllreduce[T Number](c *Comm, buf []T, op Op, seq int, bounds []int) (sent, recv int64) {
+func ringAllreduce[T Number](c *Comm, buf, out []T, op Op, seq int, bounds []int, step func(lo, hi int)) (sent, recv int64) {
 	size, rank := c.GroupSize(), c.gidx
-	chunk := func(i int) []T { i = ((i % size) + size) % size; return buf[bounds[i]:bounds[i+1]] }
+	at := func(s []T, i int) []T { i = ((i % size) + size) % size; return s[bounds[i]:bounds[i+1]] }
 
-	// Ring segments go out as sub-slices of buf, which every backend copies
-	// or serialises before Send returns, so later steps may mutate buf freely.
+	// Ring segments go out as sub-slices of buf and out, which every backend
+	// copies or serialises before Send returns, so later steps may mutate
+	// them freely.
 	right := c.worldRank((rank + 1) % size)
 	left := c.worldRank((rank - 1 + size) % size)
 
 	// Phase 1: reduce-scatter. After size-1 steps, chunk (rank+1) holds the
 	// fully reduced values for that segment.
-	for step := 0; step < size-1; step++ {
-		sendIdx := rank - step
-		recvIdx := rank - step - 1
+	for k := 0; k < size-1; k++ {
+		sendIdx := rank - k
+		recvIdx := rank - k - 1
 		var req *Request
-		if len(chunk(recvIdx)) > 0 {
-			req = c.irecvInternal(left, collTag(seq, step))
+		if len(at(buf, recvIdx)) > 0 {
+			req = c.irecvInternal(left, collTag(seq, k))
 		}
-		if len(chunk(sendIdx)) > 0 {
-			sent += c.isendInternal(right, collTag(seq, step), chunk(sendIdx))
+		if len(at(buf, sendIdx)) > 0 {
+			sent += c.isendInternal(right, collTag(seq, k), at(buf, sendIdx))
 		}
 		if req != nil {
 			payload, st := c.collWait(req)
 			recv += st.Wire
-			reduceInto(chunk(recvIdx), payload.([]T), op)
+			reduceInto(at(buf, recvIdx), payload.([]T), op)
 			release(payload)
 		}
 	}
 	if op == OpAvg {
-		scaleAvg(chunk(rank+1), size)
+		scaleAvg(at(buf, rank+1), size)
 	}
-	// Phase 2: allgather of the reduced chunks around the ring.
-	for step := 0; step < size-1; step++ {
-		sendIdx := rank - step + 1
-		recvIdx := rank - step
+	if own := (rank + 1) % size; step != nil && bounds[own] < bounds[own+1] {
+		step(bounds[own], bounds[own+1])
+	}
+	// Phase 2: allgather of the owners' chunks around the ring.
+	for k := 0; k < size-1; k++ {
+		sendIdx := rank - k + 1
+		recvIdx := rank - k
 		var req *Request
-		if len(chunk(recvIdx)) > 0 {
-			req = c.irecvInternal(left, collTag(seq, size+step))
+		if len(at(out, recvIdx)) > 0 {
+			req = c.irecvInternal(left, collTag(seq, size+k))
 		}
-		if len(chunk(sendIdx)) > 0 {
-			sent += c.isendInternal(right, collTag(seq, size+step), chunk(sendIdx))
+		if len(at(out, sendIdx)) > 0 {
+			sent += c.isendInternal(right, collTag(seq, size+k), at(out, sendIdx))
 		}
 		if req != nil {
 			payload, st := c.collWait(req)
 			recv += st.Wire
-			copy(chunk(recvIdx), payload.([]T))
+			copy(at(out, recvIdx), payload.([]T))
 			release(payload)
 		}
 	}

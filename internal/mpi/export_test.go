@@ -67,7 +67,7 @@ func IAllreduce[T Number](c *Comm, buf []T, op Op) *CollRequest {
 	}
 	bounds := make([]int, size+1)
 	fillDefaultBounds(bounds, len(buf), size)
-	return iallreduce(c, buf, op, bounds)
+	return iallreduce(c, buf, buf, op, bounds, nil)
 }
 
 // WaitAllColl waits for every request in reqs (nil entries allowed).

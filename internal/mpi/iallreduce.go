@@ -6,8 +6,8 @@ import (
 )
 
 // CollRequest represents an in-flight non-blocking collective operation
-// (IAllreduceChunks). The operation progresses on a dedicated
-// goroutine; Wait blocks the caller until it completes. Unlike the
+// (IAllreduceChunks, IAllreduceStep). The operation progresses on a
+// dedicated goroutine; Wait blocks the caller until it completes. Unlike the
 // point-to-point Request, a CollRequest also carries the operation's exact
 // wire-byte accounting and its in-flight wall-clock, which is what lets
 // the trainer measure how much of the gradient exchange was hidden behind
@@ -71,9 +71,9 @@ func (r *CollRequest) Test() bool {
 func (r *CollRequest) WireBytes() (sent, recv int64) { return r.sent, r.recv }
 
 // Elapsed returns the operation's total in-flight wall-clock time, from
-// launch to ring completion. Valid only after Wait. Comparing the caller's
-// blocked-in-Wait time against Elapsed measures the hidden fraction of the
-// communication.
+// launch to ring completion, an owner step included (IAllreduceStep).
+// Valid only after Wait. Comparing the caller's blocked-in-Wait time
+// against Elapsed measures the hidden fraction of the communication.
 func (r *CollRequest) Elapsed() time.Duration { return r.elapsed }
 
 // IAllreduceChunks starts a non-blocking element-wise reduction of buf
@@ -98,31 +98,62 @@ func (r *CollRequest) Elapsed() time.Duration { return r.elapsed }
 // reduced in exactly the order the flat single-Allreduce path would use —
 // the overlapped and serial paths produce bitwise-identical results.
 func IAllreduceChunks[T Number](c *Comm, buf []T, op Op, bounds []int) *CollRequest {
+	checkBounds(c, "IAllreduceChunks", len(buf), bounds)
+	if c.GroupSize() == 1 {
+		return completedCollRequest()
+	}
+	return iallreduce(c, buf, buf, op, bounds, nil)
+}
+
+// IAllreduceStep is IAllreduceChunks with an owner step (ZeRO stage 1):
+// once the reduce-scatter has left this rank the only holder of chunk
+// (GroupRank()+1) mod GroupSize() fully reduced, the ring's goroutine calls
+// step(lo, hi) with that chunk's range of buf — never with an empty one —
+// and step writes its result into out[lo:hi]. The allgather then carries
+// out's chunks, so after Wait every rank's out holds every owner's result,
+// while buf holds reduced values only in the rank's own chunk. out has
+// buf's length and is the caller's no more than buf until Wait returns. A
+// group of one steps the whole range before returning.
+//
+// Since step runs inside the collective, the request's Elapsed includes it.
+func IAllreduceStep[T Number](c *Comm, buf, out []T, op Op, bounds []int, step func(lo, hi int)) *CollRequest {
+	checkBounds(c, "IAllreduceStep", len(buf), bounds)
+	if len(out) != len(buf) {
+		panic(fmt.Sprintf("mpi: IAllreduceStep: len(out)=%d, want len(buf)=%d", len(out), len(buf)))
+	}
+	if c.GroupSize() == 1 {
+		if len(buf) > 0 {
+			step(0, len(buf))
+		}
+		return completedCollRequest()
+	}
+	return iallreduce(c, buf, out, op, bounds, step)
+}
+
+// checkBounds panics unless bounds is a chunk partition of an n-element
+// buffer over the collective group (see IAllreduceChunks).
+func checkBounds(c *Comm, name string, n int, bounds []int) {
 	size := c.GroupSize()
 	if len(bounds) != size+1 {
-		panic(fmt.Sprintf("mpi: IAllreduceChunks: len(bounds)=%d, want group size+1=%d", len(bounds), size+1))
+		panic(fmt.Sprintf("mpi: %s: len(bounds)=%d, want group size+1=%d", name, len(bounds), size+1))
 	}
-	if bounds[0] != 0 || bounds[size] != len(buf) {
-		panic(fmt.Sprintf("mpi: IAllreduceChunks: bounds span [%d,%d], want [0,%d]", bounds[0], bounds[size], len(buf)))
+	if bounds[0] != 0 || bounds[size] != n {
+		panic(fmt.Sprintf("mpi: %s: bounds span [%d,%d], want [0,%d]", name, bounds[0], bounds[size], n))
 	}
 	for i := 0; i < size; i++ {
 		if bounds[i] > bounds[i+1] {
-			panic(fmt.Sprintf("mpi: IAllreduceChunks: bounds[%d]=%d > bounds[%d]=%d", i, bounds[i], i+1, bounds[i+1]))
+			panic(fmt.Sprintf("mpi: %s: bounds[%d]=%d > bounds[%d]=%d", name, i, bounds[i], i+1, bounds[i+1]))
 		}
 	}
-	if size == 1 {
-		return completedCollRequest()
-	}
-	return iallreduce(c, buf, op, bounds)
 }
 
 // iallreduce reserves the collective's tag space on the owning goroutine
 // (the sequence counter is single-goroutine by contract) and runs the ring
-// on a dedicated goroutine. Runtime unwinds inside the ring — abort
-// signals, transport failures — are captured and re-raised in Wait on the
-// owner, so a background failure can never crash the process from an
-// unrecovered goroutine.
-func iallreduce[T Number](c *Comm, buf []T, op Op, bounds []int) *CollRequest {
+// — with its owner step, if any — on a dedicated goroutine. Runtime unwinds
+// inside the ring — abort signals, transport failures, a panicking step —
+// are captured and re-raised in Wait on the owner, so a background failure
+// can never crash the process from an unrecovered goroutine.
+func iallreduce[T Number](c *Comm, buf, out []T, op Op, bounds []int, step func(lo, hi int)) *CollRequest {
 	req := &CollRequest{
 		done:    make(chan struct{}),
 		abortCh: c.abortCh,
@@ -139,7 +170,7 @@ func iallreduce[T Number](c *Comm, buf []T, op Op, bounds []int) *CollRequest {
 			c.inflightColl.Add(-1)
 			close(req.done)
 		}()
-		req.sent, req.recv = ringAllreduce(c, buf, op, seq, bounds)
+		req.sent, req.recv = ringAllreduce(c, buf, out, op, seq, bounds, step)
 	}()
 	return req
 }

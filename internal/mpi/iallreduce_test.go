@@ -290,3 +290,65 @@ func TestIAllreduceSteadyStateAllocBound(t *testing.T) {
 	}
 	t.Logf("IAllreduceChunks steady state: %.1f allocs/op across %d ranks (%d elems)", perOp, ranks, elems)
 }
+
+// TestIAllreduceStepOwnerSteps pins the owner step: each rank steps at most
+// its own chunk (GroupRank()+1) mod M, once, never an empty one, after the
+// averaging; the all-gather then carries out's chunks, so every rank's out
+// ends as the step applied to the blocking Allreduce's result everywhere.
+// Bucket-like ranges clamp the global partition, which empties chunks, so
+// some ranks own nothing in some ranges.
+func TestIAllreduceStepOwnerSteps(t *testing.T) {
+	const elems = 1000
+	splits := [][2]int{{0, 130}, {130, 137}, {137, 500}, {500, 1000}}
+	for _, ranks := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			runOrFail(t, ranks, func(c *Comm) error {
+				ref := make([]float32, elems)
+				buf := make([]float32, elems)
+				fillPseudo(ref, c.Rank())
+				copy(buf, ref)
+				Allreduce(c, ref, OpAvg)
+
+				size := c.Size()
+				global := make([]int, size+1)
+				fillDefaultBounds(global, elems, size)
+				out := make([]float32, elems)
+				calls := make([][][2]int, len(splits))
+				reqs := make([]*CollRequest, len(splits))
+				bounds := make([][]int, len(splits))
+				for si, sp := range splits {
+					lo, hi := sp[0], sp[1]
+					bounds[si] = make([]int, size+1)
+					for i := range bounds[si] {
+						bounds[si][i] = min(max(global[i], lo), hi) - lo
+					}
+					b, o := buf[lo:hi], out[lo:hi]
+					step := func(s, e int) {
+						calls[si] = append(calls[si], [2]int{s, e})
+						for i := s; i < e; i++ {
+							o[i] = 2*b[i] + 1
+						}
+					}
+					reqs[si] = IAllreduceStep(c, b, o, OpAvg, bounds[si], step)
+				}
+				WaitAllColl(reqs)
+				for i := range out {
+					if want := 2*ref[i] + 1; math.Float32bits(out[i]) != math.Float32bits(want) {
+						return fmt.Errorf("rank %d: out[%d] = %v, want %v", c.Rank(), i, out[i], want)
+					}
+				}
+				own := (c.GroupRank() + 1) % size
+				for si := range splits {
+					lo, hi := bounds[si][own], bounds[si][own+1]
+					switch {
+					case lo == hi && len(calls[si]) != 0:
+						return fmt.Errorf("rank %d range %d: stepped %v, but it owns nothing there", c.Rank(), si, calls[si])
+					case lo < hi && (len(calls[si]) != 1 || calls[si][0] != [2]int{lo, hi}):
+						return fmt.Errorf("rank %d range %d: stepped %v, want its chunk [%d,%d) once", c.Rank(), si, calls[si], lo, hi)
+					}
+				}
+				return nil
+			})
+		})
+	}
+}

@@ -132,11 +132,13 @@ func (l *GroupNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return dout
 }
 
-// bindGrads implements gradBinder.
-func (l *GroupNorm) bindGrads(arena []float32) []float32 {
-	l.GGamma, arena = carve(arena, l.GGamma)
-	l.GBeta, arena = carve(arena, l.GBeta)
-	return arena
+// bind implements binder.
+func (l *GroupNorm) bind(w, g []float32) ([]float32, []float32) {
+	l.Gamma, w = carve(w, l.Gamma)
+	l.Beta, w = carve(w, l.Beta)
+	l.GGamma, g = carve(g, l.GGamma)
+	l.GBeta, g = carve(g, l.GBeta)
+	return w, g
 }
 
 // Params exposes gamma and beta with their gradients.

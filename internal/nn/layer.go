@@ -138,11 +138,13 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return l.dx
 }
 
-// bindGrads implements gradBinder.
-func (l *Linear) bindGrads(arena []float32) []float32 {
-	l.GW.Data, arena = carve(arena, l.GW.Data)
-	l.GB, arena = carve(arena, l.GB)
-	return arena
+// bind implements binder.
+func (l *Linear) bind(w, g []float32) ([]float32, []float32) {
+	l.W.Data, w = carve(w, l.W.Data)
+	l.B, w = carve(w, l.B)
+	l.GW.Data, g = carve(g, l.GW.Data)
+	l.GB, g = carve(g, l.GB)
+	return w, g
 }
 
 // Params exposes W and b with their gradients.
@@ -355,11 +357,13 @@ func (l *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return dout
 }
 
-// bindGrads implements gradBinder.
-func (l *BatchNorm) bindGrads(arena []float32) []float32 {
-	l.GGamma, arena = carve(arena, l.GGamma)
-	l.GBeta, arena = carve(arena, l.GBeta)
-	return arena
+// bind implements binder.
+func (l *BatchNorm) bind(w, g []float32) ([]float32, []float32) {
+	l.Gamma, w = carve(w, l.Gamma)
+	l.Beta, w = carve(w, l.Beta)
+	l.GGamma, g = carve(g, l.GGamma)
+	l.GBeta, g = carve(g, l.GBeta)
+	return w, g
 }
 
 // Params exposes gamma and beta with their gradients.
@@ -428,35 +432,38 @@ func (l *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // Params returns nil: dropout has no learnable parameters.
 func (l *Dropout) Params() []Param { return nil }
 
-// Sequential chains layers. It owns the gradient arena: one contiguous
-// buffer holding every layer's gradients in Params order, of which the
-// layers' own gradient tensors (and so every Param.G) are views.
+// Sequential chains layers. It owns two arenas of one layout: every
+// layer's weights, contiguous in Params order, and every layer's gradients,
+// the same way. The layers' own tensors (and so every Param.W and Param.G)
+// are views of them.
 type Sequential struct {
-	Layers []Layer
-	grads  []float32
+	Layers  []Layer
+	weights []float32
+	grads   []float32
 }
 
-// gradBinder is implemented by every layer that has parameters: bindGrads
-// re-homes the layer's gradient tensors, in Params order, as views of the
-// front of arena (keeping their current values) and returns what is left.
-type gradBinder interface {
-	bindGrads(arena []float32) []float32
+// binder is implemented by every layer that has parameters: bind re-homes
+// the layer's weight and gradient tensors, in Params order, as views of the
+// fronts of w and g (keeping their current values) and returns what is
+// left of each.
+type binder interface {
+	bind(w, g []float32) (restW, restG []float32)
 }
 
-// carve moves one gradient tensor to the front of arena and returns its new
-// home, capped so an append can never run into the next tensor, and the rest.
-func carve(arena, g []float32) (view, rest []float32) {
-	n := copy(arena, g)
+// carve moves one tensor to the front of arena and returns its new home,
+// capped so an append can never run into the next tensor, and the rest.
+func carve(arena, t []float32) (view, rest []float32) {
+	n := copy(arena, t)
 	return arena[:n:n], arena[n:]
 }
 
 // NewSequential builds a sequential container from the given layers and
-// binds their gradients into its arena. A layer belongs to one container:
-// binding it into a second one leaves the first with a stale arena. A
-// leading Linear is told it is the input layer, so its Backward skips the
-// dy·Wᵀ product and the batch×features workspace that goes with it; a
-// Linear anywhere else is told it is not, whatever an earlier container
-// made of it.
+// binds their weights and gradients into its arenas. A layer belongs to one
+// container: binding it into a second one leaves the first with stale
+// arenas. A leading Linear is told it is the input layer, so its Backward
+// skips the dy·Wᵀ product and the batch×features workspace that goes with
+// it; a Linear anywhere else is told it is not, whatever an earlier
+// container made of it.
 func NewSequential(layers ...Layer) *Sequential {
 	s := &Sequential{Layers: layers}
 	for i, layer := range layers {
@@ -468,17 +475,22 @@ func NewSequential(layers ...Layer) *Sequential {
 	for _, p := range s.Params() {
 		n += len(p.G)
 	}
-	s.grads = make([]float32, n)
-	rest := s.grads
+	s.weights, s.grads = make([]float32, n), make([]float32, n)
+	restW, restG := s.weights, s.grads
 	for _, l := range layers {
-		if b, ok := l.(gradBinder); ok {
-			rest = b.bindGrads(rest)
+		if b, ok := l.(binder); ok {
+			restW, restG = b.bind(restW, restG)
 		} else if len(l.Params()) > 0 {
-			panic(fmt.Sprintf("nn: NewSequential: layer %T has parameters but cannot bind their gradients", l))
+			panic(fmt.Sprintf("nn: NewSequential: layer %T has parameters but cannot bind them", l))
 		}
 	}
 	return s
 }
+
+// Weights returns the weight arena: all weights, contiguous, in Params
+// order — Grads' layout, so Weights()[b.Lo:b.Hi] is a bucket's weights in
+// place. The sharded SGD step writes into it and an all-gather fills it.
+func (s *Sequential) Weights() []float32 { return s.weights }
 
 // Grads returns the gradient arena: all gradients, contiguous, in
 // Params order, so Grads()[b.Lo:b.Hi] is a bucket's gradients in place

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"plshuffle/internal/rng"
 )
@@ -82,7 +83,7 @@ func SaveOptimizerState(w io.Writer, o Optimizer) error {
 	case *SGD:
 		err = writeByte(w, optKindSGD)
 		if err == nil {
-			err = writeSlices(w, o.velocity)
+			err = writeSlices(w, o.layout())
 		}
 	case *LARS:
 		err = writeByte(w, optKindLARS)
@@ -120,7 +121,10 @@ func LoadOptimizerState(r io.Reader, o Optimizer) error {
 		if kind != optKindSGD {
 			return fmt.Errorf("nn: LoadOptimizerState: snapshot kind %d, optimizer is SGD", kind)
 		}
-		o.velocity, err = readSlices(r)
+		var vs [][]float32
+		if vs, err = readSlices(r); err == nil {
+			err = o.restore(vs)
+		}
 	case *LARS:
 		if kind != optKindLARS {
 			return fmt.Errorf("nn: LoadOptimizerState: snapshot kind %d, optimizer is LARS", kind)
@@ -196,6 +200,45 @@ func writeSlices(w io.Writer, s [][]float32) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// layout returns the moments in the snapshot's per-tensor layout: the
+// values this optimizer holds, zeros where they do not reach (the other
+// ranks' chunks under Shard); nil before they materialize.
+func (o *SGD) layout() [][]float32 {
+	if o.moments == nil {
+		return nil
+	}
+	flat := make([]float32, sum(o.lens))
+	copy(flat[o.lo:], o.moments)
+	out := make([][]float32, len(o.lens))
+	for i, n := range o.lens {
+		out[i], flat = flat[:n:n], flat[n:]
+	}
+	return out
+}
+
+// restore adopts per-tensor moments read from a snapshot. A sharded
+// optimizer keeps its own range of them, whatever the snapshot holds
+// elsewhere: one rank's chunk and zeros, or every moment.
+func (o *SGD) restore(vs [][]float32) error {
+	if vs == nil {
+		clear(o.moments)
+		return nil
+	}
+	lens, flat := make([]int, len(vs)), slices.Concat(vs...)
+	for i, v := range vs {
+		lens[i] = len(v)
+	}
+	if o.lens == nil {
+		o.lens, o.moments = lens, flat
+		return nil
+	}
+	if !slices.Equal(lens, o.lens) {
+		return fmt.Errorf("snapshot's SGD moments do not have the model's parameter shapes")
+	}
+	copy(o.moments, flat[o.lo:])
 	return nil
 }
 

@@ -128,7 +128,7 @@ func TestOptimizerStateLazyNil(t *testing.T) {
 			}
 			switch o := fresh.(type) {
 			case *SGD:
-				if o.velocity != nil {
+				if o.moments != nil {
 					t.Fatal("nil velocity materialized through the round trip")
 				}
 			case *LARS:

@@ -44,6 +44,10 @@ type TrainMetrics struct {
 	// ArenaBytes is the capacity of the rank's step arena (DESIGN.md
 	// §14.4): what one training step or eval batch holds at its peak.
 	ArenaBytes Gauge
+	// OptimizerStateBytes is what the rank's optimizer moments hold: its
+	// own chunk of the parameters under sharded SGD (DESIGN.md §9), all of
+	// them under LARS.
+	OptimizerStateBytes Gauge
 
 	// Elastic-world shape (DESIGN.md §15): the collective group's current
 	// member count and the membership generation (bumped by every shrink or
@@ -102,6 +106,8 @@ func (m *TrainMetrics) Register(reg *Registry, rank int) {
 		func() float64 { return float64(m.GradWireBytes.Load()) })
 	reg.GaugeFunc("pls_train_arena_bytes", "Capacity of this rank's training-step arena, bytes.", l,
 		func() float64 { return m.ArenaBytes.Load() })
+	reg.GaugeFunc("pls_train_optimizer_state_bytes", "Bytes of optimizer moments this rank holds.", l,
+		func() float64 { return m.OptimizerStateBytes.Load() })
 	reg.GaugeFunc("pls_world_size", "Live members of the collective group (shrinks on failure, grows on join).", l,
 		func() float64 { return m.WorldSize.Load() })
 	reg.GaugeFunc("pls_world_generation", "Membership generation: re-formations of the collective group (shrink or grow).", l,

@@ -20,15 +20,21 @@ import (
 // backward completes a layer that closes one or more buckets, it launches
 // their non-blocking averaging all-reduces on the buckets' own ranges of
 // the model's gradient arena — the gradients backward just wrote are the
-// ring's buffer, nothing is flattened. It runs on the backward critical
-// path, so it only launches; the rings progress on their own goroutines
-// while earlier layers keep computing (into other ranges of the arena).
+// ring's buffer, nothing is flattened. Under SGD each ring also runs the
+// bucket's owner step and all-gathers weights (mpi.IAllreduceStep). It runs
+// on the backward critical path, so it only launches; the rings progress
+// on their own goroutines while earlier layers keep computing (into other
+// ranges of the arenas).
 func (w *worker) launchReadyBuckets(layer int) {
 	launched := false
-	grads := w.model.Grads()
+	grads, weights := w.model.Grads(), w.model.Weights()
 	for _, bi := range w.plan.ReadyAt(layer) {
 		b := w.plan.Buckets[bi]
-		w.bucketReqs[bi] = mpi.IAllreduceChunks(w.comm, grads[b.Lo:b.Hi], mpi.OpAvg, w.bucketBounds[bi])
+		if w.bucketSteps != nil {
+			w.bucketReqs[bi] = mpi.IAllreduceStep(w.comm, grads[b.Lo:b.Hi], weights[b.Lo:b.Hi], mpi.OpAvg, w.bucketBounds[bi], w.bucketSteps[bi])
+		} else {
+			w.bucketReqs[bi] = mpi.IAllreduceChunks(w.comm, grads[b.Lo:b.Hi], mpi.OpAvg, w.bucketBounds[bi])
+		}
 		launched = true
 	}
 	if launched {
@@ -42,19 +48,22 @@ func (w *worker) launchReadyBuckets(layer int) {
 }
 
 // drainBuckets completes the overlapped GEWU phase: wait for each bucket's
-// all-reduce in launch order and step just that bucket's parameters
+// all-reduce in launch order. Under SGD the rings have stepped the weights
+// already; under LARS the drain steps just that bucket's parameters
 // (Optimizer.StepPartial) from the averaged gradients the ring left in
 // place, so the weight update of early buckets overlaps the still-in-flight
 // later ones. Exposed wait, total in-flight time, and exact wire bytes are
 // accounted per bucket.
-func (w *worker) drainBuckets(lr float32) {
+func (w *worker) drainBuckets() {
 	for bi, req := range w.bucketReqs {
 		b := w.plan.Buckets[bi]
 		tw := time.Now()
 		req.Wait()
 		sent, recv := req.WireBytes()
 		w.bookGradSync(time.Since(tw), req.Elapsed(), sent+recv)
-		w.opt.StepPartial(w.params, b.FirstParam, b.LastParam, lr)
+		if w.bucketSteps == nil {
+			w.opt.StepPartial(w.params, b.FirstParam, b.LastParam, w.lr)
+		}
 		w.bucketReqs[bi] = nil
 	}
 }
@@ -234,7 +243,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		chunk = (w.exchanger.Slots() + iters - 1) / iters
 	}
 
-	lr := w.sched.LR(float64(epoch))
+	w.lr = w.sched.LR(float64(epoch))
 	w.tm.Epoch.SetInt(int64(epoch))
 	var lossSum float64
 	for it := 0; it < iters; it++ {
@@ -293,8 +302,9 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		// is one bucket launched at the very end of backward, so its whole
 		// ring is waited for here (the A/B baseline).
 		t0 = time.Now()
-		w.drainBuckets(lr)
+		w.drainBuckets()
 		w.tm.GEWUNs.Add(int64(time.Since(t0)))
+		w.tm.OptimizerStateBytes.SetInt(4 * int64(w.opt.StateFloats()))
 	}
 
 	// Epoch boundary: finish the exchange and swap storage.

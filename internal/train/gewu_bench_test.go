@@ -15,8 +15,8 @@ import (
 // BenchmarkGEWUStepOverTCP is one training step of the benchmark's gradsync
 // workload without its data path: 4 ranks over real loopback TCP, the
 // 64-512-512-512-16 MLP with batch norm at b=8, forward, then backward with
-// the bucket hook launching each bucket's all-reduce, then the drain that
-// waits for, averages and steps every bucket. wait-ns/op is rank 0's exposed
+// the bucket hook launching each bucket's all-reduce and owner step, then
+// the drain that waits for every bucket. wait-ns/op is rank 0's exposed
 // wait in the drain, the number the gradient path exists to shrink.
 func BenchmarkGEWUStepOverTCP(b *testing.B) {
 	const ranks, batch, features, classes = 4, 8, 64, 16
@@ -66,11 +66,12 @@ func BenchmarkGEWUStepOverTCP(b *testing.B) {
 						y[i] = (i + c.Rank()) % classes
 					}
 					waited := w.tm.GEWUWaitNs.Load()
+					w.lr = 0.05
 					for i := 0; i < iters; i++ {
 						w.arena.Reset()
 						w.loss.Forward(w.model.Forward(x, true), y)
 						w.model.BackwardWithHook(w.loss.Backward(), w.bucketHook)
-						w.drainBuckets(0.05)
+						w.drainBuckets()
 					}
 					if c.Rank() == 0 {
 						wait0 = w.tm.GEWUWaitNs.Load() - waited

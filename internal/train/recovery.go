@@ -138,17 +138,15 @@ func (w *worker) recoverPeerFailure(epoch int, es *EpochStats) (resume int, err 
 // statistics stay per-worker, as designed (the paper's central mechanism).
 // epoch is the boundary the group resumes at; the exchange window is closed.
 func (w *worker) resync(epoch int) error {
-	root := w.comm.GroupRanks()[0]
-	for _, p := range w.params {
-		mpi.Bcast(w.comm, p.W, root)
-	}
+	mpi.Bcast(w.comm, w.model.Weights(), w.comm.GroupRanks()[0])
 	if w.cfg.AutoQ {
 		if err := w.agreeQ(epoch); err != nil {
 			return err
 		}
 	}
 	// Re-created optimizer state (zeroed moments) is the one state every
-	// member can agree on without shipping buffers.
+	// member can agree on without shipping buffers; setupOverlap shards it
+	// over the new group.
 	w.opt = newOptimizer(w.cfg)
 	w.setupOverlap()
 	if w.exchanger != nil {

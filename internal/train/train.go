@@ -184,11 +184,16 @@ type worker struct {
 	// path's reduction order (bitwise-identical results). bucketReqs holds
 	// the in-flight requests, indexed by bucket (== launch order);
 	// bucketHook is the per-layer Backward completion hook, bound once so
-	// the steady state does not re-create the method value.
+	// the steady state does not re-create the method value. Under SGD,
+	// bucketSteps[i] is bucket i's owner step: the ring calls it on the
+	// part of this rank's chunk that falls in the bucket, at the epoch's
+	// learning rate lr (nil under LARS, which steps in the drain).
 	plan         *nn.BucketPlan
 	bucketBounds [][]int
 	bucketReqs   []*mpi.CollRequest
 	bucketHook   func(layer int)
+	bucketSteps  []func(lo, hi int)
+	lr           float32
 
 	// tm holds the rank's cumulative counters — the one place a clocked
 	// interval or a gradient wire byte is booked (a single atomic add on the
@@ -294,8 +299,8 @@ func newWorker(c *mpi.Comm, cfg Config, rs *resumeState, adm *admitMsg) (*worker
 			}
 		}
 	}
-	w.setupOverlap()
 	w.opt = newOptimizer(cfg)
+	w.setupOverlap()
 	if cfg.Strategy.Kind == shuffle.Corgi2 {
 		w.tier, err = cache.New(shards, cfg.CacheBytes, "")
 		if err != nil {
@@ -410,6 +415,13 @@ func newOptimizer(cfg Config) nn.Optimizer {
 // has under the flat single-Allreduce path, and with it the exact
 // reduction order (see mpi.IAllreduceChunks). Chunks outside the bucket
 // clamp to empty and the ring skips them symmetrically.
+//
+// Under SGD it also shards the optimizer (DESIGN.md §9): the rank keeps
+// the moments of the one chunk the ring leaves it holding fully averaged,
+// (GroupRank()+1) mod M, and each bucket's owner step updates that chunk's
+// weights in place before the all-gather carries them to every rank. It
+// runs wherever the optimizer is re-created, so owners change only where
+// the moments start from zero again.
 func (w *worker) setupOverlap() {
 	capBytes := w.cfg.gradBucketBytes
 	if !w.cfg.OverlapGrads {
@@ -444,6 +456,18 @@ func (w *worker) setupOverlap() {
 		w.bucketBounds[bi] = bounds
 	}
 	w.bucketHook = w.launchReadyBuckets
+	w.bucketSteps = nil
+	sgd, ok := w.opt.(*nn.SGD)
+	if !ok {
+		return
+	}
+	own := (w.comm.GroupRank() + 1) % size
+	sgd.Shard(w.params, global[own], global[own+1])
+	weights, grads := w.model.Weights(), w.model.Grads()
+	w.bucketSteps = make([]func(lo, hi int), len(w.plan.Buckets))
+	for bi, b := range w.plan.Buckets {
+		w.bucketSteps[bi] = func(lo, hi int) { sgd.StepRange(weights, grads, b.Lo+lo, b.Lo+hi, w.lr) }
+	}
 }
 
 func (w *worker) train() ([]EpochStats, error) {

@@ -410,17 +410,19 @@ func (c *Conn) notify(pe transport.PeerError) {
 	}
 }
 
-// noteAsyncErr records a delayed send's failure so the next Send toward dst
-// surfaces it, and feeds peer failures into the notification path.
+// noteAsyncErr feeds a delayed send's peer failure into the notification
+// path, then records the failure so the next Send toward dst surfaces it.
+// Notifying first means a caller that sees the error from Send also sees
+// the failure callback's effects.
 func (c *Conn) noteAsyncErr(dst int, err error) {
+	if pe, ok := transport.AsPeerError(err); ok {
+		c.notify(*pe)
+	}
 	c.mu.Lock()
 	if c.asyncErr[dst] == nil {
 		c.asyncErr[dst] = err
 	}
 	c.mu.Unlock()
-	if pe, ok := transport.AsPeerError(err); ok {
-		c.notify(*pe)
-	}
 }
 
 func mapValues(m map[int]*delayQueue) []*delayQueue {
