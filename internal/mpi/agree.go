@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"plshuffle/internal/transport"
 )
 
 // Agree returns, on every surviving member of the collective group, the same
@@ -116,6 +118,19 @@ func Agree(c *Comm, vals []int) (agreed, dead []int, err error) {
 		return nil, nil, fmt.Errorf("mpi: rank %d: Agree: the group agreed this rank is dead", c.rank)
 	}
 	return agreed, dead, nil
+}
+
+// FirstDead names an agreed dead set by the first of its members this rank
+// saw die — the rest died of it, or only left for a later generation — with
+// the failure the transport recorded, or by dead[0] when this rank saw none
+// of them die itself.
+func FirstDead(c *Comm, dead []int) *transport.PeerError {
+	for _, r := range c.FailedPeers() {
+		if slices.Contains(dead, r) {
+			return c.PeerFailure(r)
+		}
+	}
+	return &transport.PeerError{Rank: dead[0], Phase: "agree"}
 }
 
 // errLeftGeneration stops a wait on a member that re-formed without us.

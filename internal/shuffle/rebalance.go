@@ -18,7 +18,6 @@ import (
 	"plshuffle/internal/mpi"
 	"plshuffle/internal/rng"
 	"plshuffle/internal/store"
-	"plshuffle/internal/transport"
 )
 
 // saltRebalance keeps the rebalance target permutation off every other
@@ -155,14 +154,7 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 		switch {
 		case err != nil:
 		case len(dead) > 0:
-			// Named by the first this rank saw die (see train's deadPeer).
-			err = &transport.PeerError{Rank: dead[0], Phase: "agree"}
-			for _, r := range c.FailedPeers() {
-				if slices.Contains(dead, r) {
-					err = c.PeerFailure(r)
-					break
-				}
-			}
+			err = mpi.FirstDead(c, dead)
 		case syncErr != nil:
 			err = syncErr
 		default:

@@ -136,7 +136,7 @@ func (w *worker) saveCheckpoint(nextEpoch int) error {
 	case werr != nil:
 		return werr
 	case len(dead) > 0:
-		return deadPeer(w.comm, dead)
+		return mpi.FirstDead(w.comm, dead)
 	case agreed[0] == 0:
 		return fmt.Errorf("checkpoint before epoch %d abandoned: a member could not write its snapshot", nextEpoch)
 	}

@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"plshuffle/internal/mpi"
-	"plshuffle/internal/transport"
 )
 
 // testAgreeHook runs on every rank as it reaches one of the epoch boundary's
@@ -16,17 +15,6 @@ import (
 // "rebalance" (before the post-join rebalance's gather) or "reconcile"
 // (generation opened) — at the given boundary. Tests script deaths from it.
 var testAgreeHook = func(c *mpi.Comm, point string, epoch int) {}
-
-// deadPeer names an agreement's dead set by the first member this rank saw
-// die; the rest died of it, or only left for a later generation.
-func deadPeer(c *mpi.Comm, dead []int) *transport.PeerError {
-	for _, r := range c.FailedPeers() {
-		if slices.Contains(dead, r) {
-			return c.PeerFailure(r)
-		}
-	}
-	return &transport.PeerError{Rank: dead[0], Phase: "agree"}
-}
 
 // reform handles a failed epoch boundary: err itself under abort or for
 // anything but a peer death; under degrade, re-forming the group around the
