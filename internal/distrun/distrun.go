@@ -90,8 +90,8 @@ type Options struct {
 	// OnPeerFail selects what a rank does when the transport declares a
 	// peer dead mid-run (train.Config.OnPeerFail; DESIGN.md §10):
 	// "abort" (default) fails fast with a typed error naming the dead
-	// rank, "degrade" completes the run among the survivors with a
-	// reduced effective Q. Every rank must agree.
+	// rank, "degrade" completes the run among the survivors, the
+	// disrupted epoch's exchange reset. Every rank must agree.
 	OnPeerFail string
 
 	// CheckpointDir, when non-empty, enables deterministic checkpointing
@@ -379,11 +379,6 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	degraded := 0
-	for _, e := range rr.Epochs {
-		degraded += e.DegradedSlots
-	}
-
 	// Cross-rank accounting: final local sample counts (the balance
 	// invariant), storage peaks, and real wire traffic. After a degraded
 	// run the collective group is the survivors, so gather at the lowest
@@ -487,25 +482,28 @@ func trainRank(c *mpi.Comm, o Options, cfg train.Config, out io.Writer) error {
 			sum[vHits], sum[vMisses], sum[vEvictions], sum[vPrefetch], sum[vPFSRead])
 	}
 
-	if len(live) < c.Size() || degraded > 0 {
-		// The run lost ranks and completed among the survivors: the fair-share
-		// invariant intentionally no longer holds (retained samples stay with
-		// their would-have-been senders), so report the degradation instead.
-		lastQ := final.EffectiveQ
-		fmt.Fprintf(out, "DEGRADED: %d/%d ranks survived, %d exchange slots forfeited, final effective Q=%.3f (configured %.3f)\n",
-			len(live), c.Size(), degraded, lastQ, o.Q)
-		return nil
-	}
-
 	// Balance check: for the local-family strategies every rank must end the
 	// run holding its fair share, N/M rounded either way (Algorithm 1's
 	// slot-balanced exchange guarantees it; GS holds no local samples, and
-	// corgi2 balances shards rather than samples).
+	// corgi2 balances shards rather than samples). A run that lost ranks
+	// completed among the survivors: the dead took their stores with them,
+	// the survivors re-dealt what was left, and the share is of that.
+	n, m := int64(len(ds.Train)), int64(len(live))
+	if m < int64(c.Size()) {
+		reset := 0
+		for _, e := range rr.Epochs {
+			if (e.Disrupted || e.Skipped) && e.EffectiveQ == 0 {
+				reset++
+			}
+		}
+		fmt.Fprintf(out, "DEGRADED: %d/%d ranks survived, %d epochs reset, final Q=%.3f (-q %.3f)\n",
+			m, c.Size(), reset, final.EffectiveQ, o.Q)
+		n = sum[vSamples]
+	}
 	if strat.Kind == shuffle.Local || strat.Kind == shuffle.PartialLocal {
-		n, m := len(ds.Train), c.Size()
-		lo, hi := int64(n/m), int64((n+m-1)/m)
-		for r := 0; r < m; r++ {
-			if held := all[r*vLen+vSamples]; held < lo || held > hi {
+		lo, hi := n/m, (n+m-1)/m
+		for g, r := range live {
+			if held := all[g*vLen+vSamples]; held < lo || held > hi {
 				return fmt.Errorf("distrun: rank %d ended with %d samples, want N/M in [%d,%d] (N=%d M=%d)",
 					r, held, lo, hi, n, m)
 			}

@@ -51,7 +51,7 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&o.SampleEncoding, "sample-encoding", o.SampleEncoding, "exchange sample wire format: fp32 (default) or fp16exact (compact where bitwise lossless, fp32 otherwise)")
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "run seed")
 	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "deadline on the whole run: exit non-zero, naming each rank's last completed phase, if it has not finished this long after it started (0 = no deadline)")
-	fs.StringVar(&o.OnPeerFail, "on-peer-fail", o.OnPeerFail, "multi-process worlds: policy when a peer rank dies mid-run — abort (fail fast, naming the dead rank) or degrade (survivors finish with a reduced effective Q)")
+	fs.StringVar(&o.OnPeerFail, "on-peer-fail", o.OnPeerFail, "multi-process worlds: policy when a peer rank dies mid-run — abort (fail fast, naming the dead rank) or degrade (the disrupted epoch's exchange resets, the survivors re-form and finish at the configured Q)")
 	fs.StringVar(&o.CheckpointDir, "checkpoint-dir", o.CheckpointDir, "directory for atomic epoch-boundary snapshots (empty = checkpointing off)")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery, "snapshot every Nth epoch boundary (0 = every epoch)")
 	fs.BoolVar(&o.Resume, "resume", o.Resume, "restore the newest complete snapshot under -checkpoint-dir before training; the resumed run is bitwise identical to one that never stopped")

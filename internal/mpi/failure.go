@@ -5,12 +5,16 @@ package mpi
 // a per-Comm failure registry; every blocking wait in the runtime watches
 // it, so a dead peer surfaces as a typed error instead of an eternal block:
 //
-//   - Internal collective receives unwind the rank with a transportFailure
-//     carrying the *transport.PeerError (recovered by Run/Execute, or by a
-//     caller-level guard at a transaction boundary).
-//   - User-level peer-aware receives (WaitPeerAware) return the error
-//     without unwinding — the exchange scheduler uses this to degrade its
-//     plan around the dead rank instead of dying.
+//   - A wait inside the collective group — every collective receive, and a
+//     user receive waited in Comm.Wait — unwinds the rank with a
+//     transportFailure carrying the *transport.PeerError when any group
+//     member is reported dead, whoever it waits for (recovered by
+//     Run/Execute, or by a Guard at a transaction boundary). A send to a
+//     dead rank unwinds the same way.
+//   - Agree takes deaths as values: it is the agreement that decides what
+//     a death must not split.
+//   - WaitPeerAware returns a death as a value; it is for a rank outside
+//     the group (a joiner awaiting admission).
 //   - Shrink re-forms the communicator's collective group over the
 //     survivors (the spirit of MPI-ULFM's MPI_Comm_shrink): subsequent
 //     collectives ring over the live ranks only, while point-to-point
@@ -170,6 +174,13 @@ func (c *Comm) collWait(req *Request) (any, Status) {
 	return payload, st
 }
 
+// Wait blocks until the user receive req completes, watching the group as a
+// collective does (collWait): a group member's death unwinds the rank,
+// whoever req waits for, and a death outside the group is ignored. On the
+// unwind the receive has been withdrawn. The exchange's blocking drain waits
+// here, so a death ends an epoch's exchange the way it ends a collective.
+func (c *Comm) Wait(req *Request) (any, Status) { return c.collWait(req) }
+
 // WaitPeerAware blocks until req completes and returns its payload/status,
 // or returns a non-nil *transport.PeerError as error when a peer fails that
 // the caller does not already know about (known reports ranks whose death
@@ -177,9 +188,9 @@ func (c *Comm) collWait(req *Request) (any, Status) {
 // posted receive has been withdrawn (unless it completed concurrently, in
 // which case the completed message wins and no error is returned).
 //
-// This is the NON-unwinding failure path: the exchange scheduler uses it so
-// a dead peer mid-drain surfaces as a value it can degrade around, not a
-// rank unwind.
+// It does not unwind: a rank outside the collective group, which no
+// collective or Guard covers yet, waits here — the joiner awaiting its
+// admission counts the world's deaths until none is left to admit it.
 func (c *Comm) WaitPeerAware(req *Request, known func(rank int) bool) (any, Status, error) {
 	payload, st, err := c.waitWatching(req, c.deathOutside(known))
 	if err == ErrCommClosed {
@@ -207,10 +218,10 @@ func (c *Comm) deathOutside(known func(rank int) bool) func() error {
 	}
 }
 
-// CancelRecv withdraws a posted receive (e.g. the exchange scheduler's
-// outstanding ANY_SOURCE receive once a degraded epoch's expectation is
-// met). It returns true if the receive was withdrawn before matching; false
-// means the request completed — the caller should consume it via Wait/Test.
+// CancelRecv withdraws a posted receive (the exchange scheduler's
+// outstanding ANY_SOURCE receive when it abandons an epoch). It returns true
+// if the receive was withdrawn before matching; false means the request
+// completed — the caller should consume it via Wait/Test.
 func (c *Comm) CancelRecv(req *Request) bool { return c.mbox.cancel(req) }
 
 // --- group (shrunken communicator) machinery ---

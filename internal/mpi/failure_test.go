@@ -268,20 +268,59 @@ func TestWaitPeerAware(t *testing.T) {
 	}
 }
 
-func TestSendPeerAware(t *testing.T) {
+// TestSendToDeadPeerUnwinds: a send to a rank the transport reports dead
+// unwinds the sender like a collective does, with the PeerError.
+func TestSendToDeadPeerUnwinds(t *testing.T) {
 	err := runWithTimeout(t, 2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			kill(t, c)
 			return nil
 		}
-		// Wait until the transport reports the death, then the send must
-		// surface it as a value.
 		for len(c.FailedPeers()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		_, pe := c.SendPeerAware(1, 5, []int64{1})
-		if pe == nil || pe.Rank != 1 {
-			t.Errorf("SendPeerAware to dead rank = %v, want peer error for rank 1", pe)
+		c.Send(1, 5, []int64{1})
+		return errors.New("Send to a dead rank returned")
+	})
+	if pe, ok := PeerErrorFrom(err); !ok || pe.Rank != 1 {
+		t.Fatalf("Send to dead rank: %v, want an unwind carrying a peer error for rank 1", err)
+	}
+}
+
+// TestWaitWatchesTheGroup: Comm.Wait unwinds on a group member's death even
+// while it waits for a live peer, and ignores a death outside the group —
+// the exchange drain's contract.
+func TestWaitWatchesTheGroup(t *testing.T) {
+	const goTag, dataTag = 9, 7
+	err := runWithTimeout(t, 3, func(c *Comm) error {
+		if c.Rank() == 1 {
+			kill(t, c)
+			return nil
+		}
+		for len(c.FailedPeers()) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		if c.Rank() == 2 {
+			c.Recv(0, goTag)
+			c.Send(0, dataTag, []int64{42})
+			return nil
+		}
+		// Rank 0 waits for live rank 2 while dead rank 1 is in its group.
+		gerr := c.Guard(func() error {
+			c.Wait(c.Irecv(2, dataTag))
+			return errors.New("Wait returned despite a dead group member")
+		})
+		if pe, ok := PeerErrorFrom(gerr); !ok || pe.Rank != 1 {
+			t.Errorf("Wait with a dead group member: %v, want an unwind naming rank 1", gerr)
+		}
+		// Outside the group the death is no news: the message arrives.
+		if err := c.Shrink([]int{0, 2}); err != nil {
+			return err
+		}
+		req := c.Irecv(2, dataTag)
+		c.Send(2, goTag, nil)
+		if payload, st := c.Wait(req); st.Source != 2 || payload.([]int64)[0] != 42 {
+			t.Errorf("Wait after the shrink delivered src=%d payload=%v, want src=2 [42]", st.Source, payload)
 		}
 		return nil
 	})

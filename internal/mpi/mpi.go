@@ -402,10 +402,10 @@ func (c *Comm) send(dest, tag int, payload any) int64 {
 }
 
 // sendFailed classifies a failed Send. A typed peer failure (dead
-// destination) is scoped: it is recorded in the failure registry and returned,
-// and never aborts the in-process world — so survivors keep running, which is
-// what the graceful-degradation path depends on. Any other transport error
-// aborts the world and unwinds the rank.
+// destination) is recorded in the failure registry and returned, and never
+// aborts the in-process world — so survivors keep running, which is what the
+// group re-formation depends on. Any other transport error aborts the world
+// and unwinds the rank.
 func (c *Comm) sendFailed(err error) *transport.PeerError {
 	pe, ok := transport.AsPeerError(err)
 	if !ok {
@@ -416,33 +416,24 @@ func (c *Comm) sendFailed(err error) *transport.PeerError {
 	return pe
 }
 
-// SendPeerAware sends payload to dest like Send and returns the frame's exact
-// wire size (transport.Conn.Send's: post-compression on a compressing
-// backend), but a dead destination surfaces as a returned *transport.PeerError
-// instead of a rank unwind — the sender-side twin of WaitPeerAware, and the
-// one value-returning post. Non-peer transport errors still unwind. The
-// exchange scheduler sends every frame through it, so a send racing a peer's
-// death is a value its failure policy decides about.
-func (c *Comm) SendPeerAware(dest, tag int, payload any) (int64, *transport.PeerError) {
-	c.checkDest(dest, "SendPeerAware")
-	c.checkUserTag(tag, "SendPeerAware")
-	wire, err := c.conn.Send(dest, tag, payload)
-	if err != nil {
-		return 0, c.sendFailed(err)
-	}
-	return wire, nil
+// Send posts payload to rank dest, another rank, with the given tag and
+// returns the frame's exact wire size (transport.Conn.Send's:
+// post-compression on a compressing backend). The payload is copied (inproc
+// backend; see transport.ClonePayload) or serialized (wire backends), so the
+// caller may reuse its buffers immediately. A dead destination unwinds the
+// rank like a collective does, with the *transport.PeerError (recovered by
+// Run/Execute, or by a Guard); so does a type outside the transport codec's
+// set, with the backend's error.
+func (c *Comm) Send(dest, tag int, payload any) int64 {
+	c.checkDest(dest, "Send")
+	c.checkUserTag(tag, "Send")
+	return c.send(dest, tag, payload)
 }
 
-// Isend starts a non-blocking send of payload to rank dest, another rank, with
-// the given tag. The payload is copied (inproc backend; see
-// transport.ClonePayload) or serialized (wire backends), so the caller may
-// reuse its buffers immediately; a type outside the transport codec's set
-// unwinds the rank with the backend's error. The returned request is already complete; Wait
-// on it is allowed and returns instantly.
+// Isend is Send returning an already-complete request; Wait on it is allowed
+// and returns instantly.
 func (c *Comm) Isend(dest, tag int, payload any) *Request {
-	c.checkDest(dest, "Isend")
-	c.checkUserTag(tag, "Isend")
-	c.send(dest, tag, payload)
+	c.Send(dest, tag, payload)
 	return completedRequest()
 }
 
@@ -457,11 +448,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	req := &Request{abortCh: c.abortCh, closedCh: c.closedCh, done: make(chan struct{})}
 	c.mbox.post(src, tag, req)
 	return req
-}
-
-// Send is a blocking send (Isend + Wait).
-func (c *Comm) Send(dest, tag int, payload any) {
-	c.Isend(dest, tag, payload).Wait()
 }
 
 // Recv is a blocking receive (Irecv + Wait).

@@ -253,8 +253,8 @@ func TestNegativeUserTagPanics(t *testing.T) {
 // one out of range, before the transport sees the frame.
 func TestSendToSelfPanics(t *testing.T) {
 	for name, send := range map[string]func(c *Comm){
-		"Isend":         func(c *Comm) { c.Isend(c.Rank(), 0, []int{1}) },
-		"SendPeerAware": func(c *Comm) { c.SendPeerAware(c.Rank(), 0, []int{1}) },
+		"Isend": func(c *Comm) { c.Isend(c.Rank(), 0, []int{1}) },
+		"Send":  func(c *Comm) { c.Send(c.Rank(), 0, []int{1}) },
 	} {
 		err := Run(2, func(c *Comm) error {
 			if c.Rank() == 1 {

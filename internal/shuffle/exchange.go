@@ -13,9 +13,10 @@ import (
 // every worker, each rank sends and receives exactly one sample per slot —
 // the balanced communication property of Section III-B — and Senders[i] is
 // that permutation's inverse at this rank, so every rank knows whom it
-// waits for without asking (the degradation path rebuilds its receive
-// expectation from it). A plan that is not per-slot balanced (the post-join
-// rebalance) lists one sender per sample it receives. Q is the exchange
+// waits for without asking. A plan that is not per-slot balanced (the
+// post-join rebalance) lists one sender per sample it receives. Ranks are
+// world ranks: a plan drawn over a shrunk group's indices is mapped back to
+// them where it is made. Q is the exchange
 // fraction the plan was drawn at (zero for a plan that is not a PLS exchange):
 // the Scheduler's EffectiveQ scales it.
 type ExchangePlan struct {

@@ -1,7 +1,5 @@
 package shuffle
 
-import "sort"
-
 // Scheduler methods that only tests call, kept beside them and exported so
 // the external shuffle_test package sees them too.
 
@@ -15,14 +13,4 @@ func (s *Scheduler) RunEpochExchange(epoch int) error {
 		return err
 	}
 	return s.CleanLocalStorage()
-}
-
-// DeadRanks returns the sorted ranks this scheduler has absorbed as dead.
-func (s *Scheduler) DeadRanks() []int {
-	out := make([]int, 0, len(s.dead))
-	for r := range s.dead {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
 }

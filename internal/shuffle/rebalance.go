@@ -131,37 +131,10 @@ func Rebalance(c *mpi.Comm, st *store.Local, seed uint64, epoch int) (RebalanceS
 	if err != nil {
 		return stats, err
 	}
-	// Ranks the group has already re-formed around are no news to this window.
-	sched.dead = make(map[int]bool)
-	for _, r := range c.FailedPeers() {
-		if i := sort.SearchInts(group, r); i == len(group) || group[i] != r {
-			sched.dead[r] = true
-		}
-	}
 	if err := sched.Open(plan, RebalanceTag(c.Generation(), epoch)); err != nil {
 		return stats, err
 	}
-	syncErr := sched.Synchronize()
-	ok := 0
-	if syncErr == nil {
-		ok = 1
-	}
-	agreed, dead, err := mpi.Agree(c, []int{ok})
-	if err == nil && agreed[0] == 1 && len(dead) == 0 {
-		err = sched.commit()
-	} else {
-		sched.Reset()
-		switch {
-		case err != nil:
-		case len(dead) > 0:
-			err = mpi.FirstDead(c, dead)
-		case syncErr != nil:
-			err = syncErr
-		default:
-			err = fmt.Errorf("a member did not receive its share")
-		}
-	}
-	if err != nil {
+	if err := sched.Settle(); err != nil {
 		return stats, fmt.Errorf("shuffle: Rebalance: %w", err)
 	}
 	stats.Sent, stats.Received = plan.Slots(), len(plan.Senders)

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"plshuffle/internal/data"
@@ -20,6 +21,9 @@ import (
 //	sched.Communicate(-1)        // post any remaining non-blocking traffic
 //	sched.Synchronize()          // wait for the exchange to finish
 //	sched.CleanLocalStorage()    // remove sent samples, store received ones
+//
+// (Settle replaces the last two where a peer death must not split the
+// commit: the group agrees on it.)
 //
 // Posting the traffic in per-iteration chunks (Q·b samples per iteration,
 // Section III-C / Figure 4) overlaps the exchange with the forward and
@@ -94,26 +98,9 @@ type Scheduler struct {
 	dedupSaved atomic.Int64
 	base       struct{ wireSent, wireRecv, dedupHits, dedupSaved int64 }
 
-	// Failure policy (DESIGN.md §10): every exchange frame goes out through
-	// SendPeerAware and every blocking drain waits in WaitPeerAware, so a peer
-	// death always reaches the scheduler as a *transport.PeerError value, and
-	// peerFailed is the one place that decides about it. With degrade set the
-	// scheduler cancels the dead rank's slots — send slots toward it are
-	// retained locally, inbound slots from it are forfeited (capped by what
-	// already arrived) — and the epoch completes with a reduced effective
-	// exchange fraction: a smaller realized Q is still a valid PLS
-	// configuration. Without it (abort, the default) the typed error is
-	// returned to the caller.
-	degrade  bool
-	dead     map[int]bool // ranks this scheduler treats as dead
-	recvFrom map[int]int  // samples decoded per source rank this epoch
-
-	// The current epoch's canceled slots — send slots whose samples stay
-	// local, inbound slots forfeited to a death — and the exchange fraction
-	// they leave (float64 bits). Written together by setDegraded.
-	degradedSend atomic.Int64
-	degradedRecv atomic.Int64
-	effQ         atomic.Uint64
+	// effQ is the float64 bits of the exchange fraction the current epoch
+	// realizes: the opened plan's Q, or 0 once Reset abandons the window.
+	effQ atomic.Uint64
 }
 
 type schedState int
@@ -134,12 +121,6 @@ type Options struct {
 	// DedupBudget > 0 enables the pairwise dedup protocol (DESIGN.md §13)
 	// with this byte budget per directed pair.
 	DedupBudget int64
-	// Degrade selects the failure policy (DESIGN.md §10): a peer death
-	// observed while sending or draining is absorbed, and the epoch
-	// completes over the survivors with DegradedSlots accounting the
-	// canceled traffic. Off, the operation that observed it returns an error
-	// carrying the *transport.PeerError (mpi.PeerErrorFrom).
-	Degrade bool
 }
 
 // NewScheduler creates a scheduler for one worker. totalN is the global
@@ -164,9 +145,8 @@ func NewScheduler(comm *mpi.Comm, st *store.Local, q float64, totalN int, seed u
 	if len(opts) == 1 {
 		o = opts[0]
 	}
-	// Until the first Open, EffectiveQ reads an empty plan drawn at q.
-	s := &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed, plan: ExchangePlan{Q: q}, degrade: o.Degrade}
-	s.setDegraded(0, 0)
+	s := &Scheduler{comm: comm, st: st, q: q, totalN: totalN, seed: seed}
+	s.effQ.Store(math.Float64bits(q))      // what EffectiveQ reads until the first Open
 	s.configure(o.Encoding, o.DedupBudget) // idle: cannot fail
 	return s, nil
 }
@@ -233,16 +213,17 @@ func (s *Scheduler) Open(plan ExchangePlan, tag int) error {
 	s.received = s.received[:0] // capacity reused across epochs
 	s.base.wireSent, s.base.wireRecv = s.CumulativeWireTraffic()
 	s.base.dedupHits, s.base.dedupSaved = s.CumulativeDedup()
-	clear(s.recvFrom)
+	s.effQ.Store(math.Float64bits(plan.Q))
 	s.state = stateScheduled
-	s.setDegraded(0, 0)
-	if len(s.dead) > 0 {
-		// Deaths absorbed in earlier epochs persist: rebuild this window's
-		// expectation around them before any traffic flows.
-		s.recomputeExpectation()
-	}
 	return nil
 }
+
+// EffectiveQ returns the exchange fraction the current epoch realizes: the
+// opened plan's Q, or 0 for an epoch whose window Reset abandoned (a Q = 0
+// epoch is still a PLS epoch). Before the first Open it reads the q
+// NewScheduler was given. Safe from any goroutine — it backs the
+// pls_exchange_effective_q gauge.
+func (s *Scheduler) EffectiveQ() float64 { return math.Float64frombits(s.effQ.Load()) }
 
 // Slots returns the number of samples this epoch's plan exchanges.
 func (s *Scheduler) Slots() int { return s.plan.Slots() }
@@ -264,11 +245,6 @@ func (s *Scheduler) Communicate(n int) (int, error) {
 	if s.state != stateScheduled {
 		return 0, fmt.Errorf("shuffle: Communicate called without a scheduled epoch")
 	}
-	// Deaths the transport detected since the last call are decided first, so
-	// the send loop below never aims at a known-dead rank.
-	if err := s.notePeerFailures(); err != nil {
-		return 0, err
-	}
 	end := s.plan.Slots()
 	if n >= 0 && s.posted+n < end {
 		end = s.posted + n
@@ -279,9 +255,6 @@ func (s *Scheduler) Communicate(n int) (int, error) {
 		}
 		for i := s.posted; i < end; i++ {
 			d := s.plan.Dests[i]
-			if s.dead[d] {
-				continue // canceled slot: CleanLocalStorage retains the sample
-			}
 			s.destSlots[d] = append(s.destSlots[d], i)
 		}
 		for dest, slots := range s.destSlots {
@@ -300,8 +273,8 @@ func (s *Scheduler) Communicate(n int) (int, error) {
 				// A self slot is satisfied by the stored sample itself: no
 				// frame, no codec, and CleanLocalStorage leaves it in place.
 				s.received = append(s.received, s.batchShip...)
-			} else if err := s.shipBatch(dest); err != nil {
-				return 0, err
+			} else {
+				s.shipBatch(dest)
 			}
 			s.destSlots[dest] = slots[:0]
 		}
@@ -311,21 +284,6 @@ func (s *Scheduler) Communicate(n int) (int, error) {
 		return 0, err
 	}
 	return s.expected - len(s.received), nil
-}
-
-// sendExchangeFrame posts one frame of the current epoch's exchange toward
-// dest and returns its wire size. A destination that died under the send is
-// handed to peerFailed; when that absorbs it, dead=true tells the caller to
-// skip the rest of this destination's work — the batch's samples are retained
-// (the receiver is gone, so the local copies are the only ones among
-// survivors) and the pair's dedup state is moot (InvalidateDedup clears it
-// during recovery anyway).
-func (s *Scheduler) sendExchangeFrame(dest int, payload any) (wire int64, dead bool, err error) {
-	n, pe := s.comm.SendPeerAware(dest, s.tag, payload)
-	if pe != nil {
-		return 0, true, s.peerFailed(pe)
-	}
-	return n, false, nil
 }
 
 // drainReceives consumes inbound exchange frames until the epoch's expected
@@ -342,32 +300,20 @@ func (s *Scheduler) drainReceives(block bool) error {
 		var payload any
 		var st mpi.Status
 		if block {
-			// The peer-aware wait: a death the scheduler has not decided about
-			// yet surfaces as a value (the receive is withdrawn) instead of
-			// blocking forever on a sender that will never speak again. Under
-			// degrade the plan shrinks around it and the drain continues toward
-			// the reduced expectation; under abort the error is returned.
-			p, pst, err := s.comm.WaitPeerAware(s.pending, func(r int) bool { return s.dead[r] })
-			if err != nil {
-				s.pending = nil
-				pe, ok := transport.AsPeerError(err)
-				if !ok {
-					return err
-				}
-				if err := s.peerFailed(pe); err != nil {
-					return err
-				}
-				continue
-			}
-			payload, st = p, pst
+			// The receive is given up before the wait: a group member's death
+			// unwinds the wait (mpi.Comm.Wait) with the receive withdrawn, and
+			// an unwound drain must leave nothing for Reset to withdraw.
+			req := s.pending
+			s.pending = nil
+			payload, st = s.comm.Wait(req)
 		} else {
 			ok, p, pst := s.pending.Test()
 			if !ok {
 				return nil
 			}
 			payload, st = p, pst
+			s.pending = nil
 		}
-		s.pending = nil
 		if err := s.ingestFrame(payload, st); err != nil {
 			return err
 		}
@@ -375,8 +321,7 @@ func (s *Scheduler) drainReceives(block bool) error {
 	return nil
 }
 
-// ingestFrame decodes one exchange frame into the received set and updates
-// the per-source accounting the degradation path depends on. Two frame
+// ingestFrame decodes one exchange frame into the received set. Two frame
 // shapes exist: a sample batch ([]byte) carrying payloads, decoded into
 // feature arrays from s.features and then handed back to the transport's
 // pool (the Scheduler owns a payload delivered on its tag), and a dedup
@@ -415,20 +360,10 @@ func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
 	default:
 		return fmt.Errorf("shuffle: exchange frame carries %T, want []byte or transport.SampleRefs", payload)
 	}
-	n := len(s.received) - before
-	if n == 0 {
+	if len(s.received) == before {
 		return fmt.Errorf("shuffle: peer sent an empty sample batch")
 	}
-	if s.recvFrom == nil {
-		s.recvFrom = make(map[int]int)
-	}
-	s.recvFrom[st.Source] += n
 	s.wireRecv.Add(st.Wire)
-	if s.dead[st.Source] {
-		// A dead sender's straggler landed after its slots were forfeited:
-		// accept the samples and restore the expectation they satisfy.
-		s.recomputeExpectation()
-	}
 	if len(s.received) > s.expected {
 		return fmt.Errorf("shuffle: received %d samples, plan expects %d", len(s.received), s.expected)
 	}
@@ -436,7 +371,9 @@ func (s *Scheduler) ingestFrame(payload any, st mpi.Status) error {
 }
 
 // Synchronize posts any remaining traffic and waits until every expected
-// sample has arrived and been decoded (line 7 of Algorithm 1).
+// sample has arrived and been decoded (line 7 of Algorithm 1). A death in
+// the collective group unwinds it, as it unwinds a collective (DESIGN.md
+// §10): a frame to a dead rank, or the drain whoever it waits for.
 func (s *Scheduler) Synchronize() error {
 	if s.state != stateScheduled {
 		return fmt.Errorf("shuffle: Synchronize called without a scheduled epoch")
@@ -447,20 +384,41 @@ func (s *Scheduler) Synchronize() error {
 	if err := s.drainReceives(true); err != nil {
 		return err
 	}
-	// A degraded epoch can meet its (reduced) expectation while a receive
-	// is still posted; withdraw it so it cannot dangle into later epochs.
-	if s.pending != nil {
-		if !s.comm.CancelRecv(s.pending) {
-			// A frame matched concurrently; the completed message wins.
-			payload, st := s.pending.Wait()
-			if err := s.ingestFrame(payload, st); err != nil {
-				return err
-			}
-		}
-		s.pending = nil
-	}
 	s.state = stateSynchronized
 	return nil
+}
+
+// Settle closes the open window by the one transaction rule samples move by
+// (DESIGN.md §10): Synchronize, under a Guard so that a death unwinding the
+// drain still reaches the agreement; one mpi.Agree on "synchronized" over the
+// collective group; then the window commits on every member (as
+// CleanLocalStorage does) or resets on every member (Reset: the store is
+// untouched, the epoch realizes Q = 0). Nobody deletes what it sent until
+// everybody has received. Every member of the group calls it for the same
+// window. A reset returns an error: one carrying the first death's
+// *transport.PeerError (mpi.PeerErrorFrom) when a member died, this member's
+// own failure, or a member's refusal.
+func (s *Scheduler) Settle() error {
+	syncErr := s.comm.Guard(s.Synchronize)
+	ok := 0
+	if syncErr == nil {
+		ok = 1
+	}
+	agreed, dead, err := mpi.Agree(s.comm, []int{ok})
+	if err == nil && agreed[0] == 1 && len(dead) == 0 {
+		return s.commit()
+	}
+	s.Reset()
+	switch {
+	case err != nil:
+	case len(dead) > 0:
+		err = mpi.FirstDead(s.comm, dead)
+	case syncErr != nil:
+		err = syncErr
+	default:
+		err = fmt.Errorf("a member did not complete it")
+	}
+	return fmt.Errorf("shuffle: epoch %d's exchange reset: %w", s.ObservedEpoch(), err)
 }
 
 // Reset abandons the current epoch after a failed exchange, returning the
@@ -479,10 +437,13 @@ func (s *Scheduler) Reset() {
 		s.pending = nil
 	}
 	s.received = s.received[:0]
-	clear(s.recvFrom)
+	// A send the death unwound leaves its Communicate's grouping behind.
+	for d := range s.destSlots {
+		s.destSlots[d] = s.destSlots[d][:0]
+	}
 	s.posted = 0
 	s.expected = 0
-	s.setDegraded(0, 0)
+	s.effQ.Store(0)
 	// An abandoned epoch may have updated some pair caches but not others;
 	// drop all dedup state on both sides' next contact rather than risk a
 	// silent mirror/segment divergence.
@@ -491,7 +452,7 @@ func (s *Scheduler) Reset() {
 }
 
 // Received returns the samples obtained in the last synchronized exchange
-// (valid between Synchronize and CleanLocalStorage).
+// (valid from Synchronize until the next Open; empty after Reset).
 func (s *Scheduler) Received() []data.Sample { return s.received }
 
 // WireTraffic returns the exact wire volume of the current epoch's exchange
@@ -525,22 +486,11 @@ func (s *Scheduler) CleanLocalStorage() error {
 	if s.state != stateSynchronized {
 		return fmt.Errorf("shuffle: CleanLocalStorage called before Synchronize")
 	}
-	// Deleting a sent sample is the irreversible step of the exchange: once a
-	// death is known, samples shipped to the dead rank must be retained (the
-	// receiver died holding the only other copy). Every death the transport
-	// has reported up to this moment is decided first, so the retention
-	// decision below uses the freshest knowledge (and the abort policy stops
-	// before anything is deleted). A death detected only after this commit
-	// point loses the samples the dead rank had already received — exactly the
-	// semantics of a node dying with its share of the data.
-	if err := s.notePeerFailures(); err != nil {
-		return err
-	}
 	return s.commit()
 }
 
-// commit applies a synchronized window to the store; the rebalance calls it
-// directly, its agreement having decided the window.
+// commit applies a synchronized window to the store: the local commit of
+// CleanLocalStorage, and Settle's once the group agreed.
 func (s *Scheduler) commit() error {
 	if s.sentScratch == nil {
 		s.sentScratch = make(map[int]bool, len(s.plan.SendIDs))
@@ -548,16 +498,7 @@ func (s *Scheduler) commit() error {
 		clear(s.sentScratch)
 	}
 	sent := s.sentScratch
-	for i, id := range s.plan.SendIDs {
-		if s.dead[s.plan.Dests[i]] {
-			// Canceled slot: whether or not the sample was already shipped
-			// before the destination died, the receiver is gone — the local
-			// copy is the only one among the survivors, so retain it. This
-			// is the no-sample-lost half of the degradation invariant; the
-			// no-duplicate half holds because the dead rank is not a
-			// survivor.
-			continue
-		}
+	for _, id := range s.plan.SendIDs {
 		sent[id] = true
 	}
 	for _, sample := range s.received {

@@ -73,7 +73,7 @@ func (s *Scheduler) CumulativeDedup() (hits, savedBytes int64) {
 // destination, so both sides replay the identical Touch-then-Note sequence
 // against their pair caches. dest is never this rank: a self slot sends
 // nothing (Communicate).
-func (s *Scheduler) shipBatch(dest int) error {
+func (s *Scheduler) shipBatch(dest int) {
 	ship := s.batchShip
 	var refs transport.SampleRefs
 	var refBytes int64 // what the samples travelling as references would cost as batch entries
@@ -114,22 +114,14 @@ func (s *Scheduler) shipBatch(dest int) error {
 	}
 	var wire int64
 	if len(refs) > 0 {
-		n, dead, err := s.sendExchangeFrame(dest, refs)
-		if err != nil || dead {
-			return err
-		}
-		wire += n
+		wire += s.comm.Send(dest, s.tag, refs)
 	}
 	if len(ship) > 0 {
 		s.batchBuf = data.AppendSampleBatchEnc(s.batchBuf[:0], ship, s.encoding)
 		// Safe to reuse batchBuf across destinations: the inproc backend
 		// clones []byte payloads synchronously and the TCP backend
 		// serializes before Send returns (the transport contract).
-		n, dead, err := s.sendExchangeFrame(dest, s.batchBuf)
-		if err != nil || dead {
-			return err
-		}
-		wire += n
+		wire += s.comm.Send(dest, s.tag, s.batchBuf)
 	}
 	s.wireSent.Add(wire)
 	if s.dedupBudget > 0 {
@@ -151,7 +143,6 @@ func (s *Scheduler) shipBatch(dest int) error {
 			}
 		}
 	}
-	return nil
 }
 
 // emptyBatchFrame is the wire size of a payload frame carrying a batch of no

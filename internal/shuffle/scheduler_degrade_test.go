@@ -1,7 +1,10 @@
 package shuffle
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,8 +28,8 @@ func killComm(t *testing.T, c *mpi.Comm) {
 }
 
 // TestExpectedSendersInvertsPlans: each plan's per-slot Senders must be the
-// exact inverse of the shared-seed destination permutations — the sender
-// table the degradation path rebuilds its expectation from.
+// exact inverse of the shared-seed destination permutations — the table
+// every rank reads whom it waits for from.
 func TestExpectedSendersInvertsPlans(t *testing.T) {
 	const n, seed = 240, 77
 	for _, size := range []int{4, 7, 1, 8, 6} {
@@ -89,127 +92,190 @@ func survivorConservation(t *testing.T, stores []*store.Local, dead int, heldBef
 	}
 }
 
-// TestDegradeKillBeforeEpoch: the dead rank is known before the exchange
-// starts; survivors must complete the epoch with exactly the degraded
-// expectation, retain the slots aimed at the dead rank, and report
-// EffectiveQ < Q.
+// The degrade contract of the exchange (DESIGN.md §10): a death unwinds the
+// window's sends and drain like any collective, Settle's agreement resets the
+// window on every survivor (store untouched, EffectiveQ 0), the survivors
+// re-form — next generation, one agreement on the dead set, Shrink — and
+// later windows, planned over the live group, commit at the configured Q.
+
+// tracker records, per rank, the step it is in, so a deadline failure names
+// every rank and the wait it is stuck in instead of hanging.
+type tracker []atomic.Value
+
+func newTracker(m int) tracker { return make(tracker, m) }
+
+func (tr tracker) at(rank int, step string) { tr[rank].Store(step) }
+
+func (tr tracker) String() string {
+	var b strings.Builder
+	for r := range tr {
+		step, _ := tr[r].Load().(string)
+		fmt.Fprintf(&b, "\n  rank %d: %s", r, step)
+	}
+	return b.String()
+}
+
+// runWorld runs program on every rank of an in-process world, aborting the
+// world when a rank fails (mpi.Run's rule). Past the deadline it aborts the
+// world and fails the test naming each rank's step.
+func runWorld(t *testing.T, m int, program func(c *mpi.Comm, tr tracker) error) error {
+	t.Helper()
+	w := mpi.NewWorld(m)
+	tr := newTracker(m)
+	errs := make([]error, m)
+	var wg sync.WaitGroup
+	for r := 0; r < m; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = mpi.Execute(w.Comm(r), func(c *mpi.Comm) error { return program(c, tr) })
+			if errs[r] != nil {
+				w.Abort()
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		w.Abort()
+		t.Fatalf("ranks still running after 60s:%s", tr)
+	}
+	return errors.Join(errs...)
+}
+
+// reformGroup is the re-formation a trainer runs after a reset window,
+// reduced to what the exchange needs: open the next generation (so no
+// survivor's agreement pairs with another's settle round), agree on the
+// dead set, shrink to the rest.
+func reformGroup(c *mpi.Comm) error {
+	if err := c.EnterGeneration(c.Generation() + 1); err != nil {
+		return err
+	}
+	_, dead, err := mpi.Agree(c, []int{0})
+	if err != nil {
+		return err
+	}
+	return c.Shrink(slices.DeleteFunc(c.GroupRanks(), func(r int) bool { return slices.Contains(dead, r) }))
+}
+
+// openGroupEpoch opens epoch's flat PLS exchange drawn over c's collective
+// group as a world of GroupSize·(smallest store) samples — the trainer's
+// plan for a shrunk world — with group indices mapped to world ranks.
+func openGroupEpoch(c *mpi.Comm, sched *Scheduler, st *store.Local, q float64, seed uint64, epoch int) error {
+	minStore := []int{st.Len()}
+	mpi.Allreduce(c, minStore, mpi.OpMin)
+	plan, err := PlanExchange(c.GroupRank(), c.GroupSize(), st.IDs(), q, c.GroupSize()*minStore[0], seed, epoch)
+	if err != nil {
+		return err
+	}
+	group := c.GroupRanks()
+	for i := range plan.Dests {
+		plan.Dests[i], plan.Senders[i] = group[plan.Dests[i]], group[plan.Senders[i]]
+	}
+	return sched.Open(plan, ExchangeTag(epoch))
+}
+
+// wantReset checks a settled window that a death must have reset: the error
+// names the victim, and the window realized Q = 0.
+func wantReset(c *mpi.Comm, sched *Scheduler, err error, victim int) error {
+	if pe, ok := mpi.PeerErrorFrom(err); !ok || pe.Rank != victim {
+		return fmt.Errorf("rank %d: settling with rank %d dead returned %v, want a reset naming it", c.Rank(), victim, err)
+	}
+	if q := sched.EffectiveQ(); q != 0 {
+		return fmt.Errorf("rank %d: EffectiveQ of a reset window = %v, want 0", c.Rank(), q)
+	}
+	return nil
+}
+
+// TestDegradeKillBeforeEpoch: the victim is dead before the exchange starts.
+// A window whose plan still names it cannot commit: it resets on every
+// survivor with the stores untouched. After the re-formation two windows
+// planned over the live group commit at the configured Q, no survivor-held
+// sample is lost or duplicated, and occupancy stays within (1+Q)·N/M.
 func TestDegradeKillBeforeEpoch(t *testing.T) {
 	const n, m, q, seed, deadRank = 160, 4, 0.5, 99, 3
 	stores, _ := mkStores(t, n, m, seed, 0)
 
 	heldBefore := map[int]bool{}
+	before := make([][]int, m)
 	for r, st := range stores {
+		before[r] = st.IDs()
+		if r != deadRank {
+			for _, id := range before[r] {
+				heldBefore[id] = true
+			}
+		}
+	}
+	slots := make([]int, m)
+
+	err := runWorld(t, m, func(c *mpi.Comm, tr tracker) error {
+		r := c.Rank()
 		if r == deadRank {
-			continue
-		}
-		for _, id := range st.IDs() {
-			heldBefore[id] = true
-		}
-	}
-	initialLen := make([]int, m)
-	for r, st := range stores {
-		initialLen[r] = st.Len()
-	}
-
-	type report struct {
-		degSend, degRecv int
-		effQ             float64
-		slots            int
-		peak             int64
-	}
-	reports := make([]report, m)
-
-	err := mpi.Run(m, func(c *mpi.Comm) error {
-		if c.Rank() == deadRank {
 			killComm(t, c)
 			return nil
 		}
 		for len(c.FailedPeers()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed, Options{Degrade: true})
+		sched, err := NewScheduler(c, stores[r], q, n, seed)
 		if err != nil {
 			return err
 		}
-		for e := 0; e < 3; e++ {
-			if err := sched.Scheduling(e); err != nil {
+		if err := sched.Scheduling(0); err != nil {
+			return err
+		}
+		tr.at(r, "epoch 0 Settle")
+		if err := wantReset(c, sched, sched.Settle(), deadRank); err != nil {
+			return err
+		}
+		if got := stores[r].IDs(); !slices.Equal(got, before[r]) {
+			return fmt.Errorf("rank %d: the reset window changed the store", r)
+		}
+		tr.at(r, "re-formation")
+		if err := reformGroup(c); err != nil {
+			return err
+		}
+		for e := 1; e < 3; e++ {
+			tr.at(r, fmt.Sprintf("epoch %d", e))
+			if err := openGroupEpoch(c, sched, stores[r], q, seed, e); err != nil {
 				return err
 			}
-			if err := sched.Synchronize(); err != nil {
+			slots[r] = max(slots[r], sched.Slots())
+			if err := sched.Settle(); err != nil {
 				return err
 			}
-			if e == 0 {
-				ds, dr := sched.DegradedSlots()
-				reports[c.Rank()] = report{ds, dr, sched.EffectiveQ(), sched.Slots(), 0}
-			}
-			if err := sched.CleanLocalStorage(); err != nil {
-				return err
+			if got := sched.EffectiveQ(); got != q {
+				return fmt.Errorf("rank %d epoch %d: EffectiveQ = %v, want %v", r, e, got, q)
 			}
 		}
-		reports[c.Rank()].peak = stores[c.Rank()].Peak()
+		tr.at(r, "done")
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for r := 0; r < m; r++ {
-		if r == deadRank {
-			continue
-		}
-		rep := reports[r]
-		// Exact expected degradation from the shared-seed permutations:
-		// inbound slots whose sender is the dead rank, and outbound slots
-		// whose destination is the dead rank (= slots where this rank is
-		// the dead rank's expected sender).
-		senders := func(rank int) []int {
-			p, err := PlanExchange(rank, m, make([]int, n), q, n, seed, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p.Senders
-		}
-		wantRecv := 0
-		for _, s := range senders(r) {
-			if s == deadRank {
-				wantRecv++
-			}
-		}
-		wantSend := 0
-		for _, s := range senders(deadRank) {
-			if s == r {
-				wantSend++
-			}
-		}
-		if rep.degRecv != wantRecv {
-			t.Errorf("rank %d: DegradedSlots recv = %d, want %d", r, rep.degRecv, wantRecv)
-		}
-		if rep.degSend != wantSend {
-			t.Errorf("rank %d: DegradedSlots send = %d, want %d", r, rep.degSend, wantSend)
-		}
-		if rep.degSend+rep.degRecv > 0 && rep.effQ >= q {
-			t.Errorf("rank %d: EffectiveQ = %v, want < %v", r, rep.effQ, q)
-		}
-		// Peak storage stays within the (1+Q)·N/M discipline: at most the
-		// initial residency plus one full exchange's worth of receives
-		// (Peak counts bytes; mkStores uses 10-byte samples).
-		const sampleBytes = 10
-		if rep.peak > int64((initialLen[r]+rep.slots)*sampleBytes) {
-			t.Errorf("rank %d: peak %d bytes exceeds (initial %d + slots %d) samples", r, rep.peak, initialLen[r], rep.slots)
+	// Peak storage stays within the (1+Q)·N/M discipline: at most the
+	// initial residency plus one window's receives (mkStores uses 10-byte
+	// samples).
+	const sampleBytes = 10
+	for r, st := range stores {
+		if r != deadRank && st.Peak() > int64((len(before[r])+slots[r])*sampleBytes) {
+			t.Errorf("rank %d: peak %d bytes exceeds (initial %d + slots %d) samples", r, st.Peak(), len(before[r]), slots[r])
 		}
 	}
 	survivorConservation(t, stores, deadRank, heldBefore)
 }
 
 // TestEffectiveQScalesTheOpenedPlan: EffectiveQ is the fraction of the plan
-// Open was handed, not the q the Scheduler was built with — before any
-// death, and scaled by the surviving slots after one. Before the first Open
-// it reads the constructor's q.
+// Open was handed, not the q the Scheduler was built with, and 0 once a
+// death reset the window. Before the first Open it reads the constructor's q.
 func TestEffectiveQScalesTheOpenedPlan(t *testing.T) {
 	const n, m, seed, deadRank = 160, 4, 31, 1
 	const built, drawn = 1.0, 0.5
 	stores, _ := mkStores(t, n, m, seed, 0)
-	err := mpi.Run(m, func(c *mpi.Comm) error {
+	err := runWorld(t, m, func(c *mpi.Comm, tr tracker) error {
 		if c.Rank() == deadRank {
 			killComm(t, c)
 			return nil
@@ -217,7 +283,7 @@ func TestEffectiveQScalesTheOpenedPlan(t *testing.T) {
 		for len(c.FailedPeers()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		sched, err := NewScheduler(c, stores[c.Rank()], built, n, seed, Options{Degrade: true})
+		sched, err := NewScheduler(c, stores[c.Rank()], built, n, seed)
 		if err != nil {
 			return err
 		}
@@ -234,96 +300,112 @@ func TestEffectiveQScalesTheOpenedPlan(t *testing.T) {
 		if got := sched.EffectiveQ(); got != drawn {
 			return fmt.Errorf("rank %d: EffectiveQ of the opened plan = %v, want the plan's %v", c.Rank(), got, drawn)
 		}
-		if err := sched.Synchronize(); err != nil {
+		tr.at(c.Rank(), "epoch 0 Settle")
+		if err := wantReset(c, sched, sched.Settle(), deadRank); err != nil {
 			return err
 		}
-		ds, dr := sched.DegradedSlots()
-		if ds+dr == 0 {
-			return fmt.Errorf("rank %d: the death of rank %d degraded no slot", c.Rank(), deadRank)
+		tr.at(c.Rank(), "re-formation")
+		if err := reformGroup(c); err != nil {
+			return err
 		}
-		k := plan.Slots()
-		if got, want := sched.EffectiveQ(), drawn*float64(2*k-ds-dr)/float64(2*k); got != want {
-			return fmt.Errorf("rank %d: degraded EffectiveQ = %v, want %v (%d+%d of 2·%d slots lost)", c.Rank(), got, want, ds, dr, k)
+		tr.at(c.Rank(), "epoch 1")
+		if err := openGroupEpoch(c, sched, stores[c.Rank()], drawn, seed, 1); err != nil {
+			return err
 		}
-		return sched.CleanLocalStorage()
+		if err := sched.Settle(); err != nil {
+			return err
+		}
+		if got := sched.EffectiveQ(); got != drawn {
+			return fmt.Errorf("rank %d: EffectiveQ of the committed window = %v, want %v", c.Rank(), got, drawn)
+		}
+		tr.at(c.Rank(), "done")
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDegradeKillMidEpoch: the rank dies after shipping part of its epoch
-// traffic. Survivors absorb the death mid-drain, accept the straggler
-// samples that landed before it, and complete this and subsequent epochs
-// without losing or duplicating any survivor-held sample.
+// TestDegradeKillMidEpoch: the victim dies after shipping part of its
+// window. Each survivor's sends or drain unwind; whichever it is in, the
+// window resets on every survivor (no survivor committed while another
+// reset), the survivors re-form, and two more windows over the live group
+// commit without losing or duplicating any survivor-held sample.
 func TestDegradeKillMidEpoch(t *testing.T) {
 	const n, m, q, seed, deadRank = 200, 4, 0.6, 1234, 2
 	stores, _ := mkStores(t, n, m, seed, 0)
 
 	heldBefore := map[int]bool{}
+	before := make([][]int, m)
 	for r, st := range stores {
-		if r == deadRank {
-			continue
-		}
-		for _, id := range st.IDs() {
-			heldBefore[id] = true
+		before[r] = st.IDs()
+		if r != deadRank {
+			for _, id := range before[r] {
+				heldBefore[id] = true
+			}
 		}
 	}
 
-	var sawDegradation atomic.Bool
-	err := mpi.Run(m, func(c *mpi.Comm) error {
-		sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed, Options{Degrade: true})
+	err := runWorld(t, m, func(c *mpi.Comm, tr tracker) error {
+		r := c.Rank()
+		sched, err := NewScheduler(c, stores[r], q, n, seed)
 		if err != nil {
 			return err
 		}
-		if c.Rank() == deadRank {
-			// Ship a few slots, then die abruptly mid-Communicate. The
-			// count is kept below any survivor's inbound expectation from
-			// this rank, so every survivor is guaranteed to block in
-			// Synchronize and absorb the death before its epoch commits.
-			if err := sched.Scheduling(0); err != nil {
-				return err
-			}
+		if err := sched.Scheduling(0); err != nil {
+			return err
+		}
+		if r == deadRank {
+			// Ship a few slots, then die abruptly mid-Communicate.
 			if _, err := sched.Communicate(3); err != nil {
 				return err
 			}
 			killComm(t, c)
 			return nil
 		}
-		for e := 0; e < 3; e++ {
-			if err := sched.Scheduling(e); err != nil {
-				return err
-			}
-			// Chunked posting so the death interleaves with live traffic.
+		// Chunked posting so the death interleaves with live traffic. A send
+		// the death unwinds leaves the window open: the rank resets it and
+		// goes straight to the re-formation, as the trainer's recovery does,
+		// while the others settle.
+		tr.at(r, "epoch 0 Communicate")
+		err = c.Guard(func() error {
 			for posted := 0; posted < sched.Slots(); posted += 7 {
 				if _, err := sched.Communicate(7); err != nil {
 					return err
 				}
 			}
-			if err := sched.Synchronize(); err != nil {
+			return nil
+		})
+		if err == nil {
+			tr.at(r, "epoch 0 Settle")
+			err = sched.Settle()
+		} else {
+			sched.Reset()
+		}
+		if err := wantReset(c, sched, err, deadRank); err != nil {
+			return err
+		}
+		if got := stores[r].IDs(); !slices.Equal(got, before[r]) {
+			return fmt.Errorf("rank %d: the reset window changed the store", r)
+		}
+		tr.at(r, "re-formation")
+		if err := reformGroup(c); err != nil {
+			return err
+		}
+		for e := 1; e < 3; e++ {
+			tr.at(r, fmt.Sprintf("epoch %d", e))
+			if err := openGroupEpoch(c, sched, stores[r], q, seed, e); err != nil {
 				return err
 			}
-			ds, dr := sched.DegradedSlots()
-			if ds+dr > 0 {
-				sawDegradation.Store(true)
-				if sched.EffectiveQ() >= q {
-					return fmt.Errorf("rank %d epoch %d: EffectiveQ %v not reduced", c.Rank(), e, sched.EffectiveQ())
-				}
-			}
-			if err := sched.CleanLocalStorage(); err != nil {
+			if err := sched.Settle(); err != nil {
 				return err
 			}
 		}
-		if got := sched.DeadRanks(); len(got) != 1 || got[0] != deadRank {
-			return fmt.Errorf("rank %d: DeadRanks = %v, want [%d]", c.Rank(), got, deadRank)
-		}
+		tr.at(r, "done")
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sawDegradation.Load() {
-		t.Fatal("no rank observed any degraded slots; the kill did not bite")
 	}
 	survivorConservation(t, stores, deadRank, heldBefore)
 }
@@ -377,18 +459,21 @@ func TestSchedulerResetAfterFailedEpoch(t *testing.T) {
 
 // TestPeerFailurePolicy is the policy matrix: {abort, degrade} × the moment
 // the victim dies × {inproc, TCP with distrun's heartbeat settings}. Whatever
-// the moment, the death reaches the scheduler as one *transport.PeerError and
-// the policy is its one decision about it:
+// the moment, the death unwinds the window's sends or drain with one
+// *transport.PeerError; the policy decides what follows:
 //
-//   - abort: every survivor's epoch returns an error that carries the peer
-//     error and names the victim (mpi.PeerErrorFrom), promptly, with its store
-//     untouched — including the survivor that had posted all its sends and was
-//     blocked in Synchronize waiting for frames the victim never sent;
-//   - degrade: the epoch and the one after it complete over the survivors, and
-//     no survivor-held sample is lost or duplicated.
+//   - abort (Synchronize, CleanLocalStorage): every survivor's epoch returns
+//     an error that carries the peer error and names the victim
+//     (mpi.PeerErrorFrom), promptly, with its store untouched — including the
+//     survivor that had posted all its sends and was blocked in Synchronize
+//     waiting for frames the victim never sent;
+//   - degrade (Settle): the epoch's window resets on every survivor, store
+//     untouched; the survivors re-form, the next window over the live group
+//     commits, and no survivor-held sample is lost or duplicated.
 //
 // Ranks run on per-rank communicators (no world abort), so each survivor has
-// to see the death by itself, as separate processes would.
+// to see the death by itself, as separate processes would; a rank whose
+// program fails has its endpoint killed, as a process exit would.
 func TestPeerFailurePolicy(t *testing.T) {
 	const n, m, q, seed, victim = 160, 4, 0.5, 4242, 2
 	const (
@@ -445,8 +530,10 @@ func TestPeerFailurePolicy(t *testing.T) {
 					}
 					errs := make([]error, m)
 					took := make([]time.Duration, m) // kill → return, per survivor
+					tr := newTracker(m)
 					program := func(c *mpi.Comm) error {
-						sched, err := NewScheduler(c, stores[c.Rank()], q, n, seed, Options{Degrade: degrade})
+						r := c.Rank()
+						sched, err := NewScheduler(c, stores[r], q, n, seed)
 						if err != nil {
 							return err
 						}
@@ -470,23 +557,41 @@ func TestPeerFailurePolicy(t *testing.T) {
 						var once sync.Once
 						reached := func() { once.Do(posted.Done) }
 						defer reached() // a survivor failing early must not strand the victim
-						for e := 0; e < 2; e++ {
-							if err := sched.Scheduling(e); err != nil {
-								return err
-							}
-							if e == 0 && moment == afterCommunicate {
-								if _, err := sched.Communicate(-1); err != nil {
-									return err
-								}
-							}
-							reached()
-							if err := sched.Synchronize(); err != nil {
-								return err
-							}
-							if err := sched.CleanLocalStorage(); err != nil {
+						if err := sched.Scheduling(0); err != nil {
+							return err
+						}
+						if moment == afterCommunicate {
+							if _, err := sched.Communicate(-1); err != nil {
 								return err
 							}
 						}
+						reached()
+						if !degrade {
+							tr.at(r, "epoch 0 Synchronize")
+							if err := sched.Synchronize(); err != nil {
+								return err
+							}
+							return sched.CleanLocalStorage()
+						}
+						tr.at(r, "epoch 0 Settle")
+						if err := wantReset(c, sched, sched.Settle(), victim); err != nil {
+							return err
+						}
+						if got := stores[r].IDs(); !slices.Equal(got, before[r]) {
+							return fmt.Errorf("rank %d: the reset window changed the store", r)
+						}
+						tr.at(r, "re-formation")
+						if err := reformGroup(c); err != nil {
+							return err
+						}
+						tr.at(r, "epoch 1 Settle")
+						if err := openGroupEpoch(c, sched, stores[r], q, seed, 1); err != nil {
+							return err
+						}
+						if err := sched.Settle(); err != nil {
+							return err
+						}
+						tr.at(r, "done")
 						return nil
 					}
 					var wg sync.WaitGroup
@@ -498,6 +603,11 @@ func TestPeerFailurePolicy(t *testing.T) {
 							if at := killedAt.Load(); at != 0 {
 								took[r] = time.Since(time.Unix(0, at))
 							}
+							if errs[r] != nil && degrade {
+								// A failed rank exits: its peers must see it die
+								// rather than wait for it in an agreement.
+								comms[r].Transport().(transport.Killer).Kill()
+							}
 						}(r)
 					}
 					done := make(chan struct{})
@@ -506,8 +616,8 @@ func TestPeerFailurePolicy(t *testing.T) {
 					case <-done:
 					case <-time.After(3 * be.detect):
 						// cleanup closes the communicators, which wakes the stuck ranks.
-						t.Fatalf("ranks still blocked %v after the failure was reported to them (FailedPeers on rank 0: %v)",
-							3*be.detect, comms[0].FailedPeers())
+						t.Fatalf("ranks still blocked %v after the kill (FailedPeers on rank 0: %v):%s",
+							3*be.detect, comms[0].FailedPeers(), tr)
 					}
 
 					for r := range comms {
@@ -519,7 +629,7 @@ func TestPeerFailurePolicy(t *testing.T) {
 						}
 						if degrade {
 							if errs[r] != nil {
-								t.Errorf("rank %d: degraded epochs failed: %v", r, errs[r])
+								t.Errorf("rank %d: %v", r, errs[r])
 							}
 							continue
 						}

@@ -478,7 +478,7 @@ func TestNewSchedulerValidation(t *testing.T) {
 	if _, err := NewScheduler(w.Comm(0), st, 0.5, 0, 1); err == nil {
 		t.Fatal("bad totalN accepted")
 	}
-	if _, err := NewScheduler(w.Comm(0), st, 0.5, 10, 1, Options{}, Options{Degrade: true}); err == nil {
+	if _, err := NewScheduler(w.Comm(0), st, 0.5, 10, 1, Options{}, Options{DedupBudget: 1}); err == nil {
 		t.Fatal("two Options values accepted")
 	}
 }

@@ -24,10 +24,8 @@ const (
 	// PhaseCheckpoint is the snapshot committed at an epoch's boundary;
 	// recorded only for epochs that wrote one.
 	PhaseCheckpoint = "checkpoint"
-	// PhaseDegraded marks an epoch whose exchange ran with a reduced
-	// effective shuffling fraction because one or more peers died
-	// (DESIGN.md §10). Bytes carries the number of forfeited exchange
-	// slots; EffectiveQ the realized fraction.
+	// PhaseDegraded marks an epoch a peer death disrupted (DESIGN.md §10);
+	// EffectiveQ is the fraction its exchange realized.
 	PhaseDegraded = "degraded"
 )
 
@@ -39,7 +37,7 @@ type Event struct {
 	Duration time.Duration `json:"duration_ns"`
 	Bytes    int64         `json:"bytes,omitempty"`
 	// EffectiveQ is the realized shuffling fraction of a PhaseDegraded
-	// event: Q scaled by the live share of the epoch's exchange slots.
+	// event: the plan's Q if the exchange committed, 0 if it was reset.
 	EffectiveQ float64 `json:"effective_q,omitempty"`
 }
 

@@ -101,7 +101,7 @@ type Config struct {
 	Trace *trace.Recorder
 	// Telemetry, if non-nil, registers this rank's live metrics (DESIGN.md
 	// §11): training progress and per-phase time, the exchange scheduler's
-	// EffectiveQ/DegradedSlots and cumulative wire volume, the runtime's
+	// EffectiveQ and cumulative wire volume, the runtime's
 	// collective sequence and overlap depth, and the transport's byte/frame
 	// counters. The counters themselves always run (they are what EpochStats
 	// is derived from); Telemetry only makes them scrapeable. The hot path
@@ -112,12 +112,13 @@ type Config struct {
 	// OnPeerFail selects the policy when the transport reports a peer dead
 	// mid-run (DESIGN.md §10). "abort" (or "") propagates the typed
 	// transport.PeerError and fails the rank — the launcher reports it and
-	// exits non-zero. "degrade" keeps the survivors training: the exchange
-	// scheduler forfeits the dead rank's slots (reduced effective Q), the
-	// collective group shrinks over the survivors (mpi.Shrink), weights are
-	// re-synchronized from the lowest surviving rank, and the epoch in
-	// flight when the failure struck is completed without further gradient
-	// steps.
+	// exits non-zero. "degrade" keeps the survivors training: every epoch's
+	// exchange commits on every member or on none (one agreement), so the
+	// epoch in flight when the failure struck is reset (Q = 0) without
+	// further gradient steps; the collective group shrinks over the
+	// survivors (mpi.Shrink), weights are re-synchronized from the lowest
+	// surviving rank, the stores are re-dealt, and later epochs plan over
+	// the live group at the configured Q.
 	OnPeerFail string
 
 	// CheckpointDir, when non-empty, enables deterministic checkpointing

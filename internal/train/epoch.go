@@ -77,31 +77,34 @@ func (w *worker) bookGradSync(wait, inFlight time.Duration, wireBytes int64) {
 	w.tm.GradWireBytes.Add(wireBytes)
 }
 
-// finishExchange completes the open epoch's exchange: Synchronize, record
-// the epoch's volumes and degradation, apply the storage swap, and close
-// the Scheduling…CleanLocalStorage window. It is pure point-to-point work —
-// the recovery path calls it too, after the survivors have agreed that
-// every one of them reached this epoch's exchange.
+// finishExchange closes the open epoch's exchange window and records its
+// volumes. Under degrade the group settles it (Scheduler.Settle: one
+// agreement commits it on every member or resets it on every member, so a
+// death cannot split the commit); under abort a death ends the run, so the
+// commit stays local (Synchronize, CleanLocalStorage) and costs no round.
 func (w *worker) finishExchange(es *EpochStats) error {
-	if err := w.exchanger.Synchronize(); err != nil {
-		return err
+	testAgreeHook(w.comm, "exchange", w.exchEpoch)
+	var err error
+	if w.cfg.OnPeerFail == "degrade" {
+		err = w.exchanger.Settle()
+		w.exchEpoch = -1 // committed or reset: either way closed
+	} else if err = w.exchanger.Synchronize(); err == nil {
+		err = w.exchanger.CleanLocalStorage()
+		w.exchEpoch = -1
 	}
+	w.recordExchange(es)
+	return err
+}
+
+// recordExchange reads the exchange window's counters into es once it has
+// closed (settled by finishExchange or reset by the recovery path): the
+// samples it brought in, the scheduler's per-epoch wire and dedup deltas —
+// what went on the wire is the epoch's traffic even when it was reset —
+// and the fraction it realized.
+func (w *worker) recordExchange(es *EpochStats) {
 	for _, s := range w.exchanger.Received() {
 		es.ExchangeBytes += s.Bytes
 	}
-	w.recordExchange(es)
-	if err := w.exchanger.CleanLocalStorage(); err != nil {
-		return err
-	}
-	w.exchEpoch = -1
-	return nil
-}
-
-// recordExchange reads the open exchange window's counters into es, once,
-// before the window closes (completed by finishExchange or abandoned by the
-// recovery path): the scheduler's per-epoch wire and dedup deltas, and the
-// degradation.
-func (w *worker) recordExchange(es *EpochStats) {
 	// On a wire backend, the exchange's true network volume (exact frame
 	// sizes; the traffic itself overlaps with compute, so transport counter
 	// deltas cannot attribute it to this phase).
@@ -112,13 +115,6 @@ func (w *worker) recordExchange(es *EpochStats) {
 	hits, saved := w.exchanger.DedupStats()
 	es.DedupHits += hits
 	es.DedupBytesSaved += saved
-	w.recordDegradation(es)
-}
-
-// recordDegradation reads the scheduler's current degradation into es.
-func (w *worker) recordDegradation(es *EpochStats) {
-	ds, dr := w.exchanger.DegradedSlots()
-	es.DegradedSlots = ds + dr
 	es.EffectiveQ = w.exchanger.EffectiveQ()
 }
 
@@ -154,11 +150,14 @@ func (w *worker) syncBatchNormStats() {
 }
 
 // planEpoch is this rank's plan for epoch: shuffle.PlanEpoch over the
-// current world and the local store, at the fraction in force (w.q).
-func (w *worker) planEpoch(epoch int) (shuffle.EpochPlan, error) {
+// collective group as a world of n samples and the local store, at the
+// fraction in force (w.q). A shrunk group plans over its indices, which are
+// mapped back to the world ranks the exchange addresses; a full world is
+// its own group.
+func (w *worker) planEpoch(epoch, n int) (shuffle.EpochPlan, error) {
 	strategy := w.cfg.Strategy
 	strategy.Q = w.q
-	world := shuffle.World{Rank: w.comm.Rank(), Size: w.comm.Size(), N: len(w.cfg.Dataset.Train)}
+	world := shuffle.World{Rank: w.comm.GroupRank(), Size: w.comm.GroupSize(), N: n}
 	var ids []int
 	if w.local != nil {
 		ids = w.local.IDs()
@@ -167,7 +166,15 @@ func (w *worker) planEpoch(epoch int) (shuffle.EpochPlan, error) {
 		man := w.shards.Manifest()
 		world.Shards, world.ShardSamples, world.Window = man.NumShards, man.ShardSamples, w.corgiWindow
 	}
-	return shuffle.PlanEpoch(strategy, world, w.cfg.Seed, epoch, ids)
+	plan, err := shuffle.PlanEpoch(strategy, world, w.cfg.Seed, epoch, ids)
+	if err != nil || world.Size == w.comm.Size() {
+		return plan, err
+	}
+	group, x := w.comm.GroupRanks(), plan.Exchange
+	for i := range x.Dests {
+		x.Dests[i], x.Senders[i] = group[x.Dests[i]], group[x.Senders[i]]
+	}
+	return plan, nil
 }
 
 // stampQ records the fraction in force and its reason in es when a
@@ -190,7 +197,22 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		w.cm.Note(ReasonSchedule)
 	}
 	w.stampQ(es)
-	plan, err := w.planEpoch(epoch)
+	n := len(w.cfg.Dataset.Train)
+	if (w.comm.GroupSize() < w.comm.Size() || w.shortData) && w.local != nil {
+		// Degraded world (or one resumed from a degraded snapshot): the dead
+		// ranks' unexchanged samples are gone, so the stores hold fewer than
+		// N/M. The members agree on the smallest store with one group-min
+		// all-reduce and plan as a world of that many samples per member: the
+		// same iteration count everywhere, no rank slicing past its own sample
+		// list, and a balanced exchange at the configured Q.
+		buf := []int{w.local.Len()}
+		mpi.Allreduce(w.comm, buf, mpi.OpMin)
+		if buf[0] == 0 {
+			return fmt.Errorf("epoch %d: a surviving rank has no local samples left", epoch)
+		}
+		n = w.comm.GroupSize() * buf[0]
+	}
+	plan, err := w.planEpoch(epoch, n)
 	if err != nil {
 		return err
 	}
@@ -211,22 +233,6 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 	// the same number of collectives per epoch, even when N is not divisible
 	// by M and local counts differ by one.
 	b, minLocal := w.cfg.BatchSize, plan.Floor
-	if w.comm.GroupSize() < w.comm.Size() || w.shortData {
-		// Degraded world (or one resumed from a degraded snapshot): the dead
-		// ranks' unexchanged samples are gone, so stores can dip below N/M
-		// (retention and forfeiture also skew them independently). The
-		// members agree on the smallest store with one group-min all-reduce
-		// — same iteration count everywhere, and no rank slices past its own
-		// sample list.
-		buf := []int{len(plan.Order)}
-		mpi.Allreduce(w.comm, buf, mpi.OpMin)
-		if buf[0] < minLocal {
-			minLocal = buf[0]
-		}
-		if minLocal == 0 {
-			return fmt.Errorf("epoch %d: a surviving rank has no local samples left", epoch)
-		}
-	}
 	if b > minLocal {
 		b = minLocal
 	}
@@ -334,7 +340,7 @@ func (w *worker) runEpoch(epoch int, es *EpochStats) error {
 		// order and lands the first windows behind validation and the
 		// checkpoint — the storage-tier analogue of the Figure 4 overlap.
 		if next := epoch + 1; next < w.cfg.Epochs {
-			nextPlan, err := w.planEpoch(next)
+			nextPlan, err := w.planEpoch(next, n)
 			if err != nil {
 				return err
 			}

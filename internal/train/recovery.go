@@ -11,9 +11,11 @@ import (
 )
 
 // testAgreeHook runs on every rank as it reaches one of the epoch boundary's
-// agreements — "checkpoint" (temp file durable, report not yet gathered),
-// "rebalance" (before the post-join rebalance's gather) or "reconcile"
-// (generation opened) — at the given boundary. Tests script deaths from it.
+// agreements — "exchange" (the epoch's exchange about to settle; under abort,
+// about to commit locally), "checkpoint" (temp file durable, report not yet
+// gathered), "rebalance" (before the post-join rebalance's gather) or
+// "reconcile" (generation opened) — at the given epoch. Tests script deaths
+// from it.
 var testAgreeHook = func(c *mpi.Comm, point string, epoch int) {}
 
 // reform handles a failed epoch boundary: err itself under abort or for
@@ -65,10 +67,10 @@ func (w *worker) reform(err error, stood int, es *EpochStats) (resume int, _ err
 // in-flight gradient buckets; open the next generation, so no stale frame of
 // a sacrificed collective can alias a later one; agree once on [epoch,
 // −epoch] — the dead set and the survivors' minimum and maximum epoch — and
-// shrink to the survivors; then complete the disrupted epoch's exchange if
-// every survivor had opened it, or else abandon it (Scheduler.Reset: the
-// store is untouched, unreceived sends stay at the sender) and resume past
-// its tag.
+// shrink to the survivors; then reset an exchange window still open
+// (Scheduler.Reset: the store is untouched, unreceived sends stay at the
+// sender, and the epoch realizes Q = 0) and resume past its tag. A window
+// that reached its settling agreement was closed there, on every member alike.
 func (w *worker) recoverPeerFailure(epoch int, es *EpochStats) (resume int, err error) {
 	// Each in-flight bucket all-reduce completed or unwinds; both are fine.
 	for bi, req := range w.bucketReqs {
@@ -99,23 +101,11 @@ func (w *worker) recoverPeerFailure(epoch int, es *EpochStats) (resume int, err 
 	}
 	resume = maxCur + 1
 	if w.exchEpoch >= 0 {
-		if epoch == minCur {
-			// Everyone reached this epoch's exchange: finish it, so sent
-			// samples commit and received ones are saved.
-			if ferr := w.finishExchange(es); ferr != nil {
-				return 0, ferr
-			}
-		} else {
-			// Some survivor never opened this epoch: abandon it. The store is
-			// untouched, so what they never received survives here (their
-			// copies rot undecoded in the mailbox: resume skips the epoch's
-			// tag). What went on the wire is still this epoch's traffic.
-			w.recordExchange(es)
-			w.exchanger.Reset()
-			w.exchEpoch = -1
-		}
-	} else if w.exchanger != nil {
-		w.recordDegradation(es)
+		// Its copies of what others never received rot undecoded in their
+		// mailboxes: resume skips the epoch's tag.
+		w.exchanger.Reset()
+		w.exchEpoch = -1
+		w.recordExchange(es)
 	}
 	return resume, nil
 }

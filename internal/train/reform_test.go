@@ -21,10 +21,12 @@ import (
 // resync) through every way a group changes shape — a rank killed
 // mid-exchange, a rank joining, and both in one run — with a fixed Q and with
 // the controller live, and kills a member inside each of the boundary's
-// agreements: the checkpoint's, the post-join rebalance's, and the recovery's
-// own. Whatever the event, from it on every live member reports one Q
-// trajectory and ends on bitwise-identical weights, the stores stay disjoint
-// and conserved and every re-formation deals them a ±1-balanced cover, every
+// agreements: the exchange's, the checkpoint's, the post-join rebalance's,
+// and the recovery's own. Whatever the event, from it on every live member
+// reports one Q trajectory and one realized Q per epoch and ends on
+// bitwise-identical weights; every epoch after the last re-formation
+// realizes the Q it planned; the stores stay disjoint and conserved, every
+// re-formation deals them a ±1-balanced cover and they end as one; every
 // member sits in the generation the events opened, and no goroutine outlives
 // the world; under abort every survivor names the member that died first.
 func TestReformationMatrix(t *testing.T) {
@@ -43,9 +45,11 @@ func TestReformationMatrix(t *testing.T) {
 		victim, killEpoch int
 		inRebalance       bool
 		// agree names the boundary agreement agreeVictim dies inside, after its
-		// first round reached only some peers: "checkpoint" (before epoch 2),
-		// "rebalance" (the post-join one) or "reconcile" (the recovery from
-		// victim's death).
+		// first round reached only some peers: "exchange" (epoch 2's; under
+		// abort, which commits locally, the victim dies on the first frame
+		// after it instead — the loss all-reduce's, whose one element rank 3
+		// holds), "checkpoint" (before epoch 2), "rebalance" (the post-join
+		// one) or "reconcile" (the recovery from victim's death).
 		agree       string
 		agreeVictim int
 		policy      string // OnPeerFail when a victim is scripted; "" = degrade
@@ -63,6 +67,8 @@ func TestReformationMatrix(t *testing.T) {
 		{name: "grow-killed-in-rebalance-agree-abort", capacity: 5, members: 4, victim: -1, inRebalance: true, agree: "rebalance", agreeVictim: 2, policy: "abort"},
 		{name: "grow-killed-in-rebalance-agree-degrade", capacity: 5, members: 4, victim: -1, inRebalance: true, agree: "rebalance", agreeVictim: 2, policy: "degrade", event: 1, generations: 2},
 		{name: "shrink-killed-in-reconcile-agree", capacity: 4, members: 4, victim: 2, killEpoch: 1, agree: "reconcile", agreeVictim: 1, policy: "degrade", event: 1, generations: 1},
+		{name: "exchange-agree-killed-abort", capacity: 4, members: 4, victim: -1, agree: "exchange", agreeVictim: 3, policy: "abort"},
+		{name: "exchange-agree-killed-degrade", capacity: 4, members: 4, victim: -1, agree: "exchange", agreeVictim: 3, policy: "degrade", event: 2, generations: 1},
 	}
 	type backend struct {
 		name string
@@ -129,16 +135,20 @@ func TestReformationMatrix(t *testing.T) {
 					}
 					if tc.agree != "" {
 						setAgreeHook(t, func(c *mpi.Comm, point string, epoch int) {
-							if c.Rank() != tc.agreeVictim || point != tc.agree || point == "checkpoint" && epoch != 2 {
+							if c.Rank() != tc.agreeVictim || point != tc.agree || (point == "checkpoint" || point == "exchange") && epoch != 2 {
 								return
 							}
 							// The checkpoint's and the rebalance's agreement follow one
-							// gather; the recovery's is its generation's first collective.
-							seq := c.CollSeq()
-							if point != "reconcile" {
+							// gather; the exchange's and the recovery's are the next
+							// collective.
+							seq, count := c.CollSeq(), 2
+							if point == "checkpoint" || point == "rebalance" {
 								seq++
 							}
-							conns[c.Rank()].CrashOn(collTag(seq, 0), 2)
+							if point == "exchange" && tc.policy == "abort" {
+								count = 1
+							}
+							conns[c.Rank()].CrashOn(collTag(seq, 0), count)
 						})
 					}
 					// dealt is each member's store as its latest rebalance left
@@ -246,6 +256,44 @@ func TestReformationMatrix(t *testing.T) {
 							t.Errorf("epoch %d recorded controller q=%v with AutoQ=%t", e, got, autoQ)
 						}
 					}
+					// One realized Q per epoch from the event on: a window commits
+					// on every member or resets on every member. After the last
+					// re-formation every epoch realizes the Q it planned — the
+					// shrunk group plans over its live members.
+					realized := func(r int) map[int]float64 {
+						qs := make(map[int]float64)
+						for _, es := range rrs[r].Epochs {
+							if es.Epoch >= tc.event {
+								qs[es.Epoch] = es.EffectiveQ
+							}
+						}
+						return qs
+					}
+					refQ := realized(live[0])
+					for _, r := range live[1:] {
+						for e, got := range realized(r) {
+							if got != refQ[e] {
+								t.Errorf("ranks %d and %d disagree on epoch %d's realized Q: %v vs %v", live[0], r, e, refQ[e], got)
+							}
+						}
+					}
+					for _, r := range live {
+						last := -1
+						for _, es := range rrs[r].Epochs {
+							if es.Disrupted || es.Skipped {
+								last = es.Epoch
+							}
+						}
+						for _, es := range rrs[r].Epochs {
+							planned := q
+							if autoQ {
+								planned = es.ControllerQ
+							}
+							if es.Epoch > last && es.EffectiveQ != planned {
+								t.Errorf("rank %d epoch %d (after the re-formation at %d): EffectiveQ = %v, want the planned %v", r, es.Epoch, last, es.EffectiveQ, planned)
+							}
+						}
+					}
 
 					w0 := flatWeights(rrs[live[0]].FinalParams)
 					for _, r := range live[1:] {
@@ -271,22 +319,20 @@ func TestReformationMatrix(t *testing.T) {
 					if lost > maxLost {
 						t.Errorf("%d samples missing from the live stores, at most %d may have died with a rank", lost, maxLost)
 					}
-					if len(killed) == 0 {
-						// Nobody died: the rebalance left a ±1-balanced cover of the
-						// dataset, and balanced exchanges keep it one.
-						lo, hi := samples, 0
-						for _, r := range live {
-							lo, hi = min(lo, len(rrs[r].FinalLocalIDs)), max(hi, len(rrs[r].FinalLocalIDs))
-						}
-						if lost != 0 || hi-lo > 1 {
-							t.Errorf("stores hold %d..%d samples, %d missing; want a ±1-balanced cover", lo, hi, lost)
-						}
-					} else {
+					// The last rebalance left a ±1-balanced cover of what survived,
+					// and the balanced exchanges planned over the live group keep it
+					// one; nobody dying loses nothing.
+					lo, hi := samples, 0
+					for _, r := range live {
+						lo, hi = min(lo, len(rrs[r].FinalLocalIDs)), max(hi, len(rrs[r].FinalLocalIDs))
+					}
+					if hi-lo > 1 || len(killed) == 0 && lost != 0 {
+						t.Errorf("final stores hold %d..%d samples, %d missing; want a ±1-balanced cover", lo, hi, lost)
+					}
+					if len(killed) > 0 {
 						// A shrink ends in a rebalance as a join does: in the last
 						// generation every live member's store was dealt its ±1 share
-						// of one disjoint cover of what survived. (The degraded epochs
-						// after it forfeit the dead ranks' slots, so the final stores
-						// drift from that deal by a few samples.)
+						// of one disjoint cover of what survived.
 						lo, hi, held := samples, 0, make(map[int]bool)
 						for _, r := range live {
 							if dealtGen[r] != gens[r] {

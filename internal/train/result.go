@@ -53,13 +53,9 @@ type EpochStats struct {
 	// encode + write + agreement + commit at the epoch's boundary, including
 	// a post-recovery snapshot (zero when none was due).
 	ValidateTime, CheckpointTime time.Duration
-	// DegradedSlots counts the exchange slots this epoch forfeited because
-	// their partner rank was dead (send slots whose destination died plus
-	// receive slots whose sender died). Zero in a healthy run.
-	DegradedSlots int
-	// EffectiveQ is the shuffling fraction the epoch actually realized:
-	// Q scaled by the live share of the exchange slots. Equal to the
-	// configured Q while every peer is alive; meaningful only for the
+	// EffectiveQ is the shuffling fraction the epoch actually realized: the
+	// Q its exchange plan was drawn at when the exchange committed, 0 when a
+	// peer death reset it (and for a Skipped epoch). Meaningful only for the
 	// partial-local strategy (zero otherwise).
 	EffectiveQ float64
 	// ControllerQ is the exchange fraction this epoch actually planned with

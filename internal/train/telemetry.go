@@ -50,18 +50,9 @@ func (w *worker) registerTelemetry(reg *telemetry.Registry) {
 					}
 					return float64(r)
 				})
-			reg.GaugeFunc("pls_exchange_degraded_slots",
-				"Exchange slots the current epoch forfeited to dead peers.", ld,
-				func() float64 {
-					s, r := ex.DegradedSlots()
-					if dir == "sent" {
-						return float64(s)
-					}
-					return float64(r)
-				})
 		}
 		reg.GaugeFunc("pls_exchange_effective_q",
-			"Shuffling fraction the current epoch actually realizes (q scaled by surviving slots).", l,
+			"Shuffling fraction the current epoch realizes (its plan's q; 0 once a peer death reset it).", l,
 			ex.EffectiveQ)
 		reg.GaugeFunc("pls_exchange_epoch",
 			"Most recently scheduled exchange epoch.", l,

@@ -205,9 +205,7 @@ type worker struct {
 
 	// Fault-tolerance and elasticity state (DESIGN.md §10, §15).
 	// exchEpoch is the epoch whose exchange is currently open (-1 when no
-	// Scheduling…CleanLocalStorage window is in flight) — the recovery path
-	// uses it to decide whether the disrupted epoch's exchange must be
-	// completed or abandoned. The membership generation lives in the
+	// Open…settle window is in flight) — the recovery path resets it. The membership generation lives in the
 	// communicator (mpi.Comm.Generation).
 	exchEpoch int
 	// startEpoch is the first epoch this rank trains — non-zero after a
@@ -324,7 +322,7 @@ func newWorker(c *mpi.Comm, cfg Config, rs *resumeState, adm *admitMsg) (*worker
 			if err != nil {
 				return nil, err
 			}
-			opts := shuffle.Options{Encoding: enc, Degrade: cfg.OnPeerFail == "degrade"}
+			opts := shuffle.Options{Encoding: enc}
 			if cfg.WireDedup {
 				opts.DedupBudget = DefaultWireDedupBudget
 			}
@@ -546,12 +544,11 @@ func (w *worker) train() ([]EpochStats, error) {
 			// furthest progress so no epoch (and no exchange tag space) is
 			// ever re-entered.
 			for skip := stood + 1; skip < resume && skip < w.cfg.Epochs; skip++ {
-				sk := EpochStats{Epoch: skip, Skipped: true,
-					DegradedSlots: es.DegradedSlots, EffectiveQ: es.EffectiveQ}
-				// The members that did enter the skipped epoch planned it with
-				// the fraction resync just adopted from the root (a disrupted
-				// epoch reaches no decision), so every survivor reports one
-				// trajectory.
+				// The members that did enter the skipped epoch reset its
+				// exchange (EffectiveQ 0) and planned it with the fraction
+				// resync just adopted from the root (a disrupted epoch reaches
+				// no decision), so every survivor reports one trajectory.
+				sk := EpochStats{Epoch: skip, Skipped: true}
 				w.stampQ(&sk)
 				stats = append(stats, sk)
 			}
@@ -624,8 +621,8 @@ func (w *worker) emitTrace(es EpochStats) {
 		rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseCheckpoint,
 			Duration: es.CheckpointTime})
 	}
-	if es.DegradedSlots > 0 || es.Disrupted {
+	if es.Disrupted {
 		rec.Record(trace.Event{Rank: rank, Epoch: epoch, Phase: trace.PhaseDegraded,
-			Bytes: int64(es.DegradedSlots), EffectiveQ: es.EffectiveQ})
+			EffectiveQ: es.EffectiveQ})
 	}
 }

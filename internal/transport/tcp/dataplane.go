@@ -302,7 +302,7 @@ func (c *Conn) writeLoop(p *peer) {
 			p.mu.Lock()
 			p.writing = false
 			p.mu.Unlock()
-			c.peerFailed(p, pe)
+			c.declareDead(p, pe)
 			return
 		}
 		clear(batch)

@@ -93,15 +93,15 @@ func (c *Conn) silenced(p *peer) {
 		return
 	default:
 	}
-	c.peerFailed(p, &transport.PeerError{Rank: p.rank, Phase: transport.PhaseRecv,
+	c.declareDead(p, &transport.PeerError{Rank: p.rank, Phase: transport.PhaseRecv,
 		Err: fmt.Errorf("tcp: rank %d: nothing heard from rank %d for %v", c.cfg.Rank, p.rank, silentBeats*c.cfg.HeartbeatInterval)})
 }
 
-// peerFailed records pe and, the first time p fails, marks it dead, drops
+// declareDead records pe and, the first time p fails, marks it dead, drops
 // what is queued for it and closes the socket this rank dialed to it, so
 // that no writer redials it and Close waits for no drain to it, then
 // reports the failure.
-func (c *Conn) peerFailed(p *peer, pe *transport.PeerError) {
+func (c *Conn) declareDead(p *peer, pe *transport.PeerError) {
 	c.fail(pe)
 	p.mu.Lock()
 	if p.dead {
